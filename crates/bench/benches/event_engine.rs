@@ -1,13 +1,15 @@
-//! Criterion bench pinning the event-driven pipeline simulator against the
-//! legacy busy-poll reference at paper scale (`p = 32`, `m = 512` — the
-//! largest grid corner of `pipeline_sweep`).  The event engine's
-//! `O(n + e)` bound (Kahn relaxation over a CSR DAG) is what keeps
-//! paper-scale sweeps cheap and is what this bench regression-guards;
-//! running both engines on the identical input keeps the comparison
-//! honest — the reference loop's simple arrays make it fast on friendly
-//! schedules, while the engine's bound holds on every schedule (the
-//! reference rescans, so adversarial dependency patterns and the
-//! interleaved/zero-bubble schedules are engine-only).
+//! Criterion bench of the pipeline simulator at paper scale (`p = 32`,
+//! `m = 512` — the largest grid corner of `pipeline_sweep`), every
+//! schedule timed twice:
+//!
+//! * `cached` — one simulator reused across iterations, so only the
+//!   linear max/+ pass over the cached topology is timed (the trainer's
+//!   case: it re-simulates the same shape after every rebalance);
+//! * `cold` — a fresh simulator per iteration, so the topology build is
+//!   timed too (the case of a trainer run that simulates one shape once).
+//!
+//! The legacy busy-poll loop (`simulate_reference`, GPipe and 1F1B only)
+//! runs on the identical input as the yardstick.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynmo_model::{ClusterConfig, DeviceSpec, ModelConfig};
@@ -39,39 +41,40 @@ fn paper_scale_loads() -> Vec<StageLoad> {
 fn bench_event_engine(c: &mut Criterion) {
     let model = ModelConfig::gpt(32);
     let cluster = ClusterConfig::homogeneous(8, PAPER_STAGES, 1, DeviceSpec::h100_sxm5());
+    let comm = CommCostModel::new(cluster);
     let loads = paper_scale_loads();
     let mut group = c.benchmark_group("pipeline_simulate_p32_m512");
-    for schedule in [ScheduleKind::GPipe, ScheduleKind::OneFOneB] {
-        let simulator = PipelineSimulator::new(CommCostModel::new(cluster.clone()), schedule);
+    for schedule in ScheduleKind::ALL {
+        let mut cached = PipelineSimulator::new(comm.clone(), schedule);
         group.bench_with_input(
-            BenchmarkId::new("event_engine", schedule.label()),
+            BenchmarkId::new("cached", schedule.label()),
             &loads,
             |b, loads| {
-                b.iter(|| simulator.simulate(&model, loads, PAPER_MICROBATCHES));
+                b.iter(|| cached.simulate(&model, loads, PAPER_MICROBATCHES));
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("reference", schedule.label()),
+            BenchmarkId::new("cold", schedule.label()),
             &loads,
             |b, loads| {
-                b.iter(|| simulator.simulate_reference(&model, loads, PAPER_MICROBATCHES));
+                b.iter(|| {
+                    PipelineSimulator::new(comm.clone(), schedule).simulate(
+                        &model,
+                        loads,
+                        PAPER_MICROBATCHES,
+                    )
+                });
             },
         );
-    }
-    // The advanced schedules only exist on the event engine; keep their
-    // paper-scale cost visible alongside.
-    for schedule in [
-        ScheduleKind::Interleaved1F1B { virtual_stages: 2 },
-        ScheduleKind::ZeroBubbleH1,
-    ] {
-        let simulator = PipelineSimulator::new(CommCostModel::new(cluster.clone()), schedule);
-        group.bench_with_input(
-            BenchmarkId::new("event_engine", schedule.label()),
-            &loads,
-            |b, loads| {
-                b.iter(|| simulator.simulate(&model, loads, PAPER_MICROBATCHES));
-            },
-        );
+        if matches!(schedule, ScheduleKind::GPipe | ScheduleKind::OneFOneB) {
+            group.bench_with_input(
+                BenchmarkId::new("reference", schedule.label()),
+                &loads,
+                |b, loads| {
+                    b.iter(|| cached.simulate_reference(&model, loads, PAPER_MICROBATCHES));
+                },
+            );
+        }
     }
     group.finish();
 }

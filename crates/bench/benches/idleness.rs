@@ -31,7 +31,8 @@ fn bench_idleness(c: &mut Criterion) {
         let assignment = StageAssignment::uniform(model.num_layers(), 4);
         let stage_loads =
             aggregate_stage_loads(&loads, assignment.layer_to_stage(), assignment.num_stages());
-        let simulator = PipelineSimulator::new(CommCostModel::new(cluster), ScheduleKind::OneFOneB);
+        let mut simulator =
+            PipelineSimulator::new(CommCostModel::new(cluster), ScheduleKind::OneFOneB);
         let model_cfg = model.config().clone();
         group.bench_with_input(
             BenchmarkId::from_parameter(case.label()),

@@ -1,14 +1,12 @@
-//! Thread-pool benchmark — wall-clock for the three sweep bins and the
-//! sharded Kahn engine at 1 thread vs the host's thread count.
+//! Thread-pool benchmark — wall-clock for the three sweep bins at 1 thread
+//! vs the host's thread count.
 //!
 //! Writes `results/BENCH_pool.json` with, per sweep bin, the best-of-N
 //! wall-clock under a 1-thread and an `host_threads`-thread pool, the
 //! resulting speedup, and whether the two runs produced identical rows
 //! (byte-identical serialization for the pipeline and serving sweeps;
 //! simulated-fields-identical for the composite sweep, whose rows embed
-//! measured balancer wall-clock).  A second section times the pipeline
-//! simulator's sequential Kahn engine against the sharded wavefront engine
-//! on a very-large DAG and asserts bit-identical reports.
+//! measured balancer wall-clock).
 //!
 //! Speedups are a property of the *host*: on a single-core container both
 //! pools degenerate to one worker and every speedup is ~1×; on an 8-core
@@ -20,10 +18,6 @@ use std::time::Instant;
 use dynmo_bench::serving::{run_serving_sweep, ServingSweepConfig};
 use dynmo_bench::sweep::{run_sweep, SweepConfig};
 use dynmo_bench::{dump_json, fmt, run_composite_sweep, ExperimentScale, Table};
-use dynmo_model::ModelConfig;
-use dynmo_model::{ClusterConfig, DeviceSpec};
-use dynmo_pipeline::load::StageLoad;
-use dynmo_pipeline::{CommCostModel, PipelineSimulator, ScheduleKind};
 use serde::Serialize;
 
 /// One sweep bin's before/after numbers.
@@ -37,18 +31,6 @@ struct SweepTiming {
     identical: bool,
 }
 
-/// The sharded-engine comparison.
-#[derive(Debug, Serialize)]
-struct ShardedTiming {
-    stages: usize,
-    microbatches: usize,
-    nodes: usize,
-    sequential_secs: f64,
-    sharded_secs: f64,
-    speedup: f64,
-    bit_identical: bool,
-}
-
 /// The whole artifact.
 #[derive(Debug, Serialize)]
 struct PoolBench {
@@ -56,7 +38,6 @@ struct PoolBench {
     scale: String,
     repeats: usize,
     sweeps: Vec<SweepTiming>,
-    sharded_engine: ShardedTiming,
 }
 
 /// Best-of-`repeats` wall-clock of `f`, returning the last result too.
@@ -165,61 +146,11 @@ fn main() {
         },
     ));
 
-    // Sharded Kahn engine on a very-large DAG.  Axis sizes scale with the
-    // requested fidelity so smoke runs stay CI-fast.
-    let (stages, microbatches) = match scale {
-        ExperimentScale::Smoke => (128, 512),
-        ExperimentScale::Default => (512, 1024),
-        ExperimentScale::Paper => (512, 4096),
-    };
-    let model = ModelConfig::gpt(32);
-    let layers_per_stage = (model.num_layers / stages).max(1);
-    let base_fwd = 2.0e-3 * layers_per_stage as f64;
-    let loads: Vec<StageLoad> = (0..stages)
-        .map(|s| StageLoad {
-            fwd_time: base_fwd * (1.0 + 0.1 * (s % 5) as f64),
-            bwd_time: 2.0 * base_fwd,
-            param_count: 1_000_000,
-            static_bytes: 0,
-            activation_bytes: 0,
-            boundary_bytes: 0,
-            num_layers: layers_per_stage,
-        })
-        .collect();
-    let cluster = ClusterConfig::homogeneous(8, stages, 1, DeviceSpec::h100_sxm5());
-    let sim = PipelineSimulator::new(CommCostModel::new(cluster), ScheduleKind::OneFOneB);
-    let nodes = 2 * stages * microbatches; // fwd + bwd per (stage, mb)
-    let sequential_sim = sim.clone().with_shard_threshold(usize::MAX);
-    let sharded_sim = sim.clone().with_shard_threshold(0);
-    // At least 2 workers so the wavefront engine actually runs (its
-    // dispatch falls back to sequential on a 1-thread pool) even on a
-    // single-core host — where the timing comparison is then time-sliced
-    // and speedup is honestly ~1×.
-    let shard_pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(host_threads.max(2))
-        .build()
-        .expect("pool construction cannot fail");
-    let (seq_secs, seq_report) = time_best(repeats, || {
-        sequential_sim.simulate(&model, &loads, microbatches)
-    });
-    let (shard_secs, shard_report) = time_best(repeats, || {
-        shard_pool.install(|| sharded_sim.simulate(&model, &loads, microbatches))
-    });
-    let sharded_engine = ShardedTiming {
-        stages,
-        microbatches,
-        nodes,
-        sequential_secs: seq_secs,
-        sharded_secs: shard_secs,
-        speedup: seq_secs / shard_secs,
-        bit_identical: seq_report == shard_report,
-    };
-
     let mut table = Table::new(
         "Work-stealing pool — wall-clock by thread count",
         &[
             "Workload",
-            "Cells/Nodes",
+            "Cells",
             "1 thread",
             &format!("{host_threads} threads"),
             "Speedup",
@@ -236,30 +167,17 @@ fn main() {
             s.identical.to_string(),
         ]);
     }
-    table.add_row(vec![
-        format!("kahn p={stages} m={microbatches}"),
-        sharded_engine.nodes.to_string(),
-        fmt(sharded_engine.sequential_secs, 3),
-        fmt(sharded_engine.sharded_secs, 3),
-        fmt(sharded_engine.speedup, 2),
-        sharded_engine.bit_identical.to_string(),
-    ]);
     table.print();
 
     for s in &sweeps {
         assert!(s.identical, "{}: thread counts changed the artifact", s.bin);
     }
-    assert!(
-        sharded_engine.bit_identical,
-        "sharded engine diverged from sequential"
-    );
 
     let bench = PoolBench {
         host_threads,
         scale: format!("{scale:?}").to_lowercase(),
         repeats,
         sweeps,
-        sharded_engine,
     };
     if let Some(path) = dump_json("BENCH_pool", &bench) {
         println!("(pool benchmark written to {})", path.display());

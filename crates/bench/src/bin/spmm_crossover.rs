@@ -1,4 +1,4 @@
-//! §4.2.2 — SpMM backend crossover (ABL-SPMM in DESIGN.md).
+//! §4.2.2 — SpMM backend crossover.
 //!
 //! The paper selects Sputnik for sparse kernels because (a) it beats
 //! cuSPARSE across the deep-learning sparsity range and (b) it overtakes

@@ -163,7 +163,7 @@ pub fn run_cell_recorded(
     let model = ModelConfig::gpt(gpt_layers);
     let cluster = ClusterConfig::homogeneous(4, case.stages, 1, DeviceSpec::h100_sxm5());
     let loads = sweep_stage_loads(&model, case.stages, case.imbalance);
-    let simulator = PipelineSimulator::new(CommCostModel::new(cluster), case.schedule);
+    let mut simulator = PipelineSimulator::new(CommCostModel::new(cluster), case.schedule);
     let report = simulator.simulate(&model, &loads, case.microbatches);
     recorder.record_iteration(group, 0, 0.0, &report);
     let tokens = (case.microbatches * model.micro_batch_size * model.seq_len) as u64;

@@ -502,7 +502,7 @@ impl Trainer {
     ) -> Result<(TrainingReport, Option<TrainerState>), String> {
         let recorder = Arc::clone(&self.recorder);
         let comm = CommCostModel::new(self.config.cluster.clone());
-        let simulator = PipelineSimulator::new(comm.clone(), self.config.schedule);
+        let mut simulator = PipelineSimulator::new(comm.clone(), self.config.schedule);
         let hybrid = HybridThroughputModel::new(comm.clone(), self.config.allreduce_overlap);
         let model_cfg = self.model.config().clone();
 

@@ -120,7 +120,7 @@ mod tests {
 
     fn report(dp: usize) -> (IterationReport, HybridThroughputModel) {
         let comm = CommCostModel::new(cluster(dp));
-        let sim = PipelineSimulator::new(comm.clone(), ScheduleKind::OneFOneB);
+        let mut sim = PipelineSimulator::new(comm.clone(), ScheduleKind::OneFOneB);
         let loads = stage_loads();
         let r = sim.simulate(&ModelConfig::gpt(24), &loads, 16);
         (r, HybridThroughputModel::new(comm, 0.5))
@@ -152,7 +152,7 @@ mod tests {
     fn overlap_reduces_exposed_allreduce() {
         let model = ModelConfig::gpt(24);
         let comm = CommCostModel::new(cluster(8));
-        let sim = PipelineSimulator::new(comm.clone(), ScheduleKind::OneFOneB);
+        let mut sim = PipelineSimulator::new(comm.clone(), ScheduleKind::OneFOneB);
         let loads = stage_loads();
         let r = sim.simulate(&model, &loads, 16);
         let none = HybridThroughputModel::new(comm.clone(), 0.0).throughput(&model, &r, &loads, 16);

@@ -14,12 +14,13 @@
 //!   interleaved 1F1B (virtual stages), and a ZB-H1-style zero-bubble
 //!   schedule with split backward (the "almost zero-bubble" baseline of
 //!   the paper's Figure 1).
-//! * [`simulator`] — an event-driven engine (Kahn topological relaxation
-//!   over a CSR dependency DAG, `O(n + e)`) that tracks, for every worker,
-//!   when each op can start given activation/gradient dependencies and
-//!   communication latencies, bypasses stages released by re-packing,
-//!   supports a forward-only inference mode for the serving engine, and
-//!   reports makespan, per-worker idleness and the bubble ratio.
+//! * [`simulator`] — one linear max/+ pass over a cached dependency-DAG
+//!   topology (rebuilt only when the pipeline's shape changes) that
+//!   computes, for every op, when it can start given activation/gradient
+//!   dependencies and communication latencies, bypasses stages released
+//!   by re-packing, prices forward-only inference for the serving engine
+//!   with a one-row recurrence, and reports makespan, per-worker idleness
+//!   and the bubble ratio.
 //! * [`comm`] — an α–β communication model for per-boundary activation and
 //!   gradient hand-offs, locality-aware gradient all-reduce, MoE
 //!   all-to-all, and layer migration.

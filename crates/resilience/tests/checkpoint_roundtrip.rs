@@ -111,6 +111,43 @@ proptest! {
     }
 }
 
+/// Characters swapped into checkpoint text: JSON structure, escapes,
+/// number parts, a control character and multi-byte UTF-8.
+const SWAPS: &str = "\"\\{}[],:0-ex \u{0}\u{e9}\u{20ac}\u{1f680}";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Damaged checkpoint text never panics the parser: cut at any char
+    /// boundary it is rejected by both `parse_value` and
+    /// `Checkpoint::from_json`, and with one char swapped it is handled
+    /// either way (some swaps, e.g. inside a string, still spell valid
+    /// JSON).
+    #[test]
+    fn damaged_checkpoint_json_is_an_error_not_a_panic(
+        weights in prop::collection::vec(-1.0e6f32..1.0e6, 1..16),
+        cut in 0usize..1 << 20,
+        swap_at in 0usize..1 << 20,
+        swap in 0usize..SWAPS.chars().count(),
+    ) {
+        let mut state = build_state(7, 2, &[weights], 0x5eed, &[0.5]);
+        // A key with escapes and multi-byte characters.
+        state.metrics.insert("loss \"ema\"\t\u{e9}\u{2014}\u{1f680}\\".to_string(), 1.5);
+        let text = Checkpoint::new(state).unwrap().to_json().unwrap();
+        let chars: Vec<(usize, char)> = text.char_indices().collect();
+
+        let truncated = &text[..chars[cut % chars.len()].0];
+        prop_assert!(serde_json::parse_value(truncated).is_err(), "{truncated:?}");
+        prop_assert!(Checkpoint::from_json(truncated).is_err(), "{truncated:?}");
+
+        let (at, original) = chars[swap_at % chars.len()];
+        let swapped = SWAPS.chars().nth(swap).unwrap();
+        let garbled = format!("{}{swapped}{}", &text[..at], &text[at + original.len_utf8()..]);
+        let _ = serde_json::parse_value(&garbled);
+        let _ = Checkpoint::from_json(&garbled);
+    }
+}
+
 #[test]
 fn disk_store_round_trip_is_bit_for_bit() {
     let dir =

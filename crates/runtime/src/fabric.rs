@@ -174,6 +174,7 @@ impl Endpoint {
     /// blocked, the call fails promptly with [`RuntimeError::RankFailed`] —
     /// a collective on that communicator can never complete, and poisoning
     /// every pending operation is how the failure reaches all survivors.
+    /// A matching message that has already arrived is returned first.
     // Deadline bookkeeping is a sanctioned wall-clock use (see clippy.toml)
     // — the reading gates only the timeout error path, never payload data.
     #[allow(clippy::disallowed_methods)]
@@ -184,12 +185,10 @@ impl Endpoint {
         src: Option<RankId>,
         tag: Tag,
     ) -> Result<Envelope> {
+        let wanted =
+            |e: &Envelope| e.comm == comm && e.tag == tag && src.is_none_or(|s| e.src == s);
         // First, look in the unexpected-message queue.
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|e| e.comm == comm && e.tag == tag && src.is_none_or(|s| e.src == s))
-        {
+        if let Some(pos) = self.pending.iter().position(wanted) {
             return Ok(self.pending.remove(pos));
         }
         // Then drain the inbox until a match arrives, a member dies, or we
@@ -199,6 +198,15 @@ impl Endpoint {
         // reaches trajectory data or artifacts.
         let deadline = std::time::Instant::now() + self.timeout;
         loop {
+            // A message that has already arrived is delivered even if a
+            // member has failed since: only a receive that would have to
+            // wait fails on a failure.
+            while let Ok(envelope) = self.inbox.try_recv() {
+                if wanted(&envelope) {
+                    return Ok(envelope);
+                }
+                self.pending.push(envelope);
+            }
             if let Some(failed) = self.detector.first_failed_of(members) {
                 return Err(RuntimeError::RankFailed { rank: failed });
             }
@@ -214,10 +222,7 @@ impl Endpoint {
             let slice = remaining.min(Fabric::FAILURE_POLL);
             match self.inbox.recv_timeout(slice) {
                 Ok(envelope) => {
-                    let matches = envelope.comm == comm
-                        && envelope.tag == tag
-                        && src.is_none_or(|s| envelope.src == s);
-                    if matches {
+                    if wanted(&envelope) {
                         return Ok(envelope);
                     }
                     self.pending.push(envelope);
@@ -326,6 +331,23 @@ mod tests {
             .unwrap();
         let got = ep.recv_match(0, &[0, 1, 2], None, 4).unwrap();
         assert_eq!(got.src, 1);
+    }
+
+    #[test]
+    fn a_message_queued_before_a_failure_is_still_delivered() {
+        let (fabric, mut inboxes) = Fabric::with_timeout(3, Duration::from_millis(200));
+        let rx = inboxes.remove(1);
+        let mut ep = Endpoint::new(1, rx, fabric.recv_timeout(), fabric.detector().clone());
+        fabric
+            .route(envelope(0, 1, 0, 6, Payload::U32(vec![42])))
+            .unwrap();
+        // Another member of the communicator fails after the send.
+        fabric.detector().mark_failed(2);
+        let got = ep.recv_match(0, &[0, 1, 2], Some(0), 6).unwrap();
+        assert_eq!(got.payload, Payload::U32(vec![42]));
+        // With nothing left queued, the failure is reported.
+        let err = ep.recv_match(0, &[0, 1, 2], Some(0), 6).unwrap_err();
+        assert_eq!(err, RuntimeError::RankFailed { rank: 2 });
     }
 
     #[test]

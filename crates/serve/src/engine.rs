@@ -8,10 +8,10 @@
 //! admission control — so a replica provisioned mid-spike immediately
 //! relieves the shared backlog.  Each replica runs vLLM-style engine
 //! steps formed by its [`crate::batching::ContinuousBatcher`], and each
-//! step is priced by the event-driven pipeline simulator's forward-only mode
-//! ([`PipelineSimulator::simulate_forward`]): the step's batch is split
-//! into micro-batches that flow down the pipeline paying per-boundary α–β
-//! communication costs.
+//! step is priced by the pipeline simulator's forward-only recurrence
+//! ([`PipelineSimulator::forward_makespan`], no DAG and no report): the
+//! step's batch is split into micro-batches that flow down the pipeline
+//! paying per-boundary α–β communication costs.
 //!
 //! The dynamism engines plug in through their inference hook
 //! ([`DynamismEngine::inference_step`]): per engine step the current
@@ -544,9 +544,7 @@ impl ServingEngine {
                 }
             })
             .collect();
-        self.simulator
-            .simulate_forward(model_config, &loads, m)
-            .makespan
+        self.simulator.forward_makespan(model_config, &loads, m)
     }
 
     /// Evaluate the autoscaler at `now` and apply its decision.

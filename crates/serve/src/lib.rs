@@ -13,8 +13,8 @@
 //!   step, with KV-cache admission control against the budgets computed by
 //!   `dynmo_model::KvCacheModel`.
 //! * [`engine`] — the deployment: replicated pipelines laid out by DynMo's
-//!   balancers, engine steps priced by the event-driven pipeline
-//!   simulator's forward-only mode, dynamism engines plugged in through
+//!   balancers, engine steps priced by the pipeline simulator's
+//!   forward-only recurrence, dynamism engines plugged in through
 //!   their `inference_step` hook (early-exit token retention shortens
 //!   decode work and boundary bytes; MoE routing skews per-stage load).
 //! * [`metrics`] — SLO metrics: TTFT, TPOT, p50/p95/p99 latency, goodput.

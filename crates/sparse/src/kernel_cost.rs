@@ -10,8 +10,8 @@
 //! 2. "Notably, Sputnik begins to outperform cuBLAS around 75% sparsity."
 //!
 //! The models below are simple effective-throughput curves chosen so these
-//! two crossovers hold; the spmm benchmark (`ABL-SPMM` in DESIGN.md) prints
-//! the sweep that verifies them.
+//! two crossovers hold; the `spmm_crossover` binary and the `spmm` bench
+//! print the sweep that verifies them.
 
 use serde::{Deserialize, Serialize};
 

@@ -28,6 +28,7 @@ pub fn from_str<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, Error> {
 /// Parse JSON text into the serde shim's [`Value`] tree.
 pub fn parse_value(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -41,6 +42,7 @@ pub fn parse_value(text: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -148,59 +150,63 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // escape as one slice: both are ASCII, so the run ends on a
+            // char boundary of the input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let plain = self
+                .text
+                .get(self.pos..self.pos + run)
+                .ok_or_else(|| self.error("invalid utf-8"))?;
+            out.push_str(plain);
+            self.pos += run;
             let Some(c) = self.peek() else {
                 return Err(self.error("unterminated string"));
             };
             self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let first = self.parse_hex4()?;
-                            let scalar = if (0xD800..0xDC00).contains(&first) {
-                                // High surrogate: a \uXXXX low surrogate must
-                                // follow to form one supplementary character.
-                                if !self.consume_literal("\\u") {
-                                    return Err(self.error("unpaired surrogate"));
-                                }
-                                let low = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.error("invalid low surrogate"));
-                                }
-                                0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                first
-                            };
-                            match char::from_u32(scalar) {
-                                Some(ch) => out.push(ch),
-                                None => return Err(self.error("invalid unicode escape")),
-                            }
+            if c == b'"' {
+                return Ok(out);
+            }
+            // A backslash: decode one escape.
+            let Some(esc) = self.peek() else {
+                return Err(self.error("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let first = self.parse_hex4()?;
+                    let scalar = if (0xD800..0xDC00).contains(&first) {
+                        // High surrogate: a \uXXXX low surrogate must
+                        // follow to form one supplementary character.
+                        if !self.consume_literal("\\u") {
+                            return Err(self.error("unpaired surrogate"));
                         }
-                        _ => return Err(self.error("invalid escape character")),
+                        let low = self.parse_hex4()?;
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return Err(self.error("invalid low surrogate"));
+                        }
+                        0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
+                    } else {
+                        first
+                    };
+                    match char::from_u32(scalar) {
+                        Some(ch) => out.push(ch),
+                        None => return Err(self.error("invalid unicode escape")),
                     }
                 }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at this byte.
-                    let start = self.pos - 1;
-                    let text = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let ch = text.chars().next().unwrap();
-                    self.pos = start + ch.len_utf8();
-                    out.push(ch);
-                }
+                _ => return Err(self.error("invalid escape character")),
             }
         }
     }
@@ -353,6 +359,49 @@ fn render(value: &Value, indent: Option<usize>, depth: usize, out: &mut String) 
 mod tests {
     use super::*;
 
+    /// A JSON array of strings at least `bytes` long, mixing ASCII runs,
+    /// multi-byte characters and escapes.
+    fn string_document(bytes: usize) -> String {
+        let item = "\"plain run, caf\u{e9} \u{2014} \u{1f680}, escapes \\\" \\\\ \\n \\u00e9 end\"";
+        let mut doc = String::from("[");
+        loop {
+            doc.push_str(item);
+            if doc.len() >= bytes {
+                break;
+            }
+            doc.push(',');
+        }
+        doc.push(']');
+        doc
+    }
+
+    // Timing is the point of this test (see clippy.toml).
+    #[allow(clippy::disallowed_methods)]
+    #[test]
+    fn string_parsing_scales_linearly() {
+        let best_of_3 = |doc: &str| {
+            (0..3)
+                .map(|_| {
+                    // LINT: allow(wall-clock) — times the parser; only the
+                    // ratio of two timings is asserted.
+                    let started = std::time::Instant::now();
+                    let parsed = parse_value(doc);
+                    let elapsed = started.elapsed();
+                    assert!(matches!(parsed, Ok(Value::Seq(_))));
+                    elapsed
+                })
+                .min()
+                .expect("three runs")
+        };
+        let small = best_of_3(&string_document(512 << 10));
+        let large = best_of_3(&string_document(8 << 20));
+        // 16× the bytes: ~16× the time if linear, ~256× if quadratic.
+        assert!(
+            large <= small * 32,
+            "8 MB parsed in {large:?}, 512 KB in {small:?}"
+        );
+    }
+
     #[test]
     fn renders_nested_values_as_json() {
         let value = Value::Map(vec![
@@ -416,6 +465,11 @@ mod tests {
         assert_eq!(
             parse_value("\"\\u00e9\\uD83D\\uDE00é\"").unwrap(),
             Value::Str("é😀é".to_string())
+        );
+        // Multi-byte characters inside plain runs between escapes.
+        assert_eq!(
+            parse_value("\"caf\u{e9} \u{2014}\\n\u{1f680} run\\\"\"").unwrap(),
+            Value::Str("caf\u{e9} \u{2014}\n\u{1f680} run\"".to_string())
         );
     }
 

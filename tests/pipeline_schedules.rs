@@ -1,8 +1,10 @@
-//! Workspace-level tests for the event-driven pipeline engine:
+//! Workspace-level tests for the pipeline simulator:
 //!
 //! * a property test pinning the engine bit-for-bit to the legacy
 //!   busy-poll simulator (`PipelineSimulator::simulate_reference`) across
-//!   random stage loads for the schedules the legacy loop supported, and
+//!   random stage loads for the schedules the legacy loop supported,
+//! * a digest pinning every simulated bit of every schedule over a shape
+//!   grid with released stages and heterogeneous clusters, and
 //! * integration tests for the claims the new schedules exist to make —
 //!   interleaved 1F1B and ZB-H1 strictly beat 1F1B's bubble on balanced
 //!   stages once `m ≥ 4·p`, and released stages are bypassed end-to-end.
@@ -56,7 +58,7 @@ proptest! {
         let model = ModelConfig::gpt(24);
         let loads = stage_loads(&fwd_times, &boundary_scales[..fwd_times.len()]);
         for schedule in [ScheduleKind::GPipe, ScheduleKind::OneFOneB] {
-            let sim = PipelineSimulator::new(
+            let mut sim = PipelineSimulator::new(
                 CommCostModel::new(cluster(loads.len(), gpus_per_node)),
                 schedule,
             );
@@ -90,7 +92,7 @@ proptest! {
         // Release the middle stage.
         let released = loads.len() / 2;
         loads[released] = StageLoad::default();
-        let sim = PipelineSimulator::new(
+        let mut sim = PipelineSimulator::new(
             CommCostModel::new(cluster(loads.len(), loads.len())),
             ScheduleKind::OneFOneB,
         );
@@ -166,93 +168,76 @@ fn deeper_interleaving_keeps_shrinking_the_bubble() {
     assert!(b4 < b2, "v=4 bubble {b4} vs v=2 {b2}");
 }
 
-// ---------------------------------------------------------------------------
-// Sharded wavefront engine: bit-identical twin of the sequential Kahn engine.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The sharded wavefront engine (forced via `with_shard_threshold(0)`
-    /// under a multi-thread pool) reproduces the sequential Kahn engine's
-    /// full `IterationReport` exactly — every span bit, every busy/idle
-    /// value — across random loads, schedules, and micro-batch counts.
-    #[test]
-    fn sharded_engine_is_bit_identical_to_sequential(
-        fwd_times in prop::collection::vec(0.001f64..2.0, 2..10),
-        boundary_scales in prop::collection::vec(0.05f64..2.0, 10..11),
-        microbatches in 1usize..20,
-        gpus_per_node in 1usize..5,
-        schedule_pick in 0usize..4,
-    ) {
-        let model = ModelConfig::gpt(24);
-        let loads = stage_loads(&fwd_times, &boundary_scales[..fwd_times.len()]);
-        let schedule = match schedule_pick {
-            0 => ScheduleKind::GPipe,
-            1 => ScheduleKind::OneFOneB,
-            2 => ScheduleKind::Interleaved1F1B { virtual_stages: 2 },
-            _ => ScheduleKind::ZeroBubbleH1,
-        };
-        let sim = PipelineSimulator::new(
-            CommCostModel::new(cluster(loads.len(), gpus_per_node)),
-            schedule,
-        );
-        let sequential = sim.simulate(&model, &loads, microbatches);
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let sharded = pool.install(|| {
-            sim.clone()
-                .with_shard_threshold(0)
-                .simulate(&model, &loads, microbatches)
-        });
-        prop_assert_eq!(&sharded, &sequential);
-    }
-
-    /// Same pin for the forward-only (inference) pass.
-    #[test]
-    fn sharded_forward_pass_is_bit_identical_to_sequential(
-        fwd_times in prop::collection::vec(0.001f64..2.0, 2..10),
-        microbatches in 1usize..24,
-    ) {
-        let model = ModelConfig::gpt(24);
-        let scales = vec![1.0; fwd_times.len()];
-        let loads = stage_loads(&fwd_times, &scales);
-        let sim = PipelineSimulator::new(
-            CommCostModel::new(cluster(loads.len(), 2)),
-            ScheduleKind::OneFOneB,
-        );
-        let sequential = sim.simulate_forward(&model, &loads, microbatches);
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let sharded = pool.install(|| {
-            sim.clone()
-                .with_shard_threshold(0)
-                .simulate_forward(&model, &loads, microbatches)
-        });
-        prop_assert_eq!(&sharded, &sequential);
-    }
-}
-
-/// One deep pin at genuinely large scale: p = 128 stages × m = 1024
-/// micro-batches (393k graph nodes under 1F1B) — the regime the sharded
-/// engine exists for — must agree with the sequential engine exactly.
+/// Every simulated bit of a shape grid, folded into one FNV-1a digest:
+/// makespan, per-worker busy and idle, and each span's kind, micro-batch,
+/// chunk, start and end, plus every forward-only makespan.  The grid covers
+/// all schedules (interleaving at v = 2 and 3, including the shapes where
+/// p ∤ m falls back to 1F1B), stage counts 1–8, micro-batch counts 1–16,
+/// a released first, middle and last stage, and homogeneous and
+/// three-generation clusters.  One simulator serves each (cluster,
+/// schedule) pair across all shapes, so topology reuse is covered too.
 #[test]
-fn sharded_engine_matches_sequential_at_very_large_scale() {
+fn simulated_outputs_match_the_pinned_digest() {
+    use dynmo::resilience::Fnv1a;
+
+    const PINNED: u64 = 0x34af_ae98_1b10_28e8;
     let model = ModelConfig::gpt(24);
-    let p = 128;
-    let m = 1024;
-    let fwd_times: Vec<f64> = (0..p).map(|i| 0.5 + 0.01 * (i % 7) as f64).collect();
-    let scales = vec![1.0; p];
-    let loads = stage_loads(&fwd_times, &scales);
-    let sim = PipelineSimulator::new(CommCostModel::new(cluster(p, 8)), ScheduleKind::OneFOneB);
-    let sequential = sim
-        .clone()
-        .with_shard_threshold(usize::MAX)
-        .simulate(&model, &loads, m);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
-    // 3·p·m = 393_216 nodes ≥ the default threshold, so the default-config
-    // simulator also takes the sharded path here — assert both routes.
-    let sharded = pool.install(|| sim.simulate(&model, &loads, m));
-    assert_eq!(sharded, sequential);
+    let schedules = [
+        ScheduleKind::GPipe,
+        ScheduleKind::OneFOneB,
+        ScheduleKind::Interleaved1F1B { virtual_stages: 2 },
+        ScheduleKind::Interleaved1F1B { virtual_stages: 3 },
+        ScheduleKind::ZeroBubbleH1,
+    ];
+    let mut digest = Fnv1a::new();
+    let mut put = |value: u64| digest.write(&value.to_le_bytes());
+    for p in [1usize, 2, 3, 5, 8] {
+        let fwd_times: Vec<f64> = (0..p).map(|s| 0.3 + 0.17 * ((7 * s) % 5) as f64).collect();
+        let scales: Vec<f64> = (0..p).map(|s| 0.25 + 0.5 * (s % 3) as f64).collect();
+        let full = stage_loads(&fwd_times, &scales);
+        let layouts: Vec<Vec<StageLoad>> = [None, Some(0), Some(p / 2), Some(p - 1)]
+            .into_iter()
+            .map(|released| {
+                let mut loads = full.clone();
+                if let Some(s) = released {
+                    loads[s] = StageLoad::default();
+                }
+                loads
+            })
+            .collect();
+        let clusters = [
+            cluster(p, 1),
+            cluster(p, 4),
+            ClusterConfig::hetero_three_gen(4, p, 1),
+        ];
+        for cluster in &clusters {
+            for schedule in schedules {
+                let mut sim = PipelineSimulator::new(CommCostModel::new(cluster.clone()), schedule);
+                for m in [1usize, 3, 8, 16] {
+                    for loads in &layouts {
+                        let report = sim.simulate(&model, loads, m);
+                        put(report.makespan.to_bits());
+                        for (busy, idle) in
+                            report.per_worker_busy.iter().zip(&report.per_worker_idle)
+                        {
+                            put(busy.to_bits());
+                            put(idle.to_bits());
+                        }
+                        for timeline in &report.timelines {
+                            put(timeline.spans.len() as u64);
+                            for span in &timeline.spans {
+                                put(span.op.kind as u64);
+                                put(span.op.microbatch as u64);
+                                put(span.op.chunk as u64);
+                                put(span.start.to_bits());
+                                put(span.end.to_bits());
+                            }
+                        }
+                        put(sim.forward_makespan(&model, loads, m).to_bits());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(digest.state(), PINNED, "digest {:#018x}", digest.state());
 }
