@@ -107,7 +107,8 @@ impl DynamismEngine for EarlyExitEngine {
 
     fn step(&mut self, _iteration: u64) -> LoadUpdate {
         let mut update = LoadUpdate::identity(self.num_layers);
-        self.last_survival = vec![1.0; self.num_layers];
+        self.last_survival.clear();
+        self.last_survival.resize(self.num_layers, 1.0);
         if self.method == EarlyExitMethod::None {
             return update;
         }

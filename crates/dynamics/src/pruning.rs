@@ -162,6 +162,9 @@ pub struct GradualPruningEngine {
     num_layers: usize,
     current_sparsity: f64,
     last_pruning_step: Option<u64>,
+    /// The update [`DynamismEngine::step`] last computed, keyed on the
+    /// bits of the sparsity it was computed for.
+    profile: Option<(u64, LoadUpdate)>,
 }
 
 impl GradualPruningEngine {
@@ -213,6 +216,7 @@ impl GradualPruningEngine {
             num_layers,
             current_sparsity: schedule.initial_sparsity,
             last_pruning_step: None,
+            profile: None,
         }
     }
 
@@ -279,6 +283,24 @@ impl GradualPruningEngine {
         (best / dense).min(1.0)
     }
 
+    /// The load state at global sparsity `sparsity` (with `changed`
+    /// unset).
+    fn load_at(&self, sparsity: f64) -> LoadUpdate {
+        let retention = self.per_layer_retention(sparsity);
+        let mut update = LoadUpdate::identity(self.num_layers);
+        for &l in &self.transformer_layers {
+            let r = retention[l];
+            let scale = self.compute_scale(r);
+            update.fwd_scale[l] = scale;
+            update.bwd_scale[l] = scale;
+            // CSR storage keeps values + column indices (≈2× per retained
+            // parameter relative to dense element storage), capped at dense.
+            update.memory_scale[l] = (r * 1.5).min(1.0);
+            update.param_retention[l] = r;
+        }
+        update
+    }
+
     /// Whether the most recent step applied a pruning event.
     pub fn last_pruning_step(&self) -> Option<u64> {
         self.last_pruning_step
@@ -304,6 +326,12 @@ impl DynamismEngine for GradualPruningEngine {
         DynamismCase::ParameterPruning
     }
 
+    /// The load state at the sparsity in effect.  Sparsity moves only at
+    /// scheduled pruning steps, so the per-layer profile (a bisection for
+    /// the global threshold plus a kernel-cost lookup per layer) is
+    /// computed once per sparsity level and cloned on every other step.
+    /// The memo is keyed on the sparsity itself, so a restored state
+    /// ([`DynamismEngine::import_state`]) needs no invalidation.
     fn step(&mut self, iteration: u64) -> LoadUpdate {
         let changed =
             self.schedule.is_pruning_step(iteration) && Some(iteration) != self.last_pruning_step;
@@ -311,20 +339,15 @@ impl DynamismEngine for GradualPruningEngine {
             self.current_sparsity = self.schedule.sparsity_at(iteration);
             self.last_pruning_step = Some(iteration);
         }
-        let retention = self.per_layer_retention(self.current_sparsity);
-        let mut update = LoadUpdate::identity(self.num_layers);
-        for &l in &self.transformer_layers {
-            let r = retention[l];
-            let scale = self.compute_scale(r);
-            update.fwd_scale[l] = scale;
-            update.bwd_scale[l] = scale;
-            // CSR storage keeps values + column indices (≈2× per retained
-            // parameter relative to dense element storage), capped at dense.
-            update.memory_scale[l] = (r * 1.5).min(1.0);
-            update.param_retention[l] = r;
+        let key = self.current_sparsity.to_bits();
+        if self.profile.as_ref().is_none_or(|(at, _)| *at != key) {
+            self.profile = Some((key, self.load_at(self.current_sparsity)));
         }
-        update.changed = changed;
-        update
+        let (_, profile) = self.profile.as_ref().expect("profile computed above");
+        LoadUpdate {
+            changed,
+            ..profile.clone()
+        }
     }
 
     fn rebalance_frequency(&self) -> RebalanceFrequency {
@@ -435,6 +458,52 @@ mod tests {
         assert!(update.fwd_scale[tfm[0]] < 0.8);
         assert!(update.param_retention[tfm[0]] < 0.5);
         assert_eq!(engine.last_pruning_step(), Some(7000));
+    }
+
+    #[test]
+    fn memoized_profile_follows_a_restored_sparsity() {
+        // Pruning steps at 10, 20, 30, 40 and 50.
+        let schedule = PruningSchedule {
+            initial_sparsity: 0.0,
+            final_sparsity: 0.9,
+            start_iteration: 10,
+            frequency: 10,
+            num_steps: 4,
+        };
+        let bits = |u: &LoadUpdate| {
+            let mut bits = vec![u64::from(u.changed)];
+            for v in [
+                &u.fwd_scale,
+                &u.bwd_scale,
+                &u.memory_scale,
+                &u.param_retention,
+                &u.token_retention,
+            ] {
+                bits.extend(v.iter().map(|x| x.to_bits()));
+            }
+            bits
+        };
+        // A steps the whole schedule, saving its state mid-interval before
+        // the last two pruning steps.
+        let mut a = GradualPruningEngine::new(&gpt(), schedule, 7);
+        let mut saved = None;
+        let mut reference = Vec::new();
+        for t in 0..=60 {
+            reference.push(bits(&a.step(t)));
+            if t == 35 {
+                saved = Some(a.export_state());
+            }
+        }
+        // B's memo holds the final sparsity when it is rewound to A's
+        // state; from there on it must replay A bit for bit.
+        let mut b = GradualPruningEngine::new(&gpt(), schedule, 7);
+        for t in 0..=60 {
+            b.step(t);
+        }
+        b.import_state(&saved.unwrap()).unwrap();
+        for t in 36..=60 {
+            assert_eq!(bits(&b.step(t)), reference[t as usize], "iteration {t}");
+        }
     }
 
     #[test]

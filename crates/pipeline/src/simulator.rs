@@ -30,7 +30,8 @@
 //! rescan loop bit for bit; that loop stays as the oracle,
 //! [`PipelineSimulator::simulate_reference`].  Forward-only pricing for
 //! the serving engine needs no graph at all:
-//! [`PipelineSimulator::forward_makespan`] is a one-row recurrence.
+//! [`PipelineSimulator::forward_makespan`] (`&mut self`) is a one-row
+//! recurrence over a row the simulator keeps between calls.
 //!
 //! The output is the iteration makespan plus per-worker busy/idle time — the
 //! quantities behind the paper's Figure 1 (idleness), Figure 3 (throughput)
@@ -50,6 +51,9 @@ pub struct PipelineSimulator {
     schedule: ScheduleKind,
     /// The DAG of the last simulated shape.
     topology: Option<Topology>,
+    /// Scratch row of [`PipelineSimulator::forward_makespan`], reused
+    /// across calls.
+    forward_row: Vec<f64>,
 }
 
 /// One op of a [`Topology`], at its topological position.
@@ -185,6 +189,7 @@ impl PipelineSimulator {
             comm,
             schedule,
             topology: None,
+            forward_row: Vec::new(),
         }
     }
 
@@ -331,9 +336,10 @@ impl PipelineSimulator {
     /// (all training schedules order forwards identically).
     ///
     /// No graph is built: micro-batch `mb` starts on stage `s` at
-    /// `max(end[s][mb−1], end[s−1][mb] + w[s])`, kept in one row.
+    /// `max(end[s][mb−1], end[s−1][mb] + w[s])`, kept in one row that the
+    /// simulator owns and reuses across calls.
     pub fn forward_makespan(
-        &self,
+        &mut self,
         model: &ModelConfig,
         stage_loads: &[StageLoad],
         num_microbatches: usize,
@@ -345,7 +351,9 @@ impl PipelineSimulator {
         assert!(num_microbatches > 0, "at least one micro-batch is required");
         // `row[mb]`: end of micro-batch `mb` on the previous real stage,
         // overwritten in place with the current stage's.
-        let mut row = vec![0.0f64; num_microbatches];
+        let row = &mut self.forward_row;
+        row.clear();
+        row.resize(num_microbatches, 0.0);
         let mut makespan = 0.0f64;
         let mut prev: Option<usize> = None;
         for (stage, load) in stage_loads.iter().enumerate() {
@@ -897,7 +905,7 @@ mod tests {
         let p = 4;
         let m = 8;
         let comm = CommCostModel::new(zero_comm_cluster(p));
-        let sim = PipelineSimulator::new(comm, ScheduleKind::OneFOneB);
+        let mut sim = PipelineSimulator::new(comm, ScheduleKind::OneFOneB);
         let mut loads: Vec<StageLoad> = (0..p).map(|_| stage(1.0)).collect();
         let makespan = sim.forward_makespan(&ModelConfig::gpt(24), &loads, m);
         let expected = (m as f64 + p as f64 - 1.0) * 1.0;
@@ -931,7 +939,7 @@ mod tests {
                 kernel_launch_overhead: 0.0,
             },
         );
-        let sim = PipelineSimulator::new(CommCostModel::new(cluster), ScheduleKind::OneFOneB);
+        let mut sim = PipelineSimulator::new(CommCostModel::new(cluster), ScheduleKind::OneFOneB);
         let bypassed = sim.forward_makespan(&model, &[stage(1.0), released(), stage(1.0)], 8);
         let direct = sim.forward_makespan(&model, &[stage(1.0), stage(1.0)], 8);
         assert!((bypassed - direct).abs() < 1e-9);

@@ -510,5 +510,10 @@ mod tests {
             Checkpoint::from_json("{\"version\": 1, \"checksum\": oops"),
             Err(CheckpointError::Corrupt(_))
         ));
+        // A deeply nested document is rejected, not a stack overflow.
+        assert!(matches!(
+            Checkpoint::from_json(&"[".repeat(100_000)),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 }

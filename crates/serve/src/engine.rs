@@ -11,7 +11,10 @@
 //! step is priced by the pipeline simulator's forward-only recurrence
 //! ([`PipelineSimulator::forward_makespan`], no DAG and no report): the
 //! step's batch is split into micro-batches that flow down the pipeline
-//! paying per-boundary α–β communication costs.
+//! paying per-boundary α–β communication costs.  Pricing refills stage
+//! loads the engine owns, and the simulator reuses its own row, so a warm
+//! step allocates nothing; a step without a dynamism engine reuses the
+//! identity update the deployment already holds.
 //!
 //! The dynamism engines plug in through their inference hook
 //! ([`DynamismEngine::inference_step`]): per engine step the current
@@ -35,7 +38,7 @@ use dynmo_core::profiler::profile_layers;
 use dynmo_dynamics::{DynamismEngine, LoadUpdate};
 use dynmo_model::ClusterConfig;
 use dynmo_model::{DeviceSpec, KvCacheModel, Model, ModelPreset};
-use dynmo_pipeline::load::{boundary_retention_profile, StageLoad};
+use dynmo_pipeline::load::StageLoad;
 use dynmo_pipeline::{CommCostModel, PipelineSimulator, ScheduleKind, StageAssignment};
 use dynmo_telemetry::{MarkerKind, NullRecorder, Recorder, StreamingSummary};
 use serde::{Deserialize, Serialize};
@@ -285,7 +288,13 @@ pub struct ServingEngine {
     scale_events: Vec<ScaleEvent>,
     engine_steps: u64,
     peak_replicas: usize,
+    /// The update the latest engine step was priced under.
     latest_update: LoadUpdate,
+    /// Whether `latest_update` came from a dynamism engine; a step without
+    /// one resets it to the identity first.
+    latest_from_engine: bool,
+    /// Per-stage loads [`ServingEngine::price_step`] refills every step.
+    stage_loads: Vec<StageLoad>,
     /// Observability sink (the no-op [`NullRecorder`] by default).  The
     /// recorder only *observes* — enabling it never changes admission,
     /// pricing, scaling, or any reported metric.
@@ -358,6 +367,8 @@ impl ServingEngine {
         Ok(ServingEngine {
             peak_replicas: replicas.len(),
             latest_update: identity,
+            latest_from_engine: false,
+            stage_loads: Vec::new(),
             config,
             model,
             simulator,
@@ -500,51 +511,52 @@ impl ServingEngine {
         }
     }
 
-    /// Price one engine step of replica `idx` under the current dynamism
-    /// state: per-stage forward time from the per-token cost rescaled by
-    /// the update, boundary tensors sized by the step's tokens and the
-    /// update's token retention, the whole batch split into micro-batches
-    /// and run through the forward-only pipeline simulator.
-    fn price_step(&self, idx: usize, plan: &StepPlan, update: &LoadUpdate) -> f64 {
-        let replica = &self.replicas[idx];
-        let num_stages = replica.assignment.num_stages();
-        let layer_to_stage = replica.assignment.layer_to_stage();
+    /// Price one engine step of replica `idx` under `latest_update`:
+    /// per-stage forward time from the per-token cost rescaled by the
+    /// update, boundary tensors sized by the step's tokens and the token
+    /// retention of each stage's last layer (the rule of
+    /// [`dynmo_pipeline::load::boundary_retention_profile`]), the whole
+    /// batch split into micro-batches and run through the forward-only
+    /// pipeline simulator.  The stage loads are refilled in place, so a
+    /// step allocates nothing once they have grown to the stage count.
+    fn price_step(&mut self, idx: usize, plan: &StepPlan) -> f64 {
+        let assignment = &self.replicas[idx].assignment;
+        let num_stages = assignment.num_stages();
+        let layer_to_stage = assignment.layer_to_stage();
+        let update = &self.latest_update;
+        assert_eq!(
+            update.token_retention.len(),
+            layer_to_stage.len(),
+            "one retention value per layer"
+        );
         let weighted_tokens =
             plan.prefill_tokens as f64 + self.config.decode_cost_factor * plan.decode_tokens as f64;
         let batch_tokens = plan.batch_tokens();
         let m = self.config.microbatches.min(batch_tokens).max(1);
-
-        let mut stage_time = vec![0.0f64; num_stages];
-        let mut stage_layers = vec![0usize; num_stages];
-        for (layer, &stage) in layer_to_stage.iter().enumerate() {
-            stage_time[stage] +=
-                self.per_token_fwd[layer] * update.fwd_scale[layer] * weighted_tokens;
-            stage_layers[stage] += 1;
-        }
-        let retention =
-            boundary_retention_profile(layer_to_stage, &update.token_retention, num_stages);
         let model_config = self.model.config();
         let bytes_per_token = (model_config.hidden_size * model_config.param_bytes) as f64;
         let flat_boundary = batch_tokens as f64 / m as f64 * bytes_per_token;
-        let loads: Vec<StageLoad> = (0..num_stages)
-            .map(|s| {
-                if stage_layers[s] == 0 {
-                    return StageLoad::default(); // empty stage: bypassed
-                }
-                StageLoad {
-                    fwd_time: stage_time[s] / m as f64,
-                    bwd_time: 0.0,
-                    param_count: 0,
-                    static_bytes: 0,
-                    activation_bytes: 0,
-                    // Never 0: that would fall back to the training-shaped
-                    // flat residual tensor instead of this batch's.
-                    boundary_bytes: ((flat_boundary * retention[s]) as u64).max(1),
-                    num_layers: stage_layers[s],
-                }
-            })
-            .collect();
-        self.simulator.forward_makespan(model_config, &loads, m)
+
+        // A stage hosting no layers keeps the default load and is bypassed.
+        let loads = &mut self.stage_loads;
+        loads.clear();
+        loads.resize(num_stages, StageLoad::default());
+        for (layer, &stage) in layer_to_stage.iter().enumerate() {
+            assert!(stage < num_stages, "stage index {stage} out of range");
+            let load = &mut loads[stage];
+            load.fwd_time += self.per_token_fwd[layer] * update.fwd_scale[layer] * weighted_tokens;
+            load.num_layers += 1;
+            // Layers arrive in id order, so the last write sizes the
+            // boundary by the stage's last layer.  Never 0: that would
+            // fall back to the training-shaped flat residual tensor
+            // instead of this batch's.
+            let retention = update.token_retention[layer].clamp(0.0, 1.0);
+            load.boundary_bytes = ((flat_boundary * retention) as u64).max(1);
+        }
+        for load in loads.iter_mut() {
+            load.fwd_time /= m as f64;
+        }
+        self.simulator.forward_makespan(model_config, loads, m)
     }
 
     /// Evaluate the autoscaler at `now` and apply its decision.
@@ -931,23 +943,29 @@ impl ServingSession {
             }
         }
 
-        let update = match dynamism {
+        match dynamism {
             Some(e) => {
-                let u = e.inference_step(self.engine.engine_steps);
-                u.validate().expect("inference update is valid");
-                u
+                let update = e.inference_step(self.engine.engine_steps);
+                update.validate().expect("inference update is valid");
+                self.engine.latest_update = update;
+                self.engine.latest_from_engine = true;
             }
-            None => LoadUpdate::identity(self.engine.model.num_layers()),
-        };
+            // Without an engine the step runs at the identity, which
+            // `latest_update` already holds unless an engine set it.
+            None if self.engine.latest_from_engine => {
+                self.engine.latest_update = LoadUpdate::identity(self.engine.model.num_layers());
+                self.engine.latest_from_engine = false;
+            }
+            None => {}
+        }
         let plan = self.engine.replicas[idx]
             .batcher
             .plan_step(start)
             .expect("next_action_time implies runnable work");
-        let duration = self.engine.price_step(idx, &plan, &update);
+        let duration = self.engine.price_step(idx, &plan);
         let end = start + duration;
         self.engine.replicas[idx].clock = end;
         self.engine.engine_steps += 1;
-        self.engine.latest_update = update;
         self.makespan = self.makespan.max(end);
         if self.engine.recorder.enabled() {
             let name = format!("step p{} d{}", plan.prefill_tokens, plan.decode_tokens);
@@ -1502,6 +1520,91 @@ mod tests {
         assert_eq!(spans as u64, lean.engine_steps);
         assert_eq!(outs, lean.scale_out_events());
         assert_eq!(ins, lean.scale_in_events());
+    }
+
+    #[test]
+    fn dropping_the_dynamism_engine_returns_to_the_identity() {
+        // CALM's updates for the first `k` engine steps, identity after.
+        struct ThenIdentity {
+            calm: EarlyExitEngine,
+            k: u64,
+            steps: u64,
+            num_layers: usize,
+        }
+        impl DynamismEngine for ThenIdentity {
+            fn name(&self) -> String {
+                "calm-then-identity".into()
+            }
+            fn case(&self) -> dynmo_dynamics::DynamismCase {
+                self.calm.case()
+            }
+            fn step(&mut self, iteration: u64) -> LoadUpdate {
+                self.steps += 1;
+                if self.steps <= self.k {
+                    self.calm.step(iteration)
+                } else {
+                    LoadUpdate::identity(self.num_layers)
+                }
+            }
+            fn rebalance_frequency(&self) -> dynmo_dynamics::RebalanceFrequency {
+                self.calm.rebalance_frequency()
+            }
+        }
+        let bits = |r: &ServingReport| {
+            let mut bits = vec![r.engine_steps, r.makespan.to_bits()];
+            for s in [&r.ttft, &r.tpot, &r.latency] {
+                bits.extend([s.p50, s.p95, s.p99, s.mean].map(f64::to_bits));
+            }
+            for e in &r.scale_events {
+                bits.extend([
+                    e.time.to_bits(),
+                    e.delta as u64,
+                    e.replicas_after as u64,
+                    e.observed_ttft_p99.to_bits(),
+                    e.backlog_tokens as u64,
+                ]);
+            }
+            bits
+        };
+
+        let process = ArrivalProcess::Bursty {
+            base_rate: 2.0,
+            spike_rate: 40.0,
+            spike_start: 10.0,
+            spike_duration: 20.0,
+        };
+        let trace = RequestTrace::generate(&process, 40.0, &lengths(), 21);
+        let mut config = ServingConfig::small(1);
+        config.max_replicas = 4;
+        let config = config.with_autoscaler(AutoscalerConfig::responsive(2.0, 1, 4));
+        let model = Model::from_preset(config.preset);
+        let k = 50;
+
+        let mut calm = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 9);
+        let mut dropped = ServingEngine::new(config.clone()).unwrap().session(&trace);
+        for _ in 0..k {
+            assert!(dropped.step(Some(&mut calm)));
+        }
+        let switched_at = dropped.makespan();
+        while dropped.step(None) {}
+        let dropped = dropped.finish();
+
+        let mut wrapped = ThenIdentity {
+            calm: EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 9),
+            k,
+            steps: 0,
+            num_layers: model.num_layers(),
+        };
+        let wrapped = serve(config.clone(), &trace, Some(&mut wrapped)).unwrap();
+
+        assert_eq!(bits(&dropped), bits(&wrapped));
+        assert_eq!(dropped, wrapped);
+        // Replicas scaled out after the switch were laid out at the
+        // identity, and the identity steps priced differently from CALM.
+        assert!(dropped.scale_events.iter().any(|e| e.time > switched_at));
+        let mut calm = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 9);
+        let all_calm = serve(config, &trace, Some(&mut calm)).unwrap();
+        assert_ne!(bits(&all_calm), bits(&dropped));
     }
 
     #[test]

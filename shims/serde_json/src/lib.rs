@@ -25,12 +25,19 @@ pub fn from_str<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, Error> {
     T::from_value(&value).map_err(|e| Error(e.to_string()))
 }
 
+/// Deepest nesting of arrays and objects a document may have (serde_json's
+/// default recursion limit).  The parser recurses once per level, so a
+/// deeper document is rejected with an error before it can overflow the
+/// stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse JSON text into the serde shim's [`Value`] tree.
 pub fn parse_value(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse()?;
@@ -45,6 +52,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -87,11 +96,22 @@ impl Parser<'_> {
             Some(b't') if self.consume_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.consume_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -478,6 +498,20 @@ mod tests {
         for bad in ["", "[1,", "{\"a\"}", "nul", "\"open", "1 2", "[1] x"] {
             assert!(parse_value(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_128_levels() {
+        let array = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let object = |depth: usize| "{\"a\":".repeat(depth) + "0" + &"}".repeat(depth);
+        assert!(parse_value(&array(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&object(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&array(MAX_DEPTH + 1)).is_err());
+        assert!(parse_value(&object(MAX_DEPTH + 1)).is_err());
+        // Far past the limit: an error, not a stack overflow.
+        assert!(parse_value(&array(100_000)).is_err());
+        assert!(parse_value(&object(100_000)).is_err());
+        assert!(parse_value(&"[".repeat(100_000)).is_err());
     }
 
     #[test]
