@@ -3,10 +3,8 @@
 //!
 //! Writes `results/BENCH_pool.json` with, per sweep bin, the best-of-N
 //! wall-clock under a 1-thread and an `host_threads`-thread pool, the
-//! resulting speedup, and whether the two runs produced identical rows
-//! (byte-identical serialization for the pipeline and serving sweeps;
-//! simulated-fields-identical for the composite sweep, whose rows embed
-//! measured balancer wall-clock).
+//! resulting speedup, and whether the two runs produced byte-identical
+//! serialized rows.
 //!
 //! Speedups are a property of the *host*: on a single-core container both
 //! pools degenerate to one worker and every speedup is ~1×; on an 8-core
@@ -55,28 +53,27 @@ fn time_best<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("at least one repeat"))
 }
 
-fn bench_sweep<T, F, I>(
+fn bench_sweep<T, F>(
     bin: &str,
     repeats: usize,
     single: &rayon::ThreadPool,
     multi: &rayon::ThreadPool,
     run: F,
-    identical: I,
 ) -> SweepTiming
 where
-    T: Send,
+    T: Send + Serialize,
     F: Fn() -> Vec<T> + Send + Sync,
-    I: Fn(&[T], &[T]) -> bool,
 {
     let (t1, rows1) = time_best(repeats, || single.install(&run));
     let (tn, rows_n) = time_best(repeats, || multi.install(&run));
+    let serialize = |rows: &[T]| serde_json::to_string(rows).expect("rows serialize");
     SweepTiming {
         bin: bin.to_string(),
         cells: rows1.len(),
         threads1_secs: t1,
         threads_host_secs: tn,
         speedup: t1 / tn,
-        identical: identical(&rows1, &rows_n),
+        identical: serialize(&rows1) == serialize(&rows_n),
     }
 }
 
@@ -107,10 +104,6 @@ fn main() {
         &single,
         &multi,
         || run_sweep(&config),
-        |a, b| {
-            serde_json::to_string(a).expect("rows serialize")
-                == serde_json::to_string(b).expect("rows serialize")
-        },
     ));
 
     let serving = ServingSweepConfig::for_scale(scale);
@@ -120,10 +113,6 @@ fn main() {
         &single,
         &multi,
         || run_serving_sweep(&serving),
-        |a, b| {
-            serde_json::to_string(a).expect("rows serialize")
-                == serde_json::to_string(b).expect("rows serialize")
-        },
     ));
 
     sweeps.push(bench_sweep(
@@ -132,18 +121,6 @@ fn main() {
         &single,
         &multi,
         || run_composite_sweep(scale),
-        // Composite rows embed measured balancer wall-clock
-        // (overhead_fraction, tokens_per_second); compare the fields the
-        // simulation computes.
-        |a, b| {
-            a.len() == b.len()
-                && a.iter().zip(b.iter()).all(|(x, y)| {
-                    x.trajectory_checksum == y.trajectory_checksum
-                        && x.bubble_ratio.to_bits() == y.bubble_ratio.to_bits()
-                        && x.rebalance_events == y.rebalance_events
-                        && x.recovery_bit_identical == y.recovery_bit_identical
-                })
-        },
     ));
 
     let mut table = Table::new(

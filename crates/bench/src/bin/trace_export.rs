@@ -34,7 +34,9 @@ use dynmo_runtime::FaultPlan;
 use dynmo_serve::{
     ArrivalProcess, AutoscalerConfig, LengthModel, RequestTrace, ServingConfig, ServingEngine,
 };
-use dynmo_telemetry::{validate_trace_json, MarkerKind, MemoryRecorder, Recorder, TraceBuilder};
+use dynmo_telemetry::{
+    validate_trace_json, MarkerKind, MemoryRecorder, Recorder, Stopwatch, TraceBuilder,
+};
 
 const STAGES: usize = 8;
 const MICROBATCHES: usize = 32;
@@ -73,7 +75,7 @@ fn record_training(recorder: Arc<MemoryRecorder>) {
     .with_checkpointing(Box::new(MemoryCheckpointStore::new()), 50)
     .with_recorder(recorder);
     let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 7);
-    let traced_report = traced.run(&mut engine);
+    let (traced_report, host_seconds) = Stopwatch::time(|| traced.run(&mut engine));
 
     let mut plain = Trainer::new(
         model.clone(),
@@ -89,11 +91,10 @@ fn record_training(recorder: Arc<MemoryRecorder>) {
         "recording must not change the simulated trajectory"
     );
     println!(
-        "training:   {} iterations, checksum {:016x}, measured overhead {:.3} ms over {} samples",
+        "training:   {} iterations, checksum {:016x}, traced run {:.1} ms host time",
         iterations,
         traced_report.trajectory_checksum,
-        traced_report.overhead.measured.total_seconds() * 1e3,
-        traced_report.overhead.measured.samples
+        host_seconds * 1e3
     );
 }
 
@@ -145,7 +146,8 @@ fn record_resilience(recorder: Arc<MemoryRecorder>) {
             ..RecoveryConfig::default()
         },
     };
-    let report = run_resilient(&config).expect("resilient run completes");
+    let (report, host_seconds) = Stopwatch::time(|| run_resilient(&config));
+    let report = report.expect("resilient run completes");
     assert!(!report.recoveries.is_empty(), "the kill must be recovered");
 
     recorder.counter(0, "world_size", 0.0, report.initial_world_size as f64);
@@ -179,11 +181,11 @@ fn record_resilience(recorder: Arc<MemoryRecorder>) {
         recorder.counter(0, "world_size", detected, recovery.world_size_after as f64);
     }
     println!(
-        "resilience: {} iterations, {} recoveries, {} iterations replayed, measured ckpt I/O {:.3} ms",
+        "resilience: {} iterations, {} recoveries, {} iterations replayed, run {:.1} ms host time",
         report.iterations,
         report.recoveries.len(),
         report.replayed_iterations,
-        report.overhead.measured.checkpoint_io_seconds * 1e3
+        host_seconds * 1e3
     );
 }
 

@@ -82,19 +82,11 @@ pub struct FleetEvent {
     pub allocated_after: usize,
 }
 
-/// A named owner holding reservations in the fleet (a tenant's serving
-/// deployment, or the training job).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct OwnerEntry {
-    name: String,
-    priority: u8,
-}
-
 /// An in-process job manager that tracks which workers belong to the job.
 ///
-/// Reservations may be *tagged* with an owner name and a priority (the
-/// multi-tenant fleet controller's arbitration data): an owned worker can
-/// only be released by its owner, so two parties racing a release against
+/// Reservations may be *tagged* with an owner name (a tenant's serving
+/// deployment, or the training job): an owned worker can only be released
+/// by its owner, so two parties racing a release against
 /// an acquire can never double-count a block — the untagged legacy paths
 /// keep their original semantics for single-job callers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -104,7 +96,8 @@ pub struct MockJobManager {
     /// Per-worker owner tag: an index into `owners`, or `None` for workers
     /// allocated through the untagged legacy paths.
     owner: Vec<Option<usize>>,
-    owners: Vec<OwnerEntry>,
+    /// Owner names, in order of first reservation.
+    owners: Vec<String>,
     /// Workers allocated at construction — the baseline the delta ledger
     /// and `average_allocated` reconcile against.
     initial_allocated: usize,
@@ -221,7 +214,7 @@ impl MockJobManager {
                 return reject(counter, FleetError::AlreadyAllocated(w));
             }
             if releasing {
-                let held_by = self.owner[w].map(|i| self.owners[i].name.as_str());
+                let held_by = self.owner[w].map(|i| self.owners[i].as_str());
                 if held_by != releaser {
                     return reject(counter, FleetError::NotOwner(w));
                 }
@@ -230,29 +223,20 @@ impl MockJobManager {
         Ok(())
     }
 
-    fn owner_index(&mut self, name: &str, priority: u8) -> usize {
-        if let Some(i) = self.owners.iter().position(|o| o.name == name) {
-            self.owners[i].priority = priority;
+    fn owner_index(&mut self, name: &str) -> usize {
+        if let Some(i) = self.owners.iter().position(|o| o == name) {
             return i;
         }
-        self.owners.push(OwnerEntry {
-            name: name.to_string(),
-            priority,
-        });
+        self.owners.push(name.to_string());
         self.owners.len() - 1
     }
 
     /// Strict owner-tagged by-id acquire: every id must be free, and the
-    /// granted workers are reserved for `owner` at `priority` — only
-    /// `owner` can release them again.
-    pub fn try_acquire_as(
-        &mut self,
-        owner: &str,
-        priority: u8,
-        workers: &[usize],
-    ) -> Result<(), FleetError> {
+    /// granted workers are reserved for `owner` — only `owner` can release
+    /// them again.
+    pub fn try_acquire_as(&mut self, owner: &str, workers: &[usize]) -> Result<(), FleetError> {
         self.validate_request(workers, false)?;
-        let tag = self.owner_index(owner, priority);
+        let tag = self.owner_index(owner);
         for &w in workers {
             self.allocated[w] = true;
             self.owner[w] = Some(tag);
@@ -268,9 +252,9 @@ impl MockJobManager {
     }
 
     /// Lenient owner-tagged acquire: grant up to `count` free workers
-    /// (lowest ids first), reserved for `owner` at `priority`.
-    pub fn acquire_as(&mut self, owner: &str, priority: u8, count: usize) -> Vec<usize> {
-        let tag = self.owner_index(owner, priority);
+    /// (lowest ids first), reserved for `owner`.
+    pub fn acquire_as(&mut self, owner: &str, count: usize) -> Vec<usize> {
+        let tag = self.owner_index(owner);
         let granted: Vec<usize> = (0..self.total_workers)
             .filter(|&w| !self.allocated[w])
             .take(count)
@@ -310,7 +294,7 @@ impl MockJobManager {
 
     /// Workers currently reserved by `owner`.
     pub fn allocated_to(&self, owner: &str) -> usize {
-        let Some(tag) = self.owners.iter().position(|o| o.name == owner) else {
+        let Some(tag) = self.owners.iter().position(|o| o == owner) else {
             return 0;
         };
         self.owner.iter().filter(|&&o| o == Some(tag)).count()
@@ -322,27 +306,7 @@ impl MockJobManager {
             .get(worker)
             .copied()
             .flatten()
-            .map(|i| self.owners[i].name.as_str())
-    }
-
-    /// The priority `owner` registered with its reservations.
-    pub fn priority_of(&self, owner: &str) -> Option<u8> {
-        self.owners
-            .iter()
-            .find(|o| o.name == owner)
-            .map(|o| o.priority)
-    }
-
-    /// Among owners holding workers with priority strictly below `below`,
-    /// the one with the lowest priority (first-registered wins ties) — the
-    /// fleet controller's preemption victim.
-    pub fn preemption_candidate(&self, below: u8) -> Option<&str> {
-        self.owners
-            .iter()
-            .enumerate()
-            .filter(|(tag, o)| o.priority < below && self.owner.contains(&Some(*tag)))
-            .min_by_key(|(_, o)| o.priority)
-            .map(|(_, o)| o.name.as_str())
+            .map(|i| self.owners[i].as_str())
     }
 
     /// Inform the manager of the current training iteration (for event
@@ -602,13 +566,12 @@ mod tests {
         let mut pool = MockJobManager::empty(8);
         assert_eq!(pool.allocated(), 0);
         assert_eq!(pool.available(), 8);
-        let trainer = pool.acquire_as("trainer", 1, 4);
+        let trainer = pool.acquire_as("trainer", 4);
         assert_eq!(trainer, vec![0, 1, 2, 3]);
-        pool.try_acquire_as("chat", 3, &[4, 5]).unwrap();
+        pool.try_acquire_as("chat", &[4, 5]).unwrap();
         assert_eq!(pool.allocated_to("trainer"), 4);
         assert_eq!(pool.allocated_to("chat"), 2);
         assert_eq!(pool.owner_of(4), Some("chat"));
-        assert_eq!(pool.priority_of("chat"), Some(3));
 
         // The trainer cannot release chat's block — no matter which path.
         assert_eq!(
@@ -622,21 +585,15 @@ mod tests {
 
         // Chat's own release frees the block for the trainer to re-acquire.
         pool.try_release_as("chat", &[4, 5]).unwrap();
-        pool.try_acquire_as("trainer", 1, &[4, 5]).unwrap();
+        pool.try_acquire_as("trainer", &[4, 5]).unwrap();
         assert_eq!(pool.allocated_to("trainer"), 6);
         assert_eq!(pool.allocated_to("chat"), 0);
 
-        // Preemption scans tagged holdings by priority.
+        // A lenient acquire grants the lowest free ids and skips ids
+        // another owner holds.
         pool.try_release_as("trainer", &[4, 5]).unwrap();
-        let batch = pool.acquire_as("batch", 2, 2);
+        let batch = pool.acquire_as("batch", 2);
         assert_eq!(batch, vec![4, 5]);
-        // The lowest-priority holder below the threshold is the victim.
-        assert_eq!(pool.preemption_candidate(3), Some("trainer"));
-        assert_eq!(pool.preemption_candidate(2), Some("trainer"));
-        assert_eq!(pool.preemption_candidate(1), None);
-        // With the trainer out of the pool, batch (priority 2) is next.
-        pool.try_release_as("trainer", &[0, 1, 2, 3]).unwrap();
-        assert_eq!(pool.preemption_candidate(3), Some("batch"));
     }
 
     #[test]
@@ -646,9 +603,9 @@ mod tests {
         // the time-weighted average would count a negative span.
         let mut pool = MockJobManager::empty(4);
         pool.set_iteration(100);
-        pool.acquire_as("a", 1, 2);
+        pool.acquire_as("a", 2);
         pool.set_iteration(40); // stale clock from a slower owner
-        pool.acquire_as("b", 2, 2);
+        pool.acquire_as("b", 2);
         let events = pool.events();
         assert_eq!(events[0].iteration, 100);
         assert_eq!(events[1].iteration, 100, "clock must not rewind");
@@ -666,7 +623,7 @@ mod tests {
         // no block is ever double-counted.
         let total = 12usize;
         let mut pool = MockJobManager::empty(total);
-        let owners = [("trainer", 1u8), ("chat", 3u8), ("batch", 2u8)];
+        let owners = ["trainer", "chat", "batch"];
         let mut rng_state: u64 = 0x5eed_f1ee_7000_0001;
         let mut rng = move || {
             rng_state ^= rng_state << 13;
@@ -677,14 +634,14 @@ mod tests {
         for step in 0..1000u64 {
             // Out-of-order stamps: each owner runs its own skewed clock.
             pool.set_iteration(step.saturating_sub(rng() % 5));
-            let (name, priority) = owners[(rng() % 3) as usize];
+            let name = owners[(rng() % 3) as usize];
             let worker = (rng() % total as u64) as usize;
             match rng() % 6 {
                 0 => {
-                    pool.acquire_as(name, priority, (rng() % 4) as usize);
+                    pool.acquire_as(name, (rng() % 4) as usize);
                 }
                 1 => {
-                    let _ = pool.try_acquire_as(name, priority, &[worker]);
+                    let _ = pool.try_acquire_as(name, &[worker]);
                 }
                 2 => {
                     let _ = pool.try_release_as(name, &[worker]);
@@ -712,7 +669,7 @@ mod tests {
                 -delta_sum,
                 "ledger out of sync at step {step} (empty pool starts at 0)"
             );
-            let tagged: usize = owners.iter().map(|(n, _)| pool.allocated_to(n)).sum();
+            let tagged: usize = owners.iter().map(|n| pool.allocated_to(n)).sum();
             let untagged =
                 (0..total).filter(|&w| pool.owner_of(w).is_none()).count() - pool.available();
             assert_eq!(

@@ -8,71 +8,14 @@
 //! writes, checkpoint restores, communicator rebuilds, and replayed
 //! iterations after a failure or an elastic re-scale.
 //!
-//! The four headline buckets are *modeled* seconds: they live on the
-//! simulated clock, feed `total()`/`fraction_of()`, and are checkpointed
-//! so resumed runs replay bit-for-bit.  [`MeasuredOverhead`] is the
-//! wall-clock companion: real seconds observed by `dynmo-telemetry`
-//! stopwatches around the balancers, migration planning, and checkpoint
-//! I/O.  Measured seconds are diagnostics only — they are **never**
-//! checkpointed, never folded into `total()`, and never enter trajectory
-//! checksums or sweep determinism pins (they differ run-to-run by
-//! machine, and must not change simulated results).
+//! Every bucket is *modeled* seconds on the simulated clock: the balancing
+//! algorithm is priced per layer and round
+//! ([`BALANCER_SECONDS_PER_LAYER_ROUND`](crate::controller::BALANCER_SECONDS_PER_LAYER_ROUND)),
+//! not timed on the host, so the buckets feed `total()`/`fraction_of()`,
+//! are checkpointed, and replay bit-for-bit on resume.  Host time is
+//! measured outside the library.
 
 use serde::{Deserialize, Serialize};
-
-/// Wall-clock seconds actually spent inside DynMo's machinery, measured
-/// with `dynmo-telemetry` stopwatches (Fig.-4-style numbers that are real
-/// rather than modeled).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct MeasuredOverhead {
-    /// Measured seconds inside balancer `rebalance` calls (Partition or
-    /// Diffusion decision time, including re-packing).
-    pub balancer_seconds: f64,
-    /// Measured seconds spent planning layer migrations.
-    pub migration_planning_seconds: f64,
-    /// Measured seconds spent writing/reading checkpoints.
-    pub checkpoint_io_seconds: f64,
-    /// Number of stopwatch samples folded in.
-    pub samples: u64,
-}
-
-impl MeasuredOverhead {
-    /// A zeroed measurement.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one measured balancer invocation.
-    pub fn record_balancer(&mut self, seconds: f64) {
-        self.balancer_seconds += seconds;
-        self.samples += 1;
-    }
-
-    /// Fold in one measured migration-planning pass.
-    pub fn record_planning(&mut self, seconds: f64) {
-        self.migration_planning_seconds += seconds;
-        self.samples += 1;
-    }
-
-    /// Fold in one measured checkpoint write/read.
-    pub fn record_checkpoint_io(&mut self, seconds: f64) {
-        self.checkpoint_io_seconds += seconds;
-        self.samples += 1;
-    }
-
-    /// Total measured wall-clock seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.balancer_seconds + self.migration_planning_seconds + self.checkpoint_io_seconds
-    }
-
-    /// Merge another measurement into this one.
-    pub fn merge(&mut self, other: &MeasuredOverhead) {
-        self.balancer_seconds += other.balancer_seconds;
-        self.migration_planning_seconds += other.migration_planning_seconds;
-        self.checkpoint_io_seconds += other.checkpoint_io_seconds;
-        self.samples += other.samples;
-    }
-}
 
 /// Accumulated overhead of DynMo's balancing machinery, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -90,10 +33,6 @@ pub struct OverheadBreakdown {
     pub rebalance_events: u64,
     /// Number of recovery/checkpoint events that contributed to `recovery`.
     pub recovery_events: u64,
-    /// Wall-clock seconds measured around the real machinery (diagnostic
-    /// only: excluded from [`OverheadBreakdown::total`], checkpoints, and
-    /// determinism pins; resets to zero on resume).
-    pub measured: MeasuredOverhead,
 }
 
 impl OverheadBreakdown {
@@ -139,7 +78,6 @@ impl OverheadBreakdown {
         self.recovery += other.recovery;
         self.rebalance_events += other.rebalance_events;
         self.recovery_events += other.recovery_events;
-        self.measured.merge(&other.measured);
     }
 }
 
@@ -179,23 +117,6 @@ mod tests {
         assert_eq!(a.total(), 9.0);
         assert_eq!(a.rebalance_events, 2);
         assert_eq!(a.recovery_events, 1);
-    }
-
-    #[test]
-    fn measured_seconds_stay_out_of_the_modeled_total() {
-        let mut o = OverheadBreakdown::new();
-        o.record(1.0, 1.0, 1.0);
-        o.measured.record_balancer(0.25);
-        o.measured.record_planning(0.5);
-        o.measured.record_checkpoint_io(0.125);
-        // Modeled total ignores wall-clock measurement entirely.
-        assert_eq!(o.total(), 3.0);
-        assert_eq!(o.measured.total_seconds(), 0.875);
-        assert_eq!(o.measured.samples, 3);
-        // Merging folds the measured buckets too.
-        let mut merged = OverheadBreakdown::new();
-        merged.merge(&o);
-        assert_eq!(merged.measured, o.measured);
     }
 
     #[test]

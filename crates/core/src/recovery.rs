@@ -32,7 +32,7 @@ use dynmo_dynamics::rng::Prng;
 use dynmo_pipeline::{LayerLoad, StageAssignment};
 use dynmo_resilience::{
     Checkpoint, CheckpointCostModel, CheckpointStore, LayerState, MemoryCheckpointStore,
-    TimedStore, TrainerState,
+    TrainerState,
 };
 use dynmo_runtime::{
     launch, Communicator, FaultInjector, FaultPlan, Payload, RankCtx, RuntimeError,
@@ -289,7 +289,7 @@ pub struct ResilientRunReport {
 /// Shared bookkeeping the ranks update through locks/atomics, standing in
 /// for the control plane (job manager + metrics store) of a real cluster.
 struct SharedState {
-    store: Mutex<TimedStore<MemoryCheckpointStore>>,
+    store: Mutex<MemoryCheckpointStore>,
     job_manager: Mutex<MockJobManager>,
     overhead: Mutex<OverheadBreakdown>,
     recoveries: Mutex<Vec<RecoveryEvent>>,
@@ -301,7 +301,7 @@ struct SharedState {
 impl SharedState {
     fn new(world_size: usize, recorder: Arc<dyn Recorder>) -> Self {
         SharedState {
-            store: Mutex::new(TimedStore::new(MemoryCheckpointStore::new())),
+            store: Mutex::new(MemoryCheckpointStore::new()),
             job_manager: Mutex::new(MockJobManager::new(world_size)),
             overhead: Mutex::new(OverheadBreakdown::new()),
             recoveries: Mutex::new(Vec::new()),
@@ -593,14 +593,6 @@ pub fn run_resilient_recorded(
         replayed_iterations: AtomicU64::new(arc.replayed_iterations.load(Ordering::SeqCst)),
         recorder: Arc::clone(&arc.recorder),
     });
-    let mut overhead = shared.overhead.into_inner();
-    {
-        // Fold the store's measured wall-clock I/O into the diagnostic
-        // companion; the modeled `recovery` bucket is untouched.
-        let store = shared.store.lock();
-        overhead.measured.checkpoint_io_seconds += store.io_seconds();
-        overhead.measured.samples += store.io_ops();
-    }
     Ok(ResilientRunReport {
         initial_world_size: config.world_size,
         final_world_size: outcome.world_size,
@@ -612,7 +604,7 @@ pub fn run_resilient_recorded(
         checkpoints_taken: shared.checkpoints_taken.load(Ordering::SeqCst),
         replayed_iterations: shared.replayed_iterations.load(Ordering::SeqCst),
         recoveries: shared.recoveries.into_inner(),
-        overhead,
+        overhead: shared.overhead.into_inner(),
         fleet_events: shared.job_manager.into_inner().events().to_vec(),
     })
 }
@@ -936,12 +928,7 @@ pub fn run_elastic_rescale(
     let job_manager = shared.job_manager.lock().clone();
     let average_allocated = job_manager.average_allocated(config.iterations);
     let layers_conserved = *conserved.lock();
-    let mut overhead = *shared.overhead.lock();
-    {
-        let store = shared.store.lock();
-        overhead.measured.checkpoint_io_seconds += store.io_seconds();
-        overhead.measured.samples += store.io_ops();
-    }
+    let overhead = *shared.overhead.lock();
     Ok(ElasticRescaleReport {
         phase_world_sizes: vec![config.world_size, config.shrink_to, config.world_size],
         layers_conserved,
@@ -1127,11 +1114,6 @@ mod tests {
         assert_eq!(report.overhead.recovery_events, 4);
         assert!(report.final_loss > 0.0);
         assert!(report.fleet_events.is_empty());
-        // The timed store measured real wall-clock seconds for the four
-        // checkpoint writes (diagnostic only — not in the modeled total).
-        assert!(report.overhead.measured.samples >= 4);
-        assert!(report.overhead.measured.checkpoint_io_seconds >= 0.0);
-        assert!(report.overhead.measured.balancer_seconds == 0.0);
     }
 
     #[test]

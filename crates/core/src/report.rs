@@ -15,7 +15,7 @@ pub struct TrainingReport {
     pub dynamism: String,
     /// Number of training iterations simulated.
     pub iterations: u64,
-    /// Total wall-clock training time in seconds (compute + exposed
+    /// Total simulated training time in seconds (compute + exposed
     /// communication + balancing overhead).
     pub total_time: f64,
     /// Total tokens processed across all data-parallel replicas.
@@ -48,9 +48,8 @@ pub struct TrainingReport {
     pub tokens_per_second_per_gpu: f64,
     /// FNV-1a over the simulated per-iteration trajectory (iteration time,
     /// tokens, imbalance, assignment).  Deterministic for a given
-    /// configuration and seed — wall-clock measurements are excluded — so
-    /// a recovered run proves bit-identical replay by matching the
-    /// failure-free run's value.
+    /// configuration and seed, so a recovered run proves bit-identical
+    /// replay by matching the failure-free run's value.
     pub trajectory_checksum: u64,
 }
 

@@ -18,7 +18,7 @@ use dynmo_pipeline::{
     CommCostModel, HybridThroughputModel, LayerLoad, PipelineSimulator, ScheduleKind,
     StageAssignment,
 };
-use dynmo_telemetry::{LogLevel, MarkerKind, NullRecorder, Recorder, Stopwatch};
+use dynmo_telemetry::{LogLevel, MarkerKind, NullRecorder, Recorder};
 use serde::{Deserialize, Serialize};
 
 use dynmo_resilience::{
@@ -100,9 +100,8 @@ struct Checkpointing {
 const DEFAULT_KEPT_CHECKPOINTS: usize = 8;
 
 /// Incremental FNV-1a over the per-iteration simulated trajectory: iteration
-/// time, tokens, imbalance, and the layer→stage assignment.  Wall-clock
-/// quantities (the measured balancing-algorithm time) are deliberately
-/// excluded, so the checksum is bit-reproducible across runs and machines —
+/// time, tokens, imbalance, and the layer→stage assignment.  Every input is
+/// simulated, so the checksum is bit-reproducible across runs and machines —
 /// a recovered run must land on exactly the failure-free run's value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TrajectoryHash(dynmo_resilience::Fnv1a);
@@ -712,10 +711,6 @@ impl Trainer {
                     outcome.algorithm_time,
                     outcome.migration_time,
                 );
-                // The wall-clock the controller actually burned, kept apart
-                // from the modeled buckets (never checkpointed or pinned).
-                overhead.measured.record_balancer(outcome.algorithm_time);
-                overhead.measured.record_planning(outcome.planning_time);
                 total_time += profiling_cost + outcome.algorithm_time + outcome.migration_time;
                 recorder.instant(
                     0,
@@ -843,37 +838,30 @@ impl Trainer {
                         },
                     );
                     match Checkpoint::new(state) {
-                        Ok(checkpoint) => {
-                            let (saved, io_seconds) =
-                                Stopwatch::time(|| checkpointing.store.save(&checkpoint));
-                            match saved {
-                                Ok(()) => {
-                                    checkpointing.store.retain_last(checkpointing.keep);
-                                    overhead = charged_overhead;
-                                    total_time = charged_total_time;
-                                    // Real store I/O seconds, as a measured
-                                    // diagnostic next to the modeled cost.
-                                    overhead.measured.record_checkpoint_io(io_seconds);
-                                    recorder.instant(
-                                        0,
-                                        MarkerKind::Checkpoint,
-                                        &format!("iter {}", iteration + 1),
-                                        total_time,
-                                        &[
-                                            ("iteration", (iteration + 1).to_string()),
-                                            ("simulated_cost_s", format!("{cost:.6}")),
-                                        ],
-                                    );
-                                }
-                                Err(err) => recorder.log(
-                                    LogLevel::Warn,
-                                    &format!(
-                                        "checkpoint at iteration {} not saved: {err}",
-                                        iteration + 1
-                                    ),
-                                ),
+                        Ok(checkpoint) => match checkpointing.store.save(&checkpoint) {
+                            Ok(()) => {
+                                checkpointing.store.retain_last(checkpointing.keep);
+                                overhead = charged_overhead;
+                                total_time = charged_total_time;
+                                recorder.instant(
+                                    0,
+                                    MarkerKind::Checkpoint,
+                                    &format!("iter {}", iteration + 1),
+                                    total_time,
+                                    &[
+                                        ("iteration", (iteration + 1).to_string()),
+                                        ("simulated_cost_s", format!("{cost:.6}")),
+                                    ],
+                                );
                             }
-                        }
+                            Err(err) => recorder.log(
+                                LogLevel::Warn,
+                                &format!(
+                                    "checkpoint at iteration {} not saved: {err}",
+                                    iteration + 1
+                                ),
+                            ),
+                        },
                         Err(err) => recorder.log(
                             LogLevel::Warn,
                             &format!("checkpoint at iteration {} not taken: {err}", iteration + 1),
@@ -1219,15 +1207,8 @@ mod tests {
         let segmented = last.unwrap();
         assert_eq!(segmented.trajectory_checksum, full.trajectory_checksum);
         assert_eq!(segmented.total_tokens, full.total_tokens);
-        // total_time carries the *measured* balancer wall-clock of each
-        // rebalance event, which no two runs reproduce bit-for-bit; every
-        // simulated accumulator must still agree exactly.
-        assert!(
-            (segmented.total_time - full.total_time).abs() < 1e-3,
-            "segmented {} vs full {}",
-            segmented.total_time,
-            full.total_time
-        );
+        assert_eq!(segmented.total_time.to_bits(), full.total_time.to_bits());
+        assert_eq!(segmented.overhead, full.overhead);
         assert_eq!(
             segmented.average_idleness.to_bits(),
             full.average_idleness.to_bits()
@@ -1362,10 +1343,11 @@ mod tests {
             plain_report.trajectory_checksum
         );
         assert_eq!(traced_report.total_tokens, plain_report.total_tokens);
-        // `total_time` is charged with wall-clock `algorithm_time`, so it is
-        // only approximately reproducible across independent runs; the
-        // checksum above is the bit-exact contract.
-        assert!((traced_report.total_time - plain_report.total_time).abs() < 0.1);
+        assert_eq!(
+            traced_report.total_time.to_bits(),
+            plain_report.total_time.to_bits()
+        );
+        assert_eq!(traced_report.overhead, plain_report.overhead);
 
         // ... but the event stream carries the run's structure.
         let events = recorder.snapshot();
@@ -1384,17 +1366,6 @@ mod tests {
         assert!(spans > 0, "per-rank op spans recorded");
         assert!(rebalances > 0, "rebalance markers recorded");
         assert_eq!(checkpoints, 3, "one marker per checkpoint");
-
-        // Wall-clock stopwatches fed the measured overhead buckets.
-        let measured = traced_report.overhead.measured;
-        assert!(measured.samples > 0);
-        assert!(measured.balancer_seconds >= 0.0);
-        assert!(measured.checkpoint_io_seconds >= 0.0);
-        // The modeled buckets stay untouched by measurement: the wall-clock
-        // seconds live only in `measured`, never in the headline total
-        // (which itself carries wall-clock algorithm time, so compare
-        // approximately across runs).
-        assert!((traced_report.overhead.total() - plain_report.overhead.total()).abs() < 0.1);
     }
 
     #[test]

@@ -341,17 +341,13 @@ impl FleetController {
         }
 
         let mut pool = MockJobManager::empty(config.total_gpus);
-        let trainer_workers = pool.acquire_as(TRAINER_OWNER, 0, initial_trainer_workers);
+        let trainer_workers = pool.acquire_as(TRAINER_OWNER, initial_trainer_workers);
         trainer.rescale(initial_trainer_workers)?;
 
         let mut live = Vec::with_capacity(tenants.len());
         for spec in tenants {
             let stages = spec.config.stages;
-            let ids = pool.acquire_as(
-                &spec.config.tenant,
-                spec.priority,
-                spec.config.initial_replicas * stages,
-            );
+            let ids = pool.acquire_as(&spec.config.tenant, spec.config.initial_replicas * stages);
             let blocks: Vec<Vec<usize>> = ids.chunks(stages).map(|c| c.to_vec()).collect();
             let name = spec.config.tenant.clone();
             let ttft_target = spec.config.slo.ttft;
@@ -595,12 +591,9 @@ impl FleetController {
     }
 
     fn grant_from_pool(&mut self, idx: usize, now: f64, ready_at: f64) -> Result<(), String> {
-        let (name, priority, stages) = {
-            let t = &self.tenants[idx];
-            (t.name.clone(), t.priority, t.stages)
-        };
+        let (name, stages) = (self.tenants[idx].name.clone(), self.tenants[idx].stages);
         self.pool.set_iteration(fleet_clock(now));
-        let block = self.pool.acquire_as(&name, priority, stages);
+        let block = self.pool.acquire_as(&name, stages);
         let p99 = self.tenants[idx].windowed_p99();
         self.tenants[idx]
             .session
@@ -611,10 +604,7 @@ impl FleetController {
     }
 
     fn steal_from_trainer(&mut self, idx: usize, now: f64) -> Result<(), String> {
-        let (name, priority, stages) = {
-            let t = &self.tenants[idx];
-            (t.name.clone(), t.priority, t.stages)
-        };
+        let (name, stages) = (self.tenants[idx].name.clone(), self.tenants[idx].stages);
         let cut = self
             .trainer_workers
             .split_off(self.trainer_workers.len() - stages);
@@ -624,7 +614,7 @@ impl FleetController {
             .try_release_as(TRAINER_OWNER, &cut)
             .map_err(|e| format!("trainer releasing stolen GPUs: {e:?}"))?;
         self.pool
-            .try_acquire_as(&name, priority, &cut)
+            .try_acquire_as(&name, &cut)
             .map_err(|e| format!("tenant {name} acquiring stolen GPUs: {e:?}"))?;
         // The replica comes online after provisioning; the checkpoint
         // write that freed the GPUs happens on the trainer's clock and is
@@ -720,7 +710,7 @@ impl FleetController {
             return Ok(());
         }
         self.pool.set_iteration(fleet_clock(now));
-        let ids = self.pool.acquire_as(TRAINER_OWNER, 0, take);
+        let ids = self.pool.acquire_as(TRAINER_OWNER, take);
         self.trainer_workers.extend(ids);
         let cost = self.trainer.rescale(self.trainer_workers.len())?;
         self.last_trainer_action = now;

@@ -77,12 +77,9 @@ pub struct ElasticTrainer {
     last_report: Option<TrainingReport>,
     world: usize,
     iterations_done: u64,
-    /// Simulated seconds of training so far.  This is
-    /// `total_time − overhead.algorithm`: the trainer charges the *measured*
-    /// balancer wall-clock into `total_time` (and mirrors exactly those
-    /// seconds into the `algorithm` bucket), so the difference is the fully
-    /// modeled clock — the only clock a deterministic controller may
-    /// schedule against.
+    /// Simulated seconds of training so far: the trainer's `total_time`,
+    /// every second of it modeled, so the controller schedules against a
+    /// clock that is a pure function of the configuration.
     sim_time: f64,
     total_tokens: u64,
     /// `(iteration, trajectory_checksum)` at every chunk boundary — the
@@ -161,7 +158,7 @@ impl ElasticTrainer {
         );
         let outcome = trainer.run_segment(self.engine.as_mut(), self.state.as_ref(), until)?;
         self.iterations_done = until;
-        self.sim_time = outcome.report.total_time - outcome.report.overhead.algorithm;
+        self.sim_time = outcome.report.total_time;
         self.total_tokens = outcome.report.total_tokens;
         self.checksum_history
             .push((until, outcome.report.trajectory_checksum));
@@ -230,8 +227,7 @@ impl ElasticTrainer {
         self.iterations_done
     }
 
-    /// Simulated seconds of training so far (modeled clock only; see the
-    /// field note on why measured balancer wall-clock is excluded).
+    /// Simulated seconds of training so far.
     pub fn sim_time(&self) -> f64 {
         self.sim_time
     }
@@ -316,6 +312,7 @@ mod tests {
             "chunking must not perturb the trajectory"
         );
         assert_eq!(chunked.total_tokens(), whole.total_tokens());
+        assert_eq!(chunked.sim_time().to_bits(), whole.sim_time().to_bits());
     }
 
     #[test]
@@ -330,7 +327,7 @@ mod tests {
         let cost = job.rescale(2).unwrap();
         assert!(cost > 0.0, "checkpoint write must cost time");
         assert_eq!(job.world(), 2);
-        assert!((job.sim_time() - before - cost).abs() < 1e-12);
+        assert_eq!(job.sim_time(), before + cost);
         assert_eq!(job.rescales(), 1);
 
         job.run_to_completion().unwrap();

@@ -10,11 +10,14 @@
 //!    carries an `// ORDERING:` comment justifying why the weakest ordering
 //!    suffices.  Relaxed is the ordering most likely to be cargo-culted; the
 //!    loom suite can only check protocols someone thought to model.
-//! 3. **`wall-clock`** — no `std::time::Instant`/`SystemTime` outside the
-//!    telemetry stopwatch, the bench binaries, and the criterion shim.  The
-//!    repo's determinism contract (byte-identical sweep artifacts across
-//!    thread counts) dies the moment wall-clock readings reach artifact
-//!    data; keeping acquisition choke-pointed makes the contract auditable.
+//! 3. **`wall-clock`** — no `std::time::Instant`/`SystemTime`, and no
+//!    `telemetry::Stopwatch` reading (`Stopwatch::start`/`Stopwatch::time`),
+//!    outside the telemetry stopwatch, the bench crate, and the criterion
+//!    shim.  The repo's determinism contract (a simulated result is a pure
+//!    function of configuration and seed; byte-identical sweep artifacts
+//!    across runs and thread counts) dies the moment a host-time reading
+//!    reaches a simulated clock or artifact data; keeping acquisition
+//!    choke-pointed makes the contract auditable.
 //!    `// LINT: allow(wall-clock)` on or just above the line waives a
 //!    legitimate site (e.g. a lock-acquisition timeout).
 //! 4. **`std-mutex`** — no direct `std::sync::Mutex` outside `shims/`:
@@ -262,7 +265,7 @@ struct FileClass {
     shim_src: bool,
     /// Under `shims/` at all — exempt from the std-mutex rule.
     shim: bool,
-    /// Allowlisted for wall-clock use (telemetry stopwatch, bench binaries,
+    /// Allowlisted for wall-clock use (telemetry stopwatch, bench crate,
     /// criterion shim).
     wall_clock_ok: bool,
 }
@@ -328,13 +331,15 @@ pub fn lint_source(rel_path: &Path, source: &str) -> Vec<Violation> {
 
         // Rule 3: wall-clock acquisition outside the allowlist.  Only
         // qualified forms match (`std::time::Instant`, `Instant::now`, the
-        // use-import) — a bare `Instant` may be an unrelated name, e.g. a
-        // telemetry event variant.
+        // use-import, and the two ways to read a `Stopwatch`) — a bare
+        // `Instant` may be an unrelated name, e.g. a telemetry event variant.
         if !class.wall_clock_ok {
             let hit = contains_path(code, &["std", "time", "Instant"])
                 || contains_path(code, &["std", "time", "SystemTime"])
                 || contains_path(code, &["Instant", "now"])
                 || contains_path(code, &["SystemTime", "now"])
+                || contains_path(code, &["Stopwatch", "start"])
+                || contains_path(code, &["Stopwatch", "time"])
                 || (has_word(code, "use")
                     && contains_path(code, &["std", "time"])
                     && (has_word(code, "Instant") || has_word(code, "SystemTime")));
@@ -537,6 +542,33 @@ mod tests {
         assert!(lint_at(
             "crates/core/src/lib.rs",
             "fn f(e: &Event) -> bool { matches!(e, Event::Instant { .. }) }\n"
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn stopwatch_readings_are_wall_clock() {
+        let start = "fn f() { let sw = Stopwatch::start(); }\n";
+        assert_eq!(
+            rules(&lint_at("crates/core/src/controller.rs", start)),
+            ["wall-clock"]
+        );
+        let timed = "fn f() { let (x, s) = dynmo_telemetry::Stopwatch::time(|| 1); }\n";
+        assert_eq!(
+            rules(&lint_at("crates/resilience/src/store.rs", timed)),
+            ["wall-clock"]
+        );
+        // The same line is fine where wall-clock is allowed.
+        assert!(lint_at("crates/bench/src/bin/trace_export.rs", start).is_empty());
+        assert!(lint_at("crates/telemetry/src/stopwatch.rs", start).is_empty());
+        // Inline waiver.
+        let waived = "// LINT: allow(wall-clock) — host-time diagnostic only.\n\
+                      fn f() { let sw = Stopwatch::start(); }\n";
+        assert!(lint_at("crates/core/src/controller.rs", waived).is_empty());
+        // Naming the type (a re-export, a doc link in code) is not a reading.
+        assert!(lint_at(
+            "crates/telemetry/src/lib.rs",
+            "pub use stopwatch::Stopwatch;\n"
         )
         .is_empty());
     }

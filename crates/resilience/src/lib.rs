@@ -30,4 +30,4 @@ pub use checkpoint::{
     fnv1a, Checkpoint, CheckpointCostModel, CheckpointError, Fnv1a, LayerState, TrainerState,
     CHECKPOINT_VERSION,
 };
-pub use store::{CheckpointStore, DiskCheckpointStore, MemoryCheckpointStore, TimedStore};
+pub use store::{CheckpointStore, DiskCheckpointStore, MemoryCheckpointStore};

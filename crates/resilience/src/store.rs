@@ -5,11 +5,8 @@
 //! serialize/deserialize path and a checkpoint read back from memory is
 //! byte-identical to one read back from disk.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-use dynmo_telemetry::Stopwatch;
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 
@@ -189,90 +186,6 @@ impl CheckpointStore for DiskCheckpointStore {
     }
 }
 
-/// Wraps any [`CheckpointStore`] and accumulates the wall-clock seconds
-/// spent inside it, using a `dynmo-telemetry` stopwatch around every
-/// save/load/latest/retention call.
-///
-/// The measured seconds are *diagnostic*: they feed the `measured`
-/// companion of the overhead breakdown and never touch simulated costs,
-/// checksums, or determinism pins.  Read-side calls (`load`, `latest`)
-/// take `&self`, so the accumulator lives in [`Cell`]s — callers that
-/// share a `TimedStore` across threads must wrap it in a lock (as the
-/// recovery coordinator's shared state already does).
-#[derive(Debug, Clone, Default)]
-pub struct TimedStore<S> {
-    inner: S,
-    seconds: Cell<f64>,
-    ops: Cell<u64>,
-}
-
-impl<S> TimedStore<S> {
-    /// Wrap a store with a fresh (zeroed) stopwatch accumulator.
-    pub fn new(inner: S) -> Self {
-        TimedStore {
-            inner,
-            seconds: Cell::new(0.0),
-            ops: Cell::new(0),
-        }
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwrap, discarding the accumulator.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// Total wall-clock seconds spent in store calls so far.
-    pub fn io_seconds(&self) -> f64 {
-        self.seconds.get()
-    }
-
-    /// Number of timed store calls so far.
-    pub fn io_ops(&self) -> u64 {
-        self.ops.get()
-    }
-
-    fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let (out, seconds) = Stopwatch::time(f);
-        self.seconds.set(self.seconds.get() + seconds);
-        self.ops.set(self.ops.get() + 1);
-        out
-    }
-}
-
-impl<S: CheckpointStore> CheckpointStore for TimedStore<S> {
-    fn save(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-        let (out, seconds) = Stopwatch::time(|| self.inner.save(checkpoint));
-        self.seconds.set(self.seconds.get() + seconds);
-        self.ops.set(self.ops.get() + 1);
-        out
-    }
-
-    fn load(&self, iteration: u64) -> Result<Checkpoint, CheckpointError> {
-        self.time(|| self.inner.load(iteration))
-    }
-
-    fn latest(&self) -> Result<Option<Checkpoint>, CheckpointError> {
-        self.time(|| self.inner.latest())
-    }
-
-    fn iterations(&self) -> Vec<u64> {
-        // A metadata scan, not checkpoint I/O: left untimed.
-        self.inner.iterations()
-    }
-
-    fn retain_last(&mut self, keep: usize) -> usize {
-        let (out, seconds) = Stopwatch::time(|| self.inner.retain_last(keep));
-        self.seconds.set(self.seconds.get() + seconds);
-        self.ops.set(self.ops.get() + 1);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,19 +278,6 @@ mod tests {
             Err(CheckpointError::ChecksumMismatch { .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn timed_store_passes_the_protocol_and_accumulates_io_time() {
-        let mut store = TimedStore::new(MemoryCheckpointStore::new());
-        exercise_store(&mut store);
-        // Every save/load/latest/retain call above was timed.
-        assert!(store.io_ops() >= 10, "ops: {}", store.io_ops());
-        assert!(store.io_seconds() >= 0.0);
-        assert!(store.io_seconds().is_finite());
-        // The wrapper is transparent: the inner store holds the same data.
-        assert_eq!(store.inner().len(), 2);
-        assert_eq!(store.into_inner().iterations(), vec![150, 200]);
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //!   seconds from the pipeline simulator.  Recording them is a pure
 //!   function of the run, so enabling a recorder never changes a sweep
 //!   artifact and traces themselves are reproducible bit-for-bit.
-//! * **Wall-clock is measurement, not data.** [`Stopwatch`] scopes feed
-//!   *measured* seconds into overhead accounting
-//!   (`OverheadBreakdown.measured` in `dynmo-core`), and that measurement
-//!   never enters checksums, checkpoints, or sweep rows compared across
-//!   thread counts.
+//! * **Wall-clock is measurement, not data.** [`Stopwatch`] is telemetry's
+//!   only host-clock reader, and only the bench harness uses it.  No
+//!   host-clock reading reaches a simulated clock, a checksum, a
+//!   checkpoint, or a sweep artifact (`dynmo-lint` enforces this; the
+//!   runtime fabric's receive-deadline reads are waived exceptions that
+//!   only bound how long a receive blocks).
 //!
 //! The entry point is the [`Recorder`] trait: library crates accept an
 //! `Arc<dyn Recorder>` and emit events through it.  The default
@@ -30,13 +31,11 @@
 pub mod event;
 pub mod perfetto;
 pub mod recorder;
-pub mod registry;
 pub mod sketch;
 pub mod stopwatch;
 
 pub use event::{CounterEvent, Event, InstantEvent, LogEvent, LogLevel, MarkerKind, SpanEvent};
 pub use perfetto::{validate_trace_json, TraceBuilder, TraceStats};
 pub use recorder::{MemoryRecorder, NullRecorder, Recorder};
-pub use registry::{MetricsRegistry, RegistrySnapshot};
 pub use sketch::{P2Quantile, StreamingSummary, SummaryStats};
 pub use stopwatch::Stopwatch;

@@ -14,7 +14,7 @@ use crate::event::{CounterEvent, Event, InstantEvent, LogEvent, LogLevel, Marker
 /// virtual call and allocates nothing.
 ///
 /// Recorders only ever receive *simulated* time.  Wall-clock measurement
-/// goes through [`crate::Stopwatch`] into overhead accounting instead, so
+/// goes through [`crate::Stopwatch`], in the bench harness only, so
 /// recorded event streams — like the sweeps and trajectory checksums —
 /// are bit-reproducible across machines and thread counts.
 pub trait Recorder: Send + Sync {

@@ -1,10 +1,10 @@
 //! Wall-clock measurement scopes.
 //!
-//! A [`Stopwatch`] is the only place telemetry touches real time.  Its
-//! readings feed *measured* overhead accounting (`OverheadBreakdown`'s
-//! `measured` buckets in `dynmo-core`) and are never recorded as events,
-//! checkpointed, or folded into checksums — the determinism pins stay
-//! byte-identical no matter how slow the machine is.
+//! A [`Stopwatch`] is the only place telemetry touches real time.  Only the
+//! bench harness reads one (`dynmo-lint` flags a reading anywhere else), to
+//! report how long its own runs took; the readings are never recorded as
+//! events, checkpointed, or folded into checksums — the determinism pins
+//! stay byte-identical no matter how slow the machine is.
 
 use std::time::Instant;
 
@@ -16,8 +16,8 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Start timing now.
-    // The designated wall-clock choke point (see clippy.toml): every other
-    // crate measures time through Stopwatch, never Instant directly.
+    // The designated wall-clock choke point (see clippy.toml): the bench
+    // harness measures time through Stopwatch, never Instant directly.
     #[allow(clippy::disallowed_methods)]
     pub fn start() -> Self {
         Stopwatch {
