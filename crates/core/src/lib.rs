@@ -60,4 +60,4 @@ pub use recovery::{
 };
 pub use repack::{plan_repack, RepackConfig, RepackPlan};
 pub use report::TrainingReport;
-pub use trainer::{rescale_trainer_state, SegmentOutcome, Trainer, TrainerConfig};
+pub use trainer::{Trainer, TrainerConfig};

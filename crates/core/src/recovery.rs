@@ -458,11 +458,6 @@ fn weights_checksum(layers: &[LayerState]) -> u64 {
     dynmo_resilience::fnv1a(buffer)
 }
 
-/// Layers owned by `stage` under `assignment`.
-fn owned_layers(assignment: &StageAssignment, stage: usize) -> Vec<usize> {
-    assignment.layers_of(stage)
-}
-
 /// Gather every stage's fresh layer states onto local rank 0 and assemble
 /// the full [`TrainerState`].  Returns `Some` on rank 0, `None` elsewhere.
 fn gather_full_state(
@@ -472,7 +467,8 @@ fn gather_full_state(
     iteration: u64,
     loss: f32,
 ) -> Result<Option<TrainerState>, RuntimeError> {
-    let mine: Vec<&LayerState> = owned_layers(assignment, comm.rank())
+    let mine: Vec<&LayerState> = assignment
+        .layers_of(comm.rank())
         .into_iter()
         .map(|l| &layers[l])
         .collect();
@@ -568,32 +564,8 @@ pub fn run_resilient_recorded(
             rank_body(&ctx, &config_owned, &coordinator, &shared_for_ranks)
         })?;
 
-    let mut outcome: Option<RankOutcome> = None;
-    for result in results {
-        match result {
-            Ok(Some(rank_outcome)) => {
-                if outcome.is_none() {
-                    outcome = Some(rank_outcome);
-                }
-            }
-            Ok(None) => {}
-            Err(err) => return Err(err),
-        }
-    }
-    let outcome = outcome.ok_or_else(|| {
-        RuntimeError::InvalidArgument("no rank survived the resilient run".to_string())
-    })?;
-
-    let shared = Arc::try_unwrap(shared).unwrap_or_else(|arc| SharedState {
-        store: Mutex::new(arc.store.lock().clone()),
-        job_manager: Mutex::new(arc.job_manager.lock().clone()),
-        overhead: Mutex::new(*arc.overhead.lock()),
-        recoveries: Mutex::new(arc.recoveries.lock().clone()),
-        checkpoints_taken: AtomicU64::new(arc.checkpoints_taken.load(Ordering::SeqCst)),
-        replayed_iterations: AtomicU64::new(arc.replayed_iterations.load(Ordering::SeqCst)),
-        recorder: Arc::clone(&arc.recorder),
-    });
-    Ok(ResilientRunReport {
+    let outcome = first_outcome(results)?;
+    let report = ResilientRunReport {
         initial_world_size: config.world_size,
         final_world_size: outcome.world_size,
         iterations: config.iterations,
@@ -603,10 +575,23 @@ pub fn run_resilient_recorded(
         weights_checksum: outcome.weights_checksum,
         checkpoints_taken: shared.checkpoints_taken.load(Ordering::SeqCst),
         replayed_iterations: shared.replayed_iterations.load(Ordering::SeqCst),
-        recoveries: shared.recoveries.into_inner(),
-        overhead: shared.overhead.into_inner(),
-        fleet_events: shared.job_manager.into_inner().events().to_vec(),
-    })
+        recoveries: shared.recoveries.lock().clone(),
+        overhead: *shared.overhead.lock(),
+        fleet_events: shared.job_manager.lock().events().to_vec(),
+    };
+    Ok(report)
+}
+
+/// The first surviving rank's outcome (every survivor reports the same
+/// summary); any rank's error fails the run.
+fn first_outcome(
+    results: Vec<Result<Option<RankOutcome>, RuntimeError>>,
+) -> Result<RankOutcome, RuntimeError> {
+    let mut first = None;
+    for result in results {
+        first = first.or(result?);
+    }
+    first.ok_or_else(|| RuntimeError::InvalidArgument("no rank survived the run".to_string()))
 }
 
 /// The per-rank training loop with failure handling.
@@ -672,10 +657,20 @@ fn rank_body(
         }
     }
 
-    // Conclude: rank 0 of the final communicator assembles the final state,
-    // hashes it, and broadcasts the checksum so every survivor reports the
-    // same value.
-    let final_state = gather_full_state(&comm, &assignment, &layers, iteration, loss)?;
+    conclude(&comm, assignment, &layers, iteration, loss).map(Some)
+}
+
+/// Close a run: rank 0 of `comm` assembles the final state, hashes it, and
+/// broadcasts the checksum and imbalance so every member reports the same
+/// values.
+fn conclude(
+    comm: &Communicator,
+    assignment: StageAssignment,
+    layers: &[LayerState],
+    iteration: u64,
+    loss: f32,
+) -> Result<RankOutcome, RuntimeError> {
+    let final_state = gather_full_state(comm, &assignment, layers, iteration, loss)?;
     let summary_payload = if let Some(state) = &final_state {
         Payload::U64(vec![
             weights_checksum(&state.layers),
@@ -685,14 +680,13 @@ fn rank_body(
         Payload::Empty
     };
     let summary = comm.broadcast(0, summary_payload)?.into_u64()?;
-
-    Ok(Some(RankOutcome {
+    Ok(RankOutcome {
         loss,
         world_size: comm.size(),
         assignment,
         weights_checksum: summary[0],
         imbalance: f64::from_bits(summary[1]),
-    }))
+    })
 }
 
 /// One training iteration: fault tick, schedules, local updates, global
@@ -709,15 +703,7 @@ fn run_iteration(
     shared: &SharedState,
 ) -> Result<f32, RuntimeError> {
     injector.tick(comm.my_global_rank(), iteration)?;
-
-    let owned = owned_layers(assignment, comm.rank());
-    for &l in &owned {
-        apply_schedules(&mut layers[l], iteration, &config.workload);
-        train_step(&mut layers[l], iteration);
-    }
-
-    let partial: f32 = owned.iter().map(|&l| layer_loss(&layers[l])).sum();
-    let loss = comm.allreduce_sum_f32(&[partial])?[0];
+    let loss = local_step(comm, assignment, layers, iteration, &config.workload)?;
 
     // Checkpoint after every `interval` *completed* iterations.  The stored
     // `iteration` field is the next iteration to execute, so a restore
@@ -762,6 +748,25 @@ fn run_iteration(
     Ok(loss)
 }
 
+/// The resume step shared by failure recovery and every elastic phase:
+/// load the newest checkpoint, verify it, and re-plan its layers for a
+/// world of `world_size`.
+fn restore_latest(
+    coordinator: &RecoveryCoordinator,
+    shared: &SharedState,
+    world_size: usize,
+) -> Result<(TrainerState, StageAssignment), RuntimeError> {
+    let checkpoint = shared
+        .store
+        .lock()
+        .latest()
+        .map_err(ckpt_err)?
+        .ok_or_else(|| RuntimeError::InvalidArgument("no checkpoint available".to_string()))?;
+    let state = checkpoint.verify().map_err(ckpt_err)?.clone();
+    let assignment = coordinator.replan(&state, world_size);
+    Ok((state, assignment))
+}
+
 /// Survivor-side recovery: rebuild the communicator, reload the newest
 /// checkpoint, re-balance for the shrunken world, and report the rollback.
 fn recover(
@@ -787,16 +792,7 @@ fn recover(
     // survivor reads the checkpoint while another is still writing one.
     new_comm.barrier()?;
 
-    let checkpoint = shared
-        .store
-        .lock()
-        .latest()
-        .map_err(ckpt_err)?
-        .ok_or_else(|| {
-            RuntimeError::InvalidArgument("no checkpoint available for recovery".to_string())
-        })?;
-    let state = checkpoint.verify().map_err(ckpt_err)?.clone();
-    let assignment = coordinator.replan(&state, new_comm.size());
+    let (state, assignment) = restore_latest(coordinator, shared, new_comm.size())?;
     let resumed_from = state.iteration;
     let replayed = detected_at.saturating_sub(resumed_from);
 
@@ -906,7 +902,7 @@ pub fn run_elastic_rescale(
     let coordinator_for_ranks = Arc::clone(&coordinator);
     let conserved_for_ranks = Arc::clone(&conserved);
     let config_owned = config.clone();
-    let results: Vec<Result<RankOutcome, RuntimeError>> = launch(config.world_size, move |ctx| {
+    let results = launch(config.world_size, move |ctx| {
         elastic_rank_body(
             &ctx,
             &config_owned,
@@ -914,16 +910,9 @@ pub fn run_elastic_rescale(
             &shared_for_ranks,
             &conserved_for_ranks,
         )
+        .map(Some)
     })?;
-
-    let mut first: Option<RankOutcome> = None;
-    for result in results {
-        let outcome = result?;
-        if first.is_none() {
-            first = Some(outcome);
-        }
-    }
-    let outcome = first.expect("world_size >= 1 rank reported");
+    let outcome = first_outcome(results)?;
 
     let job_manager = shared.job_manager.lock().clone();
     let average_allocated = job_manager.average_allocated(config.iterations);
@@ -950,21 +939,26 @@ fn elastic_rank_body(
 ) -> Result<RankOutcome, RuntimeError> {
     let world = ctx.world();
     let me = ctx.rank();
-    let mut layers = init_layers(&config.workload);
-    let mut loss: f32 = 0.0;
-
+    let workload = &config.workload;
     let check_conservation = |assignment: &StageAssignment| {
-        if !assignment_conserves_layers(assignment, config.workload.num_layers) {
+        if !assignment_conserves_layers(assignment, workload.num_layers) {
             *conserved.lock() = false;
         }
     };
+    // Phases after the first resume from the checkpoint their predecessor
+    // wrote, re-planned for the phase's world.
+    let resume = |world_size: usize| {
+        let (state, assignment) = restore_latest(coordinator, shared, world_size)?;
+        check_conservation(&assignment);
+        Ok::<_, RuntimeError>((assignment, state.layers))
+    };
 
     // Phase 1: full world.
-    let assignment = StageAssignment::uniform(config.workload.num_layers, config.world_size);
+    let assignment = StageAssignment::uniform(workload.num_layers, config.world_size);
     check_conservation(&assignment);
-    for iteration in 0..config.shrink_at {
-        loss = train_phase_iteration(&world, &assignment, &mut layers, iteration, config)?;
-    }
+    let mut layers = init_layers(workload);
+    let phase = 0..config.shrink_at;
+    let loss = train_phase(&world, &assignment, &mut layers, phase, workload)?;
     // Checkpoint at the shrink boundary, then split off the released ranks.
     if let Some(state) = gather_full_state(&world, &assignment, &layers, config.shrink_at, loss)? {
         save_checkpoint(state, coordinator, shared)?;
@@ -987,27 +981,10 @@ fn elastic_rank_body(
 
     // Phase 2: shrunken world (released ranks idle until the grow barrier).
     if let Some(active) = &active {
-        let checkpoint = shared
-            .store
-            .lock()
-            .latest()
-            .map_err(ckpt_err)?
-            .expect("shrink checkpoint was just written");
-        let state = checkpoint.verify().map_err(ckpt_err)?.clone();
-        let shrunken_assignment = coordinator.replan(&state, config.shrink_to);
-        check_conservation(&shrunken_assignment);
-        layers = state.layers;
-        for iteration in config.shrink_at..config.grow_at {
-            loss = train_phase_iteration(
-                active,
-                &shrunken_assignment,
-                &mut layers,
-                iteration,
-                config,
-            )?;
-        }
-        if let Some(state) =
-            gather_full_state(active, &shrunken_assignment, &layers, config.grow_at, loss)?
+        let (assignment, mut layers) = resume(config.shrink_to)?;
+        let phase = config.shrink_at..config.grow_at;
+        let loss = train_phase(active, &assignment, &mut layers, phase, workload)?;
+        if let Some(state) = gather_full_state(active, &assignment, &layers, config.grow_at, loss)?
         {
             save_checkpoint(state, coordinator, shared)?;
         }
@@ -1032,56 +1009,44 @@ fn elastic_rank_body(
     }
 
     // Phase 3: full world again, restored from the grow-point checkpoint.
-    let checkpoint = shared
-        .store
-        .lock()
-        .latest()
-        .map_err(ckpt_err)?
-        .expect("grow checkpoint was just written");
-    let state = checkpoint.verify().map_err(ckpt_err)?.clone();
-    let grown_assignment = coordinator.replan(&state, config.world_size);
-    check_conservation(&grown_assignment);
-    layers = state.layers;
-    for iteration in config.grow_at..config.iterations {
-        loss = train_phase_iteration(&world, &grown_assignment, &mut layers, iteration, config)?;
-    }
-
-    let final_state =
-        gather_full_state(&world, &grown_assignment, &layers, config.iterations, loss)?;
-    let summary_payload = if let Some(state) = &final_state {
-        Payload::U64(vec![
-            weights_checksum(&state.layers),
-            assignment_imbalance(&grown_assignment, &state.layers).to_bits(),
-        ])
-    } else {
-        Payload::Empty
-    };
-    let summary = world.broadcast(0, summary_payload)?.into_u64()?;
-
-    Ok(RankOutcome {
-        loss,
-        world_size: world.size(),
-        assignment: grown_assignment,
-        weights_checksum: summary[0],
-        imbalance: f64::from_bits(summary[1]),
-    })
+    let (assignment, mut layers) = resume(config.world_size)?;
+    let phase = config.grow_at..config.iterations;
+    let loss = train_phase(&world, &assignment, &mut layers, phase, workload)?;
+    conclude(&world, assignment, &layers, config.iterations, loss)
 }
 
-/// One iteration of an elastic phase (no fault injection).
-fn train_phase_iteration(
+/// One rank's share of a training iteration: apply the due schedules and
+/// the update to the layers it owns, then all-reduce the loss.
+fn local_step(
     comm: &Communicator,
     assignment: &StageAssignment,
     layers: &mut [LayerState],
     iteration: u64,
-    config: &ElasticRescaleConfig,
+    workload: &WorkloadConfig,
 ) -> Result<f32, RuntimeError> {
-    let owned = owned_layers(assignment, comm.rank());
+    let owned = assignment.layers_of(comm.rank());
     for &l in &owned {
-        apply_schedules(&mut layers[l], iteration, &config.workload);
+        apply_schedules(&mut layers[l], iteration, workload);
         train_step(&mut layers[l], iteration);
     }
     let partial: f32 = owned.iter().map(|&l| layer_loss(&layers[l])).sum();
     Ok(comm.allreduce_sum_f32(&[partial])?[0])
+}
+
+/// Train one elastic phase (no fault injection) and return its last loss
+/// (0 for an empty phase).
+fn train_phase(
+    comm: &Communicator,
+    assignment: &StageAssignment,
+    layers: &mut [LayerState],
+    iterations: std::ops::Range<u64>,
+    workload: &WorkloadConfig,
+) -> Result<f32, RuntimeError> {
+    let mut loss = 0.0;
+    for iteration in iterations {
+        loss = local_step(comm, assignment, layers, iteration, workload)?;
+    }
+    Ok(loss)
 }
 
 #[cfg(test)]

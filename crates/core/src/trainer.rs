@@ -7,6 +7,11 @@
 //! elastic job manager (GPU release).  The resulting
 //! [`TrainingReport`](crate::report::TrainingReport) carries every quantity
 //! the paper's evaluation section plots.
+//!
+//! A trainer keeps its run live between calls: [`Trainer::advance_to`]
+//! continues it and [`Trainer::rescale`] moves it onto a shrunken or grown
+//! cluster in place (paper §3.4.2), so an elastic job is one run, not a
+//! chain of checkpoint hand-offs.
 
 use std::sync::Arc;
 
@@ -163,149 +168,201 @@ mod metric_keys {
     pub const IMBALANCE_AT_PREFIX: &str = "imbalance@";
 }
 
-fn read_metric(state: &TrainerState, key: &str) -> Result<f64, String> {
-    state
-        .metrics
-        .get(key)
-        .copied()
-        .ok_or_else(|| format!("checkpoint is missing the '{key}' metric"))
+/// What a run derives from its cluster: the comm, pipeline and throughput
+/// models, the device-spec stage speeds and capacities, the ground-truth
+/// slowdowns the simulator applies, and the straggler detector.  Built when
+/// a run starts and rebuilt when it is rescaled.
+struct ClusterModels {
+    comm: CommCostModel,
+    simulator: PipelineSimulator,
+    hybrid: HybridThroughputModel,
+    /// Device-spec stage speeds, known a priori (`None` on a homogeneous
+    /// cluster, which keeps that path bit-identical to the speed-free code).
+    base_speeds: Option<Vec<f64>>,
+    stage_capacities: Option<Vec<u64>>,
+    /// Ground-truth per-stage compute slowdown the *simulator* applies: the
+    /// device generation's speed deficit times any injected straggler.
+    actual_slowdowns: Option<Vec<f64>>,
+    /// Fed at runtime from observed vs. expected stage times.
+    detector: StragglerDetector,
 }
 
-/// The restorable payload of a checkpoint — layers, assignment, engine
-/// state — with empty metrics.  The simulated write cost is priced on this
-/// payload alone, so the price never depends on bookkeeping size.
-fn base_state(
-    iteration: u64,
-    world_size: usize,
-    assignment: &StageAssignment,
-    loads: &[LayerLoad],
-    engine: &mut dyn DynamismEngine,
-) -> TrainerState {
-    let layers: Vec<LayerState> = loads
-        .iter()
-        .map(|load| LayerState {
-            layer_id: load.layer_id,
-            weights: vec![load.param_count as f32],
-            optimizer: vec![0.0],
-            pruning_mask: vec![true],
-            frozen: load.bwd_time == 0.0,
-            rng_state: 0,
-        })
-        .collect();
-    TrainerState {
-        iteration,
-        world_size,
-        assignment: assignment.clone(),
-        layers,
-        metrics: std::collections::BTreeMap::new(),
-        engine: Some(engine.export_state()),
+impl ClusterModels {
+    fn new(config: &TrainerConfig, straggler_injection: Option<&[f64]>) -> Self {
+        let stages = config.cluster.pipeline_stages;
+        let comm = CommCostModel::new(config.cluster.clone());
+        let base_speeds = config.cluster.stage_speeds();
+        let actual_slowdowns =
+            (base_speeds.is_some() || straggler_injection.is_some()).then(|| {
+                (0..stages)
+                    .map(|s| {
+                        let speed = base_speeds.as_ref().map_or(1.0, |v| v[s]);
+                        straggler_injection.map_or(1.0, |v| v[s]) / speed
+                    })
+                    .collect()
+            });
+        ClusterModels {
+            simulator: PipelineSimulator::new(comm.clone(), config.schedule),
+            hybrid: HybridThroughputModel::new(comm.clone(), config.allreduce_overlap),
+            comm,
+            base_speeds,
+            stage_capacities: config.cluster.stage_capacities(),
+            actual_slowdowns,
+            detector: StragglerDetector::new(stages),
+        }
     }
 }
 
-/// The resume accumulators a snapshot carries so a resumed run restores
-/// every report quantity bit-for-bit.
-struct ResumeMetrics<'a> {
-    cached_imbalance: f64,
+/// The live state of one run: every accumulator the report and a
+/// checkpoint's resume metrics are built from, plus the models built from
+/// the cluster.  It persists between [`Trainer::advance_to`] calls, so a
+/// run advanced in chunks is the same run as one advanced at once.
+struct RunState {
+    /// Iterations completed, i.e. the next iteration to execute.
+    iteration: u64,
+    cluster: ClusterModels,
+    assignment: StageAssignment,
+    active_workers: usize,
+    loads: Vec<LayerLoad>,
+    /// Profile at the next iteration even if the engine reports no change:
+    /// set when the run starts and when it is rescaled.
+    reprofile: bool,
+    /// Re-simulate the pipeline at the next iteration.
+    dirty: bool,
+    overhead: OverheadBreakdown,
+    imbalance_history: ImbalanceHistory,
     total_time: f64,
     total_tokens: u64,
     idleness_sum: f64,
     bubble_sum: f64,
     active_worker_iterations: f64,
-    trajectory: u64,
-    overhead: &'a OverheadBreakdown,
-    imbalance_history: &'a ImbalanceHistory,
+    cached_iteration_time: f64,
+    cached_idleness: f64,
+    cached_bubble: f64,
+    cached_imbalance: f64,
+    cached_tokens: u64,
+    last_imbalance: f64,
+    trajectory: TrajectoryHash,
 }
 
-fn fill_metrics(state: &mut TrainerState, resume: &ResumeMetrics<'_>) {
-    let metrics = &mut state.metrics;
-    metrics.insert(metric_keys::IMBALANCE.into(), resume.cached_imbalance);
-    metrics.insert(metric_keys::TOTAL_TIME.into(), resume.total_time);
-    metrics.insert(metric_keys::TOTAL_TOKENS.into(), resume.total_tokens as f64);
-    metrics.insert(metric_keys::IDLENESS_SUM.into(), resume.idleness_sum);
-    metrics.insert(metric_keys::BUBBLE_SUM.into(), resume.bubble_sum);
-    metrics.insert(
-        metric_keys::ACTIVE_WORKER_ITERATIONS.into(),
-        resume.active_worker_iterations,
-    );
-    let hash = resume.trajectory;
-    metrics.insert(
-        metric_keys::TRAJECTORY_LO.into(),
-        (hash & 0xFFFF_FFFF) as f64,
-    );
-    metrics.insert(metric_keys::TRAJECTORY_HI.into(), (hash >> 32) as f64);
-    metrics.insert(metric_keys::OV_PROFILING.into(), resume.overhead.profiling);
-    metrics.insert(metric_keys::OV_ALGORITHM.into(), resume.overhead.algorithm);
-    metrics.insert(metric_keys::OV_MIGRATION.into(), resume.overhead.migration);
-    metrics.insert(metric_keys::OV_RECOVERY.into(), resume.overhead.recovery);
-    metrics.insert(
-        metric_keys::OV_REBALANCE_EVENTS.into(),
-        resume.overhead.rebalance_events as f64,
-    );
-    metrics.insert(
-        metric_keys::OV_RECOVERY_EVENTS.into(),
-        resume.overhead.recovery_events as f64,
-    );
-    for &(it, value) in resume.imbalance_history.samples() {
-        metrics.insert(format!("{}{it}", metric_keys::IMBALANCE_AT_PREFIX), value);
+impl RunState {
+    /// The restorable payload of a snapshot — layers, assignment, engine
+    /// state — with empty metrics.  A checkpoint's simulated write cost is
+    /// priced on this payload alone, so the price never depends on
+    /// bookkeeping size.
+    fn payload(&self, engine: &dyn DynamismEngine) -> TrainerState {
+        let layers: Vec<LayerState> = self
+            .loads
+            .iter()
+            .map(|load| LayerState {
+                layer_id: load.layer_id,
+                weights: vec![load.param_count as f32],
+                optimizer: vec![0.0],
+                pruning_mask: vec![true],
+                frozen: load.bwd_time == 0.0,
+                rng_state: 0,
+            })
+            .collect();
+        TrainerState {
+            iteration: self.iteration,
+            world_size: self.active_workers,
+            assignment: self.assignment.clone(),
+            layers,
+            metrics: std::collections::BTreeMap::new(),
+            engine: Some(engine.export_state()),
+        }
     }
-}
 
-/// Transform a checkpointed [`TrainerState`] for an elastic rescale to
-/// `new_world_size` pipeline stages — the fleet controller's
-/// checkpoint-shrink-resume (and grow) hook.  The assignment is re-laid
-/// out uniformly over the new world (the rebalance controller balances it
-/// properly at its next due iteration), and `rescale_cost` simulated
-/// seconds (checkpoint write + communicator rebuild) are charged into the
-/// checkpointed total time and the recovery overhead bucket, so the
-/// resumed run's accumulators include the rescale just as
-/// [`crate::recovery::run_elastic_rescale`] charges its own.  The
-/// trajectory checksum is deliberately untouched: it hashes only
-/// per-iteration simulated quantities, so outside the rescale windows a
-/// shrunken-and-regrown run stays bit-identical to an undisturbed one.
-pub fn rescale_trainer_state(
-    state: &TrainerState,
-    new_world_size: usize,
-    rescale_cost: f64,
-) -> Result<TrainerState, String> {
-    if new_world_size == 0 {
-        return Err("cannot rescale to zero pipeline stages".into());
+    /// Record every resume accumulator in `state`'s metrics.  Total time and
+    /// overhead are given explicitly: a checkpoint carries the totals that
+    /// include its own write.
+    fn fill_metrics(
+        &self,
+        state: &mut TrainerState,
+        total_time: f64,
+        overhead: &OverheadBreakdown,
+    ) {
+        let mut put = |key: &str, value: f64| state.metrics.insert(key.into(), value);
+        let hash = self.trajectory.value();
+        put(metric_keys::IMBALANCE, self.cached_imbalance);
+        put(metric_keys::TOTAL_TIME, total_time);
+        put(metric_keys::TOTAL_TOKENS, self.total_tokens as f64);
+        put(metric_keys::IDLENESS_SUM, self.idleness_sum);
+        put(metric_keys::BUBBLE_SUM, self.bubble_sum);
+        put(
+            metric_keys::ACTIVE_WORKER_ITERATIONS,
+            self.active_worker_iterations,
+        );
+        put(metric_keys::TRAJECTORY_LO, (hash & 0xFFFF_FFFF) as f64);
+        put(metric_keys::TRAJECTORY_HI, (hash >> 32) as f64);
+        put(metric_keys::OV_PROFILING, overhead.profiling);
+        put(metric_keys::OV_ALGORITHM, overhead.algorithm);
+        put(metric_keys::OV_MIGRATION, overhead.migration);
+        put(metric_keys::OV_RECOVERY, overhead.recovery);
+        put(
+            metric_keys::OV_REBALANCE_EVENTS,
+            overhead.rebalance_events as f64,
+        );
+        put(
+            metric_keys::OV_RECOVERY_EVENTS,
+            overhead.recovery_events as f64,
+        );
+        for &(it, value) in self.imbalance_history.samples() {
+            put(&format!("{}{it}", metric_keys::IMBALANCE_AT_PREFIX), value);
+        }
     }
-    if !rescale_cost.is_finite() || rescale_cost < 0.0 {
-        return Err(format!(
-            "rescale cost {rescale_cost} must be finite and ≥ 0"
-        ));
-    }
-    if state.engine.is_none() {
-        return Err("checkpoint carries no engine state; cannot rescale".into());
-    }
-    let total_time = read_metric(state, metric_keys::TOTAL_TIME)?;
-    let recovery = read_metric(state, metric_keys::OV_RECOVERY)?;
-    let recovery_events = read_metric(state, metric_keys::OV_RECOVERY_EVENTS)?;
-    let mut out = state.clone();
-    out.world_size = new_world_size;
-    out.assignment = StageAssignment::uniform(state.assignment.num_layers(), new_world_size);
-    out.metrics
-        .insert(metric_keys::TOTAL_TIME.into(), total_time + rescale_cost);
-    out.metrics
-        .insert(metric_keys::OV_RECOVERY.into(), recovery + rescale_cost);
-    out.metrics.insert(
-        metric_keys::OV_RECOVERY_EVENTS.into(),
-        recovery_events + 1.0,
-    );
-    Ok(out)
-}
 
-/// The outcome of [`Trainer::run_segment`]: the cumulative report at the
-/// segment boundary plus the exported [`TrainerState`] the next segment
-/// (possibly on a rescaled world) resumes from.
-pub struct SegmentOutcome {
-    /// Cumulative training report from iteration 0 through the boundary.
-    pub report: TrainingReport,
-    /// Restorable snapshot at the boundary (engine state included).
-    pub state: TrainerState,
+    /// Rewind this fresh run to the snapshot `state`: assignment, active
+    /// workers, iteration and every report accumulator.
+    fn restore(&mut self, state: &TrainerState) -> Result<(), String> {
+        let metric = |key: &str| {
+            let value = state.metrics.get(key).copied();
+            value.ok_or_else(|| format!("checkpoint is missing the '{key}' metric"))
+        };
+        self.assignment = state.assignment.clone();
+        self.active_workers = state.world_size;
+        self.iteration = state.iteration;
+        self.total_time = metric(metric_keys::TOTAL_TIME)?;
+        self.total_tokens = metric(metric_keys::TOTAL_TOKENS)? as u64;
+        self.idleness_sum = metric(metric_keys::IDLENESS_SUM)?;
+        self.bubble_sum = metric(metric_keys::BUBBLE_SUM)?;
+        self.active_worker_iterations = metric(metric_keys::ACTIVE_WORKER_ITERATIONS)?;
+        self.last_imbalance = metric(metric_keys::IMBALANCE)?;
+        let lo = metric(metric_keys::TRAJECTORY_LO)? as u64;
+        let hi = metric(metric_keys::TRAJECTORY_HI)? as u64;
+        self.trajectory = TrajectoryHash::from_u64(lo | (hi << 32));
+        self.overhead = OverheadBreakdown {
+            profiling: metric(metric_keys::OV_PROFILING)?,
+            algorithm: metric(metric_keys::OV_ALGORITHM)?,
+            migration: metric(metric_keys::OV_MIGRATION)?,
+            recovery: metric(metric_keys::OV_RECOVERY)?,
+            rebalance_events: metric(metric_keys::OV_REBALANCE_EVENTS)? as u64,
+            recovery_events: metric(metric_keys::OV_RECOVERY_EVENTS)? as u64,
+        };
+        let mut samples: Vec<(u64, f64)> = state
+            .metrics
+            .iter()
+            .filter_map(|(key, &value)| {
+                key.strip_prefix(metric_keys::IMBALANCE_AT_PREFIX)
+                    .and_then(|it| it.parse::<u64>().ok())
+                    .map(|it| (it, value))
+            })
+            .collect();
+        samples.sort_by_key(|&(it, _)| it);
+        for (it, value) in samples {
+            self.imbalance_history.record(it, value);
+        }
+        Ok(())
+    }
 }
 
 /// The end-to-end training loop.
+///
+/// A trainer holds at most one live run.  [`Trainer::advance_to`] starts it
+/// (on first use) and continues it; [`Trainer::rescale`] reshapes it onto a
+/// new cluster in place; [`Trainer::snapshot`] exports it in the checkpoint
+/// format.  [`Trainer::run`], [`Trainer::run_stack`] and [`Trainer::resume`]
+/// each start a fresh run and drive it to the configured iteration count.
 pub struct Trainer {
     config: TrainerConfig,
     model: Model,
@@ -316,6 +373,7 @@ pub struct Trainer {
     checkpointing: Option<Checkpointing>,
     recorder: Arc<dyn Recorder>,
     straggler_injection: Option<Vec<f64>>,
+    run: Option<RunState>,
 }
 
 impl Trainer {
@@ -335,6 +393,7 @@ impl Trainer {
             checkpointing: None,
             recorder: Arc::new(NullRecorder),
             straggler_injection: None,
+            run: None,
         }
     }
 
@@ -417,7 +476,7 @@ impl Trainer {
         self
     }
 
-    /// The trainer's configuration.
+    /// The trainer's configuration (its cluster follows every rescale).
     pub fn config(&self) -> &TrainerConfig {
         &self.config
     }
@@ -427,11 +486,27 @@ impl Trainer {
         &self.job_manager
     }
 
+    /// Iterations the live run has completed (0 before a run starts).
+    pub fn iteration(&self) -> u64 {
+        self.run.as_ref().map_or(0, |run| run.iteration)
+    }
+
+    /// Simulated seconds the live run has taken so far (0 before a run
+    /// starts).
+    pub fn total_time(&self) -> f64 {
+        self.run.as_ref().map_or(0.0, |run| run.total_time)
+    }
+
+    /// The live run's cumulative report, or `None` before a run starts.
+    pub fn report(&self, engine: &dyn DynamismEngine) -> Option<TrainingReport> {
+        self.run.as_ref().map(|run| self.report_of(run, engine))
+    }
+
     /// Run `engine` for the configured number of iterations and report.
     pub fn run(&mut self, engine: &mut dyn DynamismEngine) -> TrainingReport {
-        self.run_from(engine, None, None, false)
-            .expect("a fresh (non-resumed) run cannot fail to start")
-            .0
+        self.run = None;
+        self.advance_to(engine, self.config.num_iterations)
+            .expect("a fresh run covers the configured iterations")
     }
 
     /// Run an ordered *stack* of dynamism mechanisms acting on the same
@@ -467,472 +542,441 @@ impl Trainer {
         engine: &mut dyn DynamismEngine,
         state: &TrainerState,
     ) -> Result<TrainingReport, String> {
-        Ok(self.run_from(engine, Some(state), None, false)?.0)
-    }
-
-    /// Run a bounded *segment* of the training loop: from `resume` (or
-    /// iteration 0) up to — exclusive of nothing — iteration `until`, then
-    /// stop at the boundary and export the restorable state.  Chaining
-    /// segments with each outcome's `state` as the next call's `resume`
-    /// reproduces an unsegmented run's trajectory checksum bit-for-bit
-    /// (the rebalance controller is stateless in `iteration`, and every
-    /// accumulator round-trips through the snapshot), which is what lets a
-    /// fleet controller interleave training with serving on a shared clock
-    /// and still pin the trainer's trajectory against an undisturbed run.
-    pub fn run_segment(
-        &mut self,
-        engine: &mut dyn DynamismEngine,
-        resume: Option<&TrainerState>,
-        until: u64,
-    ) -> Result<SegmentOutcome, String> {
-        let (report, state) = self.run_from(engine, resume, Some(until), true)?;
-        Ok(SegmentOutcome {
-            report,
-            state: state.expect("segment runs export their final state"),
-        })
-    }
-
-    fn run_from(
-        &mut self,
-        engine: &mut dyn DynamismEngine,
-        resume: Option<&TrainerState>,
-        until: Option<u64>,
-        export_state: bool,
-    ) -> Result<(TrainingReport, Option<TrainerState>), String> {
-        let recorder = Arc::clone(&self.recorder);
-        let comm = CommCostModel::new(self.config.cluster.clone());
-        let mut simulator = PipelineSimulator::new(comm.clone(), self.config.schedule);
-        let hybrid = HybridThroughputModel::new(comm.clone(), self.config.allreduce_overlap);
-        let model_cfg = self.model.config().clone();
-
-        // Heterogeneous-cluster speeds/capacities (known a priori from the
-        // device specs) plus the straggler detector (fed at runtime from
-        // observed vs. expected stage times).  All of this is `None` on a
-        // homogeneous, straggler-free run, which keeps that path bit-identical
-        // to the speed-free code.
-        let pipeline_stages = self.config.cluster.pipeline_stages;
-        let base_speeds = self.config.cluster.stage_speeds();
-        let stage_capacities = self.config.cluster.stage_capacities();
-        let mut detector = StragglerDetector::new(pipeline_stages);
-        // Ground-truth per-stage compute slowdown the *simulator* applies:
-        // the device generation's speed deficit plus any injected straggler.
-        let actual_slowdowns: Option<Vec<f64>> =
-            if base_speeds.is_none() && self.straggler_injection.is_none() {
-                None
-            } else {
-                Some(
-                    (0..pipeline_stages)
-                        .map(|s| {
-                            let speed = base_speeds.as_ref().map_or(1.0, |v| v[s]);
-                            let inject = self.straggler_injection.as_ref().map_or(1.0, |v| v[s]);
-                            inject / speed
-                        })
-                        .collect(),
-                )
-            };
-
-        let mut assignment = self.initial_assignment.clone().unwrap_or_else(|| {
-            StageAssignment::uniform(self.model.num_layers(), self.config.cluster.pipeline_stages)
-        });
-        let mut active_workers = assignment.num_stages();
-        let mut loads: Vec<LayerLoad> = Vec::new();
-        let mut overhead = OverheadBreakdown::new();
-        let mut imbalance_history = ImbalanceHistory::new();
-
-        let mut total_time = 0.0f64;
-        let mut total_tokens: u64 = 0;
-        let mut idleness_sum = 0.0f64;
-        let mut bubble_sum = 0.0f64;
-        let mut active_worker_iterations = 0.0f64;
-        let mut cached_iteration_time = 0.0f64;
-        let mut cached_idleness = 0.0f64;
-        let mut cached_bubble = 0.0f64;
-        let mut cached_imbalance = 0.0f64;
-        let mut cached_tokens: u64 = 0;
-        let mut dirty = true;
-        let mut last_imbalance = 0.0f64;
-        let mut trajectory = TrajectoryHash::new();
-        let mut start_iteration = 0u64;
-
-        let end_iteration = until.unwrap_or(self.config.num_iterations);
-        if end_iteration > self.config.num_iterations {
+        let engine_state = state
+            .engine
+            .as_ref()
+            .ok_or("checkpoint carries no engine state; cannot resume the dynamism stack")?;
+        if state.iteration > self.config.num_iterations {
             return Err(format!(
-                "segment boundary {} exceeds the configured {} iterations",
-                end_iteration, self.config.num_iterations
+                "checkpoint is at iteration {} but the run only has {}",
+                state.iteration, self.config.num_iterations
             ));
         }
+        // The engine-name check cannot catch a same-typed engine on a
+        // differently sized model; the assignment shape can.
+        if state.assignment.num_layers() != self.model.num_layers() {
+            return Err(format!(
+                "checkpoint assignment covers {} layers but the model has {}",
+                state.assignment.num_layers(),
+                self.model.num_layers()
+            ));
+        }
+        if state.assignment.num_stages() > self.config.cluster.pipeline_stages {
+            return Err(format!(
+                "checkpoint assignment uses {} stages but the cluster has {}",
+                state.assignment.num_stages(),
+                self.config.cluster.pipeline_stages
+            ));
+        }
+        let mut run = self.fresh_run();
+        run.restore(state)?;
+        engine.import_state(engine_state)?;
+        self.run = Some(run);
+        self.advance_to(engine, self.config.num_iterations)
+    }
 
-        if let Some(state) = resume {
-            let engine_state = state
-                .engine
-                .as_ref()
-                .ok_or("checkpoint carries no engine state; cannot resume the dynamism stack")?;
-            engine.import_state(engine_state)?;
-            if state.iteration > end_iteration {
+    /// Advance the live run to iteration `until` and return its cumulative
+    /// report.  The first call starts a fresh run at iteration 0; later
+    /// calls continue where the last one stopped, with every accumulator,
+    /// model and the straggler detector carried over, so advancing in
+    /// chunks reproduces one uninterrupted run bit for bit.  Pass the same
+    /// `engine` every time.
+    ///
+    /// Fails if `until` is behind the run or beyond the configured
+    /// iterations.
+    pub fn advance_to(
+        &mut self,
+        engine: &mut dyn DynamismEngine,
+        until: u64,
+    ) -> Result<TrainingReport, String> {
+        let done = self.iteration();
+        if until < done || until > self.config.num_iterations {
+            return Err(format!(
+                "cannot advance from iteration {done} to {until} in a run of {} iterations",
+                self.config.num_iterations
+            ));
+        }
+        let mut run = self.run.take().unwrap_or_else(|| self.fresh_run());
+        while run.iteration < until {
+            self.step(&mut run, engine);
+        }
+        let report = self.report_of(&run, engine);
+        self.run = Some(run);
+        Ok(report)
+    }
+
+    /// Reshape the live run onto `cluster` at the current iteration — an
+    /// elastic shrink or grow.  The layers are laid out uniformly over the
+    /// new world (the rebalance controller balances them at its next due
+    /// iteration); the models, the straggler detector, the profiler and the
+    /// job manager are rebuilt for the new cluster; and `cost` simulated
+    /// seconds (the checkpoint write and communicator rebuild the move
+    /// pays) are charged to the total time and the recovery bucket as one
+    /// recovery event.  The trajectory checksum hashes per-iteration
+    /// quantities only, so outside the rescale a shrunken-and-regrown run
+    /// stays bit-identical to an undisturbed one.
+    ///
+    /// Fails, changing nothing, if no run is live, the new configuration is
+    /// invalid (for example zero stages), `cost` is not finite and ≥ 0, or
+    /// a straggler injection or initial assignment does not fit the new
+    /// world.
+    pub fn rescale(&mut self, cluster: ClusterConfig, cost: f64) -> Result<(), String> {
+        if !cost.is_finite() || cost < 0.0 {
+            return Err(format!("rescale cost {cost} must be finite and ≥ 0"));
+        }
+        let config = TrainerConfig {
+            cluster,
+            ..self.config.clone()
+        };
+        config.validate()?;
+        let stages = config.cluster.pipeline_stages;
+        if let Some(injection) = &self.straggler_injection {
+            if injection.len() != stages {
                 return Err(format!(
-                    "checkpoint is at iteration {} but the run only has {}",
-                    state.iteration, end_iteration
+                    "straggler injection covers {} stages, not the new world's {stages}",
+                    injection.len()
                 ));
-            }
-            // The engine-name check above cannot catch a same-typed engine
-            // on a differently sized model; the assignment shape can.
-            if state.assignment.num_layers() != self.model.num_layers() {
-                return Err(format!(
-                    "checkpoint assignment covers {} layers but the model has {}",
-                    state.assignment.num_layers(),
-                    self.model.num_layers()
-                ));
-            }
-            if state.assignment.num_stages() > self.config.cluster.pipeline_stages {
-                return Err(format!(
-                    "checkpoint assignment uses {} stages but the cluster has {}",
-                    state.assignment.num_stages(),
-                    self.config.cluster.pipeline_stages
-                ));
-            }
-            assignment = state.assignment.clone();
-            active_workers = state.world_size;
-            start_iteration = state.iteration;
-            total_time = read_metric(state, metric_keys::TOTAL_TIME)?;
-            total_tokens = read_metric(state, metric_keys::TOTAL_TOKENS)? as u64;
-            idleness_sum = read_metric(state, metric_keys::IDLENESS_SUM)?;
-            bubble_sum = read_metric(state, metric_keys::BUBBLE_SUM)?;
-            active_worker_iterations = read_metric(state, metric_keys::ACTIVE_WORKER_ITERATIONS)?;
-            last_imbalance = read_metric(state, metric_keys::IMBALANCE)?;
-            let lo = read_metric(state, metric_keys::TRAJECTORY_LO)? as u64;
-            let hi = read_metric(state, metric_keys::TRAJECTORY_HI)? as u64;
-            trajectory = TrajectoryHash::from_u64(lo | (hi << 32));
-            overhead.profiling = read_metric(state, metric_keys::OV_PROFILING)?;
-            overhead.algorithm = read_metric(state, metric_keys::OV_ALGORITHM)?;
-            overhead.migration = read_metric(state, metric_keys::OV_MIGRATION)?;
-            overhead.recovery = read_metric(state, metric_keys::OV_RECOVERY)?;
-            overhead.rebalance_events =
-                read_metric(state, metric_keys::OV_REBALANCE_EVENTS)? as u64;
-            overhead.recovery_events = read_metric(state, metric_keys::OV_RECOVERY_EVENTS)? as u64;
-            let mut samples: Vec<(u64, f64)> = state
-                .metrics
-                .iter()
-                .filter_map(|(key, &value)| {
-                    key.strip_prefix(metric_keys::IMBALANCE_AT_PREFIX)
-                        .and_then(|it| it.parse::<u64>().ok())
-                        .map(|it| (it, value))
-                })
-                .collect();
-            samples.sort_by_key(|&(it, _)| it);
-            for (it, value) in samples {
-                imbalance_history.record(it, value);
             }
         }
-
-        for iteration in start_iteration..end_iteration {
-            self.job_manager.set_iteration(iteration);
-            let update = engine.step(iteration);
-            if update.changed || loads.is_empty() {
-                loads = self.profiler.profile(&self.model, &update);
-                dirty = true;
+        if let Some(initial) = &self.initial_assignment {
+            if initial.num_stages() > stages {
+                return Err(format!(
+                    "initial assignment uses {} stages, more than the new world's {stages}",
+                    initial.num_stages()
+                ));
             }
+        }
+        let run = self.run.as_mut().ok_or("no live run to rescale")?;
+        run.cluster = ClusterModels::new(&config, self.straggler_injection.as_deref());
+        run.assignment = StageAssignment::uniform(self.model.num_layers(), stages);
+        run.active_workers = stages;
+        run.total_time += cost;
+        run.overhead.record_recovery(cost);
+        run.reprofile = true;
+        self.profiler = Profiler::new(config.cluster.device);
+        self.job_manager = MockJobManager::new(stages);
+        self.config = config;
+        Ok(())
+    }
 
-            // Straggler detection: compare the observed per-stage compute
-            // times (which include the injected slowdown) against what the
-            // device specs predict, and confirm persistent outliers.
-            if let Some(injection) = &self.straggler_injection {
-                let ideal = stage_weights(&assignment, &loads, BalanceObjective::ByTime);
-                let expected: Vec<f64> = ideal
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &w)| w / base_speeds.as_ref().map_or(1.0, |v| v[s]))
-                    .collect();
-                let observed: Vec<f64> = expected
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &e)| e * injection.get(s).copied().unwrap_or(1.0))
-                    .collect();
-                for (stage, speed) in detector.observe(&observed, &expected) {
-                    recorder.instant(
-                        0,
-                        MarkerKind::StragglerDetected,
-                        &format!("stage {stage}"),
-                        total_time,
-                        &[
-                            ("iteration", iteration.to_string()),
-                            ("stage", stage.to_string()),
-                            ("effective_speed", format!("{speed:.4}")),
-                        ],
-                    );
-                }
-            }
+    /// The live run's full boundary snapshot: the checkpoint payload plus
+    /// every resume accumulator, in the format [`Trainer::resume`] restores.
+    /// Fails before the run has executed an iteration.
+    pub fn snapshot(&self, engine: &dyn DynamismEngine) -> Result<TrainerState, String> {
+        let run = self
+            .run
+            .as_ref()
+            .filter(|run| !run.loads.is_empty())
+            .ok_or("cannot snapshot a run before any iteration ran")?;
+        let mut state = run.payload(engine);
+        run.fill_metrics(&mut state, run.total_time, &run.overhead);
+        Ok(state)
+    }
 
-            // Rebalance when due (black-box fixed cadence, §3.2).
-            if self
-                .controller
-                .is_due(iteration, engine.rebalance_frequency())
-            {
-                let inflight: Vec<usize> = (0..active_workers)
-                    .map(|s| {
-                        inflight_microbatches(
-                            self.config.schedule,
-                            s,
-                            active_workers,
-                            self.config.num_microbatches,
-                        )
-                    })
-                    .collect();
-                // The balancer sees the device-spec speeds (known a priori)
-                // multiplied by the detector's confirmed downgrades — never
-                // the raw injection, which it has no way to observe directly.
-                let downgrades = detector.downgrades();
-                let effective_speeds: Option<Vec<f64>> =
-                    if base_speeds.is_none() && downgrades.is_none() {
-                        None
-                    } else {
-                        Some(
-                            (0..pipeline_stages)
-                                .map(|s| {
-                                    base_speeds.as_ref().map_or(1.0, |v| v[s])
-                                        * downgrades.as_ref().map_or(1.0, |v| v[s])
-                                })
-                                .collect(),
-                        )
-                    };
-                let outcome = self.controller.rebalance(
-                    &assignment,
-                    &loads,
-                    self.config.cluster.device.memory_capacity,
-                    &inflight,
-                    &comm,
-                    self.config.min_workers,
-                    self.config.num_microbatches,
-                    effective_speeds.as_deref(),
-                    stage_capacities.as_deref(),
-                );
-                let profiling_cost = self.profiler.profiling_cost(&loads);
-                overhead.record(
-                    profiling_cost,
-                    outcome.algorithm_time,
-                    outcome.migration_time,
-                );
-                total_time += profiling_cost + outcome.algorithm_time + outcome.migration_time;
-                recorder.instant(
+    fn fresh_run(&self) -> RunState {
+        let assignment = self.initial_assignment.clone().unwrap_or_else(|| {
+            StageAssignment::uniform(self.model.num_layers(), self.config.cluster.pipeline_stages)
+        });
+        RunState {
+            iteration: 0,
+            cluster: ClusterModels::new(&self.config, self.straggler_injection.as_deref()),
+            active_workers: assignment.num_stages(),
+            assignment,
+            loads: Vec::new(),
+            reprofile: true,
+            dirty: true,
+            overhead: OverheadBreakdown::new(),
+            imbalance_history: ImbalanceHistory::new(),
+            total_time: 0.0,
+            total_tokens: 0,
+            idleness_sum: 0.0,
+            bubble_sum: 0.0,
+            active_worker_iterations: 0.0,
+            cached_iteration_time: 0.0,
+            cached_idleness: 0.0,
+            cached_bubble: 0.0,
+            cached_imbalance: 0.0,
+            cached_tokens: 0,
+            last_imbalance: 0.0,
+            trajectory: TrajectoryHash::new(),
+        }
+    }
+
+    /// Execute the live run's next iteration.
+    fn step(&mut self, run: &mut RunState, engine: &mut dyn DynamismEngine) {
+        let iteration = run.iteration;
+        let model_cfg = self.model.config();
+        self.job_manager.set_iteration(iteration);
+        let update = engine.step(iteration);
+        if update.changed || run.reprofile {
+            run.loads = self.profiler.profile(&self.model, &update);
+            run.reprofile = false;
+            run.dirty = true;
+        }
+        let cluster = &mut run.cluster;
+
+        // Straggler detection: compare the observed per-stage compute
+        // times (which include the injected slowdown) against what the
+        // device specs predict, and confirm persistent outliers.
+        if let Some(injection) = &self.straggler_injection {
+            let ideal = stage_weights(&run.assignment, &run.loads, BalanceObjective::ByTime);
+            let expected: Vec<f64> = ideal
+                .iter()
+                .enumerate()
+                .map(|(s, &w)| w / cluster.base_speeds.as_ref().map_or(1.0, |v| v[s]))
+                .collect();
+            let observed: Vec<f64> = expected
+                .iter()
+                .enumerate()
+                .map(|(s, &e)| e * injection.get(s).copied().unwrap_or(1.0))
+                .collect();
+            for (stage, speed) in cluster.detector.observe(&observed, &expected) {
+                self.recorder.instant(
                     0,
-                    MarkerKind::Rebalance,
-                    &format!("iter {iteration}"),
-                    total_time,
+                    MarkerKind::StragglerDetected,
+                    &format!("stage {stage}"),
+                    run.total_time,
                     &[
                         ("iteration", iteration.to_string()),
-                        ("active_workers", outcome.active_workers.to_string()),
-                        ("released", outcome.released_workers.len().to_string()),
-                        ("migrated_layers", outcome.migration.num_moves().to_string()),
-                        ("rounds", outcome.rounds.to_string()),
+                        ("stage", stage.to_string()),
+                        ("effective_speed", format!("{speed:.4}")),
                     ],
                 );
-                if !outcome.released_workers.is_empty() {
-                    self.job_manager.release(&outcome.released_workers);
-                }
-                if outcome.assignment != assignment || outcome.active_workers != active_workers {
-                    dirty = true;
-                }
-                active_workers = outcome.active_workers;
-                assignment = outcome.assignment;
-            }
-
-            // Re-simulate the pipeline only when something changed.
-            if dirty {
-                let mut stage_loads = aggregate_stage_loads(
-                    &loads,
-                    assignment.layer_to_stage(),
-                    assignment.num_stages(),
-                );
-                // Mechanisms that remove tokens (early exit) shrink the
-                // boundary tensors of every stage behind the exit point,
-                // and with them the pipeline's wire cost.
-                apply_boundary_sizes(
-                    &mut stage_loads,
-                    assignment.layer_to_stage(),
-                    &update.token_retention,
-                    comm.activation_bytes(&model_cfg),
-                );
-                // Apply the ground-truth slowdowns: a slow device (or an
-                // injected straggler) stretches its stage's compute times in
-                // the simulated pipeline, whether or not the balancer has
-                // caught on yet.
-                if let Some(slowdowns) = &actual_slowdowns {
-                    for (s, load) in stage_loads.iter_mut().enumerate() {
-                        let factor = slowdowns.get(s).copied().unwrap_or(1.0);
-                        load.fwd_time *= factor;
-                        load.bwd_time *= factor;
-                    }
-                }
-                let report =
-                    simulator.simulate(&model_cfg, &stage_loads, self.config.num_microbatches);
-                // Trace the freshly simulated timeline (iterations between
-                // changes reuse it, so the trace records keyframes — one
-                // span set per distinct pipeline shape).
-                recorder.record_iteration(0, iteration, total_time, &report);
-                let throughput = hybrid.throughput(
-                    &model_cfg,
-                    &report,
-                    &stage_loads,
-                    self.config.num_microbatches,
-                );
-                cached_iteration_time = throughput.iteration_time;
-                cached_idleness = report.average_idleness();
-                cached_bubble = report.bubble_ratio();
-                cached_tokens = throughput.tokens_per_iteration;
-                cached_imbalance =
-                    load_imbalance(&stage_weights(&assignment, &loads, self.config.objective));
-                dirty = false;
-            }
-
-            total_time += cached_iteration_time + engine.extra_overhead(iteration);
-            total_tokens += cached_tokens;
-            idleness_sum += cached_idleness;
-            bubble_sum += cached_bubble;
-            active_worker_iterations += active_workers as f64;
-            last_imbalance = cached_imbalance;
-            trajectory.record_iteration(
-                iteration,
-                cached_iteration_time,
-                cached_tokens,
-                cached_imbalance,
-                &assignment,
-            );
-            if iteration % 100 == 0 {
-                imbalance_history.record(iteration, cached_imbalance);
-            }
-
-            // Periodic checkpoint: snapshot the restorable state — layer
-            // loads, the dynamism stack's engine state, and every report
-            // accumulator — and charge the simulated write into the
-            // recovery overhead bucket.  The write cost is charged *before*
-            // the accumulators are captured, so a resumed run's totals
-            // include this write exactly as the original run's do.
-            if let Some(checkpointing) = &mut self.checkpointing {
-                if (iteration + 1).is_multiple_of(checkpointing.interval) {
-                    let mut state =
-                        base_state(iteration + 1, active_workers, &assignment, &loads, engine);
-                    // Cost is priced on the payload (layers + assignment +
-                    // engine state); the resume metrics below are a few
-                    // dozen scalars and are deliberately excluded so the
-                    // price does not depend on bookkeeping size.  The
-                    // snapshot carries the *post-charge* totals (so a
-                    // resumed run's accumulators include this write exactly
-                    // as the original run's do), but the accumulators are
-                    // only committed once the save lands — a failed save
-                    // stays free, as before.
-                    let cost = checkpointing.cost_model.write_cost(state.size_bytes());
-                    let charged_total_time = total_time + cost;
-                    let mut charged_overhead = overhead;
-                    charged_overhead.record_recovery(cost);
-                    fill_metrics(
-                        &mut state,
-                        &ResumeMetrics {
-                            cached_imbalance,
-                            total_time: charged_total_time,
-                            total_tokens,
-                            idleness_sum,
-                            bubble_sum,
-                            active_worker_iterations,
-                            trajectory: trajectory.value(),
-                            overhead: &charged_overhead,
-                            imbalance_history: &imbalance_history,
-                        },
-                    );
-                    match Checkpoint::new(state) {
-                        Ok(checkpoint) => match checkpointing.store.save(&checkpoint) {
-                            Ok(()) => {
-                                checkpointing.store.retain_last(checkpointing.keep);
-                                overhead = charged_overhead;
-                                total_time = charged_total_time;
-                                recorder.instant(
-                                    0,
-                                    MarkerKind::Checkpoint,
-                                    &format!("iter {}", iteration + 1),
-                                    total_time,
-                                    &[
-                                        ("iteration", (iteration + 1).to_string()),
-                                        ("simulated_cost_s", format!("{cost:.6}")),
-                                    ],
-                                );
-                            }
-                            Err(err) => recorder.log(
-                                LogLevel::Warn,
-                                &format!(
-                                    "checkpoint at iteration {} not saved: {err}",
-                                    iteration + 1
-                                ),
-                            ),
-                        },
-                        Err(err) => recorder.log(
-                            LogLevel::Warn,
-                            &format!("checkpoint at iteration {} not taken: {err}", iteration + 1),
-                        ),
-                    }
-                }
             }
         }
 
-        // Export the boundary snapshot before the report moves anything:
-        // segment callers resume the next chunk (or a rescaled world) from
-        // exactly this state.
-        let final_state = if export_state {
-            if loads.is_empty() {
-                return Err("cannot export a segment state before any iteration ran".into());
-            }
-            let mut state = base_state(end_iteration, active_workers, &assignment, &loads, engine);
-            fill_metrics(
-                &mut state,
-                &ResumeMetrics {
-                    cached_imbalance,
-                    total_time,
-                    total_tokens,
-                    idleness_sum,
-                    bubble_sum,
-                    active_worker_iterations,
-                    trajectory: trajectory.value(),
-                    overhead: &overhead,
-                    imbalance_history: &imbalance_history,
-                },
+        // Rebalance when due (black-box fixed cadence, §3.2).
+        if self
+            .controller
+            .is_due(iteration, engine.rebalance_frequency())
+        {
+            let inflight: Vec<usize> = (0..run.active_workers)
+                .map(|s| {
+                    inflight_microbatches(
+                        self.config.schedule,
+                        s,
+                        run.active_workers,
+                        self.config.num_microbatches,
+                    )
+                })
+                .collect();
+            // The balancer sees the device-spec speeds (known a priori)
+            // multiplied by the detector's confirmed downgrades — never
+            // the raw injection, which it has no way to observe directly.
+            let downgrades = cluster.detector.downgrades();
+            let effective_speeds: Option<Vec<f64>> =
+                (cluster.base_speeds.is_some() || downgrades.is_some()).then(|| {
+                    (0..self.config.cluster.pipeline_stages)
+                        .map(|s| {
+                            cluster.base_speeds.as_ref().map_or(1.0, |v| v[s])
+                                * downgrades.as_ref().map_or(1.0, |v| v[s])
+                        })
+                        .collect()
+                });
+            let outcome = self.controller.rebalance(
+                &run.assignment,
+                &run.loads,
+                self.config.cluster.device.memory_capacity,
+                &inflight,
+                &cluster.comm,
+                self.config.min_workers,
+                self.config.num_microbatches,
+                effective_speeds.as_deref(),
+                cluster.stage_capacities.as_deref(),
             );
-            Some(state)
-        } else {
-            None
-        };
+            let profiling_cost = self.profiler.profiling_cost(&run.loads);
+            run.overhead.record(
+                profiling_cost,
+                outcome.algorithm_time,
+                outcome.migration_time,
+            );
+            run.total_time += profiling_cost + outcome.algorithm_time + outcome.migration_time;
+            self.recorder.instant(
+                0,
+                MarkerKind::Rebalance,
+                &format!("iter {iteration}"),
+                run.total_time,
+                &[
+                    ("iteration", iteration.to_string()),
+                    ("active_workers", outcome.active_workers.to_string()),
+                    ("released", outcome.released_workers.len().to_string()),
+                    ("migrated_layers", outcome.migration.num_moves().to_string()),
+                    ("rounds", outcome.rounds.to_string()),
+                ],
+            );
+            if !outcome.released_workers.is_empty() {
+                self.job_manager.release(&outcome.released_workers);
+            }
+            if outcome.assignment != run.assignment || outcome.active_workers != run.active_workers
+            {
+                run.dirty = true;
+            }
+            run.active_workers = outcome.active_workers;
+            run.assignment = outcome.assignment;
+        }
 
-        let iterations = end_iteration;
+        // Re-simulate the pipeline only when something changed.
+        if run.dirty {
+            let mut stage_loads = aggregate_stage_loads(
+                &run.loads,
+                run.assignment.layer_to_stage(),
+                run.assignment.num_stages(),
+            );
+            // Mechanisms that remove tokens (early exit) shrink the
+            // boundary tensors of every stage behind the exit point,
+            // and with them the pipeline's wire cost.
+            apply_boundary_sizes(
+                &mut stage_loads,
+                run.assignment.layer_to_stage(),
+                &update.token_retention,
+                cluster.comm.activation_bytes(model_cfg),
+            );
+            // Apply the ground-truth slowdowns: a slow device (or an
+            // injected straggler) stretches its stage's compute times in
+            // the simulated pipeline, whether or not the balancer has
+            // caught on yet.
+            if let Some(slowdowns) = &cluster.actual_slowdowns {
+                for (s, load) in stage_loads.iter_mut().enumerate() {
+                    let factor = slowdowns.get(s).copied().unwrap_or(1.0);
+                    load.fwd_time *= factor;
+                    load.bwd_time *= factor;
+                }
+            }
+            let report =
+                cluster
+                    .simulator
+                    .simulate(model_cfg, &stage_loads, self.config.num_microbatches);
+            // Trace the freshly simulated timeline (iterations between
+            // changes reuse it, so the trace records keyframes — one
+            // span set per distinct pipeline shape).
+            self.recorder
+                .record_iteration(0, iteration, run.total_time, &report);
+            let throughput = cluster.hybrid.throughput(
+                model_cfg,
+                &report,
+                &stage_loads,
+                self.config.num_microbatches,
+            );
+            run.cached_iteration_time = throughput.iteration_time;
+            run.cached_idleness = report.average_idleness();
+            run.cached_bubble = report.bubble_ratio();
+            run.cached_tokens = throughput.tokens_per_iteration;
+            run.cached_imbalance = load_imbalance(&stage_weights(
+                &run.assignment,
+                &run.loads,
+                self.config.objective,
+            ));
+            run.dirty = false;
+        }
+
+        run.total_time += run.cached_iteration_time + engine.extra_overhead(iteration);
+        run.total_tokens += run.cached_tokens;
+        run.idleness_sum += run.cached_idleness;
+        run.bubble_sum += run.cached_bubble;
+        run.active_worker_iterations += run.active_workers as f64;
+        run.last_imbalance = run.cached_imbalance;
+        run.trajectory.record_iteration(
+            iteration,
+            run.cached_iteration_time,
+            run.cached_tokens,
+            run.cached_imbalance,
+            &run.assignment,
+        );
+        if iteration.is_multiple_of(100) {
+            run.imbalance_history
+                .record(iteration, run.cached_imbalance);
+        }
+        run.iteration = iteration + 1;
+
+        // Periodic checkpoint: snapshot the restorable state and charge the
+        // simulated write into the recovery overhead bucket.  The cost is
+        // priced on the payload (layers + assignment + engine state); the
+        // resume metrics are a few dozen scalars and are deliberately
+        // excluded so the price does not depend on bookkeeping size.  The
+        // snapshot carries the *post-charge* totals (so a resumed run's
+        // accumulators include this write exactly as the original run's
+        // do), but they are only committed once the save lands — a failed
+        // save stays free.
+        if let Some(checkpointing) = &mut self.checkpointing {
+            if run.iteration.is_multiple_of(checkpointing.interval) {
+                let mut state = run.payload(engine);
+                let cost = checkpointing.cost_model.write_cost(state.size_bytes());
+                let charged_total_time = run.total_time + cost;
+                let mut charged_overhead = run.overhead;
+                charged_overhead.record_recovery(cost);
+                run.fill_metrics(&mut state, charged_total_time, &charged_overhead);
+                let saved = Checkpoint::new(state)
+                    .map_err(|err| format!("not taken: {err}"))
+                    .and_then(|checkpoint| {
+                        checkpointing
+                            .store
+                            .save(&checkpoint)
+                            .map_err(|err| format!("not saved: {err}"))
+                    });
+                match saved {
+                    Ok(()) => {
+                        checkpointing.store.retain_last(checkpointing.keep);
+                        run.overhead = charged_overhead;
+                        run.total_time = charged_total_time;
+                        self.recorder.instant(
+                            0,
+                            MarkerKind::Checkpoint,
+                            &format!("iter {}", run.iteration),
+                            run.total_time,
+                            &[
+                                ("iteration", run.iteration.to_string()),
+                                ("simulated_cost_s", format!("{cost:.6}")),
+                            ],
+                        );
+                    }
+                    Err(why) => self.recorder.log(
+                        LogLevel::Warn,
+                        &format!("checkpoint at iteration {} {why}", run.iteration),
+                    ),
+                }
+            }
+        }
+    }
+
+    fn report_of(&self, run: &RunState, engine: &dyn DynamismEngine) -> TrainingReport {
+        let iterations = run.iteration;
+        let total_time = run.total_time;
+        let total_tokens = run.total_tokens;
+        let overhead = run.overhead;
         let tokens_per_second = if total_time > 0.0 {
             total_tokens as f64 / total_time
         } else {
             0.0
         };
-        let average_active_workers = active_worker_iterations / iterations as f64;
-        let gpu_seconds =
-            average_active_workers * self.config.cluster.data_parallel as f64 * total_time;
-        let total_gpus_now = active_workers * self.config.cluster.data_parallel;
-        let report = TrainingReport {
+        // An empty run averages over one iteration, reporting zeros.
+        let averaged = iterations.max(1) as f64;
+        let average_active_workers = run.active_worker_iterations / averaged;
+        let data_parallel = self.config.cluster.data_parallel;
+        let gpu_seconds = average_active_workers * data_parallel as f64 * total_time;
+        TrainingReport {
             balancer: self.controller.name(),
             dynamism: engine.name(),
             iterations,
             total_time,
             total_tokens,
             tokens_per_second,
-            average_idleness: idleness_sum / iterations as f64,
-            average_bubble_ratio: bubble_sum / iterations as f64,
-            mean_imbalance: imbalance_history.mean(),
-            final_imbalance: last_imbalance,
+            average_idleness: run.idleness_sum / averaged,
+            average_bubble_ratio: run.bubble_sum / averaged,
+            mean_imbalance: run.imbalance_history.mean(),
+            final_imbalance: run.last_imbalance,
             overhead,
             overhead_fraction: overhead.fraction_of(total_time),
             rebalance_events: overhead.rebalance_events,
             average_active_workers,
-            final_active_workers: total_gpus_now / self.config.cluster.data_parallel.max(1),
+            final_active_workers: run.active_workers * data_parallel / data_parallel.max(1),
             gpu_seconds,
             tokens_per_second_per_gpu: if gpu_seconds > 0.0 {
                 total_tokens as f64 / gpu_seconds
             } else {
                 0.0
             },
-            trajectory_checksum: trajectory.value(),
-        };
-        Ok((report, final_state))
+            trajectory_checksum: run.trajectory.value(),
+        }
     }
 }
 
@@ -977,6 +1021,19 @@ mod tests {
             Box::new(PartitionBalancer::new()),
             BalanceObjective::ByTime,
             RebalancePolicy::disabled(),
+        )
+    }
+
+    /// Partition by time on a pinned cadence of every `n` iterations.
+    fn every_n_controller(n: u64) -> RebalanceController {
+        RebalanceController::new(
+            Box::new(PartitionBalancer::new()),
+            BalanceObjective::ByTime,
+            RebalancePolicy {
+                enabled: true,
+                frequency: Some(dynmo_dynamics::RebalanceFrequency::EveryN(n)),
+                repack: None,
+            },
         )
     }
 
@@ -1183,26 +1240,21 @@ mod tests {
 
     #[test]
     fn segmented_runs_reproduce_the_unsegmented_trajectory_bit_for_bit() {
-        // Chaining run_segment calls (fresh Trainer per chunk, state
-        // threaded through) must land on exactly the unsegmented run's
-        // accumulators — the property the fleet controller's shared-clock
-        // interleaving rests on.
+        // Advancing one trainer in chunks must land on exactly the
+        // uninterrupted run's accumulators — the property the fleet
+        // controller's shared-clock interleaving rests on.
         let model = Model::from_preset(ModelPreset::Gpt { layers: 24 });
         let mut plain = Trainer::new(model.clone(), config(4, 120), dynamic_controller());
         let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 7);
         let full = plain.run(&mut engine);
 
         let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 7);
-        let mut state: Option<dynmo_resilience::TrainerState> = None;
+        let mut trainer = Trainer::new(model.clone(), config(4, 120), dynamic_controller());
         let mut last: Option<TrainingReport> = None;
         for until in [30u64, 60, 90, 120] {
-            let mut trainer = Trainer::new(model.clone(), config(4, 120), dynamic_controller());
-            let segment = trainer
-                .run_segment(&mut engine, state.as_ref(), until)
-                .unwrap();
-            assert_eq!(segment.state.iteration, until);
-            state = Some(segment.state);
-            last = Some(segment.report);
+            last = Some(trainer.advance_to(&mut engine, until).unwrap());
+            assert_eq!(trainer.iteration(), until);
+            assert_eq!(trainer.snapshot(&engine).unwrap().iteration, until);
         }
         let segmented = last.unwrap();
         assert_eq!(segmented.trajectory_checksum, full.trajectory_checksum);
@@ -1216,36 +1268,95 @@ mod tests {
     }
 
     #[test]
+    fn chunked_straggler_run_matches_the_monolithic_run_bit_for_bit() {
+        // The straggler detector is live state: a chunked run must carry
+        // its hit counts and confirmed downgrades across chunks, or it
+        // confirms the straggler late and drifts off the monolithic run.
+        let model = Model::from_preset(ModelPreset::Gpt { layers: 24 });
+        let trainer = || {
+            Trainer::new(model.clone(), config(4, 200), every_n_controller(10))
+                .with_straggler_injection(vec![1.0, 1.0, 2.0, 1.0])
+        };
+        let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 3);
+        let whole = trainer().run(&mut engine);
+
+        let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 3);
+        let mut chunked = trainer();
+        let mut last: Option<TrainingReport> = None;
+        for until in (20..=200).step_by(20) {
+            last = Some(chunked.advance_to(&mut engine, until).unwrap());
+        }
+        let chunked = last.unwrap();
+        assert_eq!(chunked.trajectory_checksum, whole.trajectory_checksum);
+        assert_eq!(chunked.total_time.to_bits(), whole.total_time.to_bits());
+        assert_eq!(chunked.overhead, whole.overhead);
+    }
+
+    #[test]
     fn rescale_hook_reshapes_the_world_and_charges_recovery() {
         let model = Model::from_preset(ModelPreset::Gpt { layers: 24 });
         let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 7);
         let mut trainer = Trainer::new(model.clone(), config(8, 80), dynamic_controller());
-        let first = trainer.run_segment(&mut engine, None, 40).unwrap();
+        let first = trainer.advance_to(&mut engine, 40).unwrap();
+        let before = trainer.snapshot(&engine).unwrap();
 
-        let shrunk = rescale_trainer_state(&first.state, 4, 2.5).unwrap();
+        trainer.rescale(small_cluster(4), 2.5).unwrap();
+        let shrunk = trainer.snapshot(&engine).unwrap();
+        assert_eq!(shrunk.iteration, 40);
         assert_eq!(shrunk.world_size, 4);
         assert_eq!(shrunk.assignment.num_stages(), 4);
         assert_eq!(shrunk.assignment.num_layers(), model.num_layers());
-        let before = first.state.metrics["total_time"];
-        assert!((shrunk.metrics["total_time"] - (before + 2.5)).abs() < 1e-12);
-        assert!(
-            (shrunk.metrics["overhead_recovery"]
-                - (first.state.metrics["overhead_recovery"] + 2.5))
-                .abs()
-                < 1e-12
+        assert_eq!(trainer.config().cluster.pipeline_stages, 4);
+        assert_eq!(
+            shrunk.metrics["total_time"],
+            before.metrics["total_time"] + 2.5
+        );
+        assert_eq!(trainer.total_time(), before.metrics["total_time"] + 2.5);
+        assert_eq!(
+            shrunk.metrics["overhead_recovery"],
+            before.metrics["overhead_recovery"] + 2.5
+        );
+        assert_eq!(
+            shrunk.metrics["overhead_recovery_events"],
+            before.metrics["overhead_recovery_events"] + 1.0
         );
 
-        // The shrunken world resumes and finishes on a 4-stage cluster.
-        let mut small = Trainer::new(model.clone(), config(4, 80), dynamic_controller());
-        let second = small.run_segment(&mut engine, Some(&shrunk), 80).unwrap();
-        assert_eq!(second.state.iteration, 80);
-        assert_eq!(second.state.world_size, 4);
-        assert!(second.report.total_tokens > first.report.total_tokens);
-        assert!(second.report.overhead.recovery >= 2.5);
+        // The shrunken world continues and finishes on a 4-stage cluster.
+        let second = trainer.advance_to(&mut engine, 80).unwrap();
+        let end = trainer.snapshot(&engine).unwrap();
+        assert_eq!(end.iteration, 80);
+        assert_eq!(end.world_size, 4);
+        assert!(second.total_tokens > first.total_tokens);
+        assert!(second.overhead.recovery >= 2.5);
+    }
 
-        // Degenerate rescales are rejected.
-        assert!(rescale_trainer_state(&first.state, 0, 1.0).is_err());
-        assert!(rescale_trainer_state(&first.state, 4, f64::NAN).is_err());
+    #[test]
+    fn rescales_the_trainer_cannot_honour_are_errors_that_change_nothing() {
+        let model = Model::from_preset(ModelPreset::Gpt { layers: 24 });
+        let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 7);
+        let mut trainer = Trainer::new(model.clone(), config(4, 40), dynamic_controller())
+            .with_straggler_injection(vec![1.0, 1.0, 2.0, 1.0]);
+        // Nothing to reshape before the run starts.
+        assert!(trainer.rescale(small_cluster(4), 1.0).is_err());
+        trainer.advance_to(&mut engine, 20).unwrap();
+        let before = trainer.snapshot(&engine).unwrap();
+
+        let mut no_stages = small_cluster(4);
+        no_stages.pipeline_stages = 0;
+        assert!(trainer.rescale(no_stages, 1.0).is_err());
+        for cost in [f64::NAN, f64::INFINITY, -1.0] {
+            assert!(trainer.rescale(small_cluster(4), cost).is_err(), "{cost}");
+        }
+        // The injection covers four stages, not two.
+        assert!(trainer.rescale(small_cluster(2), 1.0).is_err());
+        assert_eq!(trainer.snapshot(&engine).unwrap(), before);
+        assert_eq!(trainer.config().cluster.pipeline_stages, 4);
+
+        // Advancing backwards or past the configured run is refused too.
+        assert!(trainer.advance_to(&mut engine, 10).is_err());
+        assert!(trainer.advance_to(&mut engine, 41).is_err());
+        assert_eq!(trainer.iteration(), 20);
+        assert_eq!(trainer.advance_to(&mut engine, 40).unwrap().iterations, 40);
     }
 
     #[test]
@@ -1383,18 +1494,7 @@ mod tests {
         // iterations for early exit) would leave half this short run
         // unbalanced and the margin would measure the cadence, not the
         // detector.
-        let every10 = || {
-            RebalanceController::new(
-                Box::new(PartitionBalancer::new()),
-                BalanceObjective::ByTime,
-                RebalancePolicy {
-                    enabled: true,
-                    frequency: Some(dynmo_dynamics::RebalanceFrequency::EveryN(10)),
-                    repack: None,
-                },
-            )
-        };
-        let mut dynamic = Trainer::new(model.clone(), config(4, 200), every10())
+        let mut dynamic = Trainer::new(model.clone(), config(4, 200), every_n_controller(10))
             .with_straggler_injection(injection.clone())
             .with_recorder(recorder.clone());
         let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 3);
@@ -1437,15 +1537,7 @@ mod tests {
             let mut engine = FreezingEngine::new(&model, FreezingPolicy::paper_default(), 3);
             trainer.run(&mut engine)
         };
-        let dynamic = run(RebalanceController::new(
-            Box::new(PartitionBalancer::new()),
-            BalanceObjective::ByTime,
-            RebalancePolicy {
-                enabled: true,
-                frequency: Some(dynmo_dynamics::RebalanceFrequency::EveryN(10)),
-                repack: None,
-            },
-        ));
+        let dynamic = run(every_n_controller(10));
         let static_run = run(static_controller());
         assert!(
             dynamic.tokens_per_second > static_run.tokens_per_second * 1.1,

@@ -223,18 +223,6 @@ pub struct FleetReport {
     pub timeline: Vec<FleetAction>,
 }
 
-impl FleetReport {
-    /// Completed-request-weighted SLO attainment across all tenants.
-    pub fn aggregate_slo_attainment(&self) -> f64 {
-        let completed: usize = self.serving.iter().map(|r| r.completed).sum();
-        if completed == 0 {
-            return 1.0;
-        }
-        let met: u64 = self.serving.iter().map(|r| r.slo_met).sum();
-        met as f64 / completed as f64
-    }
-}
-
 /// Per-tenant live state inside the controller.
 struct Tenant {
     name: String,

@@ -7,9 +7,9 @@
 //! GPUs at any chunk boundary and take them back later without replaying
 //! a single iteration; this crate closes the loop that decides *when*:
 //!
-//! * [`ElasticTrainer`] — the training job, advancing in bounded chunks on
-//!   a simulated clock, re-scalable at every boundary for the price of one
-//!   checkpoint write.
+//! * [`ElasticTrainer`] — the training job: one live trainer advancing in
+//!   bounded chunks on a simulated clock, re-scaled in place at any
+//!   boundary for the price of one checkpoint write.
 //! * [`FleetController`] — the arbiter: it watches each tenant's windowed
 //!   p99 TTFT and gateway age, steals GPUs from the trainer on SLO
 //!   breaches (highest-priority tenant first), preempts low-priority

@@ -1,23 +1,23 @@
 //! The elastic training job a fleet controller shrinks and grows.
 //!
-//! [`ElasticTrainer`] wraps `dynmo_core`'s segment API
-//! ([`Trainer::run_segment`] + [`rescale_trainer_state`]) into a job that
-//! advances in bounded chunks on a simulated clock and can be re-scaled at
-//! any chunk boundary.  Every re-scale is a checkpoint-shrink-resume cycle:
-//! the controller pays [`CheckpointCostModel::write_cost`] for the state
-//! snapshot, the world is reshaped, and training resumes from the exact
+//! [`ElasticTrainer`] holds one live `dynmo_core` [`Trainer`] for the whole
+//! job and advances it in bounded chunks ([`Trainer::advance_to`]) on a
+//! simulated clock, so the job can be re-scaled at any chunk boundary.
+//! Every re-scale ([`Trainer::rescale`]) is priced as the checkpoint write
+//! of the full boundary snapshot ([`CheckpointCostModel::write_cost`]): the
+//! world is reshaped in place and training continues from the exact
 //! boundary iteration — zero iterations are replayed, so the per-iteration
 //! trajectory outside the re-scale instant is bit-identical to a run that
 //! was never disturbed.
 
 use dynmo_core::{
-    rescale_trainer_state, BalanceObjective, PartitionBalancer, RebalanceController,
-    RebalancePolicy, Trainer, TrainerConfig, TrainingReport,
+    BalanceObjective, PartitionBalancer, RebalanceController, RebalancePolicy, Trainer,
+    TrainerConfig, TrainingReport,
 };
 use dynmo_dynamics::DynamismEngine;
 use dynmo_model::{ClusterConfig, DeviceSpec, Model, ModelPreset};
 use dynmo_pipeline::ScheduleKind;
-use dynmo_resilience::{CheckpointCostModel, TrainerState};
+use dynmo_resilience::CheckpointCostModel;
 
 /// Static description of the elastic training job.
 #[derive(Debug, Clone)]
@@ -66,34 +66,49 @@ impl ElasticTrainerSpec {
         }
         Ok(())
     }
+
+    fn cluster(&self, world: usize) -> ClusterConfig {
+        ClusterConfig::homogeneous(self.gpus_per_node, world, 1, self.device)
+    }
+
+    /// A trainer that has not started, on `world` pipeline stages.
+    fn trainer(&self, world: usize) -> Trainer {
+        let config = TrainerConfig {
+            cluster: self.cluster(world),
+            schedule: ScheduleKind::OneFOneB,
+            num_iterations: self.total_iterations,
+            num_microbatches: self.num_microbatches,
+            allreduce_overlap: self.allreduce_overlap,
+            objective: BalanceObjective::ByTime,
+            min_workers: 1,
+        };
+        let controller = RebalanceController::new(
+            Box::new(PartitionBalancer::new()),
+            BalanceObjective::ByTime,
+            RebalancePolicy::dynamic(),
+        );
+        Trainer::new(Model::from_preset(self.preset), config, controller)
+    }
 }
 
 /// An elastic training job advancing chunk-by-chunk under fleet control.
 pub struct ElasticTrainer {
     spec: ElasticTrainerSpec,
-    model: Model,
     engine: Box<dyn DynamismEngine>,
-    state: Option<TrainerState>,
-    last_report: Option<TrainingReport>,
-    world: usize,
-    iterations_done: u64,
-    /// Simulated seconds of training so far: the trainer's `total_time`,
-    /// every second of it modeled, so the controller schedules against a
-    /// clock that is a pure function of the configuration.
-    sim_time: f64,
-    total_tokens: u64,
+    /// The job's one trainer: its live run is the job's progress, clock
+    /// (every second modeled, so the controller schedules against a pure
+    /// function of the configuration) and re-scale ledger.
+    trainer: Trainer,
     /// `(iteration, trajectory_checksum)` at every chunk boundary — the
     /// pinning evidence that fleet interference never corrupted the
     /// trajectory (compare against an undisturbed run's history).
     checksum_history: Vec<(u64, u64)>,
-    rescales: u64,
-    rescale_cost_total: f64,
 }
 
 impl ElasticTrainer {
     /// Create the job on `initial_workers` pipeline stages.  The dynamism
-    /// `engine` persists across chunks (its state rides in the checkpoint,
-    /// so chunked execution is bit-identical to one uninterrupted run).
+    /// `engine` drives the job's one trainer across every chunk, so chunked
+    /// execution is bit-identical to one uninterrupted run.
     pub fn new(
         spec: ElasticTrainerSpec,
         engine: Box<dyn DynamismEngine>,
@@ -106,65 +121,12 @@ impl ElasticTrainer {
                 spec.min_workers
             ));
         }
-        let model = Model::from_preset(spec.preset);
         Ok(ElasticTrainer {
+            trainer: spec.trainer(initial_workers),
             spec,
-            model,
             engine,
-            state: None,
-            last_report: None,
-            world: initial_workers,
-            iterations_done: 0,
-            sim_time: 0.0,
-            total_tokens: 0,
             checksum_history: Vec::new(),
-            rescales: 0,
-            rescale_cost_total: 0.0,
         })
-    }
-
-    fn trainer_config(&self, world: usize) -> TrainerConfig {
-        TrainerConfig {
-            cluster: ClusterConfig::homogeneous(
-                self.spec.gpus_per_node,
-                world,
-                1,
-                self.spec.device,
-            ),
-            schedule: ScheduleKind::OneFOneB,
-            num_iterations: self.spec.total_iterations,
-            num_microbatches: self.spec.num_microbatches,
-            allreduce_overlap: self.spec.allreduce_overlap,
-            objective: BalanceObjective::ByTime,
-            min_workers: 1,
-        }
-    }
-
-    fn controller() -> RebalanceController {
-        RebalanceController::new(
-            Box::new(PartitionBalancer::new()),
-            BalanceObjective::ByTime,
-            RebalancePolicy::dynamic(),
-        )
-    }
-
-    fn run_chunk(&mut self) -> Result<(), String> {
-        let until =
-            (self.iterations_done + self.spec.segment_iterations).min(self.spec.total_iterations);
-        let mut trainer = Trainer::new(
-            self.model.clone(),
-            self.trainer_config(self.world),
-            Self::controller(),
-        );
-        let outcome = trainer.run_segment(self.engine.as_mut(), self.state.as_ref(), until)?;
-        self.iterations_done = until;
-        self.sim_time = outcome.report.total_time;
-        self.total_tokens = outcome.report.total_tokens;
-        self.checksum_history
-            .push((until, outcome.report.trajectory_checksum));
-        self.state = Some(outcome.state);
-        self.last_report = Some(outcome.report);
-        Ok(())
     }
 
     /// Run whole chunks until the simulated clock reaches `horizon` (or the
@@ -172,8 +134,12 @@ impl ElasticTrainer {
     /// finishes — the trainer only yields at boundaries — so on return
     /// `sim_time() >= horizon` unless the job finished earlier.
     pub fn advance_to(&mut self, horizon: f64) -> Result<(), String> {
-        while !self.finished() && self.sim_time < horizon {
-            self.run_chunk()?;
+        while !self.finished() && self.sim_time() < horizon {
+            let until = (self.iterations_done() + self.spec.segment_iterations)
+                .min(self.spec.total_iterations);
+            let report = self.trainer.advance_to(self.engine.as_mut(), until)?;
+            self.checksum_history
+                .push((until, report.trajectory_checksum));
         }
         Ok(())
     }
@@ -186,7 +152,7 @@ impl ElasticTrainer {
     /// Re-scale the job to `new_world` pipeline stages at the current chunk
     /// boundary, returning the charged checkpoint-write seconds (0 when the
     /// world is unchanged or training has not started).  The next chunk
-    /// resumes from the boundary iteration on the new world.
+    /// continues from the boundary iteration on the new world.
     pub fn rescale(&mut self, new_world: usize) -> Result<f64, String> {
         if new_world < self.spec.min_workers {
             return Err(format!(
@@ -194,56 +160,53 @@ impl ElasticTrainer {
                 self.spec.min_workers
             ));
         }
-        if new_world == self.world {
+        if new_world == self.world() {
             return Ok(0.0);
         }
-        let Some(state) = &self.state else {
+        if self.iterations_done() == 0 {
             // Nothing ran yet: the initial world is still free to choose.
-            self.world = new_world;
+            self.trainer = self.spec.trainer(new_world);
             return Ok(0.0);
-        };
-        let cost = self.spec.cost_model.write_cost(state.size_bytes());
-        let rescaled = rescale_trainer_state(state, new_world, cost)?;
-        self.state = Some(rescaled);
-        self.world = new_world;
-        self.sim_time += cost;
-        self.rescales += 1;
-        self.rescale_cost_total += cost;
+        }
+        let snapshot = self.trainer.snapshot(self.engine.as_ref())?;
+        let cost = self.spec.cost_model.write_cost(snapshot.size_bytes());
+        self.trainer.rescale(self.spec.cluster(new_world), cost)?;
         Ok(cost)
     }
 
     /// Whether every iteration has run.
     pub fn finished(&self) -> bool {
-        self.iterations_done >= self.spec.total_iterations
+        self.iterations_done() >= self.spec.total_iterations
     }
 
     /// Current pipeline world size.
     pub fn world(&self) -> usize {
-        self.world
+        self.trainer.config().cluster.pipeline_stages
     }
 
     /// Iterations completed so far.
     pub fn iterations_done(&self) -> u64 {
-        self.iterations_done
+        self.trainer.iteration()
     }
 
-    /// Simulated seconds of training so far.
+    /// Simulated seconds of training so far, re-scale charges included.
     pub fn sim_time(&self) -> f64 {
-        self.sim_time
+        self.trainer.total_time()
     }
 
     /// Tokens processed so far.
     pub fn total_tokens(&self) -> u64 {
-        self.total_tokens
+        self.last_report().map_or(0, |report| report.total_tokens)
     }
 
     /// Training throughput in tokens per simulated second (0 before the
     /// first chunk completes).
     pub fn tokens_per_second(&self) -> f64 {
-        if self.sim_time <= 0.0 {
+        let sim_time = self.sim_time();
+        if sim_time <= 0.0 {
             return 0.0;
         }
-        self.total_tokens as f64 / self.sim_time
+        self.total_tokens() as f64 / sim_time
     }
 
     /// `(iteration, trajectory_checksum)` at every completed chunk boundary.
@@ -251,14 +214,17 @@ impl ElasticTrainer {
         &self.checksum_history
     }
 
-    /// Re-scale events so far.
+    /// Re-scale events so far.  The job takes no periodic checkpoints, so
+    /// every recovery event its trainer counts is a re-scale.
     pub fn rescales(&self) -> u64 {
-        self.rescales
+        self.last_report()
+            .map_or(0, |report| report.overhead.recovery_events)
     }
 
     /// Total checkpoint-write seconds charged by re-scales.
     pub fn rescale_cost_total(&self) -> f64 {
-        self.rescale_cost_total
+        self.last_report()
+            .map_or(0.0, |report| report.overhead.recovery)
     }
 
     /// The job's static description.
@@ -266,9 +232,10 @@ impl ElasticTrainer {
         &self.spec
     }
 
-    /// The cumulative report at the last chunk boundary, if any ran.
-    pub fn last_report(&self) -> Option<&TrainingReport> {
-        self.last_report.as_ref()
+    /// The live run's cumulative report, re-scale charges included, once a
+    /// chunk has run.
+    pub fn last_report(&self) -> Option<TrainingReport> {
+        self.trainer.report(self.engine.as_ref())
     }
 }
 

@@ -257,11 +257,6 @@ impl Communicator {
         self.allreduce_f32(value, ReduceOp::Sum)
     }
 
-    /// Convenience max all-reduce (e.g. finding the slowest stage).
-    pub fn allreduce_max_f32(&self, value: &[f32]) -> Result<Vec<f32>> {
-        self.allreduce_f32(value, ReduceOp::Max)
-    }
-
     /// All-to-all personalized exchange: `sends[i]` goes to local rank `i`,
     /// and the returned vector holds the payload received from each rank.
     /// This is the MoE token-exchange pattern.

@@ -1095,16 +1095,6 @@ impl ServingSession {
         self.engine.kv_capacity_tokens
     }
 
-    /// Requests served to completion so far.
-    pub fn completed_requests(&self) -> usize {
-        self.completed_count
-    }
-
-    /// Requests in the trace.
-    pub fn total_requests(&self) -> usize {
-        self.trace.num_requests()
-    }
-
     /// Latest step end seen so far (the monotone observation clock).
     pub fn makespan(&self) -> f64 {
         self.makespan

@@ -1,0 +1,57 @@
+//! Golden artifacts: the smoke-scale sweep outputs, pinned byte for byte.
+//!
+//! Each test runs one sweep in-process at [`ExperimentScale::Smoke`] and
+//! compares its pretty JSON (exactly what the sweep binary writes under
+//! `results/`) with the committed copy under `tests/golden/`.  Together they
+//! pin the trainer's run, checkpoint-resume and elastic-rescale paths: a
+//! change that moves any simulated number fails here.  When a move is
+//! intended, regenerate the files as `crates/bench/README.md` describes and
+//! review the diff.
+
+use std::path::Path;
+
+use dynmo_bench::{run_composite_sweep, run_fleet_sweep, run_hetero_sweep, ExperimentScale};
+
+fn assert_matches_golden(file: &str, actual: Result<String, serde_json::Error>) {
+    let actual = actual.expect("the sweep report serializes");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|err| panic!("reading {}: {err}", path.display()));
+    if actual == expected {
+        return;
+    }
+    let (line, (want, got)) = expected
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (want, got))| want != got)
+        .unwrap_or((
+            expected.lines().count().min(actual.lines().count()),
+            ("<end of file>", "<end of file>"),
+        ));
+    panic!(
+        "{} no longer matches the sweep's output (first difference at line {}):\n  golden: {want}\n  actual: {got}",
+        path.display(),
+        line + 1
+    );
+}
+
+#[test]
+fn composite_sweep_matches_the_golden_artifact() {
+    let cells = run_composite_sweep(ExperimentScale::Smoke);
+    assert_matches_golden("composite_sweep.json", serde_json::to_string_pretty(&cells));
+}
+
+#[test]
+fn fleet_sweep_matches_the_golden_artifact() {
+    let report = run_fleet_sweep(ExperimentScale::Smoke);
+    assert_matches_golden("BENCH_fleet.json", serde_json::to_string_pretty(&report));
+}
+
+#[test]
+fn hetero_sweep_matches_the_golden_artifact() {
+    let report = run_hetero_sweep(ExperimentScale::Smoke);
+    assert_matches_golden("hetero_sweep.json", serde_json::to_string_pretty(&report));
+}
