@@ -27,25 +27,29 @@ impl ExperimentScale {
         }
     }
 
-    /// Read the scale from a binary's CLI arguments (`--scale X`), falling
-    /// back to [`ExperimentScale::Default`].
-    pub fn from_args(args: &[String]) -> Self {
-        for window in args.windows(2) {
-            if window[0] == "--scale" {
-                if let Some(scale) = Self::parse(&window[1]) {
-                    return scale;
-                }
-            }
-        }
-        ExperimentScale::Default
+    /// Read the scale from a binary's CLI arguments: the value after
+    /// `--scale`, or [`ExperimentScale::Default`] when there is no
+    /// `--scale`.  An unknown or missing value is an error that names the
+    /// accepted ones.
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
+        let Some(at) = args.iter().position(|arg| arg == "--scale") else {
+            return Ok(ExperimentScale::Default);
+        };
+        let value = args.get(at + 1).map_or("", String::as_str);
+        Self::parse(value)
+            .ok_or_else(|| format!("--scale takes smoke, default or paper, not {value:?}"))
     }
 
     /// Read the scale straight from the process arguments (`--scale X` in
     /// `std::env::args`) — the one shared entry point every figure binary
-    /// uses instead of collecting the arguments itself.
+    /// uses instead of collecting the arguments itself.  On a bad value it
+    /// prints the error and exits with status 2, before any work starts.
     pub fn from_process_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        Self::from_args(&args)
+        Self::from_args(&args).unwrap_or_else(|error| {
+            eprintln!("error: {error}");
+            std::process::exit(2)
+        })
     }
 
     /// Number of training iterations simulated per configuration.
@@ -140,12 +144,20 @@ mod tests {
             Some(ExperimentScale::Smoke)
         );
         assert_eq!(ExperimentScale::parse("bogus"), None);
-        let args = vec!["--scale".to_string(), "smoke".to_string()];
-        assert_eq!(ExperimentScale::from_args(&args), ExperimentScale::Smoke);
+        let args = |args: &[&str]| -> Vec<String> { args.iter().map(|a| a.to_string()).collect() };
         assert_eq!(
-            ExperimentScale::from_args(&["--other".to_string()]),
-            ExperimentScale::Default
+            ExperimentScale::from_args(&args(&["--scale", "smoke"])),
+            Ok(ExperimentScale::Smoke)
         );
+        assert_eq!(
+            ExperimentScale::from_args(&args(&["--other"])),
+            Ok(ExperimentScale::Default)
+        );
+        // A mistyped or missing value is an error, never a silent Default.
+        let bad = ExperimentScale::from_args(&args(&["--scale", "papr"])).unwrap_err();
+        assert!(bad.contains("smoke, default or paper") && bad.contains("papr"));
+        assert!(ExperimentScale::from_args(&args(&["--scale"])).is_err());
+        assert!(ExperimentScale::from_args(&args(&["--scale", "--profile"])).is_err());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! at any scale in one command (`cargo run -p dynmo-bench --bin
 //! pipeline_sweep`).
 
+use dynmo_core::trainer::simulate_for;
 use dynmo_model::{ClusterConfig, DeviceSpec, ModelConfig};
 use dynmo_pipeline::load::StageLoad;
 use dynmo_pipeline::{CommCostModel, PipelineSimulator, ScheduleKind};
@@ -164,7 +165,7 @@ pub fn run_cell_recorded(
     let cluster = ClusterConfig::homogeneous(4, case.stages, 1, DeviceSpec::h100_sxm5());
     let loads = sweep_stage_loads(&model, case.stages, case.imbalance);
     let mut simulator = PipelineSimulator::new(CommCostModel::new(cluster), case.schedule);
-    let report = simulator.simulate(&model, &loads, case.microbatches);
+    let report = simulate_for(recorder, &mut simulator, &model, &loads, case.microbatches);
     recorder.record_iteration(group, 0, 0.0, &report);
     let tokens = (case.microbatches * model.micro_batch_size * model.seq_len) as u64;
     SweepCell {

@@ -1,0 +1,17 @@
+//! The figure binaries reject a bad `--scale` before doing any work.
+
+use std::process::Command;
+
+#[test]
+fn a_bad_scale_exits_with_status_2_and_names_the_accepted_values() {
+    for args in [&["--scale", "papr"][..], &["--scale"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pipeline_sweep"))
+            .args(args)
+            .output()
+            .expect("the binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("smoke, default or paper"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} started work");
+    }
+}

@@ -13,15 +13,16 @@
 //! cluster in place (paper §3.4.2), so an elastic job is one run, not a
 //! chain of checkpoint hand-offs.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use dynmo_dynamics::{ComposedEngine, DynamismEngine};
-use dynmo_model::{ClusterConfig, Model};
+use dynmo_model::{ClusterConfig, Model, ModelConfig};
 use dynmo_pipeline::memory::inflight_microbatches;
 use dynmo_pipeline::{
     load::{aggregate_stage_loads, apply_boundary_sizes},
-    CommCostModel, HybridThroughputModel, LayerLoad, PipelineSimulator, ScheduleKind,
-    StageAssignment,
+    CommCostModel, HybridThroughputModel, IterationReport, LayerLoad, PipelineSimulator,
+    ScheduleKind, StageAssignment, StageLoad,
 };
 use dynmo_telemetry::{LogLevel, MarkerKind, NullRecorder, Recorder};
 use serde::{Deserialize, Serialize};
@@ -424,7 +425,9 @@ impl Trainer {
     /// instant markers for rebalance and checkpoint events and log events
     /// replacing stderr warnings.  Everything recorded is simulated-time
     /// data: enabling a recorder never changes a report, a checksum, or a
-    /// sweep artifact.
+    /// sweep artifact.  Op spans are built only for an enabled recorder; a
+    /// disabled one still sees `record_iteration` for every simulated
+    /// iteration, with empty timelines.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
         self
@@ -731,17 +734,19 @@ impl Trainer {
                 .map(|(s, &e)| e * injection.get(s).copied().unwrap_or(1.0))
                 .collect();
             for (stage, speed) in cluster.detector.observe(&observed, &expected) {
-                self.recorder.instant(
-                    0,
-                    MarkerKind::StragglerDetected,
-                    &format!("stage {stage}"),
-                    run.total_time,
-                    &[
-                        ("iteration", iteration.to_string()),
-                        ("stage", stage.to_string()),
-                        ("effective_speed", format!("{speed:.4}")),
-                    ],
-                );
+                if self.recorder.enabled() {
+                    self.recorder.instant(
+                        0,
+                        MarkerKind::StragglerDetected,
+                        &format!("stage {stage}"),
+                        run.total_time,
+                        &[
+                            ("iteration", iteration.to_string()),
+                            ("stage", stage.to_string()),
+                            ("effective_speed", format!("{speed:.4}")),
+                        ],
+                    );
+                }
             }
         }
 
@@ -791,19 +796,21 @@ impl Trainer {
                 outcome.migration_time,
             );
             run.total_time += profiling_cost + outcome.algorithm_time + outcome.migration_time;
-            self.recorder.instant(
-                0,
-                MarkerKind::Rebalance,
-                &format!("iter {iteration}"),
-                run.total_time,
-                &[
-                    ("iteration", iteration.to_string()),
-                    ("active_workers", outcome.active_workers.to_string()),
-                    ("released", outcome.released_workers.len().to_string()),
-                    ("migrated_layers", outcome.migration.num_moves().to_string()),
-                    ("rounds", outcome.rounds.to_string()),
-                ],
-            );
+            if self.recorder.enabled() {
+                self.recorder.instant(
+                    0,
+                    MarkerKind::Rebalance,
+                    &format!("iter {iteration}"),
+                    run.total_time,
+                    &[
+                        ("iteration", iteration.to_string()),
+                        ("active_workers", outcome.active_workers.to_string()),
+                        ("released", outcome.released_workers.len().to_string()),
+                        ("migrated_layers", outcome.migration.num_moves().to_string()),
+                        ("rounds", outcome.rounds.to_string()),
+                    ],
+                );
+            }
             if !outcome.released_workers.is_empty() {
                 self.job_manager.release(&outcome.released_workers);
             }
@@ -842,21 +849,22 @@ impl Trainer {
                     load.bwd_time *= factor;
                 }
             }
-            let report =
-                cluster
-                    .simulator
-                    .simulate(model_cfg, &stage_loads, self.config.num_microbatches);
+            let m = self.config.num_microbatches;
+            let report = simulate_for(
+                &*self.recorder,
+                &mut cluster.simulator,
+                model_cfg,
+                &stage_loads,
+                m,
+            );
             // Trace the freshly simulated timeline (iterations between
             // changes reuse it, so the trace records keyframes — one
             // span set per distinct pipeline shape).
             self.recorder
                 .record_iteration(0, iteration, run.total_time, &report);
-            let throughput = cluster.hybrid.throughput(
-                model_cfg,
-                &report,
-                &stage_loads,
-                self.config.num_microbatches,
-            );
+            let throughput = cluster
+                .hybrid
+                .throughput(model_cfg, &report, &stage_loads, m);
             run.cached_iteration_time = throughput.iteration_time;
             run.cached_idleness = report.average_idleness();
             run.cached_bubble = report.bubble_ratio();
@@ -918,16 +926,18 @@ impl Trainer {
                         checkpointing.store.retain_last(checkpointing.keep);
                         run.overhead = charged_overhead;
                         run.total_time = charged_total_time;
-                        self.recorder.instant(
-                            0,
-                            MarkerKind::Checkpoint,
-                            &format!("iter {}", run.iteration),
-                            run.total_time,
-                            &[
-                                ("iteration", run.iteration.to_string()),
-                                ("simulated_cost_s", format!("{cost:.6}")),
-                            ],
-                        );
+                        if self.recorder.enabled() {
+                            self.recorder.instant(
+                                0,
+                                MarkerKind::Checkpoint,
+                                &format!("iter {}", run.iteration),
+                                run.total_time,
+                                &[
+                                    ("iteration", run.iteration.to_string()),
+                                    ("simulated_cost_s", format!("{cost:.6}")),
+                                ],
+                            );
+                        }
                     }
                     Err(why) => self.recorder.log(
                         LogLevel::Warn,
@@ -977,6 +987,25 @@ impl Trainer {
             },
             trajectory_checksum: run.trajectory.value(),
         }
+    }
+}
+
+/// Simulate one iteration of `num_microbatches` micro-batches for
+/// `recorder`.  Only an enabled recorder reads op spans, so only it pays
+/// for them: a disabled one gets the lean pass
+/// ([`PipelineSimulator::simulate_timing`]), whose report has empty
+/// timelines.
+pub fn simulate_for<'s>(
+    recorder: &dyn Recorder,
+    simulator: &'s mut PipelineSimulator,
+    model: &ModelConfig,
+    stage_loads: &[StageLoad],
+    num_microbatches: usize,
+) -> Cow<'s, IterationReport> {
+    if recorder.enabled() {
+        Cow::Owned(simulator.simulate(model, stage_loads, num_microbatches))
+    } else {
+        Cow::Borrowed(simulator.simulate_timing(model, stage_loads, num_microbatches))
     }
 }
 

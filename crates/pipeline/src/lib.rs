@@ -20,7 +20,8 @@
 //!   dependencies and communication latencies, bypasses stages released
 //!   by re-packing, prices forward-only inference for the serving engine
 //!   with a one-row recurrence, and reports makespan, per-worker idleness
-//!   and the bubble ratio.
+//!   and the bubble ratio; per-worker op spans are replayed from the pass
+//!   only for callers that read them.
 //! * [`comm`] — an α–β communication model for per-boundary activation and
 //!   gradient hand-offs, locality-aware gradient all-reduce, MoE
 //!   all-to-all, and layer migration.

@@ -35,7 +35,7 @@ impl WorkerTimeline {
 }
 
 /// The result of simulating one training iteration on one pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct IterationReport {
     /// Iteration makespan in seconds (time until the last worker finishes).
     pub makespan: f64,
@@ -43,7 +43,9 @@ pub struct IterationReport {
     pub per_worker_busy: Vec<f64>,
     /// Per-worker idle time in seconds (`makespan - busy`).
     pub per_worker_idle: Vec<f64>,
-    /// Per-worker execution timelines.
+    /// Per-worker execution timelines.  Empty in a report from
+    /// [`PipelineSimulator::simulate_timing`](crate::PipelineSimulator::simulate_timing),
+    /// which builds no op spans.
     pub timelines: Vec<WorkerTimeline>,
     /// Per-stage compute time for a single micro-batch (fwd+bwd), i.e. the
     /// load vector the balancers see.

@@ -22,14 +22,20 @@
 //! changes: its ops in a precomputed topological order, grouped into
 //! wavefronts of independent ops, each op with `u32` slots for its
 //! predecessors (the previous op on its worker plus at most two producers)
-//! tagged with weight slots.  [`PipelineSimulator::simulate`] is then one
-//! linear max/+ pass over that order: an op starts at the max over its
-//! predecessors of `end + weight`.  `max` over the same finite values is
-//! order-independent, and every worker's ops still come in chain order (so
-//! busy time sums in the same order), so the pass reproduces the legacy
-//! rescan loop bit for bit; that loop stays as the oracle,
-//! [`PipelineSimulator::simulate_reference`].  Forward-only pricing for
-//! the serving engine needs no graph at all:
+//! tagged with weight slots.  [`PipelineSimulator::simulate_timing`] is
+//! one linear max/+ pass over that order: an op starts at the max over
+//! its predecessors of `end + weight`.  It yields the makespan and
+//! per-worker busy and idle time in a report the simulator owns, and
+//! builds no op spans, so a warm call allocates nothing.
+//! [`PipelineSimulator::simulate`] runs the same pass and then replays it
+//! into per-worker op spans: each span's start is recomputed from the
+//! pass's end times through the same helper, so only a caller that reads
+//! spans (an enabled telemetry recorder, a test) pays for them.  `max`
+//! over the same finite values is order-independent, and every worker's
+//! ops still come in chain order (so busy time sums in the same order), so
+//! the pass reproduces the legacy rescan loop bit for bit; that loop stays
+//! as the oracle, [`PipelineSimulator::simulate_reference`].
+//! Forward-only pricing for the serving engine needs no graph at all:
 //! [`PipelineSimulator::forward_makespan`] (`&mut self`) is a one-row
 //! recurrence over a row the simulator keeps between calls.
 //!
@@ -51,9 +57,26 @@ pub struct PipelineSimulator {
     schedule: ScheduleKind,
     /// The DAG of the last simulated shape.
     topology: Option<Topology>,
+    /// The per-call tables of the last pass, reused across calls.
+    scratch: Scratch,
+    /// The report [`PipelineSimulator::simulate_timing`] refills.
+    report: IterationReport,
     /// Scratch row of [`PipelineSimulator::forward_makespan`], reused
     /// across calls.
     forward_row: Vec<f64>,
+}
+
+/// The per-call tables of one pass (slot layouts in [`Topology`]), kept
+/// for the span replay and refilled in place by the next call.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The physical stage of each compressed worker: the non-empty stages
+    /// in order.
+    real: Vec<usize>,
+    /// Op duration per duration slot.
+    durations: Vec<f64>,
+    /// Edge cost per weight slot.
+    weights: Vec<f64>,
 }
 
 /// One op of a [`Topology`], at its topological position.
@@ -182,6 +205,19 @@ impl Topology {
     }
 }
 
+/// When `node` starts: the max over every predecessor of `end + weight`,
+/// from a floor of zero.  The previous op on the worker has weight zero,
+/// and every end (the zero slot too) is at least +0.0, so its end stands
+/// for both its term and the floor.  The pass and the span replay both
+/// price starts here, so their spans agree bit for bit.
+#[inline]
+fn start_of(node: &Node, end: &[f64], weights: &[f64]) -> f64 {
+    let [a, b] = node
+        .producers
+        .map(|(pred, slot)| end[pred as usize] + weights[slot as usize]);
+    end[node.chain as usize].max(a.max(b))
+}
+
 impl PipelineSimulator {
     /// Create a simulator with the given communication model and schedule.
     pub fn new(comm: CommCostModel, schedule: ScheduleKind) -> Self {
@@ -189,6 +225,8 @@ impl PipelineSimulator {
             comm,
             schedule,
             topology: None,
+            scratch: Scratch::default(),
+            report: IterationReport::default(),
             forward_row: Vec::new(),
         }
     }
@@ -204,26 +242,58 @@ impl PipelineSimulator {
     }
 
     /// Simulate one iteration of `num_microbatches` micro-batches over the
-    /// given per-stage loads and return the timing report.
+    /// given per-stage loads and return the timing report, with every
+    /// worker's op spans.
     pub fn simulate(
         &mut self,
         model: &ModelConfig,
         stage_loads: &[StageLoad],
         num_microbatches: usize,
     ) -> IterationReport {
+        self.pass(model, stage_loads, num_microbatches);
+        let mut report = self.report.clone();
+        report.timelines = self.replay(stage_loads.len());
+        report
+    }
+
+    /// [`PipelineSimulator::simulate`] without the op spans: the same
+    /// makespan, busy, idle and stage-time bits, in a report the simulator
+    /// owns and refills on every call, whose `timelines` are empty.  After
+    /// one call at a shape, later calls at that shape allocate nothing.
+    pub fn simulate_timing(
+        &mut self,
+        model: &ModelConfig,
+        stage_loads: &[StageLoad],
+        num_microbatches: usize,
+    ) -> &IterationReport {
+        self.pass(model, stage_loads, num_microbatches);
+        &self.report
+    }
+
+    /// The max/+ pass: refill the scratch tables, the topology's end times
+    /// and `self.report`, whose timelines stay empty.
+    fn pass(&mut self, model: &ModelConfig, stage_loads: &[StageLoad], m: usize) {
         let p = stage_loads.len();
         assert!(p > 0, "at least one pipeline stage is required");
-        assert!(num_microbatches > 0, "at least one micro-batch is required");
-        let m = num_microbatches;
+        assert!(m > 0, "at least one micro-batch is required");
 
         // Released (empty) stages take no part in the schedule: the
         // pipeline is compressed to its non-empty stages and each skipped
         // boundary becomes one direct link between the real neighbours.
-        let real: Vec<usize> = (0..p).filter(|&s| !stage_loads[s].is_empty()).collect();
+        let Scratch {
+            real,
+            durations,
+            weights,
+        } = &mut self.scratch;
+        real.clear();
+        real.extend((0..p).filter(|&s| !stage_loads[s].is_empty()));
         let q = real.len();
-        let mut timelines: Vec<WorkerTimeline> = vec![WorkerTimeline::default(); p];
+        let report = &mut self.report;
         // A released worker keeps the busy time of an empty timeline.
-        let mut per_worker_busy = vec![WorkerTimeline::default().busy_time(); p];
+        report.per_worker_busy.clear();
+        report
+            .per_worker_busy
+            .resize(p, WorkerTimeline::default().busy_time());
         let mut makespan = 0.0f64;
         if q > 0 {
             if self.topology.as_ref().is_none_or(|t| (t.q, t.m) != (q, m)) {
@@ -244,7 +314,8 @@ impl PipelineSimulator {
             } else {
                 &[OpKind::Forward, OpKind::Backward]
             };
-            let mut durations = vec![0.0f64; 4 * q];
+            durations.clear();
+            durations.resize(4 * q, 0.0);
             for (i, &stage) in real.iter().enumerate() {
                 let load = &stage_loads[stage];
                 for &kind in kinds {
@@ -265,7 +336,8 @@ impl PipelineSimulator {
             // One α–β evaluation per boundary, not per micro-batch.  The
             // input-gradient edge into `vs` crosses the boundary whose
             // forward tensor `vs` produced.
-            let mut weights = vec![0.0f64; 1 + 2 * total_vs];
+            weights.clear();
+            weights.resize(1 + 2 * total_vs, 0.0);
             for vs in 0..total_vs {
                 let i = vs % q;
                 if vs > 0 {
@@ -292,38 +364,55 @@ impl PipelineSimulator {
                 }
             }
 
-            for (i, &count) in topology.ops_per_worker.iter().enumerate() {
-                timelines[real[i]].spans.reserve_exact(count);
-            }
             let end = &mut topology.end;
             for (k, node) in topology.nodes.iter().enumerate() {
-                // The max over every predecessor of `end + weight`, from a
-                // floor of zero.  The previous op on the worker has weight
-                // zero, and every end (the zero slot too) is at least +0.0,
-                // so its end stands for both its term and the floor.
-                let [a, b] = node
-                    .producers
-                    .map(|(pred, slot)| end[pred as usize] + weights[slot as usize]);
-                let start = end[node.chain as usize].max(a.max(b));
+                let start = start_of(node, end, weights);
                 let stop = start + durations[4 * node.worker as usize + node.kind as usize];
                 end[k] = stop;
                 makespan = makespan.max(stop);
                 // Every worker's ops come in chain order, so busy time
                 // sums in the order `WorkerTimeline::busy_time` does.
-                let worker = real[node.worker as usize];
-                per_worker_busy[worker] += stop - start;
-                timelines[worker].spans.push(OpSpan {
-                    op: Op {
-                        kind: node.kind,
-                        microbatch: node.microbatch as usize,
-                        chunk: node.chunk as usize,
-                    },
-                    start,
-                    end: stop,
-                });
+                report.per_worker_busy[real[node.worker as usize]] += stop - start;
             }
         }
-        report(stage_loads, timelines, makespan, per_worker_busy)
+
+        report.makespan = makespan;
+        report.per_worker_idle.clear();
+        report
+            .per_worker_idle
+            .extend(report.per_worker_busy.iter().map(|b| makespan - b));
+        report.stage_compute_times.clear();
+        report
+            .stage_compute_times
+            .extend(stage_loads.iter().map(StageLoad::total_time));
+    }
+
+    /// Rebuild the last pass's op spans over `p` workers, a released
+    /// worker's empty.  A span's end is the pass's, and its start is
+    /// recomputed through the pass's own [`start_of`], so both are the
+    /// pass's bits.
+    fn replay(&self, p: usize) -> Vec<WorkerTimeline> {
+        let mut timelines = vec![WorkerTimeline::default(); p];
+        let real = &self.scratch.real;
+        let Some(topology) = self.topology.as_ref().filter(|_| !real.is_empty()) else {
+            return timelines;
+        };
+        for (i, &count) in topology.ops_per_worker.iter().enumerate() {
+            timelines[real[i]].spans.reserve_exact(count);
+        }
+        let end = &topology.end;
+        for (node, &stop) in topology.nodes.iter().zip(end) {
+            timelines[real[node.worker as usize]].spans.push(OpSpan {
+                op: Op {
+                    kind: node.kind,
+                    microbatch: node.microbatch as usize,
+                    chunk: node.chunk as usize,
+                },
+                start: start_of(node, end, &self.scratch.weights),
+                end: stop,
+            });
+        }
+        timelines
     }
 
     /// The makespan of one *forward-only* pass of `num_microbatches`
@@ -515,17 +604,6 @@ fn finish_report(stage_loads: &[StageLoad], timelines: Vec<WorkerTimeline>) -> I
         .map(|t| t.finish_time())
         .fold(0.0, f64::max);
     let per_worker_busy: Vec<f64> = timelines.iter().map(|t| t.busy_time()).collect();
-    report(stage_loads, timelines, makespan, per_worker_busy)
-}
-
-/// Assemble the [`IterationReport`] from per-worker timelines and the
-/// makespan and busy times accumulated with them.
-fn report(
-    stage_loads: &[StageLoad],
-    timelines: Vec<WorkerTimeline>,
-    makespan: f64,
-    per_worker_busy: Vec<f64>,
-) -> IterationReport {
     let per_worker_idle: Vec<f64> = per_worker_busy.iter().map(|b| makespan - b).collect();
     let stage_compute_times: Vec<f64> = stage_loads.iter().map(|l| l.total_time()).collect();
     IterationReport {

@@ -12,9 +12,10 @@
 //! ([`PipelineSimulator::forward_makespan`], no DAG and no report): the
 //! step's batch is split into micro-batches that flow down the pipeline
 //! paying per-boundary α–β communication costs.  Pricing refills stage
-//! loads the engine owns, and the simulator reuses its own row, so a warm
-//! step allocates nothing; a step without a dynamism engine reuses the
-//! identity update the deployment already holds.
+//! loads the engine owns, and the simulator reuses its own row, so warm
+//! pricing allocates nothing (the batcher's plan and commit still allocate
+//! every step); a step without a dynamism engine reuses the identity update
+//! the deployment already holds.
 //!
 //! The dynamism engines plug in through their inference hook
 //! ([`DynamismEngine::inference_step`]): per engine step the current

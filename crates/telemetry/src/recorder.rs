@@ -88,7 +88,9 @@ pub trait Recorder: Send + Sync {
     /// Record every op span of one simulated iteration: rank `r`'s
     /// timeline lands on lane `r` of `group`, offset by `t0` (the
     /// simulated time at which the iteration started) so consecutive
-    /// iterations tile into one continuous per-rank track.
+    /// iterations tile into one continuous per-rank track.  The trainer
+    /// and the sweeps build spans only for an enabled recorder, so a
+    /// disabled one is handed a report with empty timelines.
     fn record_iteration(&self, group: usize, iteration: u64, t0: f64, report: &IterationReport) {
         if !self.enabled() {
             return;

@@ -3,6 +3,9 @@
 //! * a property test pinning the engine bit-for-bit to the legacy
 //!   busy-poll simulator (`PipelineSimulator::simulate_reference`) across
 //!   random stage loads for the schedules the legacy loop supported,
+//! * a property test pinning the lean timing pass
+//!   (`PipelineSimulator::simulate_timing`) to the full simulation, bit for
+//!   bit, across all schedules, random loads and released stages,
 //! * a digest pinning every simulated bit of every schedule over a shape
 //!   grid with released stages and heterogeneous clusters, and
 //! * integration tests for the claims the new schedules exist to make —
@@ -11,8 +14,17 @@
 
 use dynmo::model::{ClusterConfig, DeviceSpec, ModelConfig};
 use dynmo::pipeline::load::StageLoad;
-use dynmo::pipeline::{CommCostModel, PipelineSimulator, ScheduleKind};
+use dynmo::pipeline::{CommCostModel, IterationReport, PipelineSimulator, ScheduleKind};
 use proptest::prelude::*;
+
+/// Every schedule the simulator runs, interleaving at two depths.
+const SCHEDULES: [ScheduleKind; 5] = [
+    ScheduleKind::GPipe,
+    ScheduleKind::OneFOneB,
+    ScheduleKind::Interleaved1F1B { virtual_stages: 2 },
+    ScheduleKind::Interleaved1F1B { virtual_stages: 3 },
+    ScheduleKind::ZeroBubbleH1,
+];
 
 fn cluster(stages: usize, gpus_per_node: usize) -> ClusterConfig {
     ClusterConfig::homogeneous(gpus_per_node, stages, 1, DeviceSpec::h100_sxm5())
@@ -79,6 +91,49 @@ proptest! {
         }
     }
 
+    /// The lean pass gives the full simulation's makespan, busy, idle and
+    /// stage-time bits with no spans, and alternating the two calls on one
+    /// simulator, across layouts that share its topology and layouts that
+    /// rebuild it, changes neither.
+    #[test]
+    fn lean_timing_pass_matches_the_full_simulation_bit_for_bit(
+        fwd_times in prop::collection::vec(0.001f64..2.0, 1..10),
+        boundary_scales in prop::collection::vec(0.05f64..2.0, 10..11),
+        released in 0usize..16,
+        microbatches in 1usize..24,
+        gpus_per_node in 1usize..5,
+    ) {
+        let model = ModelConfig::gpt(24);
+        let full = stage_loads(&fwd_times, &boundary_scales[..fwd_times.len()]);
+        let mut layouts = vec![full.clone()];
+        // A stage index past the end leaves every stage real.
+        if released < full.len() {
+            let mut bypassed = full.clone();
+            bypassed[released] = StageLoad::default();
+            layouts.push(bypassed);
+        }
+        for schedule in SCHEDULES {
+            let comm = CommCostModel::new(cluster(full.len(), gpus_per_node));
+            let expected: Vec<IterationReport> = layouts
+                .iter()
+                .map(|loads| {
+                    PipelineSimulator::new(comm.clone(), schedule).simulate(&model, loads, microbatches)
+                })
+                .collect();
+            let mut sim = PipelineSimulator::new(comm, schedule);
+            for _ in 0..2 {
+                for (loads, expected) in layouts.iter().zip(&expected) {
+                    let lean = sim.simulate_timing(&model, loads, microbatches);
+                    prop_assert!(lean.timelines.is_empty(), "{:?}", schedule);
+                    prop_assert_eq!(timing_bits(lean), timing_bits(expected), "{:?}", schedule);
+                    let replayed = sim.simulate(&model, loads, microbatches);
+                    prop_assert_eq!(timing_bits(&replayed), timing_bits(expected));
+                    prop_assert_eq!(&replayed.timelines, &expected.timelines, "{:?}", schedule);
+                }
+            }
+        }
+    }
+
     /// Bypassing a released stage is exactly equivalent to simulating the
     /// compressed pipeline of its real stages at their physical positions.
     #[test]
@@ -114,6 +169,21 @@ proptest! {
         .simulate(&model, &compressed, microbatches);
         prop_assert_eq!(bypassed.makespan.to_bits(), direct.makespan.to_bits());
     }
+}
+
+/// A report's makespan, busy, idle and stage times as bits, each vector
+/// behind its length.
+fn timing_bits(report: &IterationReport) -> Vec<u64> {
+    let mut bits = vec![report.makespan.to_bits()];
+    for values in [
+        &report.per_worker_busy,
+        &report.per_worker_idle,
+        &report.stage_compute_times,
+    ] {
+        bits.push(values.len() as u64);
+        bits.extend(values.iter().map(|v| v.to_bits()));
+    }
+    bits
 }
 
 /// Interleaved 1F1B and ZB-H1 must show strictly lower bubble ratios than
