@@ -124,7 +124,7 @@ fn main() {
     ));
 
     let mut table = Table::new(
-        "Work-stealing pool — wall-clock by thread count",
+        "Thread pool — wall-clock by thread count",
         &[
             "Workload",
             "Cells",

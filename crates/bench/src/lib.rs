@@ -15,7 +15,7 @@
 //! | `pipeline_sweep` | Beyond the paper — rayon-parallel (schedule × p × m × imbalance) bubble grid |
 //! | `composite_sweep` | Beyond the paper — stacked-mechanism (stack × balancer × schedule) grid with crash/recovery checks |
 //! | `serving_sweep` | Beyond the paper — continuous-batching inference (trace × early-exit × balancer × elasticity) SLO grid |
-//! | `bench_pool` | Beyond the paper — work-stealing pool wall-clock (sweep bins at 1 vs host threads), written to `results/BENCH_pool.json` |
+//! | `bench_pool` | Beyond the paper — thread-pool wall-clock (sweep bins at 1 vs host threads), written to `results/BENCH_pool.json` |
 //! | `hetero_sweep` | Beyond the paper — fig3-style margin comparison on a uniform vs 3-generation (H100/A100/V100) cluster, written to `results/hetero_sweep.json` |
 //! | `fleet_sweep` | Beyond the paper — closed-loop fleet controller (elastic training + multi-tenant serving on one pool) vs a static GPU split, written to `results/BENCH_fleet.json` |
 //!

@@ -30,8 +30,13 @@ impl ExperimentScale {
     /// Read the scale from a binary's CLI arguments: the value after
     /// `--scale`, or [`ExperimentScale::Default`] when there is no
     /// `--scale`.  An unknown or missing value is an error that names the
-    /// accepted ones.
+    /// accepted ones, and so is the `--scale=X` spelling.
     pub fn from_args(args: &[String]) -> Result<Self, String> {
+        if let Some(arg) = args.iter().find(|arg| arg.starts_with("--scale=")) {
+            return Err(format!(
+                "write --scale X, not {arg:?}: --scale takes smoke, default or paper"
+            ));
+        }
         let Some(at) = args.iter().position(|arg| arg == "--scale") else {
             return Ok(ExperimentScale::Default);
         };
@@ -42,11 +47,19 @@ impl ExperimentScale {
 
     /// Read the scale straight from the process arguments (`--scale X` in
     /// `std::env::args`) — the one shared entry point every figure binary
-    /// uses instead of collecting the arguments itself.  On a bad value it
-    /// prints the error and exits with status 2, before any work starts.
+    /// uses instead of collecting the arguments itself.  It also builds the
+    /// default thread pool, which fails on a bad `DYNMO_THREADS`.  On either
+    /// error it prints the message and exits with status 2, before any work
+    /// starts.
     pub fn from_process_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        Self::from_args(&args).unwrap_or_else(|error| {
+        let scale = Self::from_args(&args).and_then(|scale| {
+            rayon::ThreadPoolBuilder::new()
+                .build()
+                .map_err(|error| error.to_string())?;
+            Ok(scale)
+        });
+        scale.unwrap_or_else(|error| {
             eprintln!("error: {error}");
             std::process::exit(2)
         })
@@ -158,6 +171,8 @@ mod tests {
         assert!(bad.contains("smoke, default or paper") && bad.contains("papr"));
         assert!(ExperimentScale::from_args(&args(&["--scale"])).is_err());
         assert!(ExperimentScale::from_args(&args(&["--scale", "--profile"])).is_err());
+        let equals = ExperimentScale::from_args(&args(&["--scale=paper"])).unwrap_err();
+        assert!(equals.contains("--scale X") && equals.contains("--scale=paper"));
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! The artifact-determinism contract of the work-stealing pool.
+//! The artifact-determinism contract of the thread pool.
 //!
 //! Every sweep fans its grid across rayon and writes the rows to a JSON
 //! artifact.  Those artifacts must not depend on the machine's core count:
 //! a run under the real multi-thread pool has to be *byte-identical* —
 //! same row order, same float bits, same serialized string — to a forced
-//! single-thread run.  The rayon shim guarantees this by making every
-//! parallel iterator index-addressable (result `i` always lands in slot
-//! `i`); these tests pin the guarantee end-to-end through the actual sweep
-//! entry points.
+//! single-thread run.  The rayon shim guarantees this by returning
+//! `collect`'s results in source order, whichever thread computed them;
+//! these tests pin the guarantee end-to-end through the actual sweep entry
+//! points.
 
 use dynmo_bench::serving::{run_serving_sweep, ServingSweepConfig};
 use dynmo_bench::sweep::{run_sweep, SweepConfig};

@@ -76,8 +76,8 @@ fn recorded_pipeline_sweep_is_byte_identical_to_plain() {
 
 #[test]
 fn recorded_event_stream_is_thread_independent() {
-    // Two recorded runs of the same grid — scheduled by the work-stealing
-    // pool in whatever order — must record the same event multiset.
+    // Two recorded runs of the same grid — scheduled by the thread pool
+    // in whatever order — must record the same event multiset.
     let config = SweepConfig::for_scale(ExperimentScale::Smoke);
     let first = MemoryRecorder::new();
     let second = MemoryRecorder::new();

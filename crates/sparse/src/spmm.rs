@@ -2,8 +2,9 @@
 //!
 //! This is the CPU analogue of the Sputnik SpMM kernel the paper binds into
 //! PyTorch: it computes `C = A · B` where `A` is CSR and `B` is dense, with
-//! the row loop parallelized by rayon (one output row per task, the same
-//! decomposition Sputnik uses per thread block).
+//! the row loop parallelized by rayon (output rows are independent tasks,
+//! the same decomposition Sputnik uses per thread block; each thread claims
+//! a contiguous run of rows).
 
 use rayon::prelude::*;
 

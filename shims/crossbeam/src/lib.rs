@@ -1,23 +1,17 @@
-//! Minimal stand-in for the parts of the `crossbeam` family the workspace
-//! uses: multi-consumer channels (`crossbeam::channel`) and work-stealing
-//! deques (`crossbeam::deque`).
+//! Minimal stand-in for the part of the `crossbeam` family the workspace
+//! uses: multi-consumer channels (`crossbeam::channel`), which carry the
+//! runtime fabric's messages between rank threads.
 //!
 //! The channel is its own `Mutex<VecDeque>` + `Condvar` queue rather than a
 //! wrapper over `std::sync::mpsc`: crossbeam receivers are cloneable and
-//! shareable across threads, and — crucially for the worker pool built on
-//! top — a receiver parked in [`channel::Receiver::recv`] must not hold any
-//! lock while it waits, or one blocked consumer would starve every other.
-//! The condvar releases the queue lock for the whole park, so any number of
-//! consumers can block, poll, and drain concurrently.
-//!
-//! The [`deque`] module provides Chase–Lev-style work-stealing deques
-//! (single-owner LIFO end, multi-thief FIFO end) plus a shared FIFO
-//! [`deque::Injector`], mirroring `crossbeam-deque`'s API surface.  The
-//! `rayon` shim's thread pool is built on these primitives.
+//! shareable across threads, and a receiver parked in
+//! [`channel::Receiver::recv`] must not hold any lock while it waits, or one
+//! blocked consumer would starve every other.  The condvar releases the
+//! queue lock for the whole park, so any number of consumers can block,
+//! poll, and drain concurrently.
 
 #![warn(missing_docs)]
 
-pub mod deque;
 pub(crate) mod primitives;
 
 /// Multi-producer multi-consumer channels with timeouts (the

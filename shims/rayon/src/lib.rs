@@ -1,86 +1,389 @@
-//! A real work-stealing thread pool behind rayon's API surface.
+//! A scoped-thread stand-in for the parts of rayon the workspace uses.
 //!
-//! Earlier revisions of this shim were a sequential stand-in: the `par_*`
-//! entry points mapped straight onto `std` iterators.  This revision keeps
-//! the exact same call-site surface — `par_iter().map(..).collect()`,
-//! `par_chunks_mut(..).for_each(..)`, `join`, `scope` — but executes it on
-//! a Chase–Lev work-stealing pool built from the deques in the `crossbeam`
-//! shim:
+//! Every simulated result here is a pure function of (config, seed), so host
+//! threads have one job: spreading independent sweep cells and CPU SpMM rows
+//! across cores.  This shim does that with `std::thread::scope` and one lock,
+//! behind rayon's call-site surface: `par_iter().map(..).collect()`,
+//! `par_chunks_mut(..).enumerate().for_each(..)`, `ThreadPoolBuilder`,
+//! `ThreadPool::install` and `current_num_threads`.
 //!
-//! - one worker thread per configured slot, each owning a LIFO deque that
-//!   other workers steal from FIFO;
-//! - a global FIFO injector for work submitted from non-pool threads;
-//! - `join(a, b)` runs `a` inline and exposes `b` for stealing, and the
-//!   waiting side *works through the queues* instead of blocking, so
-//!   arbitrarily nested joins cannot deadlock;
-//! - parked workers sleep on a generation-counted condvar with a short
-//!   timeout backstop, so an idle pool costs no CPU.
+//! # Execution
+//!
+//! A parallel call runs on [`current_num_threads`] threads: the caller plus
+//! helpers spawned for the call and joined before it returns.  Each thread
+//! claims the next contiguous batch of `max(1, len / (threads * 8))` items
+//! from the source iterator under one lock, then runs them with the lock
+//! released.  Contiguous batches keep the rows a thread writes adjacent in
+//! memory; claiming one row at a time made neighbouring threads share cache
+//! lines.  A parallel call made inside another one runs inline on its
+//! thread, so a run never holds more threads than the pool's count.
 //!
 //! # Thread count
 //!
-//! The global pool is sized on first use from, in order: `DYNMO_THREADS`,
-//! `RAYON_NUM_THREADS`, then the host's available parallelism.  A value of
-//! `1` gives fully sequential in-place execution (no worker round-trips).
-//! Tests and benches that need a pinned size build their own pool:
+//! `DYNMO_THREADS` if set, else the host's available parallelism, read once
+//! per process.  A set value must be a positive integer (surrounding
+//! whitespace is ignored); values above 1024 are capped at 1024.  Anything
+//! else is an error that names the variable and the value:
+//! [`ThreadPoolBuilder::build`] returns it, and a parallel call that needs
+//! the default count panics with it.  Code that needs a pinned count builds
+//! its own pool:
 //!
 //! ```
+//! use rayon::prelude::*;
+//!
 //! let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-//! let doubled: Vec<i32> = pool.install(|| {
-//!     use rayon::prelude::*;
-//!     vec![1, 2, 3].into_par_iter().map(|x| x * 2).collect()
-//! });
+//! let doubled: Vec<i32> = pool.install(|| vec![1, 2, 3].par_iter().map(|x| x * 2).collect());
 //! assert_eq!(doubled, vec![2, 4, 6]);
 //! ```
 //!
-//! # Determinism contract
+//! # Determinism
 //!
-//! Every parallel iterator here is *index-addressable*: the element at
-//! index `i` is computed from index `i` alone, and `collect` writes it into
-//! slot `i` of the output.  Work-stealing only changes *when* each index
-//! runs, never *where its result lands*, so `map(...).collect()` and
-//! `par_chunks_mut(...).for_each(...)` produce output byte-identical to a
-//! single-threaded run.  The sweep binaries in `crates/bench` rely on this:
-//! their JSON artifacts must not depend on the machine's core count.
+//! `collect` returns results in source order, whichever thread computed
+//! them, so `map(..).collect()` equals a single-threaded run.  The sweep
+//! binaries rely on this: their JSON artifacts must not depend on the
+//! machine's core count.
 //!
 //! # Panics
 //!
-//! A panicking task does not hang or poison the pool.  Panics are caught at
-//! the job boundary, carried as payloads, and resumed on the thread that
-//! called `join`/`install`/`scope` once all sibling work has finished (so
-//! borrowed data stays alive exactly as long as with sequential execution).
+//! A panic in an item reaches the caller of the parallel call once every
+//! thread of the call has stopped, so borrowed data stays alive exactly as
+//! long as in a sequential loop.
 
 #![warn(missing_docs)]
 
-mod job;
-mod latch;
-mod primitives;
-mod registry;
+use std::cell::Cell;
+use std::fmt;
+use std::num::IntErrorKind;
+use std::panic;
+use std::slice::{ChunksMut, Iter};
+use std::sync::{Mutex, OnceLock};
+use std::thread::LocalKey;
 
-pub mod iter;
+/// The environment variable that sets the default thread count.
+const THREADS_VAR: &str = "DYNMO_THREADS";
 
-/// Model-checking access to the pool's internal synchronization protocols.
-///
-/// Only compiled under `RUSTFLAGS="--cfg dynmo_loom"`, for the loom suites
-/// in `tests/loom_sleep.rs`: whole-pool model checking would blow up the
-/// interleaving space, so the suites drive the sleep and latch protocols
-/// directly through these re-exports.
-#[cfg(dynmo_loom)]
-pub mod loom_support {
-    pub use crate::latch::{Latch, LockLatch, SpinLatch};
-    pub use crate::registry::Sleep;
+/// Ceiling on any pool's thread count.
+const MAX_THREADS: usize = 1024;
+
+thread_local! {
+    /// The count [`ThreadPool::install`] set on this thread, if any.
+    static INSTALLED: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Set while this thread runs a parallel call's items.
+    static IN_PARALLEL: Cell<bool> = const { Cell::new(false) };
 }
 
-pub use iter::prelude;
-pub use registry::{
-    current_num_threads, join, scope, Scope, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
-};
+/// Parse a `DYNMO_THREADS` value: a positive integer, capped at
+/// [`MAX_THREADS`].
+fn parse_threads(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n.min(MAX_THREADS)),
+        Err(err) if *err.kind() == IntErrorKind::PosOverflow => Ok(MAX_THREADS),
+        _ => Err(format!(
+            "{THREADS_VAR} must be a positive integer, not {value:?}"
+        )),
+    }
+}
+
+/// The default thread count: `DYNMO_THREADS` if set, else the host's
+/// available parallelism.
+fn default_num_threads() -> Result<usize, String> {
+    static DEFAULT: OnceLock<Result<usize, String>> = OnceLock::new();
+    DEFAULT
+        .get_or_init(|| match std::env::var_os(THREADS_VAR) {
+            Some(value) => parse_threads(&value.to_string_lossy()),
+            None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        })
+        .clone()
+}
+
+/// The thread count of the current pool: the one installed on this thread
+/// by [`ThreadPool::install`], else the default.
+///
+/// # Panics
+///
+/// Outside `install`, if `DYNMO_THREADS` is set but not a positive integer.
+pub fn current_num_threads() -> usize {
+    INSTALLED
+        .get()
+        .unwrap_or_else(|| default_num_threads().unwrap_or_else(|message| panic!("{message}")))
+}
+
+/// Sets a thread-local cell and puts the old value back when dropped, also
+/// on unwind.
+struct Restore<T: Copy + 'static> {
+    cell: &'static LocalKey<Cell<T>>,
+    old: T,
+}
+
+impl<T: Copy + 'static> Restore<T> {
+    fn set(cell: &'static LocalKey<Cell<T>>, value: T) -> Self {
+        Restore {
+            cell,
+            old: cell.replace(value),
+        }
+    }
+}
+
+impl<T: Copy + 'static> Drop for Restore<T> {
+    fn drop(&mut self) {
+        self.cell.set(self.old);
+    }
+}
+
+/// Run `op` on every item of `items` on up to [`current_num_threads`]
+/// threads, and return the results in source order.
+fn run<I, F, R>(items: I, op: &F) -> Vec<R>
+where
+    I: ExactSizeIterator + Send,
+    F: Fn(I::Item) -> R + Sync,
+    R: Send,
+{
+    let len = items.len();
+    let pool = if IN_PARALLEL.get() {
+        1
+    } else {
+        current_num_threads()
+    };
+    let threads = pool.min(len);
+    if threads <= 1 {
+        return items.map(op).collect();
+    }
+    let batch = (len / (threads * 8)).max(1);
+    // The index of the next unclaimed item, and the items themselves.
+    let source = Mutex::new((0, items));
+    let work = || {
+        let _inline = Restore::set(&IN_PARALLEL, true);
+        let mut claimed = Vec::with_capacity(batch);
+        let mut done = Vec::new();
+        loop {
+            let start = {
+                let mut source = source
+                    .lock()
+                    .expect("the source iterator panicked while a batch was claimed");
+                let (next, items) = &mut *source;
+                claimed.extend(items.take(batch));
+                let start = *next;
+                *next += claimed.len();
+                start
+            };
+            if claimed.is_empty() {
+                return done;
+            }
+            done.push((start, claimed.drain(..).map(op).collect::<Vec<R>>()));
+        }
+    };
+    let mut batches = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    INSTALLED.set(Some(pool));
+                    work()
+                })
+            })
+            .collect();
+        let mut batches = work();
+        for helper in helpers {
+            batches.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload)),
+            );
+        }
+        batches
+    });
+    batches.sort_unstable_by_key(|&(start, _)| start);
+    let mut results = Vec::with_capacity(len);
+    for (_, batch) in batches {
+        results.extend(batch);
+    }
+    results
+}
+
+/// A parallel iterator over a sequential source; see the crate docs for how
+/// its items are spread over threads.
+pub struct ParIter<I> {
+    items: I,
+}
+
+impl<I> ParIter<I>
+where
+    I: ExactSizeIterator + Send,
+    I::Item: Send,
+{
+    /// Pair each item with its index in the source.
+    pub fn enumerate(self) -> ParIter<std::iter::Enumerate<I>> {
+        ParIter {
+            items: self.items.enumerate(),
+        }
+    }
+
+    /// Transform each item with `op`.
+    pub fn map<F, R>(self, op: F) -> Map<I, F>
+    where
+        F: Fn(I::Item) -> R + Sync + Send,
+        R: Send,
+    {
+        Map {
+            items: self.items,
+            op,
+        }
+    }
+
+    /// Run `op` on every item.
+    pub fn for_each<F>(self, op: F)
+    where
+        F: Fn(I::Item) + Sync + Send,
+    {
+        run(self.items, &op);
+    }
+}
+
+/// A [`ParIter`] whose items are transformed on the thread that claims
+/// them; see [`ParIter::map`].
+pub struct Map<I, F> {
+    items: I,
+    op: F,
+}
+
+impl<I, F, R> Map<I, F>
+where
+    I: ExactSizeIterator + Send,
+    I::Item: Send,
+    F: Fn(I::Item) -> R + Sync + Send,
+    R: Send,
+{
+    /// Transform each result again with `next`.
+    pub fn map<G, S>(self, next: G) -> Map<I, impl Fn(I::Item) -> S + Sync + Send>
+    where
+        G: Fn(R) -> S + Sync + Send,
+        S: Send,
+    {
+        let Map { items, op } = self;
+        Map {
+            items,
+            op: move |item| next(op(item)),
+        }
+    }
+
+    /// Collect the results, in source order.
+    pub fn collect<C: FromIterator<R>>(self) -> C {
+        run(self.items, &self.op).into_iter().collect()
+    }
+}
+
+/// `par_iter` on slices, and through deref on `Vec`s.
+pub trait ParallelSlice<T: Sync> {
+    /// A parallel iterator over the elements.
+    fn par_iter(&self) -> ParIter<Iter<'_, T>>;
+}
+
+impl<T: Sync> ParallelSlice<T> for [T] {
+    fn par_iter(&self) -> ParIter<Iter<'_, T>> {
+        ParIter { items: self.iter() }
+    }
+}
+
+/// `par_chunks_mut` on mutable slices.
+pub trait ParallelSliceMut<T: Send> {
+    /// A parallel iterator over disjoint `chunk_size`-long chunks; the last
+    /// may be shorter.
+    ///
+    /// # Panics
+    ///
+    /// If `chunk_size` is 0.
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMut<'_, T>>;
+}
+
+impl<T: Send> ParallelSliceMut<T> for [T] {
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMut<'_, T>> {
+        ParIter {
+            items: self.chunks_mut(chunk_size),
+        }
+    }
+}
+
+/// The traits call sites import (`use rayon::prelude::*`).
+pub mod prelude {
+    pub use super::{ParallelSlice, ParallelSliceMut};
+}
+
+/// Error returned by [`ThreadPoolBuilder::build`] when the default thread
+/// count is needed and `DYNMO_THREADS` is not a positive integer.
+#[derive(Debug)]
+pub struct ThreadPoolBuildError {
+    message: String,
+}
+
+impl fmt::Display for ThreadPoolBuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl std::error::Error for ThreadPoolBuildError {}
+
+/// Builder for a [`ThreadPool`] (rayon's constructor, used by tests and
+/// benches to pin thread counts).
+#[derive(Debug, Default, Clone)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    /// Start building a pool with the default thread count.
+    pub fn new() -> Self {
+        ThreadPoolBuilder::default()
+    }
+
+    /// Set the thread count (`0` = the default count, like rayon).  Counts
+    /// above 1024 are capped at 1024.
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Build the pool.  Fails only when the default count is needed and
+    /// `DYNMO_THREADS` is not a positive integer.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let num_threads = match self.num_threads {
+            0 => default_num_threads().map_err(|message| ThreadPoolBuildError { message })?,
+            n => n.min(MAX_THREADS),
+        };
+        Ok(ThreadPool { num_threads })
+    }
+}
+
+/// A thread count for the parallel calls made under
+/// [`ThreadPool::install`].  It owns no threads: each parallel call spawns
+/// its helpers and joins them before it returns.
+#[derive(Debug)]
+pub struct ThreadPool {
+    num_threads: usize,
+}
+
+impl ThreadPool {
+    /// Run `op` on the calling thread with this pool's thread count, and
+    /// restore the previous count afterwards, also when `op` panics.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        let _restore = Restore::set(&INSTALLED, Some(self.num_threads));
+        op()
+    }
+
+    /// This pool's thread count.
+    pub fn current_num_threads(&self) -> usize {
+        self.num_threads
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     fn pool(n: usize) -> crate::ThreadPool {
         crate::ThreadPoolBuilder::new()
@@ -164,69 +467,6 @@ mod tests {
         assert_eq!(sum, 499_500);
     }
 
-    #[test]
-    fn panic_in_join_branch_b_propagates() {
-        let pool = pool(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| crate::join(|| 1 + 1, || -> u32 { panic!("b side") }))
-        }));
-        assert!(result.is_err());
-        assert_eq!(pool.install(|| crate::join(|| 2, || 3)), (2, 3));
-    }
-
-    /// Nested joins from inside workers: a worker waiting on a sibling must
-    /// keep executing queued work, or recursion deadlocks the pool.
-    #[test]
-    fn nested_joins_compute_fibonacci() {
-        fn fib(n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (a, b) = crate::join(|| fib(n - 1), || fib(n - 2));
-            a + b
-        }
-        let pool = pool(4);
-        assert_eq!(pool.install(|| fib(16)), 987);
-    }
-
-    /// Work-stealing proof: task A blocks until task B sends to it, so the
-    /// test can only finish if another worker steals B while A's worker is
-    /// occupied.  With a broken (non-stealing) pool this times out.
-    #[test]
-    fn steal_unblocks_dependent_tasks() {
-        let pool = pool(2);
-        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-        pool.install(|| {
-            crate::scope(|s| {
-                s.spawn(move |_| {
-                    let got = rx
-                        .recv_timeout(Duration::from_secs(10))
-                        .expect("B was never stolen/executed");
-                    assert_eq!(got, 11);
-                });
-                s.spawn(move |_| {
-                    tx.send(11).unwrap();
-                });
-            });
-        });
-    }
-
-    #[test]
-    fn scope_spawn_runs_all_tasks() {
-        let pool = pool(4);
-        let counter = AtomicUsize::new(0);
-        pool.install(|| {
-            crate::scope(|s| {
-                for _ in 0..100 {
-                    s.spawn(|_| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
-
     /// Stress-loop for the deque steal race: many rounds of fine-grained
     /// fan-out where every index must be executed exactly once.
     #[test]
@@ -260,17 +500,32 @@ mod tests {
     }
 
     #[test]
-    fn into_par_iter_over_vec_and_range() {
-        let pool = pool(2);
-        let squares: Vec<usize> =
-            pool.install(|| (0..50usize).into_par_iter().map(|x| x * x).collect());
-        assert_eq!(squares, (0..50).map(|x| x * x).collect::<Vec<_>>());
-        let owned: Vec<String> = pool.install(|| {
-            vec!["a".to_string(), "b".to_string(), "c".to_string()]
-                .into_par_iter()
-                .map(|s| s + "!")
-                .collect()
+    fn thread_counts_parse_strictly_and_cap_at_1024() {
+        assert_eq!(crate::parse_threads("3"), Ok(3));
+        assert_eq!(crate::parse_threads(" 2\n"), Ok(2));
+        assert_eq!(crate::parse_threads("1024"), Ok(1024));
+        assert_eq!(crate::parse_threads("5000"), Ok(1024));
+        assert_eq!(crate::parse_threads("99999999999999999999999"), Ok(1024));
+        for bad in ["", " ", "0", "abc", "-1", "2.5", "4 threads"] {
+            let message = crate::parse_threads(bad).unwrap_err();
+            assert!(
+                message.contains("DYNMO_THREADS") && message.contains(&format!("{bad:?}")),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn install_restores_the_outer_count_even_on_unwind() {
+        pool(3).install(|| {
+            let inner = catch_unwind(AssertUnwindSafe(|| {
+                pool(2).install(|| {
+                    assert_eq!(crate::current_num_threads(), 2);
+                    panic!("inside the inner install");
+                })
+            }));
+            assert!(inner.is_err());
+            assert_eq!(crate::current_num_threads(), 3);
         });
-        assert_eq!(owned, vec!["a!", "b!", "c!"]);
     }
 }

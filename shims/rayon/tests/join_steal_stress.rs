@@ -1,10 +1,8 @@
-//! Stress tests for nested `join` and the deque steal race, run on both a
-//! single-worker pool (the `DYNMO_THREADS=1` configuration the sweep
-//! binaries use for determinism baselines) and a multi-worker pool.  Under
-//! `--cfg dynmo_loom` the instrumented primitives degrade to std behavior
-//! outside a model, so this file exercises the exact same code CI
-//! model-checks.
+//! Stress tests for the pool's batch claiming and nesting, run on both a
+//! single-thread pool (the `DYNMO_THREADS=1` configuration the sweep
+//! binaries use for determinism baselines) and a multi-thread pool.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rayon::prelude::*;
@@ -16,52 +14,9 @@ fn pool(n: usize) -> rayon::ThreadPool {
         .unwrap()
 }
 
-/// Deeply nested joins (parallel pseudo-fib) on 1 and 4 workers must agree
-/// with the sequential result: work-stealing may reorder execution, never
-/// results.
-#[test]
-fn nested_joins_agree_across_pool_sizes() {
-    fn fib(n: u64) -> u64 {
-        if n < 2 {
-            return n;
-        }
-        let (a, b) = rayon::join(|| fib(n - 1), || fib(n - 2));
-        a + b
-    }
-    for threads in [1, 4] {
-        assert_eq!(pool(threads).install(|| fib(18)), 2584, "pool({threads})");
-    }
-}
-
-/// Unbalanced nested joins: one side fans out hard while the other returns
-/// immediately, so the waiting side must steal to finish — every leaf runs
-/// exactly once on both pool sizes.
-#[test]
-fn unbalanced_join_tree_runs_every_leaf_once() {
-    fn fan_out(counter: &AtomicUsize, depth: usize) {
-        if depth == 0 {
-            counter.fetch_add(1, Ordering::SeqCst);
-            return;
-        }
-        rayon::join(
-            || fan_out(counter, depth - 1),
-            || {
-                fan_out(counter, depth - 1);
-                // Extra busywork on the b-side so steals happen mid-tree.
-                std::hint::black_box((0..100).sum::<u64>());
-            },
-        );
-    }
-    for threads in [1, 4] {
-        let counter = AtomicUsize::new(0);
-        pool(threads).install(|| fan_out(&counter, 10));
-        assert_eq!(counter.load(Ordering::SeqCst), 1 << 10, "pool({threads})");
-    }
-}
-
-/// Repeated fine-grained fan-outs hammer the pop-vs-steal race on the
-/// workers' deques; every index must execute exactly once, every round, on
-/// both pool sizes.
+/// Repeated fine-grained fan-outs hammer the threads' race for the next
+/// batch; every index must execute exactly once, every round, on both pool
+/// sizes.
 #[test]
 fn steal_race_stress_across_pool_sizes() {
     for threads in [1, 4] {
@@ -69,8 +24,9 @@ fn steal_race_stress_across_pool_sizes() {
         for round in 0..10 {
             let n = 8_000;
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let indices: Vec<usize> = (0..n).collect();
             pool.install(|| {
-                (0..n).into_par_iter().for_each(|i| {
+                indices.par_iter().for_each(|&i| {
                     hits[i].fetch_add(1, Ordering::SeqCst);
                 });
             });
@@ -101,4 +57,75 @@ fn collect_is_identical_across_pool_sizes() {
         })
     };
     assert_eq!(run(1), run(4));
+}
+
+/// Counts the threads that are running items right now, and the most ever
+/// seen at once.  A thread counts once however deeply its items nest.
+struct LiveThreads {
+    live: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+thread_local! {
+    static DEPTH: Cell<usize> = const { Cell::new(0) };
+}
+
+impl LiveThreads {
+    fn run<R>(&self, item: impl FnOnce() -> R) -> R {
+        if DEPTH.replace(DEPTH.get() + 1) == 0 {
+            let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(live, Ordering::SeqCst);
+        }
+        let result = item();
+        if DEPTH.replace(DEPTH.get() - 1) == 1 {
+            self.live.fetch_sub(1, Ordering::SeqCst);
+        }
+        result
+    }
+}
+
+/// A parallel call inside another one runs inline on its thread: nested
+/// 4×4 calls under a 4-thread pool return the right results and never have
+/// more than 4 threads running items.
+#[test]
+fn nested_parallel_calls_stay_within_the_pool_size() {
+    let gauge = LiveThreads {
+        live: AtomicUsize::new(0),
+        peak: AtomicUsize::new(0),
+    };
+    let outer: Vec<usize> = (0..4).collect();
+    let inner: Vec<usize> = (0..4).collect();
+    for _round in 0..20 {
+        let grid: Vec<Vec<usize>> = pool(4).install(|| {
+            outer
+                .par_iter()
+                .map(|&i| {
+                    gauge.run(|| {
+                        inner
+                            .par_iter()
+                            .map(|&j| {
+                                gauge.run(|| {
+                                    // Enough work for helper threads to
+                                    // join in if a nested call spawned any.
+                                    let mut acc = 0u64;
+                                    for k in 0..20_000 {
+                                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+                                    }
+                                    std::hint::black_box(acc);
+                                    i * 4 + j
+                                })
+                            })
+                            .collect()
+                    })
+                })
+                .collect()
+        });
+        let expected: Vec<Vec<usize>> = (0..4)
+            .map(|i| (0..4).map(|j| i * 4 + j).collect())
+            .collect();
+        assert_eq!(grid, expected);
+    }
+    assert_eq!(gauge.live.load(Ordering::SeqCst), 0);
+    let peak = gauge.peak.load(Ordering::SeqCst);
+    assert!((1..=4).contains(&peak), "{peak} threads ran items at once");
 }

@@ -3,14 +3,18 @@
 //! Each test runs one sweep in-process at [`ExperimentScale::Smoke`] and
 //! compares its pretty JSON (exactly what the sweep binary writes under
 //! `results/`) with the committed copy under `tests/golden/`.  Together they
-//! pin the trainer's run, checkpoint-resume and elastic-rescale paths: a
-//! change that moves any simulated number fails here.  When a move is
+//! pin the trainer's run, checkpoint-resume and elastic-rescale paths, the
+//! pipeline schedules and the serving engine: a change that moves any
+//! simulated number fails here.  When a move is
 //! intended, regenerate the files as `crates/bench/README.md` describes and
 //! review the diff.
 
 use std::path::Path;
 
-use dynmo_bench::{run_composite_sweep, run_fleet_sweep, run_hetero_sweep, ExperimentScale};
+use dynmo_bench::{
+    run_composite_sweep, run_fleet_sweep, run_hetero_sweep, run_serving_sweep, run_sweep,
+    ExperimentScale, ServingSweepConfig, SweepConfig,
+};
 
 fn assert_matches_golden(file: &str, actual: Result<String, serde_json::Error>) {
     let actual = actual.expect("the sweep report serializes");
@@ -54,4 +58,16 @@ fn fleet_sweep_matches_the_golden_artifact() {
 fn hetero_sweep_matches_the_golden_artifact() {
     let report = run_hetero_sweep(ExperimentScale::Smoke);
     assert_matches_golden("hetero_sweep.json", serde_json::to_string_pretty(&report));
+}
+
+#[test]
+fn pipeline_sweep_matches_the_golden_artifact() {
+    let cells = run_sweep(&SweepConfig::for_scale(ExperimentScale::Smoke));
+    assert_matches_golden("pipeline_sweep.json", serde_json::to_string_pretty(&cells));
+}
+
+#[test]
+fn serving_sweep_matches_the_golden_artifact() {
+    let cells = run_serving_sweep(&ServingSweepConfig::for_scale(ExperimentScale::Smoke));
+    assert_matches_golden("serving_sweep.json", serde_json::to_string_pretty(&cells));
 }
