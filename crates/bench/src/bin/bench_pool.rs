@@ -38,21 +38,18 @@ struct PoolBench {
     sweeps: Vec<SweepTiming>,
 }
 
-/// Best-of-`repeats` wall-clock of `f`, returning the last result too.
+/// Wall-clock seconds of one call of `f`, with its result.
 // Benchmarking is a sanctioned wall-clock use (see clippy.toml).
 #[allow(clippy::disallowed_methods)]
-fn time_best<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..repeats {
-        let started = Instant::now();
-        let value = f();
-        best = best.min(started.elapsed().as_secs_f64());
-        out = Some(value);
-    }
-    (best, out.expect("at least one repeat"))
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let started = Instant::now();
+    let value = f();
+    (started.elapsed().as_secs_f64(), value)
 }
 
+/// Best-of-`repeats` wall-clock of `run` on each pool.  The pools take
+/// turns repeat by repeat, so a change in host load lands on both legs
+/// rather than on one side of the speedup.
 fn bench_sweep<T, F>(
     bin: &str,
     repeats: usize,
@@ -64,8 +61,16 @@ where
     T: Send + Serialize,
     F: Fn() -> Vec<T> + Send + Sync,
 {
-    let (t1, rows1) = time_best(repeats, || single.install(&run));
-    let (tn, rows_n) = time_best(repeats, || multi.install(&run));
+    let (mut t1, mut tn) = (f64::INFINITY, f64::INFINITY);
+    let mut last = None;
+    for _ in 0..repeats {
+        let (secs1, rows1) = timed(|| single.install(&run));
+        let (secs_n, rows_n) = timed(|| multi.install(&run));
+        t1 = t1.min(secs1);
+        tn = tn.min(secs_n);
+        last = Some((rows1, rows_n));
+    }
+    let (rows1, rows_n) = last.expect("at least one repeat");
     let serialize = |rows: &[T]| serde_json::to_string(rows).expect("rows serialize");
     SweepTiming {
         bin: bin.to_string(),
@@ -78,7 +83,7 @@ where
 }
 
 fn main() {
-    let scale = ExperimentScale::from_process_args();
+    let scale = ExperimentScale::from_process_args(&[]);
     let host_threads = rayon::current_num_threads();
     let repeats = match scale {
         ExperimentScale::Smoke => 2,

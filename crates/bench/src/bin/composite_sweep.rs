@@ -12,7 +12,7 @@
 use dynmo_bench::{dump_json, fmt, pct, run_composite_sweep, ExperimentScale, Table};
 
 fn main() {
-    let scale = ExperimentScale::from_process_args();
+    let scale = ExperimentScale::from_process_args(&[]);
     println!("Composite dynamics sweep (scale: {scale:?})\n");
 
     let cells = run_composite_sweep(scale);

@@ -14,45 +14,16 @@
 //!
 //! Run with `--scale {smoke|default|paper}`.
 
-use dynmo_bench::{dump_json, fmt, ExperimentScale, Table};
-use dynmo_core::recovery::{
-    run_resilient, RecoveryConfig, ResilientTrainingConfig, WorkloadConfig,
-};
-use dynmo_runtime::FaultPlan;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct FaultToleranceRow {
-    world_size: usize,
-    checkpoint_interval: u64,
-    iterations: u64,
-    kill_at: u64,
-    recovery_time: f64,
-    replayed_iterations: u64,
-    checkpoints_taken: u64,
-    checkpoint_overhead: f64,
-    recovery_overhead_percent: f64,
-    state_matches_failure_free: bool,
-}
-
-fn sweep(scale: ExperimentScale) -> (Vec<usize>, Vec<u64>, u64) {
-    match scale {
-        ExperimentScale::Smoke => (vec![4], vec![5, 10], 40),
-        ExperimentScale::Default => (vec![4, 6, 8], vec![5, 10, 20, 40], 120),
-        ExperimentScale::Paper => (vec![4, 8, 12, 16], vec![5, 10, 25, 50, 100], 400),
-    }
-}
+use dynmo_bench::{dump_json, fmt, run_fault_tolerance_sweep, ExperimentScale, Table};
 
 fn main() {
-    let scale = ExperimentScale::from_process_args();
+    let scale = ExperimentScale::from_process_args(&[]);
     println!(
         "Fault tolerance: recovery time vs checkpoint interval vs world size (scale: {scale:?})\n"
     );
 
-    let (world_sizes, intervals, iterations) = sweep(scale);
-    let kill_at = iterations * 3 / 5;
+    let rows = run_fault_tolerance_sweep(scale);
 
-    let mut rows: Vec<FaultToleranceRow> = Vec::new();
     let mut table = Table::new(
         "Kill one rank mid-training, recover from the last checkpoint",
         &[
@@ -66,62 +37,22 @@ fn main() {
             "State match",
         ],
     );
-
-    for &world_size in &world_sizes {
-        for &interval in &intervals {
-            let workload = WorkloadConfig::small(world_size * 3, 42);
-            let recovery = RecoveryConfig {
-                checkpoint_interval: interval,
-                ..RecoveryConfig::default()
-            };
-            let clean = run_resilient(&ResilientTrainingConfig {
-                world_size,
-                iterations,
-                workload,
-                fault_plan: FaultPlan::none(),
-                recovery,
-            })
-            .expect("failure-free run");
-            let faulty = run_resilient(&ResilientTrainingConfig {
-                world_size,
-                iterations,
-                workload,
-                fault_plan: FaultPlan::none().kill(world_size - 1, kill_at),
-                recovery,
-            })
-            .expect("fault-injected run");
-
-            let recovery_time: f64 = faulty.recoveries.iter().map(|r| r.cost).sum();
-            let checkpoint_overhead = faulty.overhead.recovery - recovery_time;
-            let matches = faulty.weights_checksum == clean.weights_checksum;
-            // A simulated iteration-time budget turns the overhead into a
-            // fraction, mirroring the Figure 4 presentation.
-            let run_time = iterations as f64 * recovery.iteration_cost;
-            let overhead_percent = faulty.overhead.recovery / run_time * 100.0;
-
-            table.add_row(vec![
-                world_size.to_string(),
-                interval.to_string(),
-                fmt(recovery_time, 2),
-                faulty.replayed_iterations.to_string(),
-                faulty.checkpoints_taken.to_string(),
-                fmt(checkpoint_overhead, 2),
-                format!("{overhead_percent:.1}%"),
-                if matches { "yes" } else { "DIVERGED" }.to_string(),
-            ]);
-            rows.push(FaultToleranceRow {
-                world_size,
-                checkpoint_interval: interval,
-                iterations,
-                kill_at,
-                recovery_time,
-                replayed_iterations: faulty.replayed_iterations,
-                checkpoints_taken: faulty.checkpoints_taken,
-                checkpoint_overhead,
-                recovery_overhead_percent: overhead_percent,
-                state_matches_failure_free: matches,
-            });
-        }
+    for row in &rows {
+        table.add_row(vec![
+            row.world_size.to_string(),
+            row.checkpoint_interval.to_string(),
+            fmt(row.recovery_time, 2),
+            row.replayed_iterations.to_string(),
+            row.checkpoints_taken.to_string(),
+            fmt(row.checkpoint_overhead, 2),
+            format!("{:.1}%", row.recovery_overhead_percent),
+            if row.state_matches_failure_free {
+                "yes"
+            } else {
+                "DIVERGED"
+            }
+            .to_string(),
+        ]);
     }
 
     table.print();

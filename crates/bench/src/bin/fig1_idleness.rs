@@ -24,7 +24,7 @@ struct IdlenessRow {
 }
 
 fn main() {
-    let scale = ExperimentScale::from_process_args();
+    let scale = ExperimentScale::from_process_args(&[]);
     println!("Figure 1: average GPU idleness (scale: {scale:?})\n");
 
     let mut rows: Vec<IdlenessRow> = Vec::new();

@@ -27,9 +27,8 @@ struct ThroughputRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = ExperimentScale::from_process_args();
-    let ablate_repack = args.iter().any(|a| a == "--ablate-repack");
+    let scale = ExperimentScale::from_process_args(&[("--ablate-repack", &[])]);
+    let ablate_repack = std::env::args().any(|a| a == "--ablate-repack");
     println!("Figure 3: end-to-end training throughput (scale: {scale:?})\n");
 
     let mut all_rows: Vec<ThroughputRow> = Vec::new();

@@ -27,7 +27,7 @@ struct OverheadRow {
 }
 
 fn main() {
-    let scale = ExperimentScale::from_process_args();
+    let scale = ExperimentScale::from_process_args(&[]);
     println!("Figure 4 (right): load-balancing overhead breakdown (scale: {scale:?})\n");
 
     let layer_counts = match scale {

@@ -43,8 +43,9 @@ struct AvgGpuRow {
 }
 
 fn main() {
+    let scale =
+        ExperimentScale::from_process_args(&[("--section", &["packed", "avg-gpus", "all"])]);
     let args: Vec<String> = std::env::args().collect();
-    let scale = ExperimentScale::from_process_args();
     let section = args
         .windows(2)
         .find(|w| w[0] == "--section")

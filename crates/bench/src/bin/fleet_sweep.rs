@@ -12,7 +12,7 @@
 use dynmo_bench::{dump_json, fmt, run_fleet_sweep, ExperimentScale, FleetCellReport};
 
 fn main() {
-    let scale = ExperimentScale::from_process_args();
+    let scale = ExperimentScale::from_process_args(&[]);
     println!("Fleet sweep: closed-loop controller vs static split (scale: {scale:?})\n");
 
     let report = run_fleet_sweep(scale);

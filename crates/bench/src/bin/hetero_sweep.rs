@@ -13,7 +13,7 @@ use dynmo_bench::{
 };
 
 fn main() {
-    let scale = ExperimentScale::from_process_args();
+    let scale = ExperimentScale::from_process_args(&[]);
     println!("Hetero sweep: uniform vs 3-generation cluster (scale: {scale:?})\n");
 
     let report = run_hetero_sweep(scale);

@@ -63,7 +63,7 @@ fn synthetic_loads(layers: usize, seed: u64) -> Vec<LayerLoad> {
 }
 
 fn main() {
-    let scale = ExperimentScale::from_process_args();
+    let scale = ExperimentScale::from_process_args(&[]);
     println!("Lemma 2: diffusion-balancer convergence (scale: {scale:?})\n");
 
     let worker_counts: Vec<usize> = match scale {

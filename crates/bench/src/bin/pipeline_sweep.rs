@@ -10,7 +10,7 @@ use dynmo_bench::sweep::{run_sweep, SweepConfig};
 use dynmo_bench::{dump_json, fmt, pct, ExperimentScale, Table};
 
 fn main() {
-    let scale = ExperimentScale::from_process_args();
+    let scale = ExperimentScale::from_process_args(&[]);
     let config = SweepConfig::for_scale(scale);
     println!(
         "Pipeline schedule sweep (scale: {scale:?}, {} cells)\n",

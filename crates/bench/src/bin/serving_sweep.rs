@@ -13,7 +13,7 @@ use dynmo_bench::serving::{run_serving_sweep, ServingCell, ServingSweepConfig};
 use dynmo_bench::{dump_json, fmt, pct, ExperimentScale, Table};
 
 fn main() {
-    let scale = ExperimentScale::from_process_args();
+    let scale = ExperimentScale::from_process_args(&[]);
     let config = ServingSweepConfig::for_scale(scale);
     println!(
         "Inference serving sweep (scale: {scale:?}, {} cells)\n",

@@ -57,7 +57,7 @@ fn time_us<F: FnMut()>(mut f: F, reps: usize) -> f64 {
 }
 
 fn main() {
-    let scale = ExperimentScale::from_process_args();
+    let scale = ExperimentScale::from_process_args(&[]);
     println!("SpMM crossover sweep (scale: {scale:?})\n");
 
     // Modeled GPU shape: a transformer FFN GEMM; CPU check shape is smaller

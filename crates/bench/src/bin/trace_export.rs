@@ -191,7 +191,7 @@ fn record_resilience(recorder: Arc<MemoryRecorder>) {
 
 fn main() {
     // Accepted for CI-invocation uniformity; the export is fixed-size.
-    let _ = ExperimentScale::from_process_args();
+    let _ = ExperimentScale::from_process_args(&[]);
     println!("Perfetto trace export (p = {STAGES}, m = {MICROBATCHES})\n");
 
     let training = Arc::new(MemoryRecorder::new());

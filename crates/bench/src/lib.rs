@@ -30,6 +30,7 @@
 
 pub mod cases;
 pub mod composite;
+pub mod fault_tolerance;
 pub mod fleet;
 pub mod hetero;
 pub mod scale;
@@ -45,6 +46,7 @@ pub use composite::{
     composite_grid, run_composite_cell, run_composite_sweep, standard_stacks, CompositeBalancer,
     CompositeCase, CompositeCell, Mechanism, StackSpec,
 };
+pub use fault_tolerance::{run_fault_tolerance_sweep, FaultToleranceRow};
 pub use fleet::{
     fleet_policy, run_closed_cell, run_fleet_sweep, run_static_cell, FleetCellReport,
     FleetSweepConfig, FleetSweepReport, FleetTenantOutcome,
@@ -53,7 +55,7 @@ pub use hetero::{
     run_hetero_cell, run_hetero_sweep, ClusterFlavor, HeteroConfiguration, HeteroMargin, HeteroRow,
     HeteroSweepReport, HETERO_CASES,
 };
-pub use scale::{ExperimentScale, ScaledSchedules};
+pub use scale::{ExperimentScale, Flag, ScaledSchedules};
 pub use serving::{
     run_serving_cell, run_serving_cell_recorded, run_serving_sweep, ServingCase, ServingCell,
     ServingSweepConfig,

@@ -4,6 +4,10 @@ use dynmo_dynamics::{FreezingPolicy, PruningSchedule};
 use dynmo_model::ClusterConfig;
 use serde::{Deserialize, Serialize};
 
+/// A flag a binary declares besides `--scale X`: its name and the values
+/// it takes, where no values mark a switch.
+pub type Flag = (&'static str, &'static [&'static str]);
+
 /// How large an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExperimentScale {
@@ -27,33 +31,48 @@ impl ExperimentScale {
         }
     }
 
-    /// Read the scale from a binary's CLI arguments: the value after
-    /// `--scale`, or [`ExperimentScale::Default`] when there is no
-    /// `--scale`.  An unknown or missing value is an error that names the
-    /// accepted ones, and so is the `--scale=X` spelling.
-    pub fn from_args(args: &[String]) -> Result<Self, String> {
-        if let Some(arg) = args.iter().find(|arg| arg.starts_with("--scale=")) {
-            return Err(format!(
-                "write --scale X, not {arg:?}: --scale takes smoke, default or paper"
-            ));
+    /// Read the scale from a binary's CLI arguments (without the program
+    /// name): the value after `--scale`, or [`ExperimentScale::Default`]
+    /// when there is no `--scale`.  Every other argument must be one of the
+    /// binary's declared `flags`.  An unknown argument is an error that
+    /// names it, and so is an unknown or missing value of `--scale` or of a
+    /// declared flag, or the `--scale=X` spelling.
+    pub fn from_args(args: &[String], flags: &[Flag]) -> Result<Self, String> {
+        let mut scale = ExperimentScale::Default;
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--scale" {
+                let value = args.next().map_or("", String::as_str);
+                scale = Self::parse(value).ok_or_else(|| {
+                    format!("--scale takes smoke, default or paper, not {value:?}")
+                })?;
+            } else if arg.starts_with("--scale=") {
+                return Err(format!(
+                    "write --scale X, not {arg:?}: --scale takes smoke, default or paper"
+                ));
+            } else if let Some((_, values)) = flags.iter().find(|(name, _)| name == arg) {
+                if !values.is_empty() {
+                    let value = args.next().map_or("", String::as_str);
+                    if !values.contains(&value) {
+                        return Err(format!("{arg} takes {}, not {value:?}", values.join(", ")));
+                    }
+                }
+            } else {
+                return Err(format!("unknown argument {arg:?}"));
+            }
         }
-        let Some(at) = args.iter().position(|arg| arg == "--scale") else {
-            return Ok(ExperimentScale::Default);
-        };
-        let value = args.get(at + 1).map_or("", String::as_str);
-        Self::parse(value)
-            .ok_or_else(|| format!("--scale takes smoke, default or paper, not {value:?}"))
+        Ok(scale)
     }
 
-    /// Read the scale straight from the process arguments (`--scale X` in
-    /// `std::env::args`) — the one shared entry point every figure binary
-    /// uses instead of collecting the arguments itself.  It also builds the
-    /// default thread pool, which fails on a bad `DYNMO_THREADS`.  On either
-    /// error it prints the message and exits with status 2, before any work
-    /// starts.
-    pub fn from_process_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let scale = Self::from_args(&args).and_then(|scale| {
+    /// Read the scale straight from the process arguments — the one shared
+    /// entry point every figure binary uses instead of collecting the
+    /// arguments itself; `flags` are the binary's own flags besides
+    /// `--scale X`.  It also builds the default thread pool, which fails on
+    /// a bad `DYNMO_THREADS`.  On either error it prints the message and
+    /// exits with status 2, before any work starts.
+    pub fn from_process_args(flags: &[Flag]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let scale = Self::from_args(&args, flags).and_then(|scale| {
             rayon::ThreadPoolBuilder::new()
                 .build()
                 .map_err(|error| error.to_string())?;
@@ -146,6 +165,10 @@ pub struct ScaledSchedules {
 mod tests {
     use super::*;
 
+    fn args(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
     #[test]
     fn parse_and_from_args() {
         assert_eq!(
@@ -157,22 +180,43 @@ mod tests {
             Some(ExperimentScale::Smoke)
         );
         assert_eq!(ExperimentScale::parse("bogus"), None);
-        let args = |args: &[&str]| -> Vec<String> { args.iter().map(|a| a.to_string()).collect() };
         assert_eq!(
-            ExperimentScale::from_args(&args(&["--scale", "smoke"])),
+            ExperimentScale::from_args(&args(&["--scale", "smoke"]), &[]),
             Ok(ExperimentScale::Smoke)
         );
         assert_eq!(
-            ExperimentScale::from_args(&args(&["--other"])),
+            ExperimentScale::from_args(&args(&[]), &[]),
             Ok(ExperimentScale::Default)
         );
         // A mistyped or missing value is an error, never a silent Default.
-        let bad = ExperimentScale::from_args(&args(&["--scale", "papr"])).unwrap_err();
+        let bad = ExperimentScale::from_args(&args(&["--scale", "papr"]), &[]).unwrap_err();
         assert!(bad.contains("smoke, default or paper") && bad.contains("papr"));
-        assert!(ExperimentScale::from_args(&args(&["--scale"])).is_err());
-        assert!(ExperimentScale::from_args(&args(&["--scale", "--profile"])).is_err());
-        let equals = ExperimentScale::from_args(&args(&["--scale=paper"])).unwrap_err();
+        assert!(ExperimentScale::from_args(&args(&["--scale"]), &[]).is_err());
+        assert!(ExperimentScale::from_args(&args(&["--scale", "--profile"]), &[]).is_err());
+        let equals = ExperimentScale::from_args(&args(&["--scale=paper"]), &[]).unwrap_err();
         assert!(equals.contains("--scale X") && equals.contains("--scale=paper"));
+        // So is any argument the binary does not declare.
+        let unknown = ExperimentScale::from_args(&args(&["--sacle", "smoke"]), &[]).unwrap_err();
+        assert!(unknown.contains("--sacle"));
+        assert!(ExperimentScale::from_args(&args(&["--other"]), &[]).is_err());
+    }
+
+    #[test]
+    fn declared_flags_are_accepted_with_their_values_only() {
+        const FLAGS: &[Flag] = &[("--ablate", &[]), ("--section", &["packed", "all"])];
+        assert_eq!(
+            ExperimentScale::from_args(&args(&["--ablate", "--scale", "smoke"]), FLAGS),
+            Ok(ExperimentScale::Smoke)
+        );
+        assert_eq!(
+            ExperimentScale::from_args(&args(&["--section", "packed"]), FLAGS),
+            Ok(ExperimentScale::Default)
+        );
+        let bad = ExperimentScale::from_args(&args(&["--section", "bogus"]), FLAGS).unwrap_err();
+        assert!(bad.contains("--section") && bad.contains("bogus"), "{bad}");
+        assert!(ExperimentScale::from_args(&args(&["--section"]), FLAGS).is_err());
+        let unknown = ExperimentScale::from_args(&args(&["--ablate-repack"]), FLAGS).unwrap_err();
+        assert!(unknown.contains("--ablate-repack"), "{unknown}");
     }
 
     #[test]

@@ -775,19 +775,21 @@ fn recover(
     coordinator: &RecoveryCoordinator,
     shared: &SharedState,
 ) -> Result<(Communicator, StageAssignment, Vec<LayerState>, u64), RuntimeError> {
+    let new_comm = comm.rebuild_survivors()?.ok_or(RuntimeError::RankFailed {
+        rank: comm.my_global_rank(),
+    })?;
     // Only the ranks that died *out of this communicator* are new: ranks
     // handled by an earlier recovery are no longer members, so they are
-    // neither re-released to the fleet nor re-reported in the event.
-    let detector = comm.fabric().detector();
+    // neither re-released to the fleet nor re-reported in the event.  They
+    // are read off the rebuilt membership, not the detector: a second
+    // death can land between a detector read and the rebuild, and would
+    // then leave the world without ever being released.
     let failed_now: Vec<usize> = comm
         .members()
         .iter()
         .copied()
-        .filter(|&rank| detector.is_failed(rank))
+        .filter(|rank| !new_comm.members().contains(rank))
         .collect();
-    let new_comm = comm.rebuild_survivors()?.ok_or(RuntimeError::RankFailed {
-        rank: comm.my_global_rank(),
-    })?;
     // Rendezvous on the new communicator before touching the store, so no
     // survivor reads the checkpoint while another is still writing one.
     new_comm.barrier()?;

@@ -19,7 +19,8 @@
 //!    reaches a simulated clock or artifact data; keeping acquisition
 //!    choke-pointed makes the contract auditable.
 //!    `// LINT: allow(wall-clock)` on or just above the line waives a
-//!    legitimate site (e.g. a lock-acquisition timeout).
+//!    legitimate site (e.g. a test that times a parser and asserts only the
+//!    ratio of two timings).
 //! 4. **`std-mutex`** — no direct `std::sync::Mutex` outside `shims/`:
 //!    workspace crates go through the shim facades, which is what makes the
 //!    loom model-check instrumentation reach them.
@@ -504,15 +505,15 @@ mod tests {
     fn relaxed_ordering_needs_justification_in_shim_src_only() {
         let bad = "fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n";
         assert_eq!(
-            rules(&lint_at("shims/crossbeam/src/deque.rs", bad)),
+            rules(&lint_at("shims/loom/src/atomic.rs", bad)),
             ["ordering-relaxed"]
         );
         let good = "// ORDERING: Relaxed — owner-local counter.\n\
                     fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n";
-        assert!(lint_at("shims/crossbeam/src/deque.rs", good).is_empty());
+        assert!(lint_at("shims/loom/src/atomic.rs", good).is_empty());
         // Outside shim src (e.g. shim model tests seeding mutations) it is
         // free.
-        assert!(lint_at("shims/crossbeam/tests/loom_deque.rs", bad).is_empty());
+        assert!(lint_at("shims/loom/tests/model_semantics.rs", bad).is_empty());
         assert!(lint_at("crates/core/src/lib.rs", bad).is_empty());
     }
 
@@ -585,7 +586,7 @@ mod tests {
             rules(&lint_at("crates/core/src/lib.rs", import)),
             ["std-mutex"]
         );
-        assert!(lint_at("shims/crossbeam/src/lib.rs", direct).is_empty());
+        assert!(lint_at("shims/parking_lot/src/lib.rs", direct).is_empty());
         // Arc-only imports are fine.
         assert!(lint_at("crates/core/src/lib.rs", "use std::sync::Arc;\n").is_empty());
     }

@@ -35,7 +35,7 @@ fn seeded_violations_are_caught() {
             "unsafe-safety",
         ),
         (
-            "shims/crossbeam/src/deque.rs",
+            "shims/loom/src/atomic.rs",
             "fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n",
             "ordering-relaxed",
         ),

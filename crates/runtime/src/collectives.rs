@@ -485,20 +485,17 @@ mod tests {
 
     #[test]
     fn collective_stats_are_recorded() {
-        use crate::fabric::Fabric;
-        use crate::launcher::launch_with_fabric;
         use crate::stats::CollectiveKind;
         use std::sync::Arc;
 
-        let (fabric, inboxes) = Fabric::new(2);
-        let fabric_check = Arc::clone(&fabric);
-        launch_with_fabric(fabric, inboxes, |ctx| {
+        let fabrics = launch(2, |ctx| {
             let comm = ctx.world();
             comm.barrier().unwrap();
             comm.allreduce_sum_f32(&[1.0]).unwrap();
+            Arc::clone(ctx.fabric())
         })
         .unwrap();
-        let snap = fabric_check.stats().snapshot();
+        let snap = fabrics[0].stats().snapshot();
         assert_eq!(snap.collective_count(CollectiveKind::Barrier), 2);
         assert_eq!(snap.collective_count(CollectiveKind::AllReduce), 2);
     }

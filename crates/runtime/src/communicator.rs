@@ -11,10 +11,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::error::{Result, RuntimeError};
-use crate::fabric::{Endpoint, Envelope, Fabric};
+use crate::fabric::{Envelope, Fabric};
 use crate::payload::Payload;
 use crate::{RankId, Tag};
 
@@ -30,7 +28,6 @@ pub const WORLD_COMM_ID: u64 = 1;
 #[derive(Debug, Clone)]
 pub struct Communicator {
     fabric: Arc<Fabric>,
-    endpoint: Arc<Mutex<Endpoint>>,
     id: u64,
     /// Global ranks of the members, indexed by local rank.
     members: Arc<Vec<RankId>>,
@@ -45,17 +42,10 @@ pub struct Communicator {
 impl Communicator {
     /// Construct a communicator directly.  Most users obtain communicators
     /// from [`crate::launch`] (the world) or from [`Communicator::split`].
-    pub fn new(
-        fabric: Arc<Fabric>,
-        endpoint: Arc<Mutex<Endpoint>>,
-        id: u64,
-        members: Vec<RankId>,
-        local_rank: usize,
-    ) -> Self {
+    pub fn new(fabric: Arc<Fabric>, id: u64, members: Vec<RankId>, local_rank: usize) -> Self {
         debug_assert!(local_rank < members.len());
         Communicator {
             fabric,
-            endpoint,
             id,
             members: Arc::new(members),
             local_rank,
@@ -135,20 +125,20 @@ impl Communicator {
 
     pub(crate) fn recv_internal(&self, src: usize, tag: Tag) -> Result<Payload> {
         let src_global = self.global_rank(src)?;
-        let envelope =
-            self.endpoint
-                .lock()
-                .recv_match(self.id, &self.members, Some(src_global), tag)?;
-        Ok(envelope.payload)
+        Ok(self.recv_envelope(Some(src_global), tag)?.payload)
+    }
+
+    /// Receive the next message on this communicator from global rank
+    /// `src` (any member when `None`) with `tag`.
+    fn recv_envelope(&self, src: Option<RankId>, tag: Tag) -> Result<Envelope> {
+        self.fabric
+            .recv_match(self.my_global_rank(), self.id, &self.members, src, tag)
     }
 
     /// Receive a message with `tag` from any member rank, returning the
     /// sender's local rank alongside the payload.
     pub fn recv_any(&self, tag: Tag) -> Result<(usize, Payload)> {
-        let envelope = self
-            .endpoint
-            .lock()
-            .recv_match(self.id, &self.members, None, tag)?;
+        let envelope = self.recv_envelope(None, tag)?;
         let local = self
             .members
             .iter()
@@ -198,7 +188,6 @@ impl Communicator {
         let id = derive_comm_id(self.id, seq, my_color);
         Ok(Some(Communicator {
             fabric: Arc::clone(&self.fabric),
-            endpoint: Arc::clone(&self.endpoint),
             id,
             members: Arc::new(members),
             local_rank,
@@ -268,7 +257,6 @@ impl Communicator {
         let id = derive_comm_id(self.id, set_hash, survivors.len() as u64);
         Ok(Some(Communicator {
             fabric: Arc::clone(&self.fabric),
-            endpoint: Arc::clone(&self.endpoint),
             id,
             members: Arc::new(survivors),
             local_rank,
@@ -287,10 +275,7 @@ impl Communicator {
             let mut all = vec![Vec::new(); n];
             all[0] = value.to_vec();
             for _ in 1..n {
-                let envelope =
-                    self.endpoint
-                        .lock()
-                        .recv_match(self.id, &self.members, None, tag)?;
+                let envelope = self.recv_envelope(None, tag)?;
                 let src_local = self
                     .members
                     .iter()
@@ -448,11 +433,11 @@ mod tests {
                 sub.send(1, 7, Payload::U32(vec![77])).unwrap();
                 0
             } else {
-                // A recv on the *world* communicator for the same tag must
-                // time out (message was scoped to the sub-communicator)...
-                // use the sub communicator to actually receive it first so
-                // the test terminates quickly.
-
+                // The message is scoped to the sub-communicator, so a
+                // receive for the same tag on the world communicator never
+                // matches it: once rank 0 has exited, that is a deadlock.
+                let err = comm.recv(0, 7).unwrap_err();
+                assert!(matches!(err, RuntimeError::Deadlock { .. }), "{err}");
                 sub.recv(0, 7).unwrap().into_u32().unwrap()[0]
             }
         })
@@ -487,7 +472,7 @@ mod tests {
                 return None;
             }
             // The world collective can never complete once rank 2 is dead;
-            // both survivors must see RankFailed promptly (not a timeout).
+            // both survivors must see RankFailed promptly (not a deadlock).
             let err = comm.allreduce_sum_f32(&[1.0]).unwrap_err();
             assert_eq!(err, RuntimeError::RankFailed { rank: 2 });
             assert!(comm.has_failed_member());

@@ -10,26 +10,18 @@ pub type Result<T> = std::result::Result<T, RuntimeError>;
 pub enum RuntimeError {
     /// A destination rank does not exist in the fabric.
     UnknownRank(usize),
-    /// A rank referenced a communicator it is not a member of.
-    NotAMember {
-        /// The global rank that attempted the operation.
-        rank: usize,
-        /// The communicator id involved.
-        comm: u64,
-    },
-    /// The peer's endpoint has been torn down (its thread exited).
+    /// A send was addressed to a rank whose thread has exited.
     Disconnected {
-        /// The global rank whose channel was closed.
+        /// The global rank that has exited.
         rank: usize,
     },
-    /// A receive operation timed out.
-    Timeout {
-        /// The rank that was waiting.
-        rank: usize,
-        /// The peer the rank was waiting on, if known.
-        src: Option<usize>,
-        /// The tag that was being matched.
-        tag: u32,
+    /// Every live rank is blocked in a receive, so none of them can ever
+    /// complete.  Raised on each of those receives.
+    Deadlock {
+        /// `(rank, src, tag)` of every blocked receive, in rank order: the
+        /// global rank that waits, the global rank it waits on (`None` for
+        /// any member) and the tag it matches.
+        blocked: Vec<(usize, Option<usize>, u32)>,
     },
     /// A payload had a different type or length than the operation expected.
     PayloadMismatch(String),
@@ -55,16 +47,17 @@ impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RuntimeError::UnknownRank(r) => write!(f, "unknown rank {r}"),
-            RuntimeError::NotAMember { rank, comm } => {
-                write!(f, "rank {rank} is not a member of communicator {comm}")
+            RuntimeError::Disconnected { rank } => write!(f, "rank {rank} has exited"),
+            RuntimeError::Deadlock { blocked } => {
+                write!(f, "deadlock: every live rank is blocked in a receive")?;
+                for (rank, src, tag) in blocked {
+                    match src {
+                        Some(src) => write!(f, "; rank {rank} waits for src {src} tag {tag}")?,
+                        None => write!(f, "; rank {rank} waits for any src tag {tag}")?,
+                    }
+                }
+                Ok(())
             }
-            RuntimeError::Disconnected { rank } => {
-                write!(f, "rank {rank} endpoint is disconnected")
-            }
-            RuntimeError::Timeout { rank, src, tag } => match src {
-                Some(s) => write!(f, "rank {rank} timed out waiting for src {s} tag {tag}"),
-                None => write!(f, "rank {rank} timed out waiting for tag {tag}"),
-            },
             RuntimeError::PayloadMismatch(msg) => write!(f, "payload mismatch: {msg}"),
             RuntimeError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             RuntimeError::WorkerPanicked { rank } => write!(f, "worker rank {rank} panicked"),
@@ -83,13 +76,13 @@ mod tests {
     fn display_formats_are_informative() {
         let cases: Vec<(RuntimeError, &str)> = vec![
             (RuntimeError::UnknownRank(3), "unknown rank 3"),
+            (RuntimeError::Disconnected { rank: 2 }, "rank 2 has exited"),
             (
-                RuntimeError::NotAMember { rank: 1, comm: 7 },
-                "rank 1 is not a member of communicator 7",
-            ),
-            (
-                RuntimeError::Disconnected { rank: 2 },
-                "rank 2 endpoint is disconnected",
+                RuntimeError::Deadlock {
+                    blocked: vec![(0, Some(1), 5), (1, None, 9)],
+                },
+                "deadlock: every live rank is blocked in a receive; \
+                 rank 0 waits for src 1 tag 5; rank 1 waits for any src tag 9",
             ),
             (RuntimeError::RankFailed { rank: 4 }, "rank 4 has failed"),
             (
@@ -100,22 +93,6 @@ mod tests {
         for (err, expected) in cases {
             assert_eq!(err.to_string(), expected);
         }
-    }
-
-    #[test]
-    fn timeout_display_with_and_without_src() {
-        let with = RuntimeError::Timeout {
-            rank: 0,
-            src: Some(5),
-            tag: 9,
-        };
-        assert!(with.to_string().contains("src 5"));
-        let without = RuntimeError::Timeout {
-            rank: 0,
-            src: None,
-            tag: 9,
-        };
-        assert!(!without.to_string().contains("src"));
     }
 
     #[test]

@@ -1,15 +1,23 @@
 //! The shared message fabric connecting simulated ranks.
 //!
 //! The fabric plays the role of the interconnect (NVLink/NVSwitch within a
-//! node, InfiniBand across nodes in the paper's testbed): it owns one inbox
-//! channel per rank and routes [`Envelope`]s to them.  Delivery is reliable
-//! and per-sender ordered, which matches NCCL P2P semantics closely enough
-//! for the algorithms reproduced here.
+//! node, InfiniBand across nodes in the paper's testbed): it holds one
+//! message queue per rank and routes [`Envelope`]s into them.  Delivery is
+//! reliable and per-sender ordered, which matches NCCL P2P semantics closely
+//! enough for the algorithms reproduced here.
+//!
+//! One lock guards all of the fabric's state: every rank's queue, the
+//! failed set, and each rank's status (running, blocked in a receive, or
+//! exited).  A blocked receive sleeps until something it waits on changes:
+//! a message is routed to its rank or a rank fails.  Routing a message and
+//! marking its destination runnable happen under that one lock, so when
+//! every live rank is blocked no rank is left that could send: each of
+//! those receives fails at once with [`RuntimeError::Deadlock`].
 
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Result, RuntimeError};
 use crate::fault::FailureDetector;
@@ -33,61 +41,119 @@ pub struct Envelope {
     pub payload: Payload,
 }
 
+/// What a rank is doing, as far as the fabric can tell.
+#[derive(Debug)]
+enum Status {
+    /// Running its body, or woken in a receive to look again.
+    Running,
+    /// Asleep in a receive from `src` (any member when `None`) with `tag`.
+    Blocked { src: Option<RankId>, tag: Tag },
+    /// Woken in a receive that can never complete, with the
+    /// `(rank, src, tag)` of every receive blocked at that moment.
+    Deadlocked(Vec<(RankId, Option<RankId>, Tag)>),
+    /// Its body has returned or unwound.
+    Exited,
+}
+
+/// Everything the fabric's lock guards.
+#[derive(Debug)]
+pub(crate) struct State {
+    /// Each rank's undelivered messages, in arrival order.  A receive takes
+    /// the first match, which keeps messages in per-sender order.
+    queues: Vec<VecDeque<Envelope>>,
+    pub(crate) failed: BTreeSet<RankId>,
+    status: Vec<Status>,
+}
+
+impl State {
+    /// The first failed rank among `members`, if any.
+    pub(crate) fn first_failed_of(&self, members: &[RankId]) -> Option<RankId> {
+        members.iter().copied().find(|r| self.failed.contains(r))
+    }
+}
+
+/// The fabric's state and one condvar per rank, shared with the
+/// [`FailureDetector`] so that a failure wakes blocked receivers.
+#[derive(Debug)]
+pub(crate) struct Shared {
+    pub(crate) state: Mutex<State>,
+    /// A rank blocked in a receive sleeps on its own condvar.
+    wake: Vec<Condvar>,
+}
+
+impl Shared {
+    /// Record `rank` as failed and wake every blocked receive to look
+    /// again: the ones on a communicator containing `rank` now fail.
+    /// Returns whether the rank was newly marked.
+    pub(crate) fn mark_failed(&self, rank: RankId) -> bool {
+        let mut state = self.state.lock();
+        if !state.failed.insert(rank) {
+            return false;
+        }
+        for blocked in 0..state.status.len() {
+            self.unblock(&mut state, blocked);
+        }
+        true
+    }
+
+    /// Make `rank` runnable if it is blocked in a receive.
+    fn unblock(&self, state: &mut State, rank: RankId) {
+        if let Status::Blocked { .. } = state.status[rank] {
+            state.status[rank] = Status::Running;
+            self.wake[rank].notify_one();
+        }
+    }
+
+    /// When no live rank is running, every blocked receive would wait
+    /// forever: wake each of them with the list of all of them.
+    fn declare_deadlock_if_quiescent(&self, state: &mut State) {
+        let mut blocked = Vec::new();
+        for (rank, status) in state.status.iter().enumerate() {
+            match *status {
+                Status::Blocked { src, tag } => blocked.push((rank, src, tag)),
+                Status::Exited => {}
+                // A rank woken with a deadlock is about to return from its
+                // receive, so it counts as running.
+                Status::Running | Status::Deadlocked(_) => return,
+            }
+        }
+        for &(rank, ..) in &blocked {
+            state.status[rank] = Status::Deadlocked(blocked.clone());
+            self.wake[rank].notify_one();
+        }
+    }
+}
+
 /// The interconnect shared by all ranks of a simulated job.
 #[derive(Debug)]
 pub struct Fabric {
-    senders: Vec<Sender<Envelope>>,
-    stats: FabricStats,
-    recv_timeout: Duration,
+    shared: Arc<Shared>,
     detector: FailureDetector,
+    stats: FabricStats,
 }
 
 impl Fabric {
-    /// Default receive timeout: generous enough for heavily loaded CI
-    /// machines, small enough that a deadlocked test fails quickly.
-    pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
-
-    /// How often a blocked receive re-checks the failure detector, so a
-    /// peer's death surfaces promptly instead of after the full timeout.
-    pub(crate) const FAILURE_POLL: Duration = Duration::from_millis(5);
-
-    /// Create a fabric for `world_size` ranks.  Returns the shared fabric and
-    /// one receiver (inbox) per rank, in rank order.
-    pub fn new(world_size: usize) -> (Arc<Self>, Vec<Receiver<Envelope>>) {
-        Self::with_timeout(world_size, Self::DEFAULT_TIMEOUT)
-    }
-
-    /// Create a fabric with a custom receive timeout.
-    pub fn with_timeout(
-        world_size: usize,
-        recv_timeout: Duration,
-    ) -> (Arc<Self>, Vec<Receiver<Envelope>>) {
-        let mut senders = Vec::with_capacity(world_size);
-        let mut receivers = Vec::with_capacity(world_size);
-        for _ in 0..world_size {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        (
-            Arc::new(Fabric {
-                senders,
-                stats: FabricStats::new(),
-                recv_timeout,
-                detector: FailureDetector::new(),
+    /// Create a fabric for `world_size` ranks, all running.  [`crate::launch`]
+    /// builds one per job.
+    pub(crate) fn new(world_size: usize) -> Arc<Self> {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                queues: (0..world_size).map(|_| VecDeque::new()).collect(),
+                failed: BTreeSet::new(),
+                status: (0..world_size).map(|_| Status::Running).collect(),
             }),
-            receivers,
-        )
+            wake: (0..world_size).map(|_| Condvar::new()).collect(),
+        });
+        Arc::new(Fabric {
+            detector: FailureDetector::new(Arc::clone(&shared)),
+            shared,
+            stats: FabricStats::new(),
+        })
     }
 
     /// Number of ranks attached to the fabric.
     pub fn world_size(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The receive timeout used by endpoints of this fabric.
-    pub fn recv_timeout(&self) -> Duration {
-        self.recv_timeout
+        self.shared.wake.len()
     }
 
     /// Access the shared statistics counters.
@@ -95,91 +161,52 @@ impl Fabric {
         &self.stats
     }
 
-    /// The fabric's failure detector (shared by every endpoint).
+    /// The fabric's failure detector (shared by every rank).
     pub fn detector(&self) -> &FailureDetector {
         &self.detector
     }
 
-    /// Route an envelope to its destination rank's inbox.  Fails with
-    /// [`RuntimeError::RankFailed`] when either end of the transfer is dead.
+    /// Queue an envelope for its destination rank and wake that rank if it
+    /// is blocked in a receive.  Fails with [`RuntimeError::RankFailed`]
+    /// when either end of the transfer is dead, and with
+    /// [`RuntimeError::Disconnected`] when the destination has exited.
     pub fn route(&self, envelope: Envelope) -> Result<()> {
-        let dst = envelope.dst;
-        let sender = self
-            .senders
-            .get(dst)
-            .ok_or(RuntimeError::UnknownRank(dst))?;
-        if self.detector.is_failed(envelope.src) {
-            return Err(RuntimeError::RankFailed { rank: envelope.src });
+        let (src, dst) = (envelope.src, envelope.dst);
+        if dst >= self.world_size() {
+            return Err(RuntimeError::UnknownRank(dst));
         }
-        if self.detector.is_failed(dst) {
+        let mut state = self.shared.state.lock();
+        if state.failed.contains(&src) {
+            return Err(RuntimeError::RankFailed { rank: src });
+        }
+        if state.failed.contains(&dst) {
             return Err(RuntimeError::RankFailed { rank: dst });
         }
-        self.stats.record_p2p(envelope.payload.size_bytes());
-        sender
-            .send(envelope)
-            .map_err(|_| RuntimeError::Disconnected { rank: dst })
-    }
-}
-
-/// A per-rank mailbox with MPI-style (source, tag, communicator) matching.
-///
-/// Messages that arrive out of order relative to what the rank is waiting
-/// for are parked in `pending` and delivered when a matching receive is
-/// posted, which is exactly the unexpected-message queue of an MPI
-/// implementation.
-#[derive(Debug)]
-pub struct Endpoint {
-    rank: RankId,
-    inbox: Receiver<Envelope>,
-    pending: Vec<Envelope>,
-    timeout: Duration,
-    detector: FailureDetector,
-}
-
-impl Endpoint {
-    /// Build the endpoint for `rank` from its fabric inbox and the fabric's
-    /// shared failure detector.
-    pub fn new(
-        rank: RankId,
-        inbox: Receiver<Envelope>,
-        timeout: Duration,
-        detector: FailureDetector,
-    ) -> Self {
-        Endpoint {
-            rank,
-            inbox,
-            pending: Vec::new(),
-            timeout,
-            detector,
+        if let Status::Exited = state.status[dst] {
+            return Err(RuntimeError::Disconnected { rank: dst });
         }
+        self.stats.record_p2p(envelope.payload.size_bytes());
+        state.queues[dst].push_back(envelope);
+        self.shared.unblock(&mut state, dst);
+        Ok(())
     }
 
-    /// Global rank this endpoint belongs to.
-    pub fn rank(&self) -> RankId {
-        self.rank
-    }
-
-    /// Number of messages parked in the unexpected-message queue.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Receive the next message matching `(comm, src, tag)`.
+    /// Receive, on global rank `rank`, the first queued message matching
+    /// `(comm, src, tag)`; `src == None` matches any source
+    /// (MPI_ANY_SOURCE).  The unmatched messages stay queued in arrival
+    /// order, the unexpected-message queue of an MPI implementation.
     ///
-    /// `src == None` matches any source (MPI_ANY_SOURCE).  The call blocks up
-    /// to the fabric timeout and then fails with [`RuntimeError::Timeout`].
-    ///
-    /// `members` is the membership of the communicator the receive is posted
-    /// on: if any member is (or becomes) marked failed while the receive is
-    /// blocked, the call fails promptly with [`RuntimeError::RankFailed`] —
-    /// a collective on that communicator can never complete, and poisoning
+    /// `members` is the membership of the communicator the receive is
+    /// posted on.  A matching message that has already arrived is
+    /// returned first.  Otherwise, if any member is (or becomes) marked
+    /// failed, the call fails with [`RuntimeError::RankFailed`]: a
+    /// collective on that communicator can never complete, and poisoning
     /// every pending operation is how the failure reaches all survivors.
-    /// A matching message that has already arrived is returned first.
-    // Deadline bookkeeping is a sanctioned wall-clock use (see clippy.toml)
-    // — the reading gates only the timeout error path, never payload data.
-    #[allow(clippy::disallowed_methods)]
-    pub fn recv_match(
-        &mut self,
+    /// If instead every live rank ends up blocked, it fails with
+    /// [`RuntimeError::Deadlock`].
+    pub(crate) fn recv_match(
+        &self,
+        rank: RankId,
         comm: u64,
         members: &[RankId],
         src: Option<RankId>,
@@ -187,55 +214,33 @@ impl Endpoint {
     ) -> Result<Envelope> {
         let wanted =
             |e: &Envelope| e.comm == comm && e.tag == tag && src.is_none_or(|s| e.src == s);
-        // First, look in the unexpected-message queue.
-        if let Some(pos) = self.pending.iter().position(wanted) {
-            return Ok(self.pending.remove(pos));
-        }
-        // Then drain the inbox until a match arrives, a member dies, or we
-        // time out.  The wait is sliced so the failure detector is observed
-        // within FAILURE_POLL even while blocked.
-        // LINT: allow(wall-clock) — receive-timeout deadline only; never
-        // reaches trajectory data or artifacts.
-        let deadline = std::time::Instant::now() + self.timeout;
+        let mut state = self.shared.state.lock();
         loop {
-            // A message that has already arrived is delivered even if a
-            // member has failed since: only a receive that would have to
-            // wait fails on a failure.
-            while let Ok(envelope) = self.inbox.try_recv() {
-                if wanted(&envelope) {
-                    return Ok(envelope);
-                }
-                self.pending.push(envelope);
+            if let Some(at) = state.queues[rank].iter().position(wanted) {
+                return Ok(state.queues[rank].remove(at).expect("position is in range"));
             }
-            if let Some(failed) = self.detector.first_failed_of(members) {
+            if let Some(failed) = state.first_failed_of(members) {
                 return Err(RuntimeError::RankFailed { rank: failed });
             }
-            // LINT: allow(wall-clock) — deadline bookkeeping only.
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return Err(RuntimeError::Timeout {
-                    rank: self.rank,
-                    src,
-                    tag,
-                });
+            state.status[rank] = Status::Blocked { src, tag };
+            self.shared.declare_deadlock_if_quiescent(&mut state);
+            while let Status::Blocked { .. } = state.status[rank] {
+                self.shared.wake[rank].wait(&mut state);
             }
-            let slice = remaining.min(Fabric::FAILURE_POLL);
-            match self.inbox.recv_timeout(slice) {
-                Ok(envelope) => {
-                    if wanted(&envelope) {
-                        return Ok(envelope);
-                    }
-                    self.pending.push(envelope);
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    // Just a poll slice elapsing; loop to re-check the
-                    // detector and the overall deadline.
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(RuntimeError::Disconnected { rank: self.rank });
-                }
+            if let Status::Deadlocked(blocked) =
+                std::mem::replace(&mut state.status[rank], Status::Running)
+            {
+                return Err(RuntimeError::Deadlock { blocked });
             }
         }
+    }
+
+    /// Mark `rank` exited: sends to it now fail, and if every other live
+    /// rank is blocked, their receives fail with [`RuntimeError::Deadlock`].
+    pub(crate) fn exit(&self, rank: RankId) {
+        let mut state = self.shared.state.lock();
+        state.status[rank] = Status::Exited;
+        self.shared.declare_deadlock_if_quiescent(&mut state);
     }
 }
 
@@ -254,13 +259,12 @@ mod tests {
     }
 
     #[test]
-    fn route_delivers_to_destination_inbox() {
-        let (fabric, mut inboxes) = Fabric::new(2);
+    fn route_delivers_to_destination_queue() {
+        let fabric = Fabric::new(2);
         fabric
             .route(envelope(0, 1, 0, 7, Payload::F32(vec![1.0, 2.0])))
             .unwrap();
-        let rx1 = inboxes.remove(1);
-        let got = rx1.recv().unwrap();
+        let got = fabric.recv_match(1, 0, &[0, 1], Some(0), 7).unwrap();
         assert_eq!(got.src, 0);
         assert_eq!(got.tag, 7);
         assert_eq!(got.payload, Payload::F32(vec![1.0, 2.0]));
@@ -272,7 +276,7 @@ mod tests {
 
     #[test]
     fn route_to_unknown_rank_fails() {
-        let (fabric, _inboxes) = Fabric::new(2);
+        let fabric = Fabric::new(2);
         let err = fabric
             .route(envelope(0, 5, 0, 0, Payload::Empty))
             .unwrap_err();
@@ -280,11 +284,18 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_matches_by_tag_and_parks_unexpected() {
-        let (fabric, mut inboxes) = Fabric::with_timeout(2, Duration::from_millis(200));
-        let rx = inboxes.remove(1);
-        let mut ep = Endpoint::new(1, rx, fabric.recv_timeout(), fabric.detector().clone());
+    fn route_to_an_exited_rank_is_disconnected() {
+        let fabric = Fabric::new(2);
+        fabric.exit(1);
+        let err = fabric
+            .route(envelope(0, 1, 0, 0, Payload::Empty))
+            .unwrap_err();
+        assert_eq!(err, RuntimeError::Disconnected { rank: 1 });
+    }
 
+    #[test]
+    fn receive_matches_by_tag_and_keeps_unexpected_messages() {
+        let fabric = Fabric::new(2);
         // Send two messages with different tags; receive the second first.
         fabric
             .route(envelope(0, 1, 0, 1, Payload::U32(vec![11])))
@@ -293,21 +304,15 @@ mod tests {
             .route(envelope(0, 1, 0, 2, Payload::U32(vec![22])))
             .unwrap();
 
-        let second = ep.recv_match(0, &[0, 1], Some(0), 2).unwrap();
+        let second = fabric.recv_match(1, 0, &[0, 1], Some(0), 2).unwrap();
         assert_eq!(second.payload, Payload::U32(vec![22]));
-        assert_eq!(ep.pending_len(), 1);
-
-        let first = ep.recv_match(0, &[0, 1], Some(0), 1).unwrap();
+        let first = fabric.recv_match(1, 0, &[0, 1], Some(0), 1).unwrap();
         assert_eq!(first.payload, Payload::U32(vec![11]));
-        assert_eq!(ep.pending_len(), 0);
     }
 
     #[test]
-    fn endpoint_filters_by_communicator() {
-        let (fabric, mut inboxes) = Fabric::with_timeout(2, Duration::from_millis(200));
-        let rx = inboxes.remove(1);
-        let mut ep = Endpoint::new(1, rx, fabric.recv_timeout(), fabric.detector().clone());
-
+    fn receive_filters_by_communicator() {
+        let fabric = Fabric::new(2);
         fabric
             .route(envelope(0, 1, 99, 5, Payload::U32(vec![1])))
             .unwrap();
@@ -315,54 +320,166 @@ mod tests {
             .route(envelope(0, 1, 7, 5, Payload::U32(vec![2])))
             .unwrap();
 
-        let got = ep.recv_match(7, &[0, 1], Some(0), 5).unwrap();
+        let got = fabric.recv_match(1, 7, &[0, 1], Some(0), 5).unwrap();
         assert_eq!(got.payload, Payload::U32(vec![2]));
-        // Message on communicator 99 is parked, not dropped.
-        assert_eq!(ep.pending_len(), 1);
+        // The message on communicator 99 stays queued, not dropped.
+        let parked = fabric.recv_match(1, 99, &[0, 1], Some(0), 5).unwrap();
+        assert_eq!(parked.payload, Payload::U32(vec![1]));
     }
 
     #[test]
-    fn endpoint_any_source_matches_first_arrival() {
-        let (fabric, mut inboxes) = Fabric::with_timeout(3, Duration::from_millis(200));
-        let rx = inboxes.remove(2);
-        let mut ep = Endpoint::new(2, rx, fabric.recv_timeout(), fabric.detector().clone());
+    fn any_source_receive_matches_first_arrival() {
+        let fabric = Fabric::new(3);
         fabric
             .route(envelope(1, 2, 0, 4, Payload::U64(vec![10])))
             .unwrap();
-        let got = ep.recv_match(0, &[0, 1, 2], None, 4).unwrap();
+        let got = fabric.recv_match(2, 0, &[0, 1, 2], None, 4).unwrap();
         assert_eq!(got.src, 1);
     }
 
     #[test]
     fn a_message_queued_before_a_failure_is_still_delivered() {
-        let (fabric, mut inboxes) = Fabric::with_timeout(3, Duration::from_millis(200));
-        let rx = inboxes.remove(1);
-        let mut ep = Endpoint::new(1, rx, fabric.recv_timeout(), fabric.detector().clone());
+        let fabric = Fabric::new(3);
         fabric
             .route(envelope(0, 1, 0, 6, Payload::U32(vec![42])))
             .unwrap();
         // Another member of the communicator fails after the send.
         fabric.detector().mark_failed(2);
-        let got = ep.recv_match(0, &[0, 1, 2], Some(0), 6).unwrap();
+        let got = fabric.recv_match(1, 0, &[0, 1, 2], Some(0), 6).unwrap();
         assert_eq!(got.payload, Payload::U32(vec![42]));
         // With nothing left queued, the failure is reported.
-        let err = ep.recv_match(0, &[0, 1, 2], Some(0), 6).unwrap_err();
+        let err = fabric.recv_match(1, 0, &[0, 1, 2], Some(0), 6).unwrap_err();
         assert_eq!(err, RuntimeError::RankFailed { rank: 2 });
     }
 
     #[test]
-    fn recv_times_out_when_no_message_arrives() {
-        let (fabric, mut inboxes) = Fabric::with_timeout(1, Duration::from_millis(50));
-        let rx = inboxes.remove(0);
-        let mut ep = Endpoint::new(0, rx, fabric.recv_timeout(), fabric.detector().clone());
-        let err = ep.recv_match(0, &[0], Some(0), 3).unwrap_err();
-        assert!(matches!(
+    fn a_receive_no_live_rank_can_satisfy_is_a_deadlock() {
+        let fabric = Fabric::new(2);
+        fabric.exit(0);
+        let err = fabric.recv_match(1, 0, &[0, 1], Some(0), 3).unwrap_err();
+        assert_eq!(
             err,
-            RuntimeError::Timeout {
-                rank: 0,
-                tag: 3,
-                ..
+            RuntimeError::Deadlock {
+                blocked: vec![(1, Some(0), 3)]
             }
-        ));
+        );
+    }
+}
+
+/// Exhaustive interleaving checks of the wake-up and quiescence protocol.
+/// Build with `RUSTFLAGS="--cfg dynmo_loom"`: the fabric's lock and condvars
+/// are then the loom shim's, and each model runs the real fabric code on
+/// loom threads, one per rank.
+#[cfg(all(test, dynmo_loom))]
+mod loom_models {
+    use super::*;
+
+    const COMM: u64 = 1;
+    const TAG: Tag = 7;
+
+    fn exhaust(name: &str, body: impl Fn() + Send + Sync + 'static) {
+        let report = loom::model(body);
+        println!(
+            "{name}: {} interleavings (depth {})",
+            report.iterations, report.max_depth
+        );
+        assert!(!report.truncated, "{name}: state space not exhausted");
+    }
+
+    /// `rank` receives `(COMM, src, TAG)` on a loom thread.
+    fn receive(
+        fabric: &Arc<Fabric>,
+        rank: RankId,
+        members: &'static [RankId],
+        src: RankId,
+    ) -> loom::thread::JoinHandle<Result<Payload>> {
+        let fabric = Arc::clone(fabric);
+        loom::thread::spawn(move || {
+            let got = fabric.recv_match(rank, COMM, members, Some(src), TAG);
+            got.map(|envelope| envelope.payload)
+        })
+    }
+
+    fn send(fabric: &Fabric, src: RankId, dst: RankId, value: u32) -> Result<()> {
+        fabric.route(Envelope {
+            src,
+            dst,
+            comm: COMM,
+            tag: TAG,
+            payload: Payload::U32(vec![value]),
+        })
+    }
+
+    /// A send lands before the receive looks, or while it sleeps: either
+    /// way it is delivered, never lost to a missed wake-up.
+    #[test]
+    fn a_send_to_a_blocked_rank_wakes_it() {
+        exhaust("send wakes a blocked receive", || {
+            let fabric = Fabric::new(2);
+            let receiver = receive(&fabric, 1, &[0, 1], 0);
+            send(&fabric, 0, 1, 5).unwrap();
+            assert_eq!(receiver.join().unwrap(), Ok(Payload::U32(vec![5])));
+        });
+    }
+
+    /// A member fails before the receive looks, or while it sleeps: either
+    /// way the receive fails with `RankFailed`, not `Deadlock`, even though
+    /// the failed rank then exits and leaves no rank running.
+    #[test]
+    fn a_failure_wakes_a_blocked_rank() {
+        exhaust("failure wakes a blocked receive", || {
+            let fabric = Fabric::new(3);
+            fabric.exit(0);
+            let receiver = receive(&fabric, 1, &[0, 1, 2], 0);
+            fabric.detector().mark_failed(2);
+            fabric.exit(2);
+            assert_eq!(
+                receiver.join().unwrap(),
+                Err(RuntimeError::RankFailed { rank: 2 })
+            );
+        });
+    }
+
+    /// Two ranks that each receive from the other: whichever blocks last
+    /// declares the deadlock, and both receives fail with the same list.
+    #[test]
+    fn mutual_receives_end_in_deadlock() {
+        exhaust("mutual receives deadlock", || {
+            let fabric = Fabric::new(2);
+            let first = receive(&fabric, 0, &[0, 1], 1);
+            let second = receive(&fabric, 1, &[0, 1], 0);
+            let deadlock = Err(RuntimeError::Deadlock {
+                blocked: vec![(0, Some(1), TAG), (1, Some(0), TAG)],
+            });
+            assert_eq!(first.join().unwrap(), deadlock);
+            assert_eq!(second.join().unwrap(), deadlock);
+        });
+    }
+
+    /// A peer that sends once and exits: the message queued before the
+    /// exit is delivered, and the next receive fails with `Deadlock`.
+    #[test]
+    fn a_peer_that_exits_ends_the_wait() {
+        exhaust("peer exit ends the wait", || {
+            let fabric = Fabric::new(2);
+            let receiver = {
+                let fabric = Arc::clone(&fabric);
+                loom::thread::spawn(move || {
+                    let first = fabric.recv_match(1, COMM, &[0, 1], Some(0), TAG);
+                    let second = fabric.recv_match(1, COMM, &[0, 1], Some(0), TAG);
+                    (first.map(|e| e.payload), second.map(|e| e.payload))
+                })
+            };
+            send(&fabric, 0, 1, 9).unwrap();
+            fabric.exit(0);
+            let (first, second) = receiver.join().unwrap();
+            assert_eq!(first, Ok(Payload::U32(vec![9])));
+            assert_eq!(
+                second,
+                Err(RuntimeError::Deadlock {
+                    blocked: vec![(1, Some(0), TAG)]
+                })
+            );
+        });
     }
 }

@@ -4,7 +4,7 @@
 //! production pipeline training does not get that luxury.  This module makes
 //! the simulated fabric *unreliable on demand*: a [`FaultPlan`] schedules
 //! rank deaths at specific training iterations, a [`FaultInjector`] executes
-//! them, and a [`FailureDetector`] — shared by every endpoint of a fabric —
+//! them, and a [`FailureDetector`] — shared by every rank of a fabric —
 //! surfaces the death to the survivors, the way NCCL's async error handling
 //! poisons every outstanding operation on a communicator once a peer is
 //! gone.
@@ -14,63 +14,51 @@
 //! * the dying rank marks itself failed and stops participating;
 //! * any send touching a failed rank returns [`RuntimeError::RankFailed`];
 //! * any receive posted on a communicator that *contains* a failed member
-//!   fails promptly with [`RuntimeError::RankFailed`] instead of timing out,
-//!   even if the rank being waited on is still alive — once a member is
-//!   dead, collectives on that communicator can never complete, and
-//!   surfacing the error everywhere is what lets every survivor converge to
-//!   the recovery path without a coordinator.
+//!   fails promptly with [`RuntimeError::RankFailed`], ahead of any
+//!   deadlock report, even if the rank being waited on is still alive —
+//!   once a member is dead, collectives on that communicator can never
+//!   complete, and surfacing the error everywhere is what lets every
+//!   survivor converge to the recovery path without a coordinator.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, RuntimeError};
+use crate::fabric::Shared;
 use crate::RankId;
 
-/// Shared registry of failed ranks, owned by the [`crate::Fabric`] and
-/// consulted by every endpoint and communicator attached to it.
+/// The failed set of a [`crate::Fabric`], consulted by every communicator
+/// attached to it.
 ///
-/// Cloning is cheap and shares the underlying set (the detector is the one
+/// Cloning is cheap and shares the fabric's state (the detector is the one
 /// piece of "control plane" state that survives a rank's death).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FailureDetector {
-    failed: Arc<Mutex<BTreeSet<RankId>>>,
+    shared: Arc<Shared>,
 }
 
 impl FailureDetector {
-    /// Create a detector with no failed ranks.
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn new(shared: Arc<Shared>) -> Self {
+        FailureDetector { shared }
     }
 
-    /// Record `rank` as failed.  Idempotent; returns whether the rank was
-    /// newly marked.
+    /// Record `rank` as failed and wake every receive blocked on the
+    /// fabric, so the ones on a communicator containing `rank` fail
+    /// promptly.  Idempotent; returns whether the rank was newly marked.
     pub fn mark_failed(&self, rank: RankId) -> bool {
-        self.failed.lock().insert(rank)
+        self.shared.mark_failed(rank)
     }
 
     /// Whether `rank` has been marked failed.
     pub fn is_failed(&self, rank: RankId) -> bool {
-        self.failed.lock().contains(&rank)
-    }
-
-    /// All failed ranks, in ascending order.
-    pub fn failed_ranks(&self) -> Vec<RankId> {
-        self.failed.lock().iter().copied().collect()
-    }
-
-    /// Number of failed ranks.
-    pub fn failed_count(&self) -> usize {
-        self.failed.lock().len()
+        self.shared.state.lock().failed.contains(&rank)
     }
 
     /// The first failed rank among `members`, if any — the check used to
     /// poison operations on a communicator containing a dead member.
     pub fn first_failed_of(&self, members: &[RankId]) -> Option<RankId> {
-        let failed = self.failed.lock();
-        members.iter().copied().find(|r| failed.contains(r))
+        self.shared.state.lock().first_failed_of(members)
     }
 }
 
@@ -264,22 +252,24 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
+    fn detector() -> FailureDetector {
+        crate::Fabric::new(8).detector().clone()
+    }
+
     #[test]
     fn detector_marks_and_reports_failures() {
-        let d = FailureDetector::new();
+        let d = detector();
         assert!(!d.is_failed(2));
         assert!(d.mark_failed(2));
         assert!(!d.mark_failed(2), "second mark is idempotent");
         assert!(d.is_failed(2));
-        assert_eq!(d.failed_ranks(), vec![2]);
-        assert_eq!(d.failed_count(), 1);
         assert_eq!(d.first_failed_of(&[0, 1, 3]), None);
         assert_eq!(d.first_failed_of(&[0, 2, 3]), Some(2));
     }
 
     #[test]
     fn detector_clones_share_state() {
-        let d = FailureDetector::new();
+        let d = detector();
         let clone = d.clone();
         d.mark_failed(7);
         assert!(clone.is_failed(7));
@@ -351,7 +341,7 @@ mod tests {
 
     #[test]
     fn injector_executes_evictions_like_kills() {
-        let detector = FailureDetector::new();
+        let detector = detector();
         let injector = FaultInjector::new(FaultPlan::none().evict(2, 12, 15), detector.clone());
         assert!(injector.tick(2, 12).is_ok(), "warning does not kill");
         assert!(injector.tick(2, 14).is_ok());
@@ -362,7 +352,7 @@ mod tests {
 
     #[test]
     fn injector_kills_at_and_after_the_scheduled_iteration() {
-        let detector = FailureDetector::new();
+        let detector = detector();
         let injector = FaultInjector::new(FaultPlan::none().kill(1, 10), detector.clone());
         assert!(injector.tick(1, 9).is_ok());
         assert!(!detector.is_failed(1));

@@ -2,11 +2,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::communicator::{Communicator, WORLD_COMM_ID};
 use crate::error::{Result, RuntimeError};
-use crate::fabric::{Endpoint, Fabric};
+use crate::fabric::Fabric;
 use crate::RankId;
 
 /// Per-rank execution context handed to the rank closure by [`launch`].
@@ -39,6 +37,19 @@ impl RankCtx {
     }
 }
 
+/// Marks its rank exited on the fabric when dropped, so a body that returns
+/// and one that unwinds both end the rank.
+struct ExitOnDrop<'a> {
+    fabric: &'a Fabric,
+    rank: RankId,
+}
+
+impl Drop for ExitOnDrop<'_> {
+    fn drop(&mut self) {
+        self.fabric.exit(self.rank);
+    }
+}
+
 /// Run `body` on `world_size` simulated ranks, each on its own OS thread,
 /// and collect the per-rank return values in rank order.
 ///
@@ -55,30 +66,7 @@ where
             "world_size must be at least 1".to_string(),
         ));
     }
-    let (fabric, inboxes) = Fabric::new(world_size);
-    launch_with_fabric(fabric, inboxes, body)
-}
-
-/// Like [`launch`] but with a caller-provided fabric (e.g. one built via
-/// [`Fabric::with_timeout`] for tests that need short deadlock timeouts).
-pub fn launch_with_fabric<R, F>(
-    fabric: Arc<Fabric>,
-    inboxes: Vec<crossbeam::channel::Receiver<crate::fabric::Envelope>>,
-    body: F,
-) -> Result<Vec<R>>
-where
-    R: Send,
-    F: Fn(RankCtx) -> R + Send + Sync,
-{
-    let world_size = fabric.world_size();
-    if inboxes.len() != world_size {
-        return Err(RuntimeError::InvalidArgument(format!(
-            "expected {} inboxes, got {}",
-            world_size,
-            inboxes.len()
-        )));
-    }
-
+    let fabric = &Fabric::new(world_size);
     let body = &body;
     let mut results: Vec<Option<R>> = Vec::with_capacity(world_size);
     for _ in 0..world_size {
@@ -87,22 +75,15 @@ where
 
     let outcome: std::result::Result<Vec<(usize, R)>, usize> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(world_size);
-        for (rank, inbox) in inboxes.into_iter().enumerate() {
-            let fabric = Arc::clone(&fabric);
+        for rank in 0..world_size {
             handles.push(scope.spawn(move || {
-                let endpoint = Arc::new(Mutex::new(Endpoint::new(
-                    rank,
-                    inbox,
-                    fabric.recv_timeout(),
-                    fabric.detector().clone(),
-                )));
-                let members: Vec<RankId> = (0..fabric.world_size()).collect();
-                let world =
-                    Communicator::new(Arc::clone(&fabric), endpoint, WORLD_COMM_ID, members, rank);
+                let _exit = ExitOnDrop { fabric, rank };
+                let members: Vec<RankId> = (0..world_size).collect();
+                let world = Communicator::new(Arc::clone(fabric), WORLD_COMM_ID, members, rank);
                 let ctx = RankCtx {
                     rank,
                     world,
-                    fabric,
+                    fabric: Arc::clone(fabric),
                 };
                 (rank, body(ctx))
             }));
@@ -195,19 +176,66 @@ mod tests {
 
     #[test]
     fn fabric_stats_are_shared_across_ranks() {
-        let (fabric, inboxes) = Fabric::new(2);
-        let fabric_for_check = Arc::clone(&fabric);
-        launch_with_fabric(fabric, inboxes, |ctx| {
+        let fabrics = launch(2, |ctx| {
             let comm = ctx.world();
             if ctx.rank() == 0 {
                 comm.send(1, 2, Payload::F32(vec![0.0; 128])).unwrap();
             } else {
                 let _ = comm.recv(0, 2).unwrap();
             }
+            Arc::clone(ctx.fabric())
         })
         .unwrap();
-        let snap = fabric_for_check.stats().snapshot();
+        assert!(Arc::ptr_eq(&fabrics[0], &fabrics[1]));
+        let snap = fabrics[0].stats().snapshot();
         assert_eq!(snap.p2p_messages, 1);
         assert_eq!(snap.p2p_bytes, 512);
+    }
+
+    #[test]
+    fn ranks_that_receive_from_each_other_deadlock_at_once() {
+        let errors = launch(2, |ctx| {
+            let peer = 1 - ctx.rank();
+            ctx.world().recv(peer, 3).unwrap_err()
+        })
+        .unwrap();
+        let deadlock = RuntimeError::Deadlock {
+            blocked: vec![(0, Some(1), 3), (1, Some(0), 3)],
+        };
+        assert_eq!(errors, vec![deadlock.clone(), deadlock]);
+    }
+
+    #[test]
+    fn a_peer_that_returns_without_sending_is_a_deadlock() {
+        let results = launch(3, |ctx| match ctx.rank() {
+            0 => Some(ctx.world().recv(2, 4).unwrap_err()),
+            _ => None,
+        })
+        .unwrap();
+        assert_eq!(
+            results[0],
+            Some(RuntimeError::Deadlock {
+                blocked: vec![(0, Some(2), 4)]
+            })
+        );
+    }
+
+    #[test]
+    fn a_peer_that_panics_is_a_deadlock_and_launch_reports_the_panic() {
+        let err = launch(2, |ctx| {
+            if ctx.rank() == 1 {
+                panic!("rank 1 dies before sending");
+            }
+            // A failed assertion here would make rank 0 the reported panic.
+            let err = ctx.world().recv(1, 5).unwrap_err();
+            assert_eq!(
+                err,
+                RuntimeError::Deadlock {
+                    blocked: vec![(0, Some(1), 5)]
+                }
+            );
+        })
+        .unwrap_err();
+        assert_eq!(err, RuntimeError::WorkerPanicked { rank: 1 });
     }
 }

@@ -8,10 +8,13 @@
 //! parallelism, all-to-all for MoE token exchange), and communicator
 //! splitting (`ncclCommSplit`) to release GPUs after re-packing.  None of
 //! those require a GPU: they only require *rank and communicator semantics*.
-//! This crate provides exactly those semantics on top of OS threads and
-//! crossbeam channels, so that DynMo's distributed algorithms (Algorithm 1
-//! global magnitude pruning, Algorithm 2 re-packing, layer migration) run
-//! verbatim, with real message exchange, ordering, and tag matching.
+//! This crate provides exactly those semantics on top of OS threads, one
+//! per rank, and a fabric of per-rank message queues under one lock, so
+//! that DynMo's distributed algorithms (Algorithm 1 global magnitude
+//! pruning, Algorithm 2 re-packing, layer migration) run verbatim, with
+//! real message exchange, ordering, and tag matching.  A receive blocks
+//! without a clock: it wakes when a message arrives or a rank fails, and
+//! fails with [`RuntimeError::Deadlock`] when every live rank is blocked.
 //!
 //! ## Quick example
 //!
@@ -48,7 +51,7 @@ pub use fabric::Fabric;
 pub use fault::{
     FailureDetector, FaultInjector, FaultPlan, ScheduledKill, SpotEviction, SPOT_WARNING_ITERATIONS,
 };
-pub use launcher::{launch, launch_with_fabric, RankCtx};
+pub use launcher::{launch, RankCtx};
 pub use payload::Payload;
 pub use stats::{FabricStats, StatsSnapshot};
 

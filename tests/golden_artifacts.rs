@@ -4,7 +4,8 @@
 //! compares its pretty JSON (exactly what the sweep binary writes under
 //! `results/`) with the committed copy under `tests/golden/`.  Together they
 //! pin the trainer's run, checkpoint-resume and elastic-rescale paths, the
-//! pipeline schedules and the serving engine: a change that moves any
+//! multi-rank kill-and-recover harness on the runtime, the pipeline
+//! schedules and the serving engine: a change that moves any
 //! simulated number fails here.  When a move is
 //! intended, regenerate the files as `crates/bench/README.md` describes and
 //! review the diff.
@@ -12,8 +13,8 @@
 use std::path::Path;
 
 use dynmo_bench::{
-    run_composite_sweep, run_fleet_sweep, run_hetero_sweep, run_serving_sweep, run_sweep,
-    ExperimentScale, ServingSweepConfig, SweepConfig,
+    run_composite_sweep, run_fault_tolerance_sweep, run_fleet_sweep, run_hetero_sweep,
+    run_serving_sweep, run_sweep, ExperimentScale, ServingSweepConfig, SweepConfig,
 };
 
 fn assert_matches_golden(file: &str, actual: Result<String, serde_json::Error>) {
@@ -46,6 +47,12 @@ fn assert_matches_golden(file: &str, actual: Result<String, serde_json::Error>) 
 fn composite_sweep_matches_the_golden_artifact() {
     let cells = run_composite_sweep(ExperimentScale::Smoke);
     assert_matches_golden("composite_sweep.json", serde_json::to_string_pretty(&cells));
+}
+
+#[test]
+fn fault_tolerance_matches_the_golden_artifact() {
+    let rows = run_fault_tolerance_sweep(ExperimentScale::Smoke);
+    assert_matches_golden("fault_tolerance.json", serde_json::to_string_pretty(&rows));
 }
 
 #[test]
