@@ -1,10 +1,10 @@
 //! Thread-pool benchmark — wall-clock for the three sweep bins at 1 thread
 //! vs the host's thread count.
 //!
-//! Writes `results/BENCH_pool.json` with, per sweep bin, the best-of-N
-//! wall-clock under a 1-thread and an `host_threads`-thread pool, the
-//! resulting speedup, and whether the two runs produced byte-identical
-//! serialized rows.
+//! Writes `results/BENCH_pool.json` with, per sweep bin, the median and
+//! quartiles of the wall-clock under a 1-thread and an `host_threads`-thread
+//! pool over N alternating repeats, the median of the per-repeat speedups,
+//! and whether the two runs produced byte-identical serialized rows.
 //!
 //! Speedups are a property of the *host*: on a single-core container both
 //! pools degenerate to one worker and every speedup is ~1×; on an 8-core
@@ -16,15 +16,37 @@ use std::time::Instant;
 use dynmo_bench::serving::{run_serving_sweep, ServingSweepConfig};
 use dynmo_bench::sweep::{run_sweep, SweepConfig};
 use dynmo_bench::{dump_json, fmt, run_composite_sweep, ExperimentScale, Table};
+use dynmo_serve::percentile;
 use serde::Serialize;
+
+/// Median and quartiles of one leg's wall-clock seconds over the repeats.
+#[derive(Debug, Serialize)]
+struct Quartiles {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Quartiles {
+    /// Nearest-rank quartiles of `samples`.
+    fn of(samples: &[f64]) -> Self {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        Quartiles {
+            q1: percentile(&sorted, 0.25),
+            median: percentile(&sorted, 0.5),
+            q3: percentile(&sorted, 0.75),
+        }
+    }
+}
 
 /// One sweep bin's before/after numbers.
 #[derive(Debug, Serialize)]
 struct SweepTiming {
     bin: String,
     cells: usize,
-    threads1_secs: f64,
-    threads_host_secs: f64,
+    threads1_secs: Quartiles,
+    threads_host_secs: Quartiles,
     speedup: f64,
     identical: bool,
 }
@@ -47,9 +69,10 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (started.elapsed().as_secs_f64(), value)
 }
 
-/// Best-of-`repeats` wall-clock of `run` on each pool.  The pools take
-/// turns repeat by repeat, so a change in host load lands on both legs
-/// rather than on one side of the speedup.
+/// Wall-clock of `run` on each pool over `repeats` pairs of runs.  The
+/// pools take turns repeat by repeat, so a change in host load lands on
+/// both legs rather than on one side of the speedup, and the speedup is the
+/// median of the per-pair ratios.
 fn bench_sweep<T, F>(
     bin: &str,
     repeats: usize,
@@ -61,23 +84,24 @@ where
     T: Send + Serialize,
     F: Fn() -> Vec<T> + Send + Sync,
 {
-    let (mut t1, mut tn) = (f64::INFINITY, f64::INFINITY);
+    let (mut t1, mut tn) = (Vec::new(), Vec::new());
     let mut last = None;
     for _ in 0..repeats {
         let (secs1, rows1) = timed(|| single.install(&run));
         let (secs_n, rows_n) = timed(|| multi.install(&run));
-        t1 = t1.min(secs1);
-        tn = tn.min(secs_n);
+        t1.push(secs1);
+        tn.push(secs_n);
         last = Some((rows1, rows_n));
     }
     let (rows1, rows_n) = last.expect("at least one repeat");
     let serialize = |rows: &[T]| serde_json::to_string(rows).expect("rows serialize");
+    let ratios: Vec<f64> = t1.iter().zip(&tn).map(|(a, b)| a / b).collect();
     SweepTiming {
         bin: bin.to_string(),
         cells: rows1.len(),
-        threads1_secs: t1,
-        threads_host_secs: tn,
-        speedup: t1 / tn,
+        threads1_secs: Quartiles::of(&t1),
+        threads_host_secs: Quartiles::of(&tn),
+        speedup: Quartiles::of(&ratios).median,
         identical: serialize(&rows1) == serialize(&rows_n),
     }
 }
@@ -87,7 +111,7 @@ fn main() {
     let host_threads = rayon::current_num_threads();
     let repeats = match scale {
         ExperimentScale::Smoke => 2,
-        _ => 3,
+        _ => 10,
     };
     println!("Thread-pool benchmark (scale: {scale:?}, host threads: {host_threads})\n");
 
@@ -129,7 +153,7 @@ fn main() {
     ));
 
     let mut table = Table::new(
-        "Thread pool — wall-clock by thread count",
+        "Thread pool — median wall-clock by thread count",
         &[
             "Workload",
             "Cells",
@@ -143,8 +167,8 @@ fn main() {
         table.add_row(vec![
             s.bin.clone(),
             s.cells.to_string(),
-            fmt(s.threads1_secs, 3),
-            fmt(s.threads_host_secs, 3),
+            fmt(s.threads1_secs.median, 3),
+            fmt(s.threads_host_secs.median, 3),
             fmt(s.speedup, 2),
             s.identical.to_string(),
         ]);

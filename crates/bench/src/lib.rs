@@ -33,6 +33,7 @@ pub mod composite;
 pub mod fault_tolerance;
 pub mod fleet;
 pub mod hetero;
+pub mod idleness;
 pub mod scale;
 pub mod serving;
 pub mod sweep;
@@ -55,6 +56,7 @@ pub use hetero::{
     run_hetero_cell, run_hetero_sweep, ClusterFlavor, HeteroConfiguration, HeteroMargin, HeteroRow,
     HeteroSweepReport, HETERO_CASES,
 };
+pub use idleness::{run_idleness_sweep, IdlenessRow};
 pub use scale::{ExperimentScale, Flag, ScaledSchedules};
 pub use serving::{
     run_serving_cell, run_serving_cell_recorded, run_serving_sweep, ServingCase, ServingCell,

@@ -505,12 +505,12 @@ mod tests {
     fn relaxed_ordering_needs_justification_in_shim_src_only() {
         let bad = "fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n";
         assert_eq!(
-            rules(&lint_at("shims/loom/src/atomic.rs", bad)),
+            rules(&lint_at("shims/loom/src/exec.rs", bad)),
             ["ordering-relaxed"]
         );
         let good = "// ORDERING: Relaxed — owner-local counter.\n\
                     fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n";
-        assert!(lint_at("shims/loom/src/atomic.rs", good).is_empty());
+        assert!(lint_at("shims/loom/src/exec.rs", good).is_empty());
         // Outside shim src (e.g. shim model tests seeding mutations) it is
         // free.
         assert!(lint_at("shims/loom/tests/model_semantics.rs", bad).is_empty());

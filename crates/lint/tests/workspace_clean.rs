@@ -35,7 +35,7 @@ fn seeded_violations_are_caught() {
             "unsafe-safety",
         ),
         (
-            "shims/loom/src/atomic.rs",
+            "shims/loom/src/exec.rs",
             "fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n",
             "ordering-relaxed",
         ),

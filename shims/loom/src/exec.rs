@@ -1,29 +1,20 @@
 //! The model execution engine: a cooperative scheduler that serializes model
-//! threads onto one visible operation at a time, records every scheduling and
-//! value-visibility decision, and replays decision prefixes so the driver in
+//! threads onto one visible operation at a time, records every scheduling
+//! decision, and replays decision prefixes so the driver in
 //! [`crate::model`] can DFS-enumerate the whole interleaving space.
 //!
 //! Model threads are real OS threads, but only one — the *active* thread —
 //! ever runs between two visible operations.  Every visible operation
-//! (atomic access, mutex/condvar op, spawn/join/yield) funnels through
-//! [`Execution::op`], which mutates the shared [`State`] under a lock and
-//! then hands the token to the next thread chosen by the explorer.
-//!
-//! Memory model: each atomic location keeps its full modification order.  A
-//! load may read any store that coherence and happens-before allow, and the
-//! choice of store is itself a recorded decision, so stale values permitted
-//! by `Relaxed`/`Acquire` orderings are actually explored.  Release stores
-//! (and `Release` fences) publish the writer's vector clock; acquire loads
-//! (and `Acquire` fences) join it.  `SeqCst` operations additionally
-//! synchronize through a global SC clock, approximating the single total
-//! order — the same simplification loom itself uses.
+//! (mutex/condvar op, spawn, join) funnels through [`Execution::op`], which
+//! mutates the shared [`State`] under a lock and then hands the token to the
+//! next thread chosen by the explorer.
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::Location;
-use std::sync::atomic::Ordering;
+use std::panic::{AssertUnwindSafe, Location};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::vclock::VClock;
+use crate::MAX_OPS;
 
 /// Sentinel panic payload used to unwind model threads when an iteration is
 /// aborted (error detected or panic elsewhere).  Caught and swallowed by the
@@ -45,98 +36,23 @@ enum Block {
     Join(usize),
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Status {
+    #[default]
     Runnable,
     Blocked(Block),
     Finished,
 }
 
+#[derive(Default)]
 struct ThreadSt {
     status: Status,
-    /// Deprioritized until every non-yielded thread is blocked or done.
-    yielded: bool,
-    clock: VClock,
-    /// Clock published by a later `Relaxed` store after a `Release` fence.
-    rel_fence: Option<VClock>,
-    /// Release clocks picked up by `Relaxed` loads, made visible by a later
-    /// `Acquire` fence.
-    acq_pending: VClock,
     /// Source location of the most recent visible op (for reports).
     last_site: Option<&'static Location<'static>>,
-    /// Final clock, recorded at completion (joined by `join()`).
-    final_clock: Option<VClock>,
-    result: Option<Box<dyn std::any::Any + Send>>,
-    /// Per-location coherence floor: smallest store index still readable.
-    floors: Vec<usize>,
+    result: Option<Box<dyn Any + Send>>,
 }
 
-impl ThreadSt {
-    fn new(clock: VClock) -> Self {
-        ThreadSt {
-            status: Status::Runnable,
-            yielded: false,
-            clock,
-            rel_fence: None,
-            acq_pending: VClock::new(),
-            last_site: None,
-            final_clock: None,
-            result: None,
-            floors: Vec::new(),
-        }
-    }
-
-    fn floor(&self, loc: usize) -> usize {
-        self.floors.get(loc).copied().unwrap_or(0)
-    }
-
-    fn set_floor(&mut self, loc: usize, index: usize) {
-        if self.floors.len() <= loc {
-            self.floors.resize(loc + 1, 0);
-        }
-        self.floors[loc] = self.floors[loc].max(index);
-    }
-}
-
-/// One entry in an atomic location's modification order.
-struct StoreSt {
-    value: u64,
-    /// Clock acquire-readers synchronize with (release store, or a relaxed
-    /// store promoted by an earlier release fence, or a release sequence
-    /// continued through an RMW).
-    rel: Option<VClock>,
-    /// The writer's full clock at store time; loads whose thread already
-    /// happens-after this store may not read anything older.
-    writer: VClock,
-}
-
-struct AtomicSt {
-    stores: Vec<StoreSt>,
-}
-
-struct MutexSt {
-    held_by: Option<usize>,
-    /// Joined from each unlocking thread; acquiring threads join it.
-    clock: VClock,
-}
-
-struct CondvarSt {
-    waiters: VecDeque<usize>,
-}
-
-/// One recorded access to an [`crate::cell::UnsafeCell`].
-struct CellAccess {
-    tid: usize,
-    clock: VClock,
-    site: &'static Location<'static>,
-}
-
-struct CellSt {
-    last_write: Option<CellAccess>,
-    reads: Vec<CellAccess>,
-}
-
-/// Everything mutable about one iteration, behind [`Shared::mx`].
+/// Everything mutable about one iteration, behind [`Execution::mx`].
 pub(crate) struct State {
     threads: Vec<ThreadSt>,
     active: Option<usize>,
@@ -148,16 +64,12 @@ pub(crate) struct State {
     prefix: Vec<u32>,
     /// Every decision actually taken.
     path: Vec<Choice>,
-    preemptions: u32,
-    preemption_bound: Option<u32>,
     ops_executed: u64,
-    max_ops: u64,
 
-    atomics: Vec<AtomicSt>,
-    mutexes: Vec<MutexSt>,
-    condvars: Vec<CondvarSt>,
-    cells: Vec<CellSt>,
-    sc_clock: VClock,
+    /// Each model mutex's holder.
+    mutexes: Vec<Option<usize>>,
+    /// Each condvar's parked threads, in arrival order.
+    condvars: Vec<VecDeque<usize>>,
 }
 
 impl State {
@@ -212,6 +124,52 @@ impl State {
             }
         }
     }
+
+    /// Make every thread blocked on `block` runnable again.
+    fn wake(&mut self, block: Block) {
+        for thread in &mut self.threads {
+            if thread.status == Status::Blocked(block) {
+                thread.status = Status::Runnable;
+            }
+        }
+    }
+
+    /// Take mutex `mid` for `tid` if it is free.
+    fn try_acquire(&mut self, tid: usize, mid: usize) -> bool {
+        let free = self.mutexes[mid].is_none();
+        if free {
+            self.mutexes[mid] = Some(tid);
+        }
+        free
+    }
+
+    /// Release mutex `mid`, letting every thread blocked on it contend again.
+    fn release(&mut self, tid: usize, mid: usize) {
+        debug_assert_eq!(self.mutexes[mid], Some(tid), "unlock of unheld mutex");
+        self.mutexes[mid] = None;
+        self.wake(Block::Mutex(mid));
+    }
+
+    fn report_deadlock(&mut self) {
+        let mut lines = Vec::new();
+        for (tid, thread) in self.threads.iter().enumerate() {
+            let what = match thread.status {
+                Status::Blocked(Block::Mutex(m)) => format!("blocked locking mutex #{m}"),
+                Status::Blocked(Block::Condvar(c)) => format!("parked on condvar #{c}"),
+                Status::Blocked(Block::Join(t)) => format!("joining thread {t}"),
+                Status::Runnable => "runnable".into(),
+                Status::Finished => continue,
+            };
+            lines.push(format!(
+                "  thread {tid}: {what} (last op at {})",
+                fmt_site(thread.last_site)
+            ));
+        }
+        self.set_error(format!(
+            "deadlock: every live thread is blocked\n{}",
+            lines.join("\n")
+        ));
+    }
 }
 
 /// The per-iteration execution shared between the driver and every model
@@ -238,32 +196,20 @@ fn set_context(ctx: Option<(Arc<Execution>, usize)>) {
 type Guard<'a> = std::sync::MutexGuard<'a, State>;
 
 impl Execution {
-    pub(crate) fn new(
-        prefix: Vec<u32>,
-        preemption_bound: Option<u32>,
-        max_ops: u64,
-    ) -> Arc<Execution> {
-        let mut state = State {
-            threads: Vec::new(),
+    /// An iteration that replays `prefix`, with the root (thread 0) active.
+    pub(crate) fn new(prefix: Vec<u32>) -> Arc<Execution> {
+        let state = State {
+            threads: vec![ThreadSt::default()],
             active: Some(0),
             aborting: false,
             all_done: false,
             error: None,
             prefix,
             path: Vec::new(),
-            preemptions: 0,
-            preemption_bound,
             ops_executed: 0,
-            max_ops,
-            atomics: Vec::new(),
             mutexes: Vec::new(),
             condvars: Vec::new(),
-            cells: Vec::new(),
-            sc_clock: VClock::new(),
         };
-        let mut root_clock = VClock::new();
-        root_clock.bump(0);
-        state.threads.push(ThreadSt::new(root_clock));
         Arc::new(Execution {
             mx: Mutex::new(state),
             cv: Condvar::new(),
@@ -274,46 +220,66 @@ impl Execution {
         self.mx.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Launch the root closure as model thread 0.  Detached: the iteration
-    /// is over when every model thread has reached `Finished`.
-    pub(crate) fn start_root(self: &Arc<Self>, body: Arc<dyn Fn() + Send + Sync>) {
+    /// Run registered model thread `tid` on its own OS thread.  Detached:
+    /// the iteration is over when every model thread has reached
+    /// `Finished`.
+    pub(crate) fn start_thread(
+        self: &Arc<Self>,
+        tid: usize,
+        body: impl FnOnce() -> Box<dyn Any + Send> + Send + 'static,
+    ) {
         let exec = Arc::clone(self);
         std::thread::Builder::new()
-            .name("loom-model-0".into())
-            .spawn(move || {
-                run_model_thread(exec, 0, move || {
-                    body();
-                    Box::new(()) as Box<dyn std::any::Any + Send>
-                })
-            })
+            .name(format!("loom-model-{tid}"))
+            .spawn(move || run_model_thread(exec, tid, body))
             .expect("failed to spawn loom model thread");
     }
 
     /// Block the driver until the iteration completes, returning the decision
     /// path and any detected error.
-    pub(crate) fn wait_done(&self) -> (Vec<Choice>, u32, Option<String>) {
+    pub(crate) fn wait_done(&self) -> (Vec<Choice>, Option<String>) {
         let mut st = self.lock();
         while !st.all_done {
             st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
-        let path = std::mem::take(&mut st.path);
-        (path, st.preemptions, st.error.take())
+        (std::mem::take(&mut st.path), st.error.take())
     }
 
     // ------------------------------------------------------------------
     // Scheduling machinery
     // ------------------------------------------------------------------
 
+    /// One visible operation: stamp the site, let `apply` mutate the state
+    /// under the lock, then hand the token to the thread the explorer picks.
+    /// Returns `None` without applying anything during teardown, when
+    /// destructors run pass-through, serialized by the abort token (exactly
+    /// one non-finished thread is active).
+    fn op<R>(
+        &self,
+        tid: usize,
+        site: &'static Location<'static>,
+        apply: impl FnOnce(&mut State) -> R,
+    ) -> Option<R> {
+        let mut st = self.lock();
+        if st.aborting {
+            return None;
+        }
+        debug_assert_eq!(st.active, Some(tid), "visible op from non-active thread");
+        st.threads[tid].last_site = Some(site);
+        let result = apply(&mut st);
+        drop(self.reschedule(st, tid));
+        Some(result)
+    }
+
     /// Hand the token to the next thread the explorer picks, then (if that
     /// is not the caller) park until the caller becomes active again.
     /// Panics with [`AbortUnwind`] when the iteration is being torn down.
     fn reschedule<'a>(&'a self, mut st: Guard<'a>, tid: usize) -> Guard<'a> {
         st.ops_executed += 1;
-        if st.ops_executed > st.max_ops {
+        if st.ops_executed > MAX_OPS {
             let site = st.threads[tid].last_site;
-            let max_ops = st.max_ops;
             st.set_error(format!(
-                "livelock: exceeded {max_ops} visible operations in one interleaving (last op at {})",
+                "livelock: exceeded {MAX_OPS} visible operations in one interleaving (last op at {})",
                 fmt_site(site),
             ));
         }
@@ -322,45 +288,17 @@ impl Execution {
             std::panic::panic_any(AbortUnwind);
         }
 
-        let current_runnable = st.threads[tid].status == Status::Runnable;
-        let current_yielded = st.threads[tid].yielded;
-        let mut candidates: Vec<usize> = st
-            .runnable()
-            .into_iter()
-            .filter(|&t| !st.threads[t].yielded)
-            .collect();
+        let mut candidates = st.runnable();
         if candidates.is_empty() {
-            // Every runnable thread has yielded; let them proceed anyway.
-            candidates = st.runnable();
-        }
-        if candidates.is_empty() {
-            self.report_deadlock(&mut st);
+            st.report_deadlock();
             st.abort_advance();
             self.cv.notify_all();
             return self.park(st, tid);
         }
-
-        // Branch 0 continues the current thread when it may continue (a
-        // yielded thread may not, unless everyone yielded); other branches
-        // are preemptions, admitted only under the bound.  A switch away
-        // from a yield point is voluntary and never counts as a preemption.
-        if candidates.contains(&tid) {
-            candidates.retain(|&t| t != tid);
-            let bound_hit = !current_yielded
-                && st
-                    .preemption_bound
-                    .is_some_and(|bound| st.preemptions >= bound);
-            if bound_hit {
-                candidates.clear();
-            }
-            candidates.insert(0, tid);
-        }
-
+        // Branch 0 continues the current thread when it may continue; the
+        // others switch to each other runnable thread in id order.
+        candidates.sort_by_key(|&t| t != tid);
         let chosen = candidates[st.choose(candidates.len() as u32) as usize];
-        if current_runnable && !current_yielded && chosen != tid {
-            st.preemptions += 1;
-        }
-        st.threads[chosen].yielded = false;
         st.active = Some(chosen);
         self.cv.notify_all();
         if chosen == tid {
@@ -383,293 +321,28 @@ impl Execution {
         }
     }
 
-    fn report_deadlock(&self, st: &mut Guard<'_>) {
-        let mut lines = Vec::new();
-        for (tid, thread) in st.threads.iter().enumerate() {
-            let what = match thread.status {
-                Status::Blocked(Block::Mutex(m)) => format!("blocked locking mutex #{m}"),
-                Status::Blocked(Block::Condvar(c)) => format!("parked on condvar #{c}"),
-                Status::Blocked(Block::Join(t)) => format!("joining thread {t}"),
-                Status::Runnable => "runnable".into(),
-                Status::Finished => continue,
-            };
-            lines.push(format!(
-                "  thread {tid}: {what} (last op at {})",
-                fmt_site(thread.last_site)
-            ));
-        }
-        st.set_error(format!(
-            "deadlock: every live thread is blocked\n{}",
-            lines.join("\n")
-        ));
-    }
-
-    /// Common prologue for a visible op: asserts the caller holds the token,
-    /// stamps the site, and advances the thread's clock by one event.
-    fn begin_op<'a>(&'a self, tid: usize, site: &'static Location<'static>) -> Option<Guard<'a>> {
-        let mut st = self.lock();
-        if st.aborting {
-            // Teardown mode: destructors run pass-through, serialized by the
-            // abort token (exactly one non-finished thread is active).
-            return None;
-        }
-        debug_assert_eq!(st.active, Some(tid), "visible op from non-active thread");
-        st.threads[tid].last_site = Some(site);
-        let mut clock = std::mem::take(&mut st.threads[tid].clock);
-        clock.bump(tid);
-        st.threads[tid].clock = clock;
-        Some(st)
-    }
-
-    // ------------------------------------------------------------------
-    // Atomics
-    // ------------------------------------------------------------------
-
-    pub(crate) fn register_atomic(&self, initial: u64) -> usize {
-        let mut st = self.lock();
-        let writer = VClock::new();
-        st.atomics.push(AtomicSt {
-            stores: vec![StoreSt {
-                value: initial,
-                rel: None,
-                writer,
-            }],
-        });
-        st.atomics.len() - 1
-    }
-
-    pub(crate) fn atomic_load(
-        &self,
-        tid: usize,
-        loc: usize,
-        ord: Ordering,
-        site: &'static Location<'static>,
-    ) -> u64 {
-        let Some(mut st) = self.begin_op(tid, site) else {
-            return self.direct_load(loc);
-        };
-        if ord == Ordering::SeqCst {
-            let sc = st.sc_clock.clone();
-            st.threads[tid].clock.join(&sc);
-        }
-        let value = self.read_visible(&mut st, tid, loc, ord);
-        if ord == Ordering::SeqCst {
-            let clock = st.threads[tid].clock.clone();
-            st.sc_clock.join(&clock);
-        }
-        let st = self.reschedule(st, tid);
-        drop(st);
-        value
-    }
-
-    /// Pick (as a recorded decision) which store in the modification order a
-    /// load observes, respecting coherence and happens-before.
-    fn read_visible(&self, st: &mut Guard<'_>, tid: usize, loc: usize, ord: Ordering) -> u64 {
-        let clock = st.threads[tid].clock.clone();
-        let newest_hb = st.atomics[loc]
-            .stores
-            .iter()
-            .rposition(|s| s.writer.leq(&clock))
-            .unwrap_or(0);
-        let floor = st.threads[tid].floor(loc).max(newest_hb);
-        let len = st.atomics[loc].stores.len();
-        // Newest first: branch 0 is the fully coherent read.
-        let n_candidates = (len - floor) as u32;
-        let pick = st.choose(n_candidates) as usize;
-        let index = len - 1 - pick;
-        st.threads[tid].set_floor(loc, index);
-        let store = &st.atomics[loc].stores[index];
-        let value = store.value;
-        let rel = store.rel.clone();
-        if let Some(rel) = rel {
-            if acquires(ord) {
-                st.threads[tid].clock.join(&rel);
-            } else {
-                st.threads[tid].acq_pending.join(&rel);
-            }
-        }
-        value
-    }
-
-    pub(crate) fn atomic_store(
-        &self,
-        tid: usize,
-        loc: usize,
-        value: u64,
-        ord: Ordering,
-        site: &'static Location<'static>,
-    ) {
-        let Some(mut st) = self.begin_op(tid, site) else {
-            return self.direct_store(loc, value);
-        };
-        if ord == Ordering::SeqCst {
-            let sc = st.sc_clock.clone();
-            st.threads[tid].clock.join(&sc);
-        }
-        self.write_store(&mut st, tid, loc, value, ord, None);
-        if ord == Ordering::SeqCst {
-            let clock = st.threads[tid].clock.clone();
-            st.sc_clock.join(&clock);
-        }
-        let st = self.reschedule(st, tid);
-        drop(st);
-    }
-
-    /// Append to the modification order.  `sequence` carries the release
-    /// clock of the store an RMW replaced, continuing its release sequence.
-    fn write_store(
-        &self,
-        st: &mut Guard<'_>,
-        tid: usize,
-        loc: usize,
-        value: u64,
-        ord: Ordering,
-        sequence: Option<VClock>,
-    ) {
-        let mut rel = if releases(ord) {
-            Some(st.threads[tid].clock.clone())
-        } else {
-            st.threads[tid].rel_fence.clone()
-        };
-        if let Some(prev) = sequence {
-            match &mut rel {
-                Some(r) => r.join(&prev),
-                None => rel = Some(prev),
-            }
-        }
-        let writer = st.threads[tid].clock.clone();
-        st.atomics[loc].stores.push(StoreSt { value, rel, writer });
-        let index = st.atomics[loc].stores.len() - 1;
-        st.threads[tid].set_floor(loc, index);
-    }
-
-    /// Atomic read-modify-write.  `op` returns `Some(new)` to commit a new
-    /// value or `None` to leave the location unchanged (failed CAS).
-    /// Returns the value read.
-    pub(crate) fn atomic_rmw(
-        &self,
-        tid: usize,
-        loc: usize,
-        ord: Ordering,
-        failure_ord: Ordering,
-        op: impl FnOnce(u64) -> Option<u64>,
-        site: &'static Location<'static>,
-    ) -> u64 {
-        let Some(mut st) = self.begin_op(tid, site) else {
-            let old = self.direct_load(loc);
-            if let Some(new) = op(old) {
-                self.direct_store(loc, new);
-            }
-            return old;
-        };
-        if ord == Ordering::SeqCst || failure_ord == Ordering::SeqCst {
-            let sc = st.sc_clock.clone();
-            st.threads[tid].clock.join(&sc);
-        }
-        // An RMW always reads the newest store in the modification order.
-        let index = st.atomics[loc].stores.len() - 1;
-        let old = st.atomics[loc].stores[index].value;
-        let prev_rel = st.atomics[loc].stores[index].rel.clone();
-        st.threads[tid].set_floor(loc, index);
-        let new = op(old);
-        let effective = if new.is_some() { ord } else { failure_ord };
-        if let Some(rel) = &prev_rel {
-            if acquires(effective) {
-                st.threads[tid].clock.join(rel);
-            } else {
-                st.threads[tid].acq_pending.join(rel);
-            }
-        }
-        if let Some(new) = new {
-            self.write_store(&mut st, tid, loc, new, ord, prev_rel);
-        }
-        if ord == Ordering::SeqCst || failure_ord == Ordering::SeqCst {
-            let clock = st.threads[tid].clock.clone();
-            st.sc_clock.join(&clock);
-        }
-        let st = self.reschedule(st, tid);
-        drop(st);
-        old
-    }
-
-    pub(crate) fn fence(&self, tid: usize, ord: Ordering, site: &'static Location<'static>) {
-        let Some(mut st) = self.begin_op(tid, site) else {
-            return;
-        };
-        if acquires(ord) {
-            let pending = st.threads[tid].acq_pending.clone();
-            st.threads[tid].clock.join(&pending);
-        }
-        if ord == Ordering::SeqCst {
-            let sc = st.sc_clock.clone();
-            st.threads[tid].clock.join(&sc);
-        }
-        if releases(ord) {
-            let clock = st.threads[tid].clock.clone();
-            st.threads[tid].rel_fence = Some(clock);
-        }
-        if ord == Ordering::SeqCst {
-            let clock = st.threads[tid].clock.clone();
-            st.sc_clock.join(&clock);
-        }
-        let st = self.reschedule(st, tid);
-        drop(st);
-    }
-
-    /// Teardown-mode load: newest value, no clocks, no scheduling.  Keeps
-    /// destructors that read atomics (e.g. a deque freeing its live buffer)
-    /// sound while the iteration unwinds, and serves accesses from threads
-    /// outside the model.
-    pub(crate) fn direct_load(&self, loc: usize) -> u64 {
-        let st = self.lock();
-        st.atomics[loc]
-            .stores
-            .last()
-            .map(|s| s.value)
-            .expect("atomic location with empty modification order")
-    }
-
-    pub(crate) fn direct_store(&self, loc: usize, value: u64) {
-        let mut st = self.lock();
-        let writer = VClock::new();
-        st.atomics[loc].stores.push(StoreSt {
-            value,
-            rel: None,
-            writer,
-        });
-    }
-
     // ------------------------------------------------------------------
     // Mutexes and condvars
     // ------------------------------------------------------------------
 
     pub(crate) fn register_mutex(&self) -> usize {
         let mut st = self.lock();
-        st.mutexes.push(MutexSt {
-            held_by: None,
-            clock: VClock::new(),
-        });
+        st.mutexes.push(None);
         st.mutexes.len() - 1
     }
 
     pub(crate) fn mutex_lock(&self, tid: usize, mid: usize, site: &'static Location<'static>) {
-        loop {
-            let Some(mut st) = self.begin_op(tid, site) else {
-                return; // teardown: pretend success, token serializes us
-            };
-            if st.mutexes[mid].held_by.is_none() {
-                st.mutexes[mid].held_by = Some(tid);
-                let clock = st.mutexes[mid].clock.clone();
-                st.threads[tid].clock.join(&clock);
-                let st = self.reschedule(st, tid);
-                drop(st);
-                return;
+        let attempt = |st: &mut State| {
+            let acquired = st.try_acquire(tid, mid);
+            if !acquired {
+                st.threads[tid].status = Status::Blocked(Block::Mutex(mid));
             }
-            st.threads[tid].status = Status::Blocked(Block::Mutex(mid));
-            let st = self.reschedule(st, tid);
-            drop(st);
-            // Woken because the holder unlocked; loop and retry the acquire.
-        }
+            acquired
+        };
+        // Each attempt is a visible op.  A blocked attempt is woken by the
+        // holder's unlock and retries like any other contender; in teardown
+        // the lock "succeeds", since the abort token serializes us.
+        while self.op(tid, site, attempt) == Some(false) {}
     }
 
     /// Returns false when the mutex is currently held (WouldBlock).
@@ -679,53 +352,24 @@ impl Execution {
         mid: usize,
         site: &'static Location<'static>,
     ) -> bool {
-        let Some(mut st) = self.begin_op(tid, site) else {
-            return true;
-        };
-        let acquired = st.mutexes[mid].held_by.is_none();
-        if acquired {
-            st.mutexes[mid].held_by = Some(tid);
-            let clock = st.mutexes[mid].clock.clone();
-            st.threads[tid].clock.join(&clock);
-        }
-        let st = self.reschedule(st, tid);
-        drop(st);
-        acquired
+        self.op(tid, site, |st| st.try_acquire(tid, mid))
+            .unwrap_or(true)
     }
 
     pub(crate) fn mutex_unlock(&self, tid: usize, mid: usize, site: &'static Location<'static>) {
-        let Some(mut st) = self.begin_op(tid, site) else {
-            return;
-        };
-        debug_assert_eq!(st.mutexes[mid].held_by, Some(tid), "unlock of unheld mutex");
-        let clock = st.threads[tid].clock.clone();
-        st.mutexes[mid].clock.join(&clock);
-        st.mutexes[mid].held_by = None;
-        self.wake_mutex_waiters(&mut st, mid);
-        let st = self.reschedule(st, tid);
-        drop(st);
-    }
-
-    fn wake_mutex_waiters(&self, st: &mut Guard<'_>, mid: usize) {
-        for thread in st.threads.iter_mut() {
-            if thread.status == Status::Blocked(Block::Mutex(mid)) {
-                thread.status = Status::Runnable;
-            }
-        }
+        self.op(tid, site, |st| st.release(tid, mid));
     }
 
     pub(crate) fn register_condvar(&self) -> usize {
         let mut st = self.lock();
-        st.condvars.push(CondvarSt {
-            waiters: VecDeque::new(),
-        });
+        st.condvars.push(VecDeque::new());
         st.condvars.len() - 1
     }
 
     /// Atomically release `mid`, park on `cid`, and (after being notified)
-    /// re-acquire `mid`.  The model deliberately has no timeout path: a
-    /// wakeup that never comes is a deadlock the checker reports, rather
-    /// than a stall a timeout backstop would mask.
+    /// re-acquire `mid`.  The model has no timeout path: a wakeup that never
+    /// comes is a deadlock the checker reports, rather than a stall a
+    /// timeout backstop would mask.
     pub(crate) fn condvar_wait(
         &self,
         tid: usize,
@@ -733,22 +377,15 @@ impl Execution {
         mid: usize,
         site: &'static Location<'static>,
     ) {
-        {
-            let Some(mut st) = self.begin_op(tid, site) else {
-                return;
-            };
-            debug_assert_eq!(st.mutexes[mid].held_by, Some(tid), "wait without the lock");
-            let clock = st.threads[tid].clock.clone();
-            st.mutexes[mid].clock.join(&clock);
-            st.mutexes[mid].held_by = None;
-            self.wake_mutex_waiters(&mut st, mid);
-            st.condvars[cid].waiters.push_back(tid);
+        let parked = self.op(tid, site, |st| {
+            st.release(tid, mid);
+            st.condvars[cid].push_back(tid);
             st.threads[tid].status = Status::Blocked(Block::Condvar(cid));
-            let st = self.reschedule(st, tid);
-            drop(st);
+        });
+        if parked.is_some() {
+            // Notified: reacquire the mutex like any other contender.
+            self.mutex_lock(tid, mid, site);
         }
-        // Notified: reacquire the mutex like any other contender.
-        self.mutex_lock(tid, mid, site);
     }
 
     pub(crate) fn condvar_notify_one(
@@ -757,186 +394,61 @@ impl Execution {
         cid: usize,
         site: &'static Location<'static>,
     ) {
-        let Some(mut st) = self.begin_op(tid, site) else {
-            return;
-        };
-        if !st.condvars[cid].waiters.is_empty() {
-            // Which waiter wakes is a real nondeterminism: branch on it.
-            let n = st.condvars[cid].waiters.len() as u32;
-            let pick = st.choose(n) as usize;
-            let woken = st.condvars[cid].waiters.remove(pick).unwrap();
-            st.threads[woken].status = Status::Runnable;
-        }
-        let st = self.reschedule(st, tid);
-        drop(st);
-    }
-
-    pub(crate) fn condvar_notify_all(
-        &self,
-        tid: usize,
-        cid: usize,
-        site: &'static Location<'static>,
-    ) {
-        let Some(mut st) = self.begin_op(tid, site) else {
-            return;
-        };
-        while let Some(woken) = st.condvars[cid].waiters.pop_front() {
-            st.threads[woken].status = Status::Runnable;
-        }
-        let st = self.reschedule(st, tid);
-        drop(st);
-    }
-
-    // ------------------------------------------------------------------
-    // UnsafeCell race detection
-    // ------------------------------------------------------------------
-
-    pub(crate) fn register_cell(&self) -> usize {
-        let mut st = self.lock();
-        st.cells.push(CellSt {
-            last_write: None,
-            reads: Vec::new(),
-        });
-        st.cells.len() - 1
-    }
-
-    /// Record a shared (read) access; reports a race against any write not
-    /// ordered before the reader by happens-before.
-    pub(crate) fn cell_read(&self, tid: usize, cell: usize, site: &'static Location<'static>) {
-        let mut st = self.lock();
-        if st.aborting {
-            return;
-        }
-        let clock = st.threads[tid].clock.clone();
-        if let Some(write) = &st.cells[cell].last_write {
-            if write.tid != tid && !happens_before(write, &clock) {
-                let message = format!(
-                    "data race on UnsafeCell: read at {} races with write at {} (thread {})",
-                    site, write.site, write.tid
-                );
-                self.fail_current(st, tid, message);
+        self.op(tid, site, |st| {
+            if !st.condvars[cid].is_empty() {
+                // Which waiter wakes is a real nondeterminism: branch on it.
+                let pick = st.choose(st.condvars[cid].len() as u32) as usize;
+                let woken = st.condvars[cid].remove(pick).unwrap();
+                st.threads[woken].status = Status::Runnable;
             }
-        }
-        st.cells[cell].reads.push(CellAccess { tid, clock, site });
-    }
-
-    /// Record an exclusive (write) access; reports a race against any prior
-    /// read or write not ordered before the writer.
-    pub(crate) fn cell_write(&self, tid: usize, cell: usize, site: &'static Location<'static>) {
-        let mut st = self.lock();
-        if st.aborting {
-            return;
-        }
-        let clock = st.threads[tid].clock.clone();
-        let conflict = {
-            let cell_st = &st.cells[cell];
-            let write_conflict = cell_st
-                .last_write
-                .as_ref()
-                .filter(|w| w.tid != tid && !happens_before(w, &clock));
-            let read_conflict = cell_st
-                .reads
-                .iter()
-                .find(|r| r.tid != tid && !happens_before(r, &clock));
-            write_conflict
-                .map(|w| ("write", w.site, w.tid))
-                .or(read_conflict.map(|r| ("read", r.site, r.tid)))
-        };
-        if let Some((kind, other_site, other_tid)) = conflict {
-            let message = format!(
-                "data race on UnsafeCell: write at {site} races with {kind} at {other_site} (thread {other_tid})"
-            );
-            self.fail_current(st, tid, message);
-        }
-        st.cells[cell].reads.clear();
-        st.cells[cell].last_write = Some(CellAccess { tid, clock, site });
-    }
-
-    /// Record an error attributed to the current thread and unwind it.
-    fn fail_current(&self, mut st: Guard<'_>, _tid: usize, message: String) -> ! {
-        st.set_error(message);
-        st.abort_advance();
-        self.cv.notify_all();
-        drop(st);
-        std::panic::panic_any(AbortUnwind);
+        });
     }
 
     // ------------------------------------------------------------------
     // Threads
     // ------------------------------------------------------------------
 
-    /// Register a child thread spawned by `tid` and return its id.  This is
-    /// deliberately NOT a visible op: the caller must still start the OS
-    /// thread, so the scheduler may not switch away here (the child only
-    /// becomes runnable in the state table; the first actual switch to it
-    /// happens at a later visible op, which explores the same interleavings
-    /// because invisible work commutes).  Returns `None` during teardown.
-    pub(crate) fn spawn_thread(&self, tid: usize) -> Option<usize> {
+    /// Register a new model thread and return its id.  This is deliberately
+    /// NOT a visible op: the caller must still start the OS thread, so the
+    /// scheduler may not switch away here (the child only becomes runnable
+    /// in the state table; the first actual switch to it happens at
+    /// [`Execution::spawn_fence`]).  Returns `None` during teardown.
+    pub(crate) fn spawn_thread(&self) -> Option<usize> {
         let mut st = self.lock();
         if st.aborting {
             return None;
         }
-        let child = st.threads.len();
-        let mut clock = st.threads[tid].clock.clone();
-        clock.bump(child);
-        st.threads.push(ThreadSt::new(clock));
-        Some(child)
+        st.threads.push(ThreadSt::default());
+        Some(st.threads.len() - 1)
     }
 
     /// The visible half of spawn, performed once the child's OS thread
     /// exists: a pure scheduling point so interleavings where the child
     /// runs before the parent's next operation are explored.
     pub(crate) fn spawn_fence(&self, tid: usize, site: &'static Location<'static>) {
-        let Some(st) = self.begin_op(tid, site) else {
-            return;
-        };
-        let st = self.reschedule(st, tid);
-        drop(st);
+        self.op(tid, site, |_| ());
     }
 
+    /// Wait for `target` to finish and take its result; `None` in teardown
+    /// or when `target` panicked.
     pub(crate) fn join_thread(
         &self,
         tid: usize,
         target: usize,
         site: &'static Location<'static>,
-    ) -> Option<Box<dyn std::any::Any + Send>> {
+    ) -> Option<Box<dyn Any + Send>> {
         loop {
-            let mut st = self.begin_op(tid, site)?;
-            if st.threads[target].status == Status::Finished {
-                let final_clock = st.threads[target]
-                    .final_clock
-                    .clone()
-                    .expect("finished thread without a final clock");
-                st.threads[tid].clock.join(&final_clock);
-                let result = st.threads[target].result.take();
-                let st = self.reschedule(st, tid);
-                drop(st);
-                return result;
+            let finished = self.op(tid, site, |st| {
+                let finished = st.threads[target].status == Status::Finished;
+                if !finished {
+                    st.threads[tid].status = Status::Blocked(Block::Join(target));
+                }
+                finished
+            })?;
+            if finished {
+                return self.lock().threads[target].result.take();
             }
-            st.threads[tid].status = Status::Blocked(Block::Join(target));
-            let st = self.reschedule(st, tid);
-            drop(st);
         }
-    }
-
-    pub(crate) fn yield_now(&self, tid: usize, site: &'static Location<'static>) {
-        let Some(mut st) = self.begin_op(tid, site) else {
-            return;
-        };
-        st.threads[tid].yielded = true;
-        // Model C11's eventual-visibility guarantee (forward progress,
-        // [atomics.order]p11): a yield marks the passage of time, after
-        // which the thread's next load of each location must observe at
-        // least the currently-newest store.  Without this, a spin loop
-        // could re-read the same stale value forever and the DFS tree
-        // would be infinite; with it, each spin explores the stale branch
-        // once per store and then terminates.
-        for loc in 0..st.atomics.len() {
-            let latest = st.atomics[loc].stores.len() - 1;
-            st.threads[tid].set_floor(loc, latest);
-        }
-        let st = self.reschedule(st, tid);
-        drop(st);
     }
 
     /// Invoked from the global panic hook at panic-initiation time, before
@@ -952,135 +464,49 @@ impl Execution {
 
     /// Called by the model-thread trampoline when its closure returns or
     /// unwinds.
-    fn finish(&self, tid: usize, outcome: ThreadOutcome) {
+    fn finish(&self, tid: usize, outcome: std::thread::Result<Box<dyn Any + Send>>) {
         let mut st = self.lock();
         st.threads[tid].status = Status::Finished;
-        let final_clock = st.threads[tid].clock.clone();
-        st.threads[tid].final_clock = Some(final_clock);
         match outcome {
-            ThreadOutcome::Ok(result) => st.threads[tid].result = Some(result),
-            ThreadOutcome::Aborted => {}
-            ThreadOutcome::Panicked(message) => {
+            Ok(result) => st.threads[tid].result = Some(result),
+            Err(payload) if payload.is::<AbortUnwind>() => {}
+            Err(payload) => {
+                let message = panic_message(payload.as_ref());
                 st.set_error(format!("thread {tid} panicked: {message}"));
             }
         }
-        // Wake joiners.
-        for thread in st.threads.iter_mut() {
-            if thread.status == Status::Blocked(Block::Join(tid)) {
-                thread.status = Status::Runnable;
-            }
-        }
+        st.wake(Block::Join(tid));
         if st.aborting {
             st.abort_advance();
-            self.cv.notify_all();
-            return;
-        }
-        let runnable = st.runnable();
-        match runnable.first() {
-            Some(_) => {
+        } else {
+            let runnable = st.runnable();
+            if !runnable.is_empty() {
                 let chosen = runnable[st.choose(runnable.len() as u32) as usize];
-                st.threads[chosen].yielded = false;
                 st.active = Some(chosen);
-            }
-            None => {
-                if st.threads.iter().all(|t| t.status == Status::Finished) {
-                    st.active = None;
-                    st.all_done = true;
-                } else {
-                    self.report_deadlock(&mut st);
-                    st.abort_advance();
-                }
+            } else if st.threads.iter().all(|t| t.status == Status::Finished) {
+                st.active = None;
+                st.all_done = true;
+            } else {
+                st.report_deadlock();
+                st.abort_advance();
             }
         }
         self.cv.notify_all();
     }
 }
 
-enum ThreadOutcome {
-    Ok(Box<dyn std::any::Any + Send>),
-    Panicked(String),
-    Aborted,
-}
-
 /// Trampoline every model OS thread runs: wait for first activation, run the
-/// closure under `catch_unwind`, then hand off through [`Execution::finish`].
-pub(crate) fn run_model_thread(
-    exec: Arc<Execution>,
-    tid: usize,
-    body: impl FnOnce() -> Box<dyn std::any::Any + Send>,
-) {
-    {
-        let st = exec.lock();
-        let st = exec.park(st, tid);
-        drop(st);
-    }
-    set_context(Some((Arc::clone(&exec), tid)));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+/// closure, then hand off through [`Execution::finish`].  An abort that
+/// lands before the first activation unwinds out of the wait, before any
+/// user code runs, and finishes the thread the same way.
+fn run_model_thread(exec: Arc<Execution>, tid: usize, body: impl FnOnce() -> Box<dyn Any + Send>) {
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        drop(exec.park(exec.lock(), tid));
+        set_context(Some((Arc::clone(&exec), tid)));
+        body()
+    }));
     set_context(None);
-    let outcome = match result {
-        Ok(value) => ThreadOutcome::Ok(value),
-        Err(payload) => {
-            if payload.is::<AbortUnwind>() {
-                ThreadOutcome::Aborted
-            } else {
-                ThreadOutcome::Panicked(panic_message(payload.as_ref()))
-            }
-        }
-    };
     exec.finish(tid, outcome);
-}
-
-/// The park entry for a thread waiting for its very first activation must
-/// not unwind user code (there is none yet), so `park` is reused: on abort
-/// it panics `AbortUnwind`, which we intercept here.
-impl Execution {
-    fn park_first(self: &Arc<Self>, tid: usize) -> bool {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let st = self.lock();
-            let st = self.park(st, tid);
-            drop(st);
-        }));
-        outcome.is_ok()
-    }
-}
-
-/// Trampoline for spawned (non-root) threads: like [`run_model_thread`] but
-/// tolerating an abort that lands before the thread ever ran.
-pub(crate) fn run_spawned_thread(
-    exec: Arc<Execution>,
-    tid: usize,
-    body: impl FnOnce() -> Box<dyn std::any::Any + Send>,
-) {
-    if !exec.park_first(tid) {
-        exec.finish(tid, ThreadOutcome::Aborted);
-        return;
-    }
-    set_context(Some((Arc::clone(&exec), tid)));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-    set_context(None);
-    let outcome = match result {
-        Ok(value) => ThreadOutcome::Ok(value),
-        Err(payload) => {
-            if payload.is::<AbortUnwind>() {
-                ThreadOutcome::Aborted
-            } else {
-                ThreadOutcome::Panicked(panic_message(payload.as_ref()))
-            }
-        }
-    };
-    exec.finish(tid, outcome);
-}
-
-fn happens_before(access: &CellAccess, observer: &VClock) -> bool {
-    access.clock.get(access.tid) <= observer.get(access.tid)
-}
-
-fn acquires(ord: Ordering) -> bool {
-    matches!(ord, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
-}
-
-fn releases(ord: Ordering) -> bool {
-    matches!(ord, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
 }
 
 fn fmt_site(site: Option<&'static Location<'static>>) -> String {
@@ -1090,7 +516,7 @@ fn fmt_site(site: Option<&'static Location<'static>>) -> String {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -1,177 +1,121 @@
-//! Offline loom-style concurrency model checker.
+//! Offline loom-style concurrency model checker for threads, mutexes and
+//! condvars.
 //!
 //! [`model`] runs a closure under a deterministic cooperative scheduler and
-//! re-runs it until every reachable thread interleaving (under the
-//! configured preemption bound) has been explored.  Each nondeterministic
-//! decision — which thread runs next, which store in the modification order
-//! a relaxed load observes, which condvar waiter a notify wakes — is
-//! recorded on a decision path; the driver DFS-advances that path between
-//! iterations and replays the prefix, exactly like loom's permutation
-//! search.
+//! re-runs it until every reachable thread interleaving has been explored.
+//! Each nondeterministic decision — which thread runs at a visible
+//! operation, which condvar waiter a notify wakes — is recorded on a
+//! decision path; the driver DFS-advances that path between iterations and
+//! replays the prefix, exactly like loom's permutation search.
 //!
-//! On top of the scheduler sit:
-//!
-//! - a memory-ordering model (per-location store histories plus vector
-//!   clocks) that makes stale reads permitted by `Relaxed`/`Acquire`
-//!   orderings actually observable, so ordering bugs fail, not just races;
-//! - a happens-before race detector on [`cell::UnsafeCell`] accesses that
-//!   reports the two conflicting source locations;
-//! - deadlock and livelock detection (a lost wakeup parks forever in the
-//!   model — `wait_timeout` deliberately never times out — and surfaces as
-//!   a reported deadlock rather than a masked stall).
+//! Only one model thread runs between two visible operations, and shared
+//! state goes through model mutexes, so every execution is sequentially
+//! consistent: the interleavings are the whole search.  A deadlock (a
+//! parked condvar waiter with no wakeup coming, or a lock cycle) is
+//! reported with each blocked thread and its last site; a livelock trips a
+//! per-interleaving operation cap; a panic on any model thread fails the
+//! model with its message.
 //!
 //! The API mirrors the subset of loom the workspace shims need
-//! (`loom::thread`, `loom::sync::{Mutex, Condvar, atomic}`,
-//! `loom::cell::UnsafeCell`, `loom::model`); every type degrades to the
-//! plain `std` primitive when constructed outside a model closure, so
-//! instrumented code paths also run unchanged in ordinary tests.
+//! (`loom::thread`, `loom::sync::{Mutex, Condvar}`, `loom::model`); every
+//! type degrades to the plain `std` primitive when constructed outside a
+//! model closure, so instrumented code paths also run unchanged in ordinary
+//! tests.
 //!
 //! ```
-//! use loom::sync::atomic::{AtomicUsize, Ordering};
-//! use loom::sync::Arc;
+//! use std::sync::Arc;
+//!
+//! use loom::sync::Mutex;
 //!
 //! let report = loom::model(|| {
-//!     let counter = Arc::new(AtomicUsize::new(0));
+//!     let counter = Arc::new(Mutex::new(0));
 //!     let other = Arc::clone(&counter);
-//!     let handle = loom::thread::spawn(move || {
-//!         other.fetch_add(1, Ordering::SeqCst);
-//!     });
-//!     counter.fetch_add(1, Ordering::SeqCst);
+//!     let handle = loom::thread::spawn(move || *other.lock().unwrap() += 1);
+//!     *counter.lock().unwrap() += 1;
 //!     handle.join().unwrap();
-//!     assert_eq!(counter.load(Ordering::SeqCst), 2);
+//!     assert_eq!(*counter.lock().unwrap(), 2);
 //! });
 //! assert!(report.iterations >= 2);
 //! ```
 
-pub mod cell;
 pub mod sync;
 pub mod thread;
 
-mod atomic;
 mod exec;
-mod vclock;
 
-pub mod hint {
-    /// Modeled like [`crate::thread::yield_now`]: a spinning thread is
-    /// deprioritized so exploration terminates.
-    #[track_caller]
-    pub fn spin_loop() {
-        crate::thread::yield_now();
-    }
-}
-
+use std::any::Any;
 use std::sync::Arc;
+
+/// Interleavings explored before the search stops and reports itself
+/// [`Report::truncated`].
+const MAX_ITERATIONS: u64 = 200_000;
+
+/// Visible operations one interleaving may run before it is reported as a
+/// livelock.
+const MAX_OPS: u64 = 100_000;
 
 /// Summary of one completed exploration.
 #[derive(Clone, Copy, Debug)]
 pub struct Report {
     /// Number of distinct interleavings executed.
     pub iterations: u64,
-    /// Longest decision path encountered (scheduling + visibility choices).
+    /// Longest decision path encountered.
     pub max_depth: usize,
     /// True when the iteration cap stopped the search before exhaustion.
     pub truncated: bool,
 }
 
-/// Exploration configuration, loom-style.
-#[derive(Clone, Copy, Debug)]
-pub struct Builder {
-    /// Maximum involuntary context switches per interleaving; `None`
-    /// explores every schedule.  Small bounds (2–3) reach almost all real
-    /// bugs (iterative context bounding) at a fraction of the cost.
-    pub preemption_bound: Option<u32>,
-    /// Hard cap on explored interleavings; exceeding it sets
-    /// [`Report::truncated`] instead of running forever.  Overridable with
-    /// `DYNMO_LOOM_MAX_ITER`.
-    pub max_iterations: u64,
-    /// Per-interleaving visible-operation cap (livelock backstop).
-    pub max_ops: u64,
-}
-
-impl Default for Builder {
-    fn default() -> Self {
-        let max_iterations = std::env::var("DYNMO_LOOM_MAX_ITER")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(200_000);
-        Builder {
-            preemption_bound: None,
-            max_iterations,
-            max_ops: 100_000,
-        }
-    }
-}
-
-impl Builder {
-    pub fn new() -> Self {
-        Builder::default()
-    }
-
-    /// Explore `body` until exhaustion (or the iteration cap), panicking on
-    /// the first interleaving that exhibits an error — assertion failure,
-    /// data race, deadlock, or livelock — with the failing decision path's
-    /// diagnostics.
-    pub fn check<F>(&self, body: F) -> Report
-    where
-        F: Fn() + Send + Sync + 'static,
-    {
-        install_panic_hook();
-        let body: Arc<dyn Fn() + Send + Sync> = Arc::new(body);
-        let mut prefix: Vec<u32> = Vec::new();
-        let mut iterations = 0u64;
-        let mut max_depth = 0usize;
-        loop {
-            let execution = exec::Execution::new(prefix, self.preemption_bound, self.max_ops);
-            execution.start_root(Arc::clone(&body));
-            let (path, _preemptions, error) = execution.wait_done();
-            iterations += 1;
-            max_depth = max_depth.max(path.len());
-            if let Some(error) = error {
-                panic!(
-                    "loom model failure after {iterations} interleaving(s) \
-                     (decision depth {}): {error}",
-                    path.len()
-                );
-            }
-            // DFS advance: drop exhausted trailing decisions, bump the
-            // deepest one with alternatives left.
-            let mut next = path;
-            loop {
-                match next.last_mut() {
-                    None => {
-                        return Report {
-                            iterations,
-                            max_depth,
-                            truncated: false,
-                        };
-                    }
-                    Some(choice) if choice.chosen + 1 < choice.options => {
-                        choice.chosen += 1;
-                        break;
-                    }
-                    Some(_) => {
-                        next.pop();
-                    }
-                }
-            }
-            if iterations >= self.max_iterations {
-                return Report {
-                    iterations,
-                    max_depth,
-                    truncated: true,
-                };
-            }
-            prefix = next.into_iter().map(|choice| choice.chosen).collect();
-        }
-    }
-}
-
-/// Explore `body` with the default [`Builder`].
+/// Explore `body` until exhaustion (or the iteration cap), panicking on the
+/// first interleaving that exhibits an error — assertion failure, deadlock,
+/// or livelock — with the failing decision path's diagnostics.
 pub fn model<F>(body: F) -> Report
 where
     F: Fn() + Send + Sync + 'static,
 {
-    Builder::default().check(body)
+    install_panic_hook();
+    let body: Arc<dyn Fn() + Send + Sync> = Arc::new(body);
+    let mut prefix: Vec<u32> = Vec::new();
+    let mut iterations = 0u64;
+    let mut max_depth = 0usize;
+    loop {
+        let execution = exec::Execution::new(prefix);
+        let root = Arc::clone(&body);
+        execution.start_thread(0, move || {
+            root();
+            Box::new(()) as Box<dyn Any + Send>
+        });
+        let (mut path, error) = execution.wait_done();
+        iterations += 1;
+        max_depth = max_depth.max(path.len());
+        if let Some(error) = error {
+            panic!(
+                "loom model failure after {iterations} interleaving(s) \
+                 (decision depth {}): {error}",
+                path.len()
+            );
+        }
+        // DFS advance: drop exhausted trailing decisions, bump the deepest
+        // one with alternatives left.
+        while path.last().is_some_and(|c| c.chosen + 1 >= c.options) {
+            path.pop();
+        }
+        let Some(choice) = path.last_mut() else {
+            return Report {
+                iterations,
+                max_depth,
+                truncated: false,
+            };
+        };
+        choice.chosen += 1;
+        if iterations >= MAX_ITERATIONS {
+            return Report {
+                iterations,
+                max_depth,
+                truncated: true,
+            };
+        }
+        prefix = path.into_iter().map(|choice| choice.chosen).collect();
+    }
 }
 
 /// One global hook: a panic on a model thread aborts its execution (so the
@@ -182,22 +126,16 @@ fn install_panic_hook() {
     HOOK.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<exec::AbortUnwind>().is_some() {
+            if info.payload().is::<exec::AbortUnwind>() {
                 // Controlled teardown unwind, never an error.
                 return;
             }
             if let Some((execution, tid)) = exec::current() {
-                let message = if let Some(s) = info.payload().downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = info.payload().downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "<non-string panic payload>".to_string()
-                };
                 let site = info
                     .location()
                     .map(|l| l.to_string())
                     .unwrap_or_else(|| "<unknown>".to_string());
+                let message = exec::panic_message(info.payload());
                 execution.handle_user_panic(tid, format!("panicked at {site}: {message}"));
                 return;
             }

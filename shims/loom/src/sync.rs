@@ -1,110 +1,48 @@
-//! Model-aware `Mutex` and `Condvar` mirroring the `std::sync` API surface
-//! the shims use, plus local mirrors of std's lock error types (std's have
-//! no public constructors, so instrumented code needs ours in both modes).
+//! Model-aware `Mutex` and `Condvar` with the `std::sync` API surface the
+//! shims use, returning std's own lock error types.
 //!
-//! Like the atomics, each primitive binds to the model execution at
-//! construction time and degrades to the real std primitive outside a model.
+//! Each primitive binds to the model execution at construction time and
+//! degrades to the real std primitive outside a model.
 
 use std::panic::Location;
-use std::sync::Arc as StdArc;
+use std::sync::Arc;
 
-pub use std::sync::Arc;
+pub use std::sync::{LockResult, PoisonError, TryLockError, TryLockResult};
 
 use crate::exec::{self, Execution};
 
-pub mod atomic {
-    pub use crate::atomic::*;
-}
-
-// ---------------------------------------------------------------------------
-// std error mirrors
-// ---------------------------------------------------------------------------
-
-/// Mirror of `std::sync::PoisonError`.  Model locks never poison; the std
-/// fallback maps real poisoning into this type.
-pub struct PoisonError<T> {
-    guard: T,
-}
-
-impl<T> PoisonError<T> {
-    pub fn new(guard: T) -> Self {
-        PoisonError { guard }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.guard
-    }
-}
-
-impl<T> std::fmt::Debug for PoisonError<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PoisonError { .. }")
-    }
-}
-
-impl<T> std::fmt::Display for PoisonError<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("poisoned lock: another task failed inside")
-    }
-}
-
-/// Mirror of `std::sync::TryLockError`.
-pub enum TryLockError<T> {
-    Poisoned(PoisonError<T>),
-    WouldBlock,
-}
-
-impl<T> std::fmt::Debug for TryLockError<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TryLockError::Poisoned(_) => f.write_str("Poisoned(..)"),
-            TryLockError::WouldBlock => f.write_str("WouldBlock"),
-        }
-    }
-}
-
-pub type LockResult<T> = Result<T, PoisonError<T>>;
-pub type TryLockResult<T> = Result<T, TryLockError<T>>;
-
-/// Mirror of `std::sync::WaitTimeoutResult`.  The model has no clock, so
-/// modeled waits never report a timeout — a wakeup that never arrives is a
-/// deadlock the checker flags instead of a stall a timeout would mask.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WaitTimeoutResult(pub(crate) bool);
-
-impl WaitTimeoutResult {
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
+/// The calling thread's id in `exec`, if it is one of that execution's
+/// model threads.
+fn model_tid(exec: &Arc<Execution>) -> Option<usize> {
+    let (current, tid) = exec::current()?;
+    Arc::ptr_eq(&current, exec).then_some(tid)
 }
 
 // ---------------------------------------------------------------------------
 // Mutex
 // ---------------------------------------------------------------------------
 
+struct ModelMutex<T> {
+    exec: Arc<Execution>,
+    mid: usize,
+    /// Protected by the model's lock-state machine: only the token holder
+    /// that acquired `mid` touches it.
+    data: std::cell::UnsafeCell<T>,
+}
+
+// SAFETY: `exec` is `Sync` and `mid` is only read.  `data` is reached only
+// through a guard, and the model lock protocol grants one guard at a time,
+// so sharing `&ModelMutex` moves `T` between threads but never shares it:
+// `T: Send` suffices, exactly as for std's `Mutex`.
+unsafe impl<T: Send> Sync for ModelMutex<T> {}
+
 enum MutexRepr<T> {
     Std(std::sync::Mutex<T>),
-    Model {
-        exec: StdArc<Execution>,
-        mid: usize,
-        /// Protected by the model's lock-state machine: only the token
-        /// holder that observed `held_by == Some(me)` touches it.
-        data: std::cell::UnsafeCell<T>,
-    },
+    Model(ModelMutex<T>),
 }
 
 pub struct Mutex<T> {
     repr: MutexRepr<T>,
-}
-
-// SAFETY: mirrors std — the lock protocol makes the inner data safe to
-// share.
-unsafe impl<T: Send> Send for Mutex<T> {}
-unsafe impl<T: Send> Sync for Mutex<T> {}
-
-fn model_tid(exec: &StdArc<Execution>) -> Option<usize> {
-    let (current, tid) = exec::current()?;
-    StdArc::ptr_eq(&current, exec).then_some(tid)
 }
 
 impl<T> Mutex<T> {
@@ -112,11 +50,11 @@ impl<T> Mutex<T> {
         let repr = match exec::current() {
             Some((exec, _tid)) => {
                 let mid = exec.register_mutex();
-                MutexRepr::Model {
+                MutexRepr::Model(ModelMutex {
                     exec,
                     mid,
                     data: std::cell::UnsafeCell::new(data),
-                }
+                })
             }
             None => MutexRepr::Std(std::sync::Mutex::new(data)),
         };
@@ -126,21 +64,12 @@ impl<T> Mutex<T> {
     #[track_caller]
     pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
         match &self.repr {
-            MutexRepr::Std(m) => match m.lock() {
-                Ok(guard) => Ok(MutexGuard {
-                    repr: GuardRepr::Std(guard),
-                }),
-                Err(poison) => Err(PoisonError::new(MutexGuard {
-                    repr: GuardRepr::Std(poison.into_inner()),
-                })),
-            },
-            MutexRepr::Model { exec, mid, .. } => {
-                if let Some(tid) = model_tid(exec) {
-                    exec.mutex_lock(tid, *mid, Location::caller());
+            MutexRepr::Std(m) => from_std(m.lock()),
+            MutexRepr::Model(m) => {
+                if let Some(tid) = model_tid(&m.exec) {
+                    m.exec.mutex_lock(tid, m.mid, Location::caller());
                 }
-                Ok(MutexGuard {
-                    repr: GuardRepr::Model { mutex: self },
-                })
+                Ok(MutexGuard::model(m))
             }
         }
     }
@@ -148,26 +77,19 @@ impl<T> Mutex<T> {
     #[track_caller]
     pub fn try_lock(&self) -> TryLockResult<MutexGuard<'_, T>> {
         match &self.repr {
-            MutexRepr::Std(m) => match m.try_lock() {
-                Ok(guard) => Ok(MutexGuard {
-                    repr: GuardRepr::Std(guard),
-                }),
-                Err(std::sync::TryLockError::WouldBlock) => Err(TryLockError::WouldBlock),
-                Err(std::sync::TryLockError::Poisoned(poison)) => {
-                    Err(TryLockError::Poisoned(PoisonError::new(MutexGuard {
-                        repr: GuardRepr::Std(poison.into_inner()),
-                    })))
+            MutexRepr::Std(m) => m.try_lock().map(MutexGuard::std).map_err(|err| match err {
+                std::sync::TryLockError::Poisoned(poison) => {
+                    TryLockError::Poisoned(PoisonError::new(MutexGuard::std(poison.into_inner())))
                 }
-            },
-            MutexRepr::Model { exec, mid, .. } => {
-                let acquired = match model_tid(exec) {
-                    Some(tid) => exec.mutex_try_lock(tid, *mid, Location::caller()),
+                std::sync::TryLockError::WouldBlock => TryLockError::WouldBlock,
+            }),
+            MutexRepr::Model(m) => {
+                let acquired = match model_tid(&m.exec) {
+                    Some(tid) => m.exec.mutex_try_lock(tid, m.mid, Location::caller()),
                     None => true,
                 };
                 if acquired {
-                    Ok(MutexGuard {
-                        repr: GuardRepr::Model { mutex: self },
-                    })
+                    Ok(MutexGuard::model(m))
                 } else {
                     Err(TryLockError::WouldBlock)
                 }
@@ -177,11 +99,8 @@ impl<T> Mutex<T> {
 
     pub fn into_inner(self) -> LockResult<T> {
         match self.repr {
-            MutexRepr::Std(m) => match m.into_inner() {
-                Ok(data) => Ok(data),
-                Err(poison) => Err(PoisonError::new(poison.into_inner())),
-            },
-            MutexRepr::Model { data, .. } => Ok(data.into_inner()),
+            MutexRepr::Std(m) => m.into_inner(),
+            MutexRepr::Model(m) => Ok(m.data.into_inner()),
         }
     }
 }
@@ -200,7 +119,7 @@ impl<T> std::fmt::Debug for Mutex<T> {
 
 enum GuardRepr<'a, T> {
     Std(std::sync::MutexGuard<'a, T>),
-    Model { mutex: &'a Mutex<T> },
+    Model(&'a ModelMutex<T>),
 }
 
 pub struct MutexGuard<'a, T> {
@@ -208,15 +127,24 @@ pub struct MutexGuard<'a, T> {
 }
 
 impl<'a, T> MutexGuard<'a, T> {
-    fn model_parts(&self) -> Option<(&'a StdArc<Execution>, usize, &'a std::cell::UnsafeCell<T>)> {
-        match &self.repr {
-            GuardRepr::Std(_) => None,
-            GuardRepr::Model { mutex } => match &mutex.repr {
-                MutexRepr::Model { exec, mid, data } => Some((exec, *mid, data)),
-                MutexRepr::Std(_) => unreachable!("model guard over std mutex"),
-            },
+    fn std(guard: std::sync::MutexGuard<'a, T>) -> Self {
+        MutexGuard {
+            repr: GuardRepr::Std(guard),
         }
     }
+
+    fn model(mutex: &'a ModelMutex<T>) -> Self {
+        MutexGuard {
+            repr: GuardRepr::Model(mutex),
+        }
+    }
+}
+
+/// Wrap a std lock result, poisoned or not, in this module's guard.
+fn from_std<T>(result: LockResult<std::sync::MutexGuard<'_, T>>) -> LockResult<MutexGuard<'_, T>> {
+    result
+        .map(MutexGuard::std)
+        .map_err(|poison| PoisonError::new(MutexGuard::std(poison.into_inner())))
 }
 
 impl<T> std::ops::Deref for MutexGuard<'_, T> {
@@ -225,26 +153,20 @@ impl<T> std::ops::Deref for MutexGuard<'_, T> {
     fn deref(&self) -> &T {
         match &self.repr {
             GuardRepr::Std(guard) => guard,
-            GuardRepr::Model { .. } => {
-                let (_, _, data) = self.model_parts().unwrap();
-                // SAFETY: the model lock-state machine grants this guard
-                // exclusive ownership of `data` until drop; only the
-                // scheduler token holder can be here.
-                unsafe { &*data.get() }
-            }
+            // SAFETY: the model lock-state machine grants this guard
+            // exclusive ownership of `data` until drop; only the scheduler
+            // token holder can be here.
+            GuardRepr::Model(m) => unsafe { &*m.data.get() },
         }
     }
 }
 
 impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        if let Some((_, _, data)) = self.model_parts() {
-            // SAFETY: as in `deref` — the guard holds the model lock.
-            return unsafe { &mut *data.get() };
-        }
         match &mut self.repr {
             GuardRepr::Std(guard) => guard,
-            GuardRepr::Model { .. } => unreachable!(),
+            // SAFETY: as in `deref` — the guard holds the model lock.
+            GuardRepr::Model(m) => unsafe { &mut *m.data.get() },
         }
     }
 }
@@ -252,9 +174,9 @@ impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
 impl<T> Drop for MutexGuard<'_, T> {
     #[track_caller]
     fn drop(&mut self) {
-        if let Some((exec, mid, _)) = self.model_parts() {
-            if let Some(tid) = model_tid(exec) {
-                exec.mutex_unlock(tid, mid, Location::caller());
+        if let GuardRepr::Model(m) = &self.repr {
+            if let Some(tid) = model_tid(&m.exec) {
+                m.exec.mutex_unlock(tid, m.mid, Location::caller());
             }
         }
     }
@@ -266,7 +188,7 @@ impl<T> Drop for MutexGuard<'_, T> {
 
 enum CondvarRepr {
     Std(std::sync::Condvar),
-    Model { exec: StdArc<Execution>, cid: usize },
+    Model { exec: Arc<Execution>, cid: usize },
 }
 
 pub struct Condvar {
@@ -287,72 +209,15 @@ impl Condvar {
 
     #[track_caller]
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
-        match &self.repr {
-            CondvarRepr::Std(cv) => {
-                let GuardRepr::Std(inner) = into_repr(guard) else {
-                    panic!("std condvar waited on with a model mutex guard");
-                };
-                match cv.wait(inner) {
-                    Ok(g) => Ok(MutexGuard {
-                        repr: GuardRepr::Std(g),
-                    }),
-                    Err(poison) => Err(PoisonError::new(MutexGuard {
-                        repr: GuardRepr::Std(poison.into_inner()),
-                    })),
-                }
-            }
-            CondvarRepr::Model { exec, cid } => {
-                let GuardRepr::Model { mutex } = into_repr(guard) else {
-                    panic!("model condvar waited on with a std mutex guard");
-                };
-                let MutexRepr::Model { mid, .. } = &mutex.repr else {
-                    unreachable!("model guard over std mutex");
-                };
+        match (&self.repr, into_repr(guard)) {
+            (CondvarRepr::Std(cv), GuardRepr::Std(inner)) => from_std(cv.wait(inner)),
+            (CondvarRepr::Model { exec, cid }, GuardRepr::Model(m)) => {
                 if let Some(tid) = model_tid(exec) {
-                    exec.condvar_wait(tid, *cid, *mid, Location::caller());
+                    exec.condvar_wait(tid, *cid, m.mid, Location::caller());
                 }
-                Ok(MutexGuard {
-                    repr: GuardRepr::Model { mutex },
-                })
+                Ok(MutexGuard::model(m))
             }
-        }
-    }
-
-    /// In a model, the duration is ignored and the wait never times out; see
-    /// [`WaitTimeoutResult`].
-    #[track_caller]
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        dur: std::time::Duration,
-    ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-        match &self.repr {
-            CondvarRepr::Std(cv) => {
-                let GuardRepr::Std(inner) = into_repr(guard) else {
-                    panic!("std condvar waited on with a model mutex guard");
-                };
-                match cv.wait_timeout(inner, dur) {
-                    Ok((g, timeout)) => Ok((
-                        MutexGuard {
-                            repr: GuardRepr::Std(g),
-                        },
-                        WaitTimeoutResult(timeout.timed_out()),
-                    )),
-                    Err(poison) => {
-                        let (g, timeout) = poison.into_inner();
-                        Err(PoisonError::new((
-                            MutexGuard {
-                                repr: GuardRepr::Std(g),
-                            },
-                            WaitTimeoutResult(timeout.timed_out()),
-                        )))
-                    }
-                }
-            }
-            CondvarRepr::Model { .. } => {
-                let guard = self.wait(guard).unwrap_or_else(|e| e.into_inner());
-                Ok((guard, WaitTimeoutResult(false)))
-            }
+            _ => panic!("condvar waited on with a guard of the other kind (model vs std)"),
         }
     }
 
@@ -363,18 +228,6 @@ impl Condvar {
             CondvarRepr::Model { exec, cid } => {
                 if let Some(tid) = model_tid(exec) {
                     exec.condvar_notify_one(tid, *cid, Location::caller());
-                }
-            }
-        }
-    }
-
-    #[track_caller]
-    pub fn notify_all(&self) {
-        match &self.repr {
-            CondvarRepr::Std(cv) => cv.notify_all(),
-            CondvarRepr::Model { exec, cid } => {
-                if let Some(tid) = model_tid(exec) {
-                    exec.condvar_notify_all(tid, *cid, Location::caller());
                 }
             }
         }

@@ -1,4 +1,4 @@
-//! Model-aware `thread::spawn` / `JoinHandle` / `yield_now`.
+//! Model-aware `thread::spawn` / `JoinHandle`.
 //!
 //! Spawning inside a model registers a new model thread (the spawn itself is
 //! a visible operation, so the child's first step is explored against every
@@ -57,16 +57,8 @@ where
     T: Send + 'static,
 {
     if let Some((exec, tid)) = exec::current() {
-        if let Some(child) = exec.spawn_thread(tid) {
-            let thread_exec = Arc::clone(&exec);
-            std::thread::Builder::new()
-                .name(format!("loom-model-{child}"))
-                .spawn(move || {
-                    exec::run_spawned_thread(thread_exec, child, move || {
-                        Box::new(f()) as Box<dyn Any + Send>
-                    })
-                })
-                .expect("failed to spawn loom model thread");
+        if let Some(child) = exec.spawn_thread() {
+            exec.start_thread(child, move || Box::new(f()) as Box<dyn Any + Send>);
             // Now that the child's OS thread exists, give the scheduler a
             // branch point at the spawn site.
             exec.spawn_fence(tid, Location::caller());
@@ -83,16 +75,5 @@ where
     }
     JoinHandle {
         repr: JoinRepr::Std(std::thread::spawn(f)),
-    }
-}
-
-/// Cooperative yield: in a model the thread is deprioritized until every
-/// other runnable thread has had a chance to run (so spin-wait loops make
-/// progress without exploding the search space).
-#[track_caller]
-pub fn yield_now() {
-    match exec::current() {
-        Some((exec, tid)) => exec.yield_now(tid, Location::caller()),
-        None => std::thread::yield_now(),
     }
 }

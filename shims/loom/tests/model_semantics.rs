@@ -1,15 +1,12 @@
-//! Semantic tests for the model checker itself: the explorer must (a) find
-//! every outcome the memory model permits, (b) never fabricate outcomes a
-//! stronger ordering forbids, and (c) detect races, deadlocks, and lost
-//! wakeups with actionable reports.
+//! Semantic tests for the model checker itself: the explorer must (a) reach
+//! every interleaving of mutex and condvar operations, and (b) report
+//! deadlocks, lost wakeups and failed assertions with actionable messages.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex as StdMutex;
+use std::sync::{Arc, Mutex as StdMutex};
 
-use loom::cell::UnsafeCell;
-use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use loom::sync::{Arc, Condvar, Mutex};
+use loom::sync::{Condvar, Mutex};
 
 /// Runs `body` expecting the checker to flag an error; returns the failure
 /// message.
@@ -29,168 +26,8 @@ where
 }
 
 #[test]
-fn seqcst_counter_sums() {
-    let report = loom::model(|| {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let other = Arc::clone(&counter);
-        let handle = loom::thread::spawn(move || {
-            other.fetch_add(1, Ordering::SeqCst);
-        });
-        counter.fetch_add(1, Ordering::SeqCst);
-        handle.join().unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 2);
-    });
-    assert!(report.iterations >= 2, "expected >1 interleaving explored");
-    assert!(!report.truncated);
-}
-
-/// Store buffering (Dekker): with `Relaxed` everywhere, the outcome
-/// r1 == 0 && r2 == 0 is permitted and the explorer must reach it.
-#[test]
-fn relaxed_store_buffering_reaches_zero_zero() {
-    let outcomes: Arc<StdMutex<HashSet<(usize, usize)>>> = Arc::new(StdMutex::new(HashSet::new()));
-    let sink = Arc::clone(&outcomes);
-    loom::model(move || {
-        let x = Arc::new(AtomicUsize::new(0));
-        let y = Arc::new(AtomicUsize::new(0));
-        let (x1, y1) = (Arc::clone(&x), Arc::clone(&y));
-        let (x2, y2) = (Arc::clone(&x), Arc::clone(&y));
-        let t1 = loom::thread::spawn(move || {
-            x1.store(1, Ordering::Relaxed);
-            y1.load(Ordering::Relaxed)
-        });
-        let t2 = loom::thread::spawn(move || {
-            y2.store(1, Ordering::Relaxed);
-            x2.load(Ordering::Relaxed)
-        });
-        let r1 = t1.join().unwrap();
-        let r2 = t2.join().unwrap();
-        sink.lock().unwrap().insert((r1, r2));
-    });
-    let seen = outcomes.lock().unwrap();
-    assert!(
-        seen.contains(&(0, 0)),
-        "relaxed store buffering must expose (0,0); saw {seen:?}"
-    );
-    assert!(seen.contains(&(1, 1)), "saw {seen:?}");
-}
-
-/// The same litmus under `SeqCst` must NOT expose (0, 0): at least one load
-/// observes the other thread's store in every SC execution.
-#[test]
-fn seqcst_store_buffering_forbids_zero_zero() {
-    let outcomes: Arc<StdMutex<HashSet<(usize, usize)>>> = Arc::new(StdMutex::new(HashSet::new()));
-    let sink = Arc::clone(&outcomes);
-    loom::model(move || {
-        let x = Arc::new(AtomicUsize::new(0));
-        let y = Arc::new(AtomicUsize::new(0));
-        let (x1, y1) = (Arc::clone(&x), Arc::clone(&y));
-        let (x2, y2) = (Arc::clone(&x), Arc::clone(&y));
-        let t1 = loom::thread::spawn(move || {
-            x1.store(1, Ordering::SeqCst);
-            y1.load(Ordering::SeqCst)
-        });
-        let t2 = loom::thread::spawn(move || {
-            y2.store(1, Ordering::SeqCst);
-            x2.load(Ordering::SeqCst)
-        });
-        let r1 = t1.join().unwrap();
-        let r2 = t2.join().unwrap();
-        sink.lock().unwrap().insert((r1, r2));
-    });
-    let seen = outcomes.lock().unwrap();
-    assert!(
-        !seen.contains(&(0, 0)),
-        "SeqCst forbids (0,0); explorer fabricated it: {seen:?}"
-    );
-    assert!(
-        seen.len() >= 2,
-        "expected several SC outcomes, saw {seen:?}"
-    );
-}
-
-/// Message passing: a `Release` store on the flag and an `Acquire` load
-/// synchronize, so the reader's access to the cell is race-free and always
-/// sees the payload.
-#[test]
-fn release_acquire_message_passing_is_race_free() {
-    let report = loom::model(|| {
-        let cell = Arc::new(UnsafeCell::new(0u32));
-        let flag = Arc::new(AtomicBool::new(false));
-        let (cell2, flag2) = (Arc::clone(&cell), Arc::clone(&flag));
-        let reader = loom::thread::spawn(move || {
-            if flag2.load(Ordering::Acquire) {
-                // SAFETY: ordered after the writer by Release/Acquire.
-                let seen = cell2.with(|p| unsafe { *p });
-                assert_eq!(seen, 7, "acquire reader saw torn payload");
-            }
-        });
-        // SAFETY: ordered before the reader by Release/Acquire.
-        cell.with_mut(|p| unsafe { *p = 7 });
-        flag.store(true, Ordering::Release);
-        reader.join().unwrap();
-    });
-    assert!(report.iterations >= 2);
-}
-
-/// Downgrading the flag to `Relaxed` removes the happens-before edge; the
-/// detector must flag the cell race and name both access sites.
-#[test]
-fn relaxed_message_passing_is_reported_as_race() {
-    let message = expect_model_failure(|| {
-        let cell = Arc::new(UnsafeCell::new(0u32));
-        let flag = Arc::new(AtomicBool::new(false));
-        let (cell2, flag2) = (Arc::clone(&cell), Arc::clone(&flag));
-        let reader = loom::thread::spawn(move || {
-            if flag2.load(Ordering::Relaxed) {
-                // SAFETY: deliberately racy — the detector must flag it.
-                cell2.with(|p| unsafe { *p });
-            }
-        });
-        // SAFETY: deliberately racy — the detector must flag it.
-        cell.with_mut(|p| unsafe { *p = 7 });
-        flag.store(true, Ordering::Relaxed);
-        reader.join().unwrap();
-    });
-    assert!(message.contains("data race"), "got: {message}");
-    // Both conflicting sites must be reported, pointing into this file.
-    assert!(
-        message.matches("model_semantics.rs").count() >= 2,
-        "race report should name both access sites, got: {message}"
-    );
-}
-
-/// A relaxed load may observe a stale value even after the store was
-/// scheduled: the explorer must surface the stale read.
-#[test]
-fn relaxed_load_observes_stale_values() {
-    let outcomes: Arc<StdMutex<HashSet<usize>>> = Arc::new(StdMutex::new(HashSet::new()));
-    let sink = Arc::clone(&outcomes);
-    loom::model(move || {
-        let x = Arc::new(AtomicUsize::new(0));
-        let x2 = Arc::clone(&x);
-        let writer = loom::thread::spawn(move || {
-            x2.store(1, Ordering::Relaxed);
-        });
-        writer.join().unwrap();
-        // Even though the writer has completed *as a thread*, the relaxed
-        // load is not obligated to see its store... except join() creates
-        // happens-before, so here it IS obligated.  Read through a second
-        // thread with no join edge instead.
-        let x3 = Arc::clone(&x);
-        let reader = loom::thread::spawn(move || x3.load(Ordering::Relaxed));
-        let seen = reader.join().unwrap();
-        sink.lock().unwrap().insert(seen);
-    });
-    let seen = outcomes.lock().unwrap();
-    // join() before the reader spawn orders the store before the read:
-    // only 1 is readable.  This pins the join edge semantics.
-    assert_eq!(*seen, HashSet::from([1]), "join edge lost: {seen:?}");
-}
-
-#[test]
 fn mutex_provides_mutual_exclusion_and_visibility() {
-    loom::model(|| {
+    let report = loom::model(|| {
         let total = Arc::new(Mutex::new(0u32));
         let handles: Vec<_> = (0..2)
             .map(|_| {
@@ -207,45 +44,36 @@ fn mutex_provides_mutual_exclusion_and_visibility() {
         }
         assert_eq!(*total.lock().unwrap(), 2);
     });
+    assert!(report.iterations >= 2, "expected >1 interleaving explored");
+    assert!(!report.truncated);
 }
 
-/// Two threads mutate a cell under a mutex: no race may be reported (the
-/// lock's happens-before edges cover the accesses).
+/// Two threads that each take the lock once: the explorer must reach both
+/// orders in which they can get it.
 #[test]
-fn mutex_guarded_cell_is_race_free() {
-    loom::model(|| {
-        let lock = Arc::new(Mutex::new(()));
-        let cell = Arc::new(UnsafeCell::new(0u32));
-        let (lock2, cell2) = (Arc::clone(&lock), Arc::clone(&cell));
-        let handle = loom::thread::spawn(move || {
-            let _guard = lock2.lock().unwrap();
-            // SAFETY: exclusive under the mutex; the model verifies it.
-            cell2.with_mut(|p| unsafe { *p += 1 });
-        });
-        {
-            let _guard = lock.lock().unwrap();
-            // SAFETY: exclusive under the mutex; the model verifies it.
-            cell.with_mut(|p| unsafe { *p += 1 });
+fn both_lock_orders_are_reached() {
+    let outcomes: Arc<StdMutex<HashSet<Vec<u32>>>> = Arc::new(StdMutex::new(HashSet::new()));
+    let sink = Arc::clone(&outcomes);
+    loom::model(move || {
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let handles: Vec<_> = (1..=2)
+            .map(|id| {
+                let order = Arc::clone(&order);
+                loom::thread::spawn(move || order.lock().unwrap().push(id))
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
         }
-        handle.join().unwrap();
+        let order = order.lock().unwrap().clone();
+        sink.lock().unwrap().insert(order);
     });
-}
-
-/// An unsynchronized write/write pair must be reported.
-#[test]
-fn unsynchronized_writes_race() {
-    let message = expect_model_failure(|| {
-        let cell = Arc::new(UnsafeCell::new(0u32));
-        let cell2 = Arc::clone(&cell);
-        let handle = loom::thread::spawn(move || {
-            // SAFETY: access discipline is what this model test checks.
-            cell2.with_mut(|p| unsafe { *p = 1 });
-        });
-        // SAFETY: deliberately racy — the detector must flag it.
-        cell.with_mut(|p| unsafe { *p = 2 });
-        handle.join().unwrap();
-    });
-    assert!(message.contains("data race"), "got: {message}");
+    let seen = outcomes.lock().unwrap();
+    assert_eq!(
+        *seen,
+        HashSet::from([vec![1, 2], vec![2, 1]]),
+        "both lock orders must be explored: {seen:?}"
+    );
 }
 
 /// A condvar waiter that nobody will ever notify is a deadlock, and the
@@ -262,35 +90,11 @@ fn lost_wakeup_is_reported_as_deadlock() {
                 ready = cv.wait(ready).unwrap();
             }
         });
-        // Flip the flag without notifying while the waiter may already be
-        // parked: classic lost wakeup.  (Not even a flip here — we simply
-        // never signal.)
+        // Nobody ever sets the flag or notifies: the waiter parks for good.
         waiter.join().unwrap();
     });
     assert!(message.contains("deadlock"), "got: {message}");
     assert!(message.contains("condvar"), "got: {message}");
-}
-
-/// `wait_timeout` in the model never times out, so a protocol that leans on
-/// the timeout as a correctness crutch fails loudly.
-#[test]
-fn wait_timeout_does_not_mask_lost_wakeups() {
-    let message = expect_model_failure(|| {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let waiter = loom::thread::spawn(move || {
-            let (lock, cv) = &*pair2;
-            let mut ready = lock.lock().unwrap();
-            while !*ready {
-                let (guard, _timeout) = cv
-                    .wait_timeout(ready, std::time::Duration::from_millis(5))
-                    .unwrap();
-                ready = guard;
-            }
-        });
-        waiter.join().unwrap();
-    });
-    assert!(message.contains("deadlock"), "got: {message}");
 }
 
 /// The correct protocol — set under the lock, then notify — passes.
@@ -316,71 +120,21 @@ fn condvar_handshake_passes() {
     assert!(report.iterations >= 2);
 }
 
-/// A spin loop that yields terminates under the yield-deprioritization rule.
-#[test]
-fn yielding_spin_loop_terminates() {
-    loom::model(|| {
-        let flag = Arc::new(AtomicBool::new(false));
-        let flag2 = Arc::clone(&flag);
-        let setter = loom::thread::spawn(move || {
-            flag2.store(true, Ordering::Release);
-        });
-        while !flag.load(Ordering::Acquire) {
-            loom::thread::yield_now();
-        }
-        setter.join().unwrap();
-    });
-}
-
 /// An assertion failure inside the model surfaces as a model failure with
 /// the panic message, not a hang or a swallowed error.
 #[test]
 fn user_assertions_become_model_failures() {
     let message = expect_model_failure(|| {
-        let x = Arc::new(AtomicUsize::new(0));
+        let x = Arc::new(Mutex::new(0));
         let x2 = Arc::clone(&x);
-        let t = loom::thread::spawn(move || {
-            x2.store(1, Ordering::Relaxed);
-        });
-        let seen = x.load(Ordering::Relaxed);
+        let t = loom::thread::spawn(move || *x2.lock().unwrap() = 1);
+        let seen = *x.lock().unwrap();
         t.join().unwrap();
         assert_eq!(seen, 1, "reader must observe the store");
     });
     assert!(
         message.contains("reader must observe the store"),
         "got: {message}"
-    );
-}
-
-/// The preemption bound prunes the search: bounded exploration of the same
-/// model visits no more interleavings than unbounded.
-#[test]
-fn preemption_bound_prunes_exploration() {
-    fn body() {
-        let x = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let x = Arc::clone(&x);
-                loom::thread::spawn(move || {
-                    x.fetch_add(1, Ordering::SeqCst);
-                    x.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        assert_eq!(x.load(Ordering::SeqCst), 4);
-    }
-    let unbounded = loom::Builder::new().check(body);
-    let mut bounded_builder = loom::Builder::new();
-    bounded_builder.preemption_bound = Some(1);
-    let bounded = bounded_builder.check(body);
-    assert!(
-        bounded.iterations < unbounded.iterations,
-        "bound 1: {} vs unbounded: {}",
-        bounded.iterations,
-        unbounded.iterations
     );
 }
 
@@ -412,20 +166,11 @@ fn try_lock_explores_contention() {
 /// primitives (the fallback mode ordinary tests rely on).
 #[test]
 fn fallback_mode_works_outside_model() {
-    let counter = AtomicUsize::new(1);
-    assert_eq!(counter.fetch_add(2, Ordering::SeqCst), 1);
-    assert_eq!(counter.load(Ordering::Acquire), 3);
-
     let lock = Mutex::new(5u32);
     *lock.lock().unwrap() += 1;
     assert_eq!(*lock.lock().unwrap(), 6);
     assert!(lock.try_lock().is_ok());
-
-    let cell = UnsafeCell::new(9u32);
-    // SAFETY: access discipline is what this model test checks.
-    assert_eq!(cell.with(|p| unsafe { *p }), 9);
-    cell.with_mut(|p| unsafe { *p = 10 });
-    assert_eq!(cell.into_inner(), 10);
+    assert_eq!(lock.into_inner().unwrap(), 6);
 
     let handle = loom::thread::spawn(|| 42usize);
     assert_eq!(handle.join().unwrap(), 42);

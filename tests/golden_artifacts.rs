@@ -14,7 +14,8 @@ use std::path::Path;
 
 use dynmo_bench::{
     run_composite_sweep, run_fault_tolerance_sweep, run_fleet_sweep, run_hetero_sweep,
-    run_serving_sweep, run_sweep, ExperimentScale, ServingSweepConfig, SweepConfig,
+    run_idleness_sweep, run_serving_sweep, run_sweep, ExperimentScale, ServingSweepConfig,
+    SweepConfig,
 };
 
 fn assert_matches_golden(file: &str, actual: Result<String, serde_json::Error>) {
@@ -53,6 +54,12 @@ fn composite_sweep_matches_the_golden_artifact() {
 fn fault_tolerance_matches_the_golden_artifact() {
     let rows = run_fault_tolerance_sweep(ExperimentScale::Smoke);
     assert_matches_golden("fault_tolerance.json", serde_json::to_string_pretty(&rows));
+}
+
+#[test]
+fn fig1_idleness_matches_the_golden_artifact() {
+    let rows = run_idleness_sweep(ExperimentScale::Smoke);
+    assert_matches_golden("fig1_idleness.json", serde_json::to_string_pretty(&rows));
 }
 
 #[test]
