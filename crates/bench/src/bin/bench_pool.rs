@@ -16,7 +16,7 @@ use std::time::Instant;
 use dynmo_bench::serving::{run_serving_sweep, ServingSweepConfig};
 use dynmo_bench::sweep::{run_sweep, SweepConfig};
 use dynmo_bench::{dump_json, fmt, run_composite_sweep, ExperimentScale, Table};
-use dynmo_serve::percentile;
+use dynmo_telemetry::nearest_rank;
 use serde::Serialize;
 
 /// Median and quartiles of one leg's wall-clock seconds over the repeats.
@@ -33,9 +33,9 @@ impl Quartiles {
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
         Quartiles {
-            q1: percentile(&sorted, 0.25),
-            median: percentile(&sorted, 0.5),
-            q3: percentile(&sorted, 0.75),
+            q1: nearest_rank(&sorted, 0.25),
+            median: nearest_rank(&sorted, 0.5),
+            q3: nearest_rank(&sorted, 0.75),
         }
     }
 }

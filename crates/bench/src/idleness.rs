@@ -44,7 +44,7 @@ impl IdlenessRow {
 }
 
 /// The GPT layer counts of a scale.
-fn layer_sweep(scale: ExperimentScale) -> Vec<usize> {
+pub(crate) fn layer_sweep(scale: ExperimentScale) -> Vec<usize> {
     match scale {
         ExperimentScale::Smoke => vec![24],
         _ => vec![24, 32, 40, 48],

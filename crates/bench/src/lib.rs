@@ -34,6 +34,7 @@ pub mod fault_tolerance;
 pub mod fleet;
 pub mod hetero;
 pub mod idleness;
+pub mod overhead;
 pub mod scale;
 pub mod serving;
 pub mod sweep;
@@ -57,6 +58,7 @@ pub use hetero::{
     HeteroSweepReport, HETERO_CASES,
 };
 pub use idleness::{run_idleness_sweep, IdlenessRow};
+pub use overhead::{run_overhead_sweep, OverheadRow};
 pub use scale::{ExperimentScale, Flag, ScaledSchedules};
 pub use serving::{
     run_serving_cell, run_serving_cell_recorded, run_serving_sweep, ServingCase, ServingCell,

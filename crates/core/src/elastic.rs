@@ -55,16 +55,13 @@ impl fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// The interface DynMo uses to hand GPUs back to (and request them from)
-/// the cluster's job manager.
+/// The interface DynMo uses to hand GPUs back to the cluster's job
+/// manager (re-acquiring them goes by id, through
+/// [`MockJobManager::try_acquire`]).
 pub trait JobManager {
     /// Release the given workers; they become available to other jobs.
     /// Returns the number of workers actually accepted.
     fn release(&mut self, workers: &[usize]) -> usize;
-
-    /// Request `count` workers back; returns the ids granted (possibly
-    /// fewer than requested).
-    fn acquire(&mut self, count: usize) -> Vec<usize>;
 
     /// Number of workers currently allocated to this job.
     fn allocated(&self) -> usize;
@@ -376,27 +373,6 @@ impl JobManager for MockJobManager {
         released
     }
 
-    fn acquire(&mut self, count: usize) -> Vec<usize> {
-        let mut granted = Vec::new();
-        for w in 0..self.total_workers {
-            if granted.len() == count {
-                break;
-            }
-            if !self.allocated[w] {
-                self.allocated[w] = true;
-                granted.push(w);
-            }
-        }
-        if !granted.is_empty() {
-            self.events.push(FleetEvent {
-                iteration: self.current_iteration,
-                delta: -(granted.len() as i64),
-                allocated_after: self.allocated(),
-            });
-        }
-        granted
-    }
-
     fn allocated(&self) -> usize {
         self.allocated.iter().filter(|&&a| a).count()
     }
@@ -418,9 +394,9 @@ mod tests {
         assert_eq!(manager.release(&[6, 7]), 0);
         // Out-of-range workers are ignored.
         assert_eq!(manager.release(&[99]), 0);
-        let granted = manager.acquire(3);
-        assert_eq!(granted, vec![6, 7]);
+        manager.try_acquire(&[6, 7]).unwrap();
         assert_eq!(manager.allocated(), 8);
+        assert_eq!(manager.available(), 0);
     }
 
     #[test]
@@ -431,7 +407,7 @@ mod tests {
         manager.set_iteration(200);
         manager.release(&[2]);
         manager.set_iteration(300);
-        manager.acquire(1);
+        manager.try_acquire(&[2]).unwrap();
         let events = manager.events();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].allocated_after, 3);
@@ -533,7 +509,7 @@ mod tests {
                     manager.release(&[worker, (worker + 1) % total]);
                 }
                 1 => {
-                    manager.acquire((rng() % 3) as usize);
+                    let _ = manager.try_acquire(&[worker, (worker + 1) % total]);
                 }
                 2 => {
                     let _ = manager.try_release(&[worker]);
@@ -657,7 +633,7 @@ mod tests {
                 }
                 // Legacy untagged traffic racing the tagged owners.
                 4 => {
-                    pool.acquire((rng() % 3) as usize);
+                    let _ = pool.try_acquire(&[worker]);
                 }
                 _ => {
                     pool.release(&[worker, (worker + 1) % total]);

@@ -474,7 +474,7 @@ fn gather_full_state(
         .collect();
     let text = serde_json::to_string(&mine)
         .map_err(|e| RuntimeError::InvalidArgument(format!("serialize layers: {e}")))?;
-    let payload = Payload::Bytes(bytes::Bytes::from(text.into_bytes()));
+    let payload = Payload::Bytes(text.into_bytes());
     let gathered = comm.gather(0, payload)?;
     let Some(parts) = gathered else {
         return Ok(None);

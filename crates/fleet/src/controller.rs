@@ -24,10 +24,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dynmo_core::MockJobManager;
-use dynmo_serve::{
-    fleet_clock, percentile, RequestTrace, ServingConfig, ServingReport, ServingSession,
-};
-use dynmo_telemetry::{MarkerKind, NullRecorder, Recorder};
+use dynmo_serve::{fleet_clock, RequestTrace, ServingConfig, ServingReport, ServingSession};
+use dynmo_telemetry::{nearest_rank, MarkerKind, NullRecorder, Recorder};
 use serde::{Deserialize, Serialize};
 
 use crate::trainer::ElasticTrainer;
@@ -248,7 +246,7 @@ impl Tenant {
         }
         let mut ttfts: Vec<f64> = self.window.iter().map(|&(_, t)| t).collect();
         ttfts.sort_by(|a, b| a.partial_cmp(b).expect("TTFTs are finite"));
-        percentile(&ttfts, 0.99)
+        nearest_rank(&ttfts, 0.99)
     }
 }
 

@@ -7,8 +7,6 @@
 //! [`Payload`] enum covers these cases with typed vectors and a raw byte
 //! variant for anything serialized externally.
 
-use bytes::Bytes;
-
 use crate::error::{Result, RuntimeError};
 
 /// Typed payload carried by a point-to-point message or a collective.
@@ -25,7 +23,7 @@ pub enum Payload {
     /// A vector of `u64` values (global parameter indices, sizes).
     U64(Vec<u64>),
     /// Raw bytes (externally serialized structures).
-    Bytes(Bytes),
+    Bytes(Vec<u8>),
 }
 
 impl Payload {
@@ -104,7 +102,7 @@ impl Payload {
     }
 
     /// Extract raw bytes, or fail with [`RuntimeError::PayloadMismatch`].
-    pub fn into_bytes(self) -> Result<Bytes> {
+    pub fn into_bytes(self) -> Result<Vec<u8>> {
         match self {
             Payload::Bytes(b) => Ok(b),
             other => Err(RuntimeError::PayloadMismatch(format!(
@@ -151,8 +149,8 @@ impl From<Vec<u64>> for Payload {
     }
 }
 
-impl From<Bytes> for Payload {
-    fn from(b: Bytes) -> Self {
+impl From<Vec<u8>> for Payload {
+    fn from(b: Vec<u8>) -> Self {
         Payload::Bytes(b)
     }
 }
@@ -177,7 +175,7 @@ mod tests {
         let u = Payload::U64(vec![7, 8, 9, 10]);
         assert_eq!(u.size_bytes(), 32);
 
-        let b = Payload::Bytes(Bytes::from_static(b"abcde"));
+        let b = Payload::Bytes(b"abcde".to_vec());
         assert_eq!(b.len(), 5);
         assert_eq!(b.size_bytes(), 5);
     }
@@ -188,8 +186,7 @@ mod tests {
         assert_eq!(Payload::from(vec![1.0f64]).into_f64().unwrap(), vec![1.0]);
         assert_eq!(Payload::from(vec![1u32]).into_u32().unwrap(), vec![1]);
         assert_eq!(Payload::from(vec![1u64]).into_u64().unwrap(), vec![1]);
-        let b = Bytes::from_static(b"xy");
-        assert_eq!(Payload::from(b.clone()).into_bytes().unwrap(), b);
+        assert_eq!(Payload::from(b"xy".to_vec()).into_bytes().unwrap(), b"xy");
     }
 
     #[test]
@@ -212,7 +209,7 @@ mod tests {
             Payload::F64(vec![]).kind_name(),
             Payload::U32(vec![]).kind_name(),
             Payload::U64(vec![]).kind_name(),
-            Payload::Bytes(Bytes::new()).kind_name(),
+            Payload::Bytes(Vec::new()).kind_name(),
         ];
         let unique: std::collections::HashSet<_> = kinds.iter().collect();
         assert_eq!(unique.len(), kinds.len());

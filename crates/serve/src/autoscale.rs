@@ -7,9 +7,9 @@
 //! * the age of the oldest request still waiting for admission (queue
 //!   pressure shows up here long before it shows up in completions) —
 //!
-//! and, when either breaches the TTFT target, asks the fleet's
-//! [`dynmo_core::elastic::JobManager`] for one replica's worth of GPUs
-//! (the serving analogue of the paper's §3.4.2 elastic release, run in
+//! and, when either breaches the TTFT target, has the engine add one
+//! replica, as long as fewer than `max_replicas` replicas hold GPUs (the
+//! serving analogue of the paper's §3.4.2 elastic release, run in
 //! reverse).  New replicas come online after a provisioning delay and are
 //! partitioned by the same balancer family that laid out the original
 //! replicas.  When the spike passes — backlog far below capacity and p99
@@ -18,9 +18,8 @@
 
 use std::collections::VecDeque;
 
+use dynmo_telemetry::nearest_rank;
 use serde::{Deserialize, Serialize};
-
-use crate::metrics::percentile;
 
 /// Autoscaler policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,7 +36,8 @@ pub struct AutoscalerConfig {
     pub cooldown: f64,
     /// Replica count floor.
     pub min_replicas: usize,
-    /// Replica count ceiling (bounded by the fleet's free GPUs too).
+    /// Replica count ceiling (the deployment's `max_replicas`, which also
+    /// counts draining replicas, bounds it too).
     pub max_replicas: usize,
     /// Scale in only when outstanding work is below this fraction of one
     /// replica's KV capacity *and* p99 is below this fraction of target.
@@ -164,7 +164,7 @@ impl Autoscaler {
             .map(|(_, ttft)| *ttft)
             .collect();
         window.sort_by(|a, b| a.partial_cmp(b).expect("ttfts are finite"));
-        percentile(&window, 0.99)
+        nearest_rank(&window, 0.99)
     }
 
     /// Whether a policy check is due at `now` — lets the caller skip
@@ -177,8 +177,8 @@ impl Autoscaler {
     /// Tell the policy a scaling action actually happened at `now`,
     /// starting the cooldown.  The caller (not [`Autoscaler::evaluate`])
     /// reports this, because a decision can be dropped — e.g. a scale-out
-    /// when the fleet has no free GPUs because a draining replica still
-    /// holds its block — and a dropped decision must not burn the
+    /// at the deployment's ceiling because a draining replica still holds
+    /// its GPUs — and a dropped decision must not burn the
     /// cooldown, or the deployment would sit under-provisioned through an
     /// SLO breach even after the GPUs free up.
     pub fn note_action(&mut self, now: f64) {
@@ -187,7 +187,7 @@ impl Autoscaler {
 
     /// Evaluate the policy at `now`.  Returns [`ScaleDecision::Hold`]
     /// between check intervals and during cooldown; the caller applies the
-    /// decision (subject to fleet availability) and, if it took effect,
+    /// decision (subject to the deployment's ceiling) and, if it took effect,
     /// reports it via [`Autoscaler::note_action`].
     pub fn evaluate(&mut self, now: f64, signals: &LoadSignals) -> ScaleDecision {
         if now < self.next_check {
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn a_dropped_decision_does_not_burn_the_cooldown() {
-        // The engine drops an Out decision (fleet exhausted) and does NOT
+        // The engine drops an Out decision (at its ceiling) and does NOT
         // call note_action: the very next check may scale out again.
         let mut scaler = Autoscaler::new(config());
         assert_eq!(

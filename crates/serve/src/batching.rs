@@ -5,16 +5,16 @@
 //! right now — one decode token for each running request, plus prompt
 //! chunks of newly admitted requests (chunked prefill) up to the step's
 //! token budget.  Requests enter the running set through **admission
-//! control**: a request is admitted only when its worst-case KV footprint
-//! (prompt + full output) fits in the replica's remaining KV budget, so
-//! the engine can never be forced to preempt mid-decode.
+//! control** ([`ContinuousBatcher::try_admit`]): a request is admitted only
+//! when its worst-case KV footprint (prompt + full output) fits in the
+//! replica's remaining KV budget, so the engine can never be forced to
+//! preempt mid-decode.  The batcher keeps no queue: requests wait in the
+//! serving engine's one FCFS gateway until a replica admits them.
 //!
 //! The scheduler *conserves* requests and tokens: nothing is dropped,
 //! nothing is duplicated, every admitted request eventually decodes
 //! exactly its requested output tokens — the invariants pinned by the
 //! workspace-level property test.
-
-use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
@@ -115,7 +115,6 @@ impl StepPlan {
 #[derive(Debug, Clone)]
 pub struct ContinuousBatcher {
     config: BatcherConfig,
-    waiting: VecDeque<Request>,
     running: Vec<ActiveRequest>,
     /// KV tokens reserved by running requests (prompt + full output each).
     reserved_kv_tokens: usize,
@@ -130,7 +129,6 @@ impl ContinuousBatcher {
         config.validate().expect("valid batcher config");
         ContinuousBatcher {
             config,
-            waiting: VecDeque::new(),
             running: Vec::new(),
             reserved_kv_tokens: 0,
             peak_kv_tokens: 0,
@@ -147,8 +145,8 @@ impl ContinuousBatcher {
     /// A request the scheduler can serve: at least one prompt and one
     /// output token (the first output token is produced by the prefill),
     /// and a KV footprint within the replica's budget.  Traces enforce
-    /// this already; the batcher's public entry points re-check it so a
-    /// hand-built `Request` fails loudly instead of wedging mid-decode.
+    /// this already; admission re-checks it so a hand-built `Request`
+    /// fails loudly instead of wedging mid-decode.
     fn check_servable(&self, request: &Request) {
         assert!(
             request.prompt_tokens >= 1 && request.output_tokens >= 1,
@@ -164,22 +162,9 @@ impl ContinuousBatcher {
         );
     }
 
-    /// Hand a request to the replica (it queues until admission control
-    /// lets it in).  Panics if the request can never fit the KV budget —
-    /// the engine validates capacities against the trace up front.
-    pub fn enqueue(&mut self, request: Request) {
-        self.check_servable(&request);
-        self.waiting.push_back(request);
-    }
-
-    /// Whether any queued or running work exists.
+    /// Whether any running work exists.
     pub fn has_work(&self) -> bool {
-        !self.waiting.is_empty() || !self.running.is_empty()
-    }
-
-    /// Queued requests not yet admitted.
-    pub fn queue_len(&self) -> usize {
-        self.waiting.len()
+        !self.running.is_empty()
     }
 
     /// Requests in the running batch.
@@ -187,24 +172,16 @@ impl ContinuousBatcher {
         self.running.len()
     }
 
-    /// Arrival time of the oldest request still waiting for admission.
-    pub fn oldest_waiting_arrival(&self) -> Option<f64> {
-        self.waiting.front().map(|r| r.arrival)
-    }
-
-    /// Outstanding work in tokens: un-prefetched prompt plus un-decoded
-    /// output across both queued and running requests — the autoscaler's
-    /// backlog signal and its scale-in victim-selection key.
+    /// Outstanding work in tokens: un-prefilled prompt plus un-decoded
+    /// output across the running requests — the autoscaler's backlog
+    /// signal and its scale-in victim-selection key.
     pub fn outstanding_tokens(&self) -> usize {
-        let queued: usize = self.waiting.iter().map(Request::total_tokens).sum();
-        let running: usize = self
-            .running
+        self.running
             .iter()
             .map(|a| {
                 (a.request.prompt_tokens - a.prompt_done) + (a.request.output_tokens - a.generated)
             })
-            .sum();
-        queued + running
+            .sum()
     }
 
     /// KV tokens currently reserved by the running set.
@@ -227,22 +204,17 @@ impl ContinuousBatcher {
         self.total_decode_tokens
     }
 
-    /// Whether admission control would accept one more request of the
-    /// given KV footprint right now.
-    fn can_admit(&self, need: usize) -> bool {
-        self.running.len() < self.config.max_running_requests
-            && self.reserved_kv_tokens + need <= self.config.kv_capacity_tokens
-    }
-
-    /// Gateway-side admission: move `request` straight into the running
-    /// set if the running-set cap and the KV budget allow, bypassing the
-    /// local queue (the serving engine keeps its FCFS queue at the
-    /// gateway, where a scale-out can still redistribute it).  Returns
-    /// whether the request was admitted.
+    /// Admission control: move `request` into the running set at `now` if
+    /// the running-set cap and its worst-case KV footprint allow.  Returns
+    /// whether the request was admitted.  The caller keeps the queue (the
+    /// serving engine's FCFS gateway, where a scale-out can still pick the
+    /// request up).
     pub fn try_admit(&mut self, request: Request, now: f64) -> bool {
         self.check_servable(&request);
         let need = self.config.kv_need(&request);
-        if !self.can_admit(need) {
+        if self.running.len() >= self.config.max_running_requests
+            || self.reserved_kv_tokens + need > self.config.kv_capacity_tokens
+        {
             return false;
         }
         self.reserved_kv_tokens += need;
@@ -257,29 +229,11 @@ impl ContinuousBatcher {
         true
     }
 
-    /// Admission control over the local queue: move queued requests
-    /// (arrived by `now`, FCFS) into the running set while the running-set
-    /// cap and their worst-case KV footprint allow.  Head-of-line blocking
-    /// is deliberate — admitting around a stuck head would starve large
-    /// requests forever.
-    pub fn admit(&mut self, now: f64) {
-        while let Some(front) = self.waiting.front() {
-            if front.arrival > now || !self.can_admit(self.config.kv_need(front)) {
-                break;
-            }
-            let request = self.waiting.pop_front().expect("front exists");
-            let admitted = self.try_admit(request, now);
-            debug_assert!(admitted, "can_admit implies try_admit succeeds");
-        }
-    }
-
-    /// Form the next engine step at time `now`: admit what fits, then fill
-    /// the token budget — every decoding request contributes one token,
-    /// then prompt chunks (FCFS over the running set) take the rest, up to
-    /// the chunked-prefill cap.  Returns `None` when no work is runnable at
-    /// `now`.
-    pub fn plan_step(&mut self, now: f64) -> Option<StepPlan> {
-        self.admit(now);
+    /// Form the next engine step over the running set: every decoding
+    /// request contributes one token, then prompt chunks (FCFS over the
+    /// running set) take the rest of the token budget, up to the
+    /// chunked-prefill cap.  Returns `None` when nothing is running.
+    pub fn plan_step(&self) -> Option<StepPlan> {
         let mut decoders = Vec::new();
         let mut prefill_shares = Vec::new();
         let mut budget = self.config.max_batch_tokens;
@@ -386,37 +340,40 @@ mod tests {
         }
     }
 
-    /// Drive the batcher with 1-second steps until drained; returns the
+    /// Drive the batcher with 1-second steps until `pending` (FCFS, by
+    /// arrival) has been admitted and everything has run; returns the
     /// completion records in completion order.
-    fn drain(batcher: &mut ContinuousBatcher, mut now: f64) -> Vec<RequestRecord> {
+    fn drain(
+        batcher: &mut ContinuousBatcher,
+        pending: &[Request],
+        mut now: f64,
+    ) -> Vec<RequestRecord> {
         let mut records = Vec::new();
-        let mut guard = 0;
-        while batcher.has_work() {
-            guard += 1;
-            assert!(guard < 100_000, "batcher failed to drain");
-            match batcher.plan_step(now) {
+        let mut next = 0;
+        for _ in 0..100_000 {
+            while next < pending.len()
+                && pending[next].arrival <= now
+                && batcher.try_admit(pending[next], now)
+            {
+                next += 1;
+            }
+            match batcher.plan_step() {
                 Some(plan) => {
                     now += 1.0;
                     records.extend(batcher.commit_step(&plan, 0, now));
                 }
-                None => {
-                    now = batcher
-                        .oldest_waiting_arrival()
-                        .expect("no plan implies a future arrival")
-                        .max(now);
-                    batcher.admit(now);
-                }
+                None if next < pending.len() => now = now.max(pending[next].arrival),
+                None => return records,
             }
         }
-        records
+        panic!("batcher failed to drain");
     }
 
     #[test]
     fn a_single_request_prefills_then_decodes() {
         let mut b = ContinuousBatcher::new(config(1_000));
         // 48-token prompt (2 chunked steps at 32), 4 output tokens.
-        b.enqueue(request(0, 0.0, 48, 4));
-        let records = drain(&mut b, 0.0);
+        let records = drain(&mut b, &[request(0, 0.0, 48, 4)], 0.0);
         assert_eq!(records.len(), 1);
         let r = records[0];
         // Steps: prefill 32, prefill 16 (+ first token), 3 decode steps.
@@ -431,33 +388,31 @@ mod tests {
     #[test]
     fn decode_has_priority_over_prefill_in_the_budget() {
         let mut b = ContinuousBatcher::new(config(10_000));
-        b.enqueue(request(0, 0.0, 32, 50));
+        assert!(b.try_admit(request(0, 0.0, 32, 50), 0.0));
         // First step prefills request 0 entirely.
-        let plan = b.plan_step(0.0).unwrap();
+        let plan = b.plan_step().unwrap();
         assert_eq!(plan.prefill_tokens, 32);
         b.commit_step(&plan, 0, 1.0);
         // A newcomer's prefill shares the step with the decode.
-        b.enqueue(request(1, 1.0, 32, 1));
-        let plan = b.plan_step(1.0).unwrap();
+        assert!(b.try_admit(request(1, 1.0, 32, 1), 1.0));
+        let plan = b.plan_step().unwrap();
         assert_eq!(plan.decode_tokens, 1);
         assert_eq!(plan.prefill_tokens, 32);
         assert_eq!(plan.batch_tokens(), 33);
     }
 
     #[test]
-    fn admission_respects_the_kv_budget_fcfs() {
-        // Capacity 100: request 0 (60) admits, request 1 (60) must wait,
-        // request 2 (20) waits behind it (no head-of-line bypass).
+    fn admission_respects_the_kv_budget() {
+        // Capacity 100: request 0 (60) admits, request 1 (60) does not fit
+        // beside it.
         let mut b = ContinuousBatcher::new(config(100));
-        b.enqueue(request(0, 0.0, 50, 10));
-        b.enqueue(request(1, 0.0, 50, 10));
-        b.enqueue(request(2, 0.0, 10, 10));
-        b.admit(0.0);
+        assert!(b.try_admit(request(0, 0.0, 50, 10), 0.0));
+        assert!(!b.try_admit(request(1, 0.0, 50, 10), 0.0));
         assert_eq!(b.running_len(), 1);
-        assert_eq!(b.queue_len(), 2);
         assert_eq!(b.reserved_kv_tokens(), 60);
         // Everything still completes once capacity frees up.
-        let records = drain(&mut b, 0.0);
+        let rest = [request(1, 0.0, 50, 10), request(2, 0.0, 10, 10)];
+        let records = drain(&mut b, &rest, 0.0);
         assert_eq!(records.len(), 3);
         assert!(b.peak_kv_tokens() <= 100);
     }
@@ -466,7 +421,7 @@ mod tests {
     fn oversized_requests_are_rejected_up_front() {
         let mut b = ContinuousBatcher::new(config(100));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            b.enqueue(request(0, 0.0, 90, 20));
+            b.try_admit(request(0, 0.0, 90, 20), 0.0);
         }));
         assert!(result.is_err());
     }
@@ -475,7 +430,7 @@ mod tests {
     #[should_panic(expected = "≥ 1 prompt and ≥ 1 output token")]
     fn zero_prompt_requests_are_rejected() {
         let mut b = ContinuousBatcher::new(config(100));
-        b.enqueue(request(0, 0.0, 0, 5));
+        b.try_admit(request(0, 0.0, 0, 5), 0.0);
     }
 
     #[test]
@@ -494,10 +449,7 @@ mod tests {
             request(2, 3.0, 100, 2),
             request(3, 3.0, 7, 7),
         ];
-        for r in requests {
-            b.enqueue(r);
-        }
-        let records = drain(&mut b, 0.0);
+        let records = drain(&mut b, &requests, 0.0);
         assert_eq!(records.len(), 4);
         let mut ids: Vec<u64> = records.iter().map(|r| r.id).collect();
         ids.sort_unstable();
@@ -516,21 +468,21 @@ mod tests {
     }
 
     #[test]
-    fn plan_step_is_none_before_the_first_arrival() {
+    fn plan_step_is_none_without_running_work() {
         let mut b = ContinuousBatcher::new(config(500));
-        b.enqueue(request(0, 5.0, 10, 1));
-        assert!(b.plan_step(1.0).is_none());
+        assert!(b.plan_step().is_none());
+        assert!(!b.has_work());
+        assert!(b.try_admit(request(0, 5.0, 10, 1), 5.0));
         assert!(b.has_work());
-        assert_eq!(b.oldest_waiting_arrival(), Some(5.0));
-        assert!(b.plan_step(5.0).is_some());
+        assert!(b.plan_step().is_some());
     }
 
     #[test]
     fn outstanding_tokens_track_remaining_work() {
         let mut b = ContinuousBatcher::new(config(500));
-        b.enqueue(request(0, 0.0, 32, 4));
+        assert!(b.try_admit(request(0, 0.0, 32, 4), 0.0));
         assert_eq!(b.outstanding_tokens(), 36);
-        let plan = b.plan_step(0.0).unwrap();
+        let plan = b.plan_step().unwrap();
         b.commit_step(&plan, 0, 1.0); // prefill done + first token
         assert_eq!(b.outstanding_tokens(), 3);
         // Config accessor and validation.
@@ -572,14 +524,11 @@ mod tests {
             assert_eq!(b.try_admit(request(id, 0.0, 8, 4), 0.0), id < 2);
         }
         assert_eq!(b.running_len(), 2);
-        // Queued admission respects the same cap.
-        b.enqueue(request(9, 0.0, 8, 4));
-        b.admit(0.0);
-        assert_eq!(b.running_len(), 2);
-        assert_eq!(b.queue_len(), 1);
-        // Draining frees a slot and the queue drains through it.
-        let records = drain(&mut b, 0.0);
+        // A later request gets in only once a completion frees a slot.
+        let records = drain(&mut b, &[request(9, 0.0, 8, 4)], 0.0);
         assert_eq!(records.len(), 3);
+        let late = records.iter().find(|r| r.id == 9).unwrap();
+        assert!(late.admitted > 0.0);
     }
 
     #[test]
@@ -589,11 +538,10 @@ mod tests {
         let mut b = ContinuousBatcher::new(cfg);
         // 90 + 20 = 110 total tokens, but the window caps the cache at 64,
         // so the request is admissible (dense attention would reject it).
-        b.enqueue(request(0, 0.0, 90, 20));
-        b.admit(0.0);
+        assert!(b.try_admit(request(0, 0.0, 90, 20), 0.0));
         assert_eq!(b.running_len(), 1);
         assert_eq!(b.reserved_kv_tokens(), 64);
-        let records = drain(&mut b, 0.0);
+        let records = drain(&mut b, &[], 0.0);
         assert_eq!(records.len(), 1);
         assert_eq!(b.reserved_kv_tokens(), 0);
     }

@@ -24,17 +24,21 @@
 //! retention — so CALM-style early exit directly shortens decode work and
 //! wire bytes, exactly as it shortened training iterations.
 //!
-//! When an [`crate::autoscale::Autoscaler`] is attached, breaching the
-//! TTFT target acquires one replica's worth of GPUs from the fleet's
-//! [`JobManager`], lays out the new replica with the configured balancer
-//! (re-partitioning against the *current* dynamism state), and brings it
-//! online after a provisioning delay; quiet periods drain and release
-//! replicas back — the paper's elastic release run in reverse.
+//! Replicas come and go through one lifecycle: *add* lays a replica out
+//! with the configured balancer (re-partitioning against the *current*
+//! dynamism state) and brings it online after a provisioning delay,
+//! *begin-drain* stops the least-loaded live replica taking new work, and
+//! *reclaim* releases drained replicas' GPUs — the paper's elastic release
+//! run in reverse.  An attached [`crate::autoscale::Autoscaler`] drives it
+//! from the TTFT target; on a deployment built with
+//! [`ServingEngine::external`] an outside owner (a fleet controller's
+//! shared pool) drives it through the session instead.  Either way one
+//! time-weighted meter on the [`fleet_clock`] axis counts the GPUs the
+//! replicas hold, and `mean_gpus` is its mean over the run.
 
 use dynmo_core::balancer::{
     BalanceObjective, BalanceRequest, DiffusionBalancer, LoadBalancer, PartitionBalancer,
 };
-use dynmo_core::elastic::{JobManager, MockJobManager};
 use dynmo_core::profiler::profile_layers;
 use dynmo_dynamics::{DynamismEngine, LoadUpdate};
 use dynmo_model::ClusterConfig;
@@ -92,8 +96,8 @@ pub struct ServingConfig {
     pub device: DeviceSpec,
     /// Replicas online at t = 0.
     pub initial_replicas: usize,
-    /// Hard ceiling on replicas (sizes the GPU fleet; fixed-capacity
-    /// deployments set this equal to `initial_replicas`).
+    /// Hard ceiling on replicas holding GPUs, draining ones included
+    /// (fixed-capacity deployments set this equal to `initial_replicas`).
     pub max_replicas: usize,
     /// Balancer family laying out each replica's stages.
     pub balancer: ServeBalancerKind,
@@ -218,9 +222,10 @@ struct Replica {
     ready_at: f64,
     /// Draining replicas accept no new dispatches.
     draining: bool,
-    /// Released replicas are gone (their GPUs returned to the fleet).
+    /// Released replicas are gone (their GPUs returned).
     released: bool,
-    /// Fleet worker ids backing the replica.
+    /// Worker ids of the GPU block an outside owner granted; empty on a
+    /// self-managed deployment, which counts its GPUs but names none.
     workers: Vec<usize>,
 }
 
@@ -233,12 +238,7 @@ impl Replica {
             return None;
         }
         if self.batcher.has_work() {
-            let work_at = if self.batcher.running_len() > 0 {
-                self.clock
-            } else {
-                self.batcher.oldest_waiting_arrival()?
-            };
-            return Some(work_at.max(self.clock).max(self.ready_at));
+            return Some(self.clock.max(self.ready_at));
         }
         if self.draining {
             return None;
@@ -248,12 +248,34 @@ impl Replica {
     }
 }
 
-/// Time-weighted GPU occupancy for externally managed deployments.
-struct ExternalGpuMeter {
-    /// ∫ gpus dt up to `sampled_at`.
-    integral: f64,
-    /// Time the integral was last advanced to.
-    sampled_at: f64,
+/// Time-weighted GPUs held by the deployment, on the [`fleet_clock`]
+/// millisecond axis.  A replica holds its GPUs from the moment it is added
+/// until it is reclaimed, draining included.
+struct GpuMeter {
+    /// GPUs held since `since`.
+    gpus: usize,
+    /// Millisecond of the latest change (monotone).
+    since: u64,
+    /// GPU-milliseconds held before `since`.
+    gpu_ms: f64,
+}
+
+impl GpuMeter {
+    /// Hold `gpus` from `now` on.  A `now` before the latest change counts
+    /// as that change's time, so the meter never runs backward.
+    fn set(&mut self, now: f64, gpus: usize) {
+        let at = fleet_clock(now).max(self.since);
+        self.gpu_ms += (at - self.since) as f64 * self.gpus as f64;
+        self.since = at;
+        self.gpus = gpus;
+    }
+
+    /// Mean GPUs held over `[0, makespan]`.
+    fn mean(&self, makespan: f64) -> f64 {
+        let total = fleet_clock(makespan).max(1);
+        let gpu_ms = self.gpu_ms + total.saturating_sub(self.since) as f64 * self.gpus as f64;
+        gpu_ms / total as f64
+    }
 }
 
 /// The simulated deployment.
@@ -278,13 +300,11 @@ pub struct ServingEngine {
     /// by [`ServingEngine::serve`]); a scaled-out layout must cover it.
     trace_max_kv_need: usize,
     replicas: Vec<Replica>,
-    /// Own GPU ledger of a self-managed deployment; `None` when the GPUs
-    /// are granted from outside (a fleet controller's shared pool).
-    fleet: Option<MockJobManager>,
-    /// GPU-time integral for externally managed deployments (the ledger
-    /// normally derives `mean_gpus`; without one, the deployment meters
-    /// its own replica-GPU occupancy over time).
-    external_meter: Option<ExternalGpuMeter>,
+    /// GPUs the replicas hold over time (`mean_gpus`).
+    meter: GpuMeter,
+    /// Whether an outside owner (a fleet controller's shared pool) grants
+    /// and reclaims the GPUs; see [`ServingEngine::external`].
+    external: bool,
     autoscaler: Option<Autoscaler>,
     scale_events: Vec<ScaleEvent>,
     engine_steps: u64,
@@ -303,8 +323,9 @@ pub struct ServingEngine {
 }
 
 impl ServingEngine {
-    /// Build a deployment: lay out the initial replicas with the
-    /// configured balancer and reserve the rest of the fleet for scale-out.
+    /// Build a self-managed deployment: lay out the initial replicas with
+    /// the configured balancer; an attached autoscaler adds replicas up to
+    /// `max_replicas`.
     pub fn new(config: ServingConfig) -> Result<Self, String> {
         config.validate()?;
         let model = Model::from_preset(config.preset);
@@ -341,28 +362,22 @@ impl ServingEngine {
             max_running_requests: config.max_running_requests,
         };
 
-        // The fleet holds every GPU the deployment may ever use; the ones
-        // not backing an initial replica are released (free) at t = 0.
-        let mut fleet = MockJobManager::new(config.max_replicas * config.stages);
-        let mut replicas = Vec::with_capacity(config.initial_replicas);
-        for r in 0..config.max_replicas {
-            let workers: Vec<usize> = (r * config.stages..(r + 1) * config.stages).collect();
-            if r < config.initial_replicas {
-                replicas.push(Replica {
-                    batcher: ContinuousBatcher::new(batcher_config),
-                    assignment: initial_assignment.clone(),
-                    clock: 0.0,
-                    ready_at: 0.0,
-                    draining: false,
-                    released: false,
-                    workers,
-                });
-            } else {
-                fleet
-                    .try_release(&workers)
-                    .map_err(|e| format!("fleet setup: {e}"))?;
-            }
-        }
+        let replicas: Vec<Replica> = (0..config.initial_replicas)
+            .map(|_| Replica {
+                batcher: ContinuousBatcher::new(batcher_config),
+                assignment: initial_assignment.clone(),
+                clock: 0.0,
+                ready_at: 0.0,
+                draining: false,
+                released: false,
+                workers: Vec::new(),
+            })
+            .collect();
+        let meter = GpuMeter {
+            gpus: config.initial_replicas * config.stages,
+            since: 0,
+            gpu_ms: 0.0,
+        };
 
         let autoscaler = config.autoscaler.map(Autoscaler::new);
         Ok(ServingEngine {
@@ -380,8 +395,8 @@ impl ServingEngine {
             initial_assignment,
             trace_max_kv_need: 0,
             replicas,
-            fleet: Some(fleet),
-            external_meter: None,
+            meter,
+            external: false,
             autoscaler,
             scale_events: Vec::new(),
             engine_steps: 0,
@@ -392,10 +407,9 @@ impl ServingEngine {
     /// Build an *externally managed* deployment: every replica runs on a
     /// GPU block granted by an outside owner (a fleet controller's shared
     /// pool), one block of `config.stages` workers per initial replica.
-    /// The deployment keeps no ledger of its own — scaling happens through
-    /// [`ServingSession::add_external_replica`], [`ServingSession::begin_drain`]
-    /// and [`ServingSession::reclaim_drained`], and `mean_gpus` is metered
-    /// from replica occupancy over time.  The internal autoscaler is
+    /// Scaling happens only through [`ServingSession::add_external_replica`],
+    /// [`ServingSession::begin_drain`] and
+    /// [`ServingSession::reclaim_drained`].  The internal autoscaler is
     /// rejected: exactly one party may own the scaling decisions.
     pub fn external(config: ServingConfig, blocks: Vec<Vec<usize>>) -> Result<Self, String> {
         if config.autoscaler.is_some() {
@@ -416,11 +430,7 @@ impl ServingEngine {
             ));
         }
         let mut engine = ServingEngine::new(config)?;
-        engine.fleet = None;
-        engine.external_meter = Some(ExternalGpuMeter {
-            integral: 0.0,
-            sampled_at: 0.0,
-        });
+        engine.external = true;
         for (replica, block) in engine.replicas.iter_mut().zip(blocks) {
             replica.workers = block;
         }
@@ -444,7 +454,7 @@ impl ServingEngine {
     /// optional dynamism engine is stepped once per engine step through its
     /// inference hook.
     ///
-    /// Consumes the deployment: token counters, the fleet ledger, scaling
+    /// Consumes the deployment: token counters, the GPU meter, scaling
     /// state and drained replicas all accumulate across steps, so a second
     /// trace needs a fresh [`ServingEngine`] (or the [`serve`] wrapper) —
     /// by-value `self` makes silent metric corruption impossible.
@@ -564,92 +574,69 @@ impl ServingEngine {
     /// `gateway_tokens` and `oldest_wait` describe the gateway queue (the
     /// un-admitted FCFS backlog).
     fn autoscale(&mut self, now: f64, gateway_tokens: usize, oldest_wait: f64) {
-        let Some(scaler) = &mut self.autoscaler else {
-            return;
-        };
-        let live: Vec<&Replica> = self
-            .replicas
-            .iter()
-            .filter(|r| !r.released && !r.draining)
-            .collect();
-        let backlog_tokens: usize = gateway_tokens
-            + live
+        let backlog_tokens = gateway_tokens
+            + self
+                .replicas
                 .iter()
+                .filter(|r| !r.released && !r.draining)
                 .map(|r| r.batcher.outstanding_tokens())
                 .sum::<usize>();
         let signals = LoadSignals {
-            replicas: live.len(),
+            replicas: self.live_replicas(),
             backlog_tokens,
             oldest_wait,
             capacity_tokens_per_replica: self.kv_capacity_tokens,
         };
-        let decision = scaler.evaluate(now, &signals);
-        let acted = match decision {
+        let Some(scaler) = &mut self.autoscaler else {
+            return;
+        };
+        let acted = match scaler.evaluate(now, &signals) {
             ScaleDecision::Hold => false,
-            ScaleDecision::Out => {
+            // Draining replicas hold their GPUs until reclaimed, so they
+            // count against the ceiling.
+            ScaleDecision::Out
+                if self.meter.gpus < self.config.max_replicas * self.config.stages =>
+            {
                 let p99 = scaler.windowed_ttft_p99(now);
-                self.scale_out(now, p99, backlog_tokens)
+                let ready_at = now + scaler.config().provision_delay;
+                self.add_replica(Vec::new(), now, ready_at, p99, backlog_tokens);
+                true
             }
-            ScaleDecision::In => {
-                // Drain the live replica with the least outstanding work;
-                // its GPUs return to the fleet once it empties.
-                if let Some(victim) = self
-                    .replicas
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| !r.released && !r.draining)
-                    .min_by_key(|(_, r)| r.batcher.outstanding_tokens())
-                    .map(|(i, _)| i)
-                {
-                    self.replicas[victim].draining = true;
-                    true
-                } else {
-                    false
-                }
-            }
+            ScaleDecision::Out => false,
+            ScaleDecision::In => self.begin_drain().is_some(),
         };
         if acted {
             // Only an applied decision starts the cooldown: a scale-out
-            // dropped for lack of free GPUs must be retried at the next
-            // check, not suppressed for a whole cooldown mid-breach.
+            // dropped at the ceiling must be retried at the next check,
+            // not suppressed for a whole cooldown mid-breach.
             if let Some(scaler) = &mut self.autoscaler {
                 scaler.note_action(now);
             }
         }
     }
 
-    /// Acquire one replica's worth of GPUs and bring a new replica online
-    /// after the provisioning delay, re-partitioned against the current
-    /// dynamism state.  Returns whether a replica was actually added (the
-    /// fleet may have no free block while a draining replica still holds
-    /// its GPUs).
-    fn scale_out(&mut self, now: f64, observed_ttft_p99: f64, backlog_tokens: usize) -> bool {
-        let workers = {
-            let Some(fleet) = self.fleet.as_mut() else {
-                return false; // externally managed: scaling happens outside
-            };
-            if fleet.available() < self.config.stages {
-                return false; // fleet exhausted
-            }
-            fleet.set_iteration(fleet_clock(now));
-            fleet.acquire(self.config.stages)
-        };
-        debug_assert_eq!(workers.len(), self.config.stages);
+    /// Bring a new replica on `workers` online from `ready_at` (never
+    /// before `now`), laid out against the current dynamism state, and log
+    /// the scale-out with the signals the caller acted on.
+    fn add_replica(
+        &mut self,
+        workers: Vec<usize>,
+        now: f64,
+        ready_at: f64,
+        observed_ttft_p99: f64,
+        backlog_tokens: usize,
+    ) {
+        self.meter.set(now, self.meter.gpus + self.config.stages);
         let (assignment, capacity) = self.replica_layout();
-        let provision_delay = self
-            .config
-            .autoscaler
-            .as_ref()
-            .map_or(0.0, |c| c.provision_delay);
-        let ready_at = now + provision_delay;
+        let online_at = ready_at.max(now);
         self.replicas.push(Replica {
             batcher: ContinuousBatcher::new(BatcherConfig {
                 kv_capacity_tokens: capacity,
                 ..self.batcher_config
             }),
             assignment,
-            clock: ready_at,
-            ready_at,
+            clock: online_at,
+            ready_at: online_at,
             draining: false,
             released: false,
             workers,
@@ -674,7 +661,6 @@ impl ServingEngine {
             ],
         );
         self.recorder.counter(0, "live_replicas", now, live as f64);
-        true
     }
 
     /// Lay out a new replica against the *current* dynamism state (e.g.
@@ -703,77 +689,66 @@ impl ServingEngine {
         }
     }
 
-    /// Advance the external GPU-time integral to `now` at the *current*
-    /// replica set (call before the set changes).  No-op for self-managed
-    /// deployments, whose ledger already carries the occupancy history.
-    fn note_gpu_change(&mut self, now: f64) {
-        let gpus: usize = self
+    /// Start draining the live replica with the least outstanding work;
+    /// its GPUs come back through [`ServingEngine::reclaim`] once it
+    /// empties.  Returns the replica index, or `None` with no live replica.
+    fn begin_drain(&mut self) -> Option<usize> {
+        let victim = self
             .replicas
             .iter()
-            .filter(|r| !r.released)
-            .map(|r| r.workers.len())
-            .sum();
-        if let Some(meter) = &mut self.external_meter {
-            meter.integral += gpus as f64 * (now - meter.sampled_at).max(0.0);
-            meter.sampled_at = meter.sampled_at.max(now);
-        }
+            .enumerate()
+            .filter(|(_, r)| !r.released && !r.draining)
+            .min_by_key(|(_, r)| r.batcher.outstanding_tokens())
+            .map(|(i, _)| i)?;
+        self.replicas[victim].draining = true;
+        Some(victim)
     }
 
-    /// Outstanding (admitted, unfinished) tokens across live replicas.
+    /// Release every replica that has finished draining as of `now`,
+    /// logging one scale-in event each, and return their worker blocks.
+    fn reclaim(&mut self, now: f64) -> Vec<Vec<usize>> {
+        let mut freed = Vec::new();
+        for idx in 0..self.replicas.len() {
+            let r = &self.replicas[idx];
+            let drained = r.draining && !r.released && !r.batcher.has_work() && r.clock <= now;
+            if !drained {
+                continue;
+            }
+            self.meter.set(now, self.meter.gpus - self.config.stages);
+            let replica = &mut self.replicas[idx];
+            replica.released = true;
+            freed.push(std::mem::take(&mut replica.workers));
+            let p99 = self
+                .autoscaler
+                .as_ref()
+                .map_or(0.0, |s| s.windowed_ttft_p99(now));
+            let live = self.live_replicas();
+            self.scale_events.push(ScaleEvent {
+                time: now,
+                delta: -1,
+                replicas_after: live,
+                observed_ttft_p99: p99,
+                backlog_tokens: self.outstanding_tokens(),
+            });
+            self.recorder.instant(
+                0,
+                MarkerKind::ScaleIn,
+                &format!("to {live} replicas"),
+                now,
+                &[("ttft_p99", format!("{p99:.4}"))],
+            );
+            self.recorder.counter(0, "live_replicas", now, live as f64);
+        }
+        freed
+    }
+
+    /// Outstanding (admitted, unfinished) tokens across unreleased replicas.
     fn outstanding_tokens(&self) -> usize {
         self.replicas
             .iter()
             .filter(|r| !r.released)
             .map(|r| r.batcher.outstanding_tokens())
             .sum()
-    }
-
-    /// Return the GPUs of drained replicas to the fleet, logging one
-    /// scale-in event per released replica.
-    fn release_drained(&mut self, now: f64) {
-        for idx in 0..self.replicas.len() {
-            let drained = {
-                let r = &self.replicas[idx];
-                r.draining && !r.released && !r.batcher.has_work() && r.clock <= now
-            };
-            if drained {
-                let fleet = self
-                    .fleet
-                    .as_mut()
-                    .expect("self-managed scaling implies an own ledger");
-                fleet.set_iteration(fleet_clock(now));
-                let workers = self.replicas[idx].workers.clone();
-                fleet
-                    .try_release(&workers)
-                    .expect("replica workers are allocated");
-                self.replicas[idx].released = true;
-                let p99 = self
-                    .autoscaler
-                    .as_ref()
-                    .map_or(0.0, |s| s.windowed_ttft_p99(now));
-                let live = self.live_replicas();
-                self.scale_events.push(ScaleEvent {
-                    time: now,
-                    delta: -1,
-                    replicas_after: live,
-                    observed_ttft_p99: p99,
-                    backlog_tokens: self
-                        .replicas
-                        .iter()
-                        .filter(|r| !r.released)
-                        .map(|r| r.batcher.outstanding_tokens())
-                        .sum(),
-                });
-                self.recorder.instant(
-                    0,
-                    MarkerKind::ScaleIn,
-                    &format!("to {live} replicas"),
-                    now,
-                    &[("ttft_p99", format!("{p99:.4}"))],
-                );
-                self.recorder.counter(0, "live_replicas", now, live as f64);
-            }
-        }
     }
 
     /// Replicas serving or provisioning (not draining, not released).
@@ -798,14 +773,6 @@ impl ServingEngine {
     ) -> ServingReport {
         let slo = self.config.slo;
         let span = makespan.max(f64::MIN_POSITIVE);
-        // Close the external GPU-time integral at the makespan (no-op for
-        // self-managed deployments).
-        self.note_gpu_change(makespan);
-        let mean_gpus = match (&self.fleet, &self.external_meter) {
-            (Some(fleet), _) => fleet.average_allocated(fleet_clock(makespan).max(1)),
-            (None, Some(meter)) => meter.integral / span,
-            (None, None) => 0.0,
-        };
         let total_output_tokens: u64 = self
             .replicas
             .iter()
@@ -839,7 +806,7 @@ impl ServingEngine {
             total_output_tokens,
             total_prefill_tokens,
             engine_steps: self.engine_steps,
-            mean_gpus,
+            mean_gpus: self.meter.mean(makespan),
             peak_replicas: self.peak_replicas,
             scale_events: std::mem::take(&mut self.scale_events),
             kv_capacity_tokens: self.kv_capacity_tokens,
@@ -933,6 +900,8 @@ impl ServingSession {
         }
 
         // Pull from the gateway (FCFS) while admission control allows.
+        // Head-of-line blocking is deliberate: admitting around a stuck
+        // head would starve large requests forever.
         if !self.engine.replicas[idx].draining {
             while let Some(request) = self.trace.requests.get(self.gateway) {
                 if request.arrival > start
@@ -961,7 +930,7 @@ impl ServingSession {
         }
         let plan = self.engine.replicas[idx]
             .batcher
-            .plan_step(start)
+            .plan_step()
             .expect("next_action_time implies runnable work");
         let duration = self.engine.price_step(idx, &plan);
         let end = start + duration;
@@ -987,7 +956,7 @@ impl ServingSession {
                 self.slo_met += 1;
             }
             self.completed_count += 1;
-            if self.engine.external_meter.is_some() {
+            if self.engine.external {
                 self.completions.push((end, record.ttft()));
             }
             if self.engine.config.retain_records {
@@ -999,7 +968,7 @@ impl ServingSession {
             // Evaluate on the monotone observation clock (`makespan` =
             // the latest step end seen so far): steps are executed in
             // start-time order, so raw `end`s can interleave backward,
-            // and both the scale-event log and the fleet ledger assume
+            // and both the scale-event log and the GPU meter assume
             // non-decreasing timestamps.
             let now = self.makespan;
             // The backlog scan is O(arrived-but-unadmitted); only pay
@@ -1014,7 +983,7 @@ impl ServingSession {
                 self.engine
                     .autoscale(now, backlog.tokens, backlog.oldest_wait);
             }
-            self.engine.release_drained(now);
+            self.engine.reclaim(now);
         }
         true
     }
@@ -1138,7 +1107,7 @@ impl ServingSession {
         observed_ttft_p99: f64,
     ) -> Result<(), String> {
         let engine = &mut self.engine;
-        if engine.fleet.is_some() {
+        if !engine.external {
             return Err("self-managed deployments own their scaling".into());
         }
         if workers.len() != engine.config.stages {
@@ -1148,44 +1117,8 @@ impl ServingSession {
                 engine.config.stages
             ));
         }
-        engine.note_gpu_change(now);
-        let (assignment, capacity) = engine.replica_layout();
-        let online_at = ready_at.max(now);
-        engine.replicas.push(Replica {
-            batcher: ContinuousBatcher::new(BatcherConfig {
-                kv_capacity_tokens: capacity,
-                ..engine.batcher_config
-            }),
-            assignment,
-            clock: online_at,
-            ready_at: online_at,
-            draining: false,
-            released: false,
-            workers,
-        });
-        let live = engine.live_replicas();
-        engine.peak_replicas = engine.peak_replicas.max(live);
         let backlog_tokens = engine.outstanding_tokens();
-        engine.scale_events.push(ScaleEvent {
-            time: now,
-            delta: 1,
-            replicas_after: live,
-            observed_ttft_p99,
-            backlog_tokens,
-        });
-        engine.recorder.instant(
-            0,
-            MarkerKind::ScaleOut,
-            &format!("to {live} replicas"),
-            now,
-            &[
-                ("ttft_p99", format!("{observed_ttft_p99:.4}")),
-                ("backlog_tokens", backlog_tokens.to_string()),
-            ],
-        );
-        engine
-            .recorder
-            .counter(0, "live_replicas", now, live as f64);
+        engine.add_replica(workers, now, ready_at, observed_ttft_p99, backlog_tokens);
         Ok(())
     }
 
@@ -1193,18 +1126,12 @@ impl ServingSession {
     /// (the same victim rule the autoscaler's scale-in uses); its GPUs
     /// come back through [`ServingSession::reclaim_drained`] once it
     /// empties.  Returns the replica index, or `None` with no live
-    /// replica to drain.
+    /// replica to drain or on a self-managed deployment.
     pub fn begin_drain(&mut self) -> Option<usize> {
-        let victim = self
-            .engine
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.released && !r.draining)
-            .min_by_key(|(_, r)| r.batcher.outstanding_tokens())
-            .map(|(i, _)| i)?;
-        self.engine.replicas[victim].draining = true;
-        Some(victim)
+        if !self.engine.external {
+            return None;
+        }
+        self.engine.begin_drain()
     }
 
     /// Collect the GPU blocks of replicas that have finished draining as
@@ -1212,48 +1139,15 @@ impl ServingSession {
     /// scale-in event per reclaimed replica.  The caller returns the
     /// blocks to whatever pool granted them.
     pub fn reclaim_drained(&mut self, now: f64) -> Vec<Vec<usize>> {
-        let engine = &mut self.engine;
-        if engine.fleet.is_some() {
-            return Vec::new(); // self-managed: release_drained owns this
+        if !self.engine.external {
+            return Vec::new();
         }
-        let mut freed = Vec::new();
-        for idx in 0..engine.replicas.len() {
-            let drained = {
-                let r = &engine.replicas[idx];
-                r.draining && !r.released && !r.batcher.has_work() && r.clock <= now
-            };
-            if drained {
-                engine.note_gpu_change(now);
-                engine.replicas[idx].released = true;
-                let workers = std::mem::take(&mut engine.replicas[idx].workers);
-                let live = engine.live_replicas();
-                let backlog_tokens = engine.outstanding_tokens();
-                engine.scale_events.push(ScaleEvent {
-                    time: now,
-                    delta: -1,
-                    replicas_after: live,
-                    observed_ttft_p99: 0.0,
-                    backlog_tokens,
-                });
-                engine.recorder.instant(
-                    0,
-                    MarkerKind::ScaleIn,
-                    &format!("to {live} replicas"),
-                    now,
-                    &[("backlog_tokens", backlog_tokens.to_string())],
-                );
-                engine
-                    .recorder
-                    .counter(0, "live_replicas", now, live as f64);
-                freed.push(workers);
-            }
-        }
-        freed
+        self.engine.reclaim(now)
     }
 }
 
-/// The fleet ledger timestamps in milliseconds (its "iteration" axis) —
-/// shared with fleet controllers so every party stamps the same clock.
+/// Simulated seconds as whole milliseconds: the axis a deployment's GPU
+/// meter and a fleet controller's ledger (its "iteration") both stamp.
 pub fn fleet_clock(time: f64) -> u64 {
     (time * 1000.0).round().max(0.0) as u64
 }
@@ -1310,7 +1204,7 @@ pub fn serve(
 mod tests {
     use super::*;
     use crate::autoscale::AutoscalerConfig;
-    use crate::trace::{ArrivalProcess, LengthModel, RequestTrace};
+    use crate::trace::{ArrivalProcess, LengthModel, Request, RequestTrace};
     use dynmo_dynamics::{EarlyExitEngine, EarlyExitMethod};
 
     fn lengths() -> LengthModel {
@@ -1391,7 +1285,7 @@ mod tests {
         );
         assert!(elastic.peak_replicas > 1);
         assert!(elastic.mean_gpus > 4.0);
-        // The fleet ledger and the scale events agree.
+        // Scaling never loses a request.
         assert_eq!(elastic.completed, trace.num_requests());
     }
 
@@ -1416,6 +1310,61 @@ mod tests {
             "the quiet tail must release a replica (events: {:?})",
             report.scale_events
         );
+    }
+
+    #[test]
+    fn draining_replicas_count_against_the_self_managed_ceiling() {
+        let config =
+            ServingConfig::small(2).with_autoscaler(AutoscalerConfig::responsive(2.0, 1, 2));
+        let mut engine = ServingEngine::new(config).unwrap();
+        // One replica drains with a request still running, so it keeps its
+        // GPUs.
+        let victim = engine.begin_drain().unwrap();
+        let request = Request {
+            id: 0,
+            arrival: 0.0,
+            prompt_tokens: 16,
+            output_tokens: 4,
+        };
+        assert!(engine.replicas[victim].batcher.try_admit(request, 0.0));
+        // A breach (the gateway's front has waited 10 s) sees one live
+        // replica under a ceiling of two, yet both still hold GPUs.
+        engine.autoscale(2.0, 0, 10.0);
+        assert_eq!(engine.replicas.len(), 2);
+        assert!(engine.scale_events.is_empty());
+        // Once the drained replica is reclaimed, the next breach adds one.
+        let batcher = &mut engine.replicas[victim].batcher;
+        while let Some(plan) = batcher.plan_step() {
+            batcher.commit_step(&plan, victim, 1.0);
+        }
+        assert_eq!(engine.reclaim(4.0).len(), 1);
+        engine.autoscale(4.0, 0, 10.0);
+        assert_eq!(engine.replicas.len(), 3);
+        assert_eq!(engine.live_replicas(), 2);
+        let deltas: Vec<i64> = engine.scale_events.iter().map(|e| e.delta).collect();
+        assert_eq!(deltas, vec![-1, 1]);
+    }
+
+    #[test]
+    fn a_small_request_never_overtakes_a_larger_one_at_the_gateway() {
+        // Request 0 holds 60% of the KV budget and request 1 needs as much
+        // again, so 1 waits for 0 to finish.  Request 2 would fit beside
+        // 0, but the gateway is FCFS: admitting around a stuck head would
+        // starve large requests.
+        let capacity = ServingEngine::new(ServingConfig::small(1))
+            .unwrap()
+            .kv_capacity_tokens();
+        let big = capacity * 6 / 10;
+        let trace = RequestTrace::replayed(
+            "head-of-line",
+            vec![(0.0, big - 8, 8), (0.0, big - 8, 8), (0.0, 16, 8)],
+        )
+        .unwrap();
+        let report = serve(ServingConfig::small(1), &trace, None).unwrap();
+        let record = |id: u64| *report.records.iter().find(|r| r.id == id).unwrap();
+        assert!(big + 24 <= capacity, "request 2 fits beside request 0");
+        assert!(record(1).admitted >= record(0).completion);
+        assert!(record(2).admitted >= record(1).admitted);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //!   their `inference_step` hook (early-exit token retention shortens
 //!   decode work and boundary bytes; MoE routing skews per-stage load).
 //! * [`metrics`] — SLO metrics: TTFT, TPOT, p50/p95/p99 latency, goodput.
-//! * [`autoscale`] — an SLO-driven elastic autoscaler that acquires GPUs
-//!   from the fleet's `JobManager` and lays out new replicas with the
-//!   balancer when a load spike pushes p99 TTFT past target, then drains
-//!   and releases them when the spike passes.
+//! * [`autoscale`] — an SLO-driven elastic autoscaler that adds replicas,
+//!   laid out by the balancer, up to the deployment's GPU ceiling when a
+//!   load spike pushes p99 TTFT past target, then drains and releases them
+//!   when the spike passes.  A fleet controller scales a deployment built
+//!   with [`ServingEngine::external`] through the same replica lifecycle.
 
 #![warn(missing_docs)]
 
@@ -37,5 +38,5 @@ pub use engine::{
     fleet_clock, serve, GatewaySnapshot, ServeBalancerKind, ServingConfig, ServingEngine,
     ServingSession,
 };
-pub use metrics::{percentile, LatencySummary, RequestRecord, ServingReport, SloTarget};
+pub use metrics::{LatencySummary, RequestRecord, ServingReport, SloTarget};
 pub use trace::{ArrivalProcess, LengthModel, Request, RequestTrace};

@@ -83,16 +83,6 @@ impl RequestRecord {
     }
 }
 
-/// The `q`-th percentile (0 < q ≤ 1) of an ascending-sorted slice, using
-/// the nearest-rank definition; 0 for an empty slice.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// p50/p95/p99/mean of one latency series.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct LatencySummary {
@@ -107,30 +97,9 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarize a series (unsorted; empty series summarize to zeros).
-    ///
-    /// One clone + sort per call — fine for tests and one-off series.  The
-    /// serving engine feeds its per-request latencies through a streaming
-    /// [`dynmo_telemetry::StreamingSummary`] instead (O(1) memory on long
-    /// traces, bit-identical to this path while the series is small) and
-    /// converts via [`LatencySummary::from_stats`].
-    pub fn from_values(values: &[f64]) -> Self {
-        if values.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        LatencySummary {
-            p50: percentile(&sorted, 0.50),
-            p95: percentile(&sorted, 0.95),
-            p99: percentile(&sorted, 0.99),
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-        }
-    }
-
-    /// Adopt a streaming sketch's statistics (the P² path of
-    /// [`dynmo_telemetry::StreamingSummary`] uses the same nearest-rank
-    /// definition as [`percentile`] while its exact buffer lasts).
+    /// Adopt a [`dynmo_telemetry::StreamingSummary`]'s statistics: exact
+    /// nearest-rank percentiles while its buffer lasts, P² estimates
+    /// beyond, so a long trace's summary costs O(1) memory.
     pub fn from_stats(stats: &SummaryStats) -> Self {
         LatencySummary {
             p50: stats.p50,
@@ -217,6 +186,7 @@ impl ServingReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynmo_telemetry::StreamingSummary;
 
     fn record(arrival: f64, first: f64, completion: f64, out: usize) -> RequestRecord {
         RequestRecord {
@@ -242,23 +212,20 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_use_nearest_rank() {
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&v, 0.50), 50.0);
-        assert_eq!(percentile(&v, 0.95), 95.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&v, 1.0), 100.0);
-        assert_eq!(percentile(&[7.0], 0.5), 7.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-    }
-
-    #[test]
     fn summary_aggregates_the_series() {
-        let s = LatencySummary::from_values(&[4.0, 1.0, 3.0, 2.0]);
+        let mut series = StreamingSummary::new();
+        for x in [4.0, 1.0, 3.0, 2.0] {
+            series.observe(x);
+        }
+        let s = LatencySummary::from_stats(&series.stats());
         assert_eq!(s.p50, 2.0);
         assert_eq!(s.p99, 4.0);
         assert_eq!(s.mean, 2.5);
-        assert_eq!(LatencySummary::from_values(&[]), LatencySummary::default());
+        let empty = StreamingSummary::new().stats();
+        assert_eq!(
+            LatencySummary::from_stats(&empty),
+            LatencySummary::default()
+        );
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! * **Wall-clock is measurement, not data.** [`Stopwatch`] is telemetry's
 //!   only host-clock reader, and only the bench harness uses it.  No
 //!   host-clock reading reaches a simulated clock, a checksum, a
-//!   checkpoint, or a sweep artifact (`dynmo-lint` enforces this; the
-//!   runtime fabric's receive-deadline reads are waived exceptions that
-//!   only bound how long a receive blocks).
+//!   checkpoint, or a sweep artifact: apart from [`Stopwatch`] itself, no
+//!   library crate reads the wall clock (`dynmo-lint` enforces this, and no
+//!   library code carries a waiver).
 //!
 //! The entry point is the [`Recorder`] trait: library crates accept an
 //! `Arc<dyn Recorder>` and emit events through it.  The default
@@ -37,5 +37,5 @@ pub mod stopwatch;
 pub use event::{CounterEvent, Event, InstantEvent, LogEvent, LogLevel, MarkerKind, SpanEvent};
 pub use perfetto::{validate_trace_json, TraceBuilder, TraceStats};
 pub use recorder::{MemoryRecorder, NullRecorder, Recorder};
-pub use sketch::{P2Quantile, StreamingSummary, SummaryStats};
+pub use sketch::{nearest_rank, P2Quantile, StreamingSummary, SummaryStats};
 pub use stopwatch::Stopwatch;

@@ -14,10 +14,10 @@
 use serde::{Deserialize, Serialize};
 
 /// The `q`-th percentile (0 < q ≤ 1) of an ascending-sorted slice using
-/// the nearest-rank definition; 0 for an empty slice.  Mirrors
-/// `dynmo_serve::metrics::percentile` exactly so exact-mode summaries are
-/// bit-identical to the sort-based path.
-fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+/// the nearest-rank definition; 0 for an empty slice.  The workspace's one
+/// exact percentile: [`StreamingSummary`]'s exact mode and the serving SLO
+/// windows both take it.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -169,9 +169,8 @@ pub struct SummaryStats {
 /// Streaming p50/p95/p99/mean with a bounded exact buffer.
 ///
 /// While the series fits in the buffer (`exact_limit` values) the summary
-/// is computed by sorting — bit-identical to
-/// `LatencySummary::from_values`, including the order of the mean's
-/// summation — so existing small-n results do not change.  Past the limit
+/// is computed by sorting: [`nearest_rank`] percentiles and a mean summed
+/// in sorted order, so small-n results are exact.  Past the limit
 /// the buffer is dropped (not grown) and the three P² sketches take over:
 /// peak memory becomes O(1) in the number of observations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -259,9 +258,9 @@ impl StreamingSummary {
         }
         match &self.exact {
             Some(values) => {
-                // Mirrors LatencySummary::from_values exactly: sort, take
-                // nearest-rank percentiles, and average over the *sorted*
-                // order (f64 addition is order-sensitive).
+                // Sort, take nearest-rank percentiles, and average over
+                // the *sorted* order (f64 addition is order-sensitive, so
+                // the order is part of the pinned result).
                 let mut sorted = values.clone();
                 sorted.sort_by(|a, b| a.partial_cmp(b).expect("observations are finite"));
                 SummaryStats {
@@ -302,6 +301,17 @@ mod tests {
 
     fn uniform01(state: &mut u64) -> f64 {
         (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        assert_eq!(nearest_rank(&v, 0.50), 50.0);
+        assert_eq!(nearest_rank(&v, 0.95), 95.0);
+        assert_eq!(nearest_rank(&v, 0.99), 99.0);
+        assert_eq!(nearest_rank(&v, 1.0), 100.0);
+        assert_eq!(nearest_rank(&[7.0], 0.5), 7.0);
+        assert_eq!(nearest_rank(&[], 0.5), 0.0);
     }
 
     #[test]

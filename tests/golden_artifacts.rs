@@ -14,8 +14,8 @@ use std::path::Path;
 
 use dynmo_bench::{
     run_composite_sweep, run_fault_tolerance_sweep, run_fleet_sweep, run_hetero_sweep,
-    run_idleness_sweep, run_serving_sweep, run_sweep, ExperimentScale, ServingSweepConfig,
-    SweepConfig,
+    run_idleness_sweep, run_overhead_sweep, run_serving_sweep, run_sweep, ExperimentScale,
+    ServingSweepConfig, SweepConfig,
 };
 
 fn assert_matches_golden(file: &str, actual: Result<String, serde_json::Error>) {
@@ -60,6 +60,12 @@ fn fault_tolerance_matches_the_golden_artifact() {
 fn fig1_idleness_matches_the_golden_artifact() {
     let rows = run_idleness_sweep(ExperimentScale::Smoke);
     assert_matches_golden("fig1_idleness.json", serde_json::to_string_pretty(&rows));
+}
+
+#[test]
+fn fig4_overhead_matches_the_golden_artifact() {
+    let rows = run_overhead_sweep(ExperimentScale::Smoke);
+    assert_matches_golden("fig4_overhead.json", serde_json::to_string_pretty(&rows));
 }
 
 #[test]
