@@ -332,12 +332,12 @@ pub fn run_configuration(config: &CaseConfig, balancer: BalancerKind) -> Configu
         BalancerKind::PartitionByParam | BalancerKind::PartitionByTime => RebalanceController::new(
             Box::new(PartitionBalancer::new()),
             balancer.objective(),
-            repack_policy(config, cluster.clone()),
+            repack_policy(config.repack, cluster.device.memory_capacity),
         ),
         BalancerKind::DiffusionByParam | BalancerKind::DiffusionByTime => RebalanceController::new(
             Box::new(DiffusionBalancer::new()),
             balancer.objective(),
-            repack_policy(config, cluster.clone()),
+            repack_policy(config.repack, cluster.device.memory_capacity),
         ),
     };
 
@@ -377,10 +377,12 @@ pub fn run_configuration(config: &CaseConfig, balancer: BalancerKind) -> Configu
     }
 }
 
-fn repack_policy(config: &CaseConfig, cluster: ClusterConfig) -> RebalancePolicy {
-    if config.repack {
+/// The DynMo rows' policy: dynamic rebalancing, plus re-packing down to as
+/// few as 2 workers when `repack` is set.
+pub(crate) fn repack_policy(repack: bool, memory_capacity: u64) -> RebalancePolicy {
+    if repack {
         RebalancePolicy::dynamic_with_repack(RepackConfig {
-            max_memory: cluster.device.memory_capacity,
+            max_memory: memory_capacity,
             target_num_workers: 2,
             utilization_cap: 0.9,
         })

@@ -35,10 +35,12 @@ pub mod fleet;
 pub mod hetero;
 pub mod idleness;
 pub mod overhead;
+pub mod repack;
 pub mod scale;
 pub mod serving;
 pub mod sweep;
 pub mod table;
+pub mod throughput;
 
 pub use cases::{
     build_engine, headline_speedup, reference_throughput, run_comparison, run_configuration,
@@ -59,6 +61,9 @@ pub use hetero::{
 };
 pub use idleness::{run_idleness_sweep, IdlenessRow};
 pub use overhead::{run_overhead_sweep, OverheadRow};
+pub use repack::{
+    run_average_gpu_sweep, run_packed_sweep, AverageGpuRow, PackedRow, SHRINKING_CASES,
+};
 pub use scale::{ExperimentScale, Flag, ScaledSchedules};
 pub use serving::{
     run_serving_cell, run_serving_cell_recorded, run_serving_sweep, ServingCase, ServingCell,
@@ -68,3 +73,6 @@ pub use sweep::{
     run_cell, run_cell_recorded, run_sweep, run_sweep_recorded, SweepCase, SweepCell, SweepConfig,
 };
 pub use table::{dump_json, fmt, pct, Table};
+pub use throughput::{
+    run_throughput_sweep, RepackAblation, ThroughputPanel, ThroughputRow, ThroughputSweep,
+};

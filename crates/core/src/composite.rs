@@ -2,12 +2,12 @@
 //!
 //! The multi-rank harness in [`crate::recovery`] proves recovery for the
 //! synthetic proxy workload; this module closes the same loop for the
-//! *simulated trainer* driving a real dynamism stack: a
-//! [`ComposedEngine`](dynmo_dynamics::ComposedEngine) run is checkpointed
-//! periodically (each sub-engine's RNG streams and masks captured in the
-//! snapshot's [`EngineState`](dynmo_dynamics::EngineState)), a crash is
-//! simulated at a chosen iteration, and a *fresh* trainer with a *fresh*
-//! engine stack restores the snapshot and replays the lost iterations.
+//! *simulated trainer* driving a real dynamism stack: a [`ComposedEngine`]
+//! run is checkpointed periodically (each sub-engine's RNG streams and masks
+//! captured in the snapshot's [`EngineState`](dynmo_dynamics::EngineState)),
+//! a crash is simulated at a chosen iteration, and a *fresh* trainer with a
+//! *fresh* engine stack restores the snapshot and replays the lost
+//! iterations.
 //!
 //! The replay is **bit-for-bit**: the recovered run's
 //! [`trajectory_checksum`](crate::report::TrainingReport::trajectory_checksum)

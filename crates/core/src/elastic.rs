@@ -3,323 +3,211 @@
 //! After re-packing, the emptied GPUs are removed from the active NCCL
 //! communicator (`ncclCommSplit`) and released back to the cluster manager —
 //! the paper integrates with ECK (Elastic Cloud on Kubernetes) by PATCHing
-//! the pod spec's GPU resource requests.  Here the Kubernetes side is a
-//! [`JobManager`] trait with an in-process [`MockJobManager`] that tracks
-//! the fleet, so the release/acquire protocol and its accounting are
-//! exercised end-to-end without a cluster.
+//! the pod spec's GPU resource requests.  Here the Kubernetes side is an
+//! in-process [`MockJobManager`]: one ledger of which named owner holds
+//! which worker since when, so the release/acquire protocol and its
+//! accounting are exercised end-to-end without a cluster.  The trainer and
+//! the multi-rank recovery harness each hold their world as one job; a
+//! fleet controller shares one pool between a trainer and its serving
+//! tenants.
+//!
+//! Every request names its owner and carries its own time, and every
+//! request is strict: if any id is unknown, repeated, held by another owner
+//! or in the wrong free/held state, the whole request is rejected with a
+//! [`FleetError`] and the ledger is left untouched.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Rejected fleet operations (double release/acquire, unknown workers).
+/// A rejected ledger request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetError {
     /// A worker id outside the fleet.
     UnknownWorker(usize),
-    /// Releasing a worker the job does not currently hold.
+    /// Releasing a worker nobody holds.
     NotAllocated(usize),
-    /// Acquiring a worker the job already holds.
+    /// Acquiring a worker somebody already holds.
     AlreadyAllocated(usize),
     /// The same worker id appears twice in one request.
     DuplicateWorker(usize),
-    /// Releasing a worker reserved by a different owner.
+    /// Releasing a worker a different owner holds.
     NotOwner(usize),
+    /// Granting this many workers when fewer are free.
+    Exhausted(usize),
 }
 
 impl fmt::Display for FleetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FleetError::UnknownWorker(w) => write!(f, "worker {w} is not part of the fleet"),
-            FleetError::NotAllocated(w) => {
-                write!(
-                    f,
-                    "worker {w} is not allocated to the job (double release?)"
-                )
+            Self::UnknownWorker(w) => write!(f, "worker {w} is not part of the fleet"),
+            Self::NotAllocated(w) => write!(f, "worker {w} is not allocated (double release?)"),
+            Self::AlreadyAllocated(w) => {
+                write!(f, "worker {w} is already allocated (double acquire?)")
             }
-            FleetError::AlreadyAllocated(w) => {
-                write!(
-                    f,
-                    "worker {w} is already allocated to the job (double acquire?)"
-                )
-            }
-            FleetError::DuplicateWorker(w) => {
+            Self::DuplicateWorker(w) => {
                 write!(f, "worker {w} appears more than once in the request")
             }
-            FleetError::NotOwner(w) => {
-                write!(f, "worker {w} is reserved by a different owner")
-            }
+            Self::NotOwner(w) => write!(f, "worker {w} is held by a different owner"),
+            Self::Exhausted(n) => write!(f, "fewer than {n} workers are free"),
         }
     }
 }
 
 impl std::error::Error for FleetError {}
 
-/// The interface DynMo uses to hand GPUs back to the cluster's job
-/// manager (re-acquiring them goes by id, through
-/// [`MockJobManager::try_acquire`]).
-pub trait JobManager {
-    /// Release the given workers; they become available to other jobs.
-    /// Returns the number of workers actually accepted.
-    fn release(&mut self, workers: &[usize]) -> usize;
-
-    /// Number of workers currently allocated to this job.
-    fn allocated(&self) -> usize;
-}
-
 /// A record of one release/acquire event, used for the cost-savings
 /// accounting (GPU-hours returned to the cluster).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetEvent {
-    /// Training iteration at which the event happened.
+    /// When the event happened: the request's time (a training iteration,
+    /// or a fleet's millisecond clock), raised to the previous event's so
+    /// the clock never rewinds.
     pub iteration: u64,
-    /// Positive = GPUs released, negative = GPUs re-acquired.
+    /// Positive = GPUs released, negative = GPUs acquired.
     pub delta: i64,
-    /// GPUs allocated to the job after the event.
+    /// GPUs allocated after the event.
     pub allocated_after: usize,
 }
 
-/// An in-process job manager that tracks which workers belong to the job.
+/// An in-process job manager: which named owner holds each worker.
 ///
-/// Reservations may be *tagged* with an owner name (a tenant's serving
-/// deployment, or the training job): an owned worker can only be released
-/// by its owner, so two parties racing a release against
-/// an acquire can never double-count a block — the untagged legacy paths
-/// keep their original semantics for single-job callers.
+/// An owner can only release workers it holds, so two parties racing a
+/// release against an acquire can never double-count a block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MockJobManager {
-    total_workers: usize,
-    allocated: Vec<bool>,
-    /// Per-worker owner tag: an index into `owners`, or `None` for workers
-    /// allocated through the untagged legacy paths.
-    owner: Vec<Option<usize>>,
-    /// Owner names, in order of first reservation.
+    /// Per-worker holder: an index into `owners`, or `None` when free.
+    holder: Vec<Option<usize>>,
+    /// Owner names, in order of first request.
     owners: Vec<String>,
-    /// Workers allocated at construction — the baseline the delta ledger
+    /// Workers held before the first event — the baseline the delta ledger
     /// and `average_allocated` reconcile against.
     initial_allocated: usize,
     events: Vec<FleetEvent>,
-    current_iteration: u64,
-    rejected_releases: u64,
-    rejected_acquires: u64,
 }
 
 impl MockJobManager {
-    /// Create a manager with all `total_workers` initially allocated to the
-    /// job.
-    pub fn new(total_workers: usize) -> Self {
+    /// A ledger of `total` workers, all free — the shared pool a fleet
+    /// controller hands out to named owners.
+    pub fn new(total: usize) -> Self {
         MockJobManager {
-            total_workers,
-            allocated: vec![true; total_workers],
-            owner: vec![None; total_workers],
+            holder: vec![None; total],
             owners: Vec::new(),
-            initial_allocated: total_workers,
-            events: Vec::new(),
-            current_iteration: 0,
-            rejected_releases: 0,
-            rejected_acquires: 0,
-        }
-    }
-
-    /// Create a manager with every worker initially *free* — the shared
-    /// GPU pool a fleet controller hands out to named owners.
-    pub fn empty(total_workers: usize) -> Self {
-        MockJobManager {
-            allocated: vec![false; total_workers],
             initial_allocated: 0,
-            ..MockJobManager::new(total_workers)
+            events: Vec::new(),
         }
     }
 
-    /// Release requests that were rejected (double release, unknown or
-    /// duplicate ids) instead of silently dropped.
-    pub fn rejected_releases(&self) -> u64 {
-        self.rejected_releases
-    }
-
-    /// Acquire requests that were rejected (double acquire, unknown or
-    /// duplicate ids).
-    pub fn rejected_acquires(&self) -> u64 {
-        self.rejected_acquires
-    }
-
-    /// Strict release: every id must be in-fleet, currently allocated, and
-    /// unique within the request, or the whole request is rejected and the
-    /// fleet is left untouched.
-    pub fn try_release(&mut self, workers: &[usize]) -> Result<(), FleetError> {
-        self.validate_request(workers, true)?;
-        let released = self.release(workers);
-        debug_assert_eq!(released, workers.len());
-        Ok(())
-    }
-
-    /// Strict by-id acquire (the elastic *grow* path re-acquiring the exact
-    /// workers it released): every id must be in-fleet, currently free, and
-    /// unique within the request, or the whole request is rejected.
-    pub fn try_acquire(&mut self, workers: &[usize]) -> Result<(), FleetError> {
-        self.validate_request(workers, false)?;
-        for &w in workers {
-            self.allocated[w] = true;
+    /// A ledger of `total` workers, all held by `owner` from the start with
+    /// no event: a job that starts on its whole allocation.
+    pub fn held_by(owner: &str, total: usize) -> Self {
+        MockJobManager {
+            holder: vec![Some(0); total],
+            owners: vec![owner.to_string()],
+            initial_allocated: total,
+            events: Vec::new(),
         }
-        if !workers.is_empty() {
-            self.events.push(FleetEvent {
-                iteration: self.current_iteration,
-                delta: -(workers.len() as i64),
-                allocated_after: self.allocated(),
-            });
-        }
-        Ok(())
     }
 
-    fn validate_request(&mut self, workers: &[usize], releasing: bool) -> Result<(), FleetError> {
-        self.validate_request_as(workers, releasing, None)
-    }
-
-    /// Shared validation for the strict paths.  `releaser` is the owner
-    /// name a release is performed as: `None` is the untagged legacy job,
-    /// which may only release untagged workers — so a bulk release racing a
-    /// tenant's tagged acquire can never free (and double-count) the
-    /// tenant's block.
-    fn validate_request_as(
-        &mut self,
-        workers: &[usize],
-        releasing: bool,
-        releaser: Option<&str>,
-    ) -> Result<(), FleetError> {
-        let reject = |counter: &mut u64, error: FleetError| {
-            *counter += 1;
-            Err(error)
-        };
-        let counter = if releasing {
-            &mut self.rejected_releases
-        } else {
-            &mut self.rejected_acquires
-        };
-        let mut seen = vec![false; self.total_workers];
-        for &w in workers {
-            if w >= self.total_workers {
-                return reject(counter, FleetError::UnknownWorker(w));
-            }
-            if seen[w] {
-                return reject(counter, FleetError::DuplicateWorker(w));
-            }
-            seen[w] = true;
-            if releasing && !self.allocated[w] {
-                return reject(counter, FleetError::NotAllocated(w));
-            }
-            if !releasing && self.allocated[w] {
-                return reject(counter, FleetError::AlreadyAllocated(w));
-            }
-            if releasing {
-                let held_by = self.owner[w].map(|i| self.owners[i].as_str());
-                if held_by != releaser {
-                    return reject(counter, FleetError::NotOwner(w));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn owner_index(&mut self, name: &str) -> usize {
-        if let Some(i) = self.owners.iter().position(|o| o == name) {
-            return i;
-        }
-        self.owners.push(name.to_string());
-        self.owners.len() - 1
-    }
-
-    /// Strict owner-tagged by-id acquire: every id must be free, and the
-    /// granted workers are reserved for `owner` — only `owner` can release
-    /// them again.
-    pub fn try_acquire_as(&mut self, owner: &str, workers: &[usize]) -> Result<(), FleetError> {
-        self.validate_request(workers, false)?;
-        let tag = self.owner_index(owner);
-        for &w in workers {
-            self.allocated[w] = true;
-            self.owner[w] = Some(tag);
-        }
-        if !workers.is_empty() {
-            self.events.push(FleetEvent {
-                iteration: self.current_iteration,
-                delta: -(workers.len() as i64),
-                allocated_after: self.allocated(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Lenient owner-tagged acquire: grant up to `count` free workers
-    /// (lowest ids first), reserved for `owner`.
-    pub fn acquire_as(&mut self, owner: &str, count: usize) -> Vec<usize> {
-        let tag = self.owner_index(owner);
-        let granted: Vec<usize> = (0..self.total_workers)
-            .filter(|&w| !self.allocated[w])
+    /// Hand the `count` lowest free workers to `owner` at time `at`, and
+    /// return their ids.
+    pub fn grant(&mut self, owner: &str, count: usize, at: u64) -> Result<Vec<usize>, FleetError> {
+        let ids: Vec<usize> = (0..self.holder.len())
+            .filter(|&w| self.holder[w].is_none())
             .take(count)
             .collect();
-        for &w in &granted {
-            self.allocated[w] = true;
-            self.owner[w] = Some(tag);
+        if ids.len() < count {
+            return Err(FleetError::Exhausted(count));
         }
-        if !granted.is_empty() {
-            self.events.push(FleetEvent {
-                iteration: self.current_iteration,
-                delta: -(granted.len() as i64),
-                allocated_after: self.allocated(),
-            });
-        }
-        granted
+        self.acquire(owner, &ids, at)?;
+        Ok(ids)
     }
 
-    /// Strict owner-tagged release: every id must be currently reserved by
-    /// `owner`, or the whole request is rejected ([`FleetError::NotOwner`]
-    /// if another owner holds it) and the fleet is left untouched.
-    pub fn try_release_as(&mut self, owner: &str, workers: &[usize]) -> Result<(), FleetError> {
-        self.validate_request_as(workers, true, Some(owner))?;
-        for &w in workers {
-            self.allocated[w] = false;
-            self.owner[w] = None;
-        }
-        if !workers.is_empty() {
-            self.events.push(FleetEvent {
-                iteration: self.current_iteration,
-                delta: workers.len() as i64,
-                allocated_after: self.allocated(),
-            });
+    /// Hand the workers `ids` to `owner` at time `at`; every id must be
+    /// free.
+    pub fn acquire(&mut self, owner: &str, ids: &[usize], at: u64) -> Result<(), FleetError> {
+        self.check(ids, |w, holder| match holder {
+            Some(_) => Err(FleetError::AlreadyAllocated(w)),
+            None => Ok(()),
+        })?;
+        let tag = match self.owners.iter().position(|o| o == owner) {
+            Some(tag) => tag,
+            None => {
+                self.owners.push(owner.to_string());
+                self.owners.len() - 1
+            }
+        };
+        self.record(ids, Some(tag), at, -(ids.len() as i64));
+        Ok(())
+    }
+
+    /// Return the workers `ids` from `owner` to the free pool at time `at`;
+    /// `owner` must hold every id.
+    pub fn release(&mut self, owner: &str, ids: &[usize], at: u64) -> Result<(), FleetError> {
+        let tag = self.owners.iter().position(|o| o == owner);
+        self.check(ids, |w, holder| match holder {
+            None => Err(FleetError::NotAllocated(w)),
+            Some(_) if holder != tag => Err(FleetError::NotOwner(w)),
+            Some(_) => Ok(()),
+        })?;
+        self.record(ids, None, at, ids.len() as i64);
+        Ok(())
+    }
+
+    /// Reject `ids` unless each is in the fleet, appears once, and passes
+    /// `state` given its current holder.
+    fn check(
+        &self,
+        ids: &[usize],
+        state: impl Fn(usize, Option<usize>) -> Result<(), FleetError>,
+    ) -> Result<(), FleetError> {
+        let mut seen = vec![false; self.holder.len()];
+        for &w in ids {
+            let holder = *self.holder.get(w).ok_or(FleetError::UnknownWorker(w))?;
+            if std::mem::replace(&mut seen[w], true) {
+                return Err(FleetError::DuplicateWorker(w));
+            }
+            state(w, holder)?;
         }
         Ok(())
     }
 
-    /// Workers currently reserved by `owner`.
-    pub fn allocated_to(&self, owner: &str) -> usize {
-        let Some(tag) = self.owners.iter().position(|o| o == owner) else {
-            return 0;
-        };
-        self.owner.iter().filter(|&&o| o == Some(tag)).count()
+    /// Give `ids` to `holder` and log the change at `at`, or at the last
+    /// event's time if that is later, so the time-weighted
+    /// [`Self::average_allocated`] never sees a negative span.
+    fn record(&mut self, ids: &[usize], holder: Option<usize>, at: u64, delta: i64) {
+        if ids.is_empty() {
+            return;
+        }
+        for &w in ids {
+            self.holder[w] = holder;
+        }
+        let last = self.events.last().map_or(0, |e| e.iteration);
+        self.events.push(FleetEvent {
+            iteration: at.max(last),
+            delta,
+            allocated_after: self.allocated(),
+        });
     }
 
-    /// The owner holding `worker`, if the reservation is tagged.
-    pub fn owner_of(&self, worker: usize) -> Option<&str> {
-        self.owner
-            .get(worker)
-            .copied()
-            .flatten()
-            .map(|i| self.owners[i].as_str())
+    /// Workers currently held by `owner`.
+    pub fn held(&self, owner: &str) -> usize {
+        let tag = self.owners.iter().position(|o| o == owner);
+        self.holder
+            .iter()
+            .filter(|&&h| h.is_some() && h == tag)
+            .count()
     }
 
-    /// Inform the manager of the current training iteration (for event
-    /// timestamps).  The clock is monotone: a caller presenting an older
-    /// timestamp (two owners interleaving out of order) cannot rewind it,
-    /// which would corrupt the time-weighted [`Self::average_allocated`]
-    /// accounting with negative spans.
-    pub fn set_iteration(&mut self, iteration: u64) {
-        self.current_iteration = self.current_iteration.max(iteration);
+    /// Workers currently held by any owner.
+    pub fn allocated(&self) -> usize {
+        self.holder.iter().filter(|h| h.is_some()).count()
     }
 
-    /// Workers currently free in the fleet (released by this job and not
-    /// yet re-acquired) — what an autoscaler can still grab without
+    /// Workers currently free — what can still be granted without
     /// over-subscribing the cluster.
     pub fn available(&self) -> usize {
-        self.total_workers - self.allocated()
+        self.holder.len() - self.allocated()
     }
 
     /// The release/acquire history.
@@ -349,69 +237,43 @@ impl MockJobManager {
     }
 }
 
-impl JobManager for MockJobManager {
-    fn release(&mut self, workers: &[usize]) -> usize {
-        let mut released = 0usize;
-        for &w in workers {
-            if w < self.total_workers && self.allocated[w] && self.owner[w].is_none() {
-                self.allocated[w] = false;
-                released += 1;
-            } else {
-                // Double release, unknown id, or a worker reserved by a
-                // named owner: rejected, not double counted — and surfaced
-                // in the rejection counter.
-                self.rejected_releases += 1;
-            }
-        }
-        if released > 0 {
-            self.events.push(FleetEvent {
-                iteration: self.current_iteration,
-                delta: released as i64,
-                allocated_after: self.allocated(),
-            });
-        }
-        released
-    }
-
-    fn allocated(&self) -> usize {
-        self.allocated.iter().filter(|&&a| a).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn release_and_acquire_round_trip() {
-        let mut manager = MockJobManager::new(8);
-        assert_eq!(manager.allocated(), 8);
-        assert_eq!(manager.available(), 0);
-        assert_eq!(manager.release(&[6, 7]), 2);
-        assert_eq!(manager.allocated(), 6);
-        assert_eq!(manager.available(), 2);
-        // Releasing the same workers again is a no-op.
-        assert_eq!(manager.release(&[6, 7]), 0);
-        // Out-of-range workers are ignored.
-        assert_eq!(manager.release(&[99]), 0);
-        manager.try_acquire(&[6, 7]).unwrap();
-        assert_eq!(manager.allocated(), 8);
-        assert_eq!(manager.available(), 0);
+        let mut job = MockJobManager::held_by("job", 8);
+        assert_eq!(job.allocated(), 8);
+        assert_eq!(job.held("job"), 8);
+        assert_eq!(job.available(), 0);
+        assert!(
+            job.events().is_empty(),
+            "the starting allocation logs nothing"
+        );
+        job.release("job", &[6, 7], 0).unwrap();
+        assert_eq!(job.allocated(), 6);
+        assert_eq!(job.available(), 2);
+        job.acquire("job", &[6, 7], 0).unwrap();
+        assert_eq!(job.allocated(), 8);
+        assert_eq!(job.available(), 0);
+        // An empty request is accepted and logs nothing.
+        job.release("job", &[], 0).unwrap();
+        assert_eq!(job.events().len(), 2);
     }
 
     #[test]
     fn events_record_the_fleet_history() {
-        let mut manager = MockJobManager::new(4);
-        manager.set_iteration(100);
-        manager.release(&[3]);
-        manager.set_iteration(200);
-        manager.release(&[2]);
-        manager.set_iteration(300);
-        manager.try_acquire(&[2]).unwrap();
-        let events = manager.events();
+        let mut job = MockJobManager::held_by("job", 4);
+        job.release("job", &[3], 100).unwrap();
+        job.release("job", &[2], 200).unwrap();
+        job.acquire("job", &[2], 300).unwrap();
+        let events = job.events();
         assert_eq!(events.len(), 3);
+        assert_eq!(events[0].iteration, 100);
         assert_eq!(events[0].allocated_after, 3);
         assert_eq!(events[1].allocated_after, 2);
+        assert_eq!(events[2].iteration, 300);
         assert_eq!(events[2].delta, -1);
         assert_eq!(events[2].allocated_after, 3);
     }
@@ -424,152 +286,89 @@ mod tests {
         // difference to the exact 5.5 of this idealized timeline comes from
         // the paper's re-pack points not landing exactly on those
         // iterations).
-        let mut manager = MockJobManager::new(8);
-        manager.set_iteration(2_300);
-        manager.release(&[6, 7]);
-        manager.set_iteration(6_700);
-        manager.release(&[4, 5]);
-        manager.set_iteration(8_500);
-        manager.release(&[2, 3]);
-        let average = manager.average_allocated(10_000);
+        let mut job = MockJobManager::held_by("job", 8);
+        job.release("job", &[6, 7], 2_300).unwrap();
+        job.release("job", &[4, 5], 6_700).unwrap();
+        job.release("job", &[2, 3], 8_500).unwrap();
+        let average = job.average_allocated(10_000);
         assert!((average - 5.5).abs() < 0.05, "average {average}");
     }
 
     #[test]
-    fn average_with_no_events_is_the_full_fleet() {
-        let manager = MockJobManager::new(16);
-        assert_eq!(manager.average_allocated(10_000), 16.0);
-        assert_eq!(manager.average_allocated(0), 16.0);
+    fn average_with_no_events_is_the_starting_allocation() {
+        let job = MockJobManager::held_by("job", 16);
+        assert_eq!(job.average_allocated(10_000), 16.0);
+        assert_eq!(job.average_allocated(0), 16.0);
+        let pool = MockJobManager::new(16);
+        assert_eq!(pool.average_allocated(10_000), 0.0);
     }
 
     #[test]
-    fn double_release_and_double_acquire_are_rejected() {
-        let mut manager = MockJobManager::new(4);
-        manager.try_release(&[2, 3]).unwrap();
-        // Strict double release fails and leaves the fleet untouched.
-        assert_eq!(
-            manager.try_release(&[3]).unwrap_err(),
-            FleetError::NotAllocated(3)
-        );
-        assert_eq!(manager.allocated(), 2);
-        // Strict double acquire of a held worker fails.
-        assert_eq!(
-            manager.try_acquire(&[0]).unwrap_err(),
-            FleetError::AlreadyAllocated(0)
-        );
-        // Re-acquiring the released workers by id succeeds exactly once.
-        manager.try_acquire(&[2, 3]).unwrap();
-        assert_eq!(manager.allocated(), 4);
-        assert_eq!(
-            manager.try_acquire(&[2]).unwrap_err(),
-            FleetError::AlreadyAllocated(2)
-        );
-        assert_eq!(manager.rejected_releases(), 1);
-        assert_eq!(manager.rejected_acquires(), 2);
-    }
-
-    #[test]
-    fn duplicate_and_unknown_ids_are_rejected_atomically() {
-        let mut manager = MockJobManager::new(4);
-        assert_eq!(
-            manager.try_release(&[1, 1]).unwrap_err(),
-            FleetError::DuplicateWorker(1)
-        );
-        assert_eq!(
-            manager.try_release(&[99]).unwrap_err(),
-            FleetError::UnknownWorker(99)
-        );
-        // A rejected request changed nothing and logged no event.
-        assert_eq!(manager.allocated(), 4);
-        assert!(manager.events().is_empty());
-        // The lenient trait-level release also counts its rejects.
-        assert_eq!(manager.release(&[0, 0, 42]), 1);
-        assert_eq!(manager.rejected_releases(), 2 + 2);
-    }
-
-    #[test]
-    fn fleet_event_deltas_always_sum_to_the_allocation_changes() {
-        // Drive a pseudo-random mix of lenient and strict operations and
-        // check after every step that the event ledger reconciles exactly
-        // with the live allocation count.
-        let total = 9usize;
-        let mut manager = MockJobManager::new(total);
-        let mut rng_state: u64 = 0x00dd_b0b1_5bad_5eed;
-        let mut rng = move || {
-            rng_state ^= rng_state << 13;
-            rng_state ^= rng_state >> 7;
-            rng_state ^= rng_state << 17;
-            rng_state
-        };
-        for step in 0..500u64 {
-            manager.set_iteration(step);
-            let worker = (rng() % total as u64) as usize;
-            match rng() % 4 {
-                0 => {
-                    manager.release(&[worker, (worker + 1) % total]);
-                }
-                1 => {
-                    let _ = manager.try_acquire(&[worker, (worker + 1) % total]);
-                }
-                2 => {
-                    let _ = manager.try_release(&[worker]);
-                }
-                _ => {
-                    let _ = manager.try_acquire(&[worker]);
-                }
-            }
-            let delta_sum: i64 = manager.events().iter().map(|e| e.delta).sum();
-            assert_eq!(
-                manager.allocated() as i64,
-                total as i64 - delta_sum,
-                "ledger out of sync at step {step}"
-            );
-            if let Some(event) = manager.events().last() {
-                assert!(event.allocated_after <= total);
-            }
+    fn every_rejected_request_leaves_the_ledger_untouched() {
+        let mut pool = MockJobManager::new(6);
+        pool.acquire("a", &[0, 1], 5).unwrap();
+        pool.acquire("b", &[2], 5).unwrap();
+        let before = pool.clone();
+        type Request = fn(&mut MockJobManager) -> Result<(), FleetError>;
+        let rejected: [(Request, FleetError); 8] = [
+            (|p| p.release("a", &[0, 9], 7), FleetError::UnknownWorker(9)),
+            (
+                |p| p.acquire("a", &[3, 3], 7),
+                FleetError::DuplicateWorker(3),
+            ),
+            (
+                |p| p.release("a", &[0, 0], 7),
+                FleetError::DuplicateWorker(0),
+            ),
+            (|p| p.release("a", &[1, 4], 7), FleetError::NotAllocated(4)),
+            (
+                |p| p.acquire("b", &[3, 1], 7),
+                FleetError::AlreadyAllocated(1),
+            ),
+            (|p| p.release("a", &[0, 2], 7), FleetError::NotOwner(2)),
+            (|p| p.release("c", &[0], 7), FleetError::NotOwner(0)),
+            (|p| p.grant("c", 4, 7).map(drop), FleetError::Exhausted(4)),
+        ];
+        for (request, error) in rejected {
+            assert_eq!(request(&mut pool), Err(error));
+            assert_eq!(pool, before, "`{error}` changed the ledger");
         }
-        // Every event's running `allocated_after` is consistent with the
-        // cumulative deltas up to that point.
-        let mut running = total as i64;
-        for event in manager.events() {
-            running -= event.delta;
-            assert_eq!(event.allocated_after as i64, running);
-        }
+        // A double release is an error, not a silent no-op.
+        pool.release("b", &[2], 8).unwrap();
+        assert_eq!(pool.release("b", &[2], 9), Err(FleetError::NotAllocated(2)));
+        assert_eq!(pool.events().len(), 3);
     }
 
     #[test]
-    fn owner_tags_gate_releases_and_survive_interleaving() {
-        let mut pool = MockJobManager::empty(8);
-        assert_eq!(pool.allocated(), 0);
-        assert_eq!(pool.available(), 8);
-        let trainer = pool.acquire_as("trainer", 4);
-        assert_eq!(trainer, vec![0, 1, 2, 3]);
-        pool.try_acquire_as("chat", &[4, 5]).unwrap();
-        assert_eq!(pool.allocated_to("trainer"), 4);
-        assert_eq!(pool.allocated_to("chat"), 2);
-        assert_eq!(pool.owner_of(4), Some("chat"));
-
-        // The trainer cannot release chat's block — no matter which path.
+    fn an_owner_cannot_release_another_owners_block() {
+        let mut pool = MockJobManager::new(8);
+        assert_eq!(pool.grant("trainer", 4, 0).unwrap(), vec![0, 1, 2, 3]);
+        pool.acquire("chat", &[4, 5], 0).unwrap();
+        assert_eq!(pool.held("trainer"), 4);
+        assert_eq!(pool.held("chat"), 2);
+        assert_eq!(pool.held("nobody"), 0);
         assert_eq!(
-            pool.try_release_as("trainer", &[4]).unwrap_err(),
-            FleetError::NotOwner(4)
+            pool.release("trainer", &[4], 1),
+            Err(FleetError::NotOwner(4))
         );
-        assert_eq!(pool.release(&[4, 5]), 0, "legacy bulk release refused");
-        assert_eq!(pool.allocated_to("chat"), 2);
-        // The strict legacy release is refused on tagged workers too.
-        assert_eq!(pool.try_release(&[0]).unwrap_err(), FleetError::NotOwner(0));
+        assert_eq!(pool.held("chat"), 2);
 
-        // Chat's own release frees the block for the trainer to re-acquire.
-        pool.try_release_as("chat", &[4, 5]).unwrap();
-        pool.try_acquire_as("trainer", &[4, 5]).unwrap();
-        assert_eq!(pool.allocated_to("trainer"), 6);
-        assert_eq!(pool.allocated_to("chat"), 0);
+        // Chat's own release frees the block for the trainer to take.
+        pool.release("chat", &[4, 5], 2).unwrap();
+        pool.acquire("trainer", &[4, 5], 2).unwrap();
+        assert_eq!(pool.held("trainer"), 6);
+        assert_eq!(pool.held("chat"), 0);
+    }
 
-        // A lenient acquire grants the lowest free ids and skips ids
-        // another owner holds.
-        pool.try_release_as("trainer", &[4, 5]).unwrap();
-        let batch = pool.acquire_as("batch", 2);
-        assert_eq!(batch, vec![4, 5]);
+    #[test]
+    fn grants_take_the_lowest_free_ids() {
+        let mut pool = MockJobManager::new(8);
+        pool.acquire("chat", &[1, 4], 0).unwrap();
+        assert_eq!(pool.grant("batch", 3, 0).unwrap(), vec![0, 2, 3]);
+        pool.release("batch", &[2], 1).unwrap();
+        assert_eq!(pool.grant("trainer", 2, 1).unwrap(), vec![2, 5]);
+        assert_eq!(pool.grant("trainer", 0, 1).unwrap(), Vec::<usize>::new());
+        assert_eq!(pool.available(), 2);
     }
 
     #[test]
@@ -577,11 +376,9 @@ mod tests {
         // Two owners stamping the ledger out of order must not rewind the
         // clock: the second event may not claim an earlier iteration, or
         // the time-weighted average would count a negative span.
-        let mut pool = MockJobManager::empty(4);
-        pool.set_iteration(100);
-        pool.acquire_as("a", 2);
-        pool.set_iteration(40); // stale clock from a slower owner
-        pool.acquire_as("b", 2);
+        let mut pool = MockJobManager::new(4);
+        pool.grant("a", 2, 100).unwrap();
+        pool.grant("b", 2, 40).unwrap(); // stale clock from a slower owner
         let events = pool.events();
         assert_eq!(events[0].iteration, 100);
         assert_eq!(events[1].iteration, 100, "clock must not rewind");
@@ -591,80 +388,74 @@ mod tests {
 
     #[test]
     fn multi_owner_interleaved_ledger_reconciles_every_step() {
-        // The S1 extension of the delta-sum invariant: three owners (a
-        // trainer and two tenants) racing tagged acquires/releases against
-        // the legacy untagged paths, with deliberately out-of-order clocks.
-        // After every step: the event deltas reconcile with the live
-        // allocation, per-owner holdings sum to the tagged allocation, and
-        // no block is ever double-counted.
+        // Three owners (a trainer and two tenants) racing grants, by-id
+        // acquires and releases with deliberately out-of-order clocks, from
+        // an empty pool and from a pool the trainer starts out holding.
+        // After every step: a rejected request changed nothing, the event
+        // deltas reconcile with the live allocation, and per-owner holdings
+        // sum to it.
         let total = 12usize;
-        let mut pool = MockJobManager::empty(total);
         let owners = ["trainer", "chat", "batch"];
-        let mut rng_state: u64 = 0x5eed_f1ee_7000_0001;
-        let mut rng = move || {
-            rng_state ^= rng_state << 13;
-            rng_state ^= rng_state >> 7;
-            rng_state ^= rng_state << 17;
-            rng_state
-        };
-        for step in 0..1000u64 {
-            // Out-of-order stamps: each owner runs its own skewed clock.
-            pool.set_iteration(step.saturating_sub(rng() % 5));
-            let name = owners[(rng() % 3) as usize];
-            let worker = (rng() % total as u64) as usize;
-            match rng() % 6 {
-                0 => {
-                    pool.acquire_as(name, (rng() % 4) as usize);
-                }
-                1 => {
-                    let _ = pool.try_acquire_as(name, &[worker]);
-                }
-                2 => {
-                    let _ = pool.try_release_as(name, &[worker]);
-                }
-                // The owner releasing everything it holds (drain-all).
-                3 => {
-                    let held: Vec<usize> = (0..total)
-                        .filter(|&w| pool.owner_of(w) == Some(name))
-                        .collect();
-                    if !held.is_empty() {
-                        pool.try_release_as(name, &held).unwrap();
+        for (mut pool, initial) in [
+            (MockJobManager::new(total), 0),
+            (MockJobManager::held_by("trainer", total), total as i64),
+        ] {
+            let mut rng_state: u64 = 0x5eed_f1ee_7000_0001;
+            let mut rng = move || {
+                rng_state ^= rng_state << 13;
+                rng_state ^= rng_state >> 7;
+                rng_state ^= rng_state << 17;
+                rng_state
+            };
+            for step in 0..1000u64 {
+                // Out-of-order stamps: each owner runs its own skewed clock.
+                let at = step.saturating_sub(rng() % 5);
+                let name = owners[(rng() % 3) as usize];
+                let worker = (rng() % total as u64) as usize;
+                let pair = [worker, (worker + 1) % total];
+                let before = pool.clone();
+                let outcome = match rng() % 5 {
+                    0 => pool.grant(name, (rng() % 4) as usize, at).map(drop),
+                    1 => pool.acquire(name, &pair, at),
+                    2 => pool.release(name, &[worker], at),
+                    3 => pool.release(name, &pair, at),
+                    // The owner releasing everything it holds (drain-all).
+                    _ => {
+                        let tag = pool.owners.iter().position(|o| o == name);
+                        let held: Vec<usize> = (0..total)
+                            .filter(|&w| tag.is_some() && pool.holder[w] == tag)
+                            .collect();
+                        pool.release(name, &held, at)
                     }
+                };
+                if outcome.is_err() {
+                    assert_eq!(pool, before, "a rejected request changed the ledger");
                 }
-                // Legacy untagged traffic racing the tagged owners.
-                4 => {
-                    let _ = pool.try_acquire(&[worker]);
-                }
-                _ => {
-                    pool.release(&[worker, (worker + 1) % total]);
-                }
+                let delta_sum: i64 = pool.events().iter().map(|e| e.delta).sum();
+                assert_eq!(
+                    pool.allocated() as i64,
+                    initial - delta_sum,
+                    "ledger out of sync at step {step}"
+                );
+                let held: usize = owners.iter().map(|n| pool.held(n)).sum();
+                assert_eq!(
+                    held,
+                    pool.allocated(),
+                    "holdings out of sync at step {step}"
+                );
+                assert_eq!(pool.allocated() + pool.available(), total);
             }
-            let delta_sum: i64 = pool.events().iter().map(|e| e.delta).sum();
-            assert_eq!(
-                pool.allocated() as i64,
-                -delta_sum,
-                "ledger out of sync at step {step} (empty pool starts at 0)"
-            );
-            let tagged: usize = owners.iter().map(|n| pool.allocated_to(n)).sum();
-            let untagged =
-                (0..total).filter(|&w| pool.owner_of(w).is_none()).count() - pool.available();
-            assert_eq!(
-                tagged + untagged,
-                pool.allocated(),
-                "owner holdings out of sync at step {step}"
-            );
-            assert!(pool.allocated() <= total);
-        }
-        // The event clock never rewinds.
-        for pair in pool.events().windows(2) {
-            assert!(pair[1].iteration >= pair[0].iteration);
-        }
-        // Running `allocated_after` is consistent with the cumulative
-        // deltas from the empty start.
-        let mut running = 0i64;
-        for event in pool.events() {
-            running -= event.delta;
-            assert_eq!(event.allocated_after as i64, running);
+            // The event clock never rewinds.
+            for pair in pool.events().windows(2) {
+                assert!(pair[1].iteration >= pair[0].iteration);
+            }
+            // Running `allocated_after` is consistent with the cumulative
+            // deltas from the start.
+            let mut running = initial;
+            for event in pool.events() {
+                running -= event.delta;
+                assert_eq!(event.allocated_after as i64, running);
+            }
         }
     }
 }

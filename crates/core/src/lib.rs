@@ -48,7 +48,7 @@ pub mod trainer;
 pub use balancer::{BalanceObjective, DiffusionBalancer, LoadBalancer, PartitionBalancer};
 pub use composite::{run_composite_with_recovery, CompositeRecoveryReport, CompositeRunSpec};
 pub use controller::{RebalanceController, RebalancePolicy};
-pub use elastic::{FleetError, JobManager, MockJobManager};
+pub use elastic::{FleetError, MockJobManager};
 pub use imbalance::load_imbalance;
 pub use migration::{MigrationPlan, MigrationStep};
 pub use overhead::OverheadBreakdown;

@@ -43,7 +43,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::balancer::{BalanceObjective, BalanceRequest, LoadBalancer, PartitionBalancer};
-use crate::elastic::{FleetEvent, JobManager, MockJobManager};
+use crate::elastic::{FleetEvent, MockJobManager};
 use crate::overhead::OverheadBreakdown;
 
 /// Knobs of the resilience machinery.
@@ -76,45 +76,22 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Re-plans the job after a failure or an elastic re-scale: rebuilds the
-/// balancer's view of the world from a checkpoint and prices the recovery.
+/// Re-plans the job after a failure or an elastic re-scale: re-runs the
+/// Partition balancer by time over the world a checkpoint describes, and
+/// prices the recovery.
 pub struct RecoveryCoordinator {
-    balancer: Box<dyn LoadBalancer + Send + Sync>,
-    objective: BalanceObjective,
     config: RecoveryConfig,
 }
 
 impl RecoveryCoordinator {
-    /// Build a coordinator around an explicit balancer.
-    pub fn new(
-        balancer: Box<dyn LoadBalancer + Send + Sync>,
-        objective: BalanceObjective,
-        config: RecoveryConfig,
-    ) -> Self {
-        RecoveryCoordinator {
-            balancer,
-            objective,
-            config,
-        }
+    /// A coordinator pricing checkpoints and recoveries with `config`.
+    pub fn new(config: RecoveryConfig) -> Self {
+        RecoveryCoordinator { config }
     }
 
-    /// The default coordinator: Partition balancer, time objective.
-    pub fn partition_by_time(config: RecoveryConfig) -> Self {
-        Self::new(
-            Box::new(PartitionBalancer::new()),
-            BalanceObjective::ByTime,
-            config,
-        )
-    }
-
-    /// The coordinator's configuration.
-    pub fn config(&self) -> &RecoveryConfig {
-        &self.config
-    }
-
-    /// Re-run the balancer for a new world size, deriving per-layer loads
-    /// from the checkpointed state (retained parameters weigh compute;
-    /// frozen layers only run forward).
+    /// Re-run the Partition balancer by time for a new world size, deriving
+    /// per-layer loads from the checkpointed state (retained parameters
+    /// weigh compute; frozen layers only run forward).
     pub fn replan(&self, state: &TrainerState, new_world_size: usize) -> StageAssignment {
         let loads: Vec<LayerLoad> = state
             .layers
@@ -134,9 +111,10 @@ impl RecoveryCoordinator {
                 }
             })
             .collect();
-        let request = BalanceRequest::new(&loads, new_world_size, u64::MAX, self.objective)
-            .with_inflight(vec![1; new_world_size]);
-        self.balancer.rebalance(&request).assignment
+        let request =
+            BalanceRequest::new(&loads, new_world_size, u64::MAX, BalanceObjective::ByTime)
+                .with_inflight(vec![1; new_world_size]);
+        PartitionBalancer::new().rebalance(&request).assignment
     }
 
     /// Simulated cost of writing one checkpoint of `state`.
@@ -286,6 +264,10 @@ pub struct ResilientRunReport {
     pub fleet_events: Vec<FleetEvent>,
 }
 
+/// The harness's owner name in its job manager's ledger: it holds the whole
+/// world as one job.
+const JOB: &str = "job";
+
 /// Shared bookkeeping the ranks update through locks/atomics, standing in
 /// for the control plane (job manager + metrics store) of a real cluster.
 struct SharedState {
@@ -302,7 +284,7 @@ impl SharedState {
     fn new(world_size: usize, recorder: Arc<dyn Recorder>) -> Self {
         SharedState {
             store: Mutex::new(MemoryCheckpointStore::new()),
-            job_manager: Mutex::new(MockJobManager::new(world_size)),
+            job_manager: Mutex::new(MockJobManager::held_by(JOB, world_size)),
             overhead: Mutex::new(OverheadBreakdown::new()),
             recoveries: Mutex::new(Vec::new()),
             checkpoints_taken: AtomicU64::new(0),
@@ -535,7 +517,7 @@ pub fn run_resilient_recorded(
     recorder: Arc<dyn Recorder>,
 ) -> Result<ResilientRunReport, RuntimeError> {
     config.validate().map_err(RuntimeError::InvalidArgument)?;
-    let coordinator = RecoveryCoordinator::partition_by_time(config.recovery);
+    let coordinator = RecoveryCoordinator::new(config.recovery);
     let shared = Arc::new(SharedState::new(config.world_size, recorder));
 
     // Initial checkpoint: every rank derives the same state, rank 0 writes
@@ -800,10 +782,11 @@ fn recover(
 
     if new_comm.rank() == 0 {
         // Release the dead GPUs back to the fleet and account the episode.
-        let mut job_manager = shared.job_manager.lock();
-        job_manager.set_iteration(detected_at);
-        job_manager.release(&failed_now);
-        drop(job_manager);
+        shared
+            .job_manager
+            .lock()
+            .release(JOB, &failed_now, detected_at)
+            .map_err(|e| RuntimeError::InvalidArgument(format!("releasing failed ranks: {e}")))?;
         let cost = coordinator.recovery_cost(&state, replayed);
         shared.overhead.lock().record_recovery(cost);
         shared
@@ -896,7 +879,7 @@ pub fn run_elastic_rescale(
     config: &ElasticRescaleConfig,
 ) -> Result<ElasticRescaleReport, RuntimeError> {
     config.validate().map_err(RuntimeError::InvalidArgument)?;
-    let coordinator = Arc::new(RecoveryCoordinator::partition_by_time(config.recovery));
+    let coordinator = Arc::new(RecoveryCoordinator::new(config.recovery));
     let shared = Arc::new(SharedState::new(config.world_size, Arc::new(NullRecorder)));
     let conserved = Arc::new(Mutex::new(true));
 
@@ -967,11 +950,11 @@ fn elastic_rank_body(
     }
     world.barrier()?;
     if me == 0 {
-        let mut job_manager = shared.job_manager.lock();
-        job_manager.set_iteration(config.shrink_at);
         let released: Vec<usize> = (config.shrink_to..config.world_size).collect();
-        job_manager
-            .try_release(&released)
+        shared
+            .job_manager
+            .lock()
+            .release(JOB, &released, config.shrink_at)
             .map_err(|e| RuntimeError::InvalidArgument(format!("elastic release: {e}")))?;
         shared
             .overhead
@@ -996,13 +979,13 @@ fn elastic_rank_body(
     // arrive once the shrunken phase is checkpointed.
     world.barrier()?;
     if me == 0 {
-        let mut job_manager = shared.job_manager.lock();
-        job_manager.set_iteration(config.grow_at);
         // Grow re-acquires the exact workers the shrink released; the
-        // strict by-id path rejects any double acquire.
+        // strict by-id acquire rejects any double acquire.
         let reacquired: Vec<usize> = (config.shrink_to..config.world_size).collect();
-        job_manager
-            .try_acquire(&reacquired)
+        shared
+            .job_manager
+            .lock()
+            .acquire(JOB, &reacquired, config.grow_at)
             .map_err(|e| RuntimeError::InvalidArgument(format!("elastic acquire: {e}")))?;
         shared
             .overhead
@@ -1165,8 +1148,8 @@ mod tests {
     #[test]
     fn sequential_failures_release_each_rank_exactly_once() {
         // The second recovery must only release the newly-dead rank, not
-        // re-release the one handled earlier (which would pollute the
-        // rejection counters the job manager keeps).
+        // re-release the one handled earlier (the job manager rejects a
+        // double release, which would fail the run).
         let config = base_config(5, 45, FaultPlan::none().kill(4, 12).kill(1, 31));
         let report = run_resilient(&config).unwrap();
         assert_eq!(report.recoveries.len(), 2);
@@ -1248,7 +1231,7 @@ mod tests {
 
     #[test]
     fn replan_respects_world_size_and_conservation() {
-        let coordinator = RecoveryCoordinator::partition_by_time(RecoveryConfig::default());
+        let coordinator = RecoveryCoordinator::new(RecoveryConfig::default());
         let layers = init_layers(&WorkloadConfig::small(12, 7));
         let mut metrics = std::collections::BTreeMap::new();
         metrics.insert("loss".to_string(), 1.0);

@@ -4,9 +4,8 @@
 //! the profiler (per-layer times & memory), the rebalance controller
 //! (balance / re-pack / migrate), the pipeline simulator (iteration time,
 //! idleness, bubbles), the hybrid data-parallel throughput model, and the
-//! elastic job manager (GPU release).  The resulting
-//! [`TrainingReport`](crate::report::TrainingReport) carries every quantity
-//! the paper's evaluation section plots.
+//! elastic job manager (GPU release).  The resulting [`TrainingReport`]
+//! carries every quantity the paper's evaluation section plots.
 //!
 //! A trainer keeps its run live between calls: [`Trainer::advance_to`]
 //! continues it and [`Trainer::rescale`] moves it onto a shrunken or grown
@@ -33,7 +32,7 @@ use dynmo_resilience::{
 
 use crate::balancer::{stage_weights, BalanceObjective};
 use crate::controller::RebalanceController;
-use crate::elastic::{JobManager, MockJobManager};
+use crate::elastic::MockJobManager;
 use crate::imbalance::{load_imbalance, ImbalanceHistory};
 use crate::overhead::OverheadBreakdown;
 use crate::profiler::{Profiler, StragglerDetector};
@@ -61,7 +60,7 @@ pub struct TrainerConfig {
 
 impl TrainerConfig {
     /// A configuration mirroring the paper's defaults for the given cluster:
-    /// 1F1B schedule, four micro-batches per GPU (per [20] in the paper),
+    /// 1F1B schedule, four micro-batches per GPU (per \[20\] in the paper),
     /// mostly-overlapped gradient all-reduce.
     pub fn paper_defaults(cluster: ClusterConfig, num_iterations: u64) -> Self {
         let num_microbatches = cluster.pipeline_stages * 4;
@@ -357,6 +356,10 @@ impl RunState {
     }
 }
 
+/// The trainer's owner name in its job manager's ledger: it holds its
+/// cluster's stages as one job.
+const JOB: &str = "trainer";
+
 /// The end-to-end training loop.
 ///
 /// A trainer holds at most one live run.  [`Trainer::advance_to`] starts it
@@ -383,7 +386,7 @@ impl Trainer {
     pub fn new(model: Model, config: TrainerConfig, controller: RebalanceController) -> Self {
         config.validate().expect("invalid trainer configuration");
         let profiler = Profiler::new(config.cluster.device);
-        let job_manager = MockJobManager::new(config.cluster.pipeline_stages);
+        let job_manager = MockJobManager::held_by(JOB, config.cluster.pipeline_stages);
         Trainer {
             config,
             model,
@@ -513,10 +516,10 @@ impl Trainer {
     }
 
     /// Run an ordered *stack* of dynamism mechanisms acting on the same
-    /// model: the engines are composed (see
-    /// [`ComposedEngine`](dynmo_dynamics::ComposedEngine)), their per-layer
-    /// load updates merged multiplicatively, and the merged multipliers are
-    /// what the profiler — and through it both balancer families — observe.
+    /// model: the engines are composed (see [`ComposedEngine`]), their
+    /// per-layer load updates merged multiplicatively, and the merged
+    /// multipliers are what the profiler — and through it both balancer
+    /// families — observe.
     ///
     /// # Panics
     ///
@@ -657,7 +660,7 @@ impl Trainer {
         run.overhead.record_recovery(cost);
         run.reprofile = true;
         self.profiler = Profiler::new(config.cluster.device);
-        self.job_manager = MockJobManager::new(stages);
+        self.job_manager = MockJobManager::held_by(JOB, stages);
         self.config = config;
         Ok(())
     }
@@ -709,7 +712,6 @@ impl Trainer {
     fn step(&mut self, run: &mut RunState, engine: &mut dyn DynamismEngine) {
         let iteration = run.iteration;
         let model_cfg = self.model.config();
-        self.job_manager.set_iteration(iteration);
         let update = engine.step(iteration);
         if update.changed || run.reprofile {
             run.loads = self.profiler.profile(&self.model, &update);
@@ -811,9 +813,9 @@ impl Trainer {
                     ],
                 );
             }
-            if !outcome.released_workers.is_empty() {
-                self.job_manager.release(&outcome.released_workers);
-            }
+            self.job_manager
+                .release(JOB, &outcome.released_workers, iteration)
+                .expect("re-packing releases only workers the job holds");
             if outcome.assignment != run.assignment || outcome.active_workers != run.active_workers
             {
                 run.dirty = true;
@@ -1162,7 +1164,16 @@ mod tests {
             report.average_active_workers
         );
         assert!(report.final_active_workers < 8);
-        assert!(!trainer.job_manager().events().is_empty());
+        // The ledger agrees with the report: every re-pack released its
+        // workers at the iteration the trainer stopped using them.  Both
+        // averages are sums of integers, so they agree to the bit.
+        let ledger = trainer.job_manager();
+        assert!(!ledger.events().is_empty());
+        assert_eq!(ledger.allocated(), report.final_active_workers);
+        assert_eq!(
+            ledger.average_allocated(report.iterations).to_bits(),
+            report.average_active_workers.to_bits()
+        );
         // Throughput per GPU must not collapse when consolidating.
         assert!(report.tokens_per_second_per_gpu > 0.0);
     }

@@ -17,6 +17,11 @@
 //! 6. re-checks conservation: every GPU is held by exactly one party and
 //!    the [`MockJobManager`] ledger agrees with the sessions' own counts.
 //!
+//! The ledger names one owner per held GPU: [`TRAINER_OWNER`] or a tenant.
+//! Every grant, acquire and release is strict and carries the tick's
+//! [`fleet_clock`] time, so a request that would double-count a block fails
+//! the run instead of passing unnoticed.
+//!
 //! All decisions run on simulated clocks only, so a fleet run is
 //! bit-reproducible for a given configuration and seed.
 
@@ -326,14 +331,22 @@ impl FleetController {
             ));
         }
 
-        let mut pool = MockJobManager::empty(config.total_gpus);
-        let trainer_workers = pool.acquire_as(TRAINER_OWNER, initial_trainer_workers);
+        let mut pool = MockJobManager::new(config.total_gpus);
+        let trainer_workers = pool
+            .grant(TRAINER_OWNER, initial_trainer_workers, 0)
+            .map_err(|e| format!("granting the trainer's world: {e:?}"))?;
         trainer.rescale(initial_trainer_workers)?;
 
         let mut live = Vec::with_capacity(tenants.len());
         for spec in tenants {
             let stages = spec.config.stages;
-            let ids = pool.acquire_as(&spec.config.tenant, spec.config.initial_replicas * stages);
+            let ids = pool
+                .grant(
+                    &spec.config.tenant,
+                    spec.config.initial_replicas * stages,
+                    0,
+                )
+                .map_err(|e| format!("granting tenant {}: {e:?}", spec.config.tenant))?;
             let blocks: Vec<Vec<usize>> = ids.chunks(stages).map(|c| c.to_vec()).collect();
             let name = spec.config.tenant.clone();
             let ttft_target = spec.config.slo.ttft;
@@ -465,7 +478,7 @@ impl FleetController {
             let all_done = self
                 .tenants
                 .iter()
-                .all(|t| t.session.is_finished() && self.pool.allocated_to(&t.name) == 0);
+                .all(|t| t.session.is_finished() && self.pool.held(&t.name) == 0);
             if all_done {
                 return self.finish(tick);
             }
@@ -478,9 +491,8 @@ impl FleetController {
             return Ok(());
         }
         let freed = std::mem::take(&mut self.trainer_workers);
-        self.pool.set_iteration(fleet_clock(now));
         self.pool
-            .try_release_as(TRAINER_OWNER, &freed)
+            .release(TRAINER_OWNER, &freed, fleet_clock(now))
             .map_err(|e| format!("releasing the finished trainer: {e:?}"))?;
         Ok(())
     }
@@ -488,9 +500,8 @@ impl FleetController {
     fn reclaim_drained(&mut self, now: f64) -> Result<(), String> {
         for t in &mut self.tenants {
             for block in t.session.reclaim_drained(now) {
-                self.pool.set_iteration(fleet_clock(now));
                 self.pool
-                    .try_release_as(&t.name, &block)
+                    .release(&t.name, &block, fleet_clock(now))
                     .map_err(|e| format!("tenant {} releasing a drained block: {e:?}", t.name))?;
             }
         }
@@ -578,8 +589,10 @@ impl FleetController {
 
     fn grant_from_pool(&mut self, idx: usize, now: f64, ready_at: f64) -> Result<(), String> {
         let (name, stages) = (self.tenants[idx].name.clone(), self.tenants[idx].stages);
-        self.pool.set_iteration(fleet_clock(now));
-        let block = self.pool.acquire_as(&name, stages);
+        let block = self
+            .pool
+            .grant(&name, stages, fleet_clock(now))
+            .map_err(|e| format!("granting tenant {name} a block: {e:?}"))?;
         let p99 = self.tenants[idx].windowed_p99();
         self.tenants[idx]
             .session
@@ -595,12 +608,11 @@ impl FleetController {
             .trainer_workers
             .split_off(self.trainer_workers.len() - stages);
         let cost = self.trainer.rescale(self.trainer_workers.len())?;
-        self.pool.set_iteration(fleet_clock(now));
         self.pool
-            .try_release_as(TRAINER_OWNER, &cut)
+            .release(TRAINER_OWNER, &cut, fleet_clock(now))
             .map_err(|e| format!("trainer releasing stolen GPUs: {e:?}"))?;
         self.pool
-            .try_acquire_as(&name, &cut)
+            .acquire(&name, &cut, fleet_clock(now))
             .map_err(|e| format!("tenant {name} acquiring stolen GPUs: {e:?}"))?;
         // The replica comes online after provisioning; the checkpoint
         // write that freed the GPUs happens on the trainer's clock and is
@@ -695,8 +707,10 @@ impl FleetController {
         if take == 0 {
             return Ok(());
         }
-        self.pool.set_iteration(fleet_clock(now));
-        let ids = self.pool.acquire_as(TRAINER_OWNER, take);
+        let ids = self
+            .pool
+            .grant(TRAINER_OWNER, take, fleet_clock(now))
+            .map_err(|e| format!("returning GPUs to the trainer: {e:?}"))?;
         self.trainer_workers.extend(ids);
         let cost = self.trainer.rescale(self.trainer_workers.len())?;
         self.last_trainer_action = now;
@@ -721,7 +735,7 @@ impl FleetController {
     /// sessions' own replica counts, and no unfinished tenant sits below
     /// its floor.
     fn check_invariants(&self, now: f64) -> Result<(), String> {
-        let trainer_held = self.pool.allocated_to(TRAINER_OWNER);
+        let trainer_held = self.pool.held(TRAINER_OWNER);
         if trainer_held != self.trainer_workers.len() {
             return Err(format!(
                 "t={now}: ledger holds {trainer_held} trainer GPUs but the controller tracks {}",
@@ -730,7 +744,7 @@ impl FleetController {
         }
         let mut held = trainer_held;
         for t in &self.tenants {
-            let owned = self.pool.allocated_to(&t.name);
+            let owned = self.pool.held(&t.name);
             let session_held =
                 (t.session.live_replicas() + t.session.draining_replicas()) * t.stages;
             if owned != session_held {

@@ -284,7 +284,7 @@ fn classify(rel_path: &Path) -> FileClass {
 }
 
 /// Lint one file's source.  `rel_path` is workspace-relative and decides
-/// which rules apply (see [`classify`]).
+/// which rules apply (see `classify`).
 pub fn lint_source(rel_path: &Path, source: &str) -> Vec<Violation> {
     let lines = split_lines(source);
     let class = classify(rel_path);

@@ -267,44 +267,6 @@ impl RequestTrace {
         }
     }
 
-    /// Stretch (`factor > 1`) or compress (`factor < 1`) the trace's time
-    /// axis: every arrival is multiplied by `factor`.  Order and ids are
-    /// unchanged; lengths are untouched.
-    pub fn scale_time(&self, factor: f64) -> RequestTrace {
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "time scale factor must be positive and finite"
-        );
-        let mut requests = self.requests.clone();
-        for request in &mut requests {
-            request.arrival *= factor;
-        }
-        RequestTrace {
-            label: self.label.clone(),
-            requests,
-        }
-    }
-
-    /// Deterministic k-way merge of several traces into one time-ordered
-    /// trace.  Ties on arrival are broken by source order (stable sort), so
-    /// the merge of the same inputs is always byte-identical; ids are
-    /// re-assigned in merged arrival order.
-    pub fn merge(label: &str, traces: &[RequestTrace]) -> RequestTrace {
-        let mut requests: Vec<Request> = traces.iter().flat_map(|t| t.requests.clone()).collect();
-        requests.sort_by(|a, b| {
-            a.arrival
-                .partial_cmp(&b.arrival)
-                .expect("arrivals are finite")
-        });
-        for (i, request) in requests.iter_mut().enumerate() {
-            request.id = i as u64;
-        }
-        RequestTrace {
-            label: label.to_string(),
-            requests,
-        }
-    }
-
     /// Number of requests in the trace.
     pub fn num_requests(&self) -> usize {
         self.requests.len()
@@ -318,16 +280,6 @@ impl RequestTrace {
     /// Sum of the requested output tokens.
     pub fn total_output_tokens(&self) -> u64 {
         self.requests.iter().map(|r| r.output_tokens as u64).sum()
-    }
-
-    /// The largest single request (prompt + output tokens) — what the KV
-    /// capacity must at least accommodate.
-    pub fn max_request_tokens(&self) -> usize {
-        self.requests
-            .iter()
-            .map(Request::total_tokens)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -474,32 +426,6 @@ mod tests {
         let b_raw = RequestTrace::generate(&day, period, &lengths, 202);
         assert_eq!(b1.num_requests(), b_raw.num_requests());
         assert_eq!(b1.total_tokens(), b_raw.total_tokens());
-
-        // Merging keeps every request, sorts by arrival, re-ids in order.
-        let merged = RequestTrace::merge("mixed", &[a1.clone(), b1.clone()]);
-        assert_eq!(merged.label, "mixed");
-        assert_eq!(merged.num_requests(), a1.num_requests() + b1.num_requests());
-        assert_eq!(merged.total_tokens(), a1.total_tokens() + b1.total_tokens());
-        for (i, w) in merged.requests.windows(2).enumerate() {
-            assert!(w[1].arrival >= w[0].arrival, "merge unsorted at {i}");
-        }
-        for (i, r) in merged.requests.iter().enumerate() {
-            assert_eq!(r.id, i as u64);
-        }
-        // ... and is itself deterministic, byte for byte.
-        let again = RequestTrace::merge("mixed", &[a2, b2]);
-        assert_eq!(
-            serde_json::to_string(&merged).unwrap(),
-            serde_json::to_string(&again).unwrap()
-        );
-
-        // scale_time stretches arrivals without touching order or lengths.
-        let slow = merged.scale_time(2.0);
-        assert_eq!(slow.num_requests(), merged.num_requests());
-        assert_eq!(slow.total_tokens(), merged.total_tokens());
-        let last = merged.requests.last().unwrap();
-        let slow_last = slow.requests.last().unwrap();
-        assert!((slow_last.arrival - 2.0 * last.arrival).abs() < 1e-12);
     }
 
     #[test]
@@ -509,7 +435,6 @@ mod tests {
         assert_eq!(ok.label, "prod");
         assert_eq!(ok.total_tokens(), 36);
         assert_eq!(ok.total_output_tokens(), 6);
-        assert_eq!(ok.max_request_tokens(), 21);
         assert!(RequestTrace::replayed("bad", vec![(2.0, 1, 1), (1.0, 1, 1)]).is_err());
         assert!(RequestTrace::replayed("bad", vec![(-1.0, 1, 1)]).is_err());
         assert!(RequestTrace::replayed("bad", vec![(0.0, 0, 1)]).is_err());

@@ -10,7 +10,7 @@
 //! provides:
 //!
 //! * a real [`csr::CsrMatrix`] data structure with dense round-tripping and
-//!   a [`spmm`] CPU kernel (rayon-parallel) so the pruning pipeline operates
+//!   a [`spmm()`] CPU kernel (rayon-parallel) so the pruning pipeline operates
 //!   on actual sparse data,
 //! * magnitude-based selection utilities ([`topk`], [`prune`]) used by the
 //!   distributed global-pruning algorithm (Algorithm 1), and

@@ -3,19 +3,19 @@
 //! Each test runs one sweep in-process at [`ExperimentScale::Smoke`] and
 //! compares its pretty JSON (exactly what the sweep binary writes under
 //! `results/`) with the committed copy under `tests/golden/`.  Together they
-//! pin the trainer's run, checkpoint-resume and elastic-rescale paths, the
-//! multi-rank kill-and-recover harness on the runtime, the pipeline
-//! schedules and the serving engine: a change that moves any
-//! simulated number fails here.  When a move is
-//! intended, regenerate the files as `crates/bench/README.md` describes and
-//! review the diff.
+//! pin the trainer's run, re-pack release, checkpoint-resume and
+//! elastic-rescale paths, the multi-rank kill-and-recover harness on the
+//! runtime, the pipeline schedules and the serving engine: a change that
+//! moves any simulated number fails here.  When a move is intended,
+//! regenerate the files as `crates/bench/README.md` describes and review the
+//! diff.
 
 use std::path::Path;
 
 use dynmo_bench::{
-    run_composite_sweep, run_fault_tolerance_sweep, run_fleet_sweep, run_hetero_sweep,
-    run_idleness_sweep, run_overhead_sweep, run_serving_sweep, run_sweep, ExperimentScale,
-    ServingSweepConfig, SweepConfig,
+    run_average_gpu_sweep, run_composite_sweep, run_fault_tolerance_sweep, run_fleet_sweep,
+    run_hetero_sweep, run_idleness_sweep, run_overhead_sweep, run_packed_sweep, run_serving_sweep,
+    run_sweep, run_throughput_sweep, ExperimentScale, ServingSweepConfig, SweepConfig,
 };
 
 fn assert_matches_golden(file: &str, actual: Result<String, serde_json::Error>) {
@@ -60,6 +60,26 @@ fn fault_tolerance_matches_the_golden_artifact() {
 fn fig1_idleness_matches_the_golden_artifact() {
     let rows = run_idleness_sweep(ExperimentScale::Smoke);
     assert_matches_golden("fig1_idleness.json", serde_json::to_string_pretty(&rows));
+}
+
+#[test]
+fn fig3_throughput_matches_the_golden_artifact() {
+    // With the re-pack ablation: its rows follow the flagless run's, so one
+    // file pins both runs.
+    let rows = run_throughput_sweep(ExperimentScale::Smoke, true).rows();
+    assert_matches_golden("fig3_throughput.json", serde_json::to_string_pretty(&rows));
+}
+
+#[test]
+fn fig4_packed_matches_the_golden_artifact() {
+    let rows = run_packed_sweep(ExperimentScale::Smoke);
+    assert_matches_golden("fig4_packed.json", serde_json::to_string_pretty(&rows));
+}
+
+#[test]
+fn fig4_avg_gpus_matches_the_golden_artifact() {
+    let rows = run_average_gpu_sweep(ExperimentScale::Smoke);
+    assert_matches_golden("fig4_avg_gpus.json", serde_json::to_string_pretty(&rows));
 }
 
 #[test]
