@@ -4,24 +4,26 @@
 //! cuSPARSE across the deep-learning sparsity range and (b) it overtakes
 //! dense cuBLAS at ≈75% sparsity.  This binary sweeps sparsity and prints
 //! the modeled kernel times for all three backends (reproducing the
-//! crossover), and cross-checks the *shape* with real CPU kernels (this
-//! crate's CSR SpMM vs dense GEMM), whose own crossover appears at high
-//! sparsity for the same reason: work is proportional to the number of
-//! stored values.
+//! crossover; see [`dynmo_bench::run_crossover_sweep`]), and cross-checks
+//! the *shape* with real CPU kernels (this crate's CSR SpMM vs dense GEMM),
+//! whose own crossover appears at high sparsity for the same reason: work
+//! is proportional to the number of stored values.  The modeled rows go to
+//! `results/spmm_crossover.json` and the CPU times to
+//! `results/spmm_crossover.host.json`.
 
 use std::time::Instant;
 
-use dynmo_bench::{dump_json, ExperimentScale, Table};
-use dynmo_sparse::{spmm, CsrMatrix, DenseMatrix, KernelCostModel, SpmmBackend};
+use dynmo_bench::{
+    dump_json, run_crossover_sweep, ExperimentScale, Table, CROSSOVER_GEMM,
+    CROSSOVER_SPARSITY_PERCENTS,
+};
+use dynmo_sparse::{spmm, CsrMatrix, DenseMatrix, KernelCostModel};
 use serde::Serialize;
 
+/// The host-time columns of one row.
 #[derive(Serialize)]
-struct SweepRow {
+struct HostRow {
     sparsity: f64,
-    cublas_model_us: f64,
-    cusparse_model_us: f64,
-    sputnik_model_us: f64,
-    best_backend: String,
     cpu_dense_us: f64,
     cpu_sparse_us: f64,
 }
@@ -60,9 +62,10 @@ fn main() {
     let scale = ExperimentScale::from_process_args(&[]);
     println!("SpMM crossover sweep (scale: {scale:?})\n");
 
-    // Modeled GPU shape: a transformer FFN GEMM; CPU check shape is smaller
-    // so the sweep completes quickly.
-    let (gm, gn, gk) = (4096usize, 4096, 1024);
+    let rows = run_crossover_sweep();
+
+    // The CPU check shape is smaller than the modeled GPU shape so the
+    // sweep completes quickly.
     let (cm, cn, ck) = match scale {
         ExperimentScale::Smoke => (128usize, 64usize, 128usize),
         _ => (512, 128, 512),
@@ -73,7 +76,6 @@ fn main() {
         5
     };
 
-    let model = KernelCostModel::h100();
     let mut table = Table::new(
         "Kernel time vs sparsity (model: H100; CPU cross-check in µs)",
         &[
@@ -86,20 +88,10 @@ fn main() {
             "CPU CSR (µs)",
         ],
     );
-    let mut rows = Vec::new();
-    for pct in [0, 30, 50, 70, 75, 80, 90, 95, 99] {
-        let sparsity = pct as f64 / 100.0;
-        let cublas = model.cublas_time(gm, gn, gk) * 1.0e6;
-        let cusparse = model.cusparse_time(gm, gn, gk, sparsity) * 1.0e6;
-        let sputnik = model.sputnik_time(gm, gn, gk, sparsity) * 1.0e6;
-        let best = match model.best_backend(gm, gn, gk, sparsity) {
-            SpmmBackend::CublasDense => "cuBLAS",
-            SpmmBackend::Cusparse => "cuSPARSE",
-            SpmmBackend::Sputnik => "Sputnik",
-        };
-
+    let mut host_rows = Vec::new();
+    for (row, pct) in rows.iter().zip(CROSSOVER_SPARSITY_PERCENTS) {
         // Real CPU kernels on a smaller shape.
-        let a_dense = random_dense(cm, ck, sparsity, 42 + pct);
+        let a_dense = random_dense(cm, ck, row.sparsity, 42 + pct);
         let b = random_dense(ck, cn, 0.0, 7);
         let a_csr = CsrMatrix::from_dense(&a_dense);
         let cpu_dense = time_us(
@@ -117,29 +109,29 @@ fn main() {
 
         table.add_row(vec![
             format!("{pct}%"),
-            format!("{cublas:.1}"),
-            format!("{cusparse:.1}"),
-            format!("{sputnik:.1}"),
-            best.to_string(),
+            format!("{:.1}", row.cublas_model_us),
+            format!("{:.1}", row.cusparse_model_us),
+            format!("{:.1}", row.sputnik_model_us),
+            row.best_backend.clone(),
             format!("{cpu_dense:.0}"),
             format!("{cpu_sparse:.0}"),
         ]);
-        rows.push(SweepRow {
-            sparsity,
-            cublas_model_us: cublas,
-            cusparse_model_us: cusparse,
-            sputnik_model_us: sputnik,
-            best_backend: best.to_string(),
+        host_rows.push(HostRow {
+            sparsity: row.sparsity,
             cpu_dense_us: cpu_dense,
             cpu_sparse_us: cpu_sparse,
         });
     }
     table.print();
+    let (gm, gn, gk) = CROSSOVER_GEMM;
     println!(
         "Modeled Sputnik/cuBLAS crossover sparsity: {:.0}%",
-        model.sputnik_crossover_sparsity(gm, gn, gk) * 100.0
+        KernelCostModel::h100().sputnik_crossover_sparsity(gm, gn, gk) * 100.0
     );
     if let Some(path) = dump_json("spmm_crossover", &rows) {
         println!("(raw rows written to {})", path.display());
+    }
+    if let Some(path) = dump_json("spmm_crossover.host", &host_rows) {
+        println!("(host times written to {})", path.display());
     }
 }

@@ -30,6 +30,8 @@
 
 pub mod cases;
 pub mod composite;
+pub mod convergence;
+pub mod crossover;
 pub mod fault_tolerance;
 pub mod fleet;
 pub mod hetero;
@@ -49,6 +51,12 @@ pub use cases::{
 pub use composite::{
     composite_grid, run_composite_cell, run_composite_sweep, standard_stacks, CompositeBalancer,
     CompositeCase, CompositeCell, Mechanism, StackSpec,
+};
+pub use convergence::{
+    convergence_loads, full_recompute_balancer, run_convergence_sweep, ConvergenceRow,
+};
+pub use crossover::{
+    run_crossover_sweep, CrossoverRow, CROSSOVER_GEMM, CROSSOVER_SPARSITY_PERCENTS,
 };
 pub use fault_tolerance::{run_fault_tolerance_sweep, FaultToleranceRow};
 pub use fleet::{

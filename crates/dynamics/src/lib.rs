@@ -20,9 +20,9 @@
 //! the paper's claim that the balancer is orthogonal to the dynamism scheme.
 //!
 //! The MoE/pruning engines also contain the *distributed* pieces the paper
-//! implements explicitly: Algorithm 1 (global magnitude pruning via gather /
-//! scatter over ranks) runs on the `dynmo-runtime` fabric in
-//! [`pruning::distributed_global_prune`].
+//! implements explicitly: Algorithm 1 (global magnitude pruning: a gather of
+//! local top-k magnitudes and a broadcast of the global threshold) runs on
+//! the `dynmo-runtime` fabric in [`pruning::distributed_global_prune`].
 //!
 //! Mechanisms also *stack*: [`compose::ComposedEngine`] drives an ordered
 //! set of engines against the same model and merges their `LoadUpdate`s

@@ -5,10 +5,12 @@
 //! 1. [`distributed_global_prune`] — a faithful implementation of the
 //!    paper's Algorithm 1 over the `dynmo-runtime` fabric: every rank finds
 //!    its local top-k parameter magnitudes, rank 0 gathers them, computes
-//!    the global top-k, scatters per-rank keep-indices, and each rank
-//!    compresses its shard.  The paper implements the gather/scatter with
-//!    NCCL P2P because per-rank message sizes differ; the runtime's
-//!    gather/scatter collectives have exactly those semantics.
+//!    the global top-k and broadcasts its magnitude threshold, and each
+//!    rank compresses its shard against it.  The paper implements the
+//!    gather with NCCL P2P because per-rank message sizes differ; the
+//!    runtime's gather has exactly those semantics.  The threshold fully
+//!    determines each rank's keep-indices, so broadcasting it replaces the
+//!    paper's scatter of per-rank index lists.
 //! 2. [`GradualPruningEngine`] — the training-time dynamism model: the
 //!    Zhu–Gupta cubic schedule (Eq. 3) decides the target sparsity at each
 //!    step, a per-layer magnitude-scale profile decides how the *global*

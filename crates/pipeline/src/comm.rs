@@ -3,10 +3,9 @@
 //! The simulator needs the time to (a) hand activations between adjacent
 //! pipeline stages and (b) return the matching input gradients on the
 //! backward path, (c) all-reduce gradients across data-parallel replicas,
-//! (d) all-to-all tokens between expert-parallel ranks (MoE), and (e)
-//! migrate a layer's state between workers during rebalancing — the cost
-//! the paper's Figure 4 overhead breakdown calls "migration of layers
-//! between GPUs".
+//! and (d) migrate a layer's state between workers during rebalancing —
+//! the cost the paper's Figure 4 overhead breakdown calls "migration of
+//! layers between GPUs".
 //!
 //! Boundary traffic is sized *per boundary*: each stage carries the byte
 //! size of the hidden-state tensor it hands downstream
@@ -172,17 +171,6 @@ impl CommCostModel {
         steps * device.link_latency + 2.0 * (n - 1.0) / n * bytes as f64 / bw
     }
 
-    /// Time for an all-to-all exchange of `bytes_per_peer` with each of
-    /// `peers` ranks (the MoE token shuffle).
-    pub fn alltoall_time(&self, bytes_per_peer: u64, peers: usize) -> f64 {
-        if peers <= 1 || bytes_per_peer == 0 {
-            return 0.0;
-        }
-        let n = peers as f64;
-        let bw = self.cluster.device.inter_node_bandwidth;
-        (n - 1.0) * (self.cluster.device.link_latency + bytes_per_peer as f64 / bw)
-    }
-
     /// Time to migrate `bytes` of layer state from stage `from` to stage
     /// `to` during rebalancing.
     pub fn migration_time(&self, bytes: u64, from_stage: usize, to_stage: usize) -> f64 {
@@ -317,15 +305,6 @@ mod tests {
         let shrunk = stage_with_boundary(c.activation_bytes(&m) / 4);
         assert!(c.boundary_transfer_time(&m, &shrunk, 0, 1) < within);
         assert!(c.gradient_transfer_time(&m, &shrunk, 1, 0) < within);
-    }
-
-    #[test]
-    fn alltoall_time_scales_with_peer_count() {
-        let c = comm();
-        assert_eq!(c.alltoall_time(1_000_000, 1), 0.0);
-        let t4 = c.alltoall_time(1_000_000, 4);
-        let t16 = c.alltoall_time(1_000_000, 16);
-        assert!(t16 > t4);
     }
 
     #[test]

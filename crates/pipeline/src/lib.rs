@@ -23,8 +23,8 @@
 //!   and the bubble ratio; per-worker op spans are replayed from the pass
 //!   only for callers that read them.
 //! * [`comm`] — an α–β communication model for per-boundary activation and
-//!   gradient hand-offs, locality-aware gradient all-reduce, MoE
-//!   all-to-all, and layer migration.
+//!   gradient hand-offs, locality-aware gradient all-reduce, and layer
+//!   migration.
 //! * [`memory`] — per-stage memory-capacity checks (OOM detection used by
 //!   re-packing).
 //! * [`data_parallel`] — hybrid data+pipeline parallel throughput

@@ -1,14 +1,16 @@
-//! Communicators: groups of ranks with point-to-point messaging and
-//! `ncclCommSplit`-style splitting.
+//! Communicators: groups of ranks with point-to-point messaging, and the
+//! two ways a group is re-formed.
 //!
-//! DynMo's re-packing (paper §3.4.2) relies on splitting the world
-//! communicator into an *active* sub-communicator (ranks that still hold
-//! layers) and an *idle* one (ranks released back to the job manager).  The
-//! [`Communicator::split`] and [`Communicator::split_subset`] methods
-//! reproduce that behaviour: messages on different communicators never mix,
-//! and ranks excluded from the active communicator simply stop participating.
+//! DynMo's re-packing (paper §3.4.2) hands the GPUs it empties back to the
+//! job manager by splitting the world communicator (`ncclCommSplit`): the
+//! ranks that still hold layers form an *active* communicator, and the
+//! others simply stop participating.  [`Communicator::split_subset`] does
+//! that, and [`Communicator::rebuild_survivors`] re-forms a communicator
+//! over the members that have not failed (`ncclCommShrink`).  Both derive
+//! the new group without a message: every member computes the same member
+//! list and id from what it already knows, and messages on different
+//! communicators never mix.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::{Result, RuntimeError};
@@ -18,38 +20,39 @@ use crate::{RankId, Tag};
 
 /// Tags at or above this value are reserved for internal collective
 /// plumbing; user code must use tags below it.
-pub const SYSTEM_TAG_BASE: Tag = 0x8000_0000;
+pub(crate) const SYSTEM_TAG_BASE: Tag = 0x8000_0000;
 
 /// The id of the world communicator created by [`crate::launch`].
-pub const WORLD_COMM_ID: u64 = 1;
+pub(crate) const WORLD_COMM_ID: u64 = 1;
+
+/// The tag word mixed into the id of a communicator made by
+/// [`Communicator::split_subset`].  A rebuild mixes in its member count,
+/// which stays below it, so a split and a rebuild over the same members
+/// never share an id.
+const SPLIT_WORD: u64 = 1 << 32;
 
 /// A group of ranks that can exchange messages, analogous to an MPI or NCCL
 /// communicator.
 #[derive(Debug, Clone)]
 pub struct Communicator {
-    fabric: Arc<Fabric>,
+    pub(crate) fabric: Arc<Fabric>,
     id: u64,
     /// Global ranks of the members, indexed by local rank.
     members: Arc<Vec<RankId>>,
     /// This rank's index within `members`.
     local_rank: usize,
-    /// Monotonic counter making ids of successive splits distinct.  Shared
-    /// between clones of the same communicator on the same rank so that
-    /// clones stay in lock-step.
-    split_seq: Arc<AtomicU64>,
 }
 
 impl Communicator {
-    /// Construct a communicator directly.  Most users obtain communicators
-    /// from [`crate::launch`] (the world) or from [`Communicator::split`].
-    pub fn new(fabric: Arc<Fabric>, id: u64, members: Vec<RankId>, local_rank: usize) -> Self {
-        debug_assert!(local_rank < members.len());
+    /// The world communicator, every rank of `fabric`, seen from global
+    /// rank `rank`.
+    pub(crate) fn world(fabric: Arc<Fabric>, rank: RankId) -> Self {
+        let members = (0..fabric.world_size()).collect();
         Communicator {
             fabric,
-            id,
+            id: WORLD_COMM_ID,
             members: Arc::new(members),
-            local_rank,
-            split_seq: Arc::new(AtomicU64::new(0)),
+            local_rank: rank,
         }
     }
 
@@ -63,14 +66,8 @@ impl Communicator {
         self.members.len()
     }
 
-    /// The communicator's id (unique within a fabric for a given split
-    /// sequence).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// The global rank backing a local rank.
-    pub fn global_rank(&self, local: usize) -> Result<RankId> {
+    pub(crate) fn global_rank(&self, local: usize) -> Result<RankId> {
         self.members
             .get(local)
             .copied()
@@ -85,11 +82,6 @@ impl Communicator {
     /// All member global ranks, in local-rank order.
     pub fn members(&self) -> &[RankId] {
         &self.members
-    }
-
-    /// Access the fabric this communicator lives on.
-    pub fn fabric(&self) -> &Arc<Fabric> {
-        &self.fabric
     }
 
     /// Send `payload` to local rank `dst` with `tag`.
@@ -125,105 +117,39 @@ impl Communicator {
 
     pub(crate) fn recv_internal(&self, src: usize, tag: Tag) -> Result<Payload> {
         let src_global = self.global_rank(src)?;
-        Ok(self.recv_envelope(Some(src_global), tag)?.payload)
+        self.fabric.recv_match(
+            self.my_global_rank(),
+            self.id,
+            &self.members,
+            src_global,
+            tag,
+        )
     }
 
-    /// Receive the next message on this communicator from global rank
-    /// `src` (any member when `None`) with `tag`.
-    fn recv_envelope(&self, src: Option<RankId>, tag: Tag) -> Result<Envelope> {
-        self.fabric
-            .recv_match(self.my_global_rank(), self.id, &self.members, src, tag)
-    }
-
-    /// Receive a message with `tag` from any member rank, returning the
-    /// sender's local rank alongside the payload.
-    pub fn recv_any(&self, tag: Tag) -> Result<(usize, Payload)> {
-        let envelope = self.recv_envelope(None, tag)?;
-        let local = self
-            .members
-            .iter()
-            .position(|&g| g == envelope.src)
-            .ok_or(RuntimeError::UnknownRank(envelope.src))?;
-        Ok((local, envelope.payload))
-    }
-
-    /// Split the communicator by `color`: ranks sharing a color form a new
-    /// communicator, ordered by `key` then by parent rank.  Every member of
-    /// the parent must call `split` (collectively), mirroring
-    /// `ncclCommSplit`/`MPI_Comm_split`.  Returns `None` when `color` is
-    /// `None` (the rank opts out, like `NCCL_SPLIT_NOCOLOR`).
-    pub fn split(&self, color: Option<u64>, key: u64) -> Result<Option<Communicator>> {
-        // Exchange (color, key) from every rank via an internal allgather.
-        let encoded = vec![
-            color.map(|c| c + 1).unwrap_or(0), // 0 encodes "no color"
-            key,
-        ];
-        let all = self.allgather_u64_internal(&encoded)?;
-        let seq = self.split_seq.fetch_add(1, Ordering::SeqCst);
-
-        let my_color = match color {
-            Some(c) => c,
-            None => return Ok(None),
-        };
-
-        // Collect members with the same color, sorted by (key, parent rank).
-        let mut group: Vec<(u64, usize)> = Vec::new();
-        for (parent_rank, entry) in all.iter().enumerate() {
-            let c = entry[0];
-            let k = entry[1];
-            if c == my_color + 1 {
-                group.push((k, parent_rank));
-            }
-        }
-        group.sort_unstable();
-        let members: Vec<RankId> = group
-            .iter()
-            .map(|&(_, parent_rank)| self.members[parent_rank])
-            .collect();
-        let local_rank = group
-            .iter()
-            .position(|&(_, parent_rank)| parent_rank == self.local_rank)
-            .expect("calling rank must be part of its own color group");
-
-        let id = derive_comm_id(self.id, seq, my_color);
-        Ok(Some(Communicator {
-            fabric: Arc::clone(&self.fabric),
-            id,
-            members: Arc::new(members),
-            local_rank,
-            split_seq: Arc::new(AtomicU64::new(0)),
-        }))
-    }
-
-    /// Convenience wrapper over [`Communicator::split`]: ranks listed in
-    /// `active` (as parent-local ranks) join the new communicator in the
-    /// given order; everyone else opts out.  All parent members must call
-    /// this with the same `active` list.
+    /// The communicator of the ranks listed in `active` (as parent-local
+    /// ranks), in the given order, or `None` on a rank that is not listed:
+    /// that rank is released and stops participating, like
+    /// `ncclCommSplit` with `NCCL_SPLIT_NOCOLOR`.
+    ///
+    /// Every listed rank must pass the same list; a rank that is not
+    /// listed need not call this at all.  No message is exchanged: the id
+    /// comes from the parent's id and the member list, so two splits of
+    /// one parent over the same list name the same group.  A repeated
+    /// entry fails with [`RuntimeError::InvalidArgument`] and an entry
+    /// outside the parent with [`RuntimeError::UnknownRank`], on every
+    /// rank.
     pub fn split_subset(&self, active: &[usize]) -> Result<Option<Communicator>> {
-        let position = active.iter().position(|&r| r == self.local_rank);
-        let color = position.map(|_| 1u64);
-        let key = position.unwrap_or(0) as u64;
-        self.split(color, key)
-    }
-
-    /// Global ranks of the members that have *not* been marked failed, in
-    /// local-rank order.
-    pub fn surviving_members(&self) -> Vec<RankId> {
-        let detector = self.fabric.detector();
-        self.members
-            .iter()
-            .copied()
-            .filter(|&g| !detector.is_failed(g))
-            .collect()
-    }
-
-    /// Whether any member of this communicator has been marked failed (in
-    /// which case collectives on it are poisoned and it must be rebuilt).
-    pub fn has_failed_member(&self) -> bool {
-        self.fabric
-            .detector()
-            .first_failed_of(&self.members)
-            .is_some()
+        let mut members = Vec::with_capacity(active.len());
+        for &local in active {
+            let global = self.global_rank(local)?;
+            if members.contains(&global) {
+                return Err(RuntimeError::InvalidArgument(format!(
+                    "rank {local} is listed twice in split_subset"
+                )));
+            }
+            members.push(global);
+        }
+        Ok(self.derive(members, SPLIT_WORD))
     }
 
     /// Re-form the communicator over the surviving members after a failure —
@@ -237,86 +163,52 @@ impl Communicator {
     /// communicator id.  Returns `None` when the calling rank is itself
     /// marked failed; returns a clone of `self` when no member has failed.
     pub fn rebuild_survivors(&self) -> Result<Option<Communicator>> {
-        let survivors = self.surviving_members();
+        let detector = self.fabric.detector();
+        let survivors: Vec<RankId> = self
+            .members
+            .iter()
+            .copied()
+            .filter(|&g| !detector.is_failed(g))
+            .collect();
         if survivors.len() == self.members.len() {
             return Ok(Some(self.clone()));
         }
-        // A calling rank that is itself marked failed is not a survivor
-        // (and an alive caller guarantees the survivor set is non-empty).
+        let word = survivors.len() as u64;
+        Ok(self.derive(survivors, word))
+    }
+
+    /// The communicator over the global ranks `members`, seen from this
+    /// rank, or `None` when this rank is not one of them.  Its id mixes
+    /// the parent's id, the member list and `word`, so every member derives
+    /// the same id and successive re-formations of one parent over
+    /// different members never reuse one.
+    fn derive(&self, members: Vec<RankId>, word: u64) -> Option<Communicator> {
         let me = self.my_global_rank();
-        let Some(local_rank) = survivors.iter().position(|&g| g == me) else {
-            return Ok(None);
-        };
-        // Mix the survivor set into the id so successive failures (and
-        // rebuilds) of the same parent never reuse a communicator id.
+        let local_rank = members.iter().position(|&g| g == me)?;
         let mut set_hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &g in &survivors {
+        for &g in &members {
             set_hash ^= g as u64;
             set_hash = set_hash.wrapping_mul(0x100_0000_01b3);
         }
-        let id = derive_comm_id(self.id, set_hash, survivors.len() as u64);
-        Ok(Some(Communicator {
+        Some(Communicator {
             fabric: Arc::clone(&self.fabric),
-            id,
-            members: Arc::new(survivors),
+            id: derive_comm_id(self.id, set_hash, word),
+            members: Arc::new(members),
             local_rank,
-            split_seq: Arc::new(AtomicU64::new(0)),
-        }))
-    }
-
-    /// Internal allgather of a fixed-size `u64` vector, used by `split` and
-    /// the collectives module.  Uses the system tag space.
-    pub(crate) fn allgather_u64_internal(&self, value: &[u64]) -> Result<Vec<Vec<u64>>> {
-        let tag = SYSTEM_TAG_BASE + 1;
-        let n = self.size();
-        // Gather to rank 0 then broadcast: simple and adequate for a
-        // simulation fabric.
-        if self.local_rank == 0 {
-            let mut all = vec![Vec::new(); n];
-            all[0] = value.to_vec();
-            for _ in 1..n {
-                let envelope = self.recv_envelope(None, tag)?;
-                let src_local = self
-                    .members
-                    .iter()
-                    .position(|&g| g == envelope.src)
-                    .ok_or(RuntimeError::UnknownRank(envelope.src))?;
-                all[src_local] = envelope.payload.into_u64()?;
-            }
-            // Flatten and broadcast.
-            let lengths: Vec<u64> = all.iter().map(|v| v.len() as u64).collect();
-            let flat: Vec<u64> = all.iter().flatten().copied().collect();
-            for dst in 1..n {
-                self.send_internal(dst, tag + 1, Payload::U64(lengths.clone()))?;
-                self.send_internal(dst, tag + 2, Payload::U64(flat.clone()))?;
-            }
-            Ok(all)
-        } else {
-            self.send_internal(0, tag, Payload::U64(value.to_vec()))?;
-            let lengths = self.recv_internal(0, tag + 1)?.into_u64()?;
-            let flat = self.recv_internal(0, tag + 2)?.into_u64()?;
-            let mut all = Vec::with_capacity(n);
-            let mut offset = 0usize;
-            for len in lengths {
-                let len = len as usize;
-                all.push(flat[offset..offset + len].to_vec());
-                offset += len;
-            }
-            Ok(all)
-        }
+        })
     }
 }
 
-/// Derive a deterministic communicator id from the parent id, the split
-/// sequence number and the color.  All members compute the same value
+/// Derive a deterministic communicator id from the parent id, a hash of
+/// the member list and a tag word.  All members compute the same value
 /// without extra coordination.
-fn derive_comm_id(parent: u64, seq: u64, color: u64) -> u64 {
+fn derive_comm_id(parent: u64, members: u64, word: u64) -> u64 {
     // A simple SplitMix64-style mix; collisions across live communicators
     // are practically impossible for the fleet sizes simulated here.
     let mut x = parent
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(seq.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(color.wrapping_mul(0x94D0_49BB_1331_11EB));
+        .wrapping_add(members.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+        .wrapping_add(word.wrapping_mul(0x94D0_49BB_1331_11EB));
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -362,24 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_reports_sender_local_rank() {
-        let results = launch(3, |ctx| {
-            let comm = ctx.world();
-            if ctx.rank() == 1 {
-                comm.send(0, 9, Payload::U32(vec![42])).unwrap();
-                None
-            } else if ctx.rank() == 0 {
-                let (src, payload) = comm.recv_any(9).unwrap();
-                Some((src, payload.into_u32().unwrap()[0]))
-            } else {
-                None
-            }
-        })
-        .unwrap();
-        assert_eq!(results[0], Some((1, 42)));
-    }
-
-    #[test]
     fn split_subset_builds_disjoint_active_group() {
         // 4 ranks; re-pack onto ranks {0, 2}; the others become idle.
         let results = launch(4, |ctx| {
@@ -389,9 +263,9 @@ mod tests {
                 Some(sub) => {
                     // Active ranks exchange a message on the new communicator.
                     let peer = 1 - sub.rank();
-                    sub.send(peer, 3, Payload::U32(vec![sub.rank() as u32]))
+                    sub.send(peer, 3, Payload::U64(vec![sub.rank() as u64]))
                         .unwrap();
-                    let got = sub.recv(peer, 3).unwrap().into_u32().unwrap()[0];
+                    let got = sub.recv(peer, 3).unwrap().into_u64().unwrap()[0];
                     Some((sub.size(), sub.rank(), got))
                 }
                 None => None,
@@ -405,22 +279,63 @@ mod tests {
     }
 
     #[test]
-    fn split_by_color_orders_by_key() {
-        let results = launch(4, |ctx| {
-            let comm = ctx.world();
-            // Two groups: even ranks and odd ranks; key reverses order.
-            let color = Some((ctx.rank() % 2) as u64);
-            let key = (10 - ctx.rank()) as u64;
-            let sub = comm.split(color, key).unwrap().unwrap();
-            (sub.size(), sub.rank(), sub.my_global_rank())
+    fn split_subset_is_local() {
+        // Rank 2 is released without calling split_subset: no message is
+        // exchanged, so ranks 0 and 1 neither wait for it nor deadlock.
+        let results = launch(3, |ctx| {
+            if ctx.rank() == 2 {
+                return None;
+            }
+            let sub = ctx.world().split_subset(&[0, 1]).unwrap().unwrap();
+            sub.barrier().unwrap();
+            let sum = sub.allreduce_sum_f32(&[ctx.rank() as f32 + 1.0]).unwrap();
+            Some((sub.members().to_vec(), sum))
         })
         .unwrap();
-        // Even group = global {0, 2}; key 10, 8 → rank 2 first.
-        assert_eq!(results[2], (2, 0, 2));
-        assert_eq!(results[0], (2, 1, 0));
-        // Odd group = global {1, 3}; key 9, 7 → rank 3 first.
-        assert_eq!(results[3], (2, 0, 3));
-        assert_eq!(results[1], (2, 1, 1));
+        for result in &results[..2] {
+            assert_eq!(result, &Some((vec![0, 1], vec![3.0])));
+        }
+        assert_eq!(results[2], None);
+    }
+
+    #[test]
+    fn split_subset_rejects_repeated_and_unknown_ranks_on_every_rank() {
+        let results = launch(2, |ctx| {
+            let world = ctx.world();
+            let repeated = world.split_subset(&[0, 0]).unwrap_err();
+            let unknown = world.split_subset(&[0, 5]).unwrap_err();
+            (repeated, unknown)
+        })
+        .unwrap();
+        for (repeated, unknown) in results {
+            assert!(
+                matches!(repeated, RuntimeError::InvalidArgument(_)),
+                "{repeated}"
+            );
+            assert_eq!(unknown, RuntimeError::UnknownRank(5));
+        }
+    }
+
+    #[test]
+    fn a_split_and_a_rebuild_over_the_same_members_differ() {
+        let results = launch(3, |ctx| {
+            if ctx.rank() == 2 {
+                ctx.fabric().detector().mark_failed(2);
+                return None;
+            }
+            while !ctx.fabric().detector().is_failed(2) {
+                std::thread::yield_now();
+            }
+            let world = ctx.world();
+            let rebuilt = world.rebuild_survivors().unwrap().unwrap();
+            let split = world.split_subset(&[0, 1]).unwrap().unwrap();
+            let again = world.split_subset(&[0, 1]).unwrap().unwrap();
+            assert_eq!(rebuilt.members(), split.members());
+            assert_eq!(split.id, again.id, "two splits name one group");
+            Some(rebuilt.id != split.id)
+        })
+        .unwrap();
+        assert_eq!(results, vec![Some(true), Some(true), None]);
     }
 
     #[test]
@@ -430,7 +345,7 @@ mod tests {
             let sub = comm.split_subset(&[0, 1]).unwrap().unwrap();
             if ctx.rank() == 0 {
                 // Send on the sub-communicator only.
-                sub.send(1, 7, Payload::U32(vec![77])).unwrap();
+                sub.send(1, 7, Payload::U64(vec![77])).unwrap();
                 0
             } else {
                 // The message is scoped to the sub-communicator, so a
@@ -438,7 +353,7 @@ mod tests {
                 // matches it: once rank 0 has exited, that is a deadlock.
                 let err = comm.recv(0, 7).unwrap_err();
                 assert!(matches!(err, RuntimeError::Deadlock { .. }), "{err}");
-                sub.recv(0, 7).unwrap().into_u32().unwrap()[0]
+                sub.recv(0, 7).unwrap().into_u64().unwrap()[0]
             }
         })
         .unwrap();
@@ -475,11 +390,9 @@ mod tests {
             // both survivors must see RankFailed promptly (not a deadlock).
             let err = comm.allreduce_sum_f32(&[1.0]).unwrap_err();
             assert_eq!(err, RuntimeError::RankFailed { rank: 2 });
-            assert!(comm.has_failed_member());
-            assert_eq!(comm.surviving_members(), vec![0, 1]);
             // Rebuild over the survivors and finish the collective there.
             let rebuilt = comm.rebuild_survivors().unwrap().unwrap();
-            assert_eq!(rebuilt.size(), 2);
+            assert_eq!(rebuilt.members(), &[0, 1]);
             let sum = rebuilt.allreduce_sum_f32(&[1.0]).unwrap();
             Some((rebuilt.rank(), sum[0] as usize))
         })
@@ -494,7 +407,7 @@ mod tests {
         let results = launch(2, |ctx| {
             let comm = ctx.world();
             let rebuilt = comm.rebuild_survivors().unwrap().unwrap();
-            (rebuilt.id() == comm.id(), rebuilt.size())
+            (rebuilt.id == comm.id, rebuilt.size())
         })
         .unwrap();
         assert_eq!(results, vec![(true, 2), (true, 2)]);
@@ -525,9 +438,11 @@ mod tests {
         let b = derive_comm_id(1, 0, 1);
         let c = derive_comm_id(1, 1, 1);
         let d = derive_comm_id(1, 0, 2);
+        let e = derive_comm_id(1, 0, SPLIT_WORD);
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
+        assert_ne!(a, e);
         assert_ne!(a, WORLD_COMM_ID);
     }
 }

@@ -19,14 +19,14 @@ pub enum RuntimeError {
     /// complete.  Raised on each of those receives.
     Deadlock {
         /// `(rank, src, tag)` of every blocked receive, in rank order: the
-        /// global rank that waits, the global rank it waits on (`None` for
-        /// any member) and the tag it matches.
-        blocked: Vec<(usize, Option<usize>, u32)>,
+        /// global rank that waits, the global rank it waits on and the tag
+        /// it matches.
+        blocked: Vec<(usize, usize, u32)>,
     },
     /// A payload had a different type or length than the operation expected.
     PayloadMismatch(String),
-    /// Collective operation called with invalid arguments (e.g. scatter
-    /// counts not matching the communicator size).
+    /// An operation called with invalid arguments (e.g. a broadcast root
+    /// outside the communicator, or a rank listed twice in a split).
     InvalidArgument(String),
     /// A worker thread panicked during `launch`.
     WorkerPanicked {
@@ -51,10 +51,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Deadlock { blocked } => {
                 write!(f, "deadlock: every live rank is blocked in a receive")?;
                 for (rank, src, tag) in blocked {
-                    match src {
-                        Some(src) => write!(f, "; rank {rank} waits for src {src} tag {tag}")?,
-                        None => write!(f, "; rank {rank} waits for any src tag {tag}")?,
-                    }
+                    write!(f, "; rank {rank} waits for src {src} tag {tag}")?;
                 }
                 Ok(())
             }
@@ -79,10 +76,10 @@ mod tests {
             (RuntimeError::Disconnected { rank: 2 }, "rank 2 has exited"),
             (
                 RuntimeError::Deadlock {
-                    blocked: vec![(0, Some(1), 5), (1, None, 9)],
+                    blocked: vec![(0, 1, 5), (1, 0, 9)],
                 },
                 "deadlock: every live rank is blocked in a receive; \
-                 rank 0 waits for src 1 tag 5; rank 1 waits for any src tag 9",
+                 rank 0 waits for src 1 tag 5; rank 1 waits for src 0 tag 9",
             ),
             (RuntimeError::RankFailed { rank: 4 }, "rank 4 has failed"),
             (

@@ -2,7 +2,8 @@
 //!
 //! The fabric plays the role of the interconnect (NVLink/NVSwitch within a
 //! node, InfiniBand across nodes in the paper's testbed): it holds one
-//! message queue per rank and routes [`Envelope`]s into them.  Delivery is
+//! message queue per rank and routes each message into its destination's
+//! queue.  A receive names its source, tag and communicator.  Delivery is
 //! reliable and per-sender ordered, which matches NCCL P2P semantics closely
 //! enough for the algorithms reproduced here.
 //!
@@ -22,23 +23,22 @@ use parking_lot::{Condvar, Mutex};
 use crate::error::{Result, RuntimeError};
 use crate::fault::FailureDetector;
 use crate::payload::Payload;
-use crate::stats::FabricStats;
 use crate::{RankId, Tag};
 
 /// A routed message between two ranks, scoped to a communicator.
-#[derive(Debug, Clone)]
-pub struct Envelope {
+#[derive(Debug)]
+pub(crate) struct Envelope {
     /// Global rank of the sender.
-    pub src: RankId,
+    pub(crate) src: RankId,
     /// Global rank of the receiver.
-    pub dst: RankId,
+    pub(crate) dst: RankId,
     /// Communicator id the message belongs to (so split communicators do
     /// not interfere, mirroring `ncclCommSplit`).
-    pub comm: u64,
+    pub(crate) comm: u64,
     /// User or system tag used for matching.
-    pub tag: Tag,
+    pub(crate) tag: Tag,
     /// The typed payload.
-    pub payload: Payload,
+    pub(crate) payload: Payload,
 }
 
 /// What a rank is doing, as far as the fabric can tell.
@@ -46,11 +46,11 @@ pub struct Envelope {
 enum Status {
     /// Running its body, or woken in a receive to look again.
     Running,
-    /// Asleep in a receive from `src` (any member when `None`) with `tag`.
-    Blocked { src: Option<RankId>, tag: Tag },
+    /// Asleep in a receive from `src` with `tag`.
+    Blocked { src: RankId, tag: Tag },
     /// Woken in a receive that can never complete, with the
     /// `(rank, src, tag)` of every receive blocked at that moment.
-    Deadlocked(Vec<(RankId, Option<RankId>, Tag)>),
+    Deadlocked(Vec<(RankId, RankId, Tag)>),
     /// Its body has returned or unwound.
     Exited,
 }
@@ -129,7 +129,6 @@ impl Shared {
 pub struct Fabric {
     shared: Arc<Shared>,
     detector: FailureDetector,
-    stats: FabricStats,
 }
 
 impl Fabric {
@@ -147,18 +146,12 @@ impl Fabric {
         Arc::new(Fabric {
             detector: FailureDetector::new(Arc::clone(&shared)),
             shared,
-            stats: FabricStats::new(),
         })
     }
 
     /// Number of ranks attached to the fabric.
-    pub fn world_size(&self) -> usize {
+    pub(crate) fn world_size(&self) -> usize {
         self.shared.wake.len()
-    }
-
-    /// Access the shared statistics counters.
-    pub fn stats(&self) -> &FabricStats {
-        &self.stats
     }
 
     /// The fabric's failure detector (shared by every rank).
@@ -170,7 +163,7 @@ impl Fabric {
     /// is blocked in a receive.  Fails with [`RuntimeError::RankFailed`]
     /// when either end of the transfer is dead, and with
     /// [`RuntimeError::Disconnected`] when the destination has exited.
-    pub fn route(&self, envelope: Envelope) -> Result<()> {
+    pub(crate) fn route(&self, envelope: Envelope) -> Result<()> {
         let (src, dst) = (envelope.src, envelope.dst);
         if dst >= self.world_size() {
             return Err(RuntimeError::UnknownRank(dst));
@@ -185,16 +178,15 @@ impl Fabric {
         if let Status::Exited = state.status[dst] {
             return Err(RuntimeError::Disconnected { rank: dst });
         }
-        self.stats.record_p2p(envelope.payload.size_bytes());
         state.queues[dst].push_back(envelope);
         self.shared.unblock(&mut state, dst);
         Ok(())
     }
 
-    /// Receive, on global rank `rank`, the first queued message matching
-    /// `(comm, src, tag)`; `src == None` matches any source
-    /// (MPI_ANY_SOURCE).  The unmatched messages stay queued in arrival
-    /// order, the unexpected-message queue of an MPI implementation.
+    /// Receive, on global rank `rank`, the payload of the first queued
+    /// message matching `(comm, src, tag)`.  The unmatched messages stay
+    /// queued in arrival order, the unexpected-message queue of an MPI
+    /// implementation.
     ///
     /// `members` is the membership of the communicator the receive is
     /// posted on.  A matching message that has already arrived is
@@ -209,15 +201,15 @@ impl Fabric {
         rank: RankId,
         comm: u64,
         members: &[RankId],
-        src: Option<RankId>,
+        src: RankId,
         tag: Tag,
-    ) -> Result<Envelope> {
-        let wanted =
-            |e: &Envelope| e.comm == comm && e.tag == tag && src.is_none_or(|s| e.src == s);
+    ) -> Result<Payload> {
+        let wanted = |e: &Envelope| e.comm == comm && e.src == src && e.tag == tag;
         let mut state = self.shared.state.lock();
         loop {
             if let Some(at) = state.queues[rank].iter().position(wanted) {
-                return Ok(state.queues[rank].remove(at).expect("position is in range"));
+                let envelope = state.queues[rank].remove(at).expect("position is in range");
+                return Ok(envelope.payload);
             }
             if let Some(failed) = state.first_failed_of(members) {
                 return Err(RuntimeError::RankFailed { rank: failed });
@@ -264,14 +256,8 @@ mod tests {
         fabric
             .route(envelope(0, 1, 0, 7, Payload::F32(vec![1.0, 2.0])))
             .unwrap();
-        let got = fabric.recv_match(1, 0, &[0, 1], Some(0), 7).unwrap();
-        assert_eq!(got.src, 0);
-        assert_eq!(got.tag, 7);
-        assert_eq!(got.payload, Payload::F32(vec![1.0, 2.0]));
-        // Stats counted one message of 8 bytes.
-        let snap = fabric.stats().snapshot();
-        assert_eq!(snap.p2p_messages, 1);
-        assert_eq!(snap.p2p_bytes, 8);
+        let got = fabric.recv_match(1, 0, &[0, 1], 0, 7).unwrap();
+        assert_eq!(got, Payload::F32(vec![1.0, 2.0]));
     }
 
     #[test]
@@ -298,57 +284,47 @@ mod tests {
         let fabric = Fabric::new(2);
         // Send two messages with different tags; receive the second first.
         fabric
-            .route(envelope(0, 1, 0, 1, Payload::U32(vec![11])))
+            .route(envelope(0, 1, 0, 1, Payload::U64(vec![11])))
             .unwrap();
         fabric
-            .route(envelope(0, 1, 0, 2, Payload::U32(vec![22])))
+            .route(envelope(0, 1, 0, 2, Payload::U64(vec![22])))
             .unwrap();
 
-        let second = fabric.recv_match(1, 0, &[0, 1], Some(0), 2).unwrap();
-        assert_eq!(second.payload, Payload::U32(vec![22]));
-        let first = fabric.recv_match(1, 0, &[0, 1], Some(0), 1).unwrap();
-        assert_eq!(first.payload, Payload::U32(vec![11]));
+        let second = fabric.recv_match(1, 0, &[0, 1], 0, 2).unwrap();
+        assert_eq!(second, Payload::U64(vec![22]));
+        let first = fabric.recv_match(1, 0, &[0, 1], 0, 1).unwrap();
+        assert_eq!(first, Payload::U64(vec![11]));
     }
 
     #[test]
     fn receive_filters_by_communicator() {
         let fabric = Fabric::new(2);
         fabric
-            .route(envelope(0, 1, 99, 5, Payload::U32(vec![1])))
+            .route(envelope(0, 1, 99, 5, Payload::U64(vec![1])))
             .unwrap();
         fabric
-            .route(envelope(0, 1, 7, 5, Payload::U32(vec![2])))
+            .route(envelope(0, 1, 7, 5, Payload::U64(vec![2])))
             .unwrap();
 
-        let got = fabric.recv_match(1, 7, &[0, 1], Some(0), 5).unwrap();
-        assert_eq!(got.payload, Payload::U32(vec![2]));
+        let got = fabric.recv_match(1, 7, &[0, 1], 0, 5).unwrap();
+        assert_eq!(got, Payload::U64(vec![2]));
         // The message on communicator 99 stays queued, not dropped.
-        let parked = fabric.recv_match(1, 99, &[0, 1], Some(0), 5).unwrap();
-        assert_eq!(parked.payload, Payload::U32(vec![1]));
-    }
-
-    #[test]
-    fn any_source_receive_matches_first_arrival() {
-        let fabric = Fabric::new(3);
-        fabric
-            .route(envelope(1, 2, 0, 4, Payload::U64(vec![10])))
-            .unwrap();
-        let got = fabric.recv_match(2, 0, &[0, 1, 2], None, 4).unwrap();
-        assert_eq!(got.src, 1);
+        let parked = fabric.recv_match(1, 99, &[0, 1], 0, 5).unwrap();
+        assert_eq!(parked, Payload::U64(vec![1]));
     }
 
     #[test]
     fn a_message_queued_before_a_failure_is_still_delivered() {
         let fabric = Fabric::new(3);
         fabric
-            .route(envelope(0, 1, 0, 6, Payload::U32(vec![42])))
+            .route(envelope(0, 1, 0, 6, Payload::U64(vec![42])))
             .unwrap();
         // Another member of the communicator fails after the send.
         fabric.detector().mark_failed(2);
-        let got = fabric.recv_match(1, 0, &[0, 1, 2], Some(0), 6).unwrap();
-        assert_eq!(got.payload, Payload::U32(vec![42]));
+        let got = fabric.recv_match(1, 0, &[0, 1, 2], 0, 6).unwrap();
+        assert_eq!(got, Payload::U64(vec![42]));
         // With nothing left queued, the failure is reported.
-        let err = fabric.recv_match(1, 0, &[0, 1, 2], Some(0), 6).unwrap_err();
+        let err = fabric.recv_match(1, 0, &[0, 1, 2], 0, 6).unwrap_err();
         assert_eq!(err, RuntimeError::RankFailed { rank: 2 });
     }
 
@@ -356,11 +332,11 @@ mod tests {
     fn a_receive_no_live_rank_can_satisfy_is_a_deadlock() {
         let fabric = Fabric::new(2);
         fabric.exit(0);
-        let err = fabric.recv_match(1, 0, &[0, 1], Some(0), 3).unwrap_err();
+        let err = fabric.recv_match(1, 0, &[0, 1], 0, 3).unwrap_err();
         assert_eq!(
             err,
             RuntimeError::Deadlock {
-                blocked: vec![(1, Some(0), 3)]
+                blocked: vec![(1, 0, 3)]
             }
         );
     }
@@ -394,19 +370,16 @@ mod loom_models {
         src: RankId,
     ) -> loom::thread::JoinHandle<Result<Payload>> {
         let fabric = Arc::clone(fabric);
-        loom::thread::spawn(move || {
-            let got = fabric.recv_match(rank, COMM, members, Some(src), TAG);
-            got.map(|envelope| envelope.payload)
-        })
+        loom::thread::spawn(move || fabric.recv_match(rank, COMM, members, src, TAG))
     }
 
-    fn send(fabric: &Fabric, src: RankId, dst: RankId, value: u32) -> Result<()> {
+    fn send(fabric: &Fabric, src: RankId, dst: RankId, value: u64) -> Result<()> {
         fabric.route(Envelope {
             src,
             dst,
             comm: COMM,
             tag: TAG,
-            payload: Payload::U32(vec![value]),
+            payload: Payload::U64(vec![value]),
         })
     }
 
@@ -418,7 +391,7 @@ mod loom_models {
             let fabric = Fabric::new(2);
             let receiver = receive(&fabric, 1, &[0, 1], 0);
             send(&fabric, 0, 1, 5).unwrap();
-            assert_eq!(receiver.join().unwrap(), Ok(Payload::U32(vec![5])));
+            assert_eq!(receiver.join().unwrap(), Ok(Payload::U64(vec![5])));
         });
     }
 
@@ -449,7 +422,7 @@ mod loom_models {
             let first = receive(&fabric, 0, &[0, 1], 1);
             let second = receive(&fabric, 1, &[0, 1], 0);
             let deadlock = Err(RuntimeError::Deadlock {
-                blocked: vec![(0, Some(1), TAG), (1, Some(0), TAG)],
+                blocked: vec![(0, 1, TAG), (1, 0, TAG)],
             });
             assert_eq!(first.join().unwrap(), deadlock);
             assert_eq!(second.join().unwrap(), deadlock);
@@ -465,19 +438,19 @@ mod loom_models {
             let receiver = {
                 let fabric = Arc::clone(&fabric);
                 loom::thread::spawn(move || {
-                    let first = fabric.recv_match(1, COMM, &[0, 1], Some(0), TAG);
-                    let second = fabric.recv_match(1, COMM, &[0, 1], Some(0), TAG);
-                    (first.map(|e| e.payload), second.map(|e| e.payload))
+                    let first = fabric.recv_match(1, COMM, &[0, 1], 0, TAG);
+                    let second = fabric.recv_match(1, COMM, &[0, 1], 0, TAG);
+                    (first, second)
                 })
             };
             send(&fabric, 0, 1, 9).unwrap();
             fabric.exit(0);
             let (first, second) = receiver.join().unwrap();
-            assert_eq!(first, Ok(Payload::U32(vec![9])));
+            assert_eq!(first, Ok(Payload::U64(vec![9])));
             assert_eq!(
                 second,
                 Err(RuntimeError::Deadlock {
-                    blocked: vec![(1, Some(0), TAG)]
+                    blocked: vec![(1, 0, TAG)]
                 })
             );
         });

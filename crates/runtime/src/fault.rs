@@ -22,8 +22,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, RuntimeError};
 use crate::fabric::Shared;
 use crate::RankId;
@@ -54,16 +52,10 @@ impl FailureDetector {
     pub fn is_failed(&self, rank: RankId) -> bool {
         self.shared.state.lock().failed.contains(&rank)
     }
-
-    /// The first failed rank among `members`, if any — the check used to
-    /// poison operations on a communicator containing a dead member.
-    pub fn first_failed_of(&self, members: &[RankId]) -> Option<RankId> {
-        self.shared.state.lock().first_failed_of(members)
-    }
 }
 
 /// One scheduled rank death.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledKill {
     /// Global rank to kill.
     pub rank: RankId,
@@ -75,7 +67,7 @@ pub struct ScheduledKill {
 /// One scheduled spot-instance eviction: the provider announces it a few
 /// iterations ahead (cloud spot/preemptible VMs give a 30–120 s warning),
 /// then reclaims the rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpotEviction {
     /// Global rank being reclaimed.
     pub rank: RankId,
@@ -91,7 +83,7 @@ pub struct SpotEviction {
 pub const SPOT_WARNING_ITERATIONS: u64 = 3;
 
 /// A schedule of rank deaths to inject into a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     kills: Vec<ScheduledKill>,
     evictions: Vec<SpotEviction>,
@@ -226,11 +218,6 @@ impl FaultInjector {
         FaultInjector { plan, detector }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Advance `rank` to `iteration`.  Returns
     /// `Err(RuntimeError::RankFailed)` if the plan kills this rank at (or
     /// before) this iteration; the caller must stop participating.
@@ -263,8 +250,6 @@ mod tests {
         assert!(d.mark_failed(2));
         assert!(!d.mark_failed(2), "second mark is idempotent");
         assert!(d.is_failed(2));
-        assert_eq!(d.first_failed_of(&[0, 1, 3]), None);
-        assert_eq!(d.first_failed_of(&[0, 2, 3]), Some(2));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::communicator::{Communicator, WORLD_COMM_ID};
+use crate::communicator::Communicator;
 use crate::error::{Result, RuntimeError};
 use crate::fabric::Fabric;
 use crate::RankId;
@@ -10,20 +10,13 @@ use crate::RankId;
 /// Per-rank execution context handed to the rank closure by [`launch`].
 #[derive(Debug, Clone)]
 pub struct RankCtx {
-    rank: RankId,
     world: Communicator,
-    fabric: Arc<Fabric>,
 }
 
 impl RankCtx {
     /// The global rank of this worker (one rank per simulated GPU).
     pub fn rank(&self) -> RankId {
-        self.rank
-    }
-
-    /// Total number of ranks in the job.
-    pub fn world_size(&self) -> usize {
-        self.fabric.world_size()
+        self.world.rank()
     }
 
     /// The world communicator containing every rank.
@@ -31,9 +24,9 @@ impl RankCtx {
         self.world.clone()
     }
 
-    /// The underlying fabric (for statistics inspection).
+    /// The underlying fabric, whose failure detector every rank shares.
     pub fn fabric(&self) -> &Arc<Fabric> {
-        &self.fabric
+        &self.world.fabric
     }
 }
 
@@ -68,56 +61,32 @@ where
     }
     let fabric = &Fabric::new(world_size);
     let body = &body;
-    let mut results: Vec<Option<R>> = Vec::with_capacity(world_size);
-    for _ in 0..world_size {
-        results.push(None);
-    }
-
-    let outcome: std::result::Result<Vec<(usize, R)>, usize> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(world_size);
-        for rank in 0..world_size {
-            handles.push(scope.spawn(move || {
-                let _exit = ExitOnDrop { fabric, rank };
-                let members: Vec<RankId> = (0..world_size).collect();
-                let world = Communicator::new(Arc::clone(fabric), WORLD_COMM_ID, members, rank);
-                let ctx = RankCtx {
-                    rank,
-                    world,
-                    fabric: Arc::clone(fabric),
-                };
-                (rank, body(ctx))
-            }));
-        }
-        let mut collected = Vec::with_capacity(world_size);
-        let mut first_panic: Option<usize> = None;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..world_size)
+            .map(|rank| {
+                scope.spawn(move || {
+                    let _exit = ExitOnDrop { fabric, rank };
+                    let world = Communicator::world(Arc::clone(fabric), rank);
+                    body(RankCtx { world })
+                })
+            })
+            .collect();
+        // Join every rank before reporting the first panic, in rank order.
+        let mut results = Vec::with_capacity(world_size);
+        let mut first_panic = None;
         for (rank, handle) in handles.into_iter().enumerate() {
             match handle.join() {
-                Ok(pair) => collected.push(pair),
+                Ok(value) => results.push(value),
                 Err(_) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(rank);
-                    }
+                    first_panic.get_or_insert(rank);
                 }
             }
         }
         match first_panic {
-            Some(rank) => Err(rank),
-            None => Ok(collected),
+            Some(rank) => Err(RuntimeError::WorkerPanicked { rank }),
+            None => Ok(results),
         }
-    });
-
-    match outcome {
-        Ok(pairs) => {
-            for (rank, value) in pairs {
-                results[rank] = Some(value);
-            }
-            Ok(results
-                .into_iter()
-                .map(|v| v.expect("every rank must produce a result"))
-                .collect())
-        }
-        Err(rank) => Err(RuntimeError::WorkerPanicked { rank }),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -135,12 +104,6 @@ mod tests {
     fn launch_rejects_zero_ranks() {
         let err = launch(0, |_ctx| ()).unwrap_err();
         assert!(matches!(err, RuntimeError::InvalidArgument(_)));
-    }
-
-    #[test]
-    fn world_size_is_visible_to_every_rank() {
-        let results = launch(3, |ctx| ctx.world_size()).unwrap();
-        assert_eq!(results, vec![3, 3, 3]);
     }
 
     #[test]
@@ -175,24 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn fabric_stats_are_shared_across_ranks() {
-        let fabrics = launch(2, |ctx| {
-            let comm = ctx.world();
-            if ctx.rank() == 0 {
-                comm.send(1, 2, Payload::F32(vec![0.0; 128])).unwrap();
-            } else {
-                let _ = comm.recv(0, 2).unwrap();
-            }
-            Arc::clone(ctx.fabric())
-        })
-        .unwrap();
-        assert!(Arc::ptr_eq(&fabrics[0], &fabrics[1]));
-        let snap = fabrics[0].stats().snapshot();
-        assert_eq!(snap.p2p_messages, 1);
-        assert_eq!(snap.p2p_bytes, 512);
-    }
-
-    #[test]
     fn ranks_that_receive_from_each_other_deadlock_at_once() {
         let errors = launch(2, |ctx| {
             let peer = 1 - ctx.rank();
@@ -200,7 +145,7 @@ mod tests {
         })
         .unwrap();
         let deadlock = RuntimeError::Deadlock {
-            blocked: vec![(0, Some(1), 3), (1, Some(0), 3)],
+            blocked: vec![(0, 1, 3), (1, 0, 3)],
         };
         assert_eq!(errors, vec![deadlock.clone(), deadlock]);
     }
@@ -215,7 +160,7 @@ mod tests {
         assert_eq!(
             results[0],
             Some(RuntimeError::Deadlock {
-                blocked: vec![(0, Some(2), 4)]
+                blocked: vec![(0, 2, 4)]
             })
         );
     }
@@ -231,7 +176,7 @@ mod tests {
             assert_eq!(
                 err,
                 RuntimeError::Deadlock {
-                    blocked: vec![(0, Some(1), 5)]
+                    blocked: vec![(0, 1, 5)]
                 }
             );
         })

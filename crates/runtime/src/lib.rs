@@ -3,15 +3,16 @@
 //! A simulated multi-rank, message-passing runtime that stands in for the
 //! NCCL/MPI layer used by the DynMo paper (SC'25).
 //!
-//! The paper's implementation relies on NCCL peer-to-peer send/receive,
-//! collectives (gather/scatter for global pruning, all-reduce for data
-//! parallelism, all-to-all for MoE token exchange), and communicator
-//! splitting (`ncclCommSplit`) to release GPUs after re-packing.  None of
-//! those require a GPU: they only require *rank and communicator semantics*.
-//! This crate provides exactly those semantics on top of OS threads, one
-//! per rank, and a fabric of per-rank message queues under one lock, so
-//! that DynMo's distributed algorithms (Algorithm 1 global magnitude
-//! pruning, Algorithm 2 re-packing, layer migration) run verbatim, with
+//! The paper's implementation relies on NCCL peer-to-peer send/receive
+//! for layer migration, a gather for Algorithm 1's global top-k, and
+//! communicator splitting (`ncclCommSplit`) to release GPUs after
+//! re-packing.  None of those require a GPU: they only require *rank and
+//! communicator semantics*.  This crate provides exactly those semantics,
+//! plus the broadcast, sum all-reduce and barrier its callers use and a
+//! failure-driven communicator rebuild, on top of OS threads, one per
+//! rank, and a fabric of per-rank message queues under one lock, so that
+//! DynMo's distributed algorithms (Algorithm 1 global magnitude pruning,
+//! re-packing's communicator split, layer migration) run verbatim, with
 //! real message exchange, ordering, and tag matching.  A receive blocks
 //! without a clock: it wakes when a message arrives or a rank fails, and
 //! fails with [`RuntimeError::Deadlock`] when every live rank is blocked.
@@ -43,7 +44,6 @@ pub mod fabric;
 pub mod fault;
 pub mod launcher;
 pub mod payload;
-pub mod stats;
 
 pub use communicator::Communicator;
 pub use error::{Result, RuntimeError};
@@ -53,7 +53,6 @@ pub use fault::{
 };
 pub use launcher::{launch, RankCtx};
 pub use payload::Payload;
-pub use stats::{FabricStats, StatsSnapshot};
 
 /// A tag used to match point-to-point messages, mirroring MPI tags.
 pub type Tag = u32;

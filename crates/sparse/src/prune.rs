@@ -3,9 +3,9 @@
 //! These are the single-process building blocks of the paper's distributed
 //! global pruning (Algorithm 1): compute a global magnitude threshold from a
 //! target sparsity, and apply keep-masks to parameter shards.  The
-//! distributed orchestration (local top-k → gather → global top-k → scatter)
-//! lives in `dynmo-dynamics::pruning`, which composes these helpers with the
-//! collectives of `dynmo-runtime`.
+//! distributed orchestration (local top-k → gather → global top-k →
+//! broadcast threshold) lives in `dynmo-dynamics::pruning`, which composes
+//! these helpers with the collectives of `dynmo-runtime`.
 
 use crate::topk::kth_largest_magnitude;
 

@@ -5,7 +5,7 @@
 //! sparsity, DynMo rebalances the shrinking layers, re-packs them onto fewer
 //! GPUs, and releases the idle GPUs back to the job manager.  The example
 //! also runs the distributed global-pruning step itself (Algorithm 1) on the
-//! simulated multi-rank runtime to show the actual gather/scatter pattern.
+//! simulated multi-rank runtime to show the actual gather/broadcast pattern.
 //!
 //! ```text
 //! cargo run --release --example elastic_pruning

@@ -6,8 +6,9 @@
 //! This umbrella crate re-exports the workspace's sub-crates under one
 //! name so applications and examples can depend on `dynmo` alone:
 //!
-//! * [`runtime`] — simulated multi-rank message-passing runtime (the
-//!   NCCL/MPI substitute): communicators, collectives, `commSplit`.
+//! * [`runtime`] — simulated multi-rank message-passing runtime (the NCCL
+//!   substitute): point-to-point messages, the collectives DynMo uses,
+//!   `commSplit` and failure-driven communicator rebuilds.
 //! * [`model`] — GPT/Mixtral/LLaMA-MoE model shapes, FLOP & memory models.
 //! * [`sparse`] — CSR tensors, SpMM kernels, magnitude pruning, kernel cost
 //!   models (Sputnik/cuSPARSE/cuBLAS).

@@ -5,7 +5,8 @@
 //! `results/`) with the committed copy under `tests/golden/`.  Together they
 //! pin the trainer's run, re-pack release, checkpoint-resume and
 //! elastic-rescale paths, the multi-rank kill-and-recover harness on the
-//! runtime, the pipeline schedules and the serving engine: a change that
+//! runtime, the pipeline schedules, the serving engine, the diffusion
+//! balancer's convergence and the SpMM kernel cost model: a change that
 //! moves any simulated number fails here.  When a move is intended,
 //! regenerate the files as `crates/bench/README.md` describes and review the
 //! diff.
@@ -13,9 +14,10 @@
 use std::path::Path;
 
 use dynmo_bench::{
-    run_average_gpu_sweep, run_composite_sweep, run_fault_tolerance_sweep, run_fleet_sweep,
-    run_hetero_sweep, run_idleness_sweep, run_overhead_sweep, run_packed_sweep, run_serving_sweep,
-    run_sweep, run_throughput_sweep, ExperimentScale, ServingSweepConfig, SweepConfig,
+    run_average_gpu_sweep, run_composite_sweep, run_convergence_sweep, run_crossover_sweep,
+    run_fault_tolerance_sweep, run_fleet_sweep, run_hetero_sweep, run_idleness_sweep,
+    run_overhead_sweep, run_packed_sweep, run_serving_sweep, run_sweep, run_throughput_sweep,
+    ExperimentScale, ServingSweepConfig, SweepConfig,
 };
 
 fn assert_matches_golden(file: &str, actual: Result<String, serde_json::Error>) {
@@ -101,6 +103,17 @@ fn hetero_sweep_matches_the_golden_artifact() {
 }
 
 #[test]
+fn lemma2_convergence_matches_the_golden_artifact() {
+    // The sweep itself asserts the Lemma 2 bound and that both potential
+    // paths commit the same moves.
+    let rows = run_convergence_sweep(ExperimentScale::Smoke);
+    assert_matches_golden(
+        "lemma2_convergence.json",
+        serde_json::to_string_pretty(&rows),
+    );
+}
+
+#[test]
 fn pipeline_sweep_matches_the_golden_artifact() {
     let cells = run_sweep(&SweepConfig::for_scale(ExperimentScale::Smoke));
     assert_matches_golden("pipeline_sweep.json", serde_json::to_string_pretty(&cells));
@@ -110,4 +123,10 @@ fn pipeline_sweep_matches_the_golden_artifact() {
 fn serving_sweep_matches_the_golden_artifact() {
     let cells = run_serving_sweep(&ServingSweepConfig::for_scale(ExperimentScale::Smoke));
     assert_matches_golden("serving_sweep.json", serde_json::to_string_pretty(&cells));
+}
+
+#[test]
+fn spmm_crossover_matches_the_golden_artifact() {
+    let rows = run_crossover_sweep();
+    assert_matches_golden("spmm_crossover.json", serde_json::to_string_pretty(&rows));
 }

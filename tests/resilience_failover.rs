@@ -5,8 +5,7 @@ use dynmo::core::recovery::{
     run_elastic_rescale, run_resilient, ElasticRescaleConfig, RecoveryConfig,
     ResilientTrainingConfig, WorkloadConfig,
 };
-use dynmo::runtime::collectives::ReduceOp;
-use dynmo::runtime::{launch, FaultPlan, Payload, RuntimeError};
+use dynmo::runtime::{launch, Communicator, FaultPlan, Payload, RuntimeError};
 
 fn recovery(interval: u64) -> RecoveryConfig {
     RecoveryConfig {
@@ -109,7 +108,8 @@ fn elastic_shrink_grow_round_trips_world_size_with_conservation() {
 
 /// Collectives on a post-failure rebuilt communicator agree with a fresh
 /// communicator over the same survivor set (the third acceptance
-/// criterion): same results, bit for bit, for allreduce and allgather.
+/// criterion): same results, bit for bit, for the sum all-reduce, the
+/// gather and the broadcast.
 #[test]
 fn post_failure_communicator_agrees_with_a_fresh_survivor_communicator() {
     let contribution = |global_rank: usize| -> Vec<f32> {
@@ -118,6 +118,18 @@ fn post_failure_communicator_agrees_with_a_fresh_survivor_communicator() {
             (global_rank as f32 + 1.0) * 0.25,
             1.0 / (global_rank as f32 + 2.0),
         ]
+    };
+    // Every rank's sum; the root's gathered contributions; and the
+    // gathered contributions as the root broadcasts them, on every rank.
+    let collectives = |comm: &Communicator, my: Vec<f32>| {
+        let sum = comm.allreduce_sum_f32(&my).unwrap();
+        let gathered: Option<Vec<Vec<f32>>> = comm
+            .gather(0, Payload::F32(my))
+            .unwrap()
+            .map(|all| all.into_iter().map(|p| p.into_f32().unwrap()).collect());
+        let flat = gathered.iter().flatten().flatten().copied().collect();
+        let broadcast = comm.broadcast(0, Payload::F32(flat)).unwrap();
+        (sum, gathered, broadcast.into_f32().unwrap())
     };
 
     // Run 1: four ranks, rank 1 dies, survivors {0, 2, 3} rebuild and run
@@ -136,16 +148,7 @@ fn post_failure_communicator_agrees_with_a_fresh_survivor_communicator() {
         assert_eq!(err, RuntimeError::RankFailed { rank: 1 });
         let comm = world.rebuild_survivors().unwrap().unwrap();
         assert_eq!(comm.members(), &[0, 2, 3]);
-        let my = contribution(ctx.rank());
-        let sum = comm.allreduce_sum_f32(&my).unwrap();
-        let max = comm.allreduce_f32(&my, ReduceOp::Max).unwrap();
-        let gathered: Vec<Vec<f32>> = comm
-            .allgather(Payload::F32(my))
-            .unwrap()
-            .into_iter()
-            .map(|p| p.into_f32().unwrap())
-            .collect();
-        Some((sum, max, gathered))
+        Some(collectives(&comm, contribution(ctx.rank())))
     })
     .unwrap();
 
@@ -154,25 +157,20 @@ fn post_failure_communicator_agrees_with_a_fresh_survivor_communicator() {
     let survivor_globals = [0usize, 2, 3];
     let fresh_results = launch(3, move |ctx| {
         let comm = ctx.world();
-        let my = contribution(survivor_globals[ctx.rank()]);
-        let sum = comm.allreduce_sum_f32(&my).unwrap();
-        let max = comm.allreduce_f32(&my, ReduceOp::Max).unwrap();
-        let gathered: Vec<Vec<f32>> = comm
-            .allgather(Payload::F32(my))
-            .unwrap()
-            .into_iter()
-            .map(|p| p.into_f32().unwrap())
-            .collect();
-        (sum, max, gathered)
+        collectives(&comm, contribution(survivor_globals[ctx.rank()]))
     })
     .unwrap();
 
     // Survivor i of the rebuilt world corresponds to fresh rank i.
     let rebuilt: Vec<_> = rebuilt_results.into_iter().flatten().collect();
     assert_eq!(rebuilt.len(), 3);
-    for (from_rebuilt, from_fresh) in rebuilt.iter().zip(fresh_results.iter()) {
-        assert_eq!(from_rebuilt, from_fresh);
-    }
+    assert_eq!(rebuilt, fresh_results);
+    // The gather reached the root only, and the broadcast every rank.
+    assert_eq!(rebuilt[0].1.as_ref().map(Vec::len), Some(3));
+    assert!(rebuilt[1..]
+        .iter()
+        .all(|(_, gathered, _)| gathered.is_none()));
+    assert!(rebuilt.iter().all(|(_, _, broadcast)| broadcast.len() == 9));
 }
 
 /// A failure striking in the middle of the *shrunken* world still recovers

@@ -142,8 +142,8 @@ fn repack_then_comm_split_releases_idle_ranks() {
 
 #[test]
 fn gather_scatter_pattern_handles_unequal_shard_sizes() {
-    // The paper implements Algorithm 1's gather/scatter with P2P because
-    // per-rank sizes differ; verify the collective handles ragged payloads.
+    // The paper implements Algorithm 1's gather with P2P because per-rank
+    // sizes differ; verify the collective handles ragged payloads.
     let results = launch(4, |ctx| {
         let comm = ctx.world();
         let mine: Vec<f32> = vec![ctx.rank() as f32; ctx.rank() + 1];
