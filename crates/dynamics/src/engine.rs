@@ -186,6 +186,11 @@ impl LoadUpdate {
     }
 
     /// Validate internal consistency (equal lengths, non-negative scales).
+    ///
+    /// Each check is a fold with no early exit, so it vectorizes: the
+    /// serving engine validates one update per engine step.  The range
+    /// `0.0..=f64::MAX` holds exactly the finite non-negative values, and
+    /// testing it takes comparisons only (NaN fails both).
     pub fn validate(&self) -> Result<(), String> {
         let n = self.fwd_scale.len();
         if self.bwd_scale.len() != n
@@ -202,14 +207,14 @@ impl LoadUpdate {
             ("param_retention", &self.param_retention),
             ("token_retention", &self.token_retention),
         ] {
-            if v.iter().any(|x| !x.is_finite() || *x < 0.0) {
+            if !all(v, |x| (0.0..=f64::MAX).contains(&x)) {
                 return Err(format!("{name} contains a negative or non-finite value"));
             }
         }
-        if self.param_retention.iter().any(|x| *x > 1.0 + 1e-9) {
+        if !all(&self.param_retention, |x| x <= 1.0 + 1e-9) {
             return Err("param_retention must be ≤ 1".into());
         }
-        if self.token_retention.iter().any(|x| *x > 1.0 + 1e-9) {
+        if !all(&self.token_retention, |x| x <= 1.0 + 1e-9) {
             return Err("token_retention must be ≤ 1".into());
         }
         Ok(())
@@ -220,6 +225,11 @@ impl LoadUpdate {
     pub fn total_scale(&self, layer: usize) -> f64 {
         (self.fwd_scale[layer] + 2.0 * self.bwd_scale[layer]) / 3.0
     }
+}
+
+/// Whether `keep` holds for every value, visiting all of them.
+fn all(values: &[f64], keep: impl Fn(f64) -> bool) -> bool {
+    values.iter().fold(true, |ok, &x| ok & keep(x))
 }
 
 /// A dynamism mechanism: advances its internal state by one training
@@ -313,6 +323,42 @@ mod tests {
         let mut u = LoadUpdate::identity(3);
         u.param_retention[0] = 1.5;
         assert!(u.validate().is_err());
+
+        // Negative zero, the largest finite value and a subnormal are valid
+        // scales, and a retention may exceed 1 by 1e-9.
+        for x in [-0.0, f64::MAX, f64::MIN_POSITIVE / 2.0] {
+            let mut u = LoadUpdate::identity(3);
+            u.fwd_scale[0] = x;
+            u.memory_scale[2] = x;
+            u.validate().unwrap();
+        }
+        let mut u = LoadUpdate::identity(3);
+        u.param_retention[1] = 1.0 + 1e-9;
+        u.token_retention[2] = 1.0 + 1e-9;
+        u.validate().unwrap();
+
+        // Infinities, NaN and the negative normal nearest zero are rejected;
+        // the message names the first offending vector in field order.
+        for x in [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::MIN_POSITIVE,
+        ] {
+            let mut u = LoadUpdate::identity(3);
+            u.token_retention[0] = x;
+            u.bwd_scale[2] = x;
+            assert_eq!(
+                u.validate().unwrap_err(),
+                "bwd_scale contains a negative or non-finite value",
+                "{x}"
+            );
+        }
+        let mut u = LoadUpdate::identity(3);
+        u.token_retention[0] = 1.0 + 2e-9;
+        assert_eq!(u.validate().unwrap_err(), "token_retention must be ≤ 1");
+        u.param_retention[2] = 1.0 + 2e-9;
+        assert_eq!(u.validate().unwrap_err(), "param_retention must be ≤ 1");
     }
 
     #[test]

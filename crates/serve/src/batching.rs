@@ -91,13 +91,11 @@ struct ActiveRequest {
 }
 
 /// What one engine step will execute, as planned by
-/// [`ContinuousBatcher::plan_step`].
-#[derive(Debug, Clone, PartialEq)]
+/// [`ContinuousBatcher::plan_step`]: its two token counts.  Which requests
+/// they go to follows from the running set's FCFS order, so
+/// [`ContinuousBatcher::commit_step`] re-derives it in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepPlan {
-    /// Prompt tokens prefilled this step, per running-set index.
-    pub prefill_shares: Vec<(usize, usize)>,
-    /// Running-set indices decoding one token this step.
-    pub decoders: Vec<usize>,
     /// Total prompt tokens this step.
     pub prefill_tokens: usize,
     /// Total decode tokens this step.
@@ -234,86 +232,93 @@ impl ContinuousBatcher {
     /// running set) take the rest of the token budget, up to the
     /// chunked-prefill cap.  Returns `None` when nothing is running.
     pub fn plan_step(&self) -> Option<StepPlan> {
-        let mut decoders = Vec::new();
-        let mut prefill_shares = Vec::new();
-        let mut budget = self.config.max_batch_tokens;
-        for (idx, active) in self.running.iter().enumerate() {
-            if budget == 0 {
-                break;
-            }
-            if active.prompt_done == active.request.prompt_tokens {
-                decoders.push(idx);
-                budget -= 1;
-            }
-        }
-        let mut prefill_budget = self.config.max_prefill_tokens.min(budget);
+        let decoding = self
+            .running
+            .iter()
+            .filter(|a| a.prompt_done == a.request.prompt_tokens)
+            .count();
+        let decode_tokens = decoding.min(self.config.max_batch_tokens);
+        let mut prefill_budget = self
+            .config
+            .max_prefill_tokens
+            .min(self.config.max_batch_tokens - decode_tokens);
         let mut prefill_tokens = 0usize;
-        for (idx, active) in self.running.iter().enumerate() {
+        for active in &self.running {
             if prefill_budget == 0 {
                 break;
             }
-            let remaining = active.request.prompt_tokens - active.prompt_done;
-            if remaining > 0 {
-                let chunk = remaining.min(prefill_budget);
-                prefill_shares.push((idx, chunk));
-                prefill_budget -= chunk;
-                prefill_tokens += chunk;
-            }
+            let chunk = (active.request.prompt_tokens - active.prompt_done).min(prefill_budget);
+            prefill_budget -= chunk;
+            prefill_tokens += chunk;
         }
-        if decoders.is_empty() && prefill_shares.is_empty() {
-            return None;
-        }
-        Some(StepPlan {
-            decode_tokens: decoders.len(),
-            decoders,
-            prefill_shares,
+        let plan = StepPlan {
             prefill_tokens,
-        })
+            decode_tokens,
+        };
+        (plan.batch_tokens() > 0).then_some(plan)
     }
 
     /// Apply a step planned by [`ContinuousBatcher::plan_step`] that
-    /// finished at `end`: advance prefills (a prompt that completes
-    /// produces the request's first output token in the same step), decode
-    /// one token per decoder, retire finished requests and free their KV.
-    /// Returns the records of requests completed by this step.
-    pub fn commit_step(&mut self, plan: &StepPlan, replica: usize, end: f64) -> Vec<RequestRecord> {
-        for &(idx, chunk) in &plan.prefill_shares {
-            let active = &mut self.running[idx];
-            active.prompt_done += chunk;
-            self.total_prefill_tokens += chunk as u64;
-            if active.prompt_done == active.request.prompt_tokens {
-                // Prefill emits the first output token.
-                active.generated = 1;
-                active.first_token = Some(end);
-                self.total_decode_tokens += 1;
+    /// finished at `end`, in one FCFS pass over the running set: the first
+    /// `plan.decode_tokens` decoding requests decode one token each, and
+    /// prompt chunks spend `plan.prefill_tokens` on the requests still
+    /// prefilling (a prompt that completes produces the request's first
+    /// output token in the same step).  Finished requests retire, free
+    /// their KV and are handed to `complete` in running-set order.
+    ///
+    /// # Panics
+    ///
+    /// If the running set cannot spend both budgets exactly, i.e. `plan`
+    /// was not planned on this state.
+    pub fn commit_step(
+        &mut self,
+        plan: StepPlan,
+        replica: usize,
+        end: f64,
+        mut complete: impl FnMut(RequestRecord),
+    ) {
+        let mut decode_budget = plan.decode_tokens;
+        let mut prefill_budget = plan.prefill_tokens;
+        self.running.retain_mut(|active| {
+            let remaining = active.request.prompt_tokens - active.prompt_done;
+            if remaining == 0 {
+                if decode_budget > 0 {
+                    decode_budget -= 1;
+                    active.generated += 1;
+                }
+            } else if prefill_budget > 0 {
+                let chunk = remaining.min(prefill_budget);
+                prefill_budget -= chunk;
+                active.prompt_done += chunk;
+                if chunk == remaining {
+                    // Prefill emits the first output token.
+                    active.generated = 1;
+                    active.first_token = Some(end);
+                    self.total_decode_tokens += 1;
+                }
             }
-        }
-        for &idx in &plan.decoders {
-            let active = &mut self.running[idx];
-            active.generated += 1;
-            self.total_decode_tokens += 1;
-        }
-        let mut completed = Vec::new();
-        let mut kept = Vec::with_capacity(self.running.len());
-        for active in self.running.drain(..) {
-            if active.generated >= active.request.output_tokens {
-                self.reserved_kv_tokens -= self.config.kv_need(&active.request);
-                completed.push(RequestRecord {
-                    id: active.request.id,
-                    replica,
-                    arrival: active.request.arrival,
-                    admitted: active.admitted,
-                    first_token: active.first_token.expect("completed implies first token"),
-                    completion: end,
-                    prompt_tokens: active.request.prompt_tokens,
-                    output_tokens: active.request.output_tokens,
-                });
-            } else {
-                kept.push(active);
+            if active.generated < active.request.output_tokens {
+                return true;
             }
-        }
-        self.running = kept;
-        completed
+            self.reserved_kv_tokens -= self.config.kv_need(&active.request);
+            complete(RequestRecord {
+                id: active.request.id,
+                replica,
+                arrival: active.request.arrival,
+                admitted: active.admitted,
+                first_token: active.first_token.expect("completed implies first token"),
+                completion: end,
+                prompt_tokens: active.request.prompt_tokens,
+                output_tokens: active.request.output_tokens,
+            });
+            false
+        });
+        assert!(
+            decode_budget == 0 && prefill_budget == 0,
+            "step plan {plan:?} does not match the running set"
+        );
+        self.total_prefill_tokens += plan.prefill_tokens as u64;
+        self.total_decode_tokens += plan.decode_tokens as u64;
     }
 }
 
@@ -360,7 +365,7 @@ mod tests {
             match batcher.plan_step() {
                 Some(plan) => {
                     now += 1.0;
-                    records.extend(batcher.commit_step(&plan, 0, now));
+                    batcher.commit_step(plan, 0, now, |r| records.push(r));
                 }
                 None if next < pending.len() => now = now.max(pending[next].arrival),
                 None => return records,
@@ -392,13 +397,26 @@ mod tests {
         // First step prefills request 0 entirely.
         let plan = b.plan_step().unwrap();
         assert_eq!(plan.prefill_tokens, 32);
-        b.commit_step(&plan, 0, 1.0);
+        b.commit_step(plan, 0, 1.0, |_| {});
         // A newcomer's prefill shares the step with the decode.
         assert!(b.try_admit(request(1, 1.0, 32, 1), 1.0));
         let plan = b.plan_step().unwrap();
         assert_eq!(plan.decode_tokens, 1);
         assert_eq!(plan.prefill_tokens, 32);
         assert_eq!(plan.batch_tokens(), 33);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the running set")]
+    fn a_plan_the_running_set_cannot_spend_is_rejected() {
+        let mut b = ContinuousBatcher::new(config(1_000));
+        assert!(b.try_admit(request(0, 0.0, 8, 4), 0.0));
+        // Nothing is decoding yet, so the decode token has no taker.
+        let plan = StepPlan {
+            prefill_tokens: 8,
+            decode_tokens: 1,
+        };
+        b.commit_step(plan, 0, 1.0, |_| {});
     }
 
     #[test]
@@ -483,7 +501,7 @@ mod tests {
         assert!(b.try_admit(request(0, 0.0, 32, 4), 0.0));
         assert_eq!(b.outstanding_tokens(), 36);
         let plan = b.plan_step().unwrap();
-        b.commit_step(&plan, 0, 1.0); // prefill done + first token
+        b.commit_step(plan, 0, 1.0, |_| {}); // prefill done + first token
         assert_eq!(b.outstanding_tokens(), 3);
         // Config accessor and validation.
         assert!(b.config().validate().is_ok());

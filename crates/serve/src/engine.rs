@@ -12,10 +12,10 @@
 //! ([`PipelineSimulator::forward_makespan`], no DAG and no report): the
 //! step's batch is split into micro-batches that flow down the pipeline
 //! paying per-boundary α–β communication costs.  Pricing refills stage
-//! loads the engine owns, and the simulator reuses its own row, so warm
-//! pricing allocates nothing (the batcher's plan and commit still allocate
-//! every step); a step without a dynamism engine reuses the identity update
-//! the deployment already holds.
+//! loads the engine owns, the simulator reuses its own row, and the
+//! batcher's plan is two counts that its commit spends in place, so a warm
+//! step allocates nothing; a step without a dynamism engine reuses the
+//! identity update the deployment already holds.
 //!
 //! The dynamism engines plug in through their inference hook
 //! ([`DynamismEngine::inference_step`]): per engine step the current
@@ -29,7 +29,11 @@
 //! dynamism state) and brings it online after a provisioning delay,
 //! *begin-drain* stops the least-loaded live replica taking new work, and
 //! *reclaim* releases drained replicas' GPUs — the paper's elastic release
-//! run in reverse.  An attached [`crate::autoscale::Autoscaler`] drives it
+//! run in reverse.  A reclaimed replica leaves the engine's replica set,
+//! its token counters folded into the deployment's totals, so per-step
+//! scans cost what the live and draining replicas cost; each replica keeps
+//! its creation-order id as its record tag and span lane.  An attached
+//! [`crate::autoscale::Autoscaler`] drives it
 //! from the TTFT target; on a deployment built with
 //! [`ServingEngine::external`] an outside owner (a fleet controller's
 //! shared pool) drives it through the session instead.  Either way one
@@ -212,8 +216,12 @@ impl ServingConfig {
     }
 }
 
-/// One pipeline replica's live state.
+/// One pipeline replica's live state, from its addition until it is
+/// reclaimed.
 struct Replica {
+    /// Creation order: the replica's tag in records, spans and
+    /// [`ServingSession::begin_drain`].
+    id: usize,
     batcher: ContinuousBatcher,
     assignment: StageAssignment,
     /// Time the replica is next free.
@@ -222,8 +230,6 @@ struct Replica {
     ready_at: f64,
     /// Draining replicas accept no new dispatches.
     draining: bool,
-    /// Released replicas are gone (their GPUs returned).
-    released: bool,
     /// Worker ids of the GPU block an outside owner granted; empty on a
     /// self-managed deployment, which counts its GPUs but names none.
     workers: Vec<usize>,
@@ -234,9 +240,6 @@ impl Replica {
     /// time of the gateway queue's front (if any); `None` if the replica
     /// has nothing to do.
     fn next_action_time(&self, gateway_front: Option<f64>) -> Option<f64> {
-        if self.released {
-            return None;
-        }
         if self.batcher.has_work() {
             return Some(self.clock.max(self.ready_at));
         }
@@ -278,6 +281,22 @@ impl GpuMeter {
     }
 }
 
+/// Token counters and peak KV reservation over a set of batchers.
+#[derive(Clone, Copy, Default)]
+struct BatcherTotals {
+    prefill_tokens: u64,
+    decode_tokens: u64,
+    peak_kv_tokens: usize,
+}
+
+impl BatcherTotals {
+    fn add(&mut self, batcher: &ContinuousBatcher) {
+        self.prefill_tokens += batcher.total_prefill_tokens();
+        self.decode_tokens += batcher.total_decode_tokens();
+        self.peak_kv_tokens = self.peak_kv_tokens.max(batcher.peak_kv_tokens());
+    }
+}
+
 /// The simulated deployment.
 pub struct ServingEngine {
     config: ServingConfig,
@@ -299,7 +318,13 @@ pub struct ServingEngine {
     /// Largest per-request KV reservation in the trace being served (set
     /// by [`ServingEngine::serve`]); a scaled-out layout must cover it.
     trace_max_kv_need: usize,
+    /// Live and draining replicas in creation order: a reclaimed one is
+    /// removed, so the lowest position is still the oldest replica.
     replicas: Vec<Replica>,
+    /// Replicas created so far (the next one's id).
+    created_replicas: usize,
+    /// Counters of the replicas reclaimed so far.
+    reclaimed: BatcherTotals,
     /// GPUs the replicas hold over time (`mean_gpus`).
     meter: GpuMeter,
     /// Whether an outside owner (a fleet controller's shared pool) grants
@@ -363,13 +388,13 @@ impl ServingEngine {
         };
 
         let replicas: Vec<Replica> = (0..config.initial_replicas)
-            .map(|_| Replica {
+            .map(|id| Replica {
+                id,
                 batcher: ContinuousBatcher::new(batcher_config),
                 assignment: initial_assignment.clone(),
                 clock: 0.0,
                 ready_at: 0.0,
                 draining: false,
-                released: false,
                 workers: Vec::new(),
             })
             .collect();
@@ -394,6 +419,8 @@ impl ServingEngine {
             batcher_config,
             initial_assignment,
             trace_max_kv_need: 0,
+            created_replicas: replicas.len(),
+            reclaimed: BatcherTotals::default(),
             replicas,
             meter,
             external: false,
@@ -530,7 +557,11 @@ impl ServingEngine {
     /// batch split into micro-batches and run through the forward-only
     /// pipeline simulator.  The stage loads are refilled in place, so a
     /// step allocates nothing once they have grown to the stage count.
-    fn price_step(&mut self, idx: usize, plan: &StepPlan) -> f64 {
+    ///
+    /// Layers are walked in runs of consecutive layers on one stage: each
+    /// stage still sums its layers in id order, and each run sizes its
+    /// stage's boundary once, from the run's last layer.
+    fn price_step(&mut self, idx: usize, plan: StepPlan) -> f64 {
         let assignment = &self.replicas[idx].assignment;
         let num_stages = assignment.num_stages();
         let layer_to_stage = assignment.layer_to_stage();
@@ -552,16 +583,24 @@ impl ServingEngine {
         let loads = &mut self.stage_loads;
         loads.clear();
         loads.resize(num_stages, StageLoad::default());
-        for (layer, &stage) in layer_to_stage.iter().enumerate() {
+        let mut first = 0;
+        for run in layer_to_stage.chunk_by(|a, b| a == b) {
+            let (stage, layers) = (run[0], first..first + run.len());
             assert!(stage < num_stages, "stage index {stage} out of range");
+            first = layers.end;
             let load = &mut loads[stage];
-            load.fwd_time += self.per_token_fwd[layer] * update.fwd_scale[layer] * weighted_tokens;
-            load.num_layers += 1;
-            // Layers arrive in id order, so the last write sizes the
+            load.fwd_time = self.per_token_fwd[layers.clone()]
+                .iter()
+                .zip(&update.fwd_scale[layers.clone()])
+                .fold(load.fwd_time, |sum, (cost, scale)| {
+                    sum + cost * scale * weighted_tokens
+                });
+            load.num_layers += run.len();
+            // Runs arrive in id order, so the last write sizes the
             // boundary by the stage's last layer.  Never 0: that would
             // fall back to the training-shaped flat residual tensor
             // instead of this batch's.
-            let retention = update.token_retention[layer].clamp(0.0, 1.0);
+            let retention = update.token_retention[layers.end - 1].clamp(0.0, 1.0);
             load.boundary_bytes = ((flat_boundary * retention) as u64).max(1);
         }
         for load in loads.iter_mut() {
@@ -578,7 +617,7 @@ impl ServingEngine {
             + self
                 .replicas
                 .iter()
-                .filter(|r| !r.released && !r.draining)
+                .filter(|r| !r.draining)
                 .map(|r| r.batcher.outstanding_tokens())
                 .sum::<usize>();
         let signals = LoadSignals {
@@ -630,6 +669,7 @@ impl ServingEngine {
         let (assignment, capacity) = self.replica_layout();
         let online_at = ready_at.max(now);
         self.replicas.push(Replica {
+            id: self.created_replicas,
             batcher: ContinuousBatcher::new(BatcherConfig {
                 kv_capacity_tokens: capacity,
                 ..self.batcher_config
@@ -638,9 +678,9 @@ impl ServingEngine {
             clock: online_at,
             ready_at: online_at,
             draining: false,
-            released: false,
             workers,
         });
+        self.created_replicas += 1;
         let live = self.live_replicas();
         self.peak_replicas = self.peak_replicas.max(live);
         self.scale_events.push(ScaleEvent {
@@ -689,35 +729,37 @@ impl ServingEngine {
         }
     }
 
-    /// Start draining the live replica with the least outstanding work;
-    /// its GPUs come back through [`ServingEngine::reclaim`] once it
-    /// empties.  Returns the replica index, or `None` with no live replica.
+    /// Start draining the live replica with the least outstanding work
+    /// (the oldest on a tie); its GPUs come back through
+    /// [`ServingEngine::reclaim`] once it empties.  Returns the replica's
+    /// id, or `None` with no live replica.
     fn begin_drain(&mut self) -> Option<usize> {
         let victim = self
             .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.released && !r.draining)
-            .min_by_key(|(_, r)| r.batcher.outstanding_tokens())
-            .map(|(i, _)| i)?;
-        self.replicas[victim].draining = true;
-        Some(victim)
+            .iter_mut()
+            .filter(|r| !r.draining)
+            .min_by_key(|r| r.batcher.outstanding_tokens())?;
+        victim.draining = true;
+        Some(victim.id)
     }
 
     /// Release every replica that has finished draining as of `now`,
     /// logging one scale-in event each, and return their worker blocks.
+    /// A released replica leaves `replicas` (keeping the others' order)
+    /// and its counters join `reclaimed`.
     fn reclaim(&mut self, now: f64) -> Vec<Vec<usize>> {
         let mut freed = Vec::new();
-        for idx in 0..self.replicas.len() {
+        let mut idx = 0;
+        while idx < self.replicas.len() {
             let r = &self.replicas[idx];
-            let drained = r.draining && !r.released && !r.batcher.has_work() && r.clock <= now;
-            if !drained {
+            if !(r.draining && !r.batcher.has_work() && r.clock <= now) {
+                idx += 1;
                 continue;
             }
             self.meter.set(now, self.meter.gpus - self.config.stages);
-            let replica = &mut self.replicas[idx];
-            replica.released = true;
-            freed.push(std::mem::take(&mut replica.workers));
+            let replica = self.replicas.remove(idx);
+            self.reclaimed.add(&replica.batcher);
+            freed.push(replica.workers);
             let p99 = self
                 .autoscaler
                 .as_ref()
@@ -742,21 +784,17 @@ impl ServingEngine {
         freed
     }
 
-    /// Outstanding (admitted, unfinished) tokens across unreleased replicas.
+    /// Outstanding (admitted, unfinished) tokens across the replicas.
     fn outstanding_tokens(&self) -> usize {
         self.replicas
             .iter()
-            .filter(|r| !r.released)
             .map(|r| r.batcher.outstanding_tokens())
             .sum()
     }
 
-    /// Replicas serving or provisioning (not draining, not released).
+    /// Replicas serving or provisioning (not draining).
     fn live_replicas(&self) -> usize {
-        self.replicas
-            .iter()
-            .filter(|r| !r.released && !r.draining)
-            .count()
+        self.replicas.iter().filter(|r| !r.draining).count()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -773,22 +811,11 @@ impl ServingEngine {
     ) -> ServingReport {
         let slo = self.config.slo;
         let span = makespan.max(f64::MIN_POSITIVE);
-        let total_output_tokens: u64 = self
-            .replicas
-            .iter()
-            .map(|r| r.batcher.total_decode_tokens())
-            .sum();
-        let total_prefill_tokens: u64 = self
-            .replicas
-            .iter()
-            .map(|r| r.batcher.total_prefill_tokens())
-            .sum();
-        let peak_kv_tokens = self
-            .replicas
-            .iter()
-            .map(|r| r.batcher.peak_kv_tokens())
-            .max()
-            .unwrap_or(0);
+        let mut totals = self.reclaimed;
+        for replica in &self.replicas {
+            totals.add(&replica.batcher);
+        }
+        let total_output_tokens = totals.decode_tokens;
         ServingReport {
             trace: trace.label.clone(),
             tenant: self.config.tenant.clone(),
@@ -804,13 +831,13 @@ impl ServingEngine {
             throughput_rps: completed as f64 / span,
             output_tokens_per_second: total_output_tokens as f64 / span,
             total_output_tokens,
-            total_prefill_tokens,
+            total_prefill_tokens: totals.prefill_tokens,
             engine_steps: self.engine_steps,
             mean_gpus: self.meter.mean(makespan),
             peak_replicas: self.peak_replicas,
             scale_events: std::mem::take(&mut self.scale_events),
             kv_capacity_tokens: self.kv_capacity_tokens,
-            peak_kv_tokens,
+            peak_kv_tokens: totals.peak_kv_tokens,
             records,
         }
     }
@@ -932,37 +959,39 @@ impl ServingSession {
             .batcher
             .plan_step()
             .expect("next_action_time implies runnable work");
-        let duration = self.engine.price_step(idx, &plan);
+        let duration = self.engine.price_step(idx, plan);
         let end = start + duration;
-        self.engine.replicas[idx].clock = end;
+        let replica = &mut self.engine.replicas[idx];
+        replica.clock = end;
+        let id = replica.id;
         self.engine.engine_steps += 1;
         self.makespan = self.makespan.max(end);
         if self.engine.recorder.enabled() {
             let name = format!("step p{} d{}", plan.prefill_tokens, plan.decode_tokens);
-            self.engine.recorder.span(0, idx, &name, start, end);
+            self.engine.recorder.span(0, id, &name, start, end);
         }
 
-        let completed = self.engine.replicas[idx]
+        let engine = &mut self.engine;
+        engine.replicas[idx]
             .batcher
-            .commit_step(&plan, idx, end);
-        for record in completed {
-            if let Some(scaler) = &mut self.engine.autoscaler {
-                scaler.record_completion(end, record.ttft());
-            }
-            self.ttft_summary.observe(record.ttft());
-            self.tpot_summary.observe(record.tpot());
-            self.latency_summary.observe(record.latency());
-            if self.engine.config.slo.met_by(&record) {
-                self.slo_met += 1;
-            }
-            self.completed_count += 1;
-            if self.engine.external {
-                self.completions.push((end, record.ttft()));
-            }
-            if self.engine.config.retain_records {
-                self.records.push(record);
-            }
-        }
+            .commit_step(plan, id, end, |record| {
+                if let Some(scaler) = &mut engine.autoscaler {
+                    scaler.record_completion(end, record.ttft());
+                }
+                self.ttft_summary.observe(record.ttft());
+                self.tpot_summary.observe(record.tpot());
+                self.latency_summary.observe(record.latency());
+                if engine.config.slo.met_by(&record) {
+                    self.slo_met += 1;
+                }
+                self.completed_count += 1;
+                if engine.external {
+                    self.completions.push((end, record.ttft()));
+                }
+                if engine.config.retain_records {
+                    self.records.push(record);
+                }
+            });
 
         if self.engine.autoscaler.is_some() {
             // Evaluate on the monotone observation clock (`makespan` =
@@ -1041,18 +1070,14 @@ impl ServingSession {
         &self.engine.config
     }
 
-    /// Replicas serving or provisioning (not draining, not released).
+    /// Replicas serving or provisioning (not draining).
     pub fn live_replicas(&self) -> usize {
         self.engine.live_replicas()
     }
 
     /// Replicas draining toward release.
     pub fn draining_replicas(&self) -> usize {
-        self.engine
-            .replicas
-            .iter()
-            .filter(|r| r.draining && !r.released)
-            .count()
+        self.engine.replicas.iter().filter(|r| r.draining).count()
     }
 
     /// Admitted-but-unfinished tokens across live replicas.
@@ -1125,8 +1150,9 @@ impl ServingSession {
     /// Start draining the live replica with the least outstanding work
     /// (the same victim rule the autoscaler's scale-in uses); its GPUs
     /// come back through [`ServingSession::reclaim_drained`] once it
-    /// empties.  Returns the replica index, or `None` with no live
-    /// replica to drain or on a self-managed deployment.
+    /// empties.  Returns the replica's creation-order id (the `replica` of
+    /// its records), or `None` with no live replica to drain or on a
+    /// self-managed deployment.
     pub fn begin_drain(&mut self) -> Option<usize> {
         if !self.engine.external {
             return None;
@@ -1335,14 +1361,49 @@ mod tests {
         // Once the drained replica is reclaimed, the next breach adds one.
         let batcher = &mut engine.replicas[victim].batcher;
         while let Some(plan) = batcher.plan_step() {
-            batcher.commit_step(&plan, victim, 1.0);
+            batcher.commit_step(plan, victim, 1.0, |_| {});
         }
         assert_eq!(engine.reclaim(4.0).len(), 1);
         engine.autoscale(4.0, 0, 10.0);
-        assert_eq!(engine.replicas.len(), 3);
+        // Three replicas were created; the reclaimed one left the set.
+        assert_eq!(engine.created_replicas, 3);
+        assert_eq!(engine.replicas.len(), 2);
         assert_eq!(engine.live_replicas(), 2);
         let deltas: Vec<i64> = engine.scale_events.iter().map(|e| e.delta).collect();
         assert_eq!(deltas, vec![-1, 1]);
+    }
+
+    #[test]
+    fn reclaimed_replicas_leave_the_replica_set() {
+        // Four bursts of a compressed day: the autoscaler scales out on
+        // the peaks and back in on the troughs.
+        let process = ArrivalProcess::Diurnal {
+            mean_rate: 8.0,
+            amplitude: 0.95,
+            period: 60.0,
+        };
+        let trace = RequestTrace::generate(&process, 240.0, &lengths(), 5);
+        let max_replicas = 3;
+        let mut config = ServingConfig::small(1);
+        config.max_replicas = max_replicas;
+        let config = config.with_autoscaler(AutoscalerConfig::responsive(2.0, 1, max_replicas));
+        let mut session = ServingEngine::new(config).unwrap().session(&trace);
+        while session.step(None) {
+            assert!(session.engine.replicas.len() <= max_replicas);
+        }
+        let created = session.engine.created_replicas;
+        let report = session.finish();
+        assert!(report.scale_in_events() >= 2, "{:?}", report.scale_events);
+        assert!(created > max_replicas, "{created} replicas created");
+        // Records carry creation-order ids, which outgrow every position.
+        assert!(report.records.iter().all(|r| r.replica < created));
+        assert!(report.records.iter().any(|r| r.replica >= max_replicas));
+        // The reclaimed replicas' tokens were folded into the totals.
+        assert_eq!(report.total_output_tokens, trace.total_output_tokens());
+        assert_eq!(
+            report.total_prefill_tokens,
+            trace.total_tokens() - trace.total_output_tokens()
+        );
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod topk;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use kernel_cost::{KernelCostModel, SpmmBackend};
-pub use prune::{apply_keep_mask, global_magnitude_threshold, prune_to_sparsity};
+pub use prune::prune_to_sparsity;
 pub use spmm::{spmm, spmm_flops, spmm_transpose};
 pub use topk::{top_k_indices_by_magnitude, top_k_magnitudes};

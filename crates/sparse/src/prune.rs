@@ -1,11 +1,11 @@
 //! Magnitude-pruning primitives.
 //!
-//! These are the single-process building blocks of the paper's distributed
-//! global pruning (Algorithm 1): compute a global magnitude threshold from a
-//! target sparsity, and apply keep-masks to parameter shards.  The
+//! [`prune_to_sparsity`] is the single-process form of the paper's
+//! distributed global pruning (Algorithm 1): it computes a global magnitude
+//! threshold from a target sparsity and zeroes what falls below it.  The
 //! distributed orchestration (local top-k → gather → global top-k →
 //! broadcast threshold) lives in `dynmo-dynamics::pruning`, which composes
-//! these helpers with the collectives of `dynmo-runtime`.
+//! [`crate::topk`] with the collectives of `dynmo-runtime`.
 
 use crate::topk::kth_largest_magnitude;
 
@@ -15,7 +15,7 @@ use crate::topk::kth_largest_magnitude;
 ///
 /// Returns `f32::INFINITY` when the sparsity is 1.0 (prune everything) and
 /// `0.0` when it is 0.0 (keep everything).
-pub fn global_magnitude_threshold(values: &[f32], sparsity: f64) -> f32 {
+fn global_magnitude_threshold(values: &[f32], sparsity: f64) -> f32 {
     let sparsity = sparsity.clamp(0.0, 1.0);
     if values.is_empty() || sparsity <= 0.0 {
         return 0.0;
@@ -29,7 +29,7 @@ pub fn global_magnitude_threshold(values: &[f32], sparsity: f64) -> f32 {
 
 /// Zero every element of `values` whose magnitude is strictly below
 /// `threshold`.  Returns the number of retained (non-zeroed) elements.
-pub fn apply_magnitude_threshold(values: &mut [f32], threshold: f32) -> usize {
+fn apply_magnitude_threshold(values: &mut [f32], threshold: f32) -> usize {
     let mut kept = 0;
     for v in values.iter_mut() {
         if v.abs() >= threshold && *v != 0.0 {
@@ -39,22 +39,6 @@ pub fn apply_magnitude_threshold(values: &mut [f32], threshold: f32) -> usize {
         }
     }
     kept
-}
-
-/// Zero every element of `values` whose index is *not* listed in
-/// `keep_indices` (the scatter step of Algorithm 1, where each rank receives
-/// the indices it must keep).  `keep_indices` must be sorted ascending.
-pub fn apply_keep_mask(values: &mut [f32], keep_indices: &[usize]) {
-    debug_assert!(keep_indices.windows(2).all(|w| w[0] < w[1]));
-    let mut keep_iter = keep_indices.iter().peekable();
-    for (i, v) in values.iter_mut().enumerate() {
-        match keep_iter.peek() {
-            Some(&&k) if k == i => {
-                keep_iter.next();
-            }
-            _ => *v = 0.0,
-        }
-    }
 }
 
 /// Prune `values` in place to the target `sparsity` using global magnitude
@@ -96,17 +80,6 @@ mod tests {
         let kept = apply_magnitude_threshold(&mut values, 0.5);
         assert_eq!(kept, 3);
         assert_eq!(values, vec![0.0, -0.9, 0.5, 0.0, 0.7, 0.0]);
-    }
-
-    #[test]
-    fn apply_keep_mask_preserves_only_listed_indices() {
-        let mut values = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        apply_keep_mask(&mut values, &[0, 2, 4]);
-        assert_eq!(values, vec![1.0, 0.0, 3.0, 0.0, 5.0]);
-        // Empty keep list prunes everything.
-        let mut values = vec![1.0, 2.0];
-        apply_keep_mask(&mut values, &[]);
-        assert_eq!(values, vec![0.0, 0.0]);
     }
 
     #[test]

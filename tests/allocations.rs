@@ -9,6 +9,9 @@
 //!   (ZB-H1 at p=16/m=64, 1F1B at p=24/m=96) and on a layout with a
 //!   released stage.
 //! * A warm `forward_makespan` (serving step pricing) allocates nothing.
+//! * A warm `ServingSession::step` (no dynamism engine, records dropped)
+//!   allocates nothing apart from the latency summaries' amortized growth:
+//!   fewer than 100 allocations over 10,000 steps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,6 +19,7 @@ use std::cell::Cell;
 use dynmo::model::{ClusterConfig, DeviceSpec, ModelConfig};
 use dynmo::pipeline::load::StageLoad;
 use dynmo::pipeline::{CommCostModel, PipelineSimulator, ScheduleKind};
+use dynmo::serve::{ArrivalProcess, LengthModel, RequestTrace, ServingConfig, ServingEngine};
 
 /// `System`, counting every allocation and reallocation per thread.
 struct CountingAllocator;
@@ -129,4 +133,29 @@ fn warm_forward_pricing_allocates_nothing() {
         assert!(makespan > 0.0);
         assert_eq!(allocations, 0, "call {call} allocated");
     }
+}
+
+#[test]
+fn a_warm_serving_step_allocates_nothing() {
+    let mut config = ServingConfig::small(2);
+    config.retain_records = false;
+    let lengths = LengthModel {
+        mean_prompt_tokens: 256,
+        mean_output_tokens: 64,
+        spread: 0.4,
+    };
+    let trace = RequestTrace::generate(&ArrivalProcess::Poisson { rate: 4.0 }, 600.0, &lengths, 7);
+    let mut session = ServingEngine::new(config)
+        .expect("valid deployment")
+        .session(&trace);
+    for _ in 0..1_000 {
+        assert!(session.step(None));
+    }
+    let (served, allocations) = allocations_of(|| (0..10_000).all(|_| session.step(None)));
+    assert!(served, "the trace ran out before 11,000 steps");
+    // Only the exact buffers of the three latency summaries still grow.
+    assert!(
+        allocations < 100,
+        "10,000 warm steps made {allocations} allocations"
+    );
 }
