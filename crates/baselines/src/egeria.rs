@@ -1,18 +1,21 @@
-//! Layer-freezing baselines: Egeria and AutoFreeze.
+//! Layer-freezing baseline: Egeria.
 //!
 //! Egeria (Wang et al.) freezes converged layers by periodically comparing
-//! against a reference model kept on the CPU; AutoFreeze uses gradient-norm
-//! heuristics.  Neither rebalances the pipeline after freezing, and the
-//! paper notes that "Egeria's overhead grows fast with the number of layers,
-//! while DynMo's overhead remains almost flat" — which is exactly why
-//! DynMo's speedup over Egeria grows with depth in Figure 3.  These wrappers
-//! add that depth-dependent bookkeeping cost via
-//! [`DynamismEngine::extra_overhead`].
+//! against a reference model kept on the CPU.  It does not rebalance the
+//! pipeline after freezing, and the paper notes that "Egeria's overhead
+//! grows fast with the number of layers, while DynMo's overhead remains
+//! almost flat" — which is exactly why DynMo's speedup over Egeria grows
+//! with depth in Figure 3.  This wrapper adds that depth-dependent
+//! bookkeeping cost via [`DynamismEngine::extra_overhead`].
 
 use dynmo_dynamics::{
     DynamismCase, DynamismEngine, FreezingEngine, FreezingPolicy, LoadUpdate, RebalanceFrequency,
 };
 use dynmo_model::Model;
+
+/// Per-layer, per-check reference-model cost (seconds): copying and
+/// evaluating a layer of the CPU reference model.
+const PER_LAYER_CHECK_COST: f64 = 2.0e-3;
 
 /// Egeria: reference-model-driven freezing with CPU-side bookkeeping whose
 /// cost grows with model depth.
@@ -20,36 +23,18 @@ use dynmo_model::Model;
 pub struct EgeriaEngine {
     inner: FreezingEngine,
     num_layers: usize,
-    /// Seconds of reference-model maintenance per layer per check.
-    per_layer_check_cost: f64,
     check_interval: u64,
 }
 
 impl EgeriaEngine {
-    /// Default per-layer, per-check reference-model cost (seconds): copying
-    /// and evaluating a layer of the CPU reference model.
-    pub const DEFAULT_PER_LAYER_COST: f64 = 2.0e-3;
-
     /// Wrap a freezing engine for `model`.
     pub fn new(model: &Model, policy: FreezingPolicy, seed: u64) -> Self {
         let check_interval = policy.check_interval;
         EgeriaEngine {
             inner: FreezingEngine::new(model, policy, seed),
             num_layers: model.num_layers(),
-            per_layer_check_cost: Self::DEFAULT_PER_LAYER_COST,
             check_interval,
         }
-    }
-
-    /// Override the per-layer check cost (for sensitivity studies).
-    pub fn with_per_layer_cost(mut self, cost: f64) -> Self {
-        self.per_layer_check_cost = cost;
-        self
-    }
-
-    /// Access the wrapped freezing engine.
-    pub fn inner(&self) -> &FreezingEngine {
-        &self.inner
     }
 }
 
@@ -74,71 +59,7 @@ impl DynamismEngine for EgeriaEngine {
         if iteration > 0 && iteration.is_multiple_of(self.check_interval) {
             // The reference model covers every (still unfrozen) layer; the
             // cost is dominated by the full sweep, so it scales with depth.
-            self.num_layers as f64 * self.per_layer_check_cost
-        } else {
-            0.0
-        }
-    }
-}
-
-/// AutoFreeze: a gradient-norm-based freezing baseline.  Freezes more
-/// conservatively than Egeria and carries a smaller (but still
-/// depth-proportional) bookkeeping cost.
-#[derive(Debug, Clone)]
-pub struct AutoFreezeEngine {
-    inner: FreezingEngine,
-    num_layers: usize,
-    check_interval: u64,
-}
-
-impl AutoFreezeEngine {
-    /// Per-layer, per-check cost of gradient-norm accumulation (seconds).
-    pub const PER_LAYER_COST: f64 = 8.0e-4;
-
-    /// Build an AutoFreeze baseline for `model`: same machinery as the
-    /// freezing engine but with a more conservative schedule (layers freeze
-    /// later and a larger tail never freezes).
-    pub fn new(model: &Model, seed: u64) -> Self {
-        let policy = FreezingPolicy {
-            check_interval: 100,
-            first_freeze_iteration: 2_000,
-            stagger_per_layer: 250,
-            never_freeze_fraction: 0.35,
-            jitter: 0.1,
-        };
-        AutoFreezeEngine {
-            inner: FreezingEngine::new(model, policy, seed),
-            num_layers: model.num_layers(),
-            check_interval: 100,
-        }
-    }
-
-    /// Access the wrapped freezing engine.
-    pub fn inner(&self) -> &FreezingEngine {
-        &self.inner
-    }
-}
-
-impl DynamismEngine for AutoFreezeEngine {
-    fn name(&self) -> String {
-        "freezing/autofreeze-baseline".to_string()
-    }
-
-    fn case(&self) -> DynamismCase {
-        DynamismCase::LayerFreezing
-    }
-
-    fn step(&mut self, iteration: u64) -> LoadUpdate {
-        self.inner.step(iteration)
-    }
-
-    fn rebalance_frequency(&self) -> RebalanceFrequency {
-        self.inner.rebalance_frequency()
-    }
-
-    fn extra_overhead(&self, iteration: u64) -> f64 {
-        if iteration > 0 && iteration.is_multiple_of(self.check_interval) {
-            self.num_layers as f64 * Self::PER_LAYER_COST
+            self.num_layers as f64 * PER_LAYER_CHECK_COST
         } else {
             0.0
         }
@@ -174,30 +95,7 @@ mod tests {
             let b = reference.step(it);
             assert_eq!(a, b);
         }
-        assert_eq!(egeria.inner().num_frozen(), reference.num_frozen());
+        assert_eq!(egeria.inner.num_frozen(), reference.num_frozen());
         assert_eq!(egeria.case(), DynamismCase::LayerFreezing);
-    }
-
-    #[test]
-    fn autofreeze_is_more_conservative_than_egeria() {
-        let model = gpt(32);
-        let mut egeria = EgeriaEngine::new(&model, FreezingPolicy::paper_default(), 3);
-        let mut autofreeze = AutoFreezeEngine::new(&model, 3);
-        for it in 0..=6000 {
-            egeria.step(it);
-            autofreeze.step(it);
-        }
-        assert!(autofreeze.inner().num_frozen() <= egeria.inner().num_frozen());
-        assert!(autofreeze.extra_overhead(100) < egeria.extra_overhead(50));
-        assert!(autofreeze.name().contains("autofreeze"));
-    }
-
-    #[test]
-    fn per_layer_cost_override_scales_the_overhead() {
-        let model = gpt(24);
-        let default = EgeriaEngine::new(&model, FreezingPolicy::paper_default(), 1);
-        let cheap = EgeriaEngine::new(&model, FreezingPolicy::paper_default(), 1)
-            .with_per_layer_cost(1.0e-6);
-        assert!(cheap.extra_overhead(50) < default.extra_overhead(50) / 100.0);
     }
 }

@@ -1,22 +1,19 @@
 //! # dynmo-baselines
 //!
-//! The comparison systems of the DynMo paper, reimplemented as partitioning
-//! policies and engine wrappers:
+//! The four comparison systems of the DynMo paper, reimplemented as initial
+//! assignments and engine wrappers:
 //!
 //! * **Megatron-LM** (static): an even split of transformer layers across
 //!   stages, applied once before training ([`static_balancers`]).
-//! * **DeepSpeed** (static): the `uniform` / `parameters` / `regex`
-//!   partitioning methods of `PipelineModule`, applied once before training
-//!   ([`static_balancers`]).
+//! * **DeepSpeed** (static): the `parameters` partitioning method of
+//!   `PipelineModule` (an equal number of parameters per stage), applied
+//!   once before training ([`static_balancers`]).
 //! * **Tutel** (MoE-tailored): adaptive MoE dispatch with a capacity factor
-//!   that bounds per-expert overload at the cost of dropping overflow tokens
+//!   that bounds per-expert overload by padding every expert to the cap
 //!   ([`tutel`]).
-//! * **Egeria** and **AutoFreeze** (layer freezing): freezing controllers
-//!   that do not rebalance the pipeline and whose bookkeeping overhead grows
-//!   with model depth ([`egeria`]).
-//! * **PipeTransformer** (elasticity): re-packing by halving the worker
-//!   count, with parameter counts as a proxy for memory usage
-//!   ([`pipetransformer`]).
+//! * **Egeria** (layer freezing): a freezing controller that does not
+//!   rebalance the pipeline and whose bookkeeping overhead grows with model
+//!   depth ([`egeria`]).
 //!
 //! Each baseline plugs into the same `dynmo-core` trainer used for DynMo
 //! itself, so every Figure-3/Figure-4 comparison runs through one code path.
@@ -24,14 +21,12 @@
 #![warn(missing_docs)]
 
 pub mod egeria;
-pub mod pipetransformer;
 pub mod static_balancers;
 pub mod tutel;
 
-pub use egeria::{AutoFreezeEngine, EgeriaEngine};
-pub use pipetransformer::{plan_halving_repack, PipeTransformerElasticity};
+pub use egeria::EgeriaEngine;
 pub use static_balancers::{
     deepspeed_initial_assignment, megatron_initial_assignment, static_controller,
-    zero_bubble_baseline_schedule, DeepSpeedBalancer, DeepSpeedMethod, MegatronUniformBalancer,
+    MegatronUniformBalancer,
 };
 pub use tutel::TutelMoeEngine;

@@ -19,10 +19,6 @@ pub struct TutelMoeEngine {
     inner: MoeEngine,
     capacity_factor: f64,
     ffn_fraction: f64,
-    /// Fraction of tokens dropped by capacity clipping in the last step,
-    /// averaged over MoE layers (informational; the paper does not model
-    /// the accuracy impact and neither do we).
-    last_drop_fraction: f64,
 }
 
 impl TutelMoeEngine {
@@ -40,18 +36,7 @@ impl TutelMoeEngine {
             inner,
             capacity_factor: moe.capacity_factor,
             ffn_fraction: ffn / (attn + ffn),
-            last_drop_fraction: 0.0,
         }
-    }
-
-    /// The capacity factor enforced by the dispatcher.
-    pub fn capacity_factor(&self) -> f64 {
-        self.capacity_factor
-    }
-
-    /// Average fraction of tokens dropped in the most recent step.
-    pub fn last_drop_fraction(&self) -> f64 {
-        self.last_drop_fraction
     }
 
     /// The maximum per-layer compute multiplier the capacity factor allows.
@@ -72,16 +57,9 @@ impl DynamismEngine for TutelMoeEngine {
     fn step(&mut self, iteration: u64) -> LoadUpdate {
         let mut update = self.inner.step(iteration);
         let cap = self.scale_cap();
-        let mut dropped = 0.0;
-        let mut layers = 0usize;
         for l in 0..update.num_layers() {
             if update.fwd_scale[l] == 1.0 {
                 continue; // not an MoE layer
-            }
-            if update.fwd_scale[l] > cap {
-                // Tokens above capacity are dropped (overflow is recorded).
-                dropped += (update.fwd_scale[l] - cap) / update.fwd_scale[l];
-                layers += 1;
             }
             // Capacity-factor dispatch pads every expert's batch to exactly
             // `capacity_factor × tokens / experts`, so the layer's compute is
@@ -90,11 +68,6 @@ impl DynamismEngine for TutelMoeEngine {
             update.fwd_scale[l] = cap;
             update.bwd_scale[l] = cap;
         }
-        self.last_drop_fraction = if layers > 0 {
-            dropped / layers as f64
-        } else {
-            0.0
-        };
         update
     }
 
@@ -125,7 +98,7 @@ mod tests {
                 assert!(update.fwd_scale[l] <= cap + 1e-12);
             }
         }
-        assert_eq!(tutel.capacity_factor(), 1.25);
+        assert_eq!(tutel.capacity_factor, 1.25);
     }
 
     #[test]
@@ -151,24 +124,6 @@ mod tests {
         // The cap is above 1: padding wastes compute relative to perfectly
         // balanced routing.
         assert!(cap > 1.0);
-    }
-
-    #[test]
-    fn drop_fraction_is_reported_when_clipping_happens() {
-        let model = mixtral();
-        let inner = MoeEngine::new(&model, RoutingStrategy::TokenChoiceAuxLoss, 11);
-        let mut tutel = TutelMoeEngine::new(&model, inner);
-        let mut any_drop = false;
-        for it in 0..10 {
-            tutel.step(it);
-            if tutel.last_drop_fraction() > 0.0 {
-                any_drop = true;
-            }
-        }
-        assert!(
-            any_drop,
-            "aux-loss routing should exceed capacity sometimes"
-        );
     }
 
     #[test]

@@ -22,9 +22,7 @@ use std::sync::Arc;
 use dynmo_bench::ExperimentScale;
 use dynmo_core::balancer::{BalanceObjective, PartitionBalancer};
 use dynmo_core::controller::{RebalanceController, RebalancePolicy};
-use dynmo_core::recovery::{
-    run_resilient, RecoveryConfig, ResilientTrainingConfig, WorkloadConfig,
-};
+use dynmo_core::recovery::{run_resilient, ResilientTrainingConfig, WorkloadConfig};
 use dynmo_core::trainer::{Trainer, TrainerConfig};
 use dynmo_dynamics::{EarlyExitEngine, EarlyExitMethod};
 use dynmo_model::{ClusterConfig, DeviceSpec, Model, ModelPreset};
@@ -141,10 +139,7 @@ fn record_resilience(recorder: Arc<MemoryRecorder>) {
         iterations: 35,
         workload: WorkloadConfig::small(12, 42),
         fault_plan: FaultPlan::none().kill(2, 18),
-        recovery: RecoveryConfig {
-            checkpoint_interval: 10,
-            ..RecoveryConfig::default()
-        },
+        checkpoint_interval: 10,
     };
     let (report, host_seconds) = Stopwatch::time(|| run_resilient(&config));
     let report = report.expect("resilient run completes");

@@ -6,8 +6,8 @@
 //! for each combination.
 
 use dynmo_baselines::{
-    deepspeed_initial_assignment, megatron_initial_assignment, static_controller,
-    zero_bubble_baseline_schedule, DeepSpeedMethod, EgeriaEngine, TutelMoeEngine,
+    deepspeed_initial_assignment, megatron_initial_assignment, static_controller, EgeriaEngine,
+    TutelMoeEngine,
 };
 use dynmo_core::balancer::{BalanceObjective, DiffusionBalancer, PartitionBalancer};
 use dynmo_core::controller::{RebalanceController, RebalancePolicy};
@@ -314,7 +314,7 @@ pub fn run_configuration(config: &CaseConfig, balancer: BalancerKind) -> Configu
     // pins a schedule compares every row under that one.
     let schedule = config.schedule.unwrap_or_else(|| {
         if balancer == BalancerKind::Sota {
-            zero_bubble_baseline_schedule()
+            ScheduleKind::ZeroBubbleH1
         } else {
             ScheduleKind::OneFOneB
         }
@@ -342,11 +342,9 @@ pub fn run_configuration(config: &CaseConfig, balancer: BalancerKind) -> Configu
     };
 
     let initial = match balancer {
-        BalancerKind::StaticDeepSpeedParam => deepspeed_initial_assignment(
-            &model,
-            cluster.pipeline_stages,
-            &DeepSpeedMethod::Parameters,
-        ),
+        BalancerKind::StaticDeepSpeedParam => {
+            deepspeed_initial_assignment(&model, cluster.pipeline_stages)
+        }
         _ => megatron_initial_assignment(&model, cluster.pipeline_stages),
     };
 
@@ -545,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn sota_rows_run_the_zero_bubble_baseline_schedule() {
+    fn sota_rows_run_the_zero_bubble_h1_schedule() {
         // The paper compares against "almost zero-bubble" baselines: with
         // no pinned schedule the SoTA row runs ZB-H1...
         let config = CaseConfig::new(DynamicCase::EarlyExit, 24, ExperimentScale::Smoke);

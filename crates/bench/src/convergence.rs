@@ -11,8 +11,7 @@
 use dynmo_core::balancer::{
     stage_weights, BalanceObjective, BalanceRequest, DiffusionBalancer, LoadBalancer,
 };
-use dynmo_core::load_imbalance;
-use dynmo_pipeline::{LayerLoad, StageAssignment};
+use dynmo_pipeline::{metrics, LayerLoad, StageAssignment};
 use serde::Serialize;
 
 use crate::scale::ExperimentScale;
@@ -83,7 +82,7 @@ pub fn run_convergence_sweep(scale: ExperimentScale) -> Vec<ConvergenceRow> {
     let balancer = DiffusionBalancer::new();
     let full_recompute = full_recompute_balancer();
     let imbalance = |assignment: &StageAssignment, loads: &[LayerLoad]| {
-        load_imbalance(&stage_weights(assignment, loads, BalanceObjective::ByTime))
+        metrics::imbalance(&stage_weights(assignment, loads, BalanceObjective::ByTime))
     };
     convergence_worker_counts(scale)
         .into_iter()

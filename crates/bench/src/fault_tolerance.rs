@@ -9,7 +9,7 @@
 //! `dynmo-runtime`'s rank threads.
 
 use dynmo_core::recovery::{
-    run_resilient, RecoveryConfig, ResilientTrainingConfig, WorkloadConfig,
+    run_resilient, ResilientTrainingConfig, WorkloadConfig, ITERATION_COST,
 };
 use dynmo_runtime::FaultPlan;
 use serde::Serialize;
@@ -60,17 +60,13 @@ pub fn run_fault_tolerance_sweep(scale: ExperimentScale) -> Vec<FaultToleranceRo
     for &world_size in &world_sizes {
         for &interval in &intervals {
             let workload = WorkloadConfig::small(world_size * 3, 42);
-            let recovery = RecoveryConfig {
-                checkpoint_interval: interval,
-                ..RecoveryConfig::default()
-            };
             let run = |fault_plan| {
                 run_resilient(&ResilientTrainingConfig {
                     world_size,
                     iterations,
                     workload,
                     fault_plan,
-                    recovery,
+                    checkpoint_interval: interval,
                 })
             };
             let clean = run(FaultPlan::none()).expect("failure-free run");
@@ -80,7 +76,7 @@ pub fn run_fault_tolerance_sweep(scale: ExperimentScale) -> Vec<FaultToleranceRo
             let recovery_time: f64 = faulty.recoveries.iter().map(|r| r.cost).sum();
             // A simulated iteration-time budget turns the overhead into a
             // fraction, mirroring the Figure 4 presentation.
-            let run_time = iterations as f64 * recovery.iteration_cost;
+            let run_time = iterations as f64 * ITERATION_COST;
             rows.push(FaultToleranceRow {
                 world_size,
                 checkpoint_interval: interval,

@@ -275,7 +275,7 @@ mod tests {
     use super::super::test_support::loads_from_times;
     use super::super::{BalanceObjective, PartitionBalancer};
     use super::*;
-    use crate::imbalance::load_imbalance;
+    use dynmo_pipeline::metrics::imbalance;
 
     #[test]
     fn potential_is_zero_only_when_balanced() {
@@ -293,9 +293,9 @@ mod tests {
         let current = StageAssignment::uniform(32, 8);
         let request = BalanceRequest::new(&loads, 8, u64::MAX, BalanceObjective::ByTime)
             .with_current(&current);
-        let before = load_imbalance(&stage_weights(&current, &loads, BalanceObjective::ByTime));
+        let before = imbalance(&stage_weights(&current, &loads, BalanceObjective::ByTime));
         let outcome = DiffusionBalancer::new().rebalance(&request);
-        let after = load_imbalance(&stage_weights(
+        let after = imbalance(&stage_weights(
             &outcome.assignment,
             &loads,
             BalanceObjective::ByTime,

@@ -300,7 +300,7 @@ mod tests {
     use super::super::test_support::loads_from_times;
     use super::super::{stage_weights, BalanceObjective};
     use super::*;
-    use crate::imbalance::load_imbalance;
+    use dynmo_pipeline::metrics::imbalance;
 
     #[test]
     fn feasibility_probe_matches_hand_cases() {
@@ -356,9 +356,8 @@ mod tests {
         assert_eq!(outcome.rounds, 1);
 
         let uniform = dynmo_pipeline::StageAssignment::uniform(24, 4);
-        let uniform_imb =
-            load_imbalance(&stage_weights(&uniform, &loads, BalanceObjective::ByTime));
-        let balanced_imb = load_imbalance(&stage_weights(
+        let uniform_imb = imbalance(&stage_weights(&uniform, &loads, BalanceObjective::ByTime));
+        let balanced_imb = imbalance(&stage_weights(
             &outcome.assignment,
             &loads,
             BalanceObjective::ByTime,

@@ -1,27 +1,7 @@
-//! Load-imbalance metrics (paper §2, Equations 1–2).
+//! The imbalance history of a training run.  ΔL itself (paper §2,
+//! Equation 2) is `dynmo_pipeline::metrics::imbalance`.
 
 use serde::{Deserialize, Serialize};
-
-/// Equation 2: `ΔL = (L_max − L_min) / mean(L)` over per-worker loads.
-/// Empty or all-zero load vectors map to 0.
-pub fn load_imbalance(loads: &[f64]) -> f64 {
-    if loads.is_empty() {
-        return 0.0;
-    }
-    let max = loads.iter().copied().fold(f64::MIN, f64::max);
-    let min = loads.iter().copied().fold(f64::MAX, f64::min);
-    let mean = loads.iter().sum::<f64>() / loads.len() as f64;
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    (max - min) / mean
-}
-
-/// The maximum load across workers (Equation 1's `L_max`), the quantity the
-/// balancing objective minimizes (`min_A max_i L_i`).
-pub fn bottleneck(loads: &[f64]) -> f64 {
-    loads.iter().copied().fold(0.0, f64::max)
-}
 
 /// A rolling record of imbalance over training, used by the experiment
 /// harness to plot "before vs after rebalancing" traces.
@@ -63,21 +43,6 @@ impl ImbalanceHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn imbalance_matches_hand_computation() {
-        // loads 2, 4, 6: (6-2)/4 = 1.
-        assert!((load_imbalance(&[2.0, 4.0, 6.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(load_imbalance(&[5.0, 5.0]), 0.0);
-        assert_eq!(load_imbalance(&[]), 0.0);
-        assert_eq!(load_imbalance(&[0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn bottleneck_is_the_max_load() {
-        assert_eq!(bottleneck(&[1.0, 7.0, 3.0]), 7.0);
-        assert_eq!(bottleneck(&[]), 0.0);
-    }
 
     #[test]
     fn history_tracks_mean_and_max() {

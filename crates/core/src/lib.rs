@@ -49,14 +49,13 @@ pub use balancer::{BalanceObjective, DiffusionBalancer, LoadBalancer, PartitionB
 pub use composite::{run_composite_with_recovery, CompositeRecoveryReport, CompositeRunSpec};
 pub use controller::{RebalanceController, RebalancePolicy};
 pub use elastic::{FleetError, MockJobManager};
-pub use imbalance::load_imbalance;
 pub use migration::{MigrationPlan, MigrationStep};
 pub use overhead::OverheadBreakdown;
-pub use profiler::{profile_layers, Profiler, StragglerDetector};
+pub use profiler::{profile_layers, profiling_cost, StragglerDetector};
 pub use recovery::{
     run_elastic_rescale, run_resilient, run_resilient_recorded, ElasticRescaleConfig,
-    ElasticRescaleReport, RecoveryConfig, RecoveryCoordinator, RecoveryEvent, ResilientRunReport,
-    ResilientTrainingConfig, WorkloadConfig,
+    ElasticRescaleReport, RecoveryEvent, ResilientRunReport, ResilientTrainingConfig,
+    WorkloadConfig,
 };
 pub use repack::{plan_repack, RepackConfig, RepackPlan};
 pub use report::TrainingReport;

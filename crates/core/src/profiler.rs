@@ -13,38 +13,14 @@ use dynmo_dynamics::LoadUpdate;
 use dynmo_model::{DeviceSpec, Model};
 use dynmo_pipeline::LayerLoad;
 
-/// Produces per-layer load snapshots from a model and the current dynamism
-/// state.
-#[derive(Debug, Clone)]
-pub struct Profiler {
-    device: DeviceSpec,
-}
-
-impl Profiler {
-    /// Create a profiler that converts FLOPs to time using `device`.
-    pub fn new(device: DeviceSpec) -> Self {
-        Profiler { device }
-    }
-
-    /// The device spec used for time conversion.
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
-    /// Profile every layer of `model` under the dynamism state `update`.
-    pub fn profile(&self, model: &Model, update: &LoadUpdate) -> Vec<LayerLoad> {
-        profile_layers(model, update, &self.device)
-    }
-
-    /// The wall-clock cost of profiling itself.  The paper reuses a regular
-    /// training iteration for measurement (Megatron's built-in timers plus
-    /// PyTorch CUDA memory statistics), so the only extra work is reading
-    /// the timers and memory counters for every layer — a per-layer constant,
-    /// not an extra pass over the model.
-    pub fn profiling_cost(&self, loads: &[LayerLoad]) -> f64 {
-        const TIMER_READOUT_PER_LAYER: f64 = 50.0e-6;
-        loads.len() as f64 * TIMER_READOUT_PER_LAYER
-    }
+/// The simulated cost of profiling itself.  The paper reuses a regular
+/// training iteration for measurement (Megatron's built-in timers plus
+/// PyTorch CUDA memory statistics), so the only extra work is reading the
+/// timers and memory counters for every layer — a per-layer constant, not
+/// an extra pass over the model.
+pub fn profiling_cost(loads: &[LayerLoad]) -> f64 {
+    const TIMER_READOUT_PER_LAYER: f64 = 50.0e-6;
+    loads.len() as f64 * TIMER_READOUT_PER_LAYER
 }
 
 /// Ratio of observed to expected stage time above which an observation
@@ -69,26 +45,15 @@ pub const STRAGGLER_MIN_HITS: u32 = 3;
 /// balancer unloaded it stays downgraded.
 #[derive(Debug, Clone)]
 pub struct StragglerDetector {
-    threshold: f64,
-    min_hits: u32,
     hits: Vec<u32>,
     /// Confirmed effective speed per stage; exactly 1.0 = healthy.
     speeds: Vec<f64>,
 }
 
 impl StragglerDetector {
-    /// A detector over `num_stages` stages with the default sensitivity.
+    /// A detector over `num_stages` stages.
     pub fn new(num_stages: usize) -> Self {
-        Self::with_params(num_stages, STRAGGLER_THRESHOLD, STRAGGLER_MIN_HITS)
-    }
-
-    /// A detector with explicit sensitivity parameters.
-    pub fn with_params(num_stages: usize, threshold: f64, min_hits: u32) -> Self {
-        assert!(threshold > 1.0, "threshold must exceed 1.0");
-        assert!(min_hits >= 1, "min_hits must be at least 1");
         StragglerDetector {
-            threshold,
-            min_hits,
             hits: vec![0; num_stages],
             speeds: vec![1.0; num_stages],
         }
@@ -108,9 +73,9 @@ impl StragglerDetector {
                 continue;
             }
             let ratio = observed[s] / expected[s];
-            if ratio >= self.threshold {
+            if ratio >= STRAGGLER_THRESHOLD {
                 self.hits[s] = self.hits[s].saturating_add(1);
-                if self.hits[s] == self.min_hits && self.speeds[s] == 1.0 {
+                if self.hits[s] == STRAGGLER_MIN_HITS && self.speeds[s] == 1.0 {
                     self.speeds[s] = (expected[s] / observed[s]).clamp(f64::MIN_POSITIVE, 1.0);
                     confirmed.push((s, self.speeds[s]));
                 }
@@ -141,7 +106,8 @@ impl StragglerDetector {
     }
 }
 
-/// Free-function form of [`Profiler::profile`].
+/// Profile every layer of `model` under the dynamism state `update`,
+/// converting FLOPs to time on `device`.
 pub fn profile_layers(model: &Model, update: &LoadUpdate, device: &DeviceSpec) -> Vec<LayerLoad> {
     assert_eq!(
         update.num_layers(),
@@ -194,8 +160,7 @@ mod tests {
     fn identity_update_reproduces_baseline_costs() {
         let model = gpt();
         let device = DeviceSpec::h100_sxm5();
-        let profiler = Profiler::new(device);
-        let loads = profiler.profile(&model, &LoadUpdate::identity(model.num_layers()));
+        let loads = profile_layers(&model, &LoadUpdate::identity(model.num_layers()), &device);
         assert_eq!(loads.len(), model.num_layers());
         for (load, layer) in loads.iter().zip(model.layers().iter()) {
             assert_eq!(load.layer_id, layer.id);
@@ -210,15 +175,15 @@ mod tests {
     #[test]
     fn scales_are_applied_per_layer() {
         let model = gpt();
-        let profiler = Profiler::new(DeviceSpec::h100_sxm5());
+        let device = DeviceSpec::h100_sxm5();
         let mut update = LoadUpdate::identity(model.num_layers());
         let target = model.transformer_layer_ids()[3];
         update.fwd_scale[target] = 0.5;
         update.bwd_scale[target] = 0.0; // e.g. frozen
         update.memory_scale[target] = 0.25;
         update.param_retention[target] = 0.25;
-        let loads = profiler.profile(&model, &update);
-        let baseline = profiler.profile(&model, &LoadUpdate::identity(model.num_layers()));
+        let loads = profile_layers(&model, &update, &device);
+        let baseline = profile_layers(&model, &LoadUpdate::identity(model.num_layers()), &device);
         assert!(loads[target].fwd_time < baseline[target].fwd_time);
         assert_eq!(loads[target].bwd_time, 0.0);
         assert!(loads[target].static_bytes < baseline[target].static_bytes);
@@ -231,9 +196,12 @@ mod tests {
     #[test]
     fn profiling_cost_is_a_cheap_timer_readout() {
         let model = gpt();
-        let profiler = Profiler::new(DeviceSpec::h100_sxm5());
-        let loads = profiler.profile(&model, &LoadUpdate::identity(model.num_layers()));
-        let cost = profiler.profiling_cost(&loads);
+        let loads = profile_layers(
+            &model,
+            &LoadUpdate::identity(model.num_layers()),
+            &DeviceSpec::h100_sxm5(),
+        );
+        let cost = profiling_cost(&loads);
         // Reading out per-layer timers is far cheaper than executing the
         // model: well under a millisecond per layer, and much smaller than
         // one forward+backward pass.
@@ -247,8 +215,7 @@ mod tests {
     #[should_panic(expected = "every model layer")]
     fn mismatched_update_length_panics() {
         let model = gpt();
-        let profiler = Profiler::new(DeviceSpec::h100_sxm5());
-        let _ = profiler.profile(&model, &LoadUpdate::identity(3));
+        let _ = profile_layers(&model, &LoadUpdate::identity(3), &DeviceSpec::h100_sxm5());
     }
 
     #[test]

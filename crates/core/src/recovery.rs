@@ -2,8 +2,8 @@
 //!
 //! This module closes the loop the paper leaves open in §3.4.2: the
 //! elastic-release path there *shrinks* a healthy job, but nothing can
-//! survive a rank failure.  Here, a [`RecoveryCoordinator`] ties together
-//! the pieces the workspace already has:
+//! survive a rank failure.  Here, [`run_resilient`] ties together the
+//! pieces the workspace already has:
 //!
 //! 1. **Detect** — `dynmo-runtime`'s failure detector poisons every
 //!    collective on a communicator containing a dead rank, so all survivors
@@ -46,121 +46,70 @@ use crate::balancer::{BalanceObjective, BalanceRequest, LoadBalancer, PartitionB
 use crate::elastic::{FleetEvent, MockJobManager};
 use crate::overhead::OverheadBreakdown;
 
-/// Knobs of the resilience machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryConfig {
-    /// Take a checkpoint every this many iterations (0 disables periodic
-    /// checkpoints; the initial checkpoint is always taken).
-    pub checkpoint_interval: u64,
-    /// Keep at most this many checkpoints in the store.
-    pub keep_checkpoints: usize,
-    /// Cost model for checkpoint writes and restores.
-    pub cost_model: CheckpointCostModel,
-    /// Simulated seconds one training iteration costs, used to price the
-    /// replayed iterations of a recovery.
-    pub iteration_cost: f64,
-    /// Simulated seconds to re-form the communicator world after a failure
-    /// (`ncclCommSplit` + bootstrap exchange).
-    pub rebuild_cost: f64,
-}
+/// Simulated seconds one training iteration costs, used to price the
+/// replayed iterations of a recovery.
+pub const ITERATION_COST: f64 = 0.25;
 
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            checkpoint_interval: 25,
-            keep_checkpoints: 2,
-            cost_model: CheckpointCostModel::default(),
-            iteration_cost: 0.25,
-            rebuild_cost: 0.5,
-        }
-    }
-}
+/// Checkpoints the store keeps; older ones are dropped after each write.
+const KEEP_CHECKPOINTS: usize = 2;
 
-/// Re-plans the job after a failure or an elastic re-scale: re-runs the
-/// Partition balancer by time over the world a checkpoint describes, and
-/// prices the recovery.
-pub struct RecoveryCoordinator {
-    config: RecoveryConfig,
-}
+/// Simulated seconds to re-form the communicator world after a failure or
+/// a re-scale (`ncclCommSplit` + bootstrap exchange).
+const REBUILD_COST: f64 = 0.5;
 
-impl RecoveryCoordinator {
-    /// A coordinator pricing checkpoints and recoveries with `config`.
-    pub fn new(config: RecoveryConfig) -> Self {
-        RecoveryCoordinator { config }
-    }
+/// Proxy weights per layer.
+const WEIGHTS_PER_LAYER: usize = 16;
 
-    /// Re-run the Partition balancer by time for a new world size, deriving
-    /// per-layer loads from the checkpointed state (retained parameters
-    /// weigh compute; frozen layers only run forward).
-    pub fn replan(&self, state: &TrainerState, new_world_size: usize) -> StageAssignment {
-        let loads: Vec<LayerLoad> = state
-            .layers
-            .iter()
-            .map(|layer| {
-                let params = layer.weights.len().max(1) as f64 * layer.retention();
-                let fwd = params.max(1e-9);
-                let bwd = if layer.frozen { 0.0 } else { 2.0 * fwd };
-                LayerLoad {
-                    layer_id: layer.layer_id,
-                    fwd_time: fwd,
-                    bwd_time: bwd,
-                    param_count: params as u64,
-                    static_bytes: (params as u64) * 16,
-                    activation_bytes: 0,
-                    migration_bytes: (params as u64) * 16,
-                }
-            })
-            .collect();
-        let request =
-            BalanceRequest::new(&loads, new_world_size, u64::MAX, BalanceObjective::ByTime)
-                .with_inflight(vec![1; new_world_size]);
-        PartitionBalancer::new().rebalance(&request).assignment
-    }
+/// Layer `l` freezes at iteration `(l + 1) * FREEZE_EVERY`.
+const FREEZE_EVERY: u64 = 40;
 
-    /// Simulated cost of writing one checkpoint of `state`.
-    pub fn checkpoint_cost(&self, state: &TrainerState) -> f64 {
-        self.config.cost_model.write_cost(state.size_bytes())
-    }
+/// Every this many iterations, each unfrozen layer magnitude-prunes 10% of
+/// its remaining weights.
+const PRUNE_EVERY: u64 = 30;
 
-    /// Simulated cost of one recovery: restore read + communicator rebuild
-    /// + `replayed` re-executed iterations.
-    pub fn recovery_cost(&self, state: &TrainerState, replayed: u64) -> f64 {
-        self.config.cost_model.read_cost(state.size_bytes())
-            + self.config.rebuild_cost
-            + replayed as f64 * self.config.iteration_cost
-    }
+/// Re-run the Partition balancer by time for a new world size, deriving
+/// per-layer loads from the checkpointed state (retained parameters weigh
+/// compute; frozen layers only run forward).
+fn replan(state: &TrainerState, new_world_size: usize) -> StageAssignment {
+    let loads: Vec<LayerLoad> = state
+        .layers
+        .iter()
+        .map(|layer| {
+            let params = layer.weights.len().max(1) as f64 * layer.retention();
+            let fwd = params.max(1e-9);
+            let bwd = if layer.frozen { 0.0 } else { 2.0 * fwd };
+            LayerLoad {
+                layer_id: layer.layer_id,
+                fwd_time: fwd,
+                bwd_time: bwd,
+                param_count: params as u64,
+                static_bytes: (params as u64) * 16,
+                activation_bytes: 0,
+                migration_bytes: (params as u64) * 16,
+            }
+        })
+        .collect();
+    let request = BalanceRequest::new(&loads, new_world_size, u64::MAX, BalanceObjective::ByTime)
+        .with_inflight(vec![1; new_world_size]);
+    PartitionBalancer::new().rebalance(&request).assignment
 }
 
 /// The synthetic-but-deterministic training workload the multi-rank
 /// harness executes: per-layer proxy weights updated by a fixed rule, with
-/// optional layer freezing and magnitude pruning so the checkpoint carries
-/// every kind of state the paper's dynamism mechanisms produce.
+/// layer freezing and magnitude pruning so the checkpoint carries every
+/// kind of state the paper's dynamism mechanisms produce.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadConfig {
     /// Number of model layers.
     pub num_layers: usize,
-    /// Proxy weights per layer.
-    pub weights_per_layer: usize,
     /// Seed for the deterministic initialization and noise streams.
     pub seed: u64,
-    /// Freeze layer `l` at iteration `(l + 1) * freeze_every` (None = no
-    /// freezing).
-    pub freeze_every: Option<u64>,
-    /// Magnitude-prune 10% of each layer's remaining weights every this
-    /// many iterations (None = no pruning).
-    pub prune_every: Option<u64>,
 }
 
 impl WorkloadConfig {
-    /// A small default workload exercising freezing and pruning.
+    /// A workload of `num_layers` layers seeded with `seed`.
     pub fn small(num_layers: usize, seed: u64) -> Self {
-        WorkloadConfig {
-            num_layers,
-            weights_per_layer: 16,
-            seed,
-            freeze_every: Some(40),
-            prune_every: Some(30),
-        }
+        WorkloadConfig { num_layers, seed }
     }
 }
 
@@ -175,8 +124,9 @@ pub struct ResilientTrainingConfig {
     pub workload: WorkloadConfig,
     /// Scheduled rank deaths.
     pub fault_plan: FaultPlan,
-    /// Resilience knobs.
-    pub recovery: RecoveryConfig,
+    /// Take a checkpoint every this many iterations (0 disables periodic
+    /// checkpoints; the initial checkpoint is always taken).
+    pub checkpoint_interval: u64,
 }
 
 impl ResilientTrainingConfig {
@@ -315,7 +265,7 @@ fn assignment_imbalance(assignment: &StageAssignment, layers: &[LayerState]) -> 
         let stage = assignment.stage_of(layer.layer_id);
         totals[stage] += weight;
     }
-    crate::imbalance::load_imbalance(&totals)
+    dynmo_pipeline::metrics::imbalance(&totals)
 }
 
 fn ckpt_err(e: dynmo_resilience::CheckpointError) -> RuntimeError {
@@ -332,7 +282,7 @@ fn init_layers(workload: &WorkloadConfig) -> Vec<LayerState> {
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add(layer_id as u64),
             );
-            let weights: Vec<f32> = (0..workload.weights_per_layer)
+            let weights: Vec<f32> = (0..WEIGHTS_PER_LAYER)
                 .map(|_| (rng.next_f64() as f32 - 0.5) * 2.0)
                 .collect();
             LayerState {
@@ -350,36 +300,28 @@ fn init_layers(workload: &WorkloadConfig) -> Vec<LayerState> {
 /// Apply the freeze/prune schedules due at `iteration` to one layer.
 /// Deterministic in `(layer, iteration)` regardless of which rank hosts the
 /// layer, so replays after recovery reproduce the original run exactly.
-fn apply_schedules(layer: &mut LayerState, iteration: u64, workload: &WorkloadConfig) {
-    if let Some(freeze_every) = workload.freeze_every {
-        if freeze_every > 0 && iteration == (layer.layer_id as u64 + 1) * freeze_every {
-            layer.frozen = true;
-        }
+fn apply_schedules(layer: &mut LayerState, iteration: u64) {
+    if iteration == (layer.layer_id as u64 + 1) * FREEZE_EVERY {
+        layer.frozen = true;
     }
-    if let Some(prune_every) = workload.prune_every {
-        if prune_every > 0
-            && iteration > 0
-            && iteration.is_multiple_of(prune_every)
-            && !layer.frozen
-        {
-            // Magnitude-prune 10% of the *remaining* weights, layer-locally.
-            let mut kept: Vec<usize> = (0..layer.weights.len())
-                .filter(|&i| layer.pruning_mask[i])
-                .collect();
-            let drop = kept.len() / 10;
-            if drop > 0 {
-                kept.sort_by(|&a, &b| {
-                    layer.weights[a]
-                        .abs()
-                        .partial_cmp(&layer.weights[b].abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                for &i in kept.iter().take(drop) {
-                    layer.pruning_mask[i] = false;
-                    layer.weights[i] = 0.0;
-                    layer.optimizer[i] = 0.0;
-                }
+    if iteration > 0 && iteration.is_multiple_of(PRUNE_EVERY) && !layer.frozen {
+        // Magnitude-prune 10% of the *remaining* weights, layer-locally.
+        let mut kept: Vec<usize> = (0..layer.weights.len())
+            .filter(|&i| layer.pruning_mask[i])
+            .collect();
+        let drop = kept.len() / 10;
+        if drop > 0 {
+            kept.sort_by(|&a, &b| {
+                layer.weights[a]
+                    .abs()
+                    .partial_cmp(&layer.weights[b].abs())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            for &i in kept.iter().take(drop) {
+                layer.pruning_mask[i] = false;
+                layer.weights[i] = 0.0;
+                layer.optimizer[i] = 0.0;
             }
         }
     }
@@ -484,16 +426,12 @@ fn gather_full_state(
 }
 
 /// Save `state` (rank 0 only), pricing the write into the recovery bucket.
-fn save_checkpoint(
-    state: TrainerState,
-    coordinator: &RecoveryCoordinator,
-    shared: &SharedState,
-) -> Result<(), RuntimeError> {
-    let cost = coordinator.checkpoint_cost(&state);
+fn save_checkpoint(state: TrainerState, shared: &SharedState) -> Result<(), RuntimeError> {
+    let cost = CheckpointCostModel::default().write_cost(state.size_bytes());
     let checkpoint = Checkpoint::new(state).map_err(ckpt_err)?;
     let mut store = shared.store.lock();
     store.save(&checkpoint).map_err(ckpt_err)?;
-    store.retain_last(coordinator.config.keep_checkpoints.max(1));
+    store.retain_last(KEEP_CHECKPOINTS);
     drop(store);
     shared.overhead.lock().record_recovery(cost);
     shared.checkpoints_taken.fetch_add(1, Ordering::SeqCst);
@@ -517,7 +455,6 @@ pub fn run_resilient_recorded(
     recorder: Arc<dyn Recorder>,
 ) -> Result<ResilientRunReport, RuntimeError> {
     config.validate().map_err(RuntimeError::InvalidArgument)?;
-    let coordinator = RecoveryCoordinator::new(config.recovery);
     let shared = Arc::new(SharedState::new(config.world_size, recorder));
 
     // Initial checkpoint: every rank derives the same state, rank 0 writes
@@ -535,15 +472,14 @@ pub fn run_resilient_recorded(
             metrics,
             engine: None,
         };
-        save_checkpoint(state, &coordinator, &shared)?;
+        save_checkpoint(state, &shared)?;
     }
 
     let shared_for_ranks = Arc::clone(&shared);
-    let coordinator = Arc::new(coordinator);
     let config_owned = config.clone();
     let results: Vec<Result<Option<RankOutcome>, RuntimeError>> =
         launch(config.world_size, move |ctx| {
-            rank_body(&ctx, &config_owned, &coordinator, &shared_for_ranks)
+            rank_body(&ctx, &config_owned, &shared_for_ranks)
         })?;
 
     let outcome = first_outcome(results)?;
@@ -580,7 +516,6 @@ fn first_outcome(
 fn rank_body(
     ctx: &RankCtx,
     config: &ResilientTrainingConfig,
-    coordinator: &RecoveryCoordinator,
     shared: &SharedState,
 ) -> Result<Option<RankOutcome>, RuntimeError> {
     let me = ctx.rank();
@@ -599,7 +534,6 @@ fn rank_body(
             iteration,
             &injector,
             config,
-            coordinator,
             shared,
         ) {
             Ok(iteration_loss) => {
@@ -619,7 +553,7 @@ fn rank_body(
                 // second victim): retry with the updated failed set until
                 // the rendezvous succeeds on a fully-live survivor world.
                 loop {
-                    match recover(&comm, iteration, coordinator, shared) {
+                    match recover(&comm, iteration, shared) {
                         Ok((new_comm, new_assignment, new_layers, resumed_from)) => {
                             comm = new_comm;
                             assignment = new_assignment;
@@ -673,7 +607,6 @@ fn conclude(
 
 /// One training iteration: fault tick, schedules, local updates, global
 /// loss, periodic checkpoint.
-#[allow(clippy::too_many_arguments)]
 fn run_iteration(
     comm: &Communicator,
     assignment: &StageAssignment,
@@ -681,16 +614,15 @@ fn run_iteration(
     iteration: u64,
     injector: &FaultInjector,
     config: &ResilientTrainingConfig,
-    coordinator: &RecoveryCoordinator,
     shared: &SharedState,
 ) -> Result<f32, RuntimeError> {
     injector.tick(comm.my_global_rank(), iteration)?;
-    let loss = local_step(comm, assignment, layers, iteration, &config.workload)?;
+    let loss = local_step(comm, assignment, layers, iteration)?;
 
     // Checkpoint after every `interval` *completed* iterations.  The stored
     // `iteration` field is the next iteration to execute, so a restore
     // never re-applies an update the snapshot already contains.
-    let interval = coordinator.config.checkpoint_interval;
+    let interval = config.checkpoint_interval;
     let periodic = interval > 0 && (iteration + 1).is_multiple_of(interval);
 
     // Spot-eviction advance warning: when any live member of this
@@ -709,7 +641,7 @@ fn run_iteration(
 
     if periodic || !warned_here.is_empty() {
         if let Some(state) = gather_full_state(comm, assignment, layers, iteration + 1, loss)? {
-            save_checkpoint(state, coordinator, shared)?;
+            save_checkpoint(state, shared)?;
         }
     }
     if comm.rank() == 0 {
@@ -734,7 +666,6 @@ fn run_iteration(
 /// load the newest checkpoint, verify it, and re-plan its layers for a
 /// world of `world_size`.
 fn restore_latest(
-    coordinator: &RecoveryCoordinator,
     shared: &SharedState,
     world_size: usize,
 ) -> Result<(TrainerState, StageAssignment), RuntimeError> {
@@ -745,7 +676,7 @@ fn restore_latest(
         .map_err(ckpt_err)?
         .ok_or_else(|| RuntimeError::InvalidArgument("no checkpoint available".to_string()))?;
     let state = checkpoint.verify().map_err(ckpt_err)?.clone();
-    let assignment = coordinator.replan(&state, world_size);
+    let assignment = replan(&state, world_size);
     Ok((state, assignment))
 }
 
@@ -754,7 +685,6 @@ fn restore_latest(
 fn recover(
     comm: &Communicator,
     detected_at: u64,
-    coordinator: &RecoveryCoordinator,
     shared: &SharedState,
 ) -> Result<(Communicator, StageAssignment, Vec<LayerState>, u64), RuntimeError> {
     let new_comm = comm.rebuild_survivors()?.ok_or(RuntimeError::RankFailed {
@@ -776,7 +706,7 @@ fn recover(
     // survivor reads the checkpoint while another is still writing one.
     new_comm.barrier()?;
 
-    let (state, assignment) = restore_latest(coordinator, shared, new_comm.size())?;
+    let (state, assignment) = restore_latest(shared, new_comm.size())?;
     let resumed_from = state.iteration;
     let replayed = detected_at.saturating_sub(resumed_from);
 
@@ -787,7 +717,10 @@ fn recover(
             .lock()
             .release(JOB, &failed_now, detected_at)
             .map_err(|e| RuntimeError::InvalidArgument(format!("releasing failed ranks: {e}")))?;
-        let cost = coordinator.recovery_cost(&state, replayed);
+        // Restore read + communicator rebuild + the replayed iterations.
+        let cost = CheckpointCostModel::default().read_cost(state.size_bytes())
+            + REBUILD_COST
+            + replayed as f64 * ITERATION_COST;
         shared.overhead.lock().record_recovery(cost);
         shared
             .replayed_iterations
@@ -820,8 +753,6 @@ pub struct ElasticRescaleConfig {
     pub shrink_to: usize,
     /// Iteration at which the world grows back to full size.
     pub grow_at: u64,
-    /// Resilience knobs (checkpoints carry state across re-scales).
-    pub recovery: RecoveryConfig,
 }
 
 impl ElasticRescaleConfig {
@@ -879,23 +810,14 @@ pub fn run_elastic_rescale(
     config: &ElasticRescaleConfig,
 ) -> Result<ElasticRescaleReport, RuntimeError> {
     config.validate().map_err(RuntimeError::InvalidArgument)?;
-    let coordinator = Arc::new(RecoveryCoordinator::new(config.recovery));
     let shared = Arc::new(SharedState::new(config.world_size, Arc::new(NullRecorder)));
     let conserved = Arc::new(Mutex::new(true));
 
     let shared_for_ranks = Arc::clone(&shared);
-    let coordinator_for_ranks = Arc::clone(&coordinator);
     let conserved_for_ranks = Arc::clone(&conserved);
     let config_owned = config.clone();
     let results = launch(config.world_size, move |ctx| {
-        elastic_rank_body(
-            &ctx,
-            &config_owned,
-            &coordinator_for_ranks,
-            &shared_for_ranks,
-            &conserved_for_ranks,
-        )
-        .map(Some)
+        elastic_rank_body(&ctx, &config_owned, &shared_for_ranks, &conserved_for_ranks).map(Some)
     })?;
     let outcome = first_outcome(results)?;
 
@@ -918,7 +840,6 @@ pub fn run_elastic_rescale(
 fn elastic_rank_body(
     ctx: &RankCtx,
     config: &ElasticRescaleConfig,
-    coordinator: &RecoveryCoordinator,
     shared: &SharedState,
     conserved: &Mutex<bool>,
 ) -> Result<RankOutcome, RuntimeError> {
@@ -933,7 +854,7 @@ fn elastic_rank_body(
     // Phases after the first resume from the checkpoint their predecessor
     // wrote, re-planned for the phase's world.
     let resume = |world_size: usize| {
-        let (state, assignment) = restore_latest(coordinator, shared, world_size)?;
+        let (state, assignment) = restore_latest(shared, world_size)?;
         check_conservation(&assignment);
         Ok::<_, RuntimeError>((assignment, state.layers))
     };
@@ -943,10 +864,10 @@ fn elastic_rank_body(
     check_conservation(&assignment);
     let mut layers = init_layers(workload);
     let phase = 0..config.shrink_at;
-    let loss = train_phase(&world, &assignment, &mut layers, phase, workload)?;
+    let loss = train_phase(&world, &assignment, &mut layers, phase)?;
     // Checkpoint at the shrink boundary, then split off the released ranks.
     if let Some(state) = gather_full_state(&world, &assignment, &layers, config.shrink_at, loss)? {
-        save_checkpoint(state, coordinator, shared)?;
+        save_checkpoint(state, shared)?;
     }
     world.barrier()?;
     if me == 0 {
@@ -956,10 +877,7 @@ fn elastic_rank_body(
             .lock()
             .release(JOB, &released, config.shrink_at)
             .map_err(|e| RuntimeError::InvalidArgument(format!("elastic release: {e}")))?;
-        shared
-            .overhead
-            .lock()
-            .record_recovery(coordinator.config.rebuild_cost);
+        shared.overhead.lock().record_recovery(REBUILD_COST);
     }
     let active_ranks: Vec<usize> = (0..config.shrink_to).collect();
     let active = world.split_subset(&active_ranks)?;
@@ -968,10 +886,10 @@ fn elastic_rank_body(
     if let Some(active) = &active {
         let (assignment, mut layers) = resume(config.shrink_to)?;
         let phase = config.shrink_at..config.grow_at;
-        let loss = train_phase(active, &assignment, &mut layers, phase, workload)?;
+        let loss = train_phase(active, &assignment, &mut layers, phase)?;
         if let Some(state) = gather_full_state(active, &assignment, &layers, config.grow_at, loss)?
         {
-            save_checkpoint(state, coordinator, shared)?;
+            save_checkpoint(state, shared)?;
         }
     }
 
@@ -987,16 +905,13 @@ fn elastic_rank_body(
             .lock()
             .acquire(JOB, &reacquired, config.grow_at)
             .map_err(|e| RuntimeError::InvalidArgument(format!("elastic acquire: {e}")))?;
-        shared
-            .overhead
-            .lock()
-            .record_recovery(coordinator.config.rebuild_cost);
+        shared.overhead.lock().record_recovery(REBUILD_COST);
     }
 
     // Phase 3: full world again, restored from the grow-point checkpoint.
     let (assignment, mut layers) = resume(config.world_size)?;
     let phase = config.grow_at..config.iterations;
-    let loss = train_phase(&world, &assignment, &mut layers, phase, workload)?;
+    let loss = train_phase(&world, &assignment, &mut layers, phase)?;
     conclude(&world, assignment, &layers, config.iterations, loss)
 }
 
@@ -1007,11 +922,10 @@ fn local_step(
     assignment: &StageAssignment,
     layers: &mut [LayerState],
     iteration: u64,
-    workload: &WorkloadConfig,
 ) -> Result<f32, RuntimeError> {
     let owned = assignment.layers_of(comm.rank());
     for &l in &owned {
-        apply_schedules(&mut layers[l], iteration, workload);
+        apply_schedules(&mut layers[l], iteration);
         train_step(&mut layers[l], iteration);
     }
     let partial: f32 = owned.iter().map(|&l| layer_loss(&layers[l])).sum();
@@ -1025,11 +939,10 @@ fn train_phase(
     assignment: &StageAssignment,
     layers: &mut [LayerState],
     iterations: std::ops::Range<u64>,
-    workload: &WorkloadConfig,
 ) -> Result<f32, RuntimeError> {
     let mut loss = 0.0;
     for iteration in iterations {
-        loss = local_step(comm, assignment, layers, iteration, workload)?;
+        loss = local_step(comm, assignment, layers, iteration)?;
     }
     Ok(loss)
 }
@@ -1044,10 +957,7 @@ mod tests {
             iterations,
             workload: WorkloadConfig::small(world * 3, 42),
             fault_plan: plan,
-            recovery: RecoveryConfig {
-                checkpoint_interval: 10,
-                ..RecoveryConfig::default()
-            },
+            checkpoint_interval: 10,
         }
     }
 
@@ -1231,7 +1141,6 @@ mod tests {
 
     #[test]
     fn replan_respects_world_size_and_conservation() {
-        let coordinator = RecoveryCoordinator::new(RecoveryConfig::default());
         let layers = init_layers(&WorkloadConfig::small(12, 7));
         let mut metrics = std::collections::BTreeMap::new();
         metrics.insert("loss".to_string(), 1.0);
@@ -1244,7 +1153,7 @@ mod tests {
             engine: None,
         };
         for world in [1, 2, 3, 4, 6] {
-            let assignment = coordinator.replan(&state, world);
+            let assignment = replan(&state, world);
             assert!(assignment_conserves_layers(&assignment, 12));
             assert!(assignment.num_stages() <= world);
         }
@@ -1259,7 +1168,6 @@ mod tests {
             shrink_at: 12,
             shrink_to: 2,
             grow_at: 24,
-            recovery: RecoveryConfig::default(),
         };
         let report = run_elastic_rescale(&config).unwrap();
         assert_eq!(report.phase_world_sizes, vec![4, 2, 4]);
@@ -1286,7 +1194,6 @@ mod tests {
             shrink_at: 10,
             shrink_to: 2,
             grow_at: 20,
-            recovery: RecoveryConfig::default(),
         })
         .unwrap();
         let static_run = run_resilient(&ResilientTrainingConfig {
@@ -1294,7 +1201,7 @@ mod tests {
             iterations: 30,
             workload,
             fault_plan: FaultPlan::none(),
-            recovery: RecoveryConfig::default(),
+            checkpoint_interval: 25,
         })
         .unwrap();
         assert_eq!(rescale.weights_checksum, static_run.weights_checksum);
@@ -1309,7 +1216,6 @@ mod tests {
             shrink_at: 10,
             shrink_to: 2,
             grow_at: 20,
-            recovery: RecoveryConfig::default(),
         };
         assert!(good.validate().is_ok());
         let mut bad = good.clone();

@@ -3,9 +3,10 @@
 //! One [`Trainer`] drives: the dynamism engine (model/control-flow change),
 //! the profiler (per-layer times & memory), the rebalance controller
 //! (balance / re-pack / migrate), the pipeline simulator (iteration time,
-//! idleness, bubbles), the hybrid data-parallel throughput model, and the
-//! elastic job manager (GPU release).  The resulting [`TrainingReport`]
-//! carries every quantity the paper's evaluation section plots.
+//! idleness, bubbles) and the hybrid data-parallel throughput model.  The
+//! GPUs a re-pack releases leave the report's active-worker count.  The
+//! resulting [`TrainingReport`] carries every quantity the paper's
+//! evaluation section plots.
 //!
 //! A trainer keeps its run live between calls: [`Trainer::advance_to`]
 //! continues it and [`Trainer::rescale`] moves it onto a shrunken or grown
@@ -20,6 +21,7 @@ use dynmo_model::{ClusterConfig, Model, ModelConfig};
 use dynmo_pipeline::memory::inflight_microbatches;
 use dynmo_pipeline::{
     load::{aggregate_stage_loads, apply_boundary_sizes},
+    metrics::imbalance,
     CommCostModel, HybridThroughputModel, IterationReport, LayerLoad, PipelineSimulator,
     ScheduleKind, StageAssignment, StageLoad,
 };
@@ -32,10 +34,9 @@ use dynmo_resilience::{
 
 use crate::balancer::{stage_weights, BalanceObjective};
 use crate::controller::RebalanceController;
-use crate::elastic::MockJobManager;
-use crate::imbalance::{load_imbalance, ImbalanceHistory};
+use crate::imbalance::ImbalanceHistory;
 use crate::overhead::OverheadBreakdown;
-use crate::profiler::{Profiler, StragglerDetector};
+use crate::profiler::{profile_layers, profiling_cost, StragglerDetector};
 use crate::report::TrainingReport;
 
 /// Configuration of one training run.
@@ -356,10 +357,6 @@ impl RunState {
     }
 }
 
-/// The trainer's owner name in its job manager's ledger: it holds its
-/// cluster's stages as one job.
-const JOB: &str = "trainer";
-
 /// The end-to-end training loop.
 ///
 /// A trainer holds at most one live run.  [`Trainer::advance_to`] starts it
@@ -370,9 +367,7 @@ const JOB: &str = "trainer";
 pub struct Trainer {
     config: TrainerConfig,
     model: Model,
-    profiler: Profiler,
     controller: RebalanceController,
-    job_manager: MockJobManager,
     initial_assignment: Option<StageAssignment>,
     checkpointing: Option<Checkpointing>,
     recorder: Arc<dyn Recorder>,
@@ -385,14 +380,10 @@ impl Trainer {
     /// balancing decisions.
     pub fn new(model: Model, config: TrainerConfig, controller: RebalanceController) -> Self {
         config.validate().expect("invalid trainer configuration");
-        let profiler = Profiler::new(config.cluster.device);
-        let job_manager = MockJobManager::held_by(JOB, config.cluster.pipeline_stages);
         Trainer {
             config,
             model,
-            profiler,
             controller,
-            job_manager,
             initial_assignment: None,
             checkpointing: None,
             recorder: Arc::new(NullRecorder),
@@ -485,11 +476,6 @@ impl Trainer {
     /// The trainer's configuration (its cluster follows every rescale).
     pub fn config(&self) -> &TrainerConfig {
         &self.config
-    }
-
-    /// The job manager (for inspecting fleet events after a run).
-    pub fn job_manager(&self) -> &MockJobManager {
-        &self.job_manager
     }
 
     /// Iterations the live run has completed (0 before a run starts).
@@ -614,13 +600,13 @@ impl Trainer {
     /// Reshape the live run onto `cluster` at the current iteration — an
     /// elastic shrink or grow.  The layers are laid out uniformly over the
     /// new world (the rebalance controller balances them at its next due
-    /// iteration); the models, the straggler detector, the profiler and the
-    /// job manager are rebuilt for the new cluster; and `cost` simulated
-    /// seconds (the checkpoint write and communicator rebuild the move
-    /// pays) are charged to the total time and the recovery bucket as one
-    /// recovery event.  The trajectory checksum hashes per-iteration
-    /// quantities only, so outside the rescale a shrunken-and-regrown run
-    /// stays bit-identical to an undisturbed one.
+    /// iteration); the models and the straggler detector are rebuilt for
+    /// the new cluster; and `cost` simulated seconds (the checkpoint write
+    /// and communicator rebuild the move pays) are charged to the total
+    /// time and the recovery bucket as one recovery event.  The trajectory
+    /// checksum hashes per-iteration quantities only, so outside the
+    /// rescale a shrunken-and-regrown run stays bit-identical to an
+    /// undisturbed one.
     ///
     /// Fails, changing nothing, if no run is live, the new configuration is
     /// invalid (for example zero stages), `cost` is not finite and ≥ 0, or
@@ -659,8 +645,6 @@ impl Trainer {
         run.total_time += cost;
         run.overhead.record_recovery(cost);
         run.reprofile = true;
-        self.profiler = Profiler::new(config.cluster.device);
-        self.job_manager = MockJobManager::held_by(JOB, stages);
         self.config = config;
         Ok(())
     }
@@ -714,7 +698,7 @@ impl Trainer {
         let model_cfg = self.model.config();
         let update = engine.step(iteration);
         if update.changed || run.reprofile {
-            run.loads = self.profiler.profile(&self.model, &update);
+            run.loads = profile_layers(&self.model, &update, &self.config.cluster.device);
             run.reprofile = false;
             run.dirty = true;
         }
@@ -791,7 +775,7 @@ impl Trainer {
                 effective_speeds.as_deref(),
                 cluster.stage_capacities.as_deref(),
             );
-            let profiling_cost = self.profiler.profiling_cost(&run.loads);
+            let profiling_cost = profiling_cost(&run.loads);
             run.overhead.record(
                 profiling_cost,
                 outcome.algorithm_time,
@@ -813,9 +797,6 @@ impl Trainer {
                     ],
                 );
             }
-            self.job_manager
-                .release(JOB, &outcome.released_workers, iteration)
-                .expect("re-packing releases only workers the job holds");
             if outcome.assignment != run.assignment || outcome.active_workers != run.active_workers
             {
                 run.dirty = true;
@@ -871,7 +852,7 @@ impl Trainer {
             run.cached_idleness = report.average_idleness();
             run.cached_bubble = report.bubble_ratio();
             run.cached_tokens = throughput.tokens_per_iteration;
-            run.cached_imbalance = load_imbalance(&stage_weights(
+            run.cached_imbalance = imbalance(&stage_weights(
                 &run.assignment,
                 &run.loads,
                 self.config.objective,
@@ -1164,16 +1145,6 @@ mod tests {
             report.average_active_workers
         );
         assert!(report.final_active_workers < 8);
-        // The ledger agrees with the report: every re-pack released its
-        // workers at the iteration the trainer stopped using them.  Both
-        // averages are sums of integers, so they agree to the bit.
-        let ledger = trainer.job_manager();
-        assert!(!ledger.events().is_empty());
-        assert_eq!(ledger.allocated(), report.final_active_workers);
-        assert_eq!(
-            ledger.average_allocated(report.iterations).to_bits(),
-            report.average_active_workers.to_bits()
-        );
         // Throughput per GPU must not collapse when consolidating.
         assert!(report.tokens_per_second_per_gpu > 0.0);
     }
@@ -1368,6 +1339,10 @@ mod tests {
         assert_eq!(end.world_size, 4);
         assert!(second.total_tokens > first.total_tokens);
         assert!(second.overhead.recovery >= 2.5);
+        // 40 iterations on 8 workers, then 40 on 4: the worker count spans
+        // the whole run, not only the world after the rescale.
+        assert_eq!(second.average_active_workers, 6.0);
+        assert_eq!(second.final_active_workers, 4);
     }
 
     #[test]

@@ -17,17 +17,13 @@
 //! ```
 
 use dynmo::core::recovery::{
-    run_elastic_rescale, run_resilient, ElasticRescaleConfig, RecoveryConfig,
-    ResilientTrainingConfig, WorkloadConfig,
+    run_elastic_rescale, run_resilient, ElasticRescaleConfig, ResilientTrainingConfig,
+    WorkloadConfig,
 };
 use dynmo::runtime::FaultPlan;
 
 fn main() {
     let workload = WorkloadConfig::small(12, 2024);
-    let recovery = RecoveryConfig {
-        checkpoint_interval: 10,
-        ..RecoveryConfig::default()
-    };
 
     println!("Part 1: kill rank 2 at iteration 23 of 60 (4 workers, checkpoint every 10)\n");
     let clean = run_resilient(&ResilientTrainingConfig {
@@ -35,7 +31,7 @@ fn main() {
         iterations: 60,
         workload,
         fault_plan: FaultPlan::none(),
-        recovery,
+        checkpoint_interval: 10,
     })
     .expect("failure-free run");
     let faulty = run_resilient(&ResilientTrainingConfig {
@@ -43,7 +39,7 @@ fn main() {
         iterations: 60,
         workload,
         fault_plan: FaultPlan::none().kill(2, 23),
-        recovery,
+        checkpoint_interval: 10,
     })
     .expect("fault-injected run");
 
@@ -94,7 +90,6 @@ fn main() {
         shrink_at: 20,
         shrink_to: 2,
         grow_at: 40,
-        recovery,
     })
     .expect("elastic rescale session");
 

@@ -3,7 +3,7 @@
 //! Reproduces, at example scale, the paper's headline elasticity story
 //! (§3.4 / Figure 4): as the Zhu–Gupta schedule prunes the model toward 90%
 //! sparsity, DynMo rebalances the shrinking layers, re-packs them onto fewer
-//! GPUs, and releases the idle GPUs back to the job manager.  The example
+//! GPUs, and releases the idle GPUs.  The example
 //! also runs the distributed global-pruning step itself (Algorithm 1) on the
 //! simulated multi-rank runtime to show the actual gather/broadcast pattern.
 //!
@@ -99,11 +99,4 @@ fn main() {
         "  balancing overhead:    {:>11.2}%",
         report.overhead_fraction * 100.0
     );
-    println!("\n  GPU release history (iteration → GPUs allocated):");
-    for event in trainer.job_manager().events() {
-        println!(
-            "    iteration {:>4}: {:+} GPUs → {} allocated",
-            event.iteration, -event.delta, event.allocated_after
-        );
-    }
 }

@@ -13,7 +13,7 @@
 //! paper's Figure 1 measures idleness against the strongest ("almost
 //! zero-bubble") member of this family.
 
-use dynmo::baselines::{static_controller, zero_bubble_baseline_schedule};
+use dynmo::baselines::static_controller;
 use dynmo::core::report::TrainingReport;
 use dynmo::core::trainer::{Trainer, TrainerConfig};
 use dynmo::dynamics::{FreezingEngine, FreezingPolicy};
@@ -48,6 +48,6 @@ fn main() {
 
     println!(
         "\nThe paper's static baseline schedule: {}",
-        zero_bubble_baseline_schedule().label()
+        ScheduleKind::ZeroBubbleH1.label()
     );
 }

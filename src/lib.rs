@@ -23,16 +23,16 @@
 //! * [`core`] — DynMo itself: profiler, Partition & Diffusion balancers,
 //!   re-packing (Algorithm 2), elastic GPU release, the rebalance
 //!   controller, the end-to-end [`core::trainer::Trainer`], and the
-//!   [`core::recovery`] coordinator that survives rank failures and
-//!   re-scales the world live.
+//!   [`core::recovery`] harness that survives rank failures and re-scales
+//!   the world live.
 //! * [`serve`] — continuous-batching inference serving: request traces,
 //!   KV-cache admission control, SLO metrics (TTFT/TPOT/goodput), and an
 //!   elastic autoscaler that grows/shrinks the replica fleet.
 //! * [`telemetry`] — observability: the structured event/span recorder,
 //!   streaming P² quantile sketches, wall-clock profiling scopes, and the
 //!   Chrome-trace-event/Perfetto timeline exporter.
-//! * [`baselines`] — Megatron-LM, DeepSpeed, Tutel, Egeria, AutoFreeze, and
-//!   PipeTransformer comparison points.
+//! * [`baselines`] — the Megatron-LM, DeepSpeed, Tutel and Egeria comparison
+//!   points.
 //!
 //! ## Quickstart
 //!

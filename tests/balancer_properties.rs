@@ -6,9 +6,9 @@ use dynmo::core::balancer::{
     stage_weights, BalanceObjective, BalanceRequest, DiffusionBalancer, LoadBalancer,
     PartitionBalancer,
 };
-use dynmo::core::load_imbalance;
 use dynmo::core::repack::{plan_repack, RepackConfig};
 use dynmo::model::{ClusterConfig, DeviceSpec, ModelConfig};
+use dynmo::pipeline::metrics::imbalance;
 use dynmo::pipeline::{
     CommCostModel, LayerLoad, PipelineSimulator, ScheduleKind, StageAssignment, StageLoad,
 };
@@ -85,8 +85,8 @@ proptest! {
         prop_assert!(outcome.assignment.is_contiguous());
         prop_assert_eq!(outcome.assignment.counts().iter().sum::<usize>(), loads.len());
 
-        let before = load_imbalance(&stage_weights(&current, &loads, BalanceObjective::ByTime));
-        let after = load_imbalance(&stage_weights(
+        let before = imbalance(&stage_weights(&current, &loads, BalanceObjective::ByTime));
+        let after = imbalance(&stage_weights(
             &outcome.assignment,
             &loads,
             BalanceObjective::ByTime,
@@ -277,12 +277,12 @@ proptest! {
         let stages = stages.min(loads.len());
         let balancer = DiffusionBalancer::new();
         let mut assignment = StageAssignment::uniform(loads.len(), stages);
-        let mut last = load_imbalance(&stage_weights(&assignment, &loads, BalanceObjective::ByTime));
+        let mut last = imbalance(&stage_weights(&assignment, &loads, BalanceObjective::ByTime));
         for round in 0..4 {
             let request = BalanceRequest::new(&loads, stages, u64::MAX, BalanceObjective::ByTime)
                 .with_current(&assignment);
             let outcome = balancer.rebalance(&request);
-            let now = load_imbalance(&stage_weights(
+            let now = imbalance(&stage_weights(
                 &outcome.assignment,
                 &loads,
                 BalanceObjective::ByTime,

@@ -2,17 +2,10 @@
 //! round-trips, and post-failure communicator equivalence.
 
 use dynmo::core::recovery::{
-    run_elastic_rescale, run_resilient, ElasticRescaleConfig, RecoveryConfig,
-    ResilientTrainingConfig, WorkloadConfig,
+    run_elastic_rescale, run_resilient, ElasticRescaleConfig, ResilientTrainingConfig,
+    WorkloadConfig,
 };
 use dynmo::runtime::{launch, Communicator, FaultPlan, Payload, RuntimeError};
-
-fn recovery(interval: u64) -> RecoveryConfig {
-    RecoveryConfig {
-        checkpoint_interval: interval,
-        ..RecoveryConfig::default()
-    }
-}
 
 fn config(world: usize, iterations: u64, plan: FaultPlan) -> ResilientTrainingConfig {
     ResilientTrainingConfig {
@@ -20,7 +13,7 @@ fn config(world: usize, iterations: u64, plan: FaultPlan) -> ResilientTrainingCo
         iterations,
         workload: WorkloadConfig::small(world * 4, 7),
         fault_plan: plan,
-        recovery: recovery(15),
+        checkpoint_interval: 15,
     }
 }
 
@@ -81,7 +74,6 @@ fn elastic_shrink_grow_round_trips_world_size_with_conservation() {
         shrink_at: 16,
         shrink_to: 2,
         grow_at: 32,
-        recovery: recovery(8),
     })
     .unwrap();
 
@@ -100,7 +92,7 @@ fn elastic_shrink_grow_round_trips_world_size_with_conservation() {
         iterations: 48,
         workload,
         fault_plan: FaultPlan::none(),
-        recovery: recovery(8),
+        checkpoint_interval: 8,
     })
     .unwrap();
     assert_eq!(report.weights_checksum, static_run.weights_checksum);
