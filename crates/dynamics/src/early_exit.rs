@@ -69,8 +69,6 @@ pub struct EarlyExitEngine {
     transformer_layers: Vec<usize>,
     num_layers: usize,
     rng: Prng,
-    /// Most recent per-layer surviving-token fractions.
-    last_survival: Vec<f64>,
 }
 
 impl EarlyExitEngine {
@@ -81,18 +79,42 @@ impl EarlyExitEngine {
             transformer_layers: model.transformer_layer_ids(),
             num_layers: model.num_layers(),
             rng: Prng::seed_from(seed),
-            last_survival: Vec::new(),
         }
     }
 
-    /// The method being emulated.
-    pub fn method(&self) -> EarlyExitMethod {
-        self.method
-    }
-
-    /// Per-layer token-survival fractions from the most recent step.
-    pub fn last_survival(&self) -> &[f64] {
-        &self.last_survival
+    /// Draw this iteration's survival profile and write it over `update`,
+    /// an identity update of this model: the surviving-token fraction
+    /// scales each layer's forward work, its outgoing tokens and, in
+    /// `training`, its backward work.  Layers before the exit start see
+    /// every token, so their identity entries stay.
+    fn write_survival(&mut self, update: &mut LoadUpdate, training: bool) {
+        if self.method == EarlyExitMethod::None {
+            return;
+        }
+        let depth = self.transformer_layers.len();
+        let exit_start = (depth as f64 * self.method.exit_start_fraction()).floor() as usize;
+        let exit_rate = self.method.exit_rate();
+        let mut surviving = 1.0f64;
+        let mut set_layer = |layer: usize, fraction: f64| {
+            update.fwd_scale[layer] = fraction;
+            if training {
+                update.bwd_scale[layer] = fraction;
+            }
+            // Exited tokens leave the pipeline: every tensor downstream of
+            // this layer carries only the survivors.
+            update.token_retention[layer] = fraction;
+        };
+        for &layer in &self.transformer_layers[exit_start..] {
+            // Noisy per-layer exit rate: the confidence threshold interacts
+            // with the batch content.
+            let noise = 1.0 + (self.rng.next_f64() - 0.5) * 0.5;
+            let rate = (exit_rate * noise).clamp(0.0, 0.9);
+            surviving *= 1.0 - rate;
+            set_layer(layer, surviving);
+        }
+        // The head only processes surviving tokens too.
+        set_layer(self.num_layers - 1, surviving);
+        update.changed = true;
     }
 }
 
@@ -107,37 +129,15 @@ impl DynamismEngine for EarlyExitEngine {
 
     fn step(&mut self, _iteration: u64) -> LoadUpdate {
         let mut update = LoadUpdate::identity(self.num_layers);
-        self.last_survival.clear();
-        self.last_survival.resize(self.num_layers, 1.0);
-        if self.method == EarlyExitMethod::None {
-            return update;
-        }
-        let depth = self.transformer_layers.len();
-        let exit_start = (depth as f64 * self.method.exit_start_fraction()).floor() as usize;
-        let mut surviving = 1.0f64;
-        for (pos, &layer) in self.transformer_layers.iter().enumerate() {
-            if pos >= exit_start {
-                // Noisy per-layer exit rate: the confidence threshold
-                // interacts with the batch content.
-                let noise = 1.0 + (self.rng.next_f64() - 0.5) * 0.5;
-                let rate = (self.method.exit_rate() * noise).clamp(0.0, 0.9);
-                surviving *= 1.0 - rate;
-            }
-            self.last_survival[layer] = surviving;
-            update.fwd_scale[layer] = surviving;
-            update.bwd_scale[layer] = surviving;
-            // Exited tokens leave the pipeline: every tensor downstream of
-            // this layer carries only the survivors.
-            update.token_retention[layer] = surviving;
-        }
-        // The head only processes surviving tokens too.
-        let head = self.num_layers - 1;
-        update.fwd_scale[head] = surviving;
-        update.bwd_scale[head] = surviving;
-        update.token_retention[head] = surviving;
-        self.last_survival[head] = surviving;
-        update.changed = true;
+        self.write_survival(&mut update, true);
         update
+    }
+
+    fn inference_step_into(&mut self, _iteration: u64, update: &mut LoadUpdate) {
+        // Overwrite whatever `update` held; inference runs no backward.
+        update.set_identity(self.num_layers);
+        update.bwd_scale.fill(0.0);
+        self.write_survival(update, false);
     }
 
     fn rebalance_frequency(&self) -> RebalanceFrequency {
@@ -158,7 +158,6 @@ impl DynamismEngine for EarlyExitEngine {
             return Err("early-exit state must carry exactly one RNG stream".into());
         }
         self.rng = Prng::from_state(state.rng_streams[0]);
-        self.last_survival.clear();
         Ok(())
     }
 }
@@ -218,11 +217,44 @@ mod tests {
     fn exit_profile_fluctuates_across_iterations() {
         let model = gpt();
         let mut e = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 3);
-        e.step(0);
-        let a = e.last_survival().to_vec();
-        e.step(1);
-        let b = e.last_survival().to_vec();
-        assert_ne!(a, b);
+        let a = e.step(0);
+        let b = e.step(1);
+        assert_ne!(a.token_retention, b.token_retention);
+    }
+
+    #[test]
+    fn inference_step_into_matches_inference_step_bit_for_bit() {
+        let model = gpt();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for method in [
+            EarlyExitMethod::None,
+            EarlyExitMethod::Calm,
+            EarlyExitMethod::AdpC,
+        ] {
+            let mut by_value = EarlyExitEngine::new(&model, method, 11);
+            let mut in_place = EarlyExitEngine::new(&model, method, 11);
+            // The target starts stale and of a foreign length, then holds
+            // the previous step's update: each refill overwrites all of it.
+            let mut update = LoadUpdate::identity(3);
+            update.fwd_scale[1] = 0.5;
+            update.bwd_scale[2] = 2.0;
+            update.changed = true;
+            for iteration in 0..50 {
+                let expected = by_value.inference_step(iteration);
+                in_place.inference_step_into(iteration, &mut update);
+                for (got, want) in [
+                    (&update.fwd_scale, &expected.fwd_scale),
+                    (&update.bwd_scale, &expected.bwd_scale),
+                    (&update.memory_scale, &expected.memory_scale),
+                    (&update.param_retention, &expected.param_retention),
+                    (&update.token_retention, &expected.token_retention),
+                ] {
+                    assert_eq!(bits(got), bits(want), "{method:?} iteration {iteration}");
+                }
+                assert_eq!(update.changed, expected.changed);
+            }
+            assert_eq!(in_place.export_state(), by_value.export_state());
+        }
     }
 
     #[test]
@@ -244,7 +276,6 @@ mod tests {
         assert_eq!(e.case(), DynamismCase::EarlyExit);
         assert_eq!(e.rebalance_frequency(), RebalanceFrequency::EveryN(100));
         assert!(e.name().contains("calm"));
-        assert_eq!(e.method(), EarlyExitMethod::Calm);
         assert_eq!(EarlyExitMethod::AdpC.label(), "adp-c");
         assert_eq!(EarlyExitMethod::None.label(), "no-exit");
     }

@@ -180,6 +180,23 @@ impl LoadUpdate {
         }
     }
 
+    /// Make this the [`LoadUpdate::identity`] of a `num_layers`-layer model
+    /// in place, reusing the buffers (no allocation once each holds
+    /// `num_layers` values), whatever length or values it held before.
+    pub fn set_identity(&mut self, num_layers: usize) {
+        for v in [
+            &mut self.fwd_scale,
+            &mut self.bwd_scale,
+            &mut self.memory_scale,
+            &mut self.param_retention,
+            &mut self.token_retention,
+        ] {
+            v.clear();
+            v.resize(num_layers, 1.0);
+        }
+        self.changed = false;
+    }
+
     /// Number of layers covered by this update.
     pub fn num_layers(&self) -> usize {
         self.fwd_scale.len()
@@ -218,12 +235,6 @@ impl LoadUpdate {
             return Err("token_retention must be ≤ 1".into());
         }
         Ok(())
-    }
-
-    /// The total compute multiplier of a layer, weighting forward and
-    /// backward by the standard 1:2 ratio.
-    pub fn total_scale(&self, layer: usize) -> f64 {
-        (self.fwd_scale[layer] + 2.0 * self.bwd_scale[layer]) / 3.0
     }
 }
 
@@ -265,6 +276,17 @@ pub trait DynamismEngine {
         update
     }
 
+    /// Advance to `iteration` and write into `update` the load state
+    /// [`DynamismEngine::inference_step`] would return, whatever `update`
+    /// held before.  The serving engine calls this on every engine step with
+    /// the update it priced the previous step under, so an engine that
+    /// refills the buffers in place makes the step allocation-free.  The
+    /// default delegates to `inference_step`, so a wrapper that overrides
+    /// only `inference_step` still sees every call.
+    fn inference_step_into(&mut self, iteration: u64, update: &mut LoadUpdate) {
+        *update = self.inference_step(iteration);
+    }
+
     /// The rebalancing cadence the paper prescribes for this case.
     fn rebalance_frequency(&self) -> RebalanceFrequency;
 
@@ -303,7 +325,15 @@ mod tests {
         u.validate().unwrap();
         assert_eq!(u.num_layers(), 5);
         assert!(!u.changed);
-        assert_eq!(u.total_scale(0), 1.0);
+
+        // Resetting in place overwrites any length and any values.
+        for mut dirty in [LoadUpdate::identity(2), LoadUpdate::identity(8)] {
+            dirty.fwd_scale[1] = 0.5;
+            dirty.token_retention[0] = 0.25;
+            dirty.changed = true;
+            dirty.set_identity(5);
+            assert_eq!(dirty, u);
+        }
     }
 
     #[test]
@@ -362,14 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn total_scale_weights_bwd_twice() {
-        let mut u = LoadUpdate::identity(2);
-        u.fwd_scale[0] = 1.0;
-        u.bwd_scale[0] = 0.0; // frozen layer: forward only
-        assert!((u.total_scale(0) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn rebalance_frequency_due_logic() {
         assert!(RebalanceFrequency::EveryIteration.is_due(1));
         assert!(RebalanceFrequency::EveryIteration.is_due(999));
@@ -420,6 +442,17 @@ mod tests {
         // The hook advances the same internal state as step().
         let i2 = infer.inference_step(1);
         assert!(i2.fwd_scale[1] < i.fwd_scale[1]);
+
+        // The in-place hook's default replaces whatever the target held
+        // with `inference_step`'s update.
+        let mut by_value = Shrinker { factor: 1.0 };
+        let mut in_place = Shrinker { factor: 1.0 };
+        let mut update = LoadUpdate::identity(7);
+        update.changed = true;
+        for iteration in 0..3 {
+            in_place.inference_step_into(iteration, &mut update);
+            assert_eq!(update, by_value.inference_step(iteration));
+        }
     }
 
     #[test]

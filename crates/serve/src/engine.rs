@@ -17,12 +17,15 @@
 //! step allocates nothing; a step without a dynamism engine reuses the
 //! identity update the deployment already holds.
 //!
-//! The dynamism engines plug in through their inference hook
-//! ([`DynamismEngine::inference_step`]): per engine step the current
-//! `LoadUpdate` rescales every layer's per-token forward time (MoE routing
-//! skew, early-exit survival) and shrinks boundary tensors via token
-//! retention — so CALM-style early exit directly shortens decode work and
-//! wire bytes, exactly as it shortened training iterations.
+//! The dynamism engines plug in through their in-place inference hook
+//! ([`DynamismEngine::inference_step_into`]): per engine step the engine
+//! writes the deployment's one `LoadUpdate`, which rescales every layer's
+//! per-token forward time (MoE routing skew, early-exit survival) and
+//! shrinks boundary tensors via token retention — so CALM-style early exit
+//! directly shortens decode work and wire bytes, exactly as it shortened
+//! training iterations.  Early exit refills the buffers in place, so a
+//! warm step under CALM allocates nothing either; an engine that keeps the
+//! hook's default replaces them with a fresh update each step.
 //!
 //! Replicas come and go through one lifecycle: *add* lays a replica out
 //! with the configured balancer (re-partitioning against the *current*
@@ -942,15 +945,16 @@ impl ServingSession {
 
         match dynamism {
             Some(e) => {
-                let update = e.inference_step(self.engine.engine_steps);
+                let update = &mut self.engine.latest_update;
+                e.inference_step_into(self.engine.engine_steps, update);
                 update.validate().expect("inference update is valid");
-                self.engine.latest_update = update;
                 self.engine.latest_from_engine = true;
             }
             // Without an engine the step runs at the identity, which
             // `latest_update` already holds unless an engine set it.
             None if self.engine.latest_from_engine => {
-                self.engine.latest_update = LoadUpdate::identity(self.engine.model.num_layers());
+                let layers = self.engine.model.num_layers();
+                self.engine.latest_update.set_identity(layers);
                 self.engine.latest_from_engine = false;
             }
             None => {}

@@ -15,8 +15,9 @@
 //! * [`engine`] — the deployment: replicated pipelines laid out by DynMo's
 //!   balancers, engine steps priced by the pipeline simulator's
 //!   forward-only recurrence, dynamism engines plugged in through
-//!   their `inference_step` hook (early-exit token retention shortens
-//!   decode work and boundary bytes; MoE routing skews per-stage load).
+//!   their `inference_step_into` hook, which refills the deployment's
+//!   load update in place (early-exit token retention shortens decode
+//!   work and boundary bytes; MoE routing skews per-stage load).
 //! * [`metrics`] — SLO metrics: TTFT, TPOT, p50/p95/p99 latency, goodput.
 //! * [`autoscale`] — an SLO-driven elastic autoscaler that adds replicas,
 //!   laid out by the balancer, up to the deployment's GPU ceiling when a

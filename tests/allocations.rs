@@ -12,14 +12,20 @@
 //! * A warm `ServingSession::step` (no dynamism engine, records dropped)
 //!   allocates nothing apart from the latency summaries' amortized growth:
 //!   fewer than 100 allocations over 10,000 steps.
+//! * So does a warm step under CALM early exit, whose engine refills the
+//!   deployment's load update in place: fewer than 100 allocations over
+//!   10,000 steps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dynmo::model::{ClusterConfig, DeviceSpec, ModelConfig};
+use dynmo::dynamics::{EarlyExitEngine, EarlyExitMethod};
+use dynmo::model::{ClusterConfig, DeviceSpec, Model, ModelConfig};
 use dynmo::pipeline::load::StageLoad;
 use dynmo::pipeline::{CommCostModel, PipelineSimulator, ScheduleKind};
-use dynmo::serve::{ArrivalProcess, LengthModel, RequestTrace, ServingConfig, ServingEngine};
+use dynmo::serve::{
+    ArrivalProcess, LengthModel, RequestTrace, ServingConfig, ServingEngine, ServingSession,
+};
 
 /// `System`, counting every allocation and reallocation per thread.
 struct CountingAllocator;
@@ -135,8 +141,9 @@ fn warm_forward_pricing_allocates_nothing() {
     }
 }
 
-#[test]
-fn a_warm_serving_step_allocates_nothing() {
+/// A fixed-capacity small deployment with records dropped, serving a
+/// Poisson trace long enough for 11,000 steps.
+fn serving_setup() -> (ServingEngine, RequestTrace) {
     let mut config = ServingConfig::small(2);
     config.retain_records = false;
     let lengths = LengthModel {
@@ -145,17 +152,45 @@ fn a_warm_serving_step_allocates_nothing() {
         spread: 0.4,
     };
     let trace = RequestTrace::generate(&ArrivalProcess::Poisson { rate: 4.0 }, 600.0, &lengths, 7);
-    let mut session = ServingEngine::new(config)
-        .expect("valid deployment")
-        .session(&trace);
+    (ServingEngine::new(config).expect("valid deployment"), trace)
+}
+
+/// Allocations of 10,000 warm `step`s of `session`, after 1,000 steps to
+/// warm it.
+fn warm_step_allocations(
+    session: &mut ServingSession,
+    mut step: impl FnMut(&mut ServingSession) -> bool,
+) -> u64 {
     for _ in 0..1_000 {
-        assert!(session.step(None));
+        assert!(step(session));
     }
-    let (served, allocations) = allocations_of(|| (0..10_000).all(|_| session.step(None)));
+    let (served, allocations) = allocations_of(|| (0..10_000).all(|_| step(session)));
     assert!(served, "the trace ran out before 11,000 steps");
+    allocations
+}
+
+#[test]
+fn a_warm_serving_step_allocates_nothing() {
+    let (engine, trace) = serving_setup();
+    let allocations = warm_step_allocations(&mut engine.session(&trace), |s| s.step(None));
     // Only the exact buffers of the three latency summaries still grow.
     assert!(
         allocations < 100,
         "10,000 warm steps made {allocations} allocations"
+    );
+}
+
+#[test]
+fn a_warm_calm_serving_step_allocates_nothing() {
+    let (engine, trace) = serving_setup();
+    let mut session = engine.session(&trace);
+    let model = Model::from_preset(session.config().preset);
+    let mut calm = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 7);
+    let allocations = warm_step_allocations(&mut session, |s| s.step(Some(&mut calm)));
+    // The engine refills the deployment's update in place, so again only
+    // the latency summaries' exact buffers grow.
+    assert!(
+        allocations < 100,
+        "10,000 warm CALM steps made {allocations} allocations"
     );
 }

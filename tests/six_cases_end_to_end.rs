@@ -206,6 +206,13 @@ fn dynmo_does_not_change_the_learning_process() {
     let _ = run_static(&model, &mut engine_a);
     let _ = run_dynmo(&model, &mut engine_b, false, None);
     // Both engines advanced the same number of iterations with the same
-    // seed; their final survival profiles must be bit-identical.
-    assert_eq!(engine_a.last_survival(), engine_b.last_survival());
+    // seed: their states match, and so does every next update.
+    assert_eq!(engine_a.export_state(), engine_b.export_state());
+    let (next_a, next_b) = (engine_a.step(ITERATIONS), engine_b.step(ITERATIONS));
+    assert_eq!(next_a.fwd_scale, next_b.fwd_scale);
+    assert_eq!(next_a.bwd_scale, next_b.bwd_scale);
+    assert_eq!(next_a.memory_scale, next_b.memory_scale);
+    assert_eq!(next_a.param_retention, next_b.param_retention);
+    assert_eq!(next_a.token_retention, next_b.token_retention);
+    assert_eq!(next_a.changed, next_b.changed);
 }
