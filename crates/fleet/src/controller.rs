@@ -441,15 +441,21 @@ impl FleetController {
                 let cutoff = now - self.config.ttft_window;
                 t.window.retain(|&(end, _)| end >= cutoff);
             }
-            for t in &self.tenants {
-                self.recorder
-                    .counter(0, &format!("{}_p99_ttft", t.name), now, t.windowed_p99());
-                self.recorder.counter(
-                    0,
-                    &format!("{}_live_replicas", t.name),
-                    now,
-                    t.session.live_replicas() as f64,
-                );
+            if self.recorder.enabled() {
+                for t in &self.tenants {
+                    self.recorder.counter(
+                        0,
+                        &format!("{}_p99_ttft", t.name),
+                        now,
+                        t.windowed_p99(),
+                    );
+                    self.recorder.counter(
+                        0,
+                        &format!("{}_live_replicas", t.name),
+                        now,
+                        t.session.live_replicas() as f64,
+                    );
+                }
             }
 
             // 3. Reclaim drained replicas into the free pool.
@@ -625,19 +631,21 @@ impl FleetController {
         self.tenants[idx].last_action = now;
         self.last_trainer_action = now;
         self.steals += 1;
-        self.recorder.instant(
-            0,
-            MarkerKind::GpuSteal,
-            &format!("{stages} GPUs to {name}"),
-            now,
-            &[
-                ("tenant", name.clone()),
-                ("checkpoint_cost", format!("{cost:.4}")),
-                ("trainer_world", self.trainer_workers.len().to_string()),
-            ],
-        );
-        self.recorder
-            .counter(0, "trainer_world", now, self.trainer_workers.len() as f64);
+        if self.recorder.enabled() {
+            self.recorder.instant(
+                0,
+                MarkerKind::GpuSteal,
+                &format!("{stages} GPUs to {name}"),
+                now,
+                &[
+                    ("tenant", name.clone()),
+                    ("checkpoint_cost", format!("{cost:.4}")),
+                    ("trainer_world", self.trainer_workers.len().to_string()),
+                ],
+            );
+            self.recorder
+                .counter(0, "trainer_world", now, self.trainer_workers.len() as f64);
+        }
         self.push_action(
             now,
             FleetActionKind::Steal {
@@ -672,16 +680,18 @@ impl FleetController {
         self.tenants[vidx].last_action = now;
         self.preemptions += 1;
         let victim_name = self.tenants[vidx].name.clone();
-        self.recorder.instant(
-            0,
-            MarkerKind::Preemption,
-            &format!("{victim_name} drains for {breacher}"),
-            now,
-            &[
-                ("victim", victim_name.clone()),
-                ("tenant", breacher.clone()),
-            ],
-        );
+        if self.recorder.enabled() {
+            self.recorder.instant(
+                0,
+                MarkerKind::Preemption,
+                &format!("{victim_name} drains for {breacher}"),
+                now,
+                &[
+                    ("victim", victim_name.clone()),
+                    ("tenant", breacher.clone()),
+                ],
+            );
+        }
         self.push_action(
             now,
             FleetActionKind::Preempt {
@@ -715,18 +725,20 @@ impl FleetController {
         let cost = self.trainer.rescale(self.trainer_workers.len())?;
         self.last_trainer_action = now;
         self.returns += 1;
-        self.recorder.instant(
-            0,
-            MarkerKind::GpuReturn,
-            &format!("{take} GPUs to trainer"),
-            now,
-            &[
-                ("checkpoint_cost", format!("{cost:.4}")),
-                ("trainer_world", self.trainer_workers.len().to_string()),
-            ],
-        );
-        self.recorder
-            .counter(0, "trainer_world", now, self.trainer_workers.len() as f64);
+        if self.recorder.enabled() {
+            self.recorder.instant(
+                0,
+                MarkerKind::GpuReturn,
+                &format!("{take} GPUs to trainer"),
+                now,
+                &[
+                    ("checkpoint_cost", format!("{cost:.4}")),
+                    ("trainer_world", self.trainer_workers.len().to_string()),
+                ],
+            );
+            self.recorder
+                .counter(0, "trainer_world", now, self.trainer_workers.len() as f64);
+        }
         self.push_action(now, FleetActionKind::Return, take);
         Ok(())
     }

@@ -17,6 +17,14 @@
 //! step allocates nothing; a step without a dynamism engine reuses the
 //! identity update the deployment already holds.
 //!
+//! At that identity update a step's price depends only on its replica's
+//! layout, fixed for the replica's life, and on the plan, so each replica
+//! keeps the plan and price of its latest identity step, and an identity
+//! step with the same plan (a run of equal decode steps) reuses the price
+//! instead of walking the layers and running the recurrence again.  The
+//! reuse is exact: the same function of the same inputs gives the same
+//! bits.  A step under a dynamism engine is always priced.
+//!
 //! The dynamism engines plug in through their in-place inference hook
 //! ([`DynamismEngine::inference_step_into`]): per engine step the engine
 //! writes the deployment's one `LoadUpdate`, which rescales every layer's
@@ -236,6 +244,10 @@ struct Replica {
     /// Worker ids of the GPU block an outside owner granted; empty on a
     /// self-managed deployment, which counts its GPUs but names none.
     workers: Vec<usize>,
+    /// The plan and price of this replica's latest step at the identity
+    /// update, which an identity step with the same plan reuses; it never
+    /// goes stale (see [`ServingEngine::price_step`]).
+    identity_price: Option<(StepPlan, f64)>,
 }
 
 impl Replica {
@@ -399,6 +411,7 @@ impl ServingEngine {
                 ready_at: 0.0,
                 draining: false,
                 workers: Vec::new(),
+                identity_price: None,
             })
             .collect();
         let meter = GpuMeter {
@@ -564,6 +577,15 @@ impl ServingEngine {
     /// Layers are walked in runs of consecutive layers on one stage: each
     /// stage still sums its layers in id order, and each run sizes its
     /// stage's boundary once, from the run's last layer.
+    ///
+    /// At the identity update the price is a pure function of the
+    /// replica's assignment (fixed from its addition until it is
+    /// reclaimed) and `plan`: the per-token costs, model, comm model,
+    /// micro-batch count and decode cost factor are fixed per deployment,
+    /// and every return to the identity rebuilds the same update.  So an
+    /// identity step may reuse the price of its replica's previous identity
+    /// step with the same plan, bit for bit, and every assertion here
+    /// already passed on those inputs (see `ServingSession::step_bounded`).
     fn price_step(&mut self, idx: usize, plan: StepPlan) -> f64 {
         let assignment = &self.replicas[idx].assignment;
         let num_stages = assignment.num_stages();
@@ -682,6 +704,7 @@ impl ServingEngine {
             ready_at: online_at,
             draining: false,
             workers,
+            identity_price: None,
         });
         self.created_replicas += 1;
         let live = self.live_replicas();
@@ -693,17 +716,19 @@ impl ServingEngine {
             observed_ttft_p99,
             backlog_tokens,
         });
-        self.recorder.instant(
-            0,
-            MarkerKind::ScaleOut,
-            &format!("to {live} replicas"),
-            now,
-            &[
-                ("ttft_p99", format!("{observed_ttft_p99:.4}")),
-                ("backlog_tokens", backlog_tokens.to_string()),
-            ],
-        );
-        self.recorder.counter(0, "live_replicas", now, live as f64);
+        if self.recorder.enabled() {
+            self.recorder.instant(
+                0,
+                MarkerKind::ScaleOut,
+                &format!("to {live} replicas"),
+                now,
+                &[
+                    ("ttft_p99", format!("{observed_ttft_p99:.4}")),
+                    ("backlog_tokens", backlog_tokens.to_string()),
+                ],
+            );
+            self.recorder.counter(0, "live_replicas", now, live as f64);
+        }
     }
 
     /// Lay out a new replica against the *current* dynamism state (e.g.
@@ -775,14 +800,16 @@ impl ServingEngine {
                 observed_ttft_p99: p99,
                 backlog_tokens: self.outstanding_tokens(),
             });
-            self.recorder.instant(
-                0,
-                MarkerKind::ScaleIn,
-                &format!("to {live} replicas"),
-                now,
-                &[("ttft_p99", format!("{p99:.4}"))],
-            );
-            self.recorder.counter(0, "live_replicas", now, live as f64);
+            if self.recorder.enabled() {
+                self.recorder.instant(
+                    0,
+                    MarkerKind::ScaleIn,
+                    &format!("to {live} replicas"),
+                    now,
+                    &[("ttft_p99", format!("{p99:.4}"))],
+                );
+                self.recorder.counter(0, "live_replicas", now, live as f64);
+            }
         }
         freed
     }
@@ -908,6 +935,14 @@ impl ServingSession {
     /// One iteration of the serve loop, gated on the start time of the
     /// earliest runnable step.  The body is the exact op sequence the
     /// monolithic `serve` loop ran — bit-identity depends on it.
+    ///
+    /// A step without a dynamism engine runs at the identity update; when
+    /// its plan equals the plan of the replica's latest identity step, it
+    /// takes that step's price instead of calling
+    /// [`ServingEngine::price_step`], which would return the same bits.
+    /// Any other step is priced, and an identity step then keeps its price
+    /// for the replica's next one.  A step under an engine validates and
+    /// prices the engine's update and neither reads nor clears the entry.
     fn step_bounded(&mut self, horizon: f64, dynamism: Option<&mut dyn DynamismEngine>) -> bool {
         if self.finished {
             return false;
@@ -963,7 +998,17 @@ impl ServingSession {
             .batcher
             .plan_step()
             .expect("next_action_time implies runnable work");
-        let duration = self.engine.price_step(idx, plan);
+        let at_identity = !self.engine.latest_from_engine;
+        let duration = match self.engine.replicas[idx].identity_price {
+            Some((last, price)) if at_identity && last == plan => price,
+            _ => {
+                let price = self.engine.price_step(idx, plan);
+                if at_identity {
+                    self.engine.replicas[idx].identity_price = Some((plan, price));
+                }
+                price
+            }
+        };
         let end = start + duration;
         let replica = &mut self.engine.replicas[idx];
         replica.clock = end;
@@ -1249,6 +1294,95 @@ mod tests {
         RequestTrace::generate(&ArrivalProcess::Poisson { rate }, duration, &lengths(), 11)
     }
 
+    /// A 40 s trace with a 20 s spike, served by one replica that
+    /// autoscales up to four.
+    fn spiky_autoscaled() -> (ServingConfig, RequestTrace) {
+        let process = ArrivalProcess::Bursty {
+            base_rate: 2.0,
+            spike_rate: 40.0,
+            spike_start: 10.0,
+            spike_duration: 20.0,
+        };
+        let trace = RequestTrace::generate(&process, 40.0, &lengths(), 21);
+        let mut config = ServingConfig::small(1);
+        config.max_replicas = 4;
+        let config = config.with_autoscaler(AutoscalerConfig::responsive(2.0, 1, 4));
+        (config, trace)
+    }
+
+    /// Four bursts of a compressed day, served by one replica that
+    /// autoscales up to three on the peaks and back in on the troughs.
+    fn diurnal_autoscaled() -> (ServingConfig, RequestTrace) {
+        let process = ArrivalProcess::Diurnal {
+            mean_rate: 8.0,
+            amplitude: 0.95,
+            period: 60.0,
+        };
+        let trace = RequestTrace::generate(&process, 240.0, &lengths(), 5);
+        let mut config = ServingConfig::small(1);
+        config.max_replicas = 3;
+        let config = config.with_autoscaler(AutoscalerConfig::responsive(2.0, 1, 3));
+        (config, trace)
+    }
+
+    /// The bits of a report's step count, makespan, latency summaries and
+    /// scale log.
+    fn bits(r: &ServingReport) -> Vec<u64> {
+        let mut bits = vec![r.engine_steps, r.makespan.to_bits()];
+        for s in [&r.ttft, &r.tpot, &r.latency] {
+            bits.extend([s.p50, s.p95, s.p99, s.mean].map(f64::to_bits));
+        }
+        for e in &r.scale_events {
+            bits.extend([
+                e.time.to_bits(),
+                e.delta as u64,
+                e.replicas_after as u64,
+                e.observed_ttft_p99.to_bits(),
+                e.backlog_tokens as u64,
+            ]);
+        }
+        bits
+    }
+
+    /// CALM's updates for the first `k` engine steps, identity after.
+    struct ThenIdentity {
+        calm: EarlyExitEngine,
+        k: u64,
+        steps: u64,
+        num_layers: usize,
+    }
+
+    impl ThenIdentity {
+        fn new(model: &Model, k: u64) -> Self {
+            ThenIdentity {
+                calm: EarlyExitEngine::new(model, EarlyExitMethod::Calm, 9),
+                k,
+                steps: 0,
+                num_layers: model.num_layers(),
+            }
+        }
+    }
+
+    impl DynamismEngine for ThenIdentity {
+        fn name(&self) -> String {
+            "calm-then-identity".into()
+        }
+        fn case(&self) -> dynmo_dynamics::DynamismCase {
+            self.calm.case()
+        }
+        fn step(&mut self, iteration: u64) -> LoadUpdate {
+            self.steps += 1;
+            if self.steps <= self.k {
+                self.calm.step(iteration)
+            } else {
+                LoadUpdate::identity(self.num_layers)
+            }
+        }
+        fn rebalance_frequency(&self) -> dynmo_dynamics::RebalanceFrequency {
+            self.calm.rebalance_frequency()
+        }
+    }
+
     #[test]
     fn a_light_trace_is_served_with_low_latency() {
         let trace = poisson_trace(2.0, 20.0);
@@ -1379,18 +1513,8 @@ mod tests {
 
     #[test]
     fn reclaimed_replicas_leave_the_replica_set() {
-        // Four bursts of a compressed day: the autoscaler scales out on
-        // the peaks and back in on the troughs.
-        let process = ArrivalProcess::Diurnal {
-            mean_rate: 8.0,
-            amplitude: 0.95,
-            period: 60.0,
-        };
-        let trace = RequestTrace::generate(&process, 240.0, &lengths(), 5);
-        let max_replicas = 3;
-        let mut config = ServingConfig::small(1);
-        config.max_replicas = max_replicas;
-        let config = config.with_autoscaler(AutoscalerConfig::responsive(2.0, 1, max_replicas));
+        let (config, trace) = diurnal_autoscaled();
+        let max_replicas = config.max_replicas;
         let mut session = ServingEngine::new(config).unwrap().session(&trace);
         while session.step(None) {
             assert!(session.engine.replicas.len() <= max_replicas);
@@ -1467,17 +1591,7 @@ mod tests {
     fn recorder_and_record_dropping_change_no_metric() {
         use dynmo_telemetry::{Event, MemoryRecorder};
 
-        let process = ArrivalProcess::Bursty {
-            base_rate: 2.0,
-            spike_rate: 40.0,
-            spike_start: 10.0,
-            spike_duration: 20.0,
-        };
-        let trace = RequestTrace::generate(&process, 40.0, &lengths(), 21);
-        let mut config = ServingConfig::small(1);
-        config.max_replicas = 4;
-        let config = config.with_autoscaler(AutoscalerConfig::responsive(2.0, 1, 4));
-
+        let (config, trace) = spiky_autoscaled();
         let baseline = serve(config.clone(), &trace, None).unwrap();
 
         let recorder = std::sync::Arc::new(MemoryRecorder::new());
@@ -1529,59 +1643,7 @@ mod tests {
 
     #[test]
     fn dropping_the_dynamism_engine_returns_to_the_identity() {
-        // CALM's updates for the first `k` engine steps, identity after.
-        struct ThenIdentity {
-            calm: EarlyExitEngine,
-            k: u64,
-            steps: u64,
-            num_layers: usize,
-        }
-        impl DynamismEngine for ThenIdentity {
-            fn name(&self) -> String {
-                "calm-then-identity".into()
-            }
-            fn case(&self) -> dynmo_dynamics::DynamismCase {
-                self.calm.case()
-            }
-            fn step(&mut self, iteration: u64) -> LoadUpdate {
-                self.steps += 1;
-                if self.steps <= self.k {
-                    self.calm.step(iteration)
-                } else {
-                    LoadUpdate::identity(self.num_layers)
-                }
-            }
-            fn rebalance_frequency(&self) -> dynmo_dynamics::RebalanceFrequency {
-                self.calm.rebalance_frequency()
-            }
-        }
-        let bits = |r: &ServingReport| {
-            let mut bits = vec![r.engine_steps, r.makespan.to_bits()];
-            for s in [&r.ttft, &r.tpot, &r.latency] {
-                bits.extend([s.p50, s.p95, s.p99, s.mean].map(f64::to_bits));
-            }
-            for e in &r.scale_events {
-                bits.extend([
-                    e.time.to_bits(),
-                    e.delta as u64,
-                    e.replicas_after as u64,
-                    e.observed_ttft_p99.to_bits(),
-                    e.backlog_tokens as u64,
-                ]);
-            }
-            bits
-        };
-
-        let process = ArrivalProcess::Bursty {
-            base_rate: 2.0,
-            spike_rate: 40.0,
-            spike_start: 10.0,
-            spike_duration: 20.0,
-        };
-        let trace = RequestTrace::generate(&process, 40.0, &lengths(), 21);
-        let mut config = ServingConfig::small(1);
-        config.max_replicas = 4;
-        let config = config.with_autoscaler(AutoscalerConfig::responsive(2.0, 1, 4));
+        let (config, trace) = spiky_autoscaled();
         let model = Model::from_preset(config.preset);
         let k = 50;
 
@@ -1594,12 +1656,7 @@ mod tests {
         while dropped.step(None) {}
         let dropped = dropped.finish();
 
-        let mut wrapped = ThenIdentity {
-            calm: EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 9),
-            k,
-            steps: 0,
-            num_layers: model.num_layers(),
-        };
+        let mut wrapped = ThenIdentity::new(&model, k);
         let wrapped = serve(config.clone(), &trace, Some(&mut wrapped)).unwrap();
 
         assert_eq!(bits(&dropped), bits(&wrapped));
@@ -1610,6 +1667,73 @@ mod tests {
         let mut calm = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 9);
         let all_calm = serve(config, &trace, Some(&mut calm)).unwrap();
         assert_ne!(bits(&all_calm), bits(&dropped));
+    }
+
+    #[test]
+    fn reused_identity_prices_move_no_bit() {
+        // Without an engine, steps repeating their replica's last plan take
+        // its price; an engine that only ever returns the identity prices
+        // every step.  Scale-outs add replicas, and the day's troughs
+        // reclaim them.
+        let mut scale_ins = 0;
+        for (config, trace) in [spiky_autoscaled(), diurnal_autoscaled()] {
+            let reused = serve(config.clone(), &trace, None).unwrap();
+            let model = Model::from_preset(config.preset);
+            // No CALM steps: every update is the identity.
+            let mut identity = ThenIdentity::new(&model, 0);
+            let priced = serve(config, &trace, Some(&mut identity)).unwrap();
+            assert_eq!(bits(&reused), bits(&priced));
+            assert_eq!(reused, priced);
+            assert!(reused.scale_out_events() >= 1);
+            scale_ins += reused.scale_in_events();
+        }
+        assert!(scale_ins >= 1);
+    }
+
+    #[test]
+    fn identity_steps_take_the_replicas_price_and_engine_steps_do_not() {
+        // One request: a prefill step, then single-token decode steps.
+        let trace = RequestTrace::replayed("one", vec![(0.0, 16, 8)]).unwrap();
+        let mut session = ServingEngine::new(ServingConfig::small(1))
+            .unwrap()
+            .session(&trace);
+        assert!(session.step(None));
+        // The step started at 0 and kept its own plan and price.
+        let prefill = StepPlan {
+            prefill_tokens: 16,
+            decode_tokens: 0,
+        };
+        let kept = session.engine.replicas[0].identity_price;
+        assert_eq!(kept, Some((prefill, session.makespan())));
+
+        // Plant a sentinel price for the next plan.
+        let sentinel = 1000.0;
+        let decode = session.engine.replicas[0].batcher.plan_step().unwrap();
+        assert_eq!(decode.batch_tokens(), 1);
+        session.engine.replicas[0].identity_price = Some((decode, sentinel));
+        let start = session.next_action_time().unwrap();
+        assert!(session.step(None));
+        assert_eq!(session.makespan(), start + sentinel);
+
+        // A CALM step with the same plan is priced, and leaves the entry.
+        assert_eq!(session.engine.replicas[0].batcher.plan_step(), Some(decode));
+        let model = Model::from_preset(session.config().preset);
+        let mut calm = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 9);
+        let start = session.next_action_time().unwrap();
+        assert!(session.step(Some(&mut calm)));
+        let calm_duration = session.makespan() - start;
+        assert!(
+            calm_duration > 0.0 && calm_duration < 1.0,
+            "{calm_duration}"
+        );
+        let kept = session.engine.replicas[0].identity_price;
+        assert_eq!(kept, Some((decode, sentinel)));
+
+        // Back at the identity, the entry is still the replica's price.
+        assert_eq!(session.engine.replicas[0].batcher.plan_step(), Some(decode));
+        let start = session.next_action_time().unwrap();
+        assert!(session.step(None));
+        assert_eq!(session.makespan(), start + sentinel);
     }
 
     #[test]
