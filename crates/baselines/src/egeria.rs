@@ -95,7 +95,7 @@ mod tests {
             let b = reference.step(it);
             assert_eq!(a, b);
         }
-        assert_eq!(egeria.inner.num_frozen(), reference.num_frozen());
+        assert_eq!(egeria.inner.export_state(), reference.export_state());
         assert_eq!(egeria.case(), DynamismCase::LayerFreezing);
     }
 }

@@ -27,6 +27,5 @@ pub mod tutel;
 pub use egeria::EgeriaEngine;
 pub use static_balancers::{
     deepspeed_initial_assignment, megatron_initial_assignment, static_controller,
-    MegatronUniformBalancer,
 };
 pub use tutel::TutelMoeEngine;

@@ -13,48 +13,9 @@
 //! `regex` reduces to it when every transformer layer matches.
 
 use dynmo_core::balancer::partition::partition_balanced;
-use dynmo_core::balancer::{BalanceObjective, BalanceOutcome, BalanceRequest, LoadBalancer};
-use dynmo_core::controller::{RebalanceController, RebalancePolicy};
+use dynmo_core::controller::RebalanceController;
 use dynmo_model::Model;
 use dynmo_pipeline::StageAssignment;
-
-/// Megatron-LM's static policy: an equal number of layers per stage,
-/// regardless of their cost.  It is [`static_controller`]'s balancer, which
-/// names every static report (`static-megatron/by-params`) and is never
-/// invoked, since that controller never rebalances.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MegatronUniformBalancer;
-
-impl MegatronUniformBalancer {
-    /// Create the balancer.
-    pub fn new() -> Self {
-        MegatronUniformBalancer
-    }
-}
-
-impl LoadBalancer for MegatronUniformBalancer {
-    fn name(&self) -> String {
-        "static-megatron".to_string()
-    }
-
-    fn rebalance(&self, request: &BalanceRequest<'_>) -> BalanceOutcome {
-        let assignment = StageAssignment::uniform(request.loads.len(), request.num_stages);
-        let bottleneck = assignment
-            .counts()
-            .iter()
-            .scan(0usize, |offset, &count| {
-                let sum: f64 = (*offset..*offset + count).map(|l| request.weight(l)).sum();
-                *offset += count;
-                Some(sum)
-            })
-            .fold(0.0, f64::max);
-        BalanceOutcome {
-            assignment,
-            rounds: 1,
-            bottleneck,
-        }
-    }
-}
 
 /// The initial assignment Megatron-LM would use for `model` on
 /// `num_stages` pipeline stages: the *transformer* layers are distributed
@@ -98,48 +59,19 @@ pub fn deepspeed_initial_assignment(model: &Model, num_stages: usize) -> StageAs
 }
 
 /// The controller used for every static baseline: whatever the initial
-/// assignment was, never rebalance during training.
+/// assignment was, never rebalance during training.  It holds no balancer,
+/// and its reports are labelled `static/by-param`.
 pub fn static_controller() -> RebalanceController {
-    RebalanceController::new(
-        Box::new(MegatronUniformBalancer::new()),
-        BalanceObjective::ByParams,
-        RebalancePolicy::disabled(),
-    )
+    RebalanceController::static_split()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dynmo_model::ModelPreset;
-    use dynmo_pipeline::LayerLoad;
 
     fn gpt() -> Model {
         Model::from_preset(ModelPreset::Gpt { layers: 24 })
-    }
-
-    fn loads(n: usize) -> Vec<LayerLoad> {
-        (0..n)
-            .map(|i| LayerLoad {
-                layer_id: i,
-                fwd_time: 1.0 + i as f64,
-                bwd_time: 2.0,
-                param_count: 1_000,
-                static_bytes: 100,
-                activation_bytes: 10,
-                migration_bytes: 100,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn megatron_splits_layers_evenly_regardless_of_cost() {
-        let loads = loads(16);
-        let request = BalanceRequest::new(&loads, 4, u64::MAX, BalanceObjective::ByTime);
-        let outcome = MegatronUniformBalancer::new().rebalance(&request);
-        assert_eq!(outcome.assignment.counts(), vec![4, 4, 4, 4]);
-        assert_eq!(outcome.rounds, 1);
-        assert!(outcome.bottleneck > 0.0);
-        assert_eq!(MegatronUniformBalancer::new().name(), "static-megatron");
     }
 
     #[test]
@@ -179,6 +111,6 @@ mod tests {
     fn static_controller_never_rebalances() {
         let controller = static_controller();
         assert!(!controller.is_due(100, dynmo_dynamics::RebalanceFrequency::EveryIteration));
-        assert!(!controller.policy().enabled);
+        assert_eq!(controller.name(), "static/by-param");
     }
 }

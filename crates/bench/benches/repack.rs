@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynmo_core::migration::MigrationPlan;
-use dynmo_core::repack::{plan_repack, RepackConfig};
+use dynmo_core::repack::plan_repack;
 use dynmo_pipeline::{LayerLoad, StageAssignment};
 
 fn loads(layers: usize) -> Vec<LayerLoad> {
@@ -28,19 +28,15 @@ fn bench_repack(c: &mut Criterion) {
         let assignment = StageAssignment::uniform(layers, workers);
         let layer_loads = loads(layers);
         let inflight = vec![4usize; workers];
-        let config = RepackConfig {
-            max_memory: 200_000_000,
-            target_num_workers: 2,
-            utilization_cap: 0.9,
-        };
+        let max_memory = 200_000_000;
         group.bench_with_input(
             BenchmarkId::new("plan_repack", workers),
             &assignment,
             |b, assignment| {
-                b.iter(|| plan_repack(assignment, &layer_loads, &inflight, &config));
+                b.iter(|| plan_repack(assignment, &layer_loads, &inflight, max_memory));
             },
         );
-        let plan = plan_repack(&assignment, &layer_loads, &inflight, &config);
+        let plan = plan_repack(&assignment, &layer_loads, &inflight, max_memory);
         group.bench_with_input(
             BenchmarkId::new("migration_plan", workers),
             &plan.new_assignment,

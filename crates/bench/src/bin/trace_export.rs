@@ -48,7 +48,6 @@ fn trainer_config(iterations: u64) -> TrainerConfig {
         num_microbatches: MICROBATCHES,
         allreduce_overlap: 0.8,
         objective: BalanceObjective::ByTime,
-        min_workers: 1,
     }
 }
 

@@ -11,7 +11,6 @@ use dynmo_baselines::{
 };
 use dynmo_core::balancer::{BalanceObjective, DiffusionBalancer, PartitionBalancer};
 use dynmo_core::controller::{RebalanceController, RebalancePolicy};
-use dynmo_core::repack::RepackConfig;
 use dynmo_core::report::TrainingReport;
 use dynmo_core::trainer::{Trainer, TrainerConfig};
 use dynmo_dynamics::{
@@ -325,6 +324,12 @@ pub fn run_configuration(config: &CaseConfig, balancer: BalancerKind) -> Configu
         ..TrainerConfig::paper_defaults(cluster.clone(), config.scale.iterations())
     };
 
+    // The DynMo rows rebalance dynamically and, when the case re-packs,
+    // consolidate under the cluster's device memory.
+    let policy = RebalancePolicy {
+        frequency: None,
+        repack: config.repack,
+    };
     let controller = match balancer {
         BalancerKind::StaticMegatron | BalancerKind::StaticDeepSpeedParam | BalancerKind::Sota => {
             static_controller()
@@ -332,12 +337,12 @@ pub fn run_configuration(config: &CaseConfig, balancer: BalancerKind) -> Configu
         BalancerKind::PartitionByParam | BalancerKind::PartitionByTime => RebalanceController::new(
             Box::new(PartitionBalancer::new()),
             balancer.objective(),
-            repack_policy(config.repack, cluster.device.memory_capacity),
+            policy,
         ),
         BalancerKind::DiffusionByParam | BalancerKind::DiffusionByTime => RebalanceController::new(
             Box::new(DiffusionBalancer::new()),
             balancer.objective(),
-            repack_policy(config.repack, cluster.device.memory_capacity),
+            policy,
         ),
     };
 
@@ -372,20 +377,6 @@ pub fn run_configuration(config: &CaseConfig, balancer: BalancerKind) -> Configu
         },
         schedule,
         report,
-    }
-}
-
-/// The DynMo rows' policy: dynamic rebalancing, plus re-packing down to as
-/// few as 2 workers when `repack` is set.
-pub(crate) fn repack_policy(repack: bool, memory_capacity: u64) -> RebalancePolicy {
-    if repack {
-        RebalancePolicy::dynamic_with_repack(RepackConfig {
-            max_memory: memory_capacity,
-            target_num_workers: 2,
-            utilization_cap: 0.9,
-        })
-    } else {
-        RebalancePolicy::dynamic()
     }
 }
 

@@ -116,9 +116,8 @@ impl HeteroConfiguration {
 
     fn controller(&self) -> RebalanceController {
         let every10 = RebalancePolicy {
-            enabled: true,
             frequency: Some(RebalanceFrequency::EveryN(10)),
-            repack: None,
+            repack: false,
         };
         match self {
             HeteroConfiguration::StaticMegatron | HeteroConfiguration::StaticZeroBubble => {

@@ -15,7 +15,7 @@ use dynmo_pipeline::memory::check_stage_memory;
 use dynmo_pipeline::{ScheduleKind, StageAssignment};
 use serde::Serialize;
 
-use crate::cases::{build_engine, repack_policy, BalancerKind, DynamicCase};
+use crate::cases::{build_engine, BalancerKind, DynamicCase};
 use crate::idleness::layer_sweep;
 use crate::scale::ExperimentScale;
 
@@ -148,7 +148,10 @@ pub fn run_average_gpu_sweep(scale: ExperimentScale) -> Vec<AverageGpuRow> {
                 num_microbatches: 32,
                 ..TrainerConfig::paper_defaults(cluster.clone(), scale.iterations())
             };
-            let controller = partition_by_time(repack_policy(true, cluster.device.memory_capacity));
+            let controller = partition_by_time(RebalancePolicy {
+                frequency: None,
+                repack: true,
+            });
             let mut engine = build_engine(case, &model, scale, BalancerKind::PartitionByTime, 3);
             let mut trainer = Trainer::new(model, trainer_config, controller);
             let report = trainer.run(engine.as_mut());

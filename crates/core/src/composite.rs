@@ -168,7 +168,6 @@ mod tests {
             num_microbatches: stages * 4,
             allreduce_overlap: 0.8,
             objective: BalanceObjective::ByTime,
-            min_workers: 1,
         }
     }
 

@@ -6,7 +6,9 @@
 //! the iteration counter (via [`RebalancePolicy`]) and, when due, runs:
 //! profile → balance → (optionally re-pack) → migrate, returning the new
 //! assignment together with the modeled time of each phase so the trainer
-//! can charge the overhead the way the paper's Figure 4 does.
+//! can charge the overhead the way the paper's Figure 4 does.  A static
+//! baseline's controller ([`RebalanceController::static_split`]) holds no
+//! balancer and is never due.
 
 use dynmo_dynamics::RebalanceFrequency;
 use dynmo_pipeline::{CommCostModel, LayerLoad, StageAssignment};
@@ -14,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::balancer::{BalanceObjective, BalanceRequest, LoadBalancer};
 use crate::migration::MigrationPlan;
-use crate::repack::{plan_repack, RepackConfig};
+use crate::repack::{plan_repack, TARGET_WORKERS};
 
 /// Fraction of the layer-migration time that is *exposed* (not hidden behind
 /// the backward pass).  The paper couples layer migration with the pipeline's
@@ -36,41 +38,20 @@ pub const BALANCER_SECONDS_PER_LAYER_ROUND: f64 = 1.1e-7;
 /// When and how the controller intervenes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RebalancePolicy {
-    /// Whether dynamic rebalancing is enabled at all (disabled = static
-    /// baseline behaviour).
-    pub enabled: bool,
     /// Rebalancing cadence.  `None` defers to the dynamism engine's own
     /// recommended frequency.
     pub frequency: Option<RebalanceFrequency>,
-    /// Re-packing configuration; `None` disables consolidation.
-    pub repack: Option<RepackConfig>,
+    /// Whether a rebalance first re-packs the layers onto fewer workers
+    /// under the memory capacity (Algorithm 2, [`plan_repack`]).
+    pub repack: bool,
 }
 
 impl RebalancePolicy {
     /// Dynamic rebalancing at the engine-recommended cadence, no re-packing.
     pub fn dynamic() -> Self {
         RebalancePolicy {
-            enabled: true,
             frequency: None,
-            repack: None,
-        }
-    }
-
-    /// Dynamic rebalancing with re-packing enabled under the given config.
-    pub fn dynamic_with_repack(repack: RepackConfig) -> Self {
-        RebalancePolicy {
-            enabled: true,
-            frequency: None,
-            repack: Some(repack),
-        }
-    }
-
-    /// A static policy: never rebalance after the initial split.
-    pub fn disabled() -> Self {
-        RebalancePolicy {
-            enabled: false,
-            frequency: None,
-            repack: None,
+            repack: false,
         }
     }
 }
@@ -100,7 +81,8 @@ pub struct RebalanceOutcome {
 
 /// Drives rebalancing and re-packing decisions for the trainer.
 pub struct RebalanceController {
-    balancer: Box<dyn LoadBalancer + Send>,
+    /// `None` for a static baseline, which is never due.
+    balancer: Option<Box<dyn LoadBalancer + Send>>,
     objective: BalanceObjective,
     policy: RebalancePolicy,
 }
@@ -113,26 +95,33 @@ impl RebalanceController {
         policy: RebalancePolicy,
     ) -> Self {
         RebalanceController {
-            balancer,
+            balancer: Some(balancer),
             objective,
             policy,
         }
     }
 
-    /// The controller's policy.
-    pub fn policy(&self) -> &RebalancePolicy {
-        &self.policy
+    /// The static baselines' controller: it keeps whatever initial split
+    /// the trainer starts from, holds no balancer and is never due.  Its
+    /// reports are labelled `static/by-param`.
+    pub fn static_split() -> Self {
+        RebalanceController {
+            balancer: None,
+            objective: BalanceObjective::ByParams,
+            policy: RebalancePolicy::dynamic(),
+        }
     }
 
     /// The balancer's display name, e.g. `diffusion/by-time`.
     pub fn name(&self) -> String {
-        format!("{}/{}", self.balancer.name(), self.objective.label())
+        let balancer = self.balancer.as_ref().map_or("static".into(), |b| b.name());
+        format!("{balancer}/{}", self.objective.label())
     }
 
     /// Whether a rebalance is due at `iteration`, given the engine's
     /// recommended cadence.
     pub fn is_due(&self, iteration: u64, engine_frequency: RebalanceFrequency) -> bool {
-        if !self.policy.enabled || iteration == 0 {
+        if self.balancer.is_none() || iteration == 0 {
             return false;
         }
         self.policy
@@ -146,16 +135,21 @@ impl RebalanceController {
     /// * `current` — the assignment in effect (over the currently active
     ///   workers).
     /// * `loads` — the freshly profiled per-layer loads.
-    /// * `memory_capacity` — per-worker memory budget.
+    /// * `memory_capacity` — per-worker memory budget, and re-packing's
+    ///   `MAX_MEM`.
     /// * `inflight` — in-flight micro-batches per active stage.
     /// * `comm` — communication model for migration cost.
-    /// * `min_workers` — never consolidate below this many workers.
     /// * `num_microbatches` — micro-batches per iteration, used to weigh the
     ///   expected per-iteration benefit of a move against its migration cost.
     /// * `stage_speeds` — per-stage effective speeds on a heterogeneous (or
     ///   straggler-degraded) cluster; `None` = homogeneous.
     /// * `stage_capacities` — per-stage memory capacities; `None` = every
     ///   stage has `memory_capacity`.
+    ///
+    /// # Panics
+    ///
+    /// On a [`RebalanceController::static_split`] controller, which is
+    /// never due.
     #[allow(clippy::too_many_arguments)]
     pub fn rebalance(
         &self,
@@ -164,23 +158,22 @@ impl RebalanceController {
         memory_capacity: u64,
         inflight: &[usize],
         comm: &CommCostModel,
-        min_workers: usize,
         num_microbatches: usize,
         stage_speeds: Option<&[f64]>,
         stage_capacities: Option<&[u64]>,
     ) -> RebalanceOutcome {
+        let balancer = self
+            .balancer
+            .as_ref()
+            .expect("a static controller is never due");
         let mut active_workers = current.num_stages();
         let mut released_workers = Vec::new();
 
         // Step 1: re-packing decision (Algorithm 2) to find how many workers
         // the shrunken workload actually needs.
-        if let Some(repack) = &self.policy.repack {
-            let plan = plan_repack(current, loads, inflight, repack);
-            let feasible_workers = plan
-                .active_workers
-                .len()
-                .max(repack.target_num_workers)
-                .max(min_workers);
+        if self.policy.repack {
+            let plan = plan_repack(current, loads, inflight, memory_capacity);
+            let feasible_workers = plan.active_workers.len().max(TARGET_WORKERS);
             if feasible_workers < active_workers {
                 released_workers = (feasible_workers..active_workers).collect();
                 active_workers = feasible_workers;
@@ -224,7 +217,7 @@ impl RebalanceController {
             stage_speeds: stage_speeds.map(fit_f64),
             stage_capacities: stage_capacities.map(fit_u64),
         };
-        let outcome = self.balancer.rebalance(&request);
+        let outcome = balancer.rebalance(&request);
         let algorithm_time =
             BALANCER_SECONDS_PER_LAYER_ROUND * loads.len() as f64 * outcome.rounds as f64;
 
@@ -323,13 +316,9 @@ mod tests {
         assert!(c.is_due(1000, RebalanceFrequency::EveryN(1000)));
         assert!(!c.is_due(1001, RebalanceFrequency::EveryN(1000)));
 
-        let disabled = controller(RebalancePolicy::disabled());
-        assert!(!disabled.is_due(1, RebalanceFrequency::EveryIteration));
-
         let fixed = controller(RebalancePolicy {
-            enabled: true,
             frequency: Some(RebalanceFrequency::EveryN(7)),
-            repack: None,
+            repack: false,
         });
         assert!(fixed.is_due(7, RebalanceFrequency::EveryIteration));
         assert!(!fixed.is_due(8, RebalanceFrequency::EveryIteration));
@@ -343,17 +332,7 @@ mod tests {
             &(0..16).map(|i| 1.0 + i as f64 * 0.2).collect::<Vec<_>>(),
             100,
         );
-        let outcome = c.rebalance(
-            &current,
-            &loads,
-            u64::MAX,
-            &[1; 4],
-            &comm(),
-            1,
-            32,
-            None,
-            None,
-        );
+        let outcome = c.rebalance(&current, &loads, u64::MAX, &[1; 4], &comm(), 32, None, None);
         assert_eq!(outcome.active_workers, 4);
         assert!(outcome.released_workers.is_empty());
         assert_eq!(outcome.assignment.num_layers(), 16);
@@ -371,17 +350,7 @@ mod tests {
             100,
         );
         let run = |c: &RebalanceController| {
-            c.rebalance(
-                &current,
-                &loads,
-                u64::MAX,
-                &[1; 4],
-                &comm(),
-                1,
-                32,
-                None,
-                None,
-            )
+            c.rebalance(&current, &loads, u64::MAX, &[1; 4], &comm(), 32, None, None)
         };
         let per_round = BALANCER_SECONDS_PER_LAYER_ROUND * 16.0;
 
@@ -417,25 +386,13 @@ mod tests {
     fn rebalance_with_repack_releases_idle_workers() {
         // Tiny memory footprint: everything fits on one worker, but the
         // repack target floor is 2.
-        let repack = RepackConfig {
-            max_memory: 1_000_000,
-            target_num_workers: 2,
-            utilization_cap: 1.0,
-        };
-        let c = controller(RebalancePolicy::dynamic_with_repack(repack));
+        let c = controller(RebalancePolicy {
+            frequency: None,
+            repack: true,
+        });
         let current = StageAssignment::uniform(16, 8);
         let loads = loads(&[0.5; 16], 10);
-        let outcome = c.rebalance(
-            &current,
-            &loads,
-            u64::MAX,
-            &[1; 8],
-            &comm(),
-            1,
-            32,
-            None,
-            None,
-        );
+        let outcome = c.rebalance(&current, &loads, u64::MAX, &[1; 8], &comm(), 32, None, None);
         assert_eq!(outcome.active_workers, 2);
         assert_eq!(outcome.released_workers, vec![2, 3, 4, 5, 6, 7]);
         assert_eq!(outcome.assignment.num_stages(), 2);
@@ -443,32 +400,16 @@ mod tests {
     }
 
     #[test]
-    fn min_workers_floor_is_respected() {
-        let repack = RepackConfig {
-            max_memory: u64::MAX / 2,
-            target_num_workers: 1,
-            utilization_cap: 1.0,
-        };
-        let c = controller(RebalancePolicy::dynamic_with_repack(repack));
-        let current = StageAssignment::uniform(8, 4);
-        let loads = loads(&[0.5; 8], 10);
-        let outcome = c.rebalance(
-            &current,
-            &loads,
-            u64::MAX,
-            &[1; 4],
-            &comm(),
-            3,
-            32,
-            None,
-            None,
-        );
-        assert_eq!(outcome.active_workers, 3);
-    }
-
-    #[test]
     fn controller_name_includes_balancer_and_objective() {
         let c = controller(RebalancePolicy::dynamic());
         assert_eq!(c.name(), "partition/by-time");
+    }
+
+    #[test]
+    fn a_static_split_is_never_due() {
+        let c = RebalanceController::static_split();
+        assert!(!c.is_due(1, RebalanceFrequency::EveryIteration));
+        assert!(!c.is_due(1000, RebalanceFrequency::EveryN(1000)));
+        assert_eq!(c.name(), "static/by-param");
     }
 }

@@ -57,6 +57,6 @@ pub use recovery::{
     ElasticRescaleReport, RecoveryEvent, ResilientRunReport, ResilientTrainingConfig,
     WorkloadConfig,
 };
-pub use repack::{plan_repack, RepackConfig, RepackPlan};
+pub use repack::{plan_repack, RepackPlan};
 pub use report::TrainingReport;
 pub use trainer::{Trainer, TrainerConfig};

@@ -6,35 +6,23 @@
 //! emptied GPUs to the job manager.  Re-packing is scheduled at the end of a
 //! training iteration (on the existing synchronization barrier) and is
 //! infrequent compared to rebalancing.
+//!
+//! Algorithm 2's `MAX_MEM` is the memory capacity the rebalance controller
+//! is handed, filled to at most 90% per destination.  Its
+//! `target_num_workers` (the paper lets the user pick any target, unlike
+//! PipeTransformer's divide-by-two) is fixed at 2, the value every figure
+//! runs.
 
 use dynmo_pipeline::{LayerLoad, StageAssignment};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the re-packing pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RepackConfig {
-    /// Per-worker memory budget in bytes (`MAX_MEM` in Algorithm 2).
-    pub max_memory: u64,
-    /// Do not consolidate below this many active workers
-    /// (`target_num_workers` in Algorithm 2; the paper lets the user pick
-    /// an arbitrary target, unlike PipeTransformer's divide-by-two).
-    pub target_num_workers: usize,
-    /// Safety factor applied to the memory budget (a destination is only
-    /// used up to `max_memory * utilization_cap`).
-    pub utilization_cap: f64,
-}
+/// Re-packing never consolidates below this many active workers
+/// (`target_num_workers` in Algorithm 2).
+pub(crate) const TARGET_WORKERS: usize = 2;
 
-impl RepackConfig {
-    /// A config with the given budget, a target of 1 worker, and a 90%
-    /// utilization cap.
-    pub fn new(max_memory: u64) -> Self {
-        RepackConfig {
-            max_memory,
-            target_num_workers: 1,
-            utilization_cap: 0.9,
-        }
-    }
-}
+/// A destination worker is filled to at most this fraction of the memory
+/// budget.
+const UTILIZATION_CAP: f64 = 0.9;
 
 /// One layer transfer produced by Algorithm 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,12 +63,12 @@ impl RepackPlan {
 /// * `assignment` — the current layer→stage map.
 /// * `loads` — profiled per-layer loads (for memory accounting).
 /// * `inflight` — in-flight micro-batches per stage (activation memory).
-/// * `config` — memory budget and consolidation target.
+/// * `max_memory` — per-worker memory budget in bytes (`MAX_MEM`).
 pub fn plan_repack(
     assignment: &StageAssignment,
     loads: &[LayerLoad],
     inflight: &[usize],
-    config: &RepackConfig,
+    max_memory: u64,
 ) -> RepackPlan {
     let num_stages = assignment.num_stages();
     assert_eq!(inflight.len(), num_stages, "one inflight count per stage");
@@ -89,7 +77,7 @@ pub fn plan_repack(
         assignment.num_layers(),
         "one load per assigned layer"
     );
-    let budget = (config.max_memory as f64 * config.utilization_cap) as u64;
+    let budget = (max_memory as f64 * UTILIZATION_CAP) as u64;
 
     // Current per-worker memory usage and layer lists.
     let mut stage_layers: Vec<Vec<usize>> =
@@ -109,7 +97,7 @@ pub fn plan_repack(
                 continue;
             }
             let active_count = active.iter().filter(|&&a| a).count();
-            if active_count <= config.target_num_workers {
+            if active_count <= TARGET_WORKERS {
                 break;
             }
             if mem_usage[src] + mem_usage[dst] <= budget {
@@ -186,66 +174,53 @@ mod tests {
 
     #[test]
     fn repack_consolidates_when_memory_allows() {
-        // 4 stages × 2 layers × 100 bytes; budget 900 ⇒ everything fits on
-        // one worker (first-fit: stage 0 absorbs 1, 2, 3).
+        // 4 stages × 2 layers × 100 bytes; budget 1000 × 0.9 = 900 ⇒ three
+        // stages' worth fits on one worker, but re-packing stops at 2.
         let (assignment, loads) = simple_case(100, 2, 4);
-        let config = RepackConfig {
-            max_memory: 1_000,
-            target_num_workers: 1,
-            utilization_cap: 0.9,
-        };
-        let plan = plan_repack(&assignment, &loads, &[1; 4], &config);
+        let plan = plan_repack(&assignment, &loads, &[1; 4], 1_000);
         assert!(plan.releases_any());
-        assert_eq!(plan.active_workers.len(), 1);
-        assert_eq!(plan.released_workers.len(), 3);
-        assert_eq!(plan.new_assignment.active_stages().len(), 1);
-        // All 8 layers end up somewhere and none is duplicated.
-        assert_eq!(plan.new_assignment.num_layers(), 8);
+        assert_eq!(plan.active_workers, vec![2, 3]);
+        assert_eq!(plan.released_workers, vec![0, 1]);
+        assert_eq!(plan.new_assignment.counts(), vec![0, 0, 6, 2]);
         // Algorithm 2's pairwise first-fit cascades: stage 0 merges into 1,
-        // then 1 (now 4 layers) into 2, then 2 (6 layers) into 3, so the
-        // transfer list records 2 + 4 + 6 = 12 movements.
-        assert_eq!(plan.transfers.len(), 12);
+        // then 1 (now 4 layers) into 2, so the transfer list records
+        // 2 + 4 = 6 movements.
+        assert_eq!(plan.transfers.len(), 6);
     }
 
     #[test]
     fn repack_respects_the_memory_budget() {
         // Each stage holds 400 bytes; budget 900 × 0.9 = 810 ⇒ only pairs
-        // can merge (400+400=800 ≤ 810, but 1200 > 810).
-        let (assignment, loads) = simple_case(200, 2, 4);
-        let config = RepackConfig {
-            max_memory: 900,
-            target_num_workers: 1,
-            utilization_cap: 0.9,
-        };
-        let plan = plan_repack(&assignment, &loads, &[1; 4], &config);
-        assert_eq!(plan.active_workers.len(), 2);
+        // can merge (400+400=800 ≤ 810, but 1200 > 810), so six stages
+        // stop at three, above the target of 2.
+        let (assignment, loads) = simple_case(200, 2, 6);
+        let plan = plan_repack(&assignment, &loads, &[1; 6], 900);
+        assert_eq!(plan.active_workers, vec![1, 3, 5]);
         for &mem in &plan.memory_after {
             assert!(mem <= 810);
         }
+        // At 440 bytes a stage, a pair (880) fits the full budget of 900
+        // but not its usable 810, so nothing merges; at a budget of 978
+        // (usable 880) the pairs merge.
+        let (assignment, loads) = simple_case(220, 2, 4);
+        let plan = plan_repack(&assignment, &loads, &[1; 4], 900);
+        assert!(!plan.releases_any());
+        let plan = plan_repack(&assignment, &loads, &[1; 4], 978);
+        assert_eq!(plan.released_workers, vec![0, 2]);
     }
 
     #[test]
     fn repack_honors_the_target_worker_count() {
         let (assignment, loads) = simple_case(10, 2, 8);
-        let config = RepackConfig {
-            max_memory: u64::MAX / 4,
-            target_num_workers: 4,
-            utilization_cap: 1.0,
-        };
-        let plan = plan_repack(&assignment, &loads, &[1; 8], &config);
-        assert_eq!(plan.active_workers.len(), 4);
-        assert_eq!(plan.released_workers.len(), 4);
+        let plan = plan_repack(&assignment, &loads, &[1; 8], u64::MAX / 4);
+        assert_eq!(plan.active_workers.len(), TARGET_WORKERS);
+        assert_eq!(plan.released_workers.len(), 8 - TARGET_WORKERS);
     }
 
     #[test]
     fn repack_is_a_no_op_when_nothing_fits_together() {
         let (assignment, loads) = simple_case(800, 2, 4);
-        let config = RepackConfig {
-            max_memory: 1_000,
-            target_num_workers: 1,
-            utilization_cap: 1.0,
-        };
-        let plan = plan_repack(&assignment, &loads, &[1; 4], &config);
+        let plan = plan_repack(&assignment, &loads, &[1; 4], 1_000);
         assert!(!plan.releases_any());
         assert_eq!(plan.new_assignment, assignment);
         assert!(plan.transfers.is_empty());
@@ -255,8 +230,8 @@ mod tests {
     fn activation_memory_counts_against_the_budget() {
         // Static memory alone would allow merging, but activations (scaled
         // by in-flight micro-batches) push the pair over budget.
-        let assignment = StageAssignment::uniform(4, 2);
-        let loads: Vec<LayerLoad> = (0..4)
+        let assignment = StageAssignment::uniform(6, 3);
+        let loads: Vec<LayerLoad> = (0..6)
             .map(|i| LayerLoad {
                 layer_id: i,
                 fwd_time: 1.0,
@@ -267,34 +242,29 @@ mod tests {
                 migration_bytes: 100,
             })
             .collect();
-        let config = RepackConfig {
-            max_memory: 1_500,
-            target_num_workers: 1,
-            utilization_cap: 1.0,
-        };
-        // With 2 in-flight: each stage = 2·(100 + 400) = 1000 > 750 ⇒ no merge.
-        let plan = plan_repack(&assignment, &loads, &[2, 2], &config);
+        // Budget 1500 × 0.9 = 1350.  With 2 in-flight: each stage =
+        // 2·(100 + 400) = 1000, pair = 2000 > 1350 ⇒ no merge.
+        let plan = plan_repack(&assignment, &loads, &[2, 2, 2], 1_500);
         assert!(!plan.releases_any());
-        // With 1 in-flight: each stage = 600, pair = 1200 ≤ 1500 ⇒ merge.
-        let plan = plan_repack(&assignment, &loads, &[1, 1], &config);
+        // With 1 in-flight: each stage = 600, pair = 1200 ≤ 1350 ⇒ merge.
+        let plan = plan_repack(&assignment, &loads, &[1, 1, 1], 1_500);
         assert!(plan.releases_any());
     }
 
     #[test]
     fn already_empty_stages_are_not_reported_as_released() {
-        // Stage 2 is already empty before re-packing; releasing it again
+        // Stage 3 is already empty before re-packing; releasing it again
         // would double-free it at the job manager.
-        let assignment = StageAssignment::from_counts(&[2, 2, 0]);
-        let loads: Vec<LayerLoad> = (0..4).map(|i| load(i, 10)).collect();
-        let config = RepackConfig::new(1_000_000);
-        let plan = plan_repack(&assignment, &loads, &[1; 3], &config);
-        assert!(!plan.released_workers.contains(&2));
+        let assignment = StageAssignment::from_counts(&[2, 2, 2, 0]);
+        let loads: Vec<LayerLoad> = (0..6).map(|i| load(i, 10)).collect();
+        let plan = plan_repack(&assignment, &loads, &[1; 4], 1_000_000);
+        assert_eq!(plan.released_workers, vec![0]);
     }
 
     #[test]
     #[should_panic(expected = "one inflight count per stage")]
     fn inflight_length_must_match_stages() {
         let (assignment, loads) = simple_case(10, 1, 4);
-        let _ = plan_repack(&assignment, &loads, &[1; 2], &RepackConfig::new(100));
+        let _ = plan_repack(&assignment, &loads, &[1; 2], 100);
     }
 }

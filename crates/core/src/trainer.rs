@@ -55,8 +55,6 @@ pub struct TrainerConfig {
     pub allreduce_overlap: f64,
     /// The balancing objective used by the dynamic balancers.
     pub objective: BalanceObjective,
-    /// Never consolidate below this many pipeline workers.
-    pub min_workers: usize,
 }
 
 impl TrainerConfig {
@@ -72,7 +70,6 @@ impl TrainerConfig {
             num_microbatches,
             allreduce_overlap: 0.8,
             objective: BalanceObjective::ByTime,
-            min_workers: 1,
         }
     }
 
@@ -84,9 +81,6 @@ impl TrainerConfig {
         }
         if self.num_microbatches == 0 {
             return Err("num_microbatches must be positive".into());
-        }
-        if self.min_workers == 0 {
-            return Err("min_workers must be positive".into());
         }
         Ok(())
     }
@@ -770,7 +764,6 @@ impl Trainer {
                 self.config.cluster.device.memory_capacity,
                 &inflight,
                 &cluster.comm,
-                self.config.min_workers,
                 self.config.num_microbatches,
                 effective_speeds.as_deref(),
                 cluster.stage_capacities.as_deref(),
@@ -997,7 +990,6 @@ mod tests {
     use super::*;
     use crate::balancer::{DiffusionBalancer, PartitionBalancer};
     use crate::controller::RebalancePolicy;
-    use crate::repack::RepackConfig;
     use dynmo_dynamics::{
         EarlyExitEngine, EarlyExitMethod, FreezingEngine, FreezingPolicy, GradualPruningEngine,
         PruningSchedule,
@@ -1016,7 +1008,6 @@ mod tests {
             num_microbatches: stages * 4,
             allreduce_overlap: 0.8,
             objective: BalanceObjective::ByTime,
-            min_workers: 1,
         }
     }
 
@@ -1029,11 +1020,7 @@ mod tests {
     }
 
     fn static_controller() -> RebalanceController {
-        RebalanceController::new(
-            Box::new(PartitionBalancer::new()),
-            BalanceObjective::ByTime,
-            RebalancePolicy::disabled(),
-        )
+        RebalanceController::static_split()
     }
 
     /// Partition by time on a pinned cadence of every `n` iterations.
@@ -1042,9 +1029,8 @@ mod tests {
             Box::new(PartitionBalancer::new()),
             BalanceObjective::ByTime,
             RebalancePolicy {
-                enabled: true,
                 frequency: Some(dynmo_dynamics::RebalanceFrequency::EveryN(n)),
-                repack: None,
+                repack: false,
             },
         )
     }
@@ -1056,9 +1042,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = config(4, 10);
         cfg.num_microbatches = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = config(4, 10);
-        cfg.min_workers = 0;
         assert!(cfg.validate().is_err());
         assert!(config(4, 10).validate().is_ok());
     }
@@ -1122,18 +1105,12 @@ mod tests {
             frequency: 50,
             num_steps: 4,
         };
-        let repack = RepackConfig {
-            max_memory: DeviceSpec::h100_sxm5().memory_capacity,
-            target_num_workers: 2,
-            utilization_cap: 0.9,
-        };
         let controller = RebalanceController::new(
             Box::new(PartitionBalancer::new()),
             BalanceObjective::ByTime,
             RebalancePolicy {
-                enabled: true,
                 frequency: Some(dynmo_dynamics::RebalanceFrequency::EveryN(50)),
-                repack: Some(repack),
+                repack: true,
             },
         );
         let mut trainer = Trainer::new(model.clone(), config(8, 400), controller);
@@ -1544,7 +1521,9 @@ mod tests {
         // balancer must beat a static uniform split even with a *static*
         // workload (the imbalance comes from the hardware, not the model).
         let model = Model::from_preset(ModelPreset::Gpt { layers: 24 });
-        let cluster = ClusterConfig::hetero_two_gen(2, 4, 1);
+        let (h100, a100) = (DeviceSpec::h100_sxm5(), DeviceSpec::a100_sxm4());
+        let cluster =
+            ClusterConfig::homogeneous(2, 4, 1, h100).with_devices(vec![h100, h100, a100, a100]);
         let run = |controller: RebalanceController| {
             let mut cfg = config(4, 100);
             cfg.cluster = cluster.clone();

@@ -51,9 +51,6 @@ impl ModConfig {
 #[derive(Debug, Clone)]
 pub struct MixtureOfDepthsEngine {
     config: ModConfig,
-    /// All transformer layer ids (routed and dense), kept for callers that
-    /// want to inspect which blocks are dense.
-    transformer_layers: Vec<usize>,
     routed_layers: Vec<usize>,
     num_layers: usize,
     /// Fraction of a block's compute that the routed tokens account for
@@ -73,8 +70,8 @@ impl MixtureOfDepthsEngine {
             (0.0..=1.0).contains(&config.capacity),
             "capacity must be in [0, 1]"
         );
-        let transformer_layers = model.transformer_layer_ids();
-        let routed_layers: Vec<usize> = transformer_layers
+        let routed_layers: Vec<usize> = model
+            .transformer_layer_ids()
             .iter()
             .enumerate()
             .filter(|(pos, _)| pos % config.route_every == config.route_every - 1)
@@ -91,7 +88,6 @@ impl MixtureOfDepthsEngine {
         let routable_fraction = (block - router) / block;
         MixtureOfDepthsEngine {
             config,
-            transformer_layers,
             routed_layers,
             num_layers: model.num_layers(),
             routable_fraction,
@@ -108,15 +104,6 @@ impl MixtureOfDepthsEngine {
     /// Layer ids of the routed (MoD) blocks.
     pub fn routed_layers(&self) -> &[usize] {
         &self.routed_layers
-    }
-
-    /// Layer ids of the dense (non-routed) transformer blocks.
-    pub fn dense_layers(&self) -> Vec<usize> {
-        self.transformer_layers
-            .iter()
-            .copied()
-            .filter(|l| !self.routed_layers.contains(l))
-            .collect()
     }
 
     /// Per-layer effective token fractions of the last step.
@@ -244,14 +231,6 @@ mod tests {
         for &l in e.routed_layers() {
             assert!((e.last_fraction()[l] - 0.25).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn dense_and_routed_layers_partition_the_transformer_blocks() {
-        let e = MixtureOfDepthsEngine::new(&gpt(), ModConfig::paper_default(), 8);
-        let dense = e.dense_layers();
-        assert_eq!(dense.len() + e.routed_layers().len(), 24);
-        assert!(dense.iter().all(|l| !e.routed_layers().contains(l)));
     }
 
     #[test]

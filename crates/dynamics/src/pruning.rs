@@ -21,7 +21,7 @@
 use crate::rng::Prng;
 use dynmo_model::Model;
 use dynmo_runtime::{Communicator, Payload, Result as RtResult};
-use dynmo_sparse::{top_k_magnitudes, KernelCostModel, SpmmBackend};
+use dynmo_sparse::{top_k_magnitudes, KernelCostModel};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{DynamismCase, DynamismEngine, EngineState, LoadUpdate, RebalanceFrequency};
@@ -302,18 +302,6 @@ impl GradualPruningEngine {
         }
         update
     }
-
-    /// Whether the most recent step applied a pruning event.
-    pub fn last_pruning_step(&self) -> Option<u64> {
-        self.last_pruning_step
-    }
-
-    /// The backend the engine would select at the current sparsity.
-    pub fn current_backend(&self) -> SpmmBackend {
-        let (m, n, k) = self.gemm_shape;
-        self.kernel_cost
-            .best_backend(m, n, k, self.current_sparsity)
-    }
 }
 
 impl DynamismEngine for GradualPruningEngine {
@@ -459,7 +447,7 @@ mod tests {
         let tfm = gpt().transformer_layer_ids();
         assert!(update.fwd_scale[tfm[0]] < 0.8);
         assert!(update.param_retention[tfm[0]] < 0.5);
-        assert_eq!(engine.last_pruning_step(), Some(7000));
+        assert_eq!(engine.last_pruning_step, Some(7000));
     }
 
     #[test]
@@ -515,7 +503,6 @@ mod tests {
         assert!((engine.compute_scale(0.6) - 1.0).abs() < 1e-9);
         // Beyond the crossover the sparse kernel wins → scale < 1.
         assert!(engine.compute_scale(0.1) < 0.7);
-        assert_eq!(engine.current_backend(), SpmmBackend::CublasDense);
     }
 
     #[test]

@@ -16,11 +16,10 @@ use crate::rng::Prng;
 pub struct TokenStreamGenerator {
     num_experts: usize,
     tokens_per_batch: usize,
-    /// Zipf-like skew exponent: 0 = uniform popularity, larger = more skew.
-    skew: f64,
     rng: Prng,
-    /// Stationary expert popularity (re-sampled rarely; routing noise is
-    /// added per iteration on top).
+    /// Stationary expert popularity, Zipf-like in the skew exponent (0 =
+    /// uniform, larger = more skew); routing noise is added per iteration
+    /// on top.
     popularity: Vec<f64>,
 }
 
@@ -34,7 +33,6 @@ impl TokenStreamGenerator {
         TokenStreamGenerator {
             num_experts,
             tokens_per_batch,
-            skew,
             rng,
             popularity,
         }
@@ -53,16 +51,6 @@ impl TokenStreamGenerator {
         }
         let total: f64 = weights.iter().sum();
         weights.iter().map(|w| w / total).collect()
-    }
-
-    /// Number of experts.
-    pub fn num_experts(&self) -> usize {
-        self.num_experts
-    }
-
-    /// The skew exponent in use.
-    pub fn skew(&self) -> f64 {
-        self.skew
     }
 
     /// Draw the per-expert token counts for one iteration.  Counts sum to
@@ -90,12 +78,6 @@ impl TokenStreamGenerator {
             counts[idx] = new.max(0) as usize;
         }
         counts
-    }
-
-    /// Re-sample the stationary popularity (models a distribution shift in
-    /// the training data).
-    pub fn reshuffle_popularity(&mut self) {
-        self.popularity = Self::sample_popularity(self.num_experts, self.skew, &mut self.rng);
     }
 
     /// The generator's RNG stream position, for checkpointing.
@@ -176,36 +158,6 @@ mod tests {
         let mut c = TokenStreamGenerator::new(16, 8192, 0.6, 100);
         let same: bool = (0..5).all(|_| a.next_counts() == c.next_counts());
         assert!(!same);
-    }
-
-    #[test]
-    fn reshuffle_changes_the_hot_expert_eventually() {
-        let mut generator = TokenStreamGenerator::new(8, 100_000, 1.2, 5);
-        let hot_before = {
-            let counts = generator.next_counts();
-            counts
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &c)| c)
-                .map(|(i, _)| i)
-                .unwrap()
-        };
-        let mut changed = false;
-        for _ in 0..10 {
-            generator.reshuffle_popularity();
-            let counts = generator.next_counts();
-            let hot = counts
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &c)| c)
-                .map(|(i, _)| i)
-                .unwrap();
-            if hot != hot_before {
-                changed = true;
-                break;
-            }
-        }
-        assert!(changed, "hot expert never moved after reshuffling");
     }
 
     #[test]

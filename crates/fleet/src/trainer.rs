@@ -80,7 +80,6 @@ impl ElasticTrainerSpec {
             num_microbatches: self.num_microbatches,
             allreduce_overlap: self.allreduce_overlap,
             objective: BalanceObjective::ByTime,
-            min_workers: 1,
         };
         let controller = RebalanceController::new(
             Box::new(PartitionBalancer::new()),
@@ -142,11 +141,6 @@ impl ElasticTrainer {
                 .push((until, report.trajectory_checksum));
         }
         Ok(())
-    }
-
-    /// Run every remaining chunk.
-    pub fn run_to_completion(&mut self) -> Result<(), String> {
-        self.advance_to(f64::INFINITY)
     }
 
     /// Re-scale the job to `new_world` pipeline stages at the current chunk
@@ -266,13 +260,13 @@ mod tests {
     #[test]
     fn undisturbed_chunked_run_matches_a_monolithic_run_bit_for_bit() {
         let mut chunked = ElasticTrainer::new(spec(60, 10), engine(4), 4).unwrap();
-        chunked.run_to_completion().unwrap();
+        chunked.advance_to(f64::INFINITY).unwrap();
         assert!(chunked.finished());
         assert_eq!(chunked.iterations_done(), 60);
         assert_eq!(chunked.checksum_history().len(), 6);
 
         let mut whole = ElasticTrainer::new(spec(60, 60), engine(4), 4).unwrap();
-        whole.run_to_completion().unwrap();
+        whole.advance_to(f64::INFINITY).unwrap();
         assert_eq!(
             chunked.checksum_history().last().unwrap().1,
             whole.checksum_history().last().unwrap().1,
@@ -297,7 +291,7 @@ mod tests {
         assert_eq!(job.sim_time(), before + cost);
         assert_eq!(job.rescales(), 1);
 
-        job.run_to_completion().unwrap();
+        job.advance_to(f64::INFINITY).unwrap();
         assert!(job.finished());
         assert_eq!(job.last_report().unwrap().final_active_workers, 2);
         // No-op rescale and floor violations.
@@ -310,7 +304,7 @@ mod tests {
         let mut job = ElasticTrainer::new(spec(20, 10), engine(4), 4).unwrap();
         assert_eq!(job.rescale(6).unwrap(), 0.0);
         assert_eq!(job.world(), 6);
-        job.run_to_completion().unwrap();
+        job.advance_to(f64::INFINITY).unwrap();
         assert_eq!(job.last_report().unwrap().final_active_workers, 6);
     }
 }

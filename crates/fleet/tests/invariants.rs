@@ -201,7 +201,7 @@ fn quiet_fleet_leaves_the_trainer_trajectory_untouched() {
     assert_eq!(report.trainer_rescales, 0);
 
     let mut solo = ElasticTrainer::new(trainer_spec(40), engine(7), 8).unwrap();
-    solo.run_to_completion().unwrap();
+    solo.advance_to(f64::INFINITY).unwrap();
     assert!(!report.trajectory_checksums.is_empty());
     for (fleet_entry, solo_entry) in report
         .trajectory_checksums
@@ -229,7 +229,7 @@ fn stolen_runs_match_the_solo_trajectory_up_to_the_first_steal() {
 
     // Solo run, same seed and world, never disturbed.
     let mut solo = ElasticTrainer::new(trainer_spec(200), engine(41), 8).unwrap();
-    solo.run_to_completion().unwrap();
+    solo.advance_to(f64::INFINITY).unwrap();
     let mut compared = 0;
     for entry in &report.trajectory_checksums {
         if entry.0 > steal_iteration {

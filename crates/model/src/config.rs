@@ -156,17 +156,6 @@ impl ModelConfig {
         }
     }
 
-    /// Dimension of each attention head.
-    pub fn head_dim(&self) -> usize {
-        self.hidden_size / self.num_heads
-    }
-
-    /// Number of micro-batches per global batch for a single pipeline
-    /// (i.e. before dividing by the data-parallel degree).
-    pub fn micro_batches_per_batch(&self) -> usize {
-        self.global_batch_size.div_ceil(self.micro_batch_size)
-    }
-
     /// Tokens processed per global batch.
     pub fn tokens_per_batch(&self) -> u64 {
         self.global_batch_size as u64 * self.seq_len as u64
@@ -244,10 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn head_dim_and_micro_batch_arithmetic() {
+    fn tokens_per_batch_is_batch_times_sequence() {
         let cfg = ModelConfig::gpt(24);
-        assert_eq!(cfg.head_dim(), 32);
-        assert_eq!(cfg.micro_batches_per_batch(), 32);
         assert_eq!(cfg.tokens_per_batch(), 64 * 2048);
     }
 

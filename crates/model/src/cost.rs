@@ -3,7 +3,7 @@
 //! The pipeline simulator needs per-layer execution times.  On the paper's
 //! testbed those come from Megatron's built-in timers; here they come from a
 //! standard transformer FLOP model (the same arithmetic Megatron-LM and the
-//! Chinchilla/PaLM papers use) evaluated against a [`DeviceSpec`]'s
+//! Chinchilla/PaLM papers use) evaluated against a [`DeviceSpec`](crate::DeviceSpec)'s
 //! sustained throughput.  What matters for reproducing the paper's *shape*
 //! of results is that relative layer costs (attention vs MLP vs MoE, dense
 //! vs sparse, active vs frozen) are faithful, which a FLOP model guarantees
@@ -12,7 +12,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::ModelConfig;
-use crate::device::DeviceSpec;
 use crate::layer::{LayerDesc, LayerKind};
 
 /// Ratio of backward-pass FLOPs to forward-pass FLOPs.  The standard
@@ -204,11 +203,6 @@ impl CostModel {
 
         layers
     }
-
-    /// Convert a layer's total (fwd+bwd) FLOPs into seconds on `device`.
-    pub fn layer_time(&self, layer: &LayerDesc, device: &DeviceSpec) -> f64 {
-        device.compute_time(layer.flops_fwd) + device.compute_time(layer.flops_bwd)
-    }
 }
 
 #[cfg(test)]
@@ -279,18 +273,6 @@ mod tests {
         for l in &layers {
             assert!((l.flops_bwd - l.flops_fwd * BWD_TO_FWD_RATIO).abs() < 1.0);
         }
-    }
-
-    #[test]
-    fn layer_time_uses_device_throughput() {
-        let m = gpt24();
-        let layers = m.build_layers();
-        let h100 = DeviceSpec::h100_sxm5();
-        let a100 = DeviceSpec::a100_sxm4();
-        let t_h100 = m.layer_time(&layers[1], &h100);
-        let t_a100 = m.layer_time(&layers[1], &a100);
-        assert!(t_a100 > t_h100);
-        assert!(t_h100 > 0.0);
     }
 
     #[test]

@@ -131,10 +131,6 @@ pub struct ClusterConfig {
     /// Per-pipeline-stage device specs for mixed-generation clusters
     /// (`None` = homogeneous; every stage runs `device`).
     pub devices: Option<Vec<DeviceSpec>>,
-    /// Model inter-node links as one shared NIC per direction instead of
-    /// independent α–β edges: concurrent pipeline streams divide the
-    /// bandwidth (see [`ClusterConfig::inter_contention_factor`]).
-    pub shared_link_contention: bool,
 }
 
 impl ClusterConfig {
@@ -151,7 +147,6 @@ impl ClusterConfig {
             data_parallel,
             device,
             devices: None,
-            shared_link_contention: false,
         }
     }
 
@@ -171,31 +166,6 @@ impl ClusterConfig {
     /// paper's single-node and re-packing experiments start from 8).
     pub fn single_node(gpus: usize) -> Self {
         Self::homogeneous(gpus, gpus, 1, DeviceSpec::h100_sxm5())
-    }
-
-    /// A two-generation cluster: the first half of the pipeline runs H100s,
-    /// the second half A100s (upgrade-in-progress fleets look like this).
-    pub fn hetero_two_gen(
-        gpus_per_node: usize,
-        pipeline_stages: usize,
-        data_parallel: usize,
-    ) -> Self {
-        let devices: Vec<DeviceSpec> = (0..pipeline_stages)
-            .map(|s| {
-                if s < pipeline_stages / 2 {
-                    DeviceSpec::h100_sxm5()
-                } else {
-                    DeviceSpec::a100_sxm4()
-                }
-            })
-            .collect();
-        Self::homogeneous(
-            gpus_per_node,
-            pipeline_stages,
-            data_parallel,
-            DeviceSpec::h100_sxm5(),
-        )
-        .with_devices(devices)
     }
 
     /// A three-generation cluster: thirds of the pipeline on H100, A100 and
@@ -233,25 +203,11 @@ impl ClusterConfig {
         self
     }
 
-    /// Enable the shared-NIC contention model on inter-node links.
-    pub fn with_shared_link_contention(mut self, on: bool) -> Self {
-        self.shared_link_contention = on;
-        self
-    }
-
     /// The device backing pipeline stage `stage`.
     pub fn device_of(&self, stage: usize) -> &DeviceSpec {
         match &self.devices {
             Some(devices) => &devices[stage.min(devices.len().saturating_sub(1))],
             None => &self.device,
-        }
-    }
-
-    /// Whether any stage differs from the reference device.
-    pub fn is_heterogeneous(&self) -> bool {
-        match &self.devices {
-            Some(devices) => devices.iter().any(|d| d != &self.device),
-            None => false,
         }
     }
 
@@ -272,33 +228,6 @@ impl ClusterConfig {
         self.devices
             .as_ref()
             .map(|devices| devices.iter().map(|d| d.memory_capacity).collect())
-    }
-
-    /// The smallest memory capacity of any stage.
-    pub fn min_memory_capacity(&self) -> u64 {
-        match &self.devices {
-            Some(devices) => devices
-                .iter()
-                .map(|d| d.memory_capacity)
-                .min()
-                .unwrap_or(self.device.memory_capacity),
-            None => self.device.memory_capacity,
-        }
-    }
-
-    /// How many concurrent streams share an inter-node NIC when
-    /// `shared_link_contention` is on: forward activations and backward
-    /// gradients always overlap (2), plus the data-parallel allreduce
-    /// stream when there are replicas.
-    pub fn inter_contention_factor(&self) -> f64 {
-        if !self.shared_link_contention {
-            return 1.0;
-        }
-        let mut streams = 2.0;
-        if self.data_parallel > 1 {
-            streams += 1.0;
-        }
-        streams
     }
 
     /// Total number of GPUs in the job.
@@ -408,26 +337,9 @@ mod tests {
     #[test]
     fn homogeneous_cluster_reports_no_heterogeneity() {
         let c = ClusterConfig::single_node(8);
-        assert!(!c.is_heterogeneous());
         assert!(c.stage_speeds().is_none());
         assert!(c.stage_capacities().is_none());
-        assert_eq!(c.min_memory_capacity(), c.device.memory_capacity);
         assert_eq!(c.device_of(3), &c.device);
-        assert_eq!(c.inter_contention_factor(), 1.0);
-    }
-
-    #[test]
-    fn two_generation_cluster_splits_the_pipeline_in_half() {
-        let c = ClusterConfig::hetero_two_gen(4, 8, 1);
-        c.validate().unwrap();
-        assert!(c.is_heterogeneous());
-        assert_eq!(c.device_of(0), &DeviceSpec::h100_sxm5());
-        assert_eq!(c.device_of(3), &DeviceSpec::h100_sxm5());
-        assert_eq!(c.device_of(4), &DeviceSpec::a100_sxm4());
-        assert_eq!(c.device_of(7), &DeviceSpec::a100_sxm4());
-        let speeds = c.stage_speeds().unwrap();
-        assert_eq!(speeds[0], 1.0);
-        assert!((speeds[7] - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -439,33 +351,22 @@ mod tests {
         assert_eq!(c.device_of(11), &DeviceSpec::v100_sxm2());
         // The oldest generation bounds the memory floor.
         assert_eq!(
-            c.min_memory_capacity(),
-            DeviceSpec::v100_sxm2().memory_capacity
+            c.stage_capacities().unwrap().into_iter().min(),
+            Some(DeviceSpec::v100_sxm2().memory_capacity)
         );
         let speeds = c.stage_speeds().unwrap();
         assert!(speeds[11] < speeds[5] && speeds[5] < speeds[0]);
     }
 
     #[test]
-    fn all_equal_devices_count_as_heterogeneous_never() {
+    fn all_equal_devices_give_uniform_per_stage_views() {
         let c = ClusterConfig::single_node(4).with_devices(vec![DeviceSpec::h100_sxm5(); 4]);
-        assert!(!c.is_heterogeneous());
-        // But the per-stage views still exist and are all-1.0 / uniform.
         assert!(c.stage_speeds().unwrap().iter().all(|&s| s == 1.0));
     }
 
     #[test]
-    fn shared_link_contention_adds_streams() {
-        let pipe_only = ClusterConfig::single_node(4).with_shared_link_contention(true);
-        assert_eq!(pipe_only.inter_contention_factor(), 2.0);
-        let with_dp = ClusterConfig::homogeneous(4, 4, 2, DeviceSpec::h100_sxm5())
-            .with_shared_link_contention(true);
-        assert_eq!(with_dp.inter_contention_factor(), 3.0);
-    }
-
-    #[test]
     fn validation_rejects_wrong_device_count() {
-        let mut c = ClusterConfig::hetero_two_gen(4, 8, 1);
+        let mut c = ClusterConfig::hetero_three_gen(4, 12, 1);
         c.devices.as_mut().unwrap().pop();
         assert!(c.validate().is_err());
     }

@@ -7,18 +7,12 @@
 //! continuous-batching scheduler in `dynmo-serve` admits requests against
 //! the budgets computed here.
 //!
-//! The model is the standard per-token accounting with two hooks for the
-//! paper's dynamic-model mechanisms:
-//!
-//! * **Pruning** — a layer that retains only a fraction of its parameters
-//!   projects into proportionally fewer K/V channels, so its per-token KV
-//!   bytes scale with the retention fraction (the same `param_retention`
-//!   signal the training-side `LoadUpdate` carries).
-//! * **Sparse / windowed attention** — an attention mechanism that only
-//!   attends to the last `w` tokens (sliding-window flash attention, the
-//!   inference-time analogue of §2.4's dynamic sparse attention) only needs
-//!   to *cache* the last `w` tokens, capping per-request KV regardless of
-//!   sequence length.
+//! The model is the standard per-token accounting with one hook for the
+//! paper's dynamic-model mechanisms: **pruning**.  A layer that retains only
+//! a fraction of its parameters projects into proportionally fewer K/V
+//! channels, so its per-token KV bytes scale with the retention fraction
+//! (the same `param_retention` signal the training-side `LoadUpdate`
+//! carries).
 //!
 //! Per token and transformer layer the cache stores one K and one V vector
 //! of `hidden_size` elements at `param_bytes` precision:
@@ -68,41 +62,6 @@ impl KvCacheModel {
     ) -> u64 {
         let dense = self.layer_kv_bytes_per_token(layer) as f64;
         (dense * retained_fraction.clamp(0.0, 1.0)).ceil() as u64
-    }
-
-    /// Tokens a request actually keeps cached when it has processed
-    /// `seq_len` tokens: all of them for dense attention, at most the
-    /// window for sliding-window sparse attention.
-    pub fn cached_tokens(&self, seq_len: usize, attention_window: Option<usize>) -> usize {
-        match attention_window {
-            Some(w) => seq_len.min(w.max(1)),
-            None => seq_len,
-        }
-    }
-
-    /// Bytes of KV cache the given layers hold for one request with
-    /// `seq_len` processed tokens.  `retained_fraction` gives each layer's
-    /// pruning state (must be one entry per layer); `attention_window`
-    /// caps the cached tokens for sliding-window attention.
-    pub fn request_kv_bytes(
-        &self,
-        layers: &[LayerDesc],
-        retained_fraction: &[f64],
-        seq_len: usize,
-        attention_window: Option<usize>,
-    ) -> u64 {
-        assert_eq!(
-            layers.len(),
-            retained_fraction.len(),
-            "one retention factor per layer"
-        );
-        let tokens = self.cached_tokens(seq_len, attention_window) as u64;
-        layers
-            .iter()
-            .zip(retained_fraction.iter())
-            .map(|(layer, &retained)| self.pruned_layer_kv_bytes_per_token(layer, retained))
-            .sum::<u64>()
-            * tokens
     }
 
     /// Bytes of KV cache per cached token summed over `layers` at the given
@@ -175,27 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn windowed_attention_caps_cached_tokens() {
-        let (kv, layers) = gpt24();
-        assert_eq!(kv.cached_tokens(2048, None), 2048);
-        assert_eq!(kv.cached_tokens(2048, Some(512)), 512);
-        assert_eq!(kv.cached_tokens(100, Some(512)), 100);
-        // A windowed request stops growing once past the window.
-        let retained = vec![1.0; layers.len()];
-        let short = kv.request_kv_bytes(&layers, &retained, 400, Some(512));
-        let long = kv.request_kv_bytes(&layers, &retained, 4000, Some(512));
-        let capped = kv.request_kv_bytes(&layers, &retained, 512, Some(512));
-        assert!(short < capped);
-        assert_eq!(long, capped);
-    }
-
-    #[test]
-    fn request_kv_sums_transformer_layers_only() {
+    fn kv_per_token_sums_transformer_layers_only() {
         let (kv, layers) = gpt24();
         let retained = vec![1.0; layers.len()];
-        let bytes = kv.request_kv_bytes(&layers, &retained, 1000, None);
-        // 24 transformer layers × 4096 B/token × 1000 tokens.
-        assert_eq!(bytes, 24 * 4096 * 1000);
+        // 24 transformer layers × 4096 B/token.
         assert_eq!(kv.kv_bytes_per_token(&layers, &retained), 24 * 4096);
     }
 
@@ -233,6 +175,6 @@ mod tests {
     #[should_panic(expected = "one retention factor per layer")]
     fn mismatched_retention_length_panics() {
         let (kv, layers) = gpt24();
-        let _ = kv.request_kv_bytes(&layers, &[1.0], 10, None);
+        let _ = kv.kv_bytes_per_token(&layers, &[1.0]);
     }
 }

@@ -13,8 +13,8 @@
 //! * per-layer parameter counts and FLOP costs ([`layer`], [`cost`]),
 //! * per-layer memory footprints, including Adam optimizer state and
 //!   activation memory per micro-batch ([`memory`]),
-//! * KV-cache memory per request for autoregressive inference, with
-//!   pruning and sliding-window sparse-attention hooks ([`kv_cache`]), and
+//! * KV-cache memory per token for autoregressive inference, with a
+//!   pruning hook ([`kv_cache`]), and
 //! * the device/cluster description used to convert FLOPs into time
 //!   ([`device`]).
 //!

@@ -66,28 +66,6 @@ impl MemoryModel {
         let scale = c.param_bytes as f64 / 2.0;
         (s * b * 34.0 * h * scale) as u64
     }
-
-    /// Total bytes a worker needs to host `layers`, given the number of
-    /// micro-batches whose activations are simultaneously alive on that
-    /// worker (for 1F1B this is at most the pipeline depth).
-    pub fn worker_bytes(
-        &self,
-        layers: &[LayerDesc],
-        retained_fraction: &[f64],
-        inflight_microbatches: usize,
-    ) -> u64 {
-        assert_eq!(
-            layers.len(),
-            retained_fraction.len(),
-            "one retention factor per layer"
-        );
-        let mut total = 0u64;
-        for (layer, &retained) in layers.iter().zip(retained_fraction.iter()) {
-            total += self.layer_static_bytes(layer, retained);
-            total += self.layer_activation_bytes(layer) * inflight_microbatches as u64;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -134,30 +112,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_bytes_scale_with_inflight_microbatches() {
-        let (mem, layers) = gpt24_layers();
-        let slice = &layers[1..5];
-        let retained = vec![1.0; slice.len()];
-        let one = mem.worker_bytes(slice, &retained, 1);
-        let four = mem.worker_bytes(slice, &retained, 4);
-        assert!(four > one);
-        // The static part does not scale, so 4× in-flight is < 4× memory.
-        assert!(four < one * 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "one retention factor per layer")]
-    fn worker_bytes_requires_matching_retention_length() {
-        let (mem, layers) = gpt24_layers();
-        let _ = mem.worker_bytes(&layers[0..3], &[1.0, 1.0], 1);
-    }
-
-    #[test]
     fn a_24_layer_gpt_fits_in_a_single_h100_but_not_in_a_tiny_device() {
         use crate::device::DeviceSpec;
         let (mem, layers) = gpt24_layers();
-        let retained = vec![1.0; layers.len()];
-        let total = mem.worker_bytes(&layers, &retained, 4);
+        // Four micro-batches in flight on one worker hosting every layer.
+        let total: u64 = layers
+            .iter()
+            .map(|l| mem.layer_static_bytes(l, 1.0) + mem.layer_activation_bytes(l) * 4)
+            .sum();
         assert!(total < DeviceSpec::h100_sxm5().memory_capacity);
         assert!(total > DeviceSpec::test_device(1024 * 1024).memory_capacity);
     }

@@ -40,11 +40,8 @@ impl CommCostModel {
     }
 
     /// Effective bandwidth of the link between stages `a` and `b`: the
-    /// slower endpoint bounds a point-to-point transfer, and inter-node
-    /// links optionally share one NIC among the cluster's concurrent
-    /// streams ([`ClusterConfig::inter_contention_factor`]).  On a
-    /// homogeneous cluster with contention off this is exactly the single
-    /// device's bandwidth.
+    /// slower endpoint bounds a point-to-point transfer.  On a homogeneous
+    /// cluster this is exactly the single device's bandwidth.
     fn link_bandwidth(&self, a: usize, b: usize, intra: bool) -> f64 {
         let da = self.cluster.device_of(a);
         let db = self.cluster.device_of(b);
@@ -52,7 +49,6 @@ impl CommCostModel {
             da.intra_node_bandwidth.min(db.intra_node_bandwidth)
         } else {
             da.inter_node_bandwidth.min(db.inter_node_bandwidth)
-                / self.cluster.inter_contention_factor()
         }
     }
 
@@ -60,7 +56,7 @@ impl CommCostModel {
     /// `to`: the larger endpoint latency plus bytes over the edge's
     /// effective bandwidth.  Reduces bit-identically to
     /// [`dynmo_model::DeviceSpec::transfer_time`] when both endpoints are
-    /// the same device and contention is off.
+    /// the same device.
     pub fn edge_transfer_time(&self, bytes: f64, from: usize, to: usize) -> f64 {
         if bytes <= 0.0 {
             return 0.0;
@@ -165,7 +161,7 @@ impl CommCostModel {
         let bw = if self.cluster.same_node(stage, span_end) {
             device.intra_node_bandwidth
         } else {
-            device.inter_node_bandwidth / self.cluster.inter_contention_factor()
+            device.inter_node_bandwidth
         };
         let steps = 2.0 * (n - 1.0);
         steps * device.link_latency + 2.0 * (n - 1.0) / n * bytes as f64 / bw
@@ -312,9 +308,10 @@ mod tests {
         let m = model();
         let uniform =
             CommCostModel::new(ClusterConfig::homogeneous(2, 4, 1, DeviceSpec::h100_sxm5()));
-        let mixed = CommCostModel::new(ClusterConfig::hetero_two_gen(2, 4, 1));
-        // Stage 1 → 2 crosses the H100/A100 divide and the node boundary:
-        // the A100's slower NVLink/IB must bound the edge.
+        let mixed = CommCostModel::new(ClusterConfig::hetero_three_gen(2, 4, 1));
+        // Stages run H100, H100, A100, V100.  Stage 1 → 2 crosses the
+        // H100/A100 divide and the node boundary: the A100's slower
+        // NVLink/IB must bound the edge.
         let fast = uniform.activation_transfer_time(&m, 1, 2);
         let slow = mixed.activation_transfer_time(&m, 1, 2);
         assert!(slow >= fast);
@@ -323,24 +320,6 @@ mod tests {
         assert_eq!(
             mixed.activation_transfer_time(&m, 0, 1).to_bits(),
             uniform.activation_transfer_time(&m, 0, 1).to_bits()
-        );
-    }
-
-    #[test]
-    fn shared_link_contention_slows_only_inter_node_edges() {
-        let m = model();
-        let base = comm();
-        let contended =
-            CommCostModel::new(base.cluster().clone().with_shared_link_contention(true));
-        // Intra-node edge 0→1 is untouched.
-        assert_eq!(
-            contended.activation_transfer_time(&m, 0, 1).to_bits(),
-            base.activation_transfer_time(&m, 0, 1).to_bits()
-        );
-        // Inter-node edge 3→4 shares the NIC among 3 streams (fwd + grad +
-        // the dp = 2 allreduce).
-        assert!(
-            contended.activation_transfer_time(&m, 3, 4) > base.activation_transfer_time(&m, 3, 4)
         );
     }
 

@@ -28,25 +28,6 @@ impl StageMemoryReport {
     pub fn all_fit(&self) -> bool {
         self.fits.iter().all(|&f| f)
     }
-
-    /// Indices of stages that exceed the capacity.
-    pub fn oom_stages(&self) -> Vec<usize> {
-        self.fits
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| !f)
-            .map(|(s, _)| s)
-            .collect()
-    }
-
-    /// Fraction of the capacity used by the most loaded stage.
-    pub fn peak_utilization(&self) -> f64 {
-        if self.capacity == 0 {
-            return f64::INFINITY;
-        }
-        let peak = self.per_stage_bytes.iter().copied().max().unwrap_or(0);
-        peak as f64 / self.capacity as f64
-    }
 }
 
 /// Number of micro-batches whose activations are simultaneously alive on
@@ -173,9 +154,7 @@ mod tests {
         let assignment = StageAssignment::from_counts(&[2, 2]);
         let report = check_stage_memory(&assignment, &loads, 1000, ScheduleKind::OneFOneB, 4);
         assert!(!report.all_fit());
-        assert_eq!(report.oom_stages(), vec![0]);
-        assert!(report.fits[1]);
-        assert!(report.peak_utilization() > 1.0);
+        assert_eq!(report.fits, vec![false, true]);
     }
 
     #[test]
@@ -201,16 +180,13 @@ mod tests {
         let assignment = StageAssignment::from_counts(&[1, 1]);
         let report = check_stage_memory(&assignment, &loads, 1 << 40, ScheduleKind::OneFOneB, 4);
         assert!(report.all_fit());
-        assert!(report.oom_stages().is_empty());
-        assert!(report.peak_utilization() < 1e-6);
     }
 
     #[test]
-    fn zero_capacity_reports_infinite_utilization() {
+    fn zero_capacity_fits_nothing() {
         let loads = vec![load(0, 100, 10)];
         let assignment = StageAssignment::from_counts(&[1]);
         let report = check_stage_memory(&assignment, &loads, 0, ScheduleKind::OneFOneB, 1);
-        assert!(report.peak_utilization().is_infinite());
         assert!(!report.all_fit());
     }
 }

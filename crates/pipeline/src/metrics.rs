@@ -53,11 +53,6 @@ pub struct IterationReport {
 }
 
 impl IterationReport {
-    /// Number of workers simulated.
-    pub fn num_workers(&self) -> usize {
-        self.per_worker_busy.len()
-    }
-
     /// Average idleness fraction across workers, in `[0, 1]`: the quantity
     /// plotted on the y-axis of the paper's Figure 1.
     pub fn average_idleness(&self) -> f64 {
@@ -156,7 +151,6 @@ mod tests {
         let r = report(vec![10.0, 5.0], 10.0, vec![1.0, 0.5]);
         assert!((r.average_idleness() - 0.25).abs() < 1e-12);
         assert!((r.bubble_ratio() - 5.0 / 20.0).abs() < 1e-12);
-        assert_eq!(r.num_workers(), 2);
     }
 
     #[test]

@@ -154,14 +154,6 @@ pub enum OpKind {
     BackwardWeight,
 }
 
-impl OpKind {
-    /// Whether this op produces the gradient consumed by the previous
-    /// stage (i.e. acts as the backward-chain producer).
-    pub fn produces_input_gradient(&self) -> bool {
-        matches!(self, OpKind::Backward | OpKind::BackwardInput)
-    }
-}
-
 /// One work item in a worker's local order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Op {
@@ -337,7 +329,7 @@ mod tests {
         let fwd = ops.iter().filter(|o| o.kind == OpKind::Forward).count();
         let bwd = ops
             .iter()
-            .filter(|o| o.kind.produces_input_gradient())
+            .filter(|o| matches!(o.kind, OpKind::Backward | OpKind::BackwardInput))
             .count();
         (fwd, bwd)
     }
@@ -491,9 +483,6 @@ mod tests {
         );
         assert!(ScheduleKind::ZeroBubbleH1.splits_backward());
         assert!(!ScheduleKind::OneFOneB.splits_backward());
-        assert!(OpKind::Backward.produces_input_gradient());
-        assert!(OpKind::BackwardInput.produces_input_gradient());
-        assert!(!OpKind::BackwardWeight.produces_input_gradient());
         assert_eq!(ScheduleKind::ALL.len(), 4);
         let labels: std::collections::HashSet<String> =
             ScheduleKind::ALL.iter().map(|k| k.label()).collect();

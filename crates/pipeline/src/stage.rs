@@ -102,16 +102,6 @@ impl StageAssignment {
         counts
     }
 
-    /// Stages that hold at least one layer (re-packing releases the rest).
-    pub fn active_stages(&self) -> Vec<usize> {
-        self.counts()
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(s, _)| s)
-            .collect()
-    }
-
     /// Whether the assignment is contiguous: every stage's layers form one
     /// consecutive run and stage indices are non-decreasing front-to-back.
     pub fn is_contiguous(&self) -> bool {
@@ -175,7 +165,7 @@ mod tests {
         assert_eq!(a.layer_to_stage(), &[0, 0, 2, 2, 2]);
         assert_eq!(a.layers_of(1), Vec::<usize>::new());
         assert_eq!(a.layers_of(2), vec![2, 3, 4]);
-        assert_eq!(a.active_stages(), vec![0, 2]);
+        assert_eq!(a.counts(), vec![2, 0, 3]);
         assert!(a.is_contiguous());
     }
 
@@ -221,7 +211,6 @@ mod tests {
     fn uniform_with_more_stages_than_layers_leaves_empty_stages() {
         let a = StageAssignment::uniform(3, 8);
         assert_eq!(a.num_layers(), 3);
-        assert_eq!(a.active_stages(), vec![0, 1, 2]);
-        assert_eq!(a.counts()[3..], [0, 0, 0, 0, 0]);
+        assert_eq!(a.counts(), vec![1, 1, 1, 0, 0, 0, 0, 0]);
     }
 }

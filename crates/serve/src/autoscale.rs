@@ -15,48 +15,53 @@
 //! replicas.  When the spike passes — backlog far below capacity and p99
 //! comfortably inside the target — replicas are drained and their GPUs
 //! handed back.
+//!
+//! The timing is fixed for the compressed sweep time-scales: a check every
+//! 2 s over a 20 s window, replicas online 5 s after a scale-out, 8 s
+//! between actions, and scale-in below a quarter of target and capacity.
 
 use std::collections::VecDeque;
 
 use dynmo_telemetry::nearest_rank;
 use serde::{Deserialize, Serialize};
 
-/// Autoscaler policy knobs.
+/// Seconds between policy evaluations.
+const CHECK_INTERVAL: f64 = 2.0;
+
+/// Look-back window (seconds) for the completed-request p99.
+const WINDOW: f64 = 20.0;
+
+/// Seconds a new replica takes to come online after scale-out.
+pub(crate) const PROVISION_DELAY: f64 = 5.0;
+
+/// Minimum seconds between scaling actions.
+const COOLDOWN: f64 = 8.0;
+
+/// Scale in only when outstanding work is below this fraction of the
+/// remaining replicas' KV capacity *and* p99 and the oldest wait are below
+/// this fraction of target.
+const SCALE_IN_FRACTION: f64 = 0.25;
+
+/// Autoscaler policy: the target it defends and the replica range.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AutoscalerConfig {
-    /// Seconds between policy evaluations.
-    pub check_interval: f64,
-    /// Look-back window (seconds) for the completed-request p99.
-    pub window: f64,
-    /// The p99 TTFT the autoscaler defends, in seconds.
+    /// The p99 TTFT the autoscaler defends, in seconds (finite, > 0).
     pub ttft_p99_target: f64,
-    /// Seconds a new replica takes to come online after scale-out.
-    pub provision_delay: f64,
-    /// Minimum seconds between scaling actions.
-    pub cooldown: f64,
-    /// Replica count floor.
+    /// Replica count floor (≥ 1).
     pub min_replicas: usize,
-    /// Replica count ceiling (the deployment's `max_replicas`, which also
-    /// counts draining replicas, bounds it too).
+    /// Replica count ceiling, ≥ `min_replicas` (the deployment's
+    /// `max_replicas`, which also counts draining replicas, bounds it too).
     pub max_replicas: usize,
-    /// Scale in only when outstanding work is below this fraction of one
-    /// replica's KV capacity *and* p99 is below this fraction of target.
-    pub scale_in_fraction: f64,
 }
 
 impl AutoscalerConfig {
-    /// A responsive default for the compressed sweep time-scales: check
-    /// every 2 s over a 20 s window, provision in 5 s, 8 s cooldown.
+    /// Defend `ttft_p99_target` with between `min_replicas` and
+    /// `max_replicas` replicas.
     pub fn responsive(ttft_p99_target: f64, min_replicas: usize, max_replicas: usize) -> Self {
         AutoscalerConfig {
-            check_interval: 2.0,
-            window: 20.0,
             ttft_p99_target,
-            provision_delay: 5.0,
-            cooldown: 8.0,
             min_replicas,
             max_replicas,
-            scale_in_fraction: 0.25,
         }
     }
 }
@@ -113,25 +118,15 @@ pub struct Autoscaler {
 }
 
 impl Autoscaler {
-    /// Create an autoscaler with the given policy.
+    /// Create an autoscaler with the given policy (checked by
+    /// `ServingConfig::validate`).
     pub fn new(config: AutoscalerConfig) -> Self {
-        assert!(config.check_interval > 0.0, "check interval must be > 0");
-        assert!(config.min_replicas >= 1, "at least one replica must remain");
-        assert!(
-            config.max_replicas >= config.min_replicas,
-            "max_replicas must be ≥ min_replicas"
-        );
         Autoscaler {
             config,
             completions: VecDeque::new(),
-            next_check: config.check_interval,
+            next_check: CHECK_INTERVAL,
             last_action: f64::NEG_INFINITY,
         }
-    }
-
-    /// The policy in effect.
-    pub fn config(&self) -> &AutoscalerConfig {
-        &self.config
     }
 
     /// Record one completed request's TTFT.  Entries that have aged past
@@ -141,17 +136,11 @@ impl Autoscaler {
     /// beyond one window's worth of completions — previously it grew
     /// unboundedly for the whole run.
     pub fn record_completion(&mut self, time: f64, ttft: f64) {
-        let horizon = time - self.config.window;
+        let horizon = time - WINDOW;
         while self.completions.front().is_some_and(|&(t, _)| t < horizon) {
             self.completions.pop_front();
         }
         self.completions.push_back((time, ttft));
-    }
-
-    /// Completions currently retained in the sliding window (test hook for
-    /// the memory bound).
-    pub fn window_len(&self) -> usize {
-        self.completions.len()
     }
 
     /// The p99 TTFT over completions inside the look-back window ending at
@@ -160,7 +149,7 @@ impl Autoscaler {
         let mut window: Vec<f64> = self
             .completions
             .iter()
-            .filter(|(t, _)| *t >= now - self.config.window)
+            .filter(|(t, _)| *t >= now - WINDOW)
             .map(|(_, ttft)| *ttft)
             .collect();
         window.sort_by(|a, b| a.partial_cmp(b).expect("ttfts are finite"));
@@ -195,13 +184,13 @@ impl Autoscaler {
         }
         // Catch up the check grid (steps can jump over several intervals).
         while self.next_check <= now {
-            self.next_check += self.config.check_interval;
+            self.next_check += CHECK_INTERVAL;
         }
         // Trim completions that can never re-enter the window.
-        let horizon = now - self.config.window;
+        let horizon = now - WINDOW;
         self.completions.retain(|(t, _)| *t >= horizon);
 
-        if now - self.last_action < self.config.cooldown {
+        if now - self.last_action < COOLDOWN {
             return ScaleDecision::Hold;
         }
         let p99 = self.windowed_ttft_p99(now);
@@ -210,10 +199,10 @@ impl Autoscaler {
         if pressured && signals.replicas < self.config.max_replicas {
             return ScaleDecision::Out;
         }
-        let relaxed = p99 < self.config.scale_in_fraction * target
-            && signals.oldest_wait < self.config.scale_in_fraction * target
+        let relaxed = p99 < SCALE_IN_FRACTION * target
+            && signals.oldest_wait < SCALE_IN_FRACTION * target
             && (signals.backlog_tokens as f64)
-                < self.config.scale_in_fraction
+                < SCALE_IN_FRACTION
                     * signals.capacity_tokens_per_replica as f64
                     * (signals.replicas.saturating_sub(1)) as f64;
         if relaxed && signals.replicas > self.config.min_replicas {
@@ -351,11 +340,11 @@ mod tests {
             scaler.record_completion(i as f64 / rate, 0.05);
         }
         // At 100/s over a 20 s window at most ~2001 entries are live.
-        let bound = (config().window * rate) as usize + 1;
+        let bound = (WINDOW * rate) as usize + 1;
         assert!(
-            scaler.window_len() <= bound,
+            scaler.completions.len() <= bound,
             "window holds {} completions, bound is {bound}",
-            scaler.window_len()
+            scaler.completions.len()
         );
         // And the retained window still answers queries correctly.
         let now = 999_999.0 / rate;

@@ -4,7 +4,7 @@
 //! *steps*; at every step the batch is re-formed from whatever work exists
 //! right now — one decode token for each running request, plus prompt
 //! chunks of newly admitted requests (chunked prefill) up to the step's
-//! token budget.  Requests enter the running set through **admission
+//! prefill cap.  Requests enter the running set through **admission
 //! control** ([`ContinuousBatcher::try_admit`]): a request is admitted only
 //! when its worst-case KV footprint (prompt + full output) fits in the
 //! replica's remaining KV budget, so the engine can never be forced to
@@ -15,65 +15,25 @@
 //! nothing is duplicated, every admitted request eventually decodes
 //! exactly its requested output tokens — the invariants pinned by the
 //! workspace-level property test.
+//!
+//! Every replica runs the same step budgets: at most 512 prefill tokens
+//! per step, beside one decode token per running request, and at most 32
+//! running requests.
 
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::RequestRecord;
 use crate::trace::Request;
 
-/// Scheduler knobs of one replica.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BatcherConfig {
-    /// KV capacity in tokens (from the KV-cache memory model and the
-    /// replica's tightest stage).
-    pub kv_capacity_tokens: usize,
-    /// Token budget of one engine step (decode + prefill).
-    pub max_batch_tokens: usize,
-    /// Cap on prefill tokens per step (chunked prefill), so a long prompt
-    /// cannot starve the decode cadence of running requests.
-    pub max_prefill_tokens: usize,
-    /// Sliding-attention-window cap on a request's KV reservation: with a
-    /// window of `w`, a request only ever caches its last `w` tokens
-    /// regardless of length (see `dynmo_model::KvCacheModel`).  `None` =
-    /// dense attention, reserve the full prompt + output.
-    pub kv_reservation_cap: Option<usize>,
-    /// Cap on concurrently running requests (vLLM's `max_num_seqs`): wide
-    /// decode batches trade decode cadence for throughput, so engines keep
-    /// the running set bounded and let excess demand queue at the gateway
-    /// — where an elastic scale-out can still pick it up.
-    pub max_running_requests: usize,
-}
+/// Cap on prefill tokens per step (chunked prefill), so a long prompt
+/// cannot starve the decode cadence of running requests.
+const MAX_PREFILL_TOKENS: usize = 512;
 
-impl BatcherConfig {
-    /// Validate the knobs (positive budgets, prefill cap within the step
-    /// budget).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.kv_capacity_tokens == 0 {
-            return Err("kv_capacity_tokens must be positive".into());
-        }
-        if self.max_batch_tokens == 0 {
-            return Err("max_batch_tokens must be positive".into());
-        }
-        if self.max_prefill_tokens == 0 || self.max_prefill_tokens > self.max_batch_tokens {
-            return Err("max_prefill_tokens must be in 1..=max_batch_tokens".into());
-        }
-        if self.kv_reservation_cap == Some(0) {
-            return Err("kv_reservation_cap must be positive when set".into());
-        }
-        if self.max_running_requests == 0 {
-            return Err("max_running_requests must be positive".into());
-        }
-        Ok(())
-    }
-
-    /// KV tokens a request reserves for its whole lifetime.
-    pub fn kv_need(&self, request: &Request) -> usize {
-        match self.kv_reservation_cap {
-            Some(cap) => request.total_tokens().min(cap),
-            None => request.total_tokens(),
-        }
-    }
-}
+/// Cap on concurrently running requests (vLLM's `max_num_seqs`): wide
+/// decode batches trade decode cadence for throughput, so engines keep the
+/// running set bounded and let excess demand queue at the gateway — where
+/// an elastic scale-out can still pick it up.
+const MAX_RUNNING_REQUESTS: usize = 32;
 
 /// A request inside the running batch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -112,7 +72,10 @@ impl StepPlan {
 /// Iteration-level scheduler state of one replica.
 #[derive(Debug, Clone)]
 pub struct ContinuousBatcher {
-    config: BatcherConfig,
+    /// KV capacity in tokens (from the KV-cache memory model and the
+    /// replica's tightest stage).  A request reserves its prompt plus its
+    /// full output.
+    kv_capacity_tokens: usize,
     running: Vec<ActiveRequest>,
     /// KV tokens reserved by running requests (prompt + full output each).
     reserved_kv_tokens: usize,
@@ -122,22 +85,21 @@ pub struct ContinuousBatcher {
 }
 
 impl ContinuousBatcher {
-    /// Create an empty scheduler.  Panics on invalid knobs.
-    pub fn new(config: BatcherConfig) -> Self {
-        config.validate().expect("valid batcher config");
+    /// Create an empty scheduler over `kv_capacity_tokens` KV tokens.
+    /// Panics on a zero capacity.
+    pub fn new(kv_capacity_tokens: usize) -> Self {
+        assert!(
+            kv_capacity_tokens > 0,
+            "kv_capacity_tokens must be positive"
+        );
         ContinuousBatcher {
-            config,
+            kv_capacity_tokens,
             running: Vec::new(),
             reserved_kv_tokens: 0,
             peak_kv_tokens: 0,
             total_prefill_tokens: 0,
             total_decode_tokens: 0,
         }
-    }
-
-    /// The scheduler's knobs.
-    pub fn config(&self) -> &BatcherConfig {
-        &self.config
     }
 
     /// A request the scheduler can serve: at least one prompt and one
@@ -152,22 +114,17 @@ impl ContinuousBatcher {
             request.id
         );
         assert!(
-            self.config.kv_need(request) <= self.config.kv_capacity_tokens,
+            request.total_tokens() <= self.kv_capacity_tokens,
             "request {} needs {} KV tokens but the replica caps at {}",
             request.id,
-            self.config.kv_need(request),
-            self.config.kv_capacity_tokens
+            request.total_tokens(),
+            self.kv_capacity_tokens
         );
     }
 
     /// Whether any running work exists.
     pub fn has_work(&self) -> bool {
         !self.running.is_empty()
-    }
-
-    /// Requests in the running batch.
-    pub fn running_len(&self) -> usize {
-        self.running.len()
     }
 
     /// Outstanding work in tokens: un-prefilled prompt plus un-decoded
@@ -209,9 +166,9 @@ impl ContinuousBatcher {
     /// request up).
     pub fn try_admit(&mut self, request: Request, now: f64) -> bool {
         self.check_servable(&request);
-        let need = self.config.kv_need(&request);
-        if self.running.len() >= self.config.max_running_requests
-            || self.reserved_kv_tokens + need > self.config.kv_capacity_tokens
+        let need = request.total_tokens();
+        if self.running.len() >= MAX_RUNNING_REQUESTS
+            || self.reserved_kv_tokens + need > self.kv_capacity_tokens
         {
             return false;
         }
@@ -228,20 +185,17 @@ impl ContinuousBatcher {
     }
 
     /// Form the next engine step over the running set: every decoding
-    /// request contributes one token, then prompt chunks (FCFS over the
-    /// running set) take the rest of the token budget, up to the
-    /// chunked-prefill cap.  Returns `None` when nothing is running.
+    /// request contributes one token, and prompt chunks (FCFS over the
+    /// running set) fill the chunked-prefill cap.  Returns `None` when
+    /// nothing is running.
     pub fn plan_step(&self) -> Option<StepPlan> {
         let decoding = self
             .running
             .iter()
             .filter(|a| a.prompt_done == a.request.prompt_tokens)
             .count();
-        let decode_tokens = decoding.min(self.config.max_batch_tokens);
-        let mut prefill_budget = self
-            .config
-            .max_prefill_tokens
-            .min(self.config.max_batch_tokens - decode_tokens);
+        let decode_tokens = decoding;
+        let mut prefill_budget = MAX_PREFILL_TOKENS;
         let mut prefill_tokens = 0usize;
         for active in &self.running {
             if prefill_budget == 0 {
@@ -300,7 +254,7 @@ impl ContinuousBatcher {
             if active.generated < active.request.output_tokens {
                 return true;
             }
-            self.reserved_kv_tokens -= self.config.kv_need(&active.request);
+            self.reserved_kv_tokens -= active.request.total_tokens();
             complete(RequestRecord {
                 id: active.request.id,
                 replica,
@@ -325,16 +279,6 @@ impl ContinuousBatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn config(kv: usize) -> BatcherConfig {
-        BatcherConfig {
-            kv_capacity_tokens: kv,
-            max_batch_tokens: 64,
-            max_prefill_tokens: 32,
-            kv_reservation_cap: None,
-            max_running_requests: 16,
-        }
-    }
 
     fn request(id: u64, arrival: f64, prompt: usize, output: usize) -> Request {
         Request {
@@ -376,40 +320,41 @@ mod tests {
 
     #[test]
     fn a_single_request_prefills_then_decodes() {
-        let mut b = ContinuousBatcher::new(config(1_000));
-        // 48-token prompt (2 chunked steps at 32), 4 output tokens.
-        let records = drain(&mut b, &[request(0, 0.0, 48, 4)], 0.0);
+        let mut b = ContinuousBatcher::new(1_000);
+        // 768-token prompt (2 chunked steps at 512), 4 output tokens.
+        let records = drain(&mut b, &[request(0, 0.0, 768, 4)], 0.0);
         assert_eq!(records.len(), 1);
         let r = records[0];
-        // Steps: prefill 32, prefill 16 (+ first token), 3 decode steps.
+        // Steps: prefill 512, prefill 256 (+ first token), 3 decode steps.
         assert_eq!(r.first_token, 2.0);
         assert_eq!(r.completion, 5.0);
-        assert_eq!(b.total_prefill_tokens(), 48);
+        assert_eq!(b.total_prefill_tokens(), 768);
         assert_eq!(b.total_decode_tokens(), 4);
         assert_eq!(b.reserved_kv_tokens(), 0);
-        assert_eq!(b.peak_kv_tokens(), 52);
+        assert_eq!(b.peak_kv_tokens(), 772);
     }
 
     #[test]
     fn decode_has_priority_over_prefill_in_the_budget() {
-        let mut b = ContinuousBatcher::new(config(10_000));
+        let mut b = ContinuousBatcher::new(10_000);
         assert!(b.try_admit(request(0, 0.0, 32, 50), 0.0));
         // First step prefills request 0 entirely.
         let plan = b.plan_step().unwrap();
         assert_eq!(plan.prefill_tokens, 32);
         b.commit_step(plan, 0, 1.0, |_| {});
-        // A newcomer's prefill shares the step with the decode.
-        assert!(b.try_admit(request(1, 1.0, 32, 1), 1.0));
+        // A newcomer's prefill shares the step with the decode, up to the
+        // chunked-prefill cap.
+        assert!(b.try_admit(request(1, 1.0, 600, 1), 1.0));
         let plan = b.plan_step().unwrap();
         assert_eq!(plan.decode_tokens, 1);
-        assert_eq!(plan.prefill_tokens, 32);
-        assert_eq!(plan.batch_tokens(), 33);
+        assert_eq!(plan.prefill_tokens, MAX_PREFILL_TOKENS);
+        assert_eq!(plan.batch_tokens(), MAX_PREFILL_TOKENS + 1);
     }
 
     #[test]
     #[should_panic(expected = "does not match the running set")]
     fn a_plan_the_running_set_cannot_spend_is_rejected() {
-        let mut b = ContinuousBatcher::new(config(1_000));
+        let mut b = ContinuousBatcher::new(1_000);
         assert!(b.try_admit(request(0, 0.0, 8, 4), 0.0));
         // Nothing is decoding yet, so the decode token has no taker.
         let plan = StepPlan {
@@ -423,10 +368,10 @@ mod tests {
     fn admission_respects_the_kv_budget() {
         // Capacity 100: request 0 (60) admits, request 1 (60) does not fit
         // beside it.
-        let mut b = ContinuousBatcher::new(config(100));
+        let mut b = ContinuousBatcher::new(100);
         assert!(b.try_admit(request(0, 0.0, 50, 10), 0.0));
         assert!(!b.try_admit(request(1, 0.0, 50, 10), 0.0));
-        assert_eq!(b.running_len(), 1);
+        assert_eq!(b.running.len(), 1);
         assert_eq!(b.reserved_kv_tokens(), 60);
         // Everything still completes once capacity frees up.
         let rest = [request(1, 0.0, 50, 10), request(2, 0.0, 10, 10)];
@@ -437,7 +382,7 @@ mod tests {
 
     #[test]
     fn oversized_requests_are_rejected_up_front() {
-        let mut b = ContinuousBatcher::new(config(100));
+        let mut b = ContinuousBatcher::new(100);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             b.try_admit(request(0, 0.0, 90, 20), 0.0);
         }));
@@ -447,24 +392,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "≥ 1 prompt and ≥ 1 output token")]
     fn zero_prompt_requests_are_rejected() {
-        let mut b = ContinuousBatcher::new(config(100));
+        let mut b = ContinuousBatcher::new(100);
         b.try_admit(request(0, 0.0, 0, 5), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "≥ 1 prompt and ≥ 1 output token")]
     fn zero_output_requests_are_rejected_by_try_admit() {
-        let mut b = ContinuousBatcher::new(config(100));
+        let mut b = ContinuousBatcher::new(100);
         b.try_admit(request(0, 0.0, 5, 0), 0.0);
     }
 
     #[test]
     fn requests_and_tokens_are_conserved() {
-        let mut b = ContinuousBatcher::new(config(500));
+        let mut b = ContinuousBatcher::new(2_000);
         let requests = [
             request(0, 0.0, 40, 8),
             request(1, 0.5, 10, 30),
-            request(2, 3.0, 100, 2),
+            request(2, 3.0, 700, 2),
             request(3, 3.0, 7, 7),
         ];
         let records = drain(&mut b, &requests, 0.0);
@@ -487,7 +432,7 @@ mod tests {
 
     #[test]
     fn plan_step_is_none_without_running_work() {
-        let mut b = ContinuousBatcher::new(config(500));
+        let mut b = ContinuousBatcher::new(500);
         assert!(b.plan_step().is_none());
         assert!(!b.has_work());
         assert!(b.try_admit(request(0, 5.0, 10, 1), 5.0));
@@ -497,70 +442,32 @@ mod tests {
 
     #[test]
     fn outstanding_tokens_track_remaining_work() {
-        let mut b = ContinuousBatcher::new(config(500));
+        let mut b = ContinuousBatcher::new(500);
         assert!(b.try_admit(request(0, 0.0, 32, 4), 0.0));
         assert_eq!(b.outstanding_tokens(), 36);
         let plan = b.plan_step().unwrap();
         b.commit_step(plan, 0, 1.0, |_| {}); // prefill done + first token
         assert_eq!(b.outstanding_tokens(), 3);
-        // Config accessor and validation.
-        assert!(b.config().validate().is_ok());
-        let good = config(10);
-        assert!(BatcherConfig {
-            kv_capacity_tokens: 0,
-            ..good
-        }
-        .validate()
-        .is_err());
-        assert!(BatcherConfig {
-            max_batch_tokens: 4,
-            max_prefill_tokens: 8,
-            ..good
-        }
-        .validate()
-        .is_err());
-        assert!(BatcherConfig {
-            kv_reservation_cap: Some(0),
-            ..good
-        }
-        .validate()
-        .is_err());
-        assert!(BatcherConfig {
-            max_running_requests: 0,
-            ..good
-        }
-        .validate()
-        .is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "kv_capacity_tokens must be positive")]
+    fn a_zero_kv_capacity_is_rejected() {
+        let _ = ContinuousBatcher::new(0);
     }
 
     #[test]
     fn the_running_set_cap_bounds_concurrency() {
-        let mut cfg = config(10_000);
-        cfg.max_running_requests = 2;
-        let mut b = ContinuousBatcher::new(cfg);
-        for id in 0..4 {
-            assert_eq!(b.try_admit(request(id, 0.0, 8, 4), 0.0), id < 2);
+        let mut b = ContinuousBatcher::new(10_000);
+        let cap = MAX_RUNNING_REQUESTS as u64;
+        for id in 0..cap + 2 {
+            assert_eq!(b.try_admit(request(id, 0.0, 8, 4), 0.0), id < cap);
         }
-        assert_eq!(b.running_len(), 2);
+        assert_eq!(b.running.len(), MAX_RUNNING_REQUESTS);
         // A later request gets in only once a completion frees a slot.
-        let records = drain(&mut b, &[request(9, 0.0, 8, 4)], 0.0);
-        assert_eq!(records.len(), 3);
-        let late = records.iter().find(|r| r.id == 9).unwrap();
+        let records = drain(&mut b, &[request(99, 0.0, 8, 4)], 0.0);
+        assert_eq!(records.len(), MAX_RUNNING_REQUESTS + 1);
+        let late = records.iter().find(|r| r.id == 99).unwrap();
         assert!(late.admitted > 0.0);
-    }
-
-    #[test]
-    fn windowed_attention_caps_the_reservation() {
-        let mut cfg = config(100);
-        cfg.kv_reservation_cap = Some(64);
-        let mut b = ContinuousBatcher::new(cfg);
-        // 90 + 20 = 110 total tokens, but the window caps the cache at 64,
-        // so the request is admissible (dense attention would reject it).
-        assert!(b.try_admit(request(0, 0.0, 90, 20), 0.0));
-        assert_eq!(b.running_len(), 1);
-        assert_eq!(b.reserved_kv_tokens(), 64);
-        let records = drain(&mut b, &[], 0.0);
-        assert_eq!(records.len(), 1);
-        assert_eq!(b.reserved_kv_tokens(), 0);
     }
 }

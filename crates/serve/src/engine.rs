@@ -64,10 +64,19 @@ use dynmo_telemetry::{MarkerKind, NullRecorder, Recorder, StreamingSummary};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::autoscale::{Autoscaler, AutoscalerConfig, LoadSignals, ScaleDecision, ScaleEvent};
-use crate::batching::{BatcherConfig, ContinuousBatcher, StepPlan};
+use crate::autoscale::{
+    Autoscaler, AutoscalerConfig, LoadSignals, ScaleDecision, ScaleEvent, PROVISION_DELAY,
+};
+use crate::batching::{ContinuousBatcher, StepPlan};
 use crate::metrics::{LatencySummary, RequestRecord, ServingReport, SloTarget};
 use crate::trace::RequestTrace;
+
+/// Cost of one decode token relative to one prefill token: decode is
+/// memory-bound, so > 1 on real accelerators.
+const DECODE_COST_FACTOR: f64 = 4.0;
+
+/// Fraction of a stage's post-weights device memory given to the KV cache.
+const KV_MEMORY_FRACTION: f64 = 0.8;
 
 /// Which balancer family lays out replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -119,21 +128,6 @@ pub struct ServingConfig {
     /// Micro-batches one engine step is split into as it flows down the
     /// pipeline (1 = no intra-step pipelining).
     pub microbatches: usize,
-    /// Token budget of one engine step.
-    pub max_batch_tokens: usize,
-    /// Chunked-prefill cap per step.
-    pub max_prefill_tokens: usize,
-    /// Cost of one decode token relative to one prefill token (decode is
-    /// memory-bound; > 1 on real accelerators).
-    pub decode_cost_factor: f64,
-    /// Cap on concurrently running requests per replica (vLLM's
-    /// `max_num_seqs`): bounds the decode batch width so the decode
-    /// cadence stays interactive; excess demand queues at the gateway.
-    pub max_running_requests: usize,
-    /// Sliding attention window (tokens); `None` = dense attention.
-    pub attention_window: Option<usize>,
-    /// Fraction of post-weights device memory given to the KV cache.
-    pub kv_memory_fraction: f64,
     /// The SLO goodput is measured against.
     pub slo: SloTarget,
     /// Autoscaler policy; `None` = fixed capacity.
@@ -164,12 +158,6 @@ impl ServingConfig {
             max_replicas: initial_replicas,
             balancer: ServeBalancerKind::Partition,
             microbatches: 4,
-            max_batch_tokens: 2048,
-            max_prefill_tokens: 512,
-            decode_cost_factor: 4.0,
-            max_running_requests: 32,
-            attention_window: None,
-            kv_memory_fraction: 0.8,
             slo: SloTarget::chat_default(),
             autoscaler: None,
             retain_records: true,
@@ -197,28 +185,16 @@ impl ServingConfig {
         if self.microbatches == 0 {
             return Err("microbatches must be positive".into());
         }
-        if self.max_running_requests == 0 {
-            return Err("max_running_requests must be positive".into());
-        }
-        if self.max_batch_tokens == 0 {
-            return Err("max_batch_tokens must be positive".into());
-        }
-        if self.max_prefill_tokens == 0 || self.max_prefill_tokens > self.max_batch_tokens {
-            return Err("max_prefill_tokens must be in 1..=max_batch_tokens".into());
-        }
-        if self.attention_window == Some(0) {
-            return Err("attention_window must be positive when set".into());
-        }
-        if self.decode_cost_factor.is_nan() || self.decode_cost_factor <= 0.0 {
-            return Err("decode_cost_factor must be positive".into());
-        }
-        if self.kv_memory_fraction.is_nan()
-            || self.kv_memory_fraction <= 0.0
-            || self.kv_memory_fraction > 1.0
-        {
-            return Err("kv_memory_fraction must be in (0, 1]".into());
-        }
         if let Some(scaler) = &self.autoscaler {
+            if scaler.min_replicas == 0 {
+                return Err("the autoscaler must keep at least one replica".into());
+            }
+            if scaler.max_replicas < scaler.min_replicas {
+                return Err("autoscaler max_replicas must be ≥ min_replicas".into());
+            }
+            if !(scaler.ttft_p99_target.is_finite() && scaler.ttft_p99_target > 0.0) {
+                return Err("autoscaler ttft_p99_target must be finite and positive".into());
+            }
             if scaler.max_replicas > self.max_replicas {
                 return Err("autoscaler max_replicas exceeds the fleet ceiling".into());
             }
@@ -320,12 +296,9 @@ pub struct ServingEngine {
     balancer: Box<dyn LoadBalancer>,
     /// Per-layer forward seconds per *token* at identity dynamism.
     per_token_fwd: Vec<f64>,
-    /// Per-replica KV capacity in tokens (tightest stage of the layout).
+    /// Per-replica KV capacity in tokens (tightest stage of the layout);
+    /// a scaled-out replica may run its own layout's smaller capacity.
     kv_capacity_tokens: usize,
-    /// Scheduler knobs shared by every replica (initial and scaled-out);
-    /// scaled-out replicas may override `kv_capacity_tokens` with their
-    /// own layout's capacity.
-    batcher_config: BatcherConfig,
     /// The identity-dynamism layout the initial replicas use — also the
     /// validated fallback for scaled-out replicas whose re-partitioned
     /// layout prices too little KV capacity.
@@ -394,18 +367,11 @@ impl ServingEngine {
         let initial_assignment = balancer.rebalance(&request).assignment;
 
         let kv_capacity_tokens = kv_capacity(&model, &kv_model, &config, &initial_assignment)?;
-        let batcher_config = BatcherConfig {
-            kv_capacity_tokens,
-            max_batch_tokens: config.max_batch_tokens,
-            max_prefill_tokens: config.max_prefill_tokens,
-            kv_reservation_cap: config.attention_window,
-            max_running_requests: config.max_running_requests,
-        };
 
         let replicas: Vec<Replica> = (0..config.initial_replicas)
             .map(|id| Replica {
                 id,
-                batcher: ContinuousBatcher::new(batcher_config),
+                batcher: ContinuousBatcher::new(kv_capacity_tokens),
                 assignment: initial_assignment.clone(),
                 clock: 0.0,
                 ready_at: 0.0,
@@ -432,7 +398,6 @@ impl ServingEngine {
             balancer,
             per_token_fwd,
             kv_capacity_tokens,
-            batcher_config,
             initial_assignment,
             trace_max_kv_need: 0,
             created_replicas: replicas.len(),
@@ -521,13 +486,12 @@ impl ServingEngine {
     /// Stepping a session to the end and calling [`ServingSession::finish`]
     /// is bit-identical to `serve`.
     pub fn session(mut self, trace: &RequestTrace) -> ServingSession {
-        // A request must fit one replica's KV budget under the same
-        // reservation rule admission control applies (a sliding attention
-        // window caps the footprint of long requests).
+        // A request must fit one replica's KV budget: admission control
+        // reserves its prompt plus its full output.
         let max_need = trace
             .requests
             .iter()
-            .map(|r| self.batcher_config.kv_need(r))
+            .map(|r| r.total_tokens())
             .max()
             .unwrap_or(0);
         assert!(
@@ -580,9 +544,9 @@ impl ServingEngine {
     ///
     /// At the identity update the price is a pure function of the
     /// replica's assignment (fixed from its addition until it is
-    /// reclaimed) and `plan`: the per-token costs, model, comm model,
-    /// micro-batch count and decode cost factor are fixed per deployment,
-    /// and every return to the identity rebuilds the same update.  So an
+    /// reclaimed) and `plan`: the per-token costs, model, comm model and
+    /// micro-batch count are fixed per deployment, and every return to the
+    /// identity rebuilds the same update.  So an
     /// identity step may reuse the price of its replica's previous identity
     /// step with the same plan, bit for bit, and every assertion here
     /// already passed on those inputs (see `ServingSession::step_bounded`).
@@ -597,7 +561,7 @@ impl ServingEngine {
             "one retention value per layer"
         );
         let weighted_tokens =
-            plan.prefill_tokens as f64 + self.config.decode_cost_factor * plan.decode_tokens as f64;
+            plan.prefill_tokens as f64 + DECODE_COST_FACTOR * plan.decode_tokens as f64;
         let batch_tokens = plan.batch_tokens();
         let m = self.config.microbatches.min(batch_tokens).max(1);
         let model_config = self.model.config();
@@ -662,7 +626,7 @@ impl ServingEngine {
                 if self.meter.gpus < self.config.max_replicas * self.config.stages =>
             {
                 let p99 = scaler.windowed_ttft_p99(now);
-                let ready_at = now + scaler.config().provision_delay;
+                let ready_at = now + PROVISION_DELAY;
                 self.add_replica(Vec::new(), now, ready_at, p99, backlog_tokens);
                 true
             }
@@ -695,10 +659,7 @@ impl ServingEngine {
         let online_at = ready_at.max(now);
         self.replicas.push(Replica {
             id: self.created_replicas,
-            batcher: ContinuousBatcher::new(BatcherConfig {
-                kv_capacity_tokens: capacity,
-                ..self.batcher_config
-            }),
+            batcher: ContinuousBatcher::new(capacity),
             assignment,
             clock: online_at,
             ready_at: online_at,
@@ -1228,9 +1189,10 @@ pub fn fleet_clock(time: f64) -> u64 {
 }
 
 /// Per-replica KV capacity in tokens: for every stage of the layout,
-/// device memory minus the stage's inference weights, times the KV
-/// fraction, divided by the stage's per-token KV bytes; the tightest stage
-/// wins.  Stages caching nothing (embedding/head only) never constrain.
+/// device memory minus the stage's inference weights, times
+/// [`KV_MEMORY_FRACTION`], divided by the stage's per-token KV bytes; the
+/// tightest stage wins.  Stages caching nothing (embedding/head only)
+/// never constrain.
 fn kv_capacity(
     model: &Model,
     kv_model: &KvCacheModel,
@@ -1254,8 +1216,7 @@ fn kv_capacity(
                 "stage {stage} weights ({weights} B) exceed device memory"
             ));
         }
-        let budget =
-            ((config.device.memory_capacity - weights) as f64 * config.kv_memory_fraction) as u64;
+        let budget = ((config.device.memory_capacity - weights) as f64 * KV_MEMORY_FRACTION) as u64;
         let retained = vec![1.0; layers.len()];
         let stage_capacity = kv_model.capacity_tokens(&layers, &retained, budget);
         capacity = capacity.min(stage_capacity);
@@ -1557,25 +1518,16 @@ mod tests {
     }
 
     #[test]
-    fn a_windowed_deployment_serves_requests_longer_than_dense_capacity() {
-        // One request whose raw prompt+output exceeds the replica's KV
-        // capacity, but whose sliding-window reservation fits: dense
-        // attention must reject the trace, windowed attention must serve
-        // it (the capacity check applies the same cap as admission).
-        let dense_config = ServingConfig::small(1);
-        let capacity = ServingEngine::new(dense_config.clone())
+    #[should_panic(expected = "larger than one replica's KV capacity")]
+    fn a_request_larger_than_one_replicas_kv_capacity_is_rejected() {
+        // Admission reserves prompt plus output, so a request whose total
+        // exceeds the capacity could never be admitted: the session
+        // rejects the trace up front instead of wedging.
+        let capacity = ServingEngine::new(ServingConfig::small(1))
             .unwrap()
             .kv_capacity_tokens();
         let trace = RequestTrace::replayed("long", vec![(0.0, capacity + 100, 10)]).unwrap();
-        let dense = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve(dense_config.clone(), &trace, None)
-        }));
-        assert!(dense.is_err(), "dense attention must reject the trace");
-        let mut windowed_config = dense_config;
-        windowed_config.attention_window = Some(4096);
-        let report = serve(windowed_config, &trace, None).unwrap();
-        assert_eq!(report.completed, 1);
-        assert!(report.peak_kv_tokens <= 4096);
+        let _ = serve(ServingConfig::small(1), &trace, None);
     }
 
     #[test]
@@ -1741,25 +1693,24 @@ mod tests {
         let mut c = ServingConfig::small(1);
         c.stages = 0;
         assert!(serve(c, &poisson_trace(1.0, 1.0), None).is_err());
-        let mut c = ServingConfig::small(1);
-        c.kv_memory_fraction = 0.0;
-        assert!(c.validate().is_err());
         let mut c = ServingConfig::small(2);
         c.initial_replicas = 0;
         assert!(c.validate().is_err());
         let mut c = ServingConfig::small(1);
         c.microbatches = 0;
         assert!(c.validate().is_err());
-        // The batcher knobs are validated up front too, so serve() returns
-        // Err instead of panicking inside ContinuousBatcher::new.
-        let mut c = ServingConfig::small(1);
-        c.max_batch_tokens = 0;
-        assert!(c.validate().is_err());
-        let mut c = ServingConfig::small(1);
-        c.max_prefill_tokens = c.max_batch_tokens + 1;
-        assert!(c.validate().is_err());
-        let mut c = ServingConfig::small(1);
-        c.attention_window = Some(0);
-        assert!(c.validate().is_err());
+        // A bad autoscaler is an Err from ServingEngine::new, never a panic
+        // inside Autoscaler::new: no replica floor, a ceiling below the
+        // floor, or a target that is not a positive finite time.
+        for scaler in [
+            AutoscalerConfig::responsive(2.0, 0, 4),
+            AutoscalerConfig::responsive(2.0, 3, 2),
+            AutoscalerConfig::responsive(f64::NAN, 1, 4),
+            AutoscalerConfig::responsive(-1.0, 1, 4),
+            AutoscalerConfig::responsive(f64::INFINITY, 1, 4),
+        ] {
+            let c = ServingConfig::small(1).with_autoscaler(scaler);
+            assert!(ServingEngine::new(c).is_err(), "{scaler:?}");
+        }
     }
 }

@@ -34,7 +34,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use autoscale::{Autoscaler, AutoscalerConfig, LoadSignals, ScaleDecision, ScaleEvent};
-pub use batching::{BatcherConfig, ContinuousBatcher, StepPlan};
+pub use batching::{ContinuousBatcher, StepPlan};
 pub use engine::{
     fleet_clock, serve, GatewaySnapshot, ServeBalancerKind, ServingConfig, ServingEngine,
     ServingSession,

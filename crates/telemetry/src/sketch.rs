@@ -166,19 +166,22 @@ pub struct SummaryStats {
     pub max: f64,
 }
 
+/// Observations a [`StreamingSummary`] keeps exactly: series up to this
+/// length summarize exactly (and cheaply — one sort at summary time, not
+/// per call).
+const EXACT_LIMIT: usize = 8192;
+
 /// Streaming p50/p95/p99/mean with a bounded exact buffer.
 ///
-/// While the series fits in the buffer (`exact_limit` values) the summary
+/// While the series fits in the buffer (8,192 values) the summary
 /// is computed by sorting: [`nearest_rank`] percentiles and a mean summed
 /// in sorted order, so small-n results are exact.  Past the limit
 /// the buffer is dropped (not grown) and the three P² sketches take over:
 /// peak memory becomes O(1) in the number of observations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamingSummary {
-    /// Exact values, kept only while `count <= exact_limit`.
+    /// Exact values, kept only while `count <= EXACT_LIMIT`.
     exact: Option<Vec<f64>>,
-    /// Buffer size at which the summary switches to sketch mode.
-    exact_limit: usize,
     p50: P2Quantile,
     p95: P2Quantile,
     p99: P2Quantile,
@@ -195,21 +198,10 @@ impl Default for StreamingSummary {
 }
 
 impl StreamingSummary {
-    /// Default exact-buffer size: series up to this length summarize
-    /// exactly (and cheaply — one sort at summary time, not per call).
-    pub const DEFAULT_EXACT_LIMIT: usize = 8192;
-
-    /// A summary with the default exact buffer.
+    /// An empty summary, in exact mode.
     pub fn new() -> Self {
-        Self::with_exact_limit(Self::DEFAULT_EXACT_LIMIT)
-    }
-
-    /// A summary that stays exact up to `limit` observations (0 = pure
-    /// sketch from the first observation).
-    pub fn with_exact_limit(limit: usize) -> Self {
         StreamingSummary {
             exact: Some(Vec::new()),
-            exact_limit: limit,
             p50: P2Quantile::new(0.50),
             p95: P2Quantile::new(0.95),
             p99: P2Quantile::new(0.99),
@@ -230,7 +222,7 @@ impl StreamingSummary {
         self.p95.observe(x);
         self.p99.observe(x);
         if let Some(buf) = &mut self.exact {
-            if buf.len() < self.exact_limit {
+            if buf.len() < EXACT_LIMIT {
                 buf.push(x);
             } else {
                 // Outgrew the buffer: free it and rely on the sketches.
@@ -242,11 +234,6 @@ impl StreamingSummary {
     /// Observations seen.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Whether the summary is still in exact (sort-based) mode.
-    pub fn is_exact(&self) -> bool {
-        self.exact.is_some()
     }
 
     /// Summarize the stream so far.  Exact mode reproduces the sort-based
@@ -379,7 +366,7 @@ mod tests {
         for v in &values {
             sum.observe(*v);
         }
-        assert!(sum.is_exact());
+        assert!(sum.exact.is_some());
         let stats = sum.stats();
         let mut sorted = values.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -392,22 +379,22 @@ mod tests {
 
     #[test]
     fn summary_drops_the_buffer_past_the_limit() {
-        let mut sum = StreamingSummary::with_exact_limit(100);
+        let mut sum = StreamingSummary::new();
         let mut state = 5u64;
-        for _ in 0..100 {
+        for _ in 0..EXACT_LIMIT {
             sum.observe(uniform01(&mut state));
         }
-        assert!(sum.is_exact());
+        assert!(sum.exact.is_some());
         sum.observe(0.5);
-        assert!(!sum.is_exact(), "buffer must be freed past the limit");
+        assert!(sum.exact.is_none(), "buffer must be freed past the limit");
         let stats = sum.stats();
-        assert_eq!(stats.count, 101);
+        assert_eq!(stats.count, EXACT_LIMIT as u64 + 1);
         assert!(stats.p50 > 0.0 && stats.p50 < 1.0);
     }
 
     #[test]
     fn sketch_mode_tracks_exact_percentiles_on_large_streams() {
-        let mut sum = StreamingSummary::with_exact_limit(0);
+        let mut sum = StreamingSummary::new();
         let mut state = 1234u64;
         let mut values = Vec::new();
         for _ in 0..100_000 {
@@ -419,7 +406,7 @@ mod tests {
             values.push(x);
             sum.observe(x);
         }
-        assert!(!sum.is_exact());
+        assert!(sum.exact.is_none());
         values.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let stats = sum.stats();
         for (est, q) in [(stats.p50, 0.50), (stats.p95, 0.95), (stats.p99, 0.99)] {

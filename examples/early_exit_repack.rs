@@ -14,7 +14,6 @@
 use dynmo::baselines::static_controller;
 use dynmo::core::balancer::{BalanceObjective, PartitionBalancer};
 use dynmo::core::controller::{RebalanceController, RebalancePolicy};
-use dynmo::core::repack::RepackConfig;
 use dynmo::core::report::TrainingReport;
 use dynmo::core::trainer::{Trainer, TrainerConfig};
 use dynmo::dynamics::{EarlyExitEngine, EarlyExitMethod};
@@ -41,11 +40,10 @@ fn run(mode: Mode) -> TrainingReport {
         Mode::RebalanceAndRepack => RebalanceController::new(
             Box::new(PartitionBalancer::new()),
             BalanceObjective::ByTime,
-            RebalancePolicy::dynamic_with_repack(RepackConfig {
-                max_memory: cluster.device.memory_capacity,
-                target_num_workers: 2,
-                utilization_cap: 0.9,
-            }),
+            RebalancePolicy {
+                frequency: None,
+                repack: true,
+            },
         ),
     };
     let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 21);

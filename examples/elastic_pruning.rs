@@ -13,7 +13,6 @@
 
 use dynmo::core::balancer::{BalanceObjective, PartitionBalancer};
 use dynmo::core::controller::{RebalanceController, RebalancePolicy};
-use dynmo::core::repack::RepackConfig;
 use dynmo::core::trainer::{Trainer, TrainerConfig};
 use dynmo::dynamics::{distributed_global_prune, GradualPruningEngine, PruningSchedule};
 use dynmo::model::{ClusterConfig, Model, ModelPreset};
@@ -65,13 +64,8 @@ fn main() {
         Box::new(PartitionBalancer::new()),
         BalanceObjective::ByTime,
         RebalancePolicy {
-            enabled: true,
             frequency: Some(dynmo::dynamics::RebalanceFrequency::EveryN(50)),
-            repack: Some(RepackConfig {
-                max_memory: cluster.device.memory_capacity,
-                target_num_workers: 2,
-                utilization_cap: 0.9,
-            }),
+            repack: true,
         },
     );
     let mut engine = GradualPruningEngine::new(&model, schedule, 11);

@@ -6,7 +6,7 @@ use dynmo::core::balancer::{
     stage_weights, BalanceObjective, BalanceRequest, DiffusionBalancer, LoadBalancer,
     PartitionBalancer,
 };
-use dynmo::core::repack::{plan_repack, RepackConfig};
+use dynmo::core::repack::plan_repack;
 use dynmo::model::{ClusterConfig, DeviceSpec, ModelConfig};
 use dynmo::pipeline::metrics::imbalance;
 use dynmo::pipeline::{
@@ -98,8 +98,9 @@ proptest! {
         prop_assert!((outcome.rounds as f64) <= bound);
     }
 
-    /// Re-packing never loses a layer, never violates the memory budget on
-    /// the destination workers, and never increases the active worker count.
+    /// Re-packing never loses a layer, never fills a destination worker
+    /// past 90% of the memory budget, and never increases the active worker
+    /// count.
     #[test]
     fn repack_invariants(
         times in arbitrary_times(),
@@ -113,12 +114,8 @@ proptest! {
         // Budget between one stage's worth and several stages' worth.
         let per_stage: u64 = loads.iter().map(|l| l.static_bytes + 2 * l.activation_bytes).sum::<u64>()
             / stages as u64;
-        let config = RepackConfig {
-            max_memory: ((per_stage as f64) * budget_scale) as u64 + 1,
-            target_num_workers: 1,
-            utilization_cap: 1.0,
-        };
-        let plan = plan_repack(&assignment, &loads, &inflight, &config);
+        let max_memory = ((per_stage as f64) * budget_scale) as u64 + 1;
+        let plan = plan_repack(&assignment, &loads, &inflight, max_memory);
 
         // No layer lost or duplicated, and every layer maps to a real stage.
         prop_assert_eq!(plan.new_assignment.num_layers(), loads.len());
@@ -126,9 +123,10 @@ proptest! {
             prop_assert!(plan.new_assignment.stage_of(layer) < stages);
         }
 
-        // Re-packing never pushes a worker over the budget *by merging*: a
-        // worker may only exceed the budget if its original (pre-repack)
+        // Re-packing never pushes a worker over 90% of the budget *by
+        // merging*: a worker may only exceed it if its original (pre-repack)
         // load already did, since Algorithm 2 never splits a worker's load.
+        let usable = (max_memory as f64 * 0.9) as u64;
         let memory_before: Vec<u64> = (0..stages)
             .map(|s| {
                 assignment
@@ -140,15 +138,16 @@ proptest! {
             .collect();
         for (stage, &bytes) in plan.memory_after.iter().enumerate() {
             prop_assert!(
-                bytes <= config.max_memory.max(memory_before[stage]),
-                "stage {} holds {} bytes over budget {} (was {} before)",
-                stage, bytes, config.max_memory, memory_before[stage]
+                bytes <= usable.max(memory_before[stage]),
+                "stage {} holds {} bytes over the usable {} of budget {} (was {} before)",
+                stage, bytes, usable, max_memory, memory_before[stage]
             );
         }
 
-        // Active workers never increase, and released + active partitions
-        // the original actives.
+        // Active workers never increase, never fall below re-packing's
+        // floor of 2, and released + active partitions the original actives.
         prop_assert!(plan.active_workers.len() <= stages);
+        prop_assert!(plan.active_workers.len() >= 2);
         for worker in &plan.released_workers {
             prop_assert!(!plan.active_workers.contains(worker));
         }

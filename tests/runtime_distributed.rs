@@ -3,7 +3,7 @@
 //! split used to release GPUs after re-packing.
 
 use dynmo::core::migration::MigrationPlan;
-use dynmo::core::repack::{plan_repack, RepackConfig};
+use dynmo::core::repack::plan_repack;
 use dynmo::dynamics::distributed_global_prune;
 use dynmo::pipeline::{LayerLoad, StageAssignment};
 use dynmo::runtime::{launch, Payload};
@@ -100,16 +100,9 @@ fn repack_then_comm_split_releases_idle_ranks() {
         })
         .collect();
     let assignment = StageAssignment::uniform(8, 4);
-    let plan = plan_repack(
-        &assignment,
-        &loads,
-        &[1; 4],
-        &RepackConfig {
-            max_memory: 450,
-            target_num_workers: 1,
-            utilization_cap: 1.0,
-        },
-    );
+    // A 500-byte budget fills a worker to 450 bytes: two 200-byte stages
+    // share one, three do not.
+    let plan = plan_repack(&assignment, &loads, &[1; 4], 500);
     assert_eq!(plan.active_workers.len(), 2);
     let active = plan.active_workers.clone();
 

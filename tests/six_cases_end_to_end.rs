@@ -39,9 +39,8 @@ fn run_dynmo(
     frequency: Option<RebalanceFrequency>,
 ) -> TrainingReport {
     let policy = RebalancePolicy {
-        enabled: true,
         frequency,
-        repack: None,
+        repack: false,
     };
     let controller = if diffusion {
         RebalanceController::new(
