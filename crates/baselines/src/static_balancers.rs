@@ -55,7 +55,7 @@ pub fn deepspeed_initial_assignment(model: &Model, num_stages: usize) -> StageAs
         .iter()
         .map(|l| l.param_count as f64)
         .collect();
-    StageAssignment::from_counts(&partition_balanced(&weights, num_stages))
+    StageAssignment::from_counts(&partition_balanced(&weights, &vec![1.0; num_stages]))
 }
 
 /// The controller used for every static baseline: whatever the initial

@@ -67,7 +67,6 @@ pub fn convergence_loads(layers: usize) -> Vec<LayerLoad> {
 pub fn full_recompute_balancer() -> DiffusionBalancer {
     DiffusionBalancer {
         use_incremental_potential: false,
-        ..DiffusionBalancer::new()
     }
 }
 

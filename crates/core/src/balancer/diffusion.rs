@@ -22,35 +22,36 @@ use dynmo_pipeline::StageAssignment;
 
 use super::{stage_weights, BalanceOutcome, BalanceRequest, LoadBalancer};
 
+/// Maximum number of rounds before giving up (a safety valve; the Lemma 2
+/// bound is far below this for the stage counts simulated).
+const MAX_ROUNDS: u64 = 100_000;
+
+/// Convergence threshold γ on the potential function, expressed as a
+/// fraction of the total load (so it is scale-free).
+const GAMMA_FRACTION: f64 = 1e-3;
+
 /// The decentralized iterative diffusion balancer.
 #[derive(Debug, Clone)]
 pub struct DiffusionBalancer {
-    /// Maximum number of rounds before giving up (a safety valve; the
-    /// Lemma 2 bound is far below this for the stage counts simulated).
-    pub max_rounds: u64,
-    /// Convergence threshold γ on the potential function, expressed as a
-    /// fraction of the total load (so it is scale-free).
-    pub gamma_fraction: f64,
     /// Evaluate candidate moves with the O(p) incremental potential update
-    /// ([`potential_after_move`]) instead of cloning the stage loads and
-    /// recomputing the full O(p²) pairwise sum per candidate.  On by
-    /// default; the `lemma2_convergence` bench flips it off to measure the
-    /// win, and the property tests pin both paths to identical outcomes.
+    /// ([`potential_after_asymmetric_move`]) instead of cloning the stage
+    /// loads and recomputing the full O(p²) pairwise sum per candidate.  On
+    /// by default; the `lemma2_convergence` bench flips it off to measure
+    /// the win, and the property tests pin both paths to identical
+    /// outcomes.
     pub use_incremental_potential: bool,
 }
 
 impl Default for DiffusionBalancer {
     fn default() -> Self {
         DiffusionBalancer {
-            max_rounds: 100_000,
-            gamma_fraction: 1e-3,
             use_incremental_potential: true,
         }
     }
 }
 
 impl DiffusionBalancer {
-    /// Create a balancer with default convergence parameters.
+    /// Create a balancer that evaluates moves incrementally.
     pub fn new() -> Self {
         Self::default()
     }
@@ -61,15 +62,16 @@ impl DiffusionBalancer {
     /// empirical round counts stay below the bound.
     pub fn lemma2_round_bound(&self, num_stages: usize, total_load: f64) -> f64 {
         let n = num_stages.max(2) as f64;
-        let gamma = (self.gamma_fraction * total_load).max(f64::MIN_POSITIVE);
+        let gamma = (GAMMA_FRACTION * total_load).max(f64::MIN_POSITIVE);
         let s = total_load.max(gamma);
         60.0 * n * n * (2.0 * n).ln() * (s * n / gamma).ln().max(1.0)
     }
 }
 
 /// The potential function φ of Lemma 2: the sum of absolute pairwise load
-/// gaps across all worker pairs.  O(p²) — use [`potential_after_move`] to
-/// evaluate a candidate boundary move in O(p).
+/// gaps across all worker pairs.  O(p²) — use
+/// [`potential_after_asymmetric_move`] to evaluate a candidate boundary move
+/// in O(p).
 pub fn potential(stage_loads: &[f64]) -> f64 {
     let mut phi = 0.0;
     for i in 0..stage_loads.len() {
@@ -80,21 +82,14 @@ pub fn potential(stage_loads: &[f64]) -> f64 {
     phi
 }
 
-/// φ after moving weight `w` from stage `from` to stage `to`, computed
-/// incrementally from the current `phi`: a boundary move only changes two
-/// stage loads, so only the O(p) pairwise terms touching those two stages
-/// change — the remaining O(p²) terms cancel.  With exactly-representable
-/// loads (integer-valued f64s, as the property test uses) the result is
-/// bit-equal to recomputing [`potential`] on the moved load vector.
-pub fn potential_after_move(stage_loads: &[f64], phi: f64, from: usize, to: usize, w: f64) -> f64 {
-    potential_after_asymmetric_move(stage_loads, phi, from, to, w, w)
-}
-
-/// [`potential_after_move`] for heterogeneous stages, where one layer's
-/// *time* differs between the source and destination device: the source
-/// sheds `dw_from` and the destination gains `dw_to`.  With `dw_from ==
-/// dw_to` this is exactly the symmetric update (the homogeneous path calls
-/// it with the raw weight on both sides).
+/// φ after moving one layer from stage `from` to stage `to`, computed
+/// incrementally from the current `phi`: the source sheds `dw_from` and
+/// the destination gains `dw_to` (the layer's *time* on each endpoint's
+/// device; equal on equal devices).  A boundary move only changes two stage
+/// loads, so only the O(p) pairwise terms touching those two stages change
+/// — the remaining O(p²) terms cancel.  With exactly-representable loads
+/// (integer-valued f64s, as the property test uses) the result is bit-equal
+/// to recomputing [`potential`] on the moved load vector.
 pub fn potential_after_asymmetric_move(
     stage_loads: &[f64],
     phi: f64,
@@ -142,25 +137,18 @@ impl LoadBalancer for DiffusionBalancer {
         };
         let weights: Vec<f64> = (0..num_layers).map(|l| request.weight(l)).collect();
         let total: f64 = weights.iter().sum();
-        // γ is scale-free against the total *time*; on a heterogeneous
-        // cluster the fastest device sets the time scale of the load vector
-        // below.  (With all speeds 1.0 both divisions are exact no-ops, so
-        // the homogeneous bits are untouched.)
-        let gamma = match &request.stage_speeds {
-            Some(speeds) => {
-                let max_speed = speeds.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
-                self.gamma_fraction * (total / max_speed)
-            }
-            None => self.gamma_fraction * total,
-        };
+        let speeds = &request.stage_speeds;
+        // γ is scale-free against the total *time*; the fastest device sets
+        // the time scale of the load vector below.  (With every speed 1.0,
+        // as on a homogeneous cluster, each division returns its operand.)
+        let max_speed = speeds.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
+        let gamma = GAMMA_FRACTION * (total / max_speed);
 
         // Stage loads in the time domain: raw objective weight over the
         // stage's effective speed.
         let mut loads = stage_weights(&assignment, request.loads, request.objective);
-        if let Some(speeds) = &request.stage_speeds {
-            for (s, load) in loads.iter_mut().enumerate() {
-                *load /= speeds[s];
-            }
+        for (load, &speed) in loads.iter_mut().zip(speeds) {
+            *load /= speed;
         }
         let mut phi = potential(&loads);
         let mut rounds = 0u64;
@@ -177,10 +165,7 @@ impl LoadBalancer for DiffusionBalancer {
             let layer = boundary_layer(assignment, from, to)?;
             let w = weights[layer];
             // The layer's *time* on each endpoint's device.
-            let (dw_from, dw_to) = match &request.stage_speeds {
-                Some(speeds) => (w / speeds[from], w / speeds[to]),
-                None => (w, w),
-            };
+            let (dw_from, dw_to) = (w / speeds[from], w / speeds[to]);
             let new_phi = if self.use_incremental_potential {
                 potential_after_asymmetric_move(loads, phi, from, to, dw_from, dw_to)
             } else {
@@ -192,11 +177,11 @@ impl LoadBalancer for DiffusionBalancer {
             // Memory check on the destination stage.
             let mut dest_layers = assignment.layers_of(to);
             dest_layers.push(layer);
-            let fits = request.stage_memory(to, &dest_layers) <= request.capacity_of(to);
+            let fits = request.stage_memory(to, &dest_layers) <= request.stage_capacities[to];
             (new_phi < phi - 1e-15 && fits).then_some((layer, new_phi, dw_from, dw_to))
         };
 
-        while rounds < self.max_rounds && phi > gamma {
+        while rounds < MAX_ROUNDS && phi > gamma {
             rounds += 1;
             // Find the adjacent pair with the largest gap (the "max
             // neighbor" strategy of the proof).
@@ -424,7 +409,7 @@ mod tests {
                     continue;
                 }
                 for w in [1.0f64, 2.0, 5.0, 13.0] {
-                    let incremental = potential_after_move(&loads, phi, from, to, w);
+                    let incremental = potential_after_asymmetric_move(&loads, phi, from, to, w, w);
                     let mut moved = loads.clone();
                     moved[from] -= w;
                     moved[to] += w;
@@ -456,7 +441,6 @@ mod tests {
             let incremental = DiffusionBalancer::new().rebalance(&request);
             let full = DiffusionBalancer {
                 use_incremental_potential: false,
-                ..DiffusionBalancer::new()
             }
             .rebalance(&request);
             assert_eq!(incremental.assignment, full.assignment, "seed {seed}");
@@ -471,30 +455,13 @@ mod tests {
     }
 
     #[test]
-    fn unit_speeds_are_bit_identical_to_the_homogeneous_path() {
-        let times: Vec<f64> = (0..40)
-            .map(|i| 0.25 + (((i as u64 + 1) * 2654435761) % 997) as f64 / 300.0)
-            .collect();
-        let loads = loads_from_times(&times);
-        let current = StageAssignment::uniform(40, 8);
-        let plain = BalanceRequest::new(&loads, 8, u64::MAX, BalanceObjective::ByTime)
-            .with_current(&current);
-        let unit = plain.clone().with_stage_speeds(Some(vec![1.0; 8]));
-        let a = DiffusionBalancer::new().rebalance(&plain);
-        let b = DiffusionBalancer::new().rebalance(&unit);
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.bottleneck.to_bits(), b.bottleneck.to_bits());
-    }
-
-    #[test]
     fn slow_stages_end_up_with_fewer_layers() {
         let loads = loads_from_times(&[1.0; 24]);
         let current = StageAssignment::uniform(24, 4);
         // Stage 3 runs at a quarter speed: diffusion should drain it.
         let request = BalanceRequest::new(&loads, 4, u64::MAX, BalanceObjective::ByTime)
             .with_current(&current)
-            .with_stage_speeds(Some(vec![1.0, 1.0, 1.0, 0.25]));
+            .with_stage_speeds(vec![1.0, 1.0, 1.0, 0.25]);
         let outcome = DiffusionBalancer::new().rebalance(&request);
         let counts = outcome.assignment.counts();
         assert_eq!(counts.iter().sum::<usize>(), 24);
@@ -520,8 +487,8 @@ mod tests {
         let request = BalanceRequest::new(&loads, 2, u64::MAX, BalanceObjective::ByTime)
             .with_current(&current)
             .with_inflight(vec![0, 0])
-            .with_stage_speeds(Some(vec![1.0, 8.0]))
-            .with_stage_capacities(Some(vec![u64::MAX, 5_000]));
+            .with_stage_speeds(vec![1.0, 8.0])
+            .with_stage_capacities(vec![u64::MAX, 5_000]);
         let outcome = DiffusionBalancer::new().rebalance(&request);
         let counts = outcome.assignment.counts();
         assert!(counts[1] <= 5, "counts {counts:?}");

@@ -71,19 +71,19 @@ pub struct BalanceRequest<'a> {
     pub current: Option<&'a StageAssignment>,
     /// The balancing objective.
     pub objective: BalanceObjective,
-    /// Per-stage effective speed relative to the reference device (`None` =
-    /// homogeneous; arithmetic on that path must stay bit-identical to the
-    /// speed-free code).  A layer of weight `w` costs `w / speed[s]` time on
-    /// stage `s`.
-    pub stage_speeds: Option<Vec<f64>>,
-    /// Per-stage memory capacities for mixed-generation clusters (`None` =
-    /// every stage has `memory_capacity`).
-    pub stage_capacities: Option<Vec<u64>>,
+    /// Per-stage effective speed relative to the reference device, one
+    /// entry per stage (all 1.0 on a homogeneous cluster).  A layer of
+    /// weight `w` costs `w / stage_speeds[s]` time on stage `s`.
+    pub stage_speeds: Vec<f64>,
+    /// Per-stage memory capacities in bytes, one entry per stage (all
+    /// `memory_capacity` on a homogeneous cluster).
+    pub stage_capacities: Vec<u64>,
 }
 
 impl<'a> BalanceRequest<'a> {
-    /// Convenience constructor with a conservative in-flight estimate of
-    /// `min(num_stages, 4)` micro-batches for every stage.
+    /// Convenience constructor for a homogeneous cluster: speed 1.0 and
+    /// `memory_capacity` for every stage, and a conservative in-flight
+    /// estimate of `min(num_stages, 4)` micro-batches per stage.
     pub fn new(
         loads: &'a [LayerLoad],
         num_stages: usize,
@@ -97,8 +97,8 @@ impl<'a> BalanceRequest<'a> {
             inflight: vec![num_stages.min(4); num_stages],
             current: None,
             objective,
-            stage_speeds: None,
-            stage_capacities: None,
+            stage_speeds: vec![1.0; num_stages],
+            stage_capacities: vec![memory_capacity; num_stages],
         }
     }
 
@@ -115,21 +115,20 @@ impl<'a> BalanceRequest<'a> {
         self
     }
 
-    /// Set per-stage effective speeds (builder style; `None` clears them).
-    pub fn with_stage_speeds(mut self, speeds: Option<Vec<f64>>) -> Self {
-        if let Some(s) = &speeds {
-            assert_eq!(s.len(), self.num_stages);
-            assert!(s.iter().all(|&v| v > 0.0), "stage speeds must be positive");
-        }
+    /// Set per-stage effective speeds (builder style).
+    pub fn with_stage_speeds(mut self, speeds: Vec<f64>) -> Self {
+        assert_eq!(speeds.len(), self.num_stages);
+        assert!(
+            speeds.iter().all(|&v| v > 0.0),
+            "stage speeds must be positive"
+        );
         self.stage_speeds = speeds;
         self
     }
 
-    /// Set per-stage memory capacities (builder style; `None` clears them).
-    pub fn with_stage_capacities(mut self, capacities: Option<Vec<u64>>) -> Self {
-        if let Some(c) = &capacities {
-            assert_eq!(c.len(), self.num_stages);
-        }
+    /// Set per-stage memory capacities (builder style).
+    pub fn with_stage_capacities(mut self, capacities: Vec<u64>) -> Self {
+        assert_eq!(capacities.len(), self.num_stages);
         self.stage_capacities = capacities;
         self
     }
@@ -137,22 +136,6 @@ impl<'a> BalanceRequest<'a> {
     /// The weight of layer `l` under the request's objective.
     pub fn weight(&self, l: usize) -> f64 {
         self.objective.weight(&self.loads[l])
-    }
-
-    /// Effective speed of stage `s` (1.0 on the homogeneous path).
-    pub fn speed(&self, s: usize) -> f64 {
-        match &self.stage_speeds {
-            Some(speeds) => speeds[s],
-            None => 1.0,
-        }
-    }
-
-    /// Memory capacity of stage `s`.
-    pub fn capacity_of(&self, s: usize) -> u64 {
-        match &self.stage_capacities {
-            Some(capacities) => capacities[s],
-            None => self.memory_capacity,
-        }
     }
 
     /// Memory bytes stage `s` would need to host the given layers.
@@ -249,6 +232,8 @@ mod tests {
         assert_eq!(request.num_stages, 2);
         assert!(request.current.is_some());
         assert_eq!(request.inflight, vec![2, 1]);
+        assert_eq!(request.stage_speeds, vec![1.0, 1.0]);
+        assert_eq!(request.stage_capacities, vec![u64::MAX, u64::MAX]);
         assert_eq!(request.weight(0), 1.0);
     }
 

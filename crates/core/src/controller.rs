@@ -141,10 +141,10 @@ impl RebalanceController {
     /// * `comm` — communication model for migration cost.
     /// * `num_microbatches` — micro-batches per iteration, used to weigh the
     ///   expected per-iteration benefit of a move against its migration cost.
-    /// * `stage_speeds` — per-stage effective speeds on a heterogeneous (or
-    ///   straggler-degraded) cluster; `None` = homogeneous.
-    /// * `stage_capacities` — per-stage memory capacities; `None` = every
-    ///   stage has `memory_capacity`.
+    /// * `stage_speeds` — per-stage effective speeds relative to the
+    ///   reference device (all 1.0 on a homogeneous cluster).
+    /// * `stage_capacities` — per-stage memory capacities (all
+    ///   `memory_capacity` on a homogeneous cluster).
     ///
     /// # Panics
     ///
@@ -159,8 +159,8 @@ impl RebalanceController {
         inflight: &[usize],
         comm: &CommCostModel,
         num_microbatches: usize,
-        stage_speeds: Option<&[f64]>,
-        stage_capacities: Option<&[u64]>,
+        stage_speeds: &[f64],
+        stage_capacities: &[u64],
     ) -> RebalanceOutcome {
         let balancer = self
             .balancer
@@ -181,41 +181,18 @@ impl RebalanceController {
         }
 
         // Step 2: balance the layers over the (possibly reduced) worker set.
-        // Per-stage vectors follow the same convention as `inflight`:
-        // truncated to the active workers, extended by repeating the last
-        // entry if re-packing ever grew the set.
-        let fit_f64 = |values: &[f64]| -> Vec<f64> {
-            values
-                .iter()
-                .copied()
-                .chain(std::iter::repeat(values.last().copied().unwrap_or(1.0)))
-                .take(active_workers)
-                .collect()
-        };
-        let fit_u64 = |values: &[u64]| -> Vec<u64> {
-            values
-                .iter()
-                .copied()
-                .chain(std::iter::repeat(
-                    values.last().copied().unwrap_or(memory_capacity),
-                ))
-                .take(active_workers)
-                .collect()
-        };
+        // Every per-stage vector is truncated to the active workers, or
+        // extended by repeating its last entry if re-packing ever grew the
+        // set.
         let request = BalanceRequest {
             loads,
             num_stages: active_workers,
             memory_capacity,
-            inflight: inflight
-                .iter()
-                .copied()
-                .chain(std::iter::repeat(*inflight.last().unwrap_or(&1)))
-                .take(active_workers)
-                .collect(),
+            inflight: fit(inflight, active_workers, 1),
             current: Some(current),
             objective: self.objective,
-            stage_speeds: stage_speeds.map(fit_f64),
-            stage_capacities: stage_capacities.map(fit_u64),
+            stage_speeds: fit(stage_speeds, active_workers, 1.0),
+            stage_capacities: fit(stage_capacities, active_workers, memory_capacity),
         };
         let outcome = balancer.rebalance(&request);
         let algorithm_time =
@@ -239,10 +216,8 @@ impl RebalanceController {
                         totals[stage] += loads[layer].total_time();
                     }
                 }
-                if let Some(speeds) = stage_speeds {
-                    for (s, total) in totals.iter_mut().enumerate() {
-                        *total /= speeds.get(s).copied().unwrap_or(1.0);
-                    }
+                for (s, total) in totals.iter_mut().enumerate() {
+                    *total /= stage_speeds.get(s).copied().unwrap_or(1.0);
                 }
                 totals.into_iter().fold(0.0, f64::max)
             };
@@ -272,6 +247,18 @@ impl RebalanceController {
             rounds: outcome.rounds,
         }
     }
+}
+
+/// `values` fitted to `n` entries: truncated, or extended by repeating the
+/// last entry (`fill` when `values` is empty).
+fn fit<T: Copy>(values: &[T], n: usize, fill: T) -> Vec<T> {
+    let last = values.last().copied().unwrap_or(fill);
+    values
+        .iter()
+        .copied()
+        .chain(std::iter::repeat(last))
+        .take(n)
+        .collect()
 }
 
 #[cfg(test)]
@@ -308,6 +295,28 @@ mod tests {
         )
     }
 
+    /// One rebalance on a homogeneous cluster with unbounded memory, one
+    /// in-flight micro-batch per stage and 32 micro-batches per iteration.
+    fn rebalance(
+        c: &RebalanceController,
+        current: &StageAssignment,
+        loads: &[LayerLoad],
+    ) -> RebalanceOutcome {
+        let stages = current.num_stages();
+        let (inflight, speeds, capacities) =
+            (vec![1; stages], vec![1.0; stages], vec![u64::MAX; stages]);
+        c.rebalance(
+            current,
+            loads,
+            u64::MAX,
+            &inflight,
+            &comm(),
+            32,
+            &speeds,
+            &capacities,
+        )
+    }
+
     #[test]
     fn due_logic_respects_policy_and_engine_frequency() {
         let c = controller(RebalancePolicy::dynamic());
@@ -332,7 +341,7 @@ mod tests {
             &(0..16).map(|i| 1.0 + i as f64 * 0.2).collect::<Vec<_>>(),
             100,
         );
-        let outcome = c.rebalance(&current, &loads, u64::MAX, &[1; 4], &comm(), 32, None, None);
+        let outcome = rebalance(&c, &current, &loads);
         assert_eq!(outcome.active_workers, 4);
         assert!(outcome.released_workers.is_empty());
         assert_eq!(outcome.assignment.num_layers(), 16);
@@ -349,9 +358,7 @@ mod tests {
             &(0..16).map(|i| 1.0 + i as f64 * 0.2).collect::<Vec<_>>(),
             100,
         );
-        let run = |c: &RebalanceController| {
-            c.rebalance(&current, &loads, u64::MAX, &[1; 4], &comm(), 32, None, None)
-        };
+        let run = |c: &RebalanceController| rebalance(c, &current, &loads);
         let per_round = BALANCER_SECONDS_PER_LAYER_ROUND * 16.0;
 
         let partition = controller(RebalancePolicy::dynamic());
@@ -392,7 +399,7 @@ mod tests {
         });
         let current = StageAssignment::uniform(16, 8);
         let loads = loads(&[0.5; 16], 10);
-        let outcome = c.rebalance(&current, &loads, u64::MAX, &[1; 8], &comm(), 32, None, None);
+        let outcome = rebalance(&c, &current, &loads);
         assert_eq!(outcome.active_workers, 2);
         assert_eq!(outcome.released_workers, vec![2, 3, 4, 5, 6, 7]);
         assert_eq!(outcome.assignment.num_stages(), 2);

@@ -51,11 +51,10 @@ pub use controller::{RebalanceController, RebalancePolicy};
 pub use elastic::{FleetError, MockJobManager};
 pub use migration::{MigrationPlan, MigrationStep};
 pub use overhead::OverheadBreakdown;
-pub use profiler::{profile_layers, profiling_cost, StragglerDetector};
+pub use profiler::{profile_layers, profiling_cost};
 pub use recovery::{
-    run_elastic_rescale, run_resilient, run_resilient_recorded, ElasticRescaleConfig,
-    ElasticRescaleReport, RecoveryEvent, ResilientRunReport, ResilientTrainingConfig,
-    WorkloadConfig,
+    run_elastic_rescale, run_resilient, ElasticRescaleConfig, ElasticRescaleReport, RecoveryEvent,
+    ResilientRunReport, ResilientTrainingConfig, WorkloadConfig,
 };
 pub use repack::{plan_repack, RepackPlan};
 pub use report::TrainingReport;

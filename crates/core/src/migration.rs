@@ -60,11 +60,6 @@ impl MigrationPlan {
         self.steps.len()
     }
 
-    /// Total bytes moved.
-    pub fn total_bytes(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes).sum()
-    }
-
     /// Wall-clock cost of the migration under `comm`.  Transfers between
     /// distinct worker pairs proceed in parallel (they use disjoint links),
     /// so the cost is the maximum over pairs of the per-pair serialized
@@ -142,7 +137,6 @@ mod tests {
         let a = StageAssignment::uniform(8, 4);
         let plan = MigrationPlan::between(&a, &a, &loads(8, 100));
         assert!(plan.is_empty());
-        assert_eq!(plan.total_bytes(), 0);
         assert_eq!(plan.cost(&comm_model()), 0.0);
     }
 
@@ -154,7 +148,7 @@ mod tests {
         b.move_layer(7, 0).unwrap();
         let plan = MigrationPlan::between(&a, &b, &loads(8, 1_000));
         assert_eq!(plan.num_moves(), 2);
-        assert_eq!(plan.total_bytes(), 2_000);
+        assert!(plan.steps.iter().all(|s| s.bytes == 1_000));
         assert!(plan.cost(&comm_model()) > 0.0);
         let layers: Vec<usize> = plan.steps.iter().map(|s| s.layer).collect();
         assert!(layers.contains(&0) && layers.contains(&7));

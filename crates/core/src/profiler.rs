@@ -23,89 +23,6 @@ pub fn profiling_cost(loads: &[LayerLoad]) -> f64 {
     loads.len() as f64 * TIMER_READOUT_PER_LAYER
 }
 
-/// Ratio of observed to expected stage time above which an observation
-/// counts as "slow".  Transient jitter below this never registers, so the
-/// detector only reacts to sustained degradation (thermal throttling, a
-/// failing NIC, a noisy neighbour on a shared node).
-pub const STRAGGLER_THRESHOLD: f64 = 1.2;
-
-/// Consecutive slow observations required before a stage is confirmed as a
-/// *persistent* straggler and its effective speed is downgraded.
-pub const STRAGGLER_MIN_HITS: u32 = 3;
-
-/// Detects persistent stragglers from the profiler's per-stage timings.
-///
-/// Every iteration the trainer feeds the observed per-stage compute times
-/// next to the times the device specs predict.  A stage whose ratio exceeds
-/// [`STRAGGLER_THRESHOLD`] for [`STRAGGLER_MIN_HITS`] consecutive
-/// observations is *confirmed*: its effective speed (expected/observed,
-/// capped at 1.0) is recorded and fed to the balancer as a per-stage speed
-/// downgrade, so subsequent rebalances shift layers off the slow worker.
-/// Confirmation is sticky — a straggler that looks healthy again after the
-/// balancer unloaded it stays downgraded.
-#[derive(Debug, Clone)]
-pub struct StragglerDetector {
-    hits: Vec<u32>,
-    /// Confirmed effective speed per stage; exactly 1.0 = healthy.
-    speeds: Vec<f64>,
-}
-
-impl StragglerDetector {
-    /// A detector over `num_stages` stages.
-    pub fn new(num_stages: usize) -> Self {
-        StragglerDetector {
-            hits: vec![0; num_stages],
-            speeds: vec![1.0; num_stages],
-        }
-    }
-
-    /// Feed one round of per-stage timings (`observed[s]` measured,
-    /// `expected[s]` predicted by the device specs).  Shorter slices than
-    /// the detector's stage count are fine — a re-packed pipeline simply
-    /// stops reporting the released stages.  Returns the stages *newly
-    /// confirmed* this round as `(stage, effective_speed)` pairs.
-    pub fn observe(&mut self, observed: &[f64], expected: &[f64]) -> Vec<(usize, f64)> {
-        assert_eq!(observed.len(), expected.len());
-        let mut confirmed = Vec::new();
-        for s in 0..observed.len().min(self.hits.len()) {
-            if expected[s] <= 0.0 {
-                self.hits[s] = 0;
-                continue;
-            }
-            let ratio = observed[s] / expected[s];
-            if ratio >= STRAGGLER_THRESHOLD {
-                self.hits[s] = self.hits[s].saturating_add(1);
-                if self.hits[s] == STRAGGLER_MIN_HITS && self.speeds[s] == 1.0 {
-                    self.speeds[s] = (expected[s] / observed[s]).clamp(f64::MIN_POSITIVE, 1.0);
-                    confirmed.push((s, self.speeds[s]));
-                }
-            } else if self.speeds[s] == 1.0 {
-                // Unconfirmed stages must be *consecutively* slow; confirmed
-                // ones keep their downgrade even when they look healthy
-                // (the balancer unloading them is exactly what we expect).
-                self.hits[s] = 0;
-            }
-        }
-        confirmed
-    }
-
-    /// Whether `stage` has been confirmed as a straggler.
-    pub fn is_straggler(&self, stage: usize) -> bool {
-        self.speeds.get(stage).is_some_and(|&v| v < 1.0)
-    }
-
-    /// Per-stage effective-speed downgrades, or `None` while every stage is
-    /// healthy (so homogeneous, straggler-free runs keep the speed-free
-    /// balancer path bit-for-bit).
-    pub fn downgrades(&self) -> Option<Vec<f64>> {
-        if self.speeds.iter().all(|&v| v == 1.0) {
-            None
-        } else {
-            Some(self.speeds.clone())
-        }
-    }
-}
-
 /// Profile every layer of `model` under the dynamism state `update`,
 /// converting FLOPs to time on `device`.
 pub fn profile_layers(model: &Model, update: &LoadUpdate, device: &DeviceSpec) -> Vec<LayerLoad> {
@@ -216,56 +133,6 @@ mod tests {
     fn mismatched_update_length_panics() {
         let model = gpt();
         let _ = profile_layers(&model, &LoadUpdate::identity(3), &DeviceSpec::h100_sxm5());
-    }
-
-    #[test]
-    fn transient_spikes_never_confirm_a_straggler() {
-        let mut detector = StragglerDetector::new(4);
-        let expected = [1.0, 1.0, 1.0, 1.0];
-        // Two slow rounds, then a healthy one, repeatedly: the consecutive
-        // counter resets and stage 2 is never confirmed.
-        for _ in 0..5 {
-            assert!(detector
-                .observe(&[1.0, 1.0, 2.0, 1.0], &expected)
-                .is_empty());
-            assert!(detector
-                .observe(&[1.0, 1.0, 2.0, 1.0], &expected)
-                .is_empty());
-            assert!(detector
-                .observe(&[1.0, 1.0, 1.0, 1.0], &expected)
-                .is_empty());
-        }
-        assert!(!detector.is_straggler(2));
-        assert!(detector.downgrades().is_none());
-    }
-
-    #[test]
-    fn persistent_slowdown_confirms_once_with_the_estimated_speed() {
-        let mut detector = StragglerDetector::new(4);
-        let expected = [1.0, 1.0, 1.0, 1.0];
-        let observed = [1.0, 1.0, 2.0, 1.0];
-        assert!(detector.observe(&observed, &expected).is_empty());
-        assert!(detector.observe(&observed, &expected).is_empty());
-        let confirmed = detector.observe(&observed, &expected);
-        assert_eq!(confirmed, vec![(2, 0.5)]);
-        // Further slow rounds do not re-confirm.
-        assert!(detector.observe(&observed, &expected).is_empty());
-        assert!(detector.is_straggler(2));
-        assert_eq!(detector.downgrades(), Some(vec![1.0, 1.0, 0.5, 1.0]));
-        // A confirmed straggler that looks healthy again (the balancer
-        // unloaded it) keeps its downgrade.
-        assert!(detector.observe(&expected, &expected).is_empty());
-        assert!(detector.is_straggler(2));
-    }
-
-    #[test]
-    fn shrunken_pipelines_report_fewer_stages() {
-        let mut detector = StragglerDetector::new(8);
-        // Only 2 active stages after re-packing; must not panic or confirm.
-        for _ in 0..10 {
-            assert!(detector.observe(&[1.0, 1.0], &[1.0, 1.0]).is_empty());
-        }
-        assert!(detector.downgrades().is_none());
     }
 
     #[test]

@@ -13,14 +13,16 @@
 //!    `ncclCommSplit`).
 //! 3. **Re-balance** — the Partition balancer re-runs for the new world
 //!    size over layer loads reconstructed from the checkpoint.
-//! 4. **Replay** — trainer state is restored from the last checkpoint in a
-//!    [`CheckpointStore`] and the lost iterations are re-executed.
+//! 4. **Replay** — trainer state is restored from the last periodic
+//!    checkpoint in a [`CheckpointStore`] and the lost iterations are
+//!    re-executed.
 //! 5. **Account** — every checkpoint write and recovery is charged to the
 //!    `recovery` bucket of [`OverheadBreakdown`], next to the paper's
 //!    profiling/algorithm/migration buckets.
 //!
 //! [`run_resilient`] drives an actual multi-rank training loop on the
-//! simulated fabric under a [`FaultPlan`], and [`run_elastic_rescale`] does
+//! simulated fabric under a [`FaultPlan`] of scheduled rank deaths, and
+//! [`run_elastic_rescale`] does
 //! the voluntary version: shrink the world mid-run, hand the GPUs back to
 //! the job manager, and grow back — with layer-assignment conservation
 //! checked at every step.
@@ -36,9 +38,7 @@ use dynmo_resilience::{
 };
 use dynmo_runtime::{
     launch, Communicator, FaultInjector, FaultPlan, Payload, RankCtx, RuntimeError,
-    SPOT_WARNING_ITERATIONS,
 };
-use dynmo_telemetry::{MarkerKind, NullRecorder, Recorder};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -141,24 +141,14 @@ impl ResilientTrainingConfig {
         if self.workload.num_layers < self.world_size {
             return Err("need at least one layer per worker".into());
         }
-        let dead: std::collections::BTreeSet<usize> = self
-            .fault_plan
-            .kills()
-            .iter()
-            .map(|k| k.rank)
-            .chain(self.fault_plan.evictions().iter().map(|e| e.rank))
-            .collect();
+        let dead: std::collections::BTreeSet<usize> =
+            self.fault_plan.kills().iter().map(|k| k.rank).collect();
         if dead.len() >= self.world_size {
             return Err("fault plan kills the entire world".into());
         }
         for kill in self.fault_plan.kills() {
             if kill.rank >= self.world_size {
                 return Err(format!("fault plan kills unknown rank {}", kill.rank));
-            }
-        }
-        for eviction in self.fault_plan.evictions() {
-            if eviction.rank >= self.world_size {
-                return Err(format!("fault plan evicts unknown rank {}", eviction.rank));
             }
         }
         Ok(())
@@ -227,11 +217,10 @@ struct SharedState {
     recoveries: Mutex<Vec<RecoveryEvent>>,
     checkpoints_taken: AtomicU64,
     replayed_iterations: AtomicU64,
-    recorder: Arc<dyn Recorder>,
 }
 
 impl SharedState {
-    fn new(world_size: usize, recorder: Arc<dyn Recorder>) -> Self {
+    fn new(world_size: usize) -> Self {
         SharedState {
             store: Mutex::new(MemoryCheckpointStore::new()),
             job_manager: Mutex::new(MockJobManager::held_by(JOB, world_size)),
@@ -239,7 +228,6 @@ impl SharedState {
             recoveries: Mutex::new(Vec::new()),
             checkpoints_taken: AtomicU64::new(0),
             replayed_iterations: AtomicU64::new(0),
-            recorder,
         }
     }
 }
@@ -444,18 +432,8 @@ fn save_checkpoint(state: TrainerState, shared: &SharedState) -> Result<(), Runt
 /// Returns an error only for structural problems (bad config, checkpoint
 /// corruption); scheduled rank deaths are *handled*, not propagated.
 pub fn run_resilient(config: &ResilientTrainingConfig) -> Result<ResilientRunReport, RuntimeError> {
-    run_resilient_recorded(config, Arc::new(NullRecorder))
-}
-
-/// [`run_resilient`] with a telemetry sink: spot-eviction advance warnings
-/// surface as [`MarkerKind::EvictionWarning`] instants so a trace viewer
-/// shows the warning → checkpoint → eviction → recovery sequence.
-pub fn run_resilient_recorded(
-    config: &ResilientTrainingConfig,
-    recorder: Arc<dyn Recorder>,
-) -> Result<ResilientRunReport, RuntimeError> {
     config.validate().map_err(RuntimeError::InvalidArgument)?;
-    let shared = Arc::new(SharedState::new(config.world_size, recorder));
+    let shared = Arc::new(SharedState::new(config.world_size));
 
     // Initial checkpoint: every rank derives the same state, rank 0 writes
     // it before any rank starts, so recovery always has a floor.
@@ -623,40 +601,9 @@ fn run_iteration(
     // `iteration` field is the next iteration to execute, so a restore
     // never re-applies an update the snapshot already contains.
     let interval = config.checkpoint_interval;
-    let periodic = interval > 0 && (iteration + 1).is_multiple_of(interval);
-
-    // Spot-eviction advance warning: when any live member of this
-    // communicator was just warned, checkpoint immediately so the imminent
-    // eviction rolls back at most `SPOT_WARNING_ITERATIONS` iterations
-    // instead of a whole checkpoint interval.  Every member of the
-    // communicator computes the same predicate from the shared fault plan,
-    // so the collective gather below stays aligned.
-    let members = comm.members();
-    let warned_here: Vec<usize> = config
-        .fault_plan
-        .warned_at(iteration)
-        .into_iter()
-        .filter(|rank| members.contains(rank))
-        .collect();
-
-    if periodic || !warned_here.is_empty() {
+    if interval > 0 && (iteration + 1).is_multiple_of(interval) {
         if let Some(state) = gather_full_state(comm, assignment, layers, iteration + 1, loss)? {
             save_checkpoint(state, shared)?;
-        }
-    }
-    if comm.rank() == 0 {
-        for rank in &warned_here {
-            shared.recorder.instant(
-                0,
-                MarkerKind::EvictionWarning,
-                &format!("rank {rank}"),
-                iteration as f64,
-                &[
-                    ("iteration", iteration.to_string()),
-                    ("rank", rank.to_string()),
-                    ("evicts_in", SPOT_WARNING_ITERATIONS.to_string()),
-                ],
-            );
         }
     }
     Ok(loss)
@@ -810,7 +757,7 @@ pub fn run_elastic_rescale(
     config: &ElasticRescaleConfig,
 ) -> Result<ElasticRescaleReport, RuntimeError> {
     config.validate().map_err(RuntimeError::InvalidArgument)?;
-    let shared = Arc::new(SharedState::new(config.world_size, Arc::new(NullRecorder)));
+    let shared = Arc::new(SharedState::new(config.world_size));
     let conserved = Arc::new(Mutex::new(true));
 
     let shared_for_ranks = Arc::clone(&shared);
@@ -1075,68 +1022,9 @@ mod tests {
         assert!(run_resilient(&config).is_err(), "whole world killed");
         config.fault_plan = FaultPlan::none().kill(7, 1);
         assert!(run_resilient(&config).is_err(), "unknown rank");
-        config.fault_plan = FaultPlan::none().evict(7, 1, 4);
-        assert!(run_resilient(&config).is_err(), "unknown evicted rank");
-        config.fault_plan = FaultPlan::none().kill(0, 5).evict(1, 2, 5);
-        assert!(
-            run_resilient(&config).is_err(),
-            "whole world evicted+killed"
-        );
         config.fault_plan = FaultPlan::none();
         config.world_size = 0;
         assert!(run_resilient(&config).is_err());
-    }
-
-    #[test]
-    fn eviction_warning_checkpoints_immediately_and_emits_a_marker() {
-        use dynmo_telemetry::{Event, MemoryRecorder};
-
-        // Eviction of rank 2 at iteration 17 with the warning at 14.  The
-        // warning forces a checkpoint at iteration 14 (stored as 15), so
-        // the recovery resumes from 15 instead of the periodic 10 — the
-        // rollback is bounded by the warning lead, not the interval.
-        let config = base_config(4, 30, FaultPlan::none().evict(2, 14, 17));
-        let recorder = Arc::new(MemoryRecorder::new());
-        let report = run_resilient_recorded(&config, recorder.clone()).unwrap();
-        assert_eq!(report.final_world_size, 3);
-        assert_eq!(report.recoveries.len(), 1);
-        let recovery = &report.recoveries[0];
-        assert_eq!(recovery.failed_ranks, vec![2]);
-        assert_eq!(recovery.resumed_from, 15, "warning checkpoint not used");
-        assert!(recovery.replayed <= SPOT_WARNING_ITERATIONS);
-
-        let warnings: Vec<String> = recorder
-            .snapshot()
-            .into_iter()
-            .filter_map(|event| match event {
-                Event::Instant(i) if i.kind == MarkerKind::EvictionWarning => Some(i.name),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(warnings, vec!["rank 2".to_string()]);
-    }
-
-    #[test]
-    fn spot_evicted_run_recovers_bit_for_bit() {
-        // A stochastic spot schedule (deterministic per seed) interrupts
-        // the run; recovery must still reproduce the failure-free weights
-        // exactly, and every eviction gets its advance-warning checkpoint.
-        let plan = FaultPlan::spot(4, 40, 0.02, 7);
-        let evicted: std::collections::BTreeSet<usize> =
-            plan.evictions().iter().map(|e| e.rank).collect();
-        assert!(!evicted.is_empty(), "seed 7 should schedule evictions");
-        assert!(!evicted.contains(&0), "rank 0 is immune");
-
-        let clean = run_resilient(&base_config(4, 40, FaultPlan::none())).unwrap();
-        let faulty = run_resilient(&base_config(4, 40, plan)).unwrap();
-        assert_eq!(clean.weights_checksum, faulty.weights_checksum);
-        assert_eq!(faulty.final_world_size, 4 - evicted.len());
-        assert!(!faulty.recoveries.is_empty());
-        // Warning-driven checkpoints bound every rollback by the lead time
-        // (+1 because the victim can die mid-iteration after a replay).
-        for recovery in &faulty.recoveries {
-            assert!(recovery.replayed <= SPOT_WARNING_ITERATIONS + 1);
-        }
     }
 
     #[test]

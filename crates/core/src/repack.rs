@@ -50,13 +50,6 @@ pub struct RepackPlan {
     pub memory_after: Vec<u64>,
 }
 
-impl RepackPlan {
-    /// Whether the plan actually frees any workers.
-    pub fn releases_any(&self) -> bool {
-        !self.released_workers.is_empty()
-    }
-}
-
 /// Run Algorithm 2 (first-fit pairwise consolidation) over the current
 /// assignment.
 ///
@@ -178,7 +171,7 @@ mod tests {
         // stages' worth fits on one worker, but re-packing stops at 2.
         let (assignment, loads) = simple_case(100, 2, 4);
         let plan = plan_repack(&assignment, &loads, &[1; 4], 1_000);
-        assert!(plan.releases_any());
+        assert!(!plan.released_workers.is_empty());
         assert_eq!(plan.active_workers, vec![2, 3]);
         assert_eq!(plan.released_workers, vec![0, 1]);
         assert_eq!(plan.new_assignment.counts(), vec![0, 0, 6, 2]);
@@ -204,7 +197,7 @@ mod tests {
         // (usable 880) the pairs merge.
         let (assignment, loads) = simple_case(220, 2, 4);
         let plan = plan_repack(&assignment, &loads, &[1; 4], 900);
-        assert!(!plan.releases_any());
+        assert!(plan.released_workers.is_empty());
         let plan = plan_repack(&assignment, &loads, &[1; 4], 978);
         assert_eq!(plan.released_workers, vec![0, 2]);
     }
@@ -221,7 +214,7 @@ mod tests {
     fn repack_is_a_no_op_when_nothing_fits_together() {
         let (assignment, loads) = simple_case(800, 2, 4);
         let plan = plan_repack(&assignment, &loads, &[1; 4], 1_000);
-        assert!(!plan.releases_any());
+        assert!(plan.released_workers.is_empty());
         assert_eq!(plan.new_assignment, assignment);
         assert!(plan.transfers.is_empty());
     }
@@ -245,10 +238,10 @@ mod tests {
         // Budget 1500 × 0.9 = 1350.  With 2 in-flight: each stage =
         // 2·(100 + 400) = 1000, pair = 2000 > 1350 ⇒ no merge.
         let plan = plan_repack(&assignment, &loads, &[2, 2, 2], 1_500);
-        assert!(!plan.releases_any());
+        assert!(plan.released_workers.is_empty());
         // With 1 in-flight: each stage = 600, pair = 1200 ≤ 1350 ⇒ merge.
         let plan = plan_repack(&assignment, &loads, &[1, 1, 1], 1_500);
-        assert!(plan.releases_any());
+        assert!(!plan.released_workers.is_empty());
     }
 
     #[test]

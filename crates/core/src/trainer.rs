@@ -36,7 +36,7 @@ use crate::balancer::{stage_weights, BalanceObjective};
 use crate::controller::RebalanceController;
 use crate::imbalance::ImbalanceHistory;
 use crate::overhead::OverheadBreakdown;
-use crate::profiler::{profile_layers, profiling_cost, StragglerDetector};
+use crate::profiler::{profile_layers, profiling_cost};
 use crate::report::TrainingReport;
 
 /// Configuration of one training run.
@@ -164,46 +164,31 @@ mod metric_keys {
 }
 
 /// What a run derives from its cluster: the comm, pipeline and throughput
-/// models, the device-spec stage speeds and capacities, the ground-truth
-/// slowdowns the simulator applies, and the straggler detector.  Built when
-/// a run starts and rebuilt when it is rescaled.
+/// models and the per-stage device speeds and memory capacities.  Built
+/// when a run starts and rebuilt when it is rescaled.
 struct ClusterModels {
     comm: CommCostModel,
     simulator: PipelineSimulator,
     hybrid: HybridThroughputModel,
-    /// Device-spec stage speeds, known a priori (`None` on a homogeneous
-    /// cluster, which keeps that path bit-identical to the speed-free code).
-    base_speeds: Option<Vec<f64>>,
-    stage_capacities: Option<Vec<u64>>,
-    /// Ground-truth per-stage compute slowdown the *simulator* applies: the
-    /// device generation's speed deficit times any injected straggler.
-    actual_slowdowns: Option<Vec<f64>>,
-    /// Fed at runtime from observed vs. expected stage times.
-    detector: StragglerDetector,
+    /// Stage speeds relative to the reference device (all 1.0 on a
+    /// homogeneous cluster), which the balancer weighs layers by.
+    stage_speeds: Vec<f64>,
+    stage_capacities: Vec<u64>,
+    /// Per-stage compute stretch the simulator applies: `1.0 / speed`.
+    slowdowns: Vec<f64>,
 }
 
 impl ClusterModels {
-    fn new(config: &TrainerConfig, straggler_injection: Option<&[f64]>) -> Self {
-        let stages = config.cluster.pipeline_stages;
+    fn new(config: &TrainerConfig) -> Self {
         let comm = CommCostModel::new(config.cluster.clone());
-        let base_speeds = config.cluster.stage_speeds();
-        let actual_slowdowns =
-            (base_speeds.is_some() || straggler_injection.is_some()).then(|| {
-                (0..stages)
-                    .map(|s| {
-                        let speed = base_speeds.as_ref().map_or(1.0, |v| v[s]);
-                        straggler_injection.map_or(1.0, |v| v[s]) / speed
-                    })
-                    .collect()
-            });
+        let stage_speeds = config.cluster.stage_speeds();
         ClusterModels {
             simulator: PipelineSimulator::new(comm.clone(), config.schedule),
             hybrid: HybridThroughputModel::new(comm.clone(), config.allreduce_overlap),
             comm,
-            base_speeds,
+            slowdowns: stage_speeds.iter().map(|speed| 1.0 / speed).collect(),
+            stage_speeds,
             stage_capacities: config.cluster.stage_capacities(),
-            actual_slowdowns,
-            detector: StragglerDetector::new(stages),
         }
     }
 }
@@ -365,7 +350,6 @@ pub struct Trainer {
     initial_assignment: Option<StageAssignment>,
     checkpointing: Option<Checkpointing>,
     recorder: Arc<dyn Recorder>,
-    straggler_injection: Option<Vec<f64>>,
     run: Option<RunState>,
 }
 
@@ -381,30 +365,8 @@ impl Trainer {
             initial_assignment: None,
             checkpointing: None,
             recorder: Arc::new(NullRecorder),
-            straggler_injection: None,
             run: None,
         }
-    }
-
-    /// Inject per-stage compute slowdowns — the simulation-side ground truth
-    /// for straggler experiments.  Stage `s` runs `slowdowns[s]`× slower than
-    /// its device spec predicts.  The balancer is *not* told: it only learns
-    /// about the slowdown once the profiler's [`StragglerDetector`] confirms
-    /// it (persistently slow for several consecutive observations), at which
-    /// point the stage's effective speed is downgraded in every subsequent
-    /// rebalance and a `StragglerDetected` marker is recorded.
-    pub fn with_straggler_injection(mut self, slowdowns: Vec<f64>) -> Self {
-        assert_eq!(
-            slowdowns.len(),
-            self.config.cluster.pipeline_stages,
-            "straggler injection must cover every pipeline stage"
-        );
-        assert!(
-            slowdowns.iter().all(|&s| s >= 1.0),
-            "straggler slowdowns must be >= 1.0 (1.0 = healthy)"
-        );
-        self.straggler_injection = Some(slowdowns);
-        self
     }
 
     /// Attach a telemetry recorder.  Each newly simulated iteration's
@@ -563,10 +525,9 @@ impl Trainer {
 
     /// Advance the live run to iteration `until` and return its cumulative
     /// report.  The first call starts a fresh run at iteration 0; later
-    /// calls continue where the last one stopped, with every accumulator,
-    /// model and the straggler detector carried over, so advancing in
-    /// chunks reproduces one uninterrupted run bit for bit.  Pass the same
-    /// `engine` every time.
+    /// calls continue where the last one stopped, with every accumulator
+    /// and model carried over, so advancing in chunks reproduces one
+    /// uninterrupted run bit for bit.  Pass the same `engine` every time.
     ///
     /// Fails if `until` is behind the run or beyond the configured
     /// iterations.
@@ -594,18 +555,17 @@ impl Trainer {
     /// Reshape the live run onto `cluster` at the current iteration — an
     /// elastic shrink or grow.  The layers are laid out uniformly over the
     /// new world (the rebalance controller balances them at its next due
-    /// iteration); the models and the straggler detector are rebuilt for
-    /// the new cluster; and `cost` simulated seconds (the checkpoint write
-    /// and communicator rebuild the move pays) are charged to the total
-    /// time and the recovery bucket as one recovery event.  The trajectory
+    /// iteration); the models are rebuilt for the new cluster; and `cost`
+    /// simulated seconds (the checkpoint write and communicator rebuild the
+    /// move pays) are charged to the total time and the recovery bucket as
+    /// one recovery event.  The trajectory
     /// checksum hashes per-iteration quantities only, so outside the
     /// rescale a shrunken-and-regrown run stays bit-identical to an
     /// undisturbed one.
     ///
     /// Fails, changing nothing, if no run is live, the new configuration is
     /// invalid (for example zero stages), `cost` is not finite and ≥ 0, or
-    /// a straggler injection or initial assignment does not fit the new
-    /// world.
+    /// the initial assignment does not fit the new world.
     pub fn rescale(&mut self, cluster: ClusterConfig, cost: f64) -> Result<(), String> {
         if !cost.is_finite() || cost < 0.0 {
             return Err(format!("rescale cost {cost} must be finite and ≥ 0"));
@@ -616,14 +576,6 @@ impl Trainer {
         };
         config.validate()?;
         let stages = config.cluster.pipeline_stages;
-        if let Some(injection) = &self.straggler_injection {
-            if injection.len() != stages {
-                return Err(format!(
-                    "straggler injection covers {} stages, not the new world's {stages}",
-                    injection.len()
-                ));
-            }
-        }
         if let Some(initial) = &self.initial_assignment {
             if initial.num_stages() > stages {
                 return Err(format!(
@@ -633,7 +585,7 @@ impl Trainer {
             }
         }
         let run = self.run.as_mut().ok_or("no live run to rescale")?;
-        run.cluster = ClusterModels::new(&config, self.straggler_injection.as_deref());
+        run.cluster = ClusterModels::new(&config);
         run.assignment = StageAssignment::uniform(self.model.num_layers(), stages);
         run.active_workers = stages;
         run.total_time += cost;
@@ -663,7 +615,7 @@ impl Trainer {
         });
         RunState {
             iteration: 0,
-            cluster: ClusterModels::new(&self.config, self.straggler_injection.as_deref()),
+            cluster: ClusterModels::new(&self.config),
             active_workers: assignment.num_stages(),
             assignment,
             loads: Vec::new(),
@@ -698,38 +650,6 @@ impl Trainer {
         }
         let cluster = &mut run.cluster;
 
-        // Straggler detection: compare the observed per-stage compute
-        // times (which include the injected slowdown) against what the
-        // device specs predict, and confirm persistent outliers.
-        if let Some(injection) = &self.straggler_injection {
-            let ideal = stage_weights(&run.assignment, &run.loads, BalanceObjective::ByTime);
-            let expected: Vec<f64> = ideal
-                .iter()
-                .enumerate()
-                .map(|(s, &w)| w / cluster.base_speeds.as_ref().map_or(1.0, |v| v[s]))
-                .collect();
-            let observed: Vec<f64> = expected
-                .iter()
-                .enumerate()
-                .map(|(s, &e)| e * injection.get(s).copied().unwrap_or(1.0))
-                .collect();
-            for (stage, speed) in cluster.detector.observe(&observed, &expected) {
-                if self.recorder.enabled() {
-                    self.recorder.instant(
-                        0,
-                        MarkerKind::StragglerDetected,
-                        &format!("stage {stage}"),
-                        run.total_time,
-                        &[
-                            ("iteration", iteration.to_string()),
-                            ("stage", stage.to_string()),
-                            ("effective_speed", format!("{speed:.4}")),
-                        ],
-                    );
-                }
-            }
-        }
-
         // Rebalance when due (black-box fixed cadence, §3.2).
         if self
             .controller
@@ -745,19 +665,6 @@ impl Trainer {
                     )
                 })
                 .collect();
-            // The balancer sees the device-spec speeds (known a priori)
-            // multiplied by the detector's confirmed downgrades — never
-            // the raw injection, which it has no way to observe directly.
-            let downgrades = cluster.detector.downgrades();
-            let effective_speeds: Option<Vec<f64>> =
-                (cluster.base_speeds.is_some() || downgrades.is_some()).then(|| {
-                    (0..self.config.cluster.pipeline_stages)
-                        .map(|s| {
-                            cluster.base_speeds.as_ref().map_or(1.0, |v| v[s])
-                                * downgrades.as_ref().map_or(1.0, |v| v[s])
-                        })
-                        .collect()
-                });
             let outcome = self.controller.rebalance(
                 &run.assignment,
                 &run.loads,
@@ -765,8 +672,8 @@ impl Trainer {
                 &inflight,
                 &cluster.comm,
                 self.config.num_microbatches,
-                effective_speeds.as_deref(),
-                cluster.stage_capacities.as_deref(),
+                &cluster.stage_speeds,
+                &cluster.stage_capacities,
             );
             let profiling_cost = profiling_cost(&run.loads);
             run.overhead.record(
@@ -814,16 +721,12 @@ impl Trainer {
                 &update.token_retention,
                 cluster.comm.activation_bytes(model_cfg),
             );
-            // Apply the ground-truth slowdowns: a slow device (or an
-            // injected straggler) stretches its stage's compute times in
-            // the simulated pipeline, whether or not the balancer has
-            // caught on yet.
-            if let Some(slowdowns) = &cluster.actual_slowdowns {
-                for (s, load) in stage_loads.iter_mut().enumerate() {
-                    let factor = slowdowns.get(s).copied().unwrap_or(1.0);
-                    load.fwd_time *= factor;
-                    load.bwd_time *= factor;
-                }
+            // A slow device stretches its stage's compute times in the
+            // simulated pipeline (a factor of exactly 1.0 on a homogeneous
+            // cluster).
+            for (load, &factor) in stage_loads.iter_mut().zip(&cluster.slowdowns) {
+                load.fwd_time *= factor;
+                load.bwd_time *= factor;
             }
             let m = self.config.num_microbatches;
             let report = simulate_for(
@@ -1256,31 +1159,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_straggler_run_matches_the_monolithic_run_bit_for_bit() {
-        // The straggler detector is live state: a chunked run must carry
-        // its hit counts and confirmed downgrades across chunks, or it
-        // confirms the straggler late and drifts off the monolithic run.
-        let model = Model::from_preset(ModelPreset::Gpt { layers: 24 });
-        let trainer = || {
-            Trainer::new(model.clone(), config(4, 200), every_n_controller(10))
-                .with_straggler_injection(vec![1.0, 1.0, 2.0, 1.0])
-        };
-        let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 3);
-        let whole = trainer().run(&mut engine);
-
-        let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 3);
-        let mut chunked = trainer();
-        let mut last: Option<TrainingReport> = None;
-        for until in (20..=200).step_by(20) {
-            last = Some(chunked.advance_to(&mut engine, until).unwrap());
-        }
-        let chunked = last.unwrap();
-        assert_eq!(chunked.trajectory_checksum, whole.trajectory_checksum);
-        assert_eq!(chunked.total_time.to_bits(), whole.total_time.to_bits());
-        assert_eq!(chunked.overhead, whole.overhead);
-    }
-
-    #[test]
     fn rescale_hook_reshapes_the_world_and_charges_recovery() {
         let model = Model::from_preset(ModelPreset::Gpt { layers: 24 });
         let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 7);
@@ -1327,7 +1205,7 @@ mod tests {
         let model = Model::from_preset(ModelPreset::Gpt { layers: 24 });
         let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 7);
         let mut trainer = Trainer::new(model.clone(), config(4, 40), dynamic_controller())
-            .with_straggler_injection(vec![1.0, 1.0, 2.0, 1.0]);
+            .with_initial_assignment(StageAssignment::uniform(model.num_layers(), 4));
         // Nothing to reshape before the run starts.
         assert!(trainer.rescale(small_cluster(4), 1.0).is_err());
         trainer.advance_to(&mut engine, 20).unwrap();
@@ -1339,7 +1217,7 @@ mod tests {
         for cost in [f64::NAN, f64::INFINITY, -1.0] {
             assert!(trainer.rescale(small_cluster(4), cost).is_err(), "{cost}");
         }
-        // The injection covers four stages, not two.
+        // The initial assignment uses four stages, more than two.
         assert!(trainer.rescale(small_cluster(2), 1.0).is_err());
         assert_eq!(trainer.snapshot(&engine).unwrap(), before);
         assert_eq!(trainer.config().cluster.pipeline_stages, 4);
@@ -1472,50 +1350,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_detection_downgrades_the_slow_stage_and_records_a_marker() {
-        use dynmo_telemetry::{Event, MemoryRecorder};
-
-        // Stage 2 secretly runs 2× slower than its spec.  A static run just
-        // eats the slowdown; a dynamic run must detect it, emit exactly one
-        // StragglerDetected marker for stage 2, and shift layers off the
-        // slow stage for a clearly better throughput.
-        let model = Model::from_preset(ModelPreset::Gpt { layers: 24 });
-        let injection = vec![1.0, 1.0, 2.0, 1.0];
-        let recorder = Arc::new(MemoryRecorder::new());
-        // Pin a tight cadence: the engine's own recommendation (every ~100
-        // iterations for early exit) would leave half this short run
-        // unbalanced and the margin would measure the cadence, not the
-        // detector.
-        let mut dynamic = Trainer::new(model.clone(), config(4, 200), every_n_controller(10))
-            .with_straggler_injection(injection.clone())
-            .with_recorder(recorder.clone());
-        let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 3);
-        let dynamic_report = dynamic.run(&mut engine);
-
-        let mut static_trainer = Trainer::new(model.clone(), config(4, 200), static_controller())
-            .with_straggler_injection(injection);
-        let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 3);
-        let static_report = static_trainer.run(&mut engine);
-
-        let markers: Vec<_> = recorder
-            .snapshot()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::Instant(i) if i.kind == MarkerKind::StragglerDetected => Some(i),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(markers.len(), 1, "exactly one straggler confirmed");
-        assert!(markers[0].name.contains("stage 2"), "{}", markers[0].name);
-        assert!(
-            dynamic_report.tokens_per_second > static_report.tokens_per_second * 1.15,
-            "dynamic {} vs static {}",
-            dynamic_report.tokens_per_second,
-            static_report.tokens_per_second
-        );
-    }
-
-    #[test]
     fn heterogeneous_cluster_rebalancing_beats_the_even_split() {
         // Two generations (H100 + A100) in one pipeline: the device-weighted
         // balancer must beat a static uniform split even with a *static*
@@ -1543,9 +1377,8 @@ mod tests {
 
     #[test]
     fn hetero_cluster_with_equal_devices_matches_homogeneous_bit_for_bit() {
-        // The explicit-device path with all-equal specs must take the
-        // weighted code and still land on the homogeneous trajectory
-        // checksum exactly.
+        // A cluster of all-equal explicit specs must land on the
+        // homogeneous trajectory checksum exactly.
         let model = Model::from_preset(ModelPreset::Gpt { layers: 24 });
         let run = |cluster: ClusterConfig| {
             let mut cfg = config(4, 120);

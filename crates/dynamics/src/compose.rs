@@ -80,16 +80,6 @@ impl ComposedEngine {
         Ok(ComposedEngine { engines })
     }
 
-    /// The sub-engines, in stack order.
-    pub fn engines(&self) -> &[Box<dyn DynamismEngine + Send>] {
-        &self.engines
-    }
-
-    /// The sub-engines' cases, in stack order.
-    pub fn cases(&self) -> Vec<DynamismCase> {
-        self.engines.iter().map(|e| e.case()).collect()
-    }
-
     /// Number of stacked mechanisms.
     pub fn len(&self) -> usize {
         self.engines.len()
@@ -498,9 +488,16 @@ mod tests {
         assert_eq!(stack.case(), DynamismCase::Composite);
         assert_eq!(stack.len(), 2);
         assert!(!stack.is_empty());
+        // The snapshot keeps the sub-engines in stack order.
+        let children: Vec<String> = stack
+            .export_state()
+            .children
+            .into_iter()
+            .map(|child| child.name)
+            .collect();
         assert_eq!(
-            stack.cases(),
-            vec![DynamismCase::ParameterPruning, DynamismCase::EarlyExit]
+            children,
+            vec![pruning(&model).name(), early_exit(&model).name()]
         );
         assert!(stack.name().starts_with("composite["));
         assert!(stack.name().contains(" + "));

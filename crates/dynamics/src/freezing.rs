@@ -103,11 +103,6 @@ impl FreezingEngine {
             frozen_memory_fraction,
         }
     }
-
-    /// The freezing policy in use.
-    pub fn policy(&self) -> &FreezingPolicy {
-        &self.policy
-    }
 }
 
 impl DynamismEngine for FreezingEngine {
@@ -270,7 +265,7 @@ mod tests {
         // Changes only happen on check-interval boundaries.
         assert!(change_iterations
             .iter()
-            .all(|it| it % e.policy().check_interval == 0));
+            .all(|it| it % FreezingPolicy::paper_default().check_interval == 0));
     }
 
     #[test]

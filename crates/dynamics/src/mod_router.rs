@@ -58,8 +58,6 @@ pub struct MixtureOfDepthsEngine {
     /// ≈1.0; kept explicit for clarity and future refinement).
     routable_fraction: f64,
     rng: Prng,
-    /// Last per-layer effective token fractions.
-    last_fraction: Vec<f64>,
 }
 
 impl MixtureOfDepthsEngine {
@@ -92,23 +90,7 @@ impl MixtureOfDepthsEngine {
             num_layers: model.num_layers(),
             routable_fraction,
             rng: Prng::seed_from(seed),
-            last_fraction: Vec::new(),
         }
-    }
-
-    /// The MoD configuration.
-    pub fn config(&self) -> &ModConfig {
-        &self.config
-    }
-
-    /// Layer ids of the routed (MoD) blocks.
-    pub fn routed_layers(&self) -> &[usize] {
-        &self.routed_layers
-    }
-
-    /// Per-layer effective token fractions of the last step.
-    pub fn last_fraction(&self) -> &[f64] {
-        &self.last_fraction
     }
 }
 
@@ -127,13 +109,11 @@ impl DynamismEngine for MixtureOfDepthsEngine {
 
     fn step(&mut self, _iteration: u64) -> LoadUpdate {
         let mut update = LoadUpdate::identity(self.num_layers);
-        self.last_fraction = vec![1.0; self.num_layers];
         for &layer in &self.routed_layers {
             // Expert-choice capacity plus the causal predictor's error: the
             // predictor routes slightly more or fewer tokens than capacity.
             let error = 1.0 + self.rng.next_f64().mul_add(2.0, -1.0) * self.config.predictor_error;
             let fraction = (self.config.capacity * error).clamp(0.05, 1.0);
-            self.last_fraction[layer] = fraction;
             let scale = (1.0 - self.routable_fraction) + self.routable_fraction * fraction;
             update.fwd_scale[layer] = scale;
             update.bwd_scale[layer] = scale;
@@ -159,7 +139,6 @@ impl DynamismEngine for MixtureOfDepthsEngine {
             return Err("MoD state must carry exactly one RNG stream".into());
         }
         self.rng = Prng::from_state(state.rng_streams[0]);
-        self.last_fraction.clear();
         Ok(())
     }
 }
@@ -173,15 +152,24 @@ mod tests {
         Model::from_preset(ModelPreset::Gpt { layers: 24 })
     }
 
+    /// The layers an update scales: the routed blocks (a routed block's
+    /// token fraction stays below 1 at these capacities).
+    fn routed(update: &LoadUpdate) -> Vec<usize> {
+        (0..update.num_layers())
+            .filter(|&l| update.fwd_scale[l] != 1.0)
+            .collect()
+    }
+
     #[test]
     fn alternating_blocks_are_routed() {
-        let e = MixtureOfDepthsEngine::new(&gpt(), ModConfig::paper_default(), 1);
+        let mut e = MixtureOfDepthsEngine::new(&gpt(), ModConfig::paper_default(), 1);
+        let routed = routed(&e.step(0));
         // 24 transformer layers, every 2nd routed → 12 routed blocks.
-        assert_eq!(e.routed_layers().len(), 12);
+        assert_eq!(routed.len(), 12);
         // Routed blocks are the odd positions (2nd, 4th, ...).
         let tfm = gpt().transformer_layer_ids();
-        assert!(e.routed_layers().contains(&tfm[1]));
-        assert!(!e.routed_layers().contains(&tfm[0]));
+        assert!(routed.contains(&tfm[1]));
+        assert!(!routed.contains(&tfm[0]));
     }
 
     #[test]
@@ -191,7 +179,7 @@ mod tests {
         let u = e.step(0);
         u.validate().unwrap();
         assert!(u.changed);
-        for &l in e.routed_layers() {
+        for &l in model.transformer_layer_ids().iter().skip(1).step_by(2) {
             assert!(
                 u.fwd_scale[l] > 0.3 && u.fwd_scale[l] < 0.75,
                 "scale {}",
@@ -211,7 +199,7 @@ mod tests {
         let b = e.step(1).fwd_scale.clone();
         assert_ne!(a, b);
         // The variation is bounded by the predictor error.
-        for &l in e.routed_layers() {
+        for l in routed(&e.step(2)) {
             assert!((a[l] - b[l]).abs() < 0.3);
         }
     }
@@ -228,8 +216,10 @@ mod tests {
         let a = e.step(0).fwd_scale.clone();
         let b = e.step(1).fwd_scale.clone();
         assert_eq!(a, b);
-        for &l in e.routed_layers() {
-            assert!((e.last_fraction()[l] - 0.25).abs() < 1e-12);
+        // Every routed block runs exactly the capacity fraction of tokens.
+        let scale = (1.0 - e.routable_fraction) + e.routable_fraction * 0.25;
+        for &l in model.transformer_layer_ids().iter().skip(1).step_by(2) {
+            assert_eq!(a[l], scale);
         }
     }
 
@@ -240,8 +230,8 @@ mod tests {
             route_every: 1,
             predictor_error: 0.0,
         };
-        let e = MixtureOfDepthsEngine::new(&gpt(), cfg, 5);
-        assert_eq!(e.routed_layers().len(), 24);
+        let mut e = MixtureOfDepthsEngine::new(&gpt(), cfg, 5);
+        assert_eq!(routed(&e.step(0)).len(), 24);
     }
 
     #[test]
@@ -260,7 +250,6 @@ mod tests {
         let e = MixtureOfDepthsEngine::new(&gpt(), ModConfig::paper_default(), 7);
         assert_eq!(e.case(), DynamismCase::MixtureOfDepths);
         assert_eq!(e.rebalance_frequency(), RebalanceFrequency::EveryIteration);
-        assert!(e.name().contains("capacity-50%"));
-        assert_eq!(e.config().route_every, 2);
+        assert!(e.name().contains("capacity-50%-every-2"));
     }
 }

@@ -68,8 +68,6 @@ pub struct MoeEngine {
     num_layers: usize,
     /// Fraction of a transformer block's FLOPs spent in the (MoE) FFN.
     ffn_fraction: f64,
-    /// Most recent per-MoE-layer expert counts (exposed for inspection).
-    last_counts: Vec<Vec<usize>>,
 }
 
 impl MoeEngine {
@@ -113,19 +111,7 @@ impl MoeEngine {
             moe_layer_ids,
             num_layers: model.num_layers(),
             ffn_fraction,
-            last_counts: Vec::new(),
         }
-    }
-
-    /// The routing strategy being simulated.
-    pub fn strategy(&self) -> RoutingStrategy {
-        self.strategy
-    }
-
-    /// The expert token counts of the most recent step, one vector per MoE
-    /// layer.
-    pub fn last_counts(&self) -> &[Vec<usize>] {
-        &self.last_counts
     }
 
     /// The layer-level compute multiplier induced by an expert-load
@@ -147,12 +133,9 @@ impl DynamismEngine for MoeEngine {
 
     fn step(&mut self, _iteration: u64) -> LoadUpdate {
         let mut update = LoadUpdate::identity(self.num_layers);
-        self.last_counts.clear();
         let ffn_fraction = self.ffn_fraction;
         for (generator, &layer_id) in self.generators.iter_mut().zip(self.moe_layer_ids.iter()) {
-            let counts = generator.next_counts();
-            let imbalance = max_over_mean(&counts);
-            self.last_counts.push(counts);
+            let imbalance = max_over_mean(&generator.next_counts());
             let scale = (1.0 - ffn_fraction) + ffn_fraction * imbalance;
             update.fwd_scale[layer_id] = scale;
             update.bwd_scale[layer_id] = scale;
@@ -187,7 +170,6 @@ impl DynamismEngine for MoeEngine {
         for (generator, &rng_state) in self.generators.iter_mut().zip(&state.rng_streams) {
             generator.set_rng_state(rng_state);
         }
-        self.last_counts.clear();
         Ok(())
     }
 }
@@ -258,8 +240,8 @@ mod tests {
             .iter()
             .all(|&l| update.fwd_scale[l] >= 1.0));
         assert!(update.changed);
-        // Counts are recorded per MoE layer.
-        assert_eq!(engine.last_counts().len(), 32);
+        // One routing stream per MoE layer.
+        assert_eq!(engine.export_state().rng_streams.len(), 32);
     }
 
     #[test]
@@ -272,7 +254,6 @@ mod tests {
             RebalanceFrequency::EveryIteration
         );
         assert!(engine.name().contains("s-base"));
-        assert_eq!(engine.strategy(), RoutingStrategy::SBase);
     }
 
     #[test]

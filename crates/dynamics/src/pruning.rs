@@ -227,11 +227,6 @@ impl GradualPruningEngine {
         &self.schedule
     }
 
-    /// The global sparsity currently in effect.
-    pub fn current_sparsity(&self) -> f64 {
-        self.current_sparsity
-    }
-
     /// Per-layer retention fractions for a global sparsity `s`: the global
     /// magnitude threshold τ is found by bisection on the exponential
     /// magnitude model `P(|w| ≥ τ | layer l) = exp(−τ / scale_l)` so that
@@ -442,7 +437,8 @@ mod tests {
         let update = engine.step(7000);
         assert!(update.changed);
         update.validate().unwrap();
-        assert!((engine.current_sparsity() - 0.9).abs() < 1e-9);
+        // The snapshot's one scalar is the sparsity in effect.
+        assert!((engine.export_state().scalars[0] - 0.9).abs() < 1e-9);
         // At 90% sparsity the compute multipliers are well below 1.
         let tfm = gpt().transformer_layer_ids();
         assert!(update.fwd_scale[tfm[0]] < 0.8);

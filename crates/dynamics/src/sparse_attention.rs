@@ -79,11 +79,6 @@ impl SparseAttentionEngine {
         }
     }
 
-    /// The attention mode in use.
-    pub fn mode(&self) -> AttentionMode {
-        self.mode
-    }
-
     /// The most recent per-layer densities.
     pub fn last_density(&self) -> &[f64] {
         &self.last_density
@@ -165,7 +160,6 @@ mod tests {
         let update = e.step(0);
         assert!(!update.changed);
         assert!(update.fwd_scale.iter().all(|&s| s == 1.0));
-        assert_eq!(e.mode(), AttentionMode::Dense);
     }
 
     #[test]

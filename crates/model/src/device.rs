@@ -111,10 +111,12 @@ impl DeviceSpec {
 /// The parallel decomposition of a training job across a cluster.
 ///
 /// Homogeneous clusters carry one [`DeviceSpec`] shared by every worker
-/// (`devices: None` — the historical fast path, bit-identical to the
-/// pre-heterogeneity behavior).  Mixed-generation clusters additionally
-/// carry one spec per *pipeline stage* in `devices`; every consumer that
-/// asks per-stage questions goes through [`ClusterConfig::device_of`].
+/// (`devices: None`).  Mixed-generation clusters additionally carry one
+/// spec per *pipeline stage* in `devices`.  Every consumer that asks
+/// per-stage questions goes through [`ClusterConfig::device_of`] or the
+/// per-stage vectors built from it ([`ClusterConfig::stage_speeds`],
+/// [`ClusterConfig::stage_capacities`]), so both kinds of cluster take one
+/// code path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterConfig {
     /// Number of GPUs per node (4 in the paper's H100 system, 8 for the
@@ -211,23 +213,20 @@ impl ClusterConfig {
         }
     }
 
-    /// Per-stage effective speeds relative to the reference device
-    /// (`None` on the homogeneous path: consumers must not perturb their
-    /// arithmetic when every speed would be exactly 1.0).
-    pub fn stage_speeds(&self) -> Option<Vec<f64>> {
-        self.devices.as_ref().map(|devices| {
-            devices
-                .iter()
-                .map(|d| d.sustained_flops / self.device.sustained_flops)
-                .collect()
-        })
+    /// Per-stage effective speeds relative to the reference device: 1.0
+    /// for every stage of a homogeneous cluster.
+    pub fn stage_speeds(&self) -> Vec<f64> {
+        (0..self.pipeline_stages)
+            .map(|s| self.device_of(s).sustained_flops / self.device.sustained_flops)
+            .collect()
     }
 
-    /// Per-stage memory capacities (`None` on the homogeneous path).
-    pub fn stage_capacities(&self) -> Option<Vec<u64>> {
-        self.devices
-            .as_ref()
-            .map(|devices| devices.iter().map(|d| d.memory_capacity).collect())
+    /// Per-stage memory capacities: the device's capacity for every stage
+    /// of a homogeneous cluster.
+    pub fn stage_capacities(&self) -> Vec<u64> {
+        (0..self.pipeline_stages)
+            .map(|s| self.device_of(s).memory_capacity)
+            .collect()
     }
 
     /// Total number of GPUs in the job.
@@ -260,12 +259,13 @@ impl ClusterConfig {
                     self.pipeline_stages
                 ));
             }
-            if devices
-                .iter()
-                .any(|d| d.sustained_flops <= 0.0 || d.memory_capacity == 0)
-            {
-                return Err("every device needs positive flops and memory".into());
-            }
+        }
+        // The reference device normalizes every stage's speed and memory.
+        if std::iter::once(&self.device)
+            .chain(self.devices.iter().flatten())
+            .any(|d| d.sustained_flops <= 0.0 || d.memory_capacity == 0)
+        {
+            return Err("every device needs positive flops and memory".into());
         }
         Ok(())
     }
@@ -335,10 +335,10 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_cluster_reports_no_heterogeneity() {
+    fn homogeneous_cluster_reports_unit_speeds_and_the_device_capacity() {
         let c = ClusterConfig::single_node(8);
-        assert!(c.stage_speeds().is_none());
-        assert!(c.stage_capacities().is_none());
+        assert_eq!(c.stage_speeds(), vec![1.0; 8]);
+        assert_eq!(c.stage_capacities(), vec![c.device.memory_capacity; 8]);
         assert_eq!(c.device_of(3), &c.device);
     }
 
@@ -351,23 +351,33 @@ mod tests {
         assert_eq!(c.device_of(11), &DeviceSpec::v100_sxm2());
         // The oldest generation bounds the memory floor.
         assert_eq!(
-            c.stage_capacities().unwrap().into_iter().min(),
+            c.stage_capacities().into_iter().min(),
             Some(DeviceSpec::v100_sxm2().memory_capacity)
         );
-        let speeds = c.stage_speeds().unwrap();
+        let speeds = c.stage_speeds();
         assert!(speeds[11] < speeds[5] && speeds[5] < speeds[0]);
     }
 
     #[test]
     fn all_equal_devices_give_uniform_per_stage_views() {
         let c = ClusterConfig::single_node(4).with_devices(vec![DeviceSpec::h100_sxm5(); 4]);
-        assert!(c.stage_speeds().unwrap().iter().all(|&s| s == 1.0));
+        assert_eq!(c.stage_speeds(), vec![1.0; 4]);
     }
 
     #[test]
     fn validation_rejects_wrong_device_count() {
         let mut c = ClusterConfig::hetero_three_gen(4, 12, 1);
         c.devices.as_mut().unwrap().pop();
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_reference_device_without_flops_or_memory() {
+        let mut c = ClusterConfig::single_node(4);
+        c.device.memory_capacity = 0;
+        assert!(c.validate().is_err());
+        let mut c = ClusterConfig::single_node(4);
+        c.device.sustained_flops = 0.0;
         assert!(c.validate().is_err());
     }
 

@@ -54,11 +54,6 @@ pub struct LayerDesc {
 }
 
 impl LayerDesc {
-    /// Total baseline FLOPs (forward + backward) for one micro-batch.
-    pub fn flops_total(&self) -> f64 {
-        self.flops_fwd + self.flops_bwd
-    }
-
     /// Whether this layer is a transformer decoder block.
     pub fn is_transformer(&self) -> bool {
         self.kind.is_transformer()
@@ -78,12 +73,6 @@ mod tests {
             flops_fwd: 1.0e11,
             flops_bwd: 2.0e11,
         }
-    }
-
-    #[test]
-    fn flops_total_sums_fwd_and_bwd() {
-        let l = sample_layer();
-        assert_eq!(l.flops_total(), 3.0e11);
     }
 
     #[test]

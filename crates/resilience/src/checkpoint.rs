@@ -45,8 +45,6 @@ pub enum CheckpointError {
     Corrupt(String),
     /// No checkpoint exists for the requested iteration.
     NotFound(u64),
-    /// Filesystem failure in the on-disk store.
-    Io(String),
     /// The trainer state violates a structural invariant.
     Invalid(String),
 }
@@ -68,7 +66,6 @@ impl fmt::Display for CheckpointError {
             CheckpointError::NotFound(iteration) => {
                 write!(f, "no checkpoint stored for iteration {iteration}")
             }
-            CheckpointError::Io(msg) => write!(f, "checkpoint i/o error: {msg}"),
             CheckpointError::Invalid(msg) => write!(f, "invalid trainer state: {msg}"),
         }
     }

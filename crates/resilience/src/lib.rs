@@ -10,9 +10,9 @@
 //!   state: the stage→layer assignment, per-layer weight/optimizer proxies,
 //!   pruning masks, frozen flags, and RNG stream positions, guarded by a
 //!   checksum so a torn write is detected at restore time.
-//! * [`store`] — the [`CheckpointStore`] trait with an in-memory store (for
-//!   simulations and tests) and an on-disk store (JSON files, newest-wins),
-//!   both round-tripping through the same serialized representation.
+//! * [`store`] — the [`CheckpointStore`] trait and an in-memory store (for
+//!   simulations and tests) that round-trips through the serialized
+//!   representation.
 //!
 //! The recovery *coordinator* — which rebuilds the communicator over the
 //! survivors, re-balances for the new world size, and replays from the last
@@ -30,4 +30,4 @@ pub use checkpoint::{
     fnv1a, Checkpoint, CheckpointCostModel, CheckpointError, Fnv1a, LayerState, TrainerState,
     CHECKPOINT_VERSION,
 };
-pub use store::{CheckpointStore, DiskCheckpointStore, MemoryCheckpointStore};
+pub use store::{CheckpointStore, MemoryCheckpointStore};

@@ -1,12 +1,10 @@
 //! Checkpoint stores: where snapshots live between failure and recovery.
 //!
-//! Both implementations persist the *serialized* JSON text (not the live
+//! The in-memory store persists the *serialized* JSON text (not the live
 //! struct), so every `save → load` round-trip exercises the full
-//! serialize/deserialize path and a checkpoint read back from memory is
-//! byte-identical to one read back from disk.
+//! serialize/deserialize path.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 
@@ -97,95 +95,6 @@ impl CheckpointStore for MemoryCheckpointStore {
     }
 }
 
-/// An on-disk store writing one `ckpt-<iteration>.json` file per snapshot.
-#[derive(Debug, Clone)]
-pub struct DiskCheckpointStore {
-    directory: PathBuf,
-}
-
-impl DiskCheckpointStore {
-    /// Open (creating if needed) a store rooted at `directory`.
-    pub fn open(directory: impl Into<PathBuf>) -> Result<Self, CheckpointError> {
-        let directory = directory.into();
-        std::fs::create_dir_all(&directory).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        Ok(DiskCheckpointStore { directory })
-    }
-
-    /// The directory the store writes into.
-    pub fn directory(&self) -> &Path {
-        &self.directory
-    }
-
-    fn path_for(&self, iteration: u64) -> PathBuf {
-        self.directory.join(format!("ckpt-{iteration:010}.json"))
-    }
-
-    fn scan(&self) -> Vec<u64> {
-        let Ok(entries) = std::fs::read_dir(&self.directory) else {
-            return Vec::new();
-        };
-        let mut iterations: Vec<u64> = entries
-            .flatten()
-            .filter_map(|entry| {
-                let name = entry.file_name();
-                let name = name.to_str()?;
-                let digits = name.strip_prefix("ckpt-")?.strip_suffix(".json")?;
-                digits.parse().ok()
-            })
-            .collect();
-        iterations.sort_unstable();
-        iterations
-    }
-}
-
-impl CheckpointStore for DiskCheckpointStore {
-    fn save(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-        checkpoint.verify()?;
-        let path = self.path_for(checkpoint.iteration());
-        // Write-then-rename so a crash mid-write can never leave a torn
-        // file under the final name.
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, checkpoint.to_json()?)
-            .map_err(|e| CheckpointError::Io(e.to_string()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| CheckpointError::Io(e.to_string()))
-    }
-
-    fn load(&self, iteration: u64) -> Result<Checkpoint, CheckpointError> {
-        let path = self.path_for(iteration);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                CheckpointError::NotFound(iteration)
-            } else {
-                CheckpointError::Io(e.to_string())
-            }
-        })?;
-        decode_and_verify(&text)
-    }
-
-    fn latest(&self) -> Result<Option<Checkpoint>, CheckpointError> {
-        match self.scan().last() {
-            Some(&iteration) => self.load(iteration).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    fn iterations(&self) -> Vec<u64> {
-        self.scan()
-    }
-
-    fn retain_last(&mut self, keep: usize) -> usize {
-        let iterations = self.scan();
-        let excess = iterations.len().saturating_sub(keep);
-        let mut removed = 0;
-        for &iteration in iterations.iter().take(excess) {
-            if std::fs::remove_file(self.path_for(iteration)).is_ok() {
-                removed += 1;
-            }
-        }
-        removed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,10 +124,6 @@ mod tests {
 
     fn checkpoint(iteration: u64) -> Checkpoint {
         Checkpoint::new(state(iteration)).unwrap()
-    }
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("dynmo-resilience-{tag}-{}", std::process::id()))
     }
 
     fn exercise_store(store: &mut dyn CheckpointStore) {
@@ -252,44 +157,14 @@ mod tests {
     }
 
     #[test]
-    fn disk_store_full_protocol() {
-        let dir = temp_dir("protocol");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = DiskCheckpointStore::open(&dir).unwrap();
-        exercise_store(&mut store);
-        // A fresh handle over the same directory sees the same snapshots.
-        let reopened = DiskCheckpointStore::open(&dir).unwrap();
-        assert_eq!(reopened.iterations(), vec![150, 200]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_store_rejects_corrupted_files() {
-        let dir = temp_dir("corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = DiskCheckpointStore::open(&dir).unwrap();
+    fn memory_store_rejects_corrupted_text() {
+        let mut store = MemoryCheckpointStore::new();
         store.save(&checkpoint(7)).unwrap();
-        let path = dir.join("ckpt-0000000007.json");
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text = text.replace("\"iteration\": 7", "\"iteration\": 8");
-        std::fs::write(&path, text).unwrap();
+        let text = store.serialized.get_mut(&7).unwrap();
+        *text = text.replace("\"iteration\": 7", "\"iteration\": 8");
         assert!(matches!(
             store.load(7),
             Err(CheckpointError::ChecksumMismatch { .. })
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stores_agree_byte_for_byte() {
-        let dir = temp_dir("parity");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut memory = MemoryCheckpointStore::new();
-        let mut disk = DiskCheckpointStore::open(&dir).unwrap();
-        let ckpt = checkpoint(42);
-        memory.save(&ckpt).unwrap();
-        disk.save(&ckpt).unwrap();
-        assert_eq!(memory.load(42).unwrap(), disk.load(42).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -64,40 +64,10 @@ pub struct ScheduledKill {
     pub at_iteration: u64,
 }
 
-/// One scheduled spot-instance eviction: the provider announces it a few
-/// iterations ahead (cloud spot/preemptible VMs give a 30–120 s warning),
-/// then reclaims the rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpotEviction {
-    /// Global rank being reclaimed.
-    pub rank: RankId,
-    /// Iteration at which the advance warning is delivered.
-    pub warn_at: u64,
-    /// Iteration at which the rank actually dies (`> warn_at`); like a
-    /// [`ScheduledKill`], it fails before doing any work for this iteration.
-    pub evict_at: u64,
-}
-
-/// Iterations of advance notice a spot eviction gives — enough for one
-/// checkpoint-on-warning before the instance is reclaimed.
-pub const SPOT_WARNING_ITERATIONS: u64 = 3;
-
 /// A schedule of rank deaths to inject into a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     kills: Vec<ScheduledKill>,
-    evictions: Vec<SpotEviction>,
-}
-
-/// splitmix64 — the statelessly seedable mixer used to draw the stochastic
-/// spot-eviction schedule.  Local to this crate so the runtime stays free of
-/// a dependency on the dynamics crate's RNG.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {
@@ -112,91 +82,19 @@ impl FaultPlan {
         self
     }
 
-    /// Add a spot eviction of `rank`: warned at `warn_at`, dead at
-    /// `evict_at` (builder-style).
-    pub fn evict(mut self, rank: RankId, warn_at: u64, evict_at: u64) -> Self {
-        assert!(evict_at > warn_at, "eviction must come after its warning");
-        self.evictions.push(SpotEviction {
-            rank,
-            warn_at,
-            evict_at,
-        });
-        self
-    }
-
-    /// A stochastic spot-eviction schedule: every rank except rank 0 (the
-    /// coordinator, pinned to an on-demand instance) is evicted
-    /// independently per iteration with probability `rate`, over the first
-    /// `horizon` iterations, with [`SPOT_WARNING_ITERATIONS`] of advance
-    /// warning.  At most one eviction per rank.  The schedule is a pure
-    /// function of `(world_size, horizon, rate, seed)` — the same seed
-    /// always yields the same plan.
-    pub fn spot(world_size: usize, horizon: u64, rate: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
-        let mut plan = Self::none();
-        for rank in 1..world_size {
-            // One independent, seed-derived stream per rank so adding a
-            // rank never perturbs the other ranks' schedules.
-            let mut state = seed ^ (rank as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-            for iteration in SPOT_WARNING_ITERATIONS..horizon {
-                let draw = splitmix64(&mut state) >> 11; // 53 uniform bits
-                let uniform = draw as f64 / (1u64 << 53) as f64;
-                if uniform < rate {
-                    plan = plan.evict(
-                        rank as RankId,
-                        iteration - SPOT_WARNING_ITERATIONS,
-                        iteration,
-                    );
-                    break;
-                }
-            }
-        }
-        plan
-    }
-
     /// The scheduled kills, in insertion order.
     pub fn kills(&self) -> &[ScheduledKill] {
         &self.kills
     }
 
-    /// The scheduled spot evictions, in insertion order.
-    pub fn evictions(&self) -> &[SpotEviction] {
-        &self.evictions
-    }
-
-    /// Whether the plan schedules any failure at all.
-    pub fn is_empty(&self) -> bool {
-        self.kills.is_empty() && self.evictions.is_empty()
-    }
-
     /// The iteration at which `rank` is scheduled to die, if any (the
-    /// earliest over kills and evictions, when several are scheduled).
+    /// earliest, when several kills name it).
     pub fn death_of(&self, rank: RankId) -> Option<u64> {
         self.kills
             .iter()
             .filter(|k| k.rank == rank)
             .map(|k| k.at_iteration)
-            .chain(
-                self.evictions
-                    .iter()
-                    .filter(|e| e.rank == rank)
-                    .map(|e| e.evict_at),
-            )
             .min()
-    }
-
-    /// The ranks whose eviction warning fires exactly at `iteration`, in
-    /// ascending order — what a checkpoint-on-warning hook keys on.
-    pub fn warned_at(&self, iteration: u64) -> Vec<RankId> {
-        let mut ranks: Vec<RankId> = self
-            .evictions
-            .iter()
-            .filter(|e| e.warn_at == iteration)
-            .map(|e| e.rank)
-            .collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        ranks
     }
 }
 
@@ -263,76 +161,11 @@ mod tests {
     #[test]
     fn plan_records_and_queries_kills() {
         let plan = FaultPlan::none().kill(3, 120).kill(1, 40).kill(3, 80);
-        assert!(!plan.is_empty());
         assert_eq!(plan.kills().len(), 3);
         assert_eq!(plan.death_of(3), Some(80), "earliest death wins");
         assert_eq!(plan.death_of(1), Some(40));
         assert_eq!(plan.death_of(0), None);
-        assert!(FaultPlan::none().is_empty());
-    }
-
-    #[test]
-    fn evictions_enter_death_of_and_warned_at() {
-        let plan = FaultPlan::none()
-            .kill(1, 40)
-            .evict(1, 17, 20)
-            .evict(2, 5, 8);
-        assert!(!plan.is_empty());
-        assert_eq!(plan.evictions().len(), 2);
-        // The eviction at 20 beats the kill at 40.
-        assert_eq!(plan.death_of(1), Some(20));
-        assert_eq!(plan.death_of(2), Some(8));
-        assert_eq!(plan.warned_at(17), vec![1]);
-        assert_eq!(plan.warned_at(5), vec![2]);
-        assert!(plan.warned_at(6).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "after its warning")]
-    fn eviction_without_advance_warning_is_rejected() {
-        let _ = FaultPlan::none().evict(1, 10, 10);
-    }
-
-    #[test]
-    fn spot_schedule_is_deterministic_per_seed() {
-        let a = FaultPlan::spot(8, 200, 0.02, 42);
-        let b = FaultPlan::spot(8, 200, 0.02, 42);
-        assert_eq!(a, b, "same seed, same plan");
-        let c = FaultPlan::spot(8, 200, 0.02, 43);
-        assert_ne!(a, c, "different seed, different plan");
-        // A 2% per-iteration hazard over 200 iterations evicts essentially
-        // every eligible rank (p(survive) ≈ 0.98^197 ≈ 2%).
-        assert!(!a.is_empty());
-        for e in a.evictions() {
-            assert_ne!(e.rank, 0, "rank 0 is pinned to on-demand");
-            assert_eq!(e.evict_at - e.warn_at, SPOT_WARNING_ITERATIONS);
-            assert!(e.evict_at < 200);
-        }
-        // At most one eviction per rank.
-        let mut ranks: Vec<_> = a.evictions().iter().map(|e| e.rank).collect();
-        ranks.sort_unstable();
-        let deduped_len = {
-            let mut r = ranks.clone();
-            r.dedup();
-            r.len()
-        };
-        assert_eq!(ranks.len(), deduped_len);
-    }
-
-    #[test]
-    fn spot_rate_zero_schedules_nothing() {
-        assert!(FaultPlan::spot(16, 1000, 0.0, 7).is_empty());
-    }
-
-    #[test]
-    fn injector_executes_evictions_like_kills() {
-        let detector = detector();
-        let injector = FaultInjector::new(FaultPlan::none().evict(2, 12, 15), detector.clone());
-        assert!(injector.tick(2, 12).is_ok(), "warning does not kill");
-        assert!(injector.tick(2, 14).is_ok());
-        let err = injector.tick(2, 15).unwrap_err();
-        assert_eq!(err, RuntimeError::RankFailed { rank: 2 });
-        assert!(detector.is_failed(2));
+        assert!(FaultPlan::none().kills().is_empty());
     }
 
     #[test]

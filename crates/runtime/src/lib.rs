@@ -48,9 +48,7 @@ pub mod payload;
 pub use communicator::Communicator;
 pub use error::{Result, RuntimeError};
 pub use fabric::Fabric;
-pub use fault::{
-    FailureDetector, FaultInjector, FaultPlan, ScheduledKill, SpotEviction, SPOT_WARNING_ITERATIONS,
-};
+pub use fault::{FailureDetector, FaultInjector, FaultPlan, ScheduledKill};
 pub use launcher::{launch, RankCtx};
 pub use payload::Payload;
 

@@ -40,19 +40,12 @@ pub enum MarkerKind {
     Checkpoint,
     /// State was restored from a checkpoint after a failure.
     Restore,
-    /// Replayed iterations after a restore caught back up.
-    Replay,
     /// The autoscaler added replicas.
     ScaleOut,
     /// The autoscaler drained and released replicas.
     ScaleIn,
     /// A fault was injected (a rank was killed).
     Fault,
-    /// The profiler confirmed a persistent straggler and downgraded the
-    /// rank's effective speed.
-    StragglerDetected,
-    /// A spot/preemptible rank received an eviction warning.
-    EvictionWarning,
     /// A fleet controller took GPUs away from the training job to relieve
     /// a serving tenant's SLO breach.
     GpuSteal,
@@ -62,8 +55,6 @@ pub enum MarkerKind {
     /// A fleet controller drained a lower-priority serving tenant to free
     /// GPUs for a higher-priority one.
     Preemption,
-    /// Anything else worth a timeline pin.
-    Info,
 }
 
 impl MarkerKind {
@@ -73,16 +64,12 @@ impl MarkerKind {
             MarkerKind::Rebalance => "rebalance",
             MarkerKind::Checkpoint => "checkpoint",
             MarkerKind::Restore => "restore",
-            MarkerKind::Replay => "replay",
             MarkerKind::ScaleOut => "scale_out",
             MarkerKind::ScaleIn => "scale_in",
             MarkerKind::Fault => "fault",
-            MarkerKind::StragglerDetected => "straggler_detected",
-            MarkerKind::EvictionWarning => "eviction_warning",
             MarkerKind::GpuSteal => "gpu_steal",
             MarkerKind::GpuReturn => "gpu_return",
             MarkerKind::Preemption => "preemption",
-            MarkerKind::Info => "info",
         }
     }
 }
@@ -160,8 +147,8 @@ mod tests {
     fn marker_names_are_stable() {
         assert_eq!(MarkerKind::Rebalance.name(), "rebalance");
         assert_eq!(MarkerKind::ScaleIn.name(), "scale_in");
-        assert_eq!(MarkerKind::StragglerDetected.name(), "straggler_detected");
-        assert_eq!(MarkerKind::EvictionWarning.name(), "eviction_warning");
+        assert_eq!(MarkerKind::Fault.name(), "fault");
+        assert_eq!(MarkerKind::Preemption.name(), "preemption");
         assert_eq!(LogLevel::Warn.label(), "WARN");
     }
 

@@ -62,11 +62,6 @@ impl P2Quantile {
         }
     }
 
-    /// The target quantile.
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
-
     /// Observations seen so far.
     pub fn count(&self) -> u64 {
         self.count

@@ -19,7 +19,7 @@
 //!   pipeline simulator, communication/memory models, hybrid DP×PP
 //!   throughput accounting.
 //! * [`resilience`] — fault tolerance: versioned trainer checkpoints and
-//!   the in-memory/on-disk checkpoint stores behind them.
+//!   the in-memory checkpoint store behind them.
 //! * [`core`] — DynMo itself: profiler, Partition & Diffusion balancers,
 //!   re-packing (Algorithm 2), elastic GPU release, the rebalance
 //!   controller, the end-to-end [`core::trainer::Trainer`], and the

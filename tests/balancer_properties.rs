@@ -317,8 +317,9 @@ proptest! {
         };
         let phi = dynmo::core::balancer::diffusion::potential(&loads);
         let w = f64::from(weight);
-        let incremental =
-            dynmo::core::balancer::diffusion::potential_after_move(&loads, phi, from, to, w);
+        let incremental = dynmo::core::balancer::diffusion::potential_after_asymmetric_move(
+            &loads, phi, from, to, w, w,
+        );
         let mut moved = loads.clone();
         moved[from] -= w;
         moved[to] += w;
@@ -332,10 +333,11 @@ proptest! {
         );
     }
 
-    /// Heterogeneous balancing with all-equal `DeviceSpec`s is bit-identical
-    /// to the homogeneous path: both balancers produce the same assignments
-    /// and bottlenecks, and the explicit-device cluster simulates the same
-    /// makespan bit-for-bit under all four pipeline schedules.
+    /// A cluster of all-equal explicit `DeviceSpec`s behaves bit-identically
+    /// to the homogeneous cluster: a request carrying its stage speeds gets
+    /// the homogeneous request's assignment and bottleneck from both
+    /// balancers, and it simulates the same makespan bit-for-bit under all
+    /// four pipeline schedules.
     #[test]
     fn equal_device_hetero_path_matches_homogeneous_bit_for_bit(
         times in arbitrary_times(),
@@ -346,16 +348,12 @@ proptest! {
         let current = StageAssignment::uniform(loads.len(), stages);
         let base = BalanceRequest::new(&loads, stages, u64::MAX, BalanceObjective::ByTime)
             .with_current(&current);
-        let weighted = base
-            .clone()
-            .with_stage_speeds(Some(vec![1.0; stages]))
-            .with_stage_capacities(Some(vec![u64::MAX; stages]));
-
         let homogeneous_cluster =
             ClusterConfig::homogeneous(2, stages, 1, DeviceSpec::h100_sxm5());
         let explicit_cluster = homogeneous_cluster
             .clone()
             .with_devices(vec![DeviceSpec::h100_sxm5(); stages]);
+        let weighted = base.clone().with_stage_speeds(explicit_cluster.stage_speeds());
 
         for (homogeneous, hetero) in [
             (
@@ -422,7 +420,6 @@ proptest! {
         let incremental = DiffusionBalancer::new().rebalance(&request);
         let full = DiffusionBalancer {
             use_incremental_potential: false,
-            ..DiffusionBalancer::new()
         }
         .rebalance(&request);
         prop_assert_eq!(incremental.assignment, full.assignment);
