@@ -20,29 +20,20 @@ use dynmo_pipeline::StageAssignment;
 /// The initial assignment Megatron-LM would use for `model` on
 /// `num_stages` pipeline stages: the *transformer* layers are distributed
 /// evenly, the embedding rides with the first stage and the LM head with the
-/// last stage (Megatron's standard placement).
+/// last stage actually holding layers (Megatron's standard placement).  The
+/// transformer layers are one consecutive run between the two.
 pub fn megatron_initial_assignment(model: &Model, num_stages: usize) -> StageAssignment {
     let transformer = model.transformer_layer_ids();
-    if transformer.is_empty() {
+    let (Some(&first), Some(&last)) = (transformer.first(), transformer.last()) else {
         return StageAssignment::uniform(model.num_layers(), num_stages);
-    }
-    let body = StageAssignment::uniform(transformer.len(), num_stages);
-    let mut layer_to_stage = vec![0usize; model.num_layers()];
-    for (pos, &layer) in transformer.iter().enumerate() {
-        layer_to_stage[layer] = body.stage_of(pos);
-    }
-    // Embedding (everything before the first transformer layer) goes to the
-    // first stage; the head (everything after the last) to the last stage
-    // actually holding layers.
-    let first = *transformer.first().unwrap();
-    let last = *transformer.last().unwrap();
-    for layer in 0..first {
-        layer_to_stage[layer] = layer_to_stage[first];
-    }
-    for layer in (last + 1)..model.num_layers() {
-        layer_to_stage[layer] = layer_to_stage[last];
-    }
-    StageAssignment::new(num_stages, layer_to_stage).expect("stages in range")
+    };
+    let mut counts = StageAssignment::uniform(transformer.len(), num_stages)
+        .counts()
+        .to_vec();
+    let tail = counts.iter().rposition(|&c| c > 0).unwrap_or(0);
+    counts[0] += first;
+    counts[tail] += model.num_layers() - 1 - last;
+    StageAssignment::from_counts(&counts)
 }
 
 /// The initial assignment DeepSpeed's `parameters` method would use for
@@ -81,19 +72,24 @@ mod tests {
             let megatron = megatron_initial_assignment(&model, stages);
             assert_eq!(megatron.num_layers(), model.num_layers());
             assert_eq!(megatron.num_stages(), stages);
-            assert!(megatron.is_contiguous());
             // Transformer layers are split evenly; embedding rides with the
             // first stage and the head with the last.
-            assert_eq!(megatron.stage_of(0), 0);
-            assert_eq!(megatron.stage_of(model.num_layers() - 1), stages - 1);
+            assert!(megatron.layers_of(0).contains(&0));
+            assert!(megatron
+                .layers_of(stages - 1)
+                .contains(&(model.num_layers() - 1)));
             let counts = megatron.counts();
             let tfm_per_stage = 24 / stages;
             assert!(counts.iter().all(|&c| c >= tfm_per_stage));
 
             let ds = deepspeed_initial_assignment(&model, stages);
             assert_eq!(ds.num_layers(), model.num_layers());
-            assert!(ds.is_contiguous());
         }
+        // 24 blocks over 4 stages, the embedding first and the head last.
+        assert_eq!(
+            megatron_initial_assignment(&model, 4).counts(),
+            [7, 6, 6, 7]
+        );
     }
 
     #[test]

@@ -29,8 +29,7 @@ fn bench_idleness(c: &mut Criterion) {
         let update = engine.step(0);
         let loads = profile_layers(&model, &update, &cluster.device);
         let assignment = StageAssignment::uniform(model.num_layers(), 4);
-        let stage_loads =
-            aggregate_stage_loads(&loads, assignment.layer_to_stage(), assignment.num_stages());
+        let stage_loads = aggregate_stage_loads(&loads, &assignment);
         let mut simulator =
             PipelineSimulator::new(CommCostModel::new(cluster), ScheduleKind::OneFOneB);
         let model_cfg = model.config().clone();

@@ -1,11 +1,14 @@
 //! Criterion bench behind Figure 4: the cost of one re-packing decision
-//! (Algorithm 2) and of building the resulting migration plan, across worker
-//! counts.
+//! (Algorithm 2) and of building the migration plan to the layout the
+//! controller re-balances onto the kept workers, across worker counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dynmo_core::balancer::{BalanceObjective, PartitionBalancer};
+use dynmo_core::controller::{RebalanceController, RebalancePolicy};
 use dynmo_core::migration::MigrationPlan;
 use dynmo_core::repack::plan_repack;
-use dynmo_pipeline::{LayerLoad, StageAssignment};
+use dynmo_model::ClusterConfig;
+use dynmo_pipeline::{CommCostModel, LayerLoad, StageAssignment};
 
 fn loads(layers: usize) -> Vec<LayerLoad> {
     (0..layers)
@@ -23,6 +26,14 @@ fn loads(layers: usize) -> Vec<LayerLoad> {
 
 fn bench_repack(c: &mut Criterion) {
     let mut group = c.benchmark_group("repack_decision");
+    let controller = RebalanceController::new(
+        Box::new(PartitionBalancer::new()),
+        BalanceObjective::ByTime,
+        RebalancePolicy {
+            frequency: None,
+            repack: true,
+        },
+    );
     for &workers in &[8usize, 24, 48] {
         let layers = workers * 4;
         let assignment = StageAssignment::uniform(layers, workers);
@@ -36,12 +47,22 @@ fn bench_repack(c: &mut Criterion) {
                 b.iter(|| plan_repack(assignment, &layer_loads, &inflight, max_memory));
             },
         );
-        let plan = plan_repack(&assignment, &layer_loads, &inflight, max_memory);
+        let comm = CommCostModel::new(ClusterConfig::single_node(workers));
+        let outcome = controller.rebalance(
+            &assignment,
+            &layer_loads,
+            max_memory,
+            &inflight,
+            &comm,
+            16,
+            &vec![1.0; workers],
+            &vec![max_memory; workers],
+        );
         group.bench_with_input(
             BenchmarkId::new("migration_plan", workers),
-            &plan.new_assignment,
-            |b, new_assignment| {
-                b.iter(|| MigrationPlan::between(&assignment, new_assignment, &layer_loads));
+            &outcome.assignment,
+            |b, repacked| {
+                b.iter(|| MigrationPlan::between(&assignment, repacked, &layer_loads));
             },
         );
     }

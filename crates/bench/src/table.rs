@@ -27,11 +27,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render the table as an aligned string.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -114,10 +109,9 @@ mod tests {
         let rendered = t.render();
         assert!(rendered.contains("== Demo =="));
         assert!(rendered.contains("longer-name"));
-        // All data lines have the same width up to trailing spaces.
+        // The header, its rule and the two rows under the title.
         let lines: Vec<&str> = rendered.lines().skip(1).collect();
-        assert!(lines.len() >= 4);
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(lines.len(), 4);
     }
 
     #[test]

@@ -154,15 +154,25 @@ impl LoadBalancer for DiffusionBalancer {
         let mut rounds = 0u64;
 
         // Evaluate moving the boundary layer of `from` to `to`: the new φ
-        // (incremental O(p) delta, or the legacy full O(p²) recompute) and
-        // the layer moved, when the move improves φ and fits in memory.
+        // (incremental O(p) delta, or the legacy full O(p²) recompute),
+        // when the move improves φ and fits in memory.
         let evaluate = |assignment: &StageAssignment,
                         loads: &[f64],
                         phi: f64,
                         from: usize,
                         to: usize|
-         -> Option<(usize, f64, f64, f64)> {
-            let layer = boundary_layer(assignment, from, to)?;
+         -> Option<(f64, f64, f64)> {
+            let source = assignment.layers_of(from);
+            if source.is_empty() {
+                return None;
+            }
+            // The layer of `from` facing `to`, and `to`'s layers with it.
+            let dest = assignment.layers_of(to);
+            let (layer, grown) = if to < from {
+                (source.start, dest.start..source.start + 1)
+            } else {
+                (source.end - 1, source.end - 1..dest.end)
+            };
             let w = weights[layer];
             // The layer's *time* on each endpoint's device.
             let (dw_from, dw_to) = (w / speeds[from], w / speeds[to]);
@@ -175,10 +185,8 @@ impl LoadBalancer for DiffusionBalancer {
                 potential(&new_loads)
             };
             // Memory check on the destination stage.
-            let mut dest_layers = assignment.layers_of(to);
-            dest_layers.push(layer);
-            let fits = request.stage_memory(to, &dest_layers) <= request.stage_capacities[to];
-            (new_phi < phi - 1e-15 && fits).then_some((layer, new_phi, dw_from, dw_to))
+            let fits = request.stage_memory(to, grown) <= request.stage_capacities[to];
+            (new_phi < phi - 1e-15 && fits).then_some((new_phi, dw_from, dw_to))
         };
 
         while rounds < MAX_ROUNDS && phi > gamma {
@@ -204,7 +212,7 @@ impl LoadBalancer for DiffusionBalancer {
                 (right, left)
             };
             let mut committed = evaluate(&assignment, &loads, phi, from, to)
-                .map(|(layer, new_phi, dw_from, dw_to)| (layer, new_phi, dw_from, dw_to, from, to));
+                .map(|(new_phi, dw_from, dw_to)| (new_phi, dw_from, dw_to, from, to));
             if committed.is_none() {
                 // The max-gap pair cannot improve; try any other adjacent
                 // pair before declaring convergence.
@@ -214,18 +222,20 @@ impl LoadBalancer for DiffusionBalancer {
                     } else {
                         (s + 1, s)
                     };
-                    if let Some((layer, new_phi, dw_from, dw_to)) =
+                    if let Some((new_phi, dw_from, dw_to)) =
                         evaluate(&assignment, &loads, phi, from, to)
                     {
-                        committed = Some((layer, new_phi, dw_from, dw_to, from, to));
+                        committed = Some((new_phi, dw_from, dw_to, from, to));
                         break;
                     }
                 }
             }
-            let Some((layer, new_phi, dw_from, dw_to, from, to)) = committed else {
+            let Some((new_phi, dw_from, dw_to, from, to)) = committed else {
                 break; // no single-layer move improves φ: converged
             };
-            assignment.move_layer(layer, to).expect("valid move");
+            assignment
+                .move_boundary_layer(from, to)
+                .expect("`from` holds layers and neighbours `to`");
             loads[from] -= dw_from;
             loads[to] += dw_to;
             phi = new_phi;
@@ -237,21 +247,6 @@ impl LoadBalancer for DiffusionBalancer {
             rounds,
             bottleneck,
         }
-    }
-}
-
-/// The layer of stage `from` adjacent to stage `to` (its first layer if `to`
-/// precedes it, its last layer otherwise).  Returns `None` when `from` holds
-/// no layers.
-fn boundary_layer(assignment: &StageAssignment, from: usize, to: usize) -> Option<usize> {
-    let layers = assignment.layers_of(from);
-    if layers.is_empty() {
-        return None;
-    }
-    if to < from {
-        layers.first().copied()
-    } else {
-        layers.last().copied()
     }
 }
 
@@ -276,8 +271,10 @@ mod tests {
         let times: Vec<f64> = (0..32).map(|i| (1.0 + i as f64 * 0.3).recip()).collect();
         let loads = loads_from_times(&times);
         let current = StageAssignment::uniform(32, 8);
-        let request = BalanceRequest::new(&loads, 8, u64::MAX, BalanceObjective::ByTime)
-            .with_current(&current);
+        let request = BalanceRequest {
+            current: Some(&current),
+            ..BalanceRequest::new(&loads, 8, u64::MAX, BalanceObjective::ByTime)
+        };
         let before = imbalance(&stage_weights(&current, &loads, BalanceObjective::ByTime));
         let outcome = DiffusionBalancer::new().rebalance(&request);
         let after = imbalance(&stage_weights(
@@ -286,7 +283,6 @@ mod tests {
             BalanceObjective::ByTime,
         ));
         assert!(after < before * 0.5, "before {before} after {after}");
-        assert!(outcome.assignment.is_contiguous());
         assert_eq!(outcome.assignment.num_layers(), 32);
         assert!(outcome.rounds > 0);
     }
@@ -334,8 +330,10 @@ mod tests {
     fn already_balanced_input_converges_immediately() {
         let loads = loads_from_times(&[1.0; 16]);
         let current = StageAssignment::uniform(16, 4);
-        let request = BalanceRequest::new(&loads, 4, u64::MAX, BalanceObjective::ByTime)
-            .with_current(&current);
+        let request = BalanceRequest {
+            current: Some(&current),
+            ..BalanceRequest::new(&loads, 4, u64::MAX, BalanceObjective::ByTime)
+        };
         let outcome = DiffusionBalancer::new().rebalance(&request);
         assert_eq!(outcome.assignment, current);
         assert!(outcome.rounds <= 1);
@@ -365,8 +363,10 @@ mod tests {
         let loads = loads_from_times(&[1.0; 12]);
         let current = StageAssignment::uniform(12, 6);
         // Request only 3 stages: the 6-stage current assignment is ignored.
-        let request = BalanceRequest::new(&loads, 3, u64::MAX, BalanceObjective::ByTime)
-            .with_current(&current);
+        let request = BalanceRequest {
+            current: Some(&current),
+            ..BalanceRequest::new(&loads, 3, u64::MAX, BalanceObjective::ByTime)
+        };
         let outcome = DiffusionBalancer::new().rebalance(&request);
         assert_eq!(outcome.assignment.num_stages(), 3);
         assert_eq!(outcome.assignment.counts(), vec![4, 4, 4]);
@@ -381,12 +381,13 @@ mod tests {
         // for the 10-layer request — or mis-balance if it happened to fit.
         let loads = loads_from_times(&(0..10).map(|i| 1.0 + i as f64 * 0.3).collect::<Vec<_>>());
         let stale = StageAssignment::uniform(16, 4);
-        let request =
-            BalanceRequest::new(&loads, 4, u64::MAX, BalanceObjective::ByTime).with_current(&stale);
+        let request = BalanceRequest {
+            current: Some(&stale),
+            ..BalanceRequest::new(&loads, 4, u64::MAX, BalanceObjective::ByTime)
+        };
         let outcome = DiffusionBalancer::new().rebalance(&request);
         assert_eq!(outcome.assignment.num_layers(), 10);
         assert_eq!(outcome.assignment.num_stages(), 4);
-        assert!(outcome.assignment.is_contiguous());
         // And it matches a run that never saw the stale assignment.
         let fresh = DiffusionBalancer::new().rebalance(&BalanceRequest::new(
             &loads,
@@ -436,8 +437,10 @@ mod tests {
                 .collect();
             let loads = loads_from_times(&times);
             let current = StageAssignment::uniform(40, 8);
-            let request = BalanceRequest::new(&loads, 8, u64::MAX, BalanceObjective::ByTime)
-                .with_current(&current);
+            let request = BalanceRequest {
+                current: Some(&current),
+                ..BalanceRequest::new(&loads, 8, u64::MAX, BalanceObjective::ByTime)
+            };
             let incremental = DiffusionBalancer::new().rebalance(&request);
             let full = DiffusionBalancer {
                 use_incremental_potential: false,
@@ -459,9 +462,11 @@ mod tests {
         let loads = loads_from_times(&[1.0; 24]);
         let current = StageAssignment::uniform(24, 4);
         // Stage 3 runs at a quarter speed: diffusion should drain it.
-        let request = BalanceRequest::new(&loads, 4, u64::MAX, BalanceObjective::ByTime)
-            .with_current(&current)
-            .with_stage_speeds(vec![1.0, 1.0, 1.0, 0.25]);
+        let request = BalanceRequest {
+            current: Some(&current),
+            stage_speeds: vec![1.0, 1.0, 1.0, 0.25],
+            ..BalanceRequest::new(&loads, 4, u64::MAX, BalanceObjective::ByTime)
+        };
         let outcome = DiffusionBalancer::new().rebalance(&request);
         let counts = outcome.assignment.counts();
         assert_eq!(counts.iter().sum::<usize>(), 24);
@@ -484,11 +489,13 @@ mod tests {
             l.activation_bytes = 0;
         }
         let current = StageAssignment::uniform(8, 2);
-        let request = BalanceRequest::new(&loads, 2, u64::MAX, BalanceObjective::ByTime)
-            .with_current(&current)
-            .with_inflight(vec![0, 0])
-            .with_stage_speeds(vec![1.0, 8.0])
-            .with_stage_capacities(vec![u64::MAX, 5_000]);
+        let request = BalanceRequest {
+            current: Some(&current),
+            inflight: vec![0, 0],
+            stage_speeds: vec![1.0, 8.0],
+            stage_capacities: vec![u64::MAX, 5_000],
+            ..BalanceRequest::new(&loads, 2, u64::MAX, BalanceObjective::ByTime)
+        };
         let outcome = DiffusionBalancer::new().rebalance(&request);
         let counts = outcome.assignment.counts();
         assert!(counts[1] <= 5, "counts {counts:?}");

@@ -19,6 +19,8 @@
 pub mod diffusion;
 pub mod partition;
 
+use std::ops::Range;
+
 use dynmo_pipeline::{LayerLoad, StageAssignment};
 use serde::{Deserialize, Serialize};
 
@@ -102,34 +104,10 @@ impl<'a> BalanceRequest<'a> {
         }
     }
 
-    /// Set the current assignment (builder style).
-    pub fn with_current(mut self, current: &'a StageAssignment) -> Self {
-        self.current = Some(current);
-        self
-    }
-
     /// Set per-stage in-flight micro-batch counts (builder style).
     pub fn with_inflight(mut self, inflight: Vec<usize>) -> Self {
         assert_eq!(inflight.len(), self.num_stages);
         self.inflight = inflight;
-        self
-    }
-
-    /// Set per-stage effective speeds (builder style).
-    pub fn with_stage_speeds(mut self, speeds: Vec<f64>) -> Self {
-        assert_eq!(speeds.len(), self.num_stages);
-        assert!(
-            speeds.iter().all(|&v| v > 0.0),
-            "stage speeds must be positive"
-        );
-        self.stage_speeds = speeds;
-        self
-    }
-
-    /// Set per-stage memory capacities (builder style).
-    pub fn with_stage_capacities(mut self, capacities: Vec<u64>) -> Self {
-        assert_eq!(capacities.len(), self.num_stages);
-        self.stage_capacities = capacities;
         self
     }
 
@@ -139,11 +117,11 @@ impl<'a> BalanceRequest<'a> {
     }
 
     /// Memory bytes stage `s` would need to host the given layers.
-    pub fn stage_memory(&self, stage: usize, layers: &[usize]) -> u64 {
+    pub fn stage_memory(&self, stage: usize, layers: Range<usize>) -> u64 {
         let inflight = *self.inflight.get(stage).unwrap_or(&1) as u64;
-        layers
+        self.loads[layers]
             .iter()
-            .map(|&l| self.loads[l].static_bytes + self.loads[l].activation_bytes * inflight)
+            .map(|load| load.static_bytes + load.activation_bytes * inflight)
             .sum()
     }
 }
@@ -177,11 +155,16 @@ pub fn stage_weights(
     loads: &[LayerLoad],
     objective: BalanceObjective,
 ) -> Vec<f64> {
-    let mut weights = vec![0.0; assignment.num_stages()];
-    for (layer, &stage) in assignment.layer_to_stage().iter().enumerate() {
-        weights[stage] += objective.weight(&loads[layer]);
-    }
-    weights
+    assignment
+        .ranges()
+        .map(|layers| {
+            let mut weight = 0.0;
+            for load in &loads[layers] {
+                weight += objective.weight(load);
+            }
+            weight
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -226,9 +209,11 @@ mod tests {
     fn request_builder_sets_fields() {
         let loads = loads_from_times(&[1.0, 1.0, 1.0, 1.0]);
         let current = StageAssignment::uniform(4, 2);
-        let request = BalanceRequest::new(&loads, 2, u64::MAX, BalanceObjective::ByTime)
-            .with_current(&current)
-            .with_inflight(vec![2, 1]);
+        let request = BalanceRequest {
+            current: Some(&current),
+            ..BalanceRequest::new(&loads, 2, u64::MAX, BalanceObjective::ByTime)
+        }
+        .with_inflight(vec![2, 1]);
         assert_eq!(request.num_stages, 2);
         assert!(request.current.is_some());
         assert_eq!(request.inflight, vec![2, 1]);
@@ -242,8 +227,8 @@ mod tests {
         let loads = loads_from_times(&[1.0, 1.0]);
         let request = BalanceRequest::new(&loads, 2, u64::MAX, BalanceObjective::ByTime)
             .with_inflight(vec![4, 1]);
-        let mem_stage0 = request.stage_memory(0, &[0]);
-        let mem_stage1 = request.stage_memory(1, &[0]);
+        let mem_stage0 = request.stage_memory(0, 0..1);
+        let mem_stage1 = request.stage_memory(1, 0..1);
         assert_eq!(mem_stage0 - mem_stage1, 3 * 1_000);
     }
 

@@ -59,10 +59,9 @@ impl RebalancePolicy {
 /// The result of one rebalance event.
 #[derive(Debug, Clone)]
 pub struct RebalanceOutcome {
-    /// The new layer→stage assignment (over `active_workers` stages).
+    /// The new layout: one stage per worker that remains active after the
+    /// event.
     pub assignment: StageAssignment,
-    /// Number of workers that remain active after the event.
-    pub active_workers: usize,
     /// Workers released by re-packing during this event (empty without
     /// re-packing).
     pub released_workers: Vec<usize>,
@@ -209,25 +208,25 @@ impl RebalanceController {
         // cost.  Worker releases are always applied (they are the point of
         // re-packing), so the gate only applies to pure rebalances.
         if released_workers.is_empty() && !migration.is_empty() {
-            let stage_time = |assignment: &StageAssignment, stages: usize| -> f64 {
-                let mut totals = vec![0.0f64; stages];
-                for (layer, &stage) in assignment.layer_to_stage().iter().enumerate() {
-                    if stage < stages {
-                        totals[stage] += loads[layer].total_time();
-                    }
-                }
-                for (s, total) in totals.iter_mut().enumerate() {
-                    *total /= stage_speeds.get(s).copied().unwrap_or(1.0);
-                }
-                totals.into_iter().fold(0.0, f64::max)
+            let stage_time = |assignment: &StageAssignment| -> f64 {
+                assignment
+                    .ranges()
+                    .enumerate()
+                    .map(|(s, layers)| {
+                        let mut total = 0.0f64;
+                        for load in &loads[layers] {
+                            total += load.total_time();
+                        }
+                        total / stage_speeds.get(s).copied().unwrap_or(1.0)
+                    })
+                    .fold(0.0, f64::max)
             };
-            let old_bottleneck = stage_time(current, current.num_stages());
-            let new_bottleneck = stage_time(&outcome.assignment, active_workers);
+            let old_bottleneck = stage_time(current);
+            let new_bottleneck = stage_time(&outcome.assignment);
             let benefit = (old_bottleneck - new_bottleneck).max(0.0) * num_microbatches as f64;
             if benefit < migration_time {
                 return RebalanceOutcome {
                     assignment: current.clone(),
-                    active_workers: current.num_stages(),
                     released_workers: Vec::new(),
                     migration: MigrationPlan::default(),
                     algorithm_time,
@@ -239,7 +238,6 @@ impl RebalanceController {
 
         RebalanceOutcome {
             assignment: outcome.assignment,
-            active_workers,
             released_workers,
             migration,
             algorithm_time,
@@ -342,7 +340,7 @@ mod tests {
             100,
         );
         let outcome = rebalance(&c, &current, &loads);
-        assert_eq!(outcome.active_workers, 4);
+        assert_eq!(outcome.assignment.num_stages(), 4);
         assert!(outcome.released_workers.is_empty());
         assert_eq!(outcome.assignment.num_layers(), 16);
         assert!(outcome.rounds >= 1);
@@ -400,7 +398,6 @@ mod tests {
         let current = StageAssignment::uniform(16, 8);
         let loads = loads(&[0.5; 16], 10);
         let outcome = rebalance(&c, &current, &loads);
-        assert_eq!(outcome.active_workers, 2);
         assert_eq!(outcome.released_workers, vec![2, 3, 4, 5, 6, 7]);
         assert_eq!(outcome.assignment.num_stages(), 2);
         assert_eq!(outcome.assignment.num_layers(), 16);

@@ -143,28 +143,23 @@ mod tests {
     #[test]
     fn plan_lists_moved_layers_with_bytes() {
         let a = StageAssignment::uniform(8, 4);
-        let mut b = a.clone();
-        b.move_layer(0, 3).unwrap();
-        b.move_layer(7, 0).unwrap();
+        // Layer 1 moves 0→1 and layer 5 moves 2→3.
+        let b = StageAssignment::from_counts(&[1, 3, 1, 3]);
         let plan = MigrationPlan::between(&a, &b, &loads(8, 1_000));
         assert_eq!(plan.num_moves(), 2);
         assert!(plan.steps.iter().all(|s| s.bytes == 1_000));
         assert!(plan.cost(&comm_model()) > 0.0);
         let layers: Vec<usize> = plan.steps.iter().map(|s| s.layer).collect();
-        assert!(layers.contains(&0) && layers.contains(&7));
+        assert_eq!(layers, vec![1, 5]);
     }
 
     #[test]
     fn cost_parallelizes_across_distinct_pairs() {
         let a = StageAssignment::uniform(8, 4);
-        // Plan 1: two layers both moving 0→1 (serialized on one link).
-        let mut serial = a.clone();
-        serial.move_layer(0, 1).unwrap();
-        serial.move_layer(1, 1).unwrap();
-        // Plan 2: one layer 0→1 and one layer 4→3 (different pairs).
-        let mut parallel = a.clone();
-        parallel.move_layer(0, 1).unwrap();
-        parallel.move_layer(6, 2).unwrap();
+        // Plan 1: layers 0 and 1 both move 0→1 (serialized on one link).
+        let serial = StageAssignment::from_counts(&[0, 4, 2, 2]);
+        // Plan 2: layer 1 moves 0→1 and layer 5 moves 2→3 (different pairs).
+        let parallel = StageAssignment::from_counts(&[1, 3, 1, 3]);
         let l = loads(8, 100_000_000);
         let comm = comm_model();
         let serial_cost = MigrationPlan::between(&a, &serial, &l).cost(&comm);
@@ -175,11 +170,9 @@ mod tests {
     #[test]
     fn execute_moves_layer_payloads_between_ranks() {
         // 4 stages; layers 0..7 uniformly assigned; rebalance moves layer 1
-        // from stage 0 to stage 3 and layer 6 from stage 3 to stage 1.
+        // from stage 0 to stage 1 and layer 5 from stage 2 to stage 3.
         let from = StageAssignment::uniform(8, 4);
-        let mut to = from.clone();
-        to.move_layer(1, 3).unwrap();
-        to.move_layer(6, 1).unwrap();
+        let to = StageAssignment::from_counts(&[1, 3, 1, 3]);
         let plan = MigrationPlan::between(&from, &to, &loads(8, 16));
         let results = launch(4, move |ctx| {
             let comm = ctx.world();
@@ -188,9 +181,9 @@ mod tests {
             plan.execute(&comm, my_stage, &data).unwrap()
         })
         .unwrap();
-        // Stage 3 received layer 1; stage 1 received layer 6.
-        assert_eq!(results[3], vec![(1, vec![1.0; 4])]);
-        assert_eq!(results[1], vec![(6, vec![6.0; 4])]);
+        // Stage 1 received layer 1; stage 3 received layer 5.
+        assert_eq!(results[1], vec![(1, vec![1.0; 4])]);
+        assert_eq!(results[3], vec![(5, vec![5.0; 4])]);
         assert!(results[0].is_empty());
         assert!(results[2].is_empty());
     }

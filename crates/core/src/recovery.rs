@@ -24,8 +24,10 @@
 //! simulated fabric under a [`FaultPlan`] of scheduled rank deaths, and
 //! [`run_elastic_rescale`] does
 //! the voluntary version: shrink the world mid-run, hand the GPUs back to
-//! the job manager, and grow back — with layer-assignment conservation
-//! checked at every step.
+//! the job manager, and grow back.  Every phase's layout is a
+//! [`StageAssignment`], which covers each layer exactly once by
+//! construction, and the re-scaled run must end on the un-rescaled run's
+//! weights bit for bit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -244,15 +246,18 @@ struct RankOutcome {
 /// ΔL (Eq. 2) of `assignment` over the compute proxy of `layers`: how much
 /// the bottleneck stage exceeds the mean stage load.
 fn assignment_imbalance(assignment: &StageAssignment, layers: &[LayerState]) -> f64 {
-    let stages = assignment.num_stages();
-    let mut totals = vec![0.0f64; stages.max(1)];
-    for layer in layers {
-        let weight = layer.weights.len().max(1) as f64
-            * layer.retention()
-            * if layer.frozen { 1.0 / 3.0 } else { 1.0 };
-        let stage = assignment.stage_of(layer.layer_id);
-        totals[stage] += weight;
-    }
+    let totals: Vec<f64> = assignment
+        .ranges()
+        .map(|owned| {
+            let mut total = 0.0f64;
+            for layer in &layers[owned] {
+                total += layer.weights.len().max(1) as f64
+                    * layer.retention()
+                    * if layer.frozen { 1.0 / 3.0 } else { 1.0 };
+            }
+            total
+        })
+        .collect();
     dynmo_pipeline::metrics::imbalance(&totals)
 }
 
@@ -379,12 +384,8 @@ fn gather_full_state(
     iteration: u64,
     loss: f32,
 ) -> Result<Option<TrainerState>, RuntimeError> {
-    let mine: Vec<&LayerState> = assignment
-        .layers_of(comm.rank())
-        .into_iter()
-        .map(|l| &layers[l])
-        .collect();
-    let text = serde_json::to_string(&mine)
+    let mine = &layers[assignment.layers_of(comm.rank())];
+    let text = serde_json::to_string(mine)
         .map_err(|e| RuntimeError::InvalidArgument(format!("serialize layers: {e}")))?;
     let payload = Payload::Bytes(text.into_bytes());
     let gathered = comm.gather(0, payload)?;
@@ -405,7 +406,6 @@ fn gather_full_state(
     metrics.insert("loss".to_string(), f64::from(loss));
     Ok(Some(TrainerState {
         iteration,
-        world_size: comm.size(),
         assignment: assignment.clone(),
         layers: all,
         metrics,
@@ -444,7 +444,6 @@ pub fn run_resilient(config: &ResilientTrainingConfig) -> Result<ResilientRunRep
         metrics.insert("loss".to_string(), 0.0);
         let state = TrainerState {
             iteration: 0,
-            world_size: config.world_size,
             assignment,
             layers,
             metrics,
@@ -726,9 +725,6 @@ impl ElasticRescaleConfig {
 pub struct ElasticRescaleReport {
     /// World size in each phase: `[full, shrunken, full]`.
     pub phase_world_sizes: Vec<usize>,
-    /// Whether every phase's assignment covered each layer exactly once,
-    /// contiguously, within the phase's world size.
-    pub layers_conserved: bool,
     /// Final training loss.
     pub final_loss: f64,
     /// Checksum of the final per-layer state.
@@ -742,14 +738,6 @@ pub struct ElasticRescaleReport {
     pub overhead: OverheadBreakdown,
 }
 
-/// Check that `assignment` covers exactly the workload's layers, one stage
-/// each, contiguously — the conservation invariant of every re-scale.
-fn assignment_conserves_layers(assignment: &StageAssignment, num_layers: usize) -> bool {
-    assignment.num_layers() == num_layers
-        && assignment.is_contiguous()
-        && assignment.counts().iter().sum::<usize>() == num_layers
-}
-
 /// Run a voluntary shrink→grow session: train on the full world, release
 /// part of it mid-run (checkpoint + `comm_split` + re-balance), train on
 /// the shrunken world, then grow back and finish on the full world.
@@ -758,23 +746,19 @@ pub fn run_elastic_rescale(
 ) -> Result<ElasticRescaleReport, RuntimeError> {
     config.validate().map_err(RuntimeError::InvalidArgument)?;
     let shared = Arc::new(SharedState::new(config.world_size));
-    let conserved = Arc::new(Mutex::new(true));
 
     let shared_for_ranks = Arc::clone(&shared);
-    let conserved_for_ranks = Arc::clone(&conserved);
     let config_owned = config.clone();
     let results = launch(config.world_size, move |ctx| {
-        elastic_rank_body(&ctx, &config_owned, &shared_for_ranks, &conserved_for_ranks).map(Some)
+        elastic_rank_body(&ctx, &config_owned, &shared_for_ranks).map(Some)
     })?;
     let outcome = first_outcome(results)?;
 
     let job_manager = shared.job_manager.lock().clone();
     let average_allocated = job_manager.average_allocated(config.iterations);
-    let layers_conserved = *conserved.lock();
     let overhead = *shared.overhead.lock();
     Ok(ElasticRescaleReport {
         phase_world_sizes: vec![config.world_size, config.shrink_to, config.world_size],
-        layers_conserved,
         final_loss: f64::from(outcome.loss),
         weights_checksum: outcome.weights_checksum,
         fleet_events: job_manager.events().to_vec(),
@@ -788,27 +772,19 @@ fn elastic_rank_body(
     ctx: &RankCtx,
     config: &ElasticRescaleConfig,
     shared: &SharedState,
-    conserved: &Mutex<bool>,
 ) -> Result<RankOutcome, RuntimeError> {
     let world = ctx.world();
     let me = ctx.rank();
     let workload = &config.workload;
-    let check_conservation = |assignment: &StageAssignment| {
-        if !assignment_conserves_layers(assignment, workload.num_layers) {
-            *conserved.lock() = false;
-        }
-    };
     // Phases after the first resume from the checkpoint their predecessor
     // wrote, re-planned for the phase's world.
     let resume = |world_size: usize| {
         let (state, assignment) = restore_latest(shared, world_size)?;
-        check_conservation(&assignment);
         Ok::<_, RuntimeError>((assignment, state.layers))
     };
 
     // Phase 1: full world.
     let assignment = StageAssignment::uniform(workload.num_layers, config.world_size);
-    check_conservation(&assignment);
     let mut layers = init_layers(workload);
     let phase = 0..config.shrink_at;
     let loss = train_phase(&world, &assignment, &mut layers, phase)?;
@@ -870,12 +846,12 @@ fn local_step(
     layers: &mut [LayerState],
     iteration: u64,
 ) -> Result<f32, RuntimeError> {
-    let owned = assignment.layers_of(comm.rank());
-    for &l in &owned {
-        apply_schedules(&mut layers[l], iteration);
-        train_step(&mut layers[l], iteration);
+    let owned = &mut layers[assignment.layers_of(comm.rank())];
+    for layer in owned.iter_mut() {
+        apply_schedules(layer, iteration);
+        train_step(layer, iteration);
     }
-    let partial: f32 = owned.iter().map(|&l| layer_loss(&layers[l])).sum();
+    let partial: f32 = owned.iter().map(layer_loss).sum();
     Ok(comm.allreduce_sum_f32(&[partial])?[0])
 }
 
@@ -949,11 +925,11 @@ mod tests {
         assert_eq!(report.fleet_events.len(), 1);
         assert_eq!(report.fleet_events[0].delta, 1);
         assert_eq!(report.fleet_events[0].allocated_after, 3);
-        // The final assignment covers every layer over the survivor world.
-        assert!(assignment_conserves_layers(
-            &report.final_assignment,
+        // The final layout covers every layer over the survivor world.
+        assert_eq!(
+            report.final_assignment.num_layers(),
             config.workload.num_layers
-        ));
+        );
         assert!(report.final_assignment.num_stages() <= 3);
     }
 
@@ -1034,7 +1010,6 @@ mod tests {
         metrics.insert("loss".to_string(), 1.0);
         let state = TrainerState {
             iteration: 5,
-            world_size: 4,
             assignment: StageAssignment::uniform(12, 4),
             layers,
             metrics,
@@ -1042,7 +1017,7 @@ mod tests {
         };
         for world in [1, 2, 3, 4, 6] {
             let assignment = replan(&state, world);
-            assert!(assignment_conserves_layers(&assignment, 12));
+            assert_eq!(assignment.num_layers(), 12);
             assert!(assignment.num_stages() <= world);
         }
     }
@@ -1059,7 +1034,6 @@ mod tests {
         };
         let report = run_elastic_rescale(&config).unwrap();
         assert_eq!(report.phase_world_sizes, vec![4, 2, 4]);
-        assert!(report.layers_conserved);
         assert!(report.final_loss > 0.0);
         // Fleet: one release of 2 GPUs, one re-acquire of 2 GPUs.
         assert_eq!(report.fleet_events.len(), 2);

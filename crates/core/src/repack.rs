@@ -7,6 +7,15 @@
 //! training iteration (on the existing synchronization barrier) and is
 //! infrequent compared to rebalancing.
 //!
+//! Algorithm 2 decides *how many* workers the workload needs: [`plan_repack`]
+//! returns the workers that keep layers and those it frees.  Its
+//! pairwise merges can interleave stages (a worker may take a layer from a
+//! distant predecessor), which no pipeline can run, so the layers are not
+//! placed here: the rebalance controller re-balances them onto the kept
+//! worker count (a contiguous layout), and
+//! [`MigrationPlan`](crate::migration::MigrationPlan) prices the moves
+//! from the old layout to that one.
+//!
 //! Algorithm 2's `MAX_MEM` is the memory capacity the rebalance controller
 //! is handed, filled to at most 90% per destination.  Its
 //! `target_num_workers` (the paper lets the user pick any target, unlike
@@ -24,24 +33,9 @@ pub(crate) const TARGET_WORKERS: usize = 2;
 /// budget.
 const UTILIZATION_CAP: f64 = 0.9;
 
-/// One layer transfer produced by Algorithm 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RepackTransfer {
-    /// Source worker (stage) index.
-    pub src: usize,
-    /// Destination worker (stage) index.
-    pub dst: usize,
-    /// The layer being moved.
-    pub layer: usize,
-}
-
 /// The outcome of a re-packing decision.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RepackPlan {
-    /// The transfers to execute, in order (`transfers` in Algorithm 2).
-    pub transfers: Vec<RepackTransfer>,
-    /// The assignment after applying all transfers.
-    pub new_assignment: StageAssignment,
     /// Workers that still hold layers after re-packing.
     pub active_workers: Vec<usize>,
     /// Workers freed by this plan (to be released to the job manager).
@@ -51,9 +45,9 @@ pub struct RepackPlan {
 }
 
 /// Run Algorithm 2 (first-fit pairwise consolidation) over the current
-/// assignment.
+/// layout.
 ///
-/// * `assignment` — the current layer→stage map.
+/// * `assignment` — the current layout.
 /// * `loads` — profiled per-layer loads (for memory accounting).
 /// * `inflight` — in-flight micro-batches per stage (activation memory).
 /// * `max_memory` — per-worker memory budget in bytes (`MAX_MEM`).
@@ -72,14 +66,19 @@ pub fn plan_repack(
     );
     let budget = (max_memory as f64 * UTILIZATION_CAP) as u64;
 
-    // Current per-worker memory usage and layer lists.
-    let mut stage_layers: Vec<Vec<usize>> =
-        (0..num_stages).map(|s| assignment.layers_of(s)).collect();
-    let mut mem_usage: Vec<u64> = (0..num_stages)
-        .map(|s| stage_memory(&stage_layers[s], loads, inflight[s]))
+    // Current per-worker memory usage.
+    let mut mem_usage: Vec<u64> = assignment
+        .ranges()
+        .zip(inflight)
+        .map(|(layers, &inflight)| {
+            loads[layers]
+                .iter()
+                .map(|load| load.static_bytes + load.activation_bytes * inflight as u64)
+                .sum()
+        })
         .collect();
-    let mut active: Vec<bool> = stage_layers.iter().map(|l| !l.is_empty()).collect();
-    let mut transfers = Vec::new();
+    let held: Vec<bool> = assignment.counts().iter().map(|&c| c > 0).collect();
+    let mut active = held.clone();
 
     // Algorithm 2: for each pair (src, dst) with src < dst, if the combined
     // usage fits and we are still above the target, move everything from
@@ -94,13 +93,6 @@ pub fn plan_repack(
                 break;
             }
             if mem_usage[src] + mem_usage[dst] <= budget {
-                // Move all of src's layers to dst.
-                let moving = std::mem::take(&mut stage_layers[src]);
-                for &layer in &moving {
-                    transfers.push(RepackTransfer { src, dst, layer });
-                }
-                stage_layers[dst].extend(moving);
-                stage_layers[dst].sort_unstable();
                 mem_usage[dst] += mem_usage[src];
                 mem_usage[src] = 0;
                 active[src] = false;
@@ -108,34 +100,11 @@ pub fn plan_repack(
         }
     }
 
-    // Build the resulting assignment.
-    let mut layer_to_stage = vec![0usize; assignment.num_layers()];
-    for (stage, layers) in stage_layers.iter().enumerate() {
-        for &layer in layers {
-            layer_to_stage[layer] = stage;
-        }
-    }
-    let new_assignment = StageAssignment::new(num_stages, layer_to_stage)
-        .expect("repacked assignment uses existing stages");
-    let active_workers: Vec<usize> = (0..num_stages).filter(|&s| active[s]).collect();
-    let released_workers: Vec<usize> = (0..num_stages)
-        .filter(|&s| !active[s] && !assignment.layers_of(s).is_empty())
-        .collect();
-
     RepackPlan {
-        transfers,
-        new_assignment,
-        active_workers,
-        released_workers,
+        active_workers: (0..num_stages).filter(|&s| active[s]).collect(),
+        released_workers: (0..num_stages).filter(|&s| held[s] && !active[s]).collect(),
         memory_after: mem_usage,
     }
-}
-
-fn stage_memory(layers: &[usize], loads: &[LayerLoad], inflight: usize) -> u64 {
-    layers
-        .iter()
-        .map(|&l| loads[l].static_bytes + loads[l].activation_bytes * inflight as u64)
-        .sum()
 }
 
 #[cfg(test)]
@@ -171,14 +140,11 @@ mod tests {
         // stages' worth fits on one worker, but re-packing stops at 2.
         let (assignment, loads) = simple_case(100, 2, 4);
         let plan = plan_repack(&assignment, &loads, &[1; 4], 1_000);
-        assert!(!plan.released_workers.is_empty());
         assert_eq!(plan.active_workers, vec![2, 3]);
         assert_eq!(plan.released_workers, vec![0, 1]);
-        assert_eq!(plan.new_assignment.counts(), vec![0, 0, 6, 2]);
         // Algorithm 2's pairwise first-fit cascades: stage 0 merges into 1,
-        // then 1 (now 4 layers) into 2, so the transfer list records
-        // 2 + 4 = 6 movements.
-        assert_eq!(plan.transfers.len(), 6);
+        // then 1 (now 4 layers) into 2, which ends up holding 6 layers.
+        assert_eq!(plan.memory_after, vec![0, 0, 600, 200]);
     }
 
     #[test]
@@ -215,8 +181,23 @@ mod tests {
         let (assignment, loads) = simple_case(800, 2, 4);
         let plan = plan_repack(&assignment, &loads, &[1; 4], 1_000);
         assert!(plan.released_workers.is_empty());
-        assert_eq!(plan.new_assignment, assignment);
-        assert!(plan.transfers.is_empty());
+        assert_eq!(plan.active_workers, vec![0, 1, 2, 3]);
+        assert_eq!(plan.memory_after, vec![1_600; 4]);
+    }
+
+    #[test]
+    fn a_first_fit_merge_may_skip_a_worker() {
+        // Three one-layer stages of 60, 50 and 30 bytes under a usable 90:
+        // stage 0 does not fit with stage 1 but does with stage 2, so
+        // Algorithm 2 frees worker 0 and keeps 1 and 2 (a placement no
+        // pipeline could run, which is why the controller re-balances onto
+        // the kept worker count instead of placing layers here).
+        let assignment = StageAssignment::uniform(3, 3);
+        let loads = vec![load(0, 60), load(1, 50), load(2, 30)];
+        let plan = plan_repack(&assignment, &loads, &[1; 3], 100);
+        assert_eq!(plan.active_workers, vec![1, 2]);
+        assert_eq!(plan.released_workers, vec![0]);
+        assert_eq!(plan.memory_after, vec![0, 50, 90]);
     }
 
     #[test]

@@ -135,8 +135,11 @@ impl TrajectoryHash {
         self.push_bytes(&iteration_time.to_bits().to_le_bytes());
         self.push_bytes(&tokens.to_le_bytes());
         self.push_bytes(&imbalance.to_bits().to_le_bytes());
-        for &stage in assignment.layer_to_stage() {
-            self.push_bytes(&(stage as u64).to_le_bytes());
+        // One stage index per layer, in layer order.
+        for (stage, layers) in assignment.ranges().enumerate() {
+            for _ in layers {
+                self.push_bytes(&(stage as u64).to_le_bytes());
+            }
         }
     }
 }
@@ -201,8 +204,8 @@ struct RunState {
     /// Iterations completed, i.e. the next iteration to execute.
     iteration: u64,
     cluster: ClusterModels,
+    /// The layout in effect: one stage per active worker.
     assignment: StageAssignment,
-    active_workers: usize,
     loads: Vec<LayerLoad>,
     /// Profile at the next iteration even if the engine reports no change:
     /// set when the run starts and when it is rescaled.
@@ -245,7 +248,6 @@ impl RunState {
             .collect();
         TrainerState {
             iteration: self.iteration,
-            world_size: self.active_workers,
             assignment: self.assignment.clone(),
             layers,
             metrics: std::collections::BTreeMap::new(),
@@ -292,15 +294,14 @@ impl RunState {
         }
     }
 
-    /// Rewind this fresh run to the snapshot `state`: assignment, active
-    /// workers, iteration and every report accumulator.
+    /// Rewind this fresh run to the snapshot `state`: layout (and with it
+    /// the active workers), iteration and every report accumulator.
     fn restore(&mut self, state: &TrainerState) -> Result<(), String> {
         let metric = |key: &str| {
             let value = state.metrics.get(key).copied();
             value.ok_or_else(|| format!("checkpoint is missing the '{key}' metric"))
         };
         self.assignment = state.assignment.clone();
-        self.active_workers = state.world_size;
         self.iteration = state.iteration;
         self.total_time = metric(metric_keys::TOTAL_TIME)?;
         self.total_tokens = metric(metric_keys::TOTAL_TOKENS)? as u64;
@@ -475,12 +476,12 @@ impl Trainer {
 
     /// Resume a run from a checkpointed [`TrainerState`]: the engine's
     /// internal state (every sub-engine's RNG streams and masks, for a
-    /// composed stack) is restored from the snapshot, the assignment,
-    /// active-worker count, and all report accumulators are rewound to the
-    /// checkpoint, and the remaining iterations are replayed.  The replay
-    /// reproduces the original run's simulated trajectory bit-for-bit: the
-    /// resumed report's `trajectory_checksum` equals the failure-free
-    /// run's.
+    /// composed stack) is restored from the snapshot, the layout (and with
+    /// it the active-worker count) and all report accumulators are rewound
+    /// to the checkpoint, and the remaining iterations are replayed.  The
+    /// replay reproduces the original run's simulated trajectory
+    /// bit-for-bit: the resumed report's `trajectory_checksum` equals the
+    /// failure-free run's.
     ///
     /// Fails if the snapshot carries no engine state, the engine state does
     /// not match `engine`, or a resume accumulator is missing (a v1-style
@@ -587,7 +588,6 @@ impl Trainer {
         let run = self.run.as_mut().ok_or("no live run to rescale")?;
         run.cluster = ClusterModels::new(&config);
         run.assignment = StageAssignment::uniform(self.model.num_layers(), stages);
-        run.active_workers = stages;
         run.total_time += cost;
         run.overhead.record_recovery(cost);
         run.reprofile = true;
@@ -616,7 +616,6 @@ impl Trainer {
         RunState {
             iteration: 0,
             cluster: ClusterModels::new(&self.config),
-            active_workers: assignment.num_stages(),
             assignment,
             loads: Vec::new(),
             reprofile: true,
@@ -655,12 +654,13 @@ impl Trainer {
             .controller
             .is_due(iteration, engine.rebalance_frequency())
         {
-            let inflight: Vec<usize> = (0..run.active_workers)
+            let active_workers = run.assignment.num_stages();
+            let inflight: Vec<usize> = (0..active_workers)
                 .map(|s| {
                     inflight_microbatches(
                         self.config.schedule,
                         s,
-                        run.active_workers,
+                        active_workers,
                         self.config.num_microbatches,
                     )
                 })
@@ -690,34 +690,31 @@ impl Trainer {
                     run.total_time,
                     &[
                         ("iteration", iteration.to_string()),
-                        ("active_workers", outcome.active_workers.to_string()),
+                        (
+                            "active_workers",
+                            outcome.assignment.num_stages().to_string(),
+                        ),
                         ("released", outcome.released_workers.len().to_string()),
                         ("migrated_layers", outcome.migration.num_moves().to_string()),
                         ("rounds", outcome.rounds.to_string()),
                     ],
                 );
             }
-            if outcome.assignment != run.assignment || outcome.active_workers != run.active_workers
-            {
+            if outcome.assignment != run.assignment {
                 run.dirty = true;
             }
-            run.active_workers = outcome.active_workers;
             run.assignment = outcome.assignment;
         }
 
         // Re-simulate the pipeline only when something changed.
         if run.dirty {
-            let mut stage_loads = aggregate_stage_loads(
-                &run.loads,
-                run.assignment.layer_to_stage(),
-                run.assignment.num_stages(),
-            );
+            let mut stage_loads = aggregate_stage_loads(&run.loads, &run.assignment);
             // Mechanisms that remove tokens (early exit) shrink the
             // boundary tensors of every stage behind the exit point,
             // and with them the pipeline's wire cost.
             apply_boundary_sizes(
                 &mut stage_loads,
-                run.assignment.layer_to_stage(),
+                &run.assignment,
                 &update.token_retention,
                 cluster.comm.activation_bytes(model_cfg),
             );
@@ -760,7 +757,7 @@ impl Trainer {
         run.total_tokens += run.cached_tokens;
         run.idleness_sum += run.cached_idleness;
         run.bubble_sum += run.cached_bubble;
-        run.active_worker_iterations += run.active_workers as f64;
+        run.active_worker_iterations += run.assignment.num_stages() as f64;
         run.last_imbalance = run.cached_imbalance;
         run.trajectory.record_iteration(
             iteration,
@@ -857,7 +854,8 @@ impl Trainer {
             overhead_fraction: overhead.fraction_of(total_time),
             rebalance_events: overhead.rebalance_events,
             average_active_workers,
-            final_active_workers: run.active_workers * data_parallel / data_parallel.max(1),
+            final_active_workers: run.assignment.num_stages() * data_parallel
+                / data_parallel.max(1),
             gpu_seconds,
             tokens_per_second_per_gpu: if gpu_seconds > 0.0 {
                 total_tokens as f64 / gpu_seconds
@@ -1169,7 +1167,6 @@ mod tests {
         trainer.rescale(small_cluster(4), 2.5).unwrap();
         let shrunk = trainer.snapshot(&engine).unwrap();
         assert_eq!(shrunk.iteration, 40);
-        assert_eq!(shrunk.world_size, 4);
         assert_eq!(shrunk.assignment.num_stages(), 4);
         assert_eq!(shrunk.assignment.num_layers(), model.num_layers());
         assert_eq!(trainer.config().cluster.pipeline_stages, 4);
@@ -1191,7 +1188,7 @@ mod tests {
         let second = trainer.advance_to(&mut engine, 80).unwrap();
         let end = trainer.snapshot(&engine).unwrap();
         assert_eq!(end.iteration, 80);
-        assert_eq!(end.world_size, 4);
+        assert_eq!(end.assignment.num_stages(), 4);
         assert!(second.total_tokens > first.total_tokens);
         assert!(second.overhead.recovery >= 2.5);
         // 40 iterations on 8 workers, then 40 on 4: the worker count spans
@@ -1236,7 +1233,6 @@ mod tests {
         let mut engine = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 3);
         let state = dynmo_resilience::TrainerState {
             iteration: 20,
-            world_size: 4,
             assignment: StageAssignment::uniform(26, 4),
             layers: Vec::new(),
             metrics: std::collections::BTreeMap::new(),

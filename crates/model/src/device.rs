@@ -93,19 +93,6 @@ impl DeviceSpec {
         }
         self.kernel_launch_overhead + flops / self.sustained_flops
     }
-
-    /// Time in seconds to move `bytes` over a link of the given kind.
-    pub fn transfer_time(&self, bytes: f64, intra_node: bool) -> f64 {
-        if bytes <= 0.0 {
-            return 0.0;
-        }
-        let bandwidth = if intra_node {
-            self.intra_node_bandwidth
-        } else {
-            self.inter_node_bandwidth
-        };
-        self.link_latency + bytes / bandwidth
-    }
 }
 
 /// The parallel decomposition of a training job across a cluster.
@@ -293,14 +280,6 @@ mod tests {
         assert!(((t2 - o) / (t1 - o) - 2.0).abs() < 1e-9);
         assert_eq!(d.compute_time(0.0), 0.0);
         assert_eq!(d.compute_time(-5.0), 0.0);
-    }
-
-    #[test]
-    fn transfer_time_prefers_intra_node_links() {
-        let d = DeviceSpec::h100_sxm5();
-        let bytes = 1.0e9;
-        assert!(d.transfer_time(bytes, true) < d.transfer_time(bytes, false));
-        assert_eq!(d.transfer_time(0.0, true), 0.0);
     }
 
     #[test]

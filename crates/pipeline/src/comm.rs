@@ -54,9 +54,9 @@ impl CommCostModel {
 
     /// α–β time to move `bytes` across the edge between stages `from` and
     /// `to`: the larger endpoint latency plus bytes over the edge's
-    /// effective bandwidth.  Reduces bit-identically to
-    /// [`dynmo_model::DeviceSpec::transfer_time`] when both endpoints are
-    /// the same device.
+    /// effective bandwidth (NVLink within a node, InfiniBand across).  When
+    /// both endpoints are the same device, that device's latency plus bytes
+    /// over its own link bandwidth.
     pub fn edge_transfer_time(&self, bytes: f64, from: usize, to: usize) -> f64 {
         if bytes <= 0.0 {
             return 0.0;
@@ -73,21 +73,6 @@ impl CommCostModel {
     /// Bytes of one micro-batch's activations at a pipeline stage boundary.
     pub fn activation_bytes(&self, model: &ModelConfig) -> u64 {
         (model.micro_batch_size * model.seq_len * model.hidden_size * model.param_bytes) as u64
-    }
-
-    /// Time to send one micro-batch's activations from `from_stage` to
-    /// `to_stage` (point-to-point, NVLink within a node, InfiniBand across),
-    /// at the flat model-level tensor size.  The simulator itself uses the
-    /// per-boundary [`CommCostModel::boundary_transfer_time`]; this remains
-    /// the reference cost for a dense, un-shrunk boundary.
-    pub fn activation_transfer_time(
-        &self,
-        model: &ModelConfig,
-        from_stage: usize,
-        to_stage: usize,
-    ) -> f64 {
-        let bytes = self.activation_bytes(model) as f64;
-        self.edge_transfer_time(bytes, from_stage, to_stage)
     }
 
     /// Bytes of the hidden-state tensor leaving `sender`: the stage's own
@@ -197,13 +182,20 @@ mod tests {
         assert_eq!(c.activation_bytes(&model()), 2 * 2048 * 1024 * 2);
     }
 
+    /// A dense boundary's cost: one micro-batch's activations from stage
+    /// `from` to stage `to`.
+    fn activation_transfer_time(c: &CommCostModel, from: usize, to: usize) -> f64 {
+        c.edge_transfer_time(c.activation_bytes(&model()) as f64, from, to)
+    }
+
     #[test]
     fn cross_node_activation_transfer_is_slower() {
         let c = comm();
-        let within = c.activation_transfer_time(&model(), 0, 1);
-        let across = c.activation_transfer_time(&model(), 3, 4);
+        let within = activation_transfer_time(&c, 0, 1);
+        let across = activation_transfer_time(&c, 3, 4);
         assert!(across > within);
         assert!(within > 0.0);
+        assert_eq!(c.edge_transfer_time(0.0, 3, 4), 0.0);
     }
 
     #[test]
@@ -305,21 +297,20 @@ mod tests {
 
     #[test]
     fn hetero_edges_are_bounded_by_the_slower_endpoint() {
-        let m = model();
         let uniform =
             CommCostModel::new(ClusterConfig::homogeneous(2, 4, 1, DeviceSpec::h100_sxm5()));
         let mixed = CommCostModel::new(ClusterConfig::hetero_three_gen(2, 4, 1));
         // Stages run H100, H100, A100, V100.  Stage 1 → 2 crosses the
         // H100/A100 divide and the node boundary: the A100's slower
         // NVLink/IB must bound the edge.
-        let fast = uniform.activation_transfer_time(&m, 1, 2);
-        let slow = mixed.activation_transfer_time(&m, 1, 2);
+        let fast = activation_transfer_time(&uniform, 1, 2);
+        let slow = activation_transfer_time(&mixed, 1, 2);
         assert!(slow >= fast);
         // An all-H100 edge of the mixed cluster matches the uniform one
         // bit-for-bit.
         assert_eq!(
-            mixed.activation_transfer_time(&m, 0, 1).to_bits(),
-            uniform.activation_transfer_time(&m, 0, 1).to_bits()
+            activation_transfer_time(&mixed, 0, 1).to_bits(),
+            activation_transfer_time(&uniform, 0, 1).to_bits()
         );
     }
 

@@ -8,7 +8,8 @@
 //! hundreds of H100s; here they come from a discrete-event simulation of
 //! the same pipeline schedules:
 //!
-//! * [`stage`] — the layer→stage assignment that the balancers manipulate,
+//! * [`stage`] — the pipeline layout the balancers manipulate (one layer
+//!   count per stage, so every stage holds one consecutive run of layers),
 //!   plus [`load::LayerLoad`], the profiled per-layer cost snapshot.
 //! * [`schedule`] — micro-batch orderings for GPipe, 1F1B, Megatron-style
 //!   interleaved 1F1B (virtual stages), and a ZB-H1-style zero-bubble

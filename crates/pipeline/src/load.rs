@@ -9,6 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::stage::StageAssignment;
+
 /// The profiled cost of one layer at a specific training step.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LayerLoad {
@@ -118,23 +120,24 @@ impl StageLoad {
     }
 }
 
-/// Aggregate per-layer loads into per-stage loads given a layer→stage map.
-pub fn aggregate_stage_loads(
-    loads: &[LayerLoad],
-    layer_to_stage: &[usize],
-    num_stages: usize,
-) -> Vec<StageLoad> {
+/// Aggregate per-layer loads into per-stage loads under `assignment`
+/// (each stage sums its layers in id order).
+pub fn aggregate_stage_loads(loads: &[LayerLoad], assignment: &StageAssignment) -> Vec<StageLoad> {
     assert_eq!(
         loads.len(),
-        layer_to_stage.len(),
-        "one stage index per layer load"
+        assignment.num_layers(),
+        "one layer load per assigned layer"
     );
-    let mut stages = vec![StageLoad::default(); num_stages];
-    for (load, &stage) in loads.iter().zip(layer_to_stage.iter()) {
-        assert!(stage < num_stages, "stage index {stage} out of range");
-        stages[stage].add_layer(load);
-    }
-    stages
+    assignment
+        .ranges()
+        .map(|layers| {
+            let mut stage = StageLoad::default();
+            for load in &loads[layers] {
+                stage.add_layer(load);
+            }
+            stage
+        })
+        .collect()
 }
 
 /// Per-stage boundary retention from a per-layer token-retention profile:
@@ -147,23 +150,24 @@ pub fn aggregate_stage_loads(
 /// retentions) — either way it is applied to the boundary exactly once
 /// here, so stacked token-dropping mechanisms never double-shrink a wire.
 pub fn boundary_retention_profile(
-    layer_to_stage: &[usize],
+    assignment: &StageAssignment,
     token_retention: &[f64],
-    num_stages: usize,
 ) -> Vec<f64> {
     assert_eq!(
         token_retention.len(),
-        layer_to_stage.len(),
+        assignment.num_layers(),
         "one retention value per layer"
     );
-    let mut retention = vec![1.0f64; num_stages];
-    for (layer, &stage) in layer_to_stage.iter().enumerate() {
-        assert!(stage < num_stages, "stage index {stage} out of range");
-        // Layers arrive in id order, so the last write per stage wins —
-        // exactly the stage's boundary layer.
-        retention[stage] = token_retention[layer].clamp(0.0, 1.0);
-    }
-    retention
+    assignment
+        .ranges()
+        .map(|layers| {
+            if layers.is_empty() {
+                1.0
+            } else {
+                token_retention[layers.end - 1].clamp(0.0, 1.0)
+            }
+        })
+        .collect()
 }
 
 /// Size every stage's outgoing boundary tensor from a per-layer
@@ -172,23 +176,20 @@ pub fn boundary_retention_profile(
 /// layer's retention.  Layerless stages are left at 0 (the flat
 /// passthrough default).  `token_retention` comes from the dynamism
 /// engine's `LoadUpdate`; an all-ones profile sets every boundary to the
-/// flat tensor — the same cost the 0 default prices.
+/// flat tensor — the same cost the 0 default prices.  `stages` holds one
+/// load per stage of `assignment`.
 pub fn apply_boundary_sizes(
     stages: &mut [StageLoad],
-    layer_to_stage: &[usize],
+    assignment: &StageAssignment,
     token_retention: &[f64],
     flat_boundary_bytes: u64,
 ) {
-    assert!(
-        layer_to_stage.iter().all(|&s| s < stages.len()),
-        "stage index out of range"
-    );
-    let retention = boundary_retention_profile(layer_to_stage, token_retention, stages.len());
-    for (stage, load) in stages.iter_mut().enumerate() {
+    let retention = boundary_retention_profile(assignment, token_retention);
+    for (load, retention) in stages.iter_mut().zip(retention) {
         if load.is_empty() {
             continue; // released stage: keep the 0 passthrough default
         }
-        load.boundary_bytes = (flat_boundary_bytes as f64 * retention[stage]) as u64;
+        load.boundary_bytes = (flat_boundary_bytes as f64 * retention) as u64;
     }
 }
 
@@ -250,7 +251,7 @@ mod tests {
     #[test]
     fn aggregation_groups_layers_by_stage() {
         let loads = vec![load(0, 1.0, 10), load(1, 2.0, 20), load(2, 3.0, 30)];
-        let stages = aggregate_stage_loads(&loads, &[0, 0, 1], 2);
+        let stages = aggregate_stage_loads(&loads, &StageAssignment::from_counts(&[2, 1]));
         assert_eq!(stages.len(), 2);
         assert_eq!(stages[0].num_layers, 2);
         assert_eq!(stages[0].fwd_time, 3.0);
@@ -264,50 +265,43 @@ mod tests {
         stages[0].num_layers = 2;
         stages[1].num_layers = 2;
         // Stage 2 is layerless (released) and must keep the 0 default.
-        let layer_to_stage = [0, 0, 1, 1];
+        let assignment = StageAssignment::from_counts(&[2, 2, 0]);
         // Tokens exit after layers 1 and 3.
         let retention = [1.0, 0.8, 0.8, 0.5];
-        apply_boundary_sizes(&mut stages, &layer_to_stage, &retention, 1_000);
+        apply_boundary_sizes(&mut stages, &assignment, &retention, 1_000);
         assert_eq!(stages[0].boundary_bytes, 800);
         assert_eq!(stages[1].boundary_bytes, 500);
         assert_eq!(stages[2].boundary_bytes, 0);
         // An all-ones profile prices the flat tensor.
-        apply_boundary_sizes(&mut stages, &layer_to_stage, &[1.0; 4], 1_000);
+        apply_boundary_sizes(&mut stages, &assignment, &[1.0; 4], 1_000);
         assert_eq!(stages[0].boundary_bytes, 1_000);
         assert_eq!(stages[1].boundary_bytes, 1_000);
     }
 
     #[test]
     fn boundary_retention_profile_takes_each_stages_last_layer() {
-        let layer_to_stage = [0, 0, 1, 1];
+        let assignment = StageAssignment::from_counts(&[2, 2, 0]);
         // A composed (non-monotone) retention product: MoD keeps 1.0 while
         // early exit shrinks — the profile must follow the merged values,
         // clamped into [0, 1].
         let retention = [1.0, 0.7, 1.2, 0.35];
-        let profile = boundary_retention_profile(&layer_to_stage, &retention, 3);
+        let profile = boundary_retention_profile(&assignment, &retention);
         assert_eq!(profile, vec![0.7, 0.35, 1.0]);
     }
 
     #[test]
     fn aggregation_allows_empty_stages() {
         let loads = vec![load(0, 1.0, 10)];
-        let stages = aggregate_stage_loads(&loads, &[2], 4);
+        let stages = aggregate_stage_loads(&loads, &StageAssignment::from_counts(&[0, 0, 1, 0]));
         assert_eq!(stages[0].num_layers, 0);
         assert_eq!(stages[2].num_layers, 1);
         assert_eq!(stages[3].total_time(), 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "one stage index per layer load")]
+    #[should_panic(expected = "one layer load per assigned layer")]
     fn aggregation_requires_matching_lengths() {
         let loads = vec![load(0, 1.0, 10)];
-        let _ = aggregate_stage_loads(&loads, &[0, 1], 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn aggregation_rejects_out_of_range_stage() {
-        let loads = vec![load(0, 1.0, 10)];
-        let _ = aggregate_stage_loads(&loads, &[5], 2);
+        let _ = aggregate_stage_loads(&loads, &StageAssignment::from_counts(&[1, 1]));
     }
 }

@@ -72,7 +72,7 @@ pub fn check_stage_memory(
     schedule: ScheduleKind,
     num_microbatches: usize,
 ) -> StageMemoryReport {
-    let stages = aggregate_stage_loads(loads, assignment.layer_to_stage(), assignment.num_stages());
+    let stages = aggregate_stage_loads(loads, assignment);
     let p = assignment.num_stages();
     let per_stage_bytes: Vec<u64> = stages
         .iter()

@@ -1,131 +1,119 @@
-//! Layer→stage assignments.
+//! Layer→stage layouts.
 //!
-//! The assignment is the object DynMo's balancers optimize: moving a layer
-//! between pipeline stages is exactly rewriting this map (and paying the
-//! migration cost).  Pipeline parallelism requires the assignment to be
-//! *contiguous* — stage `s` holds a consecutive run of layers — because
-//! activations flow front-to-back; re-packing may leave later stages empty,
-//! which corresponds to released GPUs.
+//! The layout is the object DynMo's balancers optimize: moving a layer
+//! between pipeline stages is exactly rewriting it (and paying the
+//! migration cost).  Pipeline parallelism requires every stage to hold one
+//! consecutive run of layers, because activations flow front to back, so a
+//! [`StageAssignment`] stores one layer count per stage: stage `s` holds
+//! the `counts[s]` layers that follow those of stages `0..s`.  Any
+//! non-empty count list is such a layout, so no constructor, mutation or
+//! parse yields a non-contiguous or out-of-range one.  A stage may hold no
+//! layers: re-packing and the balancers leave workers empty, which
+//! corresponds to released GPUs.
 
-use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
-/// A mapping of model layers onto pipeline stages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+use serde::{DeError, Deserialize, Serialize, Value};
+
+/// Where a model's layers run: one consecutive run of layers per pipeline
+/// stage, front to back.  The stage count is the number of workers the
+/// layout occupies, released ones included.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StageAssignment {
-    num_stages: usize,
-    /// `layer_to_stage[i]` is the stage holding layer `i`.
-    layer_to_stage: Vec<usize>,
+    /// `counts[s]` is the number of layers stage `s` holds; never empty.
+    counts: Vec<usize>,
 }
 
 impl StageAssignment {
-    /// Build an assignment from an explicit layer→stage map.
-    pub fn new(num_stages: usize, layer_to_stage: Vec<usize>) -> Result<Self, String> {
-        if num_stages == 0 {
-            return Err("num_stages must be positive".into());
-        }
-        for (layer, &stage) in layer_to_stage.iter().enumerate() {
-            if stage >= num_stages {
-                return Err(format!(
-                    "layer {layer} assigned to stage {stage}, but there are only {num_stages} stages"
-                ));
-            }
-        }
-        Ok(StageAssignment {
-            num_stages,
-            layer_to_stage,
-        })
-    }
-
-    /// Build an assignment from per-stage layer *counts*, front to back
-    /// (stage 0 gets the first `counts[0]` layers, and so on).
+    /// Build a layout from per-stage layer counts, front to back (stage 0
+    /// gets the first `counts[0]` layers, and so on).  An empty list gives
+    /// one stage holding no layers.
     pub fn from_counts(counts: &[usize]) -> Self {
-        let num_stages = counts.len().max(1);
-        let mut layer_to_stage = Vec::with_capacity(counts.iter().sum());
-        for (stage, &count) in counts.iter().enumerate() {
-            for _ in 0..count {
-                layer_to_stage.push(stage);
-            }
-        }
-        StageAssignment {
-            num_stages,
-            layer_to_stage,
-        }
+        let counts = if counts.is_empty() {
+            vec![0]
+        } else {
+            counts.to_vec()
+        };
+        StageAssignment { counts }
     }
 
     /// Evenly split `num_layers` layers over `num_stages` stages (the
     /// Megatron-LM static baseline): earlier stages get the remainder.
+    ///
+    /// # Panics
+    ///
+    /// When `num_stages` is 0.
     pub fn uniform(num_layers: usize, num_stages: usize) -> Self {
         let base = num_layers / num_stages;
         let extra = num_layers % num_stages;
-        let counts: Vec<usize> = (0..num_stages)
+        let counts = (0..num_stages)
             .map(|s| base + usize::from(s < extra))
             .collect();
-        Self::from_counts(&counts)
+        StageAssignment { counts }
     }
 
     /// Number of pipeline stages (including possibly-empty ones).
     pub fn num_stages(&self) -> usize {
-        self.num_stages
+        self.counts.len()
     }
 
-    /// Number of layers covered by the assignment.
+    /// Number of layers covered by the layout.
     pub fn num_layers(&self) -> usize {
-        self.layer_to_stage.len()
-    }
-
-    /// The stage holding `layer`.
-    pub fn stage_of(&self, layer: usize) -> usize {
-        self.layer_to_stage[layer]
-    }
-
-    /// The full layer→stage map.
-    pub fn layer_to_stage(&self) -> &[usize] {
-        &self.layer_to_stage
-    }
-
-    /// The layers assigned to `stage`, in model order.
-    pub fn layers_of(&self, stage: usize) -> Vec<usize> {
-        self.layer_to_stage
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s == stage)
-            .map(|(l, _)| l)
-            .collect()
+        self.counts.iter().sum()
     }
 
     /// Per-stage layer counts.
-    pub fn counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_stages];
-        for &s in &self.layer_to_stage {
-            counts[s] += 1;
-        }
-        counts
+    pub fn counts(&self) -> &[usize] {
+        &self.counts
     }
 
-    /// Whether the assignment is contiguous: every stage's layers form one
-    /// consecutive run and stage indices are non-decreasing front-to-back.
-    pub fn is_contiguous(&self) -> bool {
-        self.layer_to_stage.windows(2).all(|w| w[0] <= w[1])
+    /// The layers stage `stage` holds, in model order.
+    ///
+    /// # Panics
+    ///
+    /// When `stage` is not a stage of the layout.
+    pub fn layers_of(&self, stage: usize) -> Range<usize> {
+        let start = self.counts[..stage].iter().sum();
+        start..start + self.counts[stage]
     }
 
-    /// Move `layer` to `target_stage`, returning the previous stage.
-    pub fn move_layer(&mut self, layer: usize, target_stage: usize) -> Result<usize, String> {
-        if target_stage >= self.num_stages {
+    /// Every stage's layers ([`StageAssignment::layers_of`]), front to
+    /// back.
+    pub fn ranges(&self) -> impl ExactSizeIterator<Item = Range<usize>> + '_ {
+        let mut start = 0;
+        self.counts.iter().map(move |&count| {
+            let layers = start..start + count;
+            start = layers.end;
+            layers
+        })
+    }
+
+    /// Move stage `from`'s boundary layer to the adjacent stage `to` (its
+    /// first layer when `to` precedes it, its last otherwise) and return
+    /// that layer: the one mutation a layout has, and it keeps every stage
+    /// one consecutive run.
+    pub fn move_boundary_layer(&mut self, from: usize, to: usize) -> Result<usize, String> {
+        let stages = self.num_stages();
+        if from.max(to) >= stages || from.abs_diff(to) != 1 {
             return Err(format!(
-                "target stage {target_stage} out of range ({} stages)",
-                self.num_stages
+                "stages {from} and {to} are not adjacent stages of {stages}"
             ));
         }
-        if layer >= self.layer_to_stage.len() {
-            return Err(format!("layer {layer} out of range"));
+        let layers = self.layers_of(from);
+        if layers.is_empty() {
+            return Err(format!("stage {from} holds no layers"));
         }
-        let prev = self.layer_to_stage[layer];
-        self.layer_to_stage[layer] = target_stage;
-        Ok(prev)
+        self.counts[from] -= 1;
+        self.counts[to] += 1;
+        Ok(if to < from {
+            layers.start
+        } else {
+            layers.end - 1
+        })
     }
 
     /// The set of `(layer, from_stage, to_stage)` moves needed to transform
-    /// this assignment into `target` (the migration plan the controller
+    /// this layout into `target` (the migration plan the controller
     /// executes after a balancing decision).
     pub fn diff(&self, target: &StageAssignment) -> Vec<(usize, usize, usize)> {
         assert_eq!(
@@ -133,13 +121,43 @@ impl StageAssignment {
             target.num_layers(),
             "assignments must cover the same layers"
         );
-        self.layer_to_stage
-            .iter()
-            .zip(target.layer_to_stage.iter())
+        self.stage_per_layer()
+            .zip(target.stage_per_layer())
             .enumerate()
             .filter(|(_, (a, b))| a != b)
-            .map(|(layer, (&a, &b))| (layer, a, b))
+            .map(|(layer, (a, b))| (layer, a, b))
             .collect()
+    }
+
+    /// The stage of every layer, in model order.
+    fn stage_per_layer(&self) -> impl Iterator<Item = usize> + '_ {
+        self.counts
+            .iter()
+            .enumerate()
+            .flat_map(|(stage, &count)| std::iter::repeat_n(stage, count))
+    }
+}
+
+impl<'de> Deserialize<'de> for StageAssignment {
+    /// Parse `{"counts": [...]}`, rejecting an empty count list and counts
+    /// whose total overflows, so a parsed layout is as valid as a built
+    /// one.
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| DeError::expected("map", "StageAssignment", value))?;
+        let counts: Vec<usize> = serde::de_field(entries, "counts")?;
+        if counts.is_empty() {
+            return Err(DeError::message("counts: a layout has at least one stage"));
+        }
+        if counts
+            .iter()
+            .try_fold(0usize, |sum, &c| sum.checked_add(c))
+            .is_none()
+        {
+            return Err(DeError::message("counts: the layer total overflows"));
+        }
+        Ok(StageAssignment { counts })
     }
 }
 
@@ -150,11 +168,10 @@ mod tests {
     #[test]
     fn uniform_split_matches_megatron_layout() {
         let a = StageAssignment::uniform(24, 4);
-        assert_eq!(a.counts(), vec![6, 6, 6, 6]);
-        assert!(a.is_contiguous());
+        assert_eq!(a.counts(), [6, 6, 6, 6]);
         // Non-divisible: remainder goes to the earliest stages.
         let a = StageAssignment::uniform(26, 4);
-        assert_eq!(a.counts(), vec![7, 7, 6, 6]);
+        assert_eq!(a.counts(), [7, 7, 6, 6]);
         assert_eq!(a.num_layers(), 26);
     }
 
@@ -162,41 +179,44 @@ mod tests {
     fn from_counts_builds_contiguous_runs() {
         let a = StageAssignment::from_counts(&[2, 0, 3]);
         assert_eq!(a.num_stages(), 3);
-        assert_eq!(a.layer_to_stage(), &[0, 0, 2, 2, 2]);
-        assert_eq!(a.layers_of(1), Vec::<usize>::new());
-        assert_eq!(a.layers_of(2), vec![2, 3, 4]);
-        assert_eq!(a.counts(), vec![2, 0, 3]);
-        assert!(a.is_contiguous());
+        assert_eq!(a.num_layers(), 5);
+        assert_eq!(a.layers_of(0), 0..2);
+        assert!(a.layers_of(1).is_empty());
+        assert_eq!(a.layers_of(2), 2..5);
+        assert_eq!(a.ranges().collect::<Vec<_>>(), vec![0..2, 2..2, 2..5]);
+        assert_eq!(a.counts(), [2, 0, 3]);
+        // An empty list is one stage holding nothing.
+        let empty = StageAssignment::from_counts(&[]);
+        assert_eq!((empty.num_stages(), empty.num_layers()), (1, 0));
     }
 
     #[test]
-    fn new_validates_stage_indices() {
-        assert!(StageAssignment::new(2, vec![0, 1, 1]).is_ok());
-        assert!(StageAssignment::new(2, vec![0, 2]).is_err());
-        assert!(StageAssignment::new(0, vec![]).is_err());
-    }
-
-    #[test]
-    fn move_layer_updates_the_map() {
+    fn boundary_moves_keep_the_layout_contiguous() {
         let mut a = StageAssignment::uniform(6, 3);
-        assert_eq!(a.stage_of(5), 2);
-        let prev = a.move_layer(5, 0).unwrap();
-        assert_eq!(prev, 2);
-        assert_eq!(a.stage_of(5), 0);
-        assert!(!a.is_contiguous());
-        assert!(a.move_layer(5, 9).is_err());
-        assert!(a.move_layer(99, 0).is_err());
+        assert_eq!(a.move_boundary_layer(1, 2), Ok(3));
+        assert_eq!(a.counts(), [2, 1, 3]);
+        assert_eq!(a.move_boundary_layer(1, 0), Ok(2));
+        assert_eq!(a.counts(), [3, 0, 3]);
+        // An empty stage has no boundary layer; only neighbours trade.
+        assert!(a.move_boundary_layer(1, 2).is_err());
+        assert!(a.move_boundary_layer(0, 2).is_err());
+        assert!(a.move_boundary_layer(2, 3).is_err());
+        assert!(a.move_boundary_layer(0, 0).is_err());
+        assert_eq!(a.counts(), [3, 0, 3]);
     }
 
     #[test]
     fn diff_lists_exactly_the_changed_layers() {
         let a = StageAssignment::uniform(6, 3);
-        let mut b = a.clone();
-        b.move_layer(2, 2).unwrap();
-        b.move_layer(3, 0).unwrap();
-        let moves = a.diff(&b);
-        assert_eq!(moves, vec![(2, 1, 2), (3, 1, 0)]);
+        let b = StageAssignment::from_counts(&[3, 0, 3]);
+        assert_eq!(a.diff(&b), vec![(2, 1, 0), (3, 1, 2)]);
         assert!(a.diff(&a).is_empty());
+        // Layouts over different stage counts compare layer by layer.
+        let fewer = StageAssignment::from_counts(&[4, 2]);
+        assert_eq!(
+            a.diff(&fewer),
+            vec![(2, 1, 0), (3, 1, 0), (4, 2, 1), (5, 2, 1)]
+        );
     }
 
     #[test]
@@ -211,6 +231,25 @@ mod tests {
     fn uniform_with_more_stages_than_layers_leaves_empty_stages() {
         let a = StageAssignment::uniform(3, 8);
         assert_eq!(a.num_layers(), 3);
-        assert_eq!(a.counts(), vec![1, 1, 1, 0, 0, 0, 0, 0]);
+        assert_eq!(a.counts(), [1, 1, 1, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn parsing_round_trips_and_rejects_invalid_layouts() {
+        let a = StageAssignment::from_counts(&[2, 0, 3]);
+        let text = serde_json::to_string(&a).unwrap();
+        assert_eq!(text, r#"{"counts":[2,0,3]}"#);
+        assert_eq!(serde_json::from_str::<StageAssignment>(&text).unwrap(), a);
+        for bad in [
+            r#"{"counts":[]}"#,
+            r#"{"counts":[18446744073709551615,1]}"#,
+            r#"{"counts":[1,-1]}"#,
+            "[1,2]",
+        ] {
+            assert!(
+                serde_json::from_str::<StageAssignment>(bad).is_err(),
+                "{bad} parsed"
+            );
+        }
     }
 }

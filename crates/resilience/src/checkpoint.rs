@@ -1,9 +1,10 @@
 //! Versioned trainer-state snapshots.
 //!
 //! A [`Checkpoint`] captures everything needed to resume a DynMo training
-//! job after a rank failure or an elastic re-scale: the layer→stage
-//! assignment, per-layer weight and optimizer proxies, pruning masks, frozen
-//! flags, and per-layer RNG stream positions.  The snapshot is
+//! job after a rank failure or an elastic re-scale: the pipeline layout
+//! (one layer count per stage, so also the number of workers), per-layer
+//! weight and optimizer proxies, pruning masks, frozen flags, and per-layer
+//! RNG stream positions.  The snapshot is
 //! serde-serialized (JSON through the workspace shims), versioned, and
 //! checksummed, so an incompatible or torn checkpoint is rejected at restore
 //! time instead of silently corrupting the run.
@@ -22,7 +23,11 @@ use serde::{Deserialize, Serialize};
 /// * v2 — adds the optional `engine` snapshot: the dynamism stack's own
 ///   state (each sub-engine's RNG streams and masks versioned
 ///   independently), so composite runs replay bit-for-bit after recovery.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// * v3 — the assignment is per-stage layer counts (`{"counts": [...]}`)
+///   instead of a layer→stage map, so a parsed layout is contiguous and in
+///   range; `world_size` is dropped, since the layout's stage count is the
+///   worker count.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Errors raised by checkpoint creation, validation, and the stores.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,9 +124,7 @@ pub struct TrainerState {
     /// The next iteration to execute: the snapshot contains every update up
     /// to (excluding) this iteration, so a restore resumes exactly here.
     pub iteration: u64,
-    /// Number of pipeline workers active when the snapshot was taken.
-    pub world_size: usize,
-    /// Layer→stage assignment in effect.
+    /// The pipeline layout in effect: one stage per active worker.
     pub assignment: StageAssignment,
     /// Per-layer state, indexed by layer id.
     pub layers: Vec<LayerState>,
@@ -138,11 +141,6 @@ pub struct TrainerState {
 impl TrainerState {
     /// Validate structural invariants before checkpointing or after restore.
     pub fn validate(&self) -> Result<(), CheckpointError> {
-        if self.world_size == 0 {
-            return Err(CheckpointError::Invalid(
-                "world_size must be positive".into(),
-            ));
-        }
         if self.assignment.num_layers() != self.layers.len() {
             return Err(CheckpointError::Invalid(format!(
                 "assignment covers {} layers but {} layer states are present",
@@ -265,9 +263,24 @@ impl Checkpoint {
     }
 
     /// Parse a checkpoint back from its JSON text (does not verify; call
-    /// [`Checkpoint::verify`] on the result).
+    /// [`Checkpoint::verify`] on the result).  Text that does not parse as
+    /// this format but names another format version is a
+    /// [`CheckpointError::VersionMismatch`], not corruption.
     pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
-        serde_json::from_str(text).map_err(|e| CheckpointError::Corrupt(e.to_string()))
+        let value =
+            serde_json::parse_value(text).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
+        Checkpoint::from_value(&value).map_err(|e| {
+            let version = value.as_map().map(|m| serde::de_field::<u32>(m, "version"));
+            match version {
+                Some(Ok(found)) if found != CHECKPOINT_VERSION => {
+                    CheckpointError::VersionMismatch {
+                        found,
+                        expected: CHECKPOINT_VERSION,
+                    }
+                }
+                _ => CheckpointError::Corrupt(e.to_string()),
+            }
+        })
     }
 }
 
@@ -399,7 +412,6 @@ mod tests {
         metrics.insert("imbalance".to_string(), 0.0625);
         TrainerState {
             iteration,
-            world_size: stages,
             assignment: StageAssignment::uniform(num_layers, stages),
             layers,
             metrics,
@@ -455,9 +467,13 @@ mod tests {
         state.layers.swap(0, 1);
         assert!(Checkpoint::new(state).is_err());
 
+        // A layout over five layers for four layer states.
         let mut state = sample_state(5, 4, 2);
-        state.world_size = 0;
-        assert!(Checkpoint::new(state).is_err());
+        state.assignment = StageAssignment::from_counts(&[2, 3]);
+        assert!(matches!(
+            Checkpoint::new(state),
+            Err(CheckpointError::Invalid(_))
+        ));
 
         // Non-finite values would serialize to `null` and be unrestorable;
         // they must be rejected while the run is still healthy.
@@ -499,6 +515,52 @@ mod tests {
         assert!(small >= model.fixed_overhead);
         assert!(large > small);
         assert!(model.read_cost(state.size_bytes()) < model.write_cost(state.size_bytes()));
+    }
+
+    #[test]
+    fn layouts_no_pipeline_can_run_are_errors_not_panics() {
+        let checkpoint = Checkpoint::new(sample_state(9, 4, 4)).unwrap();
+        let text = checkpoint.to_json().unwrap();
+        let with_layout = |layout: &str| {
+            let at = text.find("\"assignment\"").unwrap();
+            let end = at + text[at..].find('}').unwrap();
+            format!(
+                "{}\"assignment\": {layout}{}",
+                &text[..at],
+                &text[end + 1..]
+            )
+        };
+        assert_eq!(
+            Checkpoint::from_json(&with_layout(r#"{"counts": [1, 1, 1, 1]}"#)).unwrap(),
+            checkpoint
+        );
+        // No stage at all, and the version-2 map with its last layer on
+        // stage 9 of 4.
+        for layout in [
+            r#"{"counts": []}"#,
+            r#"{"num_stages": 4, "layer_to_stage": [0, 1, 2, 9]}"#,
+        ] {
+            assert!(matches!(
+                Checkpoint::from_json(&with_layout(layout)),
+                Err(CheckpointError::Corrupt(_))
+            ));
+        }
+        // The version-2 layout in a version-2 checkpoint names its version.
+        let v2 = with_layout(r#"{"num_stages": 4, "layer_to_stage": [0, 1, 2, 3]}"#).replacen(
+            &format!("\"version\": {CHECKPOINT_VERSION}"),
+            "\"version\": 2",
+            1,
+        );
+        assert_eq!(
+            Checkpoint::from_json(&v2).unwrap_err(),
+            CheckpointError::VersionMismatch {
+                found: 2,
+                expected: CHECKPOINT_VERSION
+            }
+        );
+        // A layout over five layers for four layer states.
+        let five = Checkpoint::from_json(&with_layout(r#"{"counts": [2, 3]}"#)).unwrap();
+        assert!(five.verify().is_err());
     }
 
     #[test]

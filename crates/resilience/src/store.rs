@@ -105,7 +105,6 @@ mod tests {
     fn state(iteration: u64) -> TrainerState {
         TrainerState {
             iteration,
-            world_size: 2,
             assignment: StageAssignment::uniform(4, 2),
             layers: (0..4)
                 .map(|layer_id| LayerState {

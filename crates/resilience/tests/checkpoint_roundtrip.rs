@@ -41,7 +41,6 @@ fn build_state(
     }
     TrainerState {
         iteration,
-        world_size: stages,
         assignment: StageAssignment::uniform(num_layers, stages),
         layers,
         metrics: named,
@@ -121,13 +120,17 @@ proptest! {
     /// boundary it is rejected by both `parse_value` and
     /// `Checkpoint::from_json`, and with one char swapped it is handled
     /// either way (some swaps, e.g. inside a string, still spell valid
-    /// JSON).
+    /// JSON).  An edited layout is rejected by `from_json` when it has no
+    /// stage or its counts overflow, and by `verify` when it covers a
+    /// different number of layers than the state holds.
     #[test]
     fn damaged_checkpoint_json_is_an_error_not_a_panic(
         weights in prop::collection::vec(-1.0e6f32..1.0e6, 1..16),
         cut in 0usize..1 << 20,
         swap_at in 0usize..1 << 20,
         swap in 0usize..SWAPS.chars().count(),
+        counts in prop::collection::vec(0usize..3, 0..5),
+        overflow in 0usize..2,
     ) {
         let mut state = build_state(7, 2, &[weights], 0x5eed, &[0.5]);
         // A key with escapes and multi-byte characters.
@@ -144,6 +147,26 @@ proptest! {
         let garbled = format!("{}{swapped}{}", &text[..at], &text[at + original.len_utf8()..]);
         let _ = serde_json::parse_value(&garbled);
         let _ = Checkpoint::from_json(&garbled);
+
+        // The state holds one layer; swap in another count list, whose
+        // total overflows when `overflow` is set.
+        let mut layout: Vec<String> = counts.iter().map(usize::to_string).collect();
+        if overflow == 1 {
+            layout.extend([usize::MAX.to_string(), "1".to_string()]);
+        }
+        let rejected = layout.is_empty() || overflow == 1;
+        let open = text.find("\"counts\"").and_then(|at| text[at..].find('[').map(|i| at + i));
+        let open = open.expect("the layout serializes its counts");
+        let close = open + text[open..].find(']').expect("the count list closes");
+        let edited = format!("{}[{}]{}", &text[..open], layout.join(", "), &text[close + 1..]);
+        match Checkpoint::from_json(&edited) {
+            Ok(checkpoint) => {
+                prop_assert!(!rejected, "{edited}");
+                let total: usize = counts.iter().sum();
+                prop_assert!(total == 1 || checkpoint.verify().is_err(), "{edited}");
+            }
+            Err(_) => prop_assert!(rejected, "{edited}"),
+        }
     }
 }
 

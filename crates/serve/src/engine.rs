@@ -538,9 +538,8 @@ impl ServingEngine {
     /// pipeline simulator.  The stage loads are refilled in place, so a
     /// step allocates nothing once they have grown to the stage count.
     ///
-    /// Layers are walked in runs of consecutive layers on one stage: each
-    /// stage still sums its layers in id order, and each run sizes its
-    /// stage's boundary once, from the run's last layer.
+    /// Each stage sums its layers in id order and sizes its boundary from
+    /// its last layer.
     ///
     /// At the identity update the price is a pure function of the
     /// replica's assignment (fixed from its addition until it is
@@ -552,12 +551,10 @@ impl ServingEngine {
     /// already passed on those inputs (see `ServingSession::step_bounded`).
     fn price_step(&mut self, idx: usize, plan: StepPlan) -> f64 {
         let assignment = &self.replicas[idx].assignment;
-        let num_stages = assignment.num_stages();
-        let layer_to_stage = assignment.layer_to_stage();
         let update = &self.latest_update;
         assert_eq!(
             update.token_retention.len(),
-            layer_to_stage.len(),
+            assignment.num_layers(),
             "one retention value per layer"
         );
         let weighted_tokens =
@@ -571,28 +568,21 @@ impl ServingEngine {
         // A stage hosting no layers keeps the default load and is bypassed.
         let loads = &mut self.stage_loads;
         loads.clear();
-        loads.resize(num_stages, StageLoad::default());
-        let mut first = 0;
-        for run in layer_to_stage.chunk_by(|a, b| a == b) {
-            let (stage, layers) = (run[0], first..first + run.len());
-            assert!(stage < num_stages, "stage index {stage} out of range");
-            first = layers.end;
-            let load = &mut loads[stage];
-            load.fwd_time = self.per_token_fwd[layers.clone()]
-                .iter()
-                .zip(&update.fwd_scale[layers.clone()])
-                .fold(load.fwd_time, |sum, (cost, scale)| {
-                    sum + cost * scale * weighted_tokens
-                });
-            load.num_layers += run.len();
-            // Runs arrive in id order, so the last write sizes the
-            // boundary by the stage's last layer.  Never 0: that would
-            // fall back to the training-shaped flat residual tensor
-            // instead of this batch's.
-            let retention = update.token_retention[layers.end - 1].clamp(0.0, 1.0);
-            load.boundary_bytes = ((flat_boundary * retention) as u64).max(1);
-        }
-        for load in loads.iter_mut() {
+        loads.resize(assignment.num_stages(), StageLoad::default());
+        for (load, layers) in loads.iter_mut().zip(assignment.ranges()) {
+            if !layers.is_empty() {
+                load.fwd_time = self.per_token_fwd[layers.clone()]
+                    .iter()
+                    .zip(&update.fwd_scale[layers.clone()])
+                    .fold(0.0, |sum, (cost, scale)| {
+                        sum + cost * scale * weighted_tokens
+                    });
+                load.num_layers = layers.len();
+                // Never 0: that would fall back to the training-shaped flat
+                // residual tensor instead of this batch's.
+                let retention = update.token_retention[layers.end - 1].clamp(0.0, 1.0);
+                load.boundary_bytes = ((flat_boundary * retention) as u64).max(1);
+            }
             load.fwd_time /= m as f64;
         }
         self.simulator.forward_makespan(model_config, loads, m)
@@ -1200,16 +1190,13 @@ fn kv_capacity(
     assignment: &StageAssignment,
 ) -> Result<usize, String> {
     let param_bytes = model.config().param_bytes as u64;
+    let retained = vec![1.0; model.num_layers()];
     let mut capacity = usize::MAX;
-    for stage in 0..assignment.num_stages() {
-        let layer_ids = assignment.layers_of(stage);
+    for (stage, layer_ids) in assignment.ranges().enumerate() {
         if layer_ids.is_empty() {
             continue;
         }
-        let layers: Vec<_> = layer_ids
-            .iter()
-            .map(|&l| model.layers()[l].clone())
-            .collect();
+        let layers = &model.layers()[layer_ids];
         let weights: u64 = layers.iter().map(|l| l.param_count * param_bytes).sum();
         if weights >= config.device.memory_capacity {
             return Err(format!(
@@ -1217,8 +1204,7 @@ fn kv_capacity(
             ));
         }
         let budget = ((config.device.memory_capacity - weights) as f64 * KV_MEMORY_FRACTION) as u64;
-        let retained = vec![1.0; layers.len()];
-        let stage_capacity = kv_model.capacity_tokens(&layers, &retained, budget);
+        let stage_capacity = kv_model.capacity_tokens(layers, &retained[..layers.len()], budget);
         capacity = capacity.min(stage_capacity);
     }
     if capacity == 0 || capacity == usize::MAX {

@@ -3,9 +3,8 @@
 //! CSR is the storage format the paper adopts for pruned weights: "a common
 //! choice is the compressed sparse row (CSR) format, which necessitates
 //! replacing dense matrix multiplications (DMM) with sparse equivalents
-//! (SpMM)" (§4.2.2).  The row offsets and column indices are exactly the
-//! extra data DynMo must migrate between GPUs when a pruned layer moves
-//! stages, which is why the migration cost accounting includes them.
+//! (SpMM)" (§4.2.2).  The row offsets and column indices are the extra
+//! data DynMo must migrate between GPUs when a pruned layer moves stages.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,38 +21,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Build a CSR matrix from raw parts.  Panics on structurally invalid
-    /// input (wrong `row_ptr` length, out-of-range column indices, or
-    /// non-monotonic row offsets).
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<u32>,
-        values: Vec<f32>,
-    ) -> Self {
-        assert_eq!(row_ptr.len(), rows + 1, "row_ptr must have rows+1 entries");
-        assert_eq!(col_idx.len(), values.len(), "one value per column index");
-        assert_eq!(
-            *row_ptr.last().unwrap_or(&0),
-            values.len(),
-            "last row_ptr entry must equal nnz"
-        );
-        for w in row_ptr.windows(2) {
-            assert!(w[0] <= w[1], "row_ptr must be non-decreasing");
-        }
-        for &c in &col_idx {
-            assert!((c as usize) < cols, "column index {c} out of range");
-        }
-        CsrMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
     /// Convert a dense matrix to CSR, dropping exact zeros.
     pub fn from_dense(dense: &DenseMatrix) -> Self {
         let rows = dense.rows();
@@ -120,16 +87,6 @@ impl CsrMatrix {
         &self.row_ptr
     }
 
-    /// Column indices, one per stored value.
-    pub fn col_idx(&self) -> &[u32] {
-        &self.col_idx
-    }
-
-    /// Stored values.
-    pub fn values(&self) -> &[f32] {
-        &self.values
-    }
-
     /// The non-zero entries of row `r` as `(column, value)` pairs.
     pub fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
         let start = self.row_ptr[r];
@@ -138,45 +95,6 @@ impl CsrMatrix {
             .iter()
             .zip(self.values[start..end].iter())
             .map(|(&c, &v)| (c as usize, v))
-    }
-
-    /// Total bytes needed to store the matrix in CSR form: 4-byte values,
-    /// 4-byte column indices, and 8-byte row offsets.  This is the quantity
-    /// DynMo's migration cost model charges when moving a pruned layer
-    /// between workers.
-    pub fn storage_bytes(&self) -> u64 {
-        (self.values.len() * 4 + self.col_idx.len() * 4 + self.row_ptr.len() * 8) as u64
-    }
-
-    /// Transpose (CSR → CSR of the transposed matrix).
-    pub fn transpose(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.cols];
-        for &c in &self.col_idx {
-            counts[c as usize] += 1;
-        }
-        let mut row_ptr = vec![0usize; self.cols + 1];
-        for c in 0..self.cols {
-            row_ptr[c + 1] = row_ptr[c] + counts[c];
-        }
-        let mut next = row_ptr.clone();
-        let mut col_idx = vec![0u32; self.nnz()];
-        let mut values = vec![0.0f32; self.nnz()];
-        for r in 0..self.rows {
-            for i in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[i] as usize;
-                let pos = next[c];
-                col_idx[pos] = r as u32;
-                values[pos] = self.values[i];
-                next[c] += 1;
-            }
-        }
-        CsrMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            row_ptr,
-            col_idx,
-            values,
-        }
     }
 }
 
@@ -221,48 +139,6 @@ mod tests {
         assert_eq!(row0, vec![(0, 1.0), (3, 2.0)]);
         let row1: Vec<_> = csr.row_entries(1).collect();
         assert!(row1.is_empty());
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let d = sample_dense();
-        let csr = CsrMatrix::from_dense(&d);
-        let t = csr.transpose();
-        assert_eq!(t.rows(), 4);
-        assert_eq!(t.cols(), 3);
-        // Transposing twice returns the original dense content.
-        assert_eq!(t.transpose().to_dense(), d);
-        // Spot-check an element.
-        assert_eq!(t.to_dense().get(3, 0), 2.0);
-    }
-
-    #[test]
-    fn storage_bytes_counts_values_indices_and_offsets() {
-        let csr = CsrMatrix::from_dense(&sample_dense());
-        // 4 values*4 + 4 col_idx*4 + 4 row_ptr*8 = 16 + 16 + 32 = 64.
-        assert_eq!(csr.storage_bytes(), 64);
-    }
-
-    #[test]
-    fn from_parts_validates_structure() {
-        // Valid.
-        let ok = CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 2.0]);
-        assert_eq!(ok.nnz(), 2);
-        // Invalid row_ptr length.
-        let bad = std::panic::catch_unwind(|| {
-            CsrMatrix::from_parts(2, 2, vec![0, 2], vec![0, 1], vec![1.0, 2.0])
-        });
-        assert!(bad.is_err());
-        // Out-of-range column index.
-        let bad = std::panic::catch_unwind(|| {
-            CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 7], vec![1.0, 2.0])
-        });
-        assert!(bad.is_err());
-        // Non-monotonic row_ptr.
-        let bad = std::panic::catch_unwind(|| {
-            CsrMatrix::from_parts(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 2.0])
-        });
-        assert!(bad.is_err());
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! provides:
 //!
 //! * a real [`csr::CsrMatrix`] data structure with dense round-tripping and
-//!   a [`spmm()`] CPU kernel (rayon-parallel) so the pruning pipeline operates
-//!   on actual sparse data,
+//!   a [`spmm()`] CPU kernel (rayon-parallel, `A · B` with `A` sparse) so
+//!   the pruning pipeline operates on actual sparse data; the
+//!   `spmm_crossover` bench times it against the dense
+//!   [`DenseMatrix::matmul`] reference,
 //! * magnitude-based selection utilities ([`topk`], [`prune`]) used by the
 //!   distributed global-pruning algorithm (Algorithm 1), and
 //! * calibrated *kernel cost models* ([`kernel_cost`]) for cuBLAS dense
@@ -32,5 +34,5 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use kernel_cost::{KernelCostModel, SpmmBackend};
 pub use prune::prune_to_sparsity;
-pub use spmm::{spmm, spmm_flops, spmm_transpose};
+pub use spmm::spmm;
 pub use topk::{top_k_indices_by_magnitude, top_k_magnitudes};

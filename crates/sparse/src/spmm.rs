@@ -35,26 +35,6 @@ pub fn spmm(a: &CsrMatrix, b: &DenseMatrix) -> DenseMatrix {
     DenseMatrix::from_vec(a.rows(), n, out)
 }
 
-/// Compute `Aᵀ · B` where `A` is sparse (CSR) and `B` is dense — the kernel
-/// shape needed by the backward pass of a pruned linear layer.
-pub fn spmm_transpose(a: &CsrMatrix, b: &DenseMatrix) -> DenseMatrix {
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "Aᵀ·B requires A.rows == B.rows: {} vs {}",
-        a.rows(),
-        b.rows()
-    );
-    // Materializing the transpose keeps the hot loop identical to `spmm`.
-    spmm(&a.transpose(), b)
-}
-
-/// FLOPs performed by an SpMM of the given shape and nnz count (2 FLOPs per
-/// stored value per output column).
-pub fn spmm_flops(nnz: usize, n_cols: usize) -> f64 {
-    2.0 * nnz as f64 * n_cols as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,23 +77,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_transpose_matches_dense_reference() {
-        let a_dense = random_dense(12, 7, 0.4, 3);
-        let b = random_dense(12, 5, 0.0, 11);
-        let a_csr = CsrMatrix::from_dense(&a_dense);
-        let via_sparse = spmm_transpose(&a_csr, &b);
-        // Dense reference: Aᵀ · B computed by transposing A by hand.
-        let mut at = DenseMatrix::zeros(7, 12);
-        for r in 0..12 {
-            for c in 0..7 {
-                at.set(c, r, a_dense.get(r, c));
-            }
-        }
-        let via_dense = at.matmul(&b);
-        assert!(via_sparse.max_abs_diff(&via_dense) < 1e-4);
-    }
-
-    #[test]
     fn empty_sparse_matrix_produces_zero_output() {
         let a = CsrMatrix::from_dense(&DenseMatrix::zeros(4, 4));
         let b = random_dense(4, 3, 0.0, 5);
@@ -127,12 +90,5 @@ mod tests {
         let a = CsrMatrix::from_dense(&DenseMatrix::zeros(4, 4));
         let b = DenseMatrix::zeros(3, 3);
         let _ = spmm(&a, &b);
-    }
-
-    #[test]
-    fn flop_count_is_proportional_to_nnz() {
-        assert_eq!(spmm_flops(0, 10), 0.0);
-        assert_eq!(spmm_flops(100, 10), 2000.0);
-        assert_eq!(spmm_flops(200, 10), 4000.0);
     }
 }

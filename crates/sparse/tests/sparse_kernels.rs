@@ -3,9 +3,7 @@
 //! pruning keeping the top-k entries by |w|, and SpMM agreement with the
 //! dense reference GEMM.
 
-use dynmo_sparse::{
-    prune_to_sparsity, spmm, spmm_transpose, top_k_indices_by_magnitude, CsrMatrix, DenseMatrix,
-};
+use dynmo_sparse::{prune_to_sparsity, spmm, top_k_indices_by_magnitude, CsrMatrix, DenseMatrix};
 
 /// Deterministic pseudo-random f32 stream (no external RNG crates offline).
 fn pseudo_random_values(n: usize, seed: u64) -> Vec<f32> {
@@ -106,14 +104,4 @@ fn spmm_agrees_with_dense_gemm() {
             "SpMM diverged from dense GEMM at {m}x{k}x{n}, sparsity {sparsity}"
         );
     }
-}
-
-#[test]
-fn spmm_transpose_matches_explicit_transpose() {
-    let a_dense = sparse_matrix(6, 10, 0.6, 77);
-    let b = DenseMatrix::from_vec(6, 4, pseudo_random_values(24, 88));
-    let a_csr = CsrMatrix::from_dense(&a_dense);
-    let via_kernel = spmm_transpose(&a_csr, &b);
-    let via_dense = a_csr.transpose().to_dense().matmul(&b);
-    assert!(via_kernel.max_abs_diff(&via_dense) < 1e-4);
 }

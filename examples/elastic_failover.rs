@@ -10,7 +10,7 @@
 //!    final state as a failure-free run;
 //! 2. a voluntary shrink→grow session — the world shrinks from 4 to 2
 //!    workers (GPUs go back to the job manager), trains shrunken, then
-//!    grows back, with layer-assignment conservation checked throughout.
+//!    grows back, ending on exactly the un-rescaled run's final state.
 //!
 //! ```text
 //! cargo run --release --example elastic_failover
@@ -94,14 +94,6 @@ fn main() {
     .expect("elastic rescale session");
 
     println!("  world sizes per phase: {:?}", rescale.phase_world_sizes);
-    println!(
-        "  layers conserved:      {:>8}",
-        if rescale.layers_conserved {
-            "yes"
-        } else {
-            "NO"
-        }
-    );
     println!(
         "  average GPUs in use:   {:>8.2} (of 4)",
         rescale.average_allocated

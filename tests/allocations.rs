@@ -15,10 +15,16 @@
 //! * So does a warm step under CALM early exit, whose engine refills the
 //!   deployment's load update in place: fewer than 100 allocations over
 //!   10,000 steps.
+//! * A balancer call copies no layer lists: one Diffusion call (29 rounds)
+//!   and one Partition call on a 34-layer profile over 16 stages each make
+//!   fewer than 10 allocations, its working vectors and the new layout.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dynmo::core::balancer::{
+    BalanceObjective, BalanceRequest, DiffusionBalancer, LoadBalancer, PartitionBalancer,
+};
 use dynmo::dynamics::{EarlyExitEngine, EarlyExitMethod};
 use dynmo::model::{ClusterConfig, DeviceSpec, Model, ModelConfig};
 use dynmo::pipeline::load::StageLoad;
@@ -193,4 +199,20 @@ fn a_warm_calm_serving_step_allocates_nothing() {
         allocations < 100,
         "10,000 warm CALM steps made {allocations} allocations"
     );
+}
+
+#[test]
+fn a_balancer_call_copies_no_layer_lists() {
+    let loads = dynmo_bench::convergence_loads(34);
+    let request = BalanceRequest::new(&loads, 16, u64::MAX, BalanceObjective::ByTime);
+    let balancers: [&dyn LoadBalancer; 2] = [&DiffusionBalancer::new(), &PartitionBalancer::new()];
+    for balancer in balancers {
+        let (outcome, allocations) = allocations_of(|| balancer.rebalance(&request));
+        assert!(
+            allocations < 10,
+            "{}: {allocations} allocations over {} rounds",
+            balancer.name(),
+            outcome.rounds
+        );
+    }
 }

@@ -50,7 +50,8 @@ fn algorithm1_matches_single_process_pruning_at_multiple_sparsities() {
 
 #[test]
 fn migration_plan_executes_over_the_runtime_and_preserves_layer_data() {
-    // 6 layers over 3 stages; a rebalance moves the boundary layers.
+    // 6 layers over 3 stages; a rebalance empties stage 1 into its
+    // neighbours: layer 2 moves to stage 0 and layer 3 to stage 2.
     let loads: Vec<LayerLoad> = (0..6)
         .map(|i| LayerLoad {
             layer_id: i,
@@ -63,9 +64,7 @@ fn migration_plan_executes_over_the_runtime_and_preserves_layer_data() {
         })
         .collect();
     let from = StageAssignment::uniform(6, 3);
-    let mut to = from.clone();
-    to.move_layer(2, 2).unwrap();
-    to.move_layer(3, 0).unwrap();
+    let to = StageAssignment::from_counts(&[3, 0, 3]);
     let plan = MigrationPlan::between(&from, &to, &loads);
     assert_eq!(plan.num_moves(), 2);
 
@@ -77,9 +76,9 @@ fn migration_plan_executes_over_the_runtime_and_preserves_layer_data() {
     })
     .unwrap();
 
-    // Stage 2 received layer 2's weights; stage 0 received layer 3's.
-    assert_eq!(results[2], vec![(2, vec![20.0; 8])]);
-    assert_eq!(results[0], vec![(3, vec![30.0; 8])]);
+    // Stage 0 received layer 2's weights; stage 2 received layer 3's.
+    assert_eq!(results[0], vec![(2, vec![20.0; 8])]);
+    assert_eq!(results[2], vec![(3, vec![30.0; 8])]);
     assert!(results[1].is_empty());
 }
 
