@@ -51,7 +51,7 @@ pub fn deepspeed_initial_assignment(model: &Model, num_stages: usize) -> StageAs
 
 /// The controller used for every static baseline: whatever the initial
 /// assignment was, never rebalance during training.  It holds no balancer,
-/// and its reports are labelled `static/by-param`.
+/// and its reports are labelled `static/by-time`.
 pub fn static_controller() -> RebalanceController {
     RebalanceController::static_split()
 }
@@ -107,6 +107,6 @@ mod tests {
     fn static_controller_never_rebalances() {
         let controller = static_controller();
         assert!(!controller.is_due(100, dynmo_dynamics::RebalanceFrequency::EveryIteration));
-        assert_eq!(controller.name(), "static/by-param");
+        assert_eq!(controller.name(), "static/by-time");
     }
 }

@@ -47,7 +47,6 @@ fn trainer_config(iterations: u64) -> TrainerConfig {
         num_iterations: iterations,
         num_microbatches: MICROBATCHES,
         allreduce_overlap: 0.8,
-        objective: BalanceObjective::ByTime,
     }
 }
 

@@ -319,7 +319,6 @@ pub fn run_configuration(config: &CaseConfig, balancer: BalancerKind) -> Configu
         }
     });
     let trainer_config = TrainerConfig {
-        objective: balancer.objective(),
         schedule,
         ..TrainerConfig::paper_defaults(cluster.clone(), config.scale.iterations())
     };

@@ -207,7 +207,6 @@ pub fn run_hetero_cell(
     let cluster = flavor.cluster(stages, data_parallel);
     let model = case.model(layers);
     let trainer_config = TrainerConfig {
-        objective: BalanceObjective::ByTime,
         schedule: configuration.schedule(),
         ..TrainerConfig::paper_defaults(cluster.clone(), scale.iterations())
     };

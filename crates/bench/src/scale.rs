@@ -223,8 +223,9 @@ mod tests {
     fn paper_scale_matches_the_evaluation_setup() {
         let scale = ExperimentScale::Paper;
         assert_eq!(scale.iterations(), 10_000);
-        assert_eq!(scale.gpt_cluster().total_gpus(), 720);
-        assert_eq!(scale.moe_cluster().total_gpus(), 128);
+        let gpus = |c: ClusterConfig| c.pipeline_stages * c.data_parallel;
+        assert_eq!(gpus(scale.gpt_cluster()), 720);
+        assert_eq!(gpus(scale.moe_cluster()), 128);
         let schedules = scale.schedules();
         assert_eq!(schedules.pruning.start_iteration, 3_000);
         assert_eq!(schedules.pruning.frequency, 1_000);

@@ -44,7 +44,7 @@ fn event_key(event: &Event) -> String {
 }
 
 fn sorted_keys(recorder: &MemoryRecorder) -> Vec<String> {
-    let mut keys: Vec<String> = recorder.snapshot().iter().map(event_key).collect();
+    let mut keys: Vec<String> = recorder.take().iter().map(event_key).collect();
     keys.sort();
     keys
 }
@@ -62,8 +62,8 @@ fn recorded_pipeline_sweep_is_byte_identical_to_plain() {
 
     // Every cell recorded its per-rank timeline: at least one span per
     // stage of every cell, all on that cell's own group.
-    assert!(!recorder.is_empty());
-    let events = recorder.snapshot();
+    let events = recorder.take();
+    assert!(!events.is_empty());
     let groups: std::collections::BTreeSet<usize> = events
         .iter()
         .filter_map(|e| match e {
@@ -110,5 +110,8 @@ fn recorded_serving_cell_matches_plain_bit_for_bit() {
         serde_json::to_string_pretty(&recorded).unwrap(),
         "serving cell bytes must not change"
     );
-    assert!(!recorder.is_empty(), "the serving run recorded events");
+    assert!(
+        !recorder.take().is_empty(),
+        "the serving run recorded events"
+    );
 }

@@ -6,8 +6,8 @@
 //! run is checkpointed periodically (each sub-engine's RNG streams and masks
 //! captured in the snapshot's [`EngineState`](dynmo_dynamics::EngineState)),
 //! a crash is simulated at a chosen iteration, and a *fresh* trainer with a
-//! *fresh* engine stack restores the snapshot and replays the lost
-//! iterations.
+//! *fresh* engine stack restores the latest snapshot taken before it and
+//! replays the lost iterations.
 //!
 //! The replay is **bit-for-bit**: the recovered run's
 //! [`trajectory_checksum`](crate::report::TrainingReport::trajectory_checksum)
@@ -25,8 +25,8 @@ use crate::trainer::{Trainer, TrainerConfig};
 
 /// Builds the pieces a composite recovery session needs fresh copies of:
 /// the controller (trainers consume one each) and the engine stack (the
-/// crashed stack's state dies with it; the recovered stack is rebuilt from
-/// seeds and restored from the checkpoint).
+/// recovered stack is rebuilt from seeds and restored from the
+/// checkpoint).
 pub struct CompositeRunSpec<'a> {
     /// The model every run trains.
     pub model: &'a Model,
@@ -43,8 +43,7 @@ pub struct CompositeRunSpec<'a> {
 pub struct CompositeRecoveryReport {
     /// The failure-free reference run.
     pub baseline: TrainingReport,
-    /// The run that crashed at `killed_at` and was resumed from the last
-    /// checkpoint.
+    /// The run resumed from the last checkpoint before `killed_at`.
     pub recovered: TrainingReport,
     /// Iteration at which the crash was simulated.
     pub killed_at: u64,
@@ -57,10 +56,15 @@ pub struct CompositeRecoveryReport {
     pub bit_identical: bool,
 }
 
-/// Run a composite stack end-to-end three times — failure-free, crashed at
-/// `kill_at`, and resumed from the crashed run's last checkpoint — and
-/// check the recovered trajectory reproduces the failure-free one
-/// bit-for-bit.
+/// Run a composite stack end-to-end twice — failure-free, and resumed from
+/// the last checkpoint before a crash at `kill_at` — and check the
+/// recovered trajectory reproduces the failure-free one bit-for-bit.
+///
+/// The failure-free run stops at `kill_at` first.  Advancing a run in
+/// chunks reproduces one uninterrupted run bit for bit, so its checkpoint
+/// store there is exactly what a process killed at `kill_at` leaves
+/// behind; the latest checkpoint is read before the rest of the run can
+/// evict it, and the run then continues to the end.
 ///
 /// `checkpoint_interval` must divide into the run early enough that at
 /// least one checkpoint exists before `kill_at` (i.e. `kill_at >=
@@ -85,41 +89,26 @@ pub fn run_composite_with_recovery(
         ));
     }
 
-    // Failure-free reference.
     let mut baseline_trainer = Trainer::new(
         spec.model.clone(),
         spec.config.clone(),
         (spec.make_controller)(),
     )
     .with_checkpointing(Box::new(MemoryCheckpointStore::new()), checkpoint_interval);
-    let baseline = baseline_trainer.run_stack((spec.make_stack)());
-
-    // The run that dies at `kill_at`: identical configuration, truncated at
-    // the crash point.  Its checkpoint store is all that survives.  The
-    // crashed prefix is deterministic and bit-identical to the baseline's,
-    // so its checkpoint *could* be pulled from the baseline store instead —
-    // but the baseline's retention window may have evicted every snapshot
-    // ≤ kill_at by the end of the full run, and a harness that recovers
-    // from a store written by a genuinely truncated process is the claim
-    // being tested, so the extra prefix run is deliberate.
-    let mut crashed_config = spec.config.clone();
-    crashed_config.num_iterations = kill_at;
-    let mut crashed_trainer =
-        Trainer::new(spec.model.clone(), crashed_config, (spec.make_controller)())
-            .with_checkpointing(Box::new(MemoryCheckpointStore::new()), checkpoint_interval);
-    crashed_trainer.run_stack((spec.make_stack)());
-
-    let checkpoint = crashed_trainer
+    let mut baseline_stack = ComposedEngine::new((spec.make_stack)())?;
+    baseline_trainer.advance_to(&mut baseline_stack, kill_at)?;
+    let checkpoint = baseline_trainer
         .checkpoint_store()
-        .expect("crashed trainer was built with checkpointing")
+        .expect("the baseline trainer was built with checkpointing")
         .latest()
-        .map_err(|e| format!("reading the crashed run's checkpoint store: {e}"))?
-        .ok_or("the crashed run left no checkpoint to recover from")?;
+        .map_err(|e| format!("reading the checkpoint store at the crash: {e}"))?
+        .ok_or("the run left no checkpoint to recover from")?;
     let state: TrainerState = checkpoint
         .verify()
         .map_err(|e| format!("verifying the crash checkpoint: {e}"))?
         .clone();
     let resumed_from = state.iteration;
+    let baseline = baseline_trainer.advance_to(&mut baseline_stack, spec.config.num_iterations)?;
 
     // Recovery: fresh trainer, fresh (identically seeded) stack, restored
     // from the snapshot, replaying everything from the checkpoint on.
@@ -167,7 +156,6 @@ mod tests {
             num_iterations: iterations,
             num_microbatches: stages * 4,
             allreduce_overlap: 0.8,
-            objective: BalanceObjective::ByTime,
         }
     }
 

@@ -101,14 +101,21 @@ impl RebalanceController {
     }
 
     /// The static baselines' controller: it keeps whatever initial split
-    /// the trainer starts from, holds no balancer and is never due.  Its
-    /// reports are labelled `static/by-param`.
+    /// the trainer starts from, holds no balancer and is never due.  It
+    /// measures load imbalance by time, and its reports are labelled
+    /// `static/by-time`.
     pub fn static_split() -> Self {
         RebalanceController {
             balancer: None,
-            objective: BalanceObjective::ByParams,
+            objective: BalanceObjective::ByTime,
             policy: RebalancePolicy::dynamic(),
         }
+    }
+
+    /// The objective this controller balances by, and under which the
+    /// trainer measures load imbalance (ΔL).
+    pub fn objective(&self) -> BalanceObjective {
+        self.objective
     }
 
     /// The balancer's display name, e.g. `diffusion/by-time`.
@@ -414,6 +421,6 @@ mod tests {
         let c = RebalanceController::static_split();
         assert!(!c.is_due(1, RebalanceFrequency::EveryIteration));
         assert!(!c.is_due(1000, RebalanceFrequency::EveryN(1000)));
-        assert_eq!(c.name(), "static/by-param");
+        assert_eq!(c.name(), "static/by-time");
     }
 }

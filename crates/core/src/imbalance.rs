@@ -33,11 +33,6 @@ impl ImbalanceHistory {
         }
         self.samples.iter().map(|(_, v)| v).sum::<f64>() / self.samples.len() as f64
     }
-
-    /// Maximum imbalance seen (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.samples.iter().map(|(_, v)| *v).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -45,15 +40,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn history_tracks_mean_and_max() {
+    fn history_tracks_the_mean() {
         let mut h = ImbalanceHistory::new();
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.max(), 0.0);
         h.record(0, 0.5);
         h.record(100, 1.5);
         h.record(200, 1.0);
         assert_eq!(h.samples().len(), 3);
         assert!((h.mean() - 1.0).abs() < 1e-12);
-        assert_eq!(h.max(), 1.5);
     }
 }

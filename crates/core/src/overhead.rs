@@ -69,16 +69,6 @@ impl OverheadBreakdown {
         }
         self.total() / training_time
     }
-
-    /// Merge another breakdown into this one.
-    pub fn merge(&mut self, other: &OverheadBreakdown) {
-        self.profiling += other.profiling;
-        self.algorithm += other.algorithm;
-        self.migration += other.migration;
-        self.recovery += other.recovery;
-        self.rebalance_events += other.rebalance_events;
-        self.recovery_events += other.recovery_events;
-    }
 }
 
 #[cfg(test)]
@@ -104,19 +94,6 @@ mod tests {
         assert!((o.fraction_of(400.0) - 0.01).abs() < 1e-12);
         assert_eq!(o.fraction_of(0.0), 0.0);
         assert_eq!(o.fraction_of(-5.0), 0.0);
-    }
-
-    #[test]
-    fn merge_combines_breakdowns() {
-        let mut a = OverheadBreakdown::new();
-        a.record(1.0, 2.0, 3.0);
-        let mut b = OverheadBreakdown::new();
-        b.record(0.5, 0.5, 0.5);
-        b.record_recovery(1.5);
-        a.merge(&b);
-        assert_eq!(a.total(), 9.0);
-        assert_eq!(a.rebalance_events, 2);
-        assert_eq!(a.recovery_events, 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::overhead::OverheadBreakdown;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainingReport {
     /// Name of the balancing configuration (e.g. `diffusion/by-time`,
-    /// `static/by-param`).
+    /// `static/by-time`).
     pub balancer: String,
     /// Name of the dynamism engine (e.g. `pruning/target-90%`).
     pub dynamism: String,

@@ -16,7 +16,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use dynmo_dynamics::{ComposedEngine, DynamismEngine};
+use dynmo_dynamics::DynamismEngine;
 use dynmo_model::{ClusterConfig, Model, ModelConfig};
 use dynmo_pipeline::memory::inflight_microbatches;
 use dynmo_pipeline::{
@@ -32,7 +32,7 @@ use dynmo_resilience::{
     Checkpoint, CheckpointCostModel, CheckpointStore, LayerState, TrainerState,
 };
 
-use crate::balancer::{stage_weights, BalanceObjective};
+use crate::balancer::stage_weights;
 use crate::controller::RebalanceController;
 use crate::imbalance::ImbalanceHistory;
 use crate::overhead::OverheadBreakdown;
@@ -53,8 +53,6 @@ pub struct TrainerConfig {
     /// Fraction of the data-parallel gradient all-reduce hidden behind the
     /// backward pass.
     pub allreduce_overlap: f64,
-    /// The balancing objective used by the dynamic balancers.
-    pub objective: BalanceObjective,
 }
 
 impl TrainerConfig {
@@ -69,7 +67,6 @@ impl TrainerConfig {
             num_iterations,
             num_microbatches,
             allreduce_overlap: 0.8,
-            objective: BalanceObjective::ByTime,
         }
     }
 
@@ -224,7 +221,6 @@ struct RunState {
     cached_bubble: f64,
     cached_imbalance: f64,
     cached_tokens: u64,
-    last_imbalance: f64,
     trajectory: TrajectoryHash,
 }
 
@@ -308,7 +304,7 @@ impl RunState {
         self.idleness_sum = metric(metric_keys::IDLENESS_SUM)?;
         self.bubble_sum = metric(metric_keys::BUBBLE_SUM)?;
         self.active_worker_iterations = metric(metric_keys::ACTIVE_WORKER_ITERATIONS)?;
-        self.last_imbalance = metric(metric_keys::IMBALANCE)?;
+        self.cached_imbalance = metric(metric_keys::IMBALANCE)?;
         let lo = metric(metric_keys::TRAJECTORY_LO)? as u64;
         let hi = metric(metric_keys::TRAJECTORY_HI)? as u64;
         self.trajectory = TrajectoryHash::from_u64(lo | (hi << 32));
@@ -342,8 +338,8 @@ impl RunState {
 /// A trainer holds at most one live run.  [`Trainer::advance_to`] starts it
 /// (on first use) and continues it; [`Trainer::rescale`] reshapes it onto a
 /// new cluster in place; [`Trainer::snapshot`] exports it in the checkpoint
-/// format.  [`Trainer::run`], [`Trainer::run_stack`] and [`Trainer::resume`]
-/// each start a fresh run and drive it to the configured iteration count.
+/// format.  [`Trainer::run`] and [`Trainer::resume`] each start a fresh run
+/// and drive it to the configured iteration count.
 pub struct Trainer {
     config: TrainerConfig,
     model: Model,
@@ -456,22 +452,6 @@ impl Trainer {
         self.run = None;
         self.advance_to(engine, self.config.num_iterations)
             .expect("a fresh run covers the configured iterations")
-    }
-
-    /// Run an ordered *stack* of dynamism mechanisms acting on the same
-    /// model: the engines are composed (see [`ComposedEngine`]), their
-    /// per-layer load updates merged multiplicatively, and the merged
-    /// multipliers are what the profiler — and through it both balancer
-    /// families — observe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stack is invalid (empty, duplicate mechanisms, nested
-    /// composites) — construct the [`ComposedEngine`] yourself and call
-    /// [`Trainer::run`] to handle that fallibly.
-    pub fn run_stack(&mut self, engines: Vec<Box<dyn DynamismEngine + Send>>) -> TrainingReport {
-        let mut composed = ComposedEngine::new(engines).expect("invalid composite stack");
-        self.run(&mut composed)
     }
 
     /// Resume a run from a checkpointed [`TrainerState`]: the engine's
@@ -632,7 +612,6 @@ impl Trainer {
             cached_bubble: 0.0,
             cached_imbalance: 0.0,
             cached_tokens: 0,
-            last_imbalance: 0.0,
             trajectory: TrajectoryHash::new(),
         }
     }
@@ -748,7 +727,7 @@ impl Trainer {
             run.cached_imbalance = imbalance(&stage_weights(
                 &run.assignment,
                 &run.loads,
-                self.config.objective,
+                self.controller.objective(),
             ));
             run.dirty = false;
         }
@@ -758,7 +737,6 @@ impl Trainer {
         run.idleness_sum += run.cached_idleness;
         run.bubble_sum += run.cached_bubble;
         run.active_worker_iterations += run.assignment.num_stages() as f64;
-        run.last_imbalance = run.cached_imbalance;
         run.trajectory.record_iteration(
             iteration,
             run.cached_iteration_time,
@@ -849,7 +827,7 @@ impl Trainer {
             average_idleness: run.idleness_sum / averaged,
             average_bubble_ratio: run.bubble_sum / averaged,
             mean_imbalance: run.imbalance_history.mean(),
-            final_imbalance: run.last_imbalance,
+            final_imbalance: run.cached_imbalance,
             overhead,
             overhead_fraction: overhead.fraction_of(total_time),
             rebalance_events: overhead.rebalance_events,
@@ -889,11 +867,11 @@ pub fn simulate_for<'s>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balancer::{DiffusionBalancer, PartitionBalancer};
+    use crate::balancer::{BalanceObjective, DiffusionBalancer, PartitionBalancer};
     use crate::controller::RebalancePolicy;
     use dynmo_dynamics::{
-        EarlyExitEngine, EarlyExitMethod, FreezingEngine, FreezingPolicy, GradualPruningEngine,
-        PruningSchedule,
+        ComposedEngine, EarlyExitEngine, EarlyExitMethod, FreezingEngine, FreezingPolicy,
+        GradualPruningEngine, PruningSchedule,
     };
     use dynmo_model::{DeviceSpec, ModelPreset};
 
@@ -908,7 +886,6 @@ mod tests {
             num_iterations: iterations,
             num_microbatches: stages * 4,
             allreduce_overlap: 0.8,
-            objective: BalanceObjective::ByTime,
         }
     }
 
@@ -1116,7 +1093,7 @@ mod tests {
         };
         let run = || {
             let mut trainer = Trainer::new(model.clone(), config(4, 80), dynamic_controller());
-            trainer.run_stack(stack())
+            trainer.run(&mut ComposedEngine::new(stack()).unwrap())
         };
         let a = run();
         let b = run();
@@ -1327,7 +1304,7 @@ mod tests {
         assert_eq!(traced_report.overhead, plain_report.overhead);
 
         // ... but the event stream carries the run's structure.
-        let events = recorder.snapshot();
+        let events = recorder.take();
         let spans = events
             .iter()
             .filter(|e| matches!(e, Event::Span(_)))

@@ -80,16 +80,6 @@ impl ComposedEngine {
         Ok(ComposedEngine { engines })
     }
 
-    /// Number of stacked mechanisms.
-    pub fn len(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// Whether the stack is empty (never true for a constructed engine).
-    pub fn is_empty(&self) -> bool {
-        self.engines.is_empty()
-    }
-
     /// Step every sub-engine and merge, surfacing merge errors instead of
     /// panicking (the fallible twin of [`DynamismEngine::step`]).
     ///
@@ -486,8 +476,7 @@ mod tests {
         let model = gpt();
         let stack = ComposedEngine::new(vec![pruning(&model), early_exit(&model)]).unwrap();
         assert_eq!(stack.case(), DynamismCase::Composite);
-        assert_eq!(stack.len(), 2);
-        assert!(!stack.is_empty());
+        assert_eq!(stack.engines.len(), 2);
         // The snapshot keeps the sub-engines in stack order.
         let children: Vec<String> = stack
             .export_state()

@@ -6,7 +6,9 @@
 //! 1. advances each tenant's [`ServingSession`] and the trainer to the tick,
 //! 2. reclaims drained replicas back into the free pool,
 //! 3. shrinks tenants whose windowed p99 TTFT sits comfortably inside the
-//!    SLO (hysteresis + per-tenant cooldown),
+//!    SLO (hysteresis + per-tenant cooldown; each tenant's session keeps
+//!    its own completion window and last-action time, see
+//!    [`ServingSession::ttft_window`]),
 //! 4. relieves SLO breaches highest-priority-first: free-pool grant, else a
 //!    GPU *steal* from the trainer (checkpoint-shrink-resume at the current
 //!    chunk boundary, priced by the checkpoint cost model), else a
@@ -29,8 +31,10 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dynmo_core::MockJobManager;
-use dynmo_serve::{fleet_clock, RequestTrace, ServingConfig, ServingReport, ServingSession};
-use dynmo_telemetry::{nearest_rank, MarkerKind, NullRecorder, Recorder};
+use dynmo_serve::{
+    fleet_clock, RequestTrace, ServingConfig, ServingReport, ServingSession, TtftWindow,
+};
+use dynmo_telemetry::{MarkerKind, NullRecorder, Recorder};
 use serde::{Deserialize, Serialize};
 
 use crate::trainer::ElasticTrainer;
@@ -235,23 +239,16 @@ struct Tenant {
     max_replicas: usize,
     stages: usize,
     ttft_target: f64,
-    /// Completion window: `(completion time, ttft)`, pruned to
-    /// `ttft_window`.
-    window: Vec<(f64, f64)>,
-    last_action: f64,
     /// Draining all remaining replicas after the trace completed.
     retired: bool,
 }
 
 impl Tenant {
-    /// Windowed p99 TTFT (0 with no completions in the window).
-    fn windowed_p99(&self) -> f64 {
-        if self.window.is_empty() {
-            return 0.0;
-        }
-        let mut ttfts: Vec<f64> = self.window.iter().map(|&(_, t)| t).collect();
-        ttfts.sort_by(|a, b| a.partial_cmp(b).expect("TTFTs are finite"));
-        nearest_rank(&ttfts, 0.99)
+    /// The session's completion window, `ttft_window` seconds long.
+    fn window(&self) -> &TtftWindow {
+        self.session
+            .ttft_window()
+            .expect("an externally managed deployment keeps a completion window")
     }
 }
 
@@ -351,7 +348,8 @@ impl FleetController {
             let name = spec.config.tenant.clone();
             let ttft_target = spec.config.slo.ttft;
             let max_replicas = spec.config.max_replicas;
-            let engine = dynmo_serve::ServingEngine::external(spec.config, blocks)?;
+            let engine =
+                dynmo_serve::ServingEngine::external(spec.config, blocks, config.ttft_window)?;
             live.push(Tenant {
                 name,
                 session: engine.session(&spec.trace),
@@ -360,8 +358,6 @@ impl FleetController {
                 max_replicas,
                 stages,
                 ttft_target,
-                window: Vec::new(),
-                last_action: f64::NEG_INFINITY,
                 retired: false,
             });
         }
@@ -406,8 +402,9 @@ impl FleetController {
         if t.session.is_finished() {
             return false;
         }
-        let p99 = t.windowed_p99();
-        if !t.window.is_empty() && p99 > t.ttft_target * self.config.breach_ttft_factor {
+        let window = t.window();
+        if window.count(now) > 0 && window.p99(now) > t.ttft_target * self.config.breach_ttft_factor
+        {
             return true;
         }
         t.session.gateway_backlog(now).oldest_wait > self.config.gateway_age_limit
@@ -434,20 +431,14 @@ impl FleetController {
             self.trainer.advance_to(now)?;
             self.release_finished_trainer(now)?;
 
-            // 2. Harvest completions into the per-tenant SLO windows, and
-            // sample the per-tenant counter tracks.
-            for t in &mut self.tenants {
-                t.window.extend(t.session.take_completions());
-                let cutoff = now - self.config.ttft_window;
-                t.window.retain(|&(end, _)| end >= cutoff);
-            }
+            // 2. Sample the per-tenant counter tracks.
             if self.recorder.enabled() {
                 for t in &self.tenants {
                     self.recorder.counter(
                         0,
                         &format!("{}_p99_ttft", t.name),
                         now,
-                        t.windowed_p99(),
+                        t.window().p99(now),
                     );
                     self.recorder.counter(
                         0,
@@ -464,7 +455,7 @@ impl FleetController {
             // 4. Retire finished tenants: drain everything they still hold.
             for t in &mut self.tenants {
                 if t.session.is_finished() && !t.retired {
-                    while t.session.begin_drain().is_some() {}
+                    while t.session.begin_drain(now).is_some() {}
                     t.retired = true;
                 }
             }
@@ -519,26 +510,25 @@ impl FleetController {
             let t = &self.tenants[idx];
             if t.retired
                 || t.session.is_finished()
-                || now - t.last_action < self.config.action_cooldown
+                || now - t.session.last_action() < self.config.action_cooldown
                 || t.session.live_replicas() <= t.min_replicas
-                || t.window.is_empty()
+                || t.window().count(now) == 0
             {
                 continue;
             }
             // Estimate the arrival rate from the completion window (they
             // match in steady state) and require the survivors to have
             // headroom — see the `shrink_max_load` field note.
-            let observed_rate = t.window.len() as f64 / self.config.ttft_window;
+            let observed_rate = t.window().count(now) as f64 / self.config.ttft_window;
             let survivors = (t.session.live_replicas() - 1).max(1) as f64;
-            let comfortable = t.windowed_p99() < t.ttft_target * self.config.relax_ttft_factor
+            let comfortable = t.window().p99(now) < t.ttft_target * self.config.relax_ttft_factor
                 && t.session.gateway_backlog(now).requests == 0
                 && observed_rate / survivors <= self.config.shrink_max_load;
             if !comfortable {
                 continue;
             }
             let t = &mut self.tenants[idx];
-            if t.session.begin_drain().is_some() {
-                t.last_action = now;
+            if t.session.begin_drain(now).is_some() {
                 let name = t.name.clone();
                 self.push_action(now, FleetActionKind::Shrink { tenant: name }, 0);
             }
@@ -562,7 +552,7 @@ impl FleetController {
                     t.session.live_replicas(),
                     t.session.draining_replicas(),
                     t.max_replicas,
-                    t.last_action,
+                    t.session.last_action(),
                 )
             };
             if now - last_action < self.config.action_cooldown {
@@ -599,11 +589,9 @@ impl FleetController {
             .pool
             .grant(&name, stages, fleet_clock(now))
             .map_err(|e| format!("granting tenant {name} a block: {e:?}"))?;
-        let p99 = self.tenants[idx].windowed_p99();
         self.tenants[idx]
             .session
-            .add_external_replica(block, now, ready_at, p99)?;
-        self.tenants[idx].last_action = now;
+            .add_external_replica(block, now, ready_at)?;
         self.push_action(now, FleetActionKind::Grant { tenant: name }, stages);
         Ok(())
     }
@@ -624,11 +612,9 @@ impl FleetController {
         // write that freed the GPUs happens on the trainer's clock and is
         // already charged there.
         let ready_at = now + self.config.provision_delay + cost;
-        let p99 = self.tenants[idx].windowed_p99();
         self.tenants[idx]
             .session
-            .add_external_replica(cut, now, ready_at, p99)?;
-        self.tenants[idx].last_action = now;
+            .add_external_replica(cut, now, ready_at)?;
         self.last_trainer_action = now;
         self.steals += 1;
         if self.recorder.enabled() {
@@ -674,10 +660,9 @@ impl FleetController {
         let Some(vidx) = victim else {
             return; // nobody below the breacher can give anything up
         };
-        if self.tenants[vidx].session.begin_drain().is_none() {
+        if self.tenants[vidx].session.begin_drain(now).is_none() {
             return;
         }
-        self.tenants[vidx].last_action = now;
         self.preemptions += 1;
         let victim_name = self.tenants[vidx].name.clone();
         if self.recorder.enabled() {

@@ -79,7 +79,6 @@ impl ElasticTrainerSpec {
             num_iterations: self.total_iterations,
             num_microbatches: self.num_microbatches,
             allreduce_overlap: self.allreduce_overlap,
-            objective: BalanceObjective::ByTime,
         };
         let controller = RebalanceController::new(
             Box::new(PartitionBalancer::new()),
@@ -219,11 +218,6 @@ impl ElasticTrainer {
     pub fn rescale_cost_total(&self) -> f64 {
         self.last_report()
             .map_or(0.0, |report| report.overhead.recovery)
-    }
-
-    /// The job's static description.
-    pub fn spec(&self) -> &ElasticTrainerSpec {
-        &self.spec
     }
 
     /// The live run's cumulative report, re-scale charges included, once a

@@ -156,11 +156,6 @@ impl ModelConfig {
         }
     }
 
-    /// Tokens processed per global batch.
-    pub fn tokens_per_batch(&self) -> u64 {
-        self.global_batch_size as u64 * self.seq_len as u64
-    }
-
     /// Validate structural invariants; returns a description of the first
     /// violation found.
     pub fn validate(&self) -> Result<(), String> {
@@ -230,12 +225,6 @@ mod tests {
         assert_eq!(llama.moe.unwrap().num_experts, 16);
         assert_eq!(llama.moe.unwrap().top_k, 4);
         llama.validate().unwrap();
-    }
-
-    #[test]
-    fn tokens_per_batch_is_batch_times_sequence() {
-        let cfg = ModelConfig::gpt(24);
-        assert_eq!(cfg.tokens_per_batch(), 64 * 2048);
     }
 
     #[test]

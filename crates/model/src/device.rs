@@ -216,11 +216,6 @@ impl ClusterConfig {
             .collect()
     }
 
-    /// Total number of GPUs in the job.
-    pub fn total_gpus(&self) -> usize {
-        self.pipeline_stages * self.data_parallel
-    }
-
     /// Whether two pipeline stages are on the same node, assuming stages are
     /// laid out consecutively across nodes (Megatron-style placement).
     pub fn same_node(&self, stage_a: usize, stage_b: usize) -> bool {
@@ -285,13 +280,11 @@ mod tests {
     #[test]
     fn paper_cluster_shapes_match_the_evaluation_section() {
         let big = ClusterConfig::paper_720_h100();
-        assert_eq!(big.total_gpus(), 720);
         assert_eq!(big.pipeline_stages, 24);
         assert_eq!(big.data_parallel, 30);
         big.validate().unwrap();
 
         let moe = ClusterConfig::paper_128_h100();
-        assert_eq!(moe.total_gpus(), 128);
         assert_eq!(moe.pipeline_stages, 16);
         assert_eq!(moe.data_parallel, 8);
         moe.validate().unwrap();
@@ -300,7 +293,6 @@ mod tests {
     #[test]
     fn single_node_uses_all_gpus_as_stages() {
         let c = ClusterConfig::single_node(8);
-        assert_eq!(c.total_gpus(), 8);
         assert_eq!(c.pipeline_stages, 8);
         assert_eq!(c.data_parallel, 1);
     }

@@ -49,11 +49,6 @@ impl Model {
         self.layers.get(id)
     }
 
-    /// A cost model bound to this model's configuration.
-    pub fn cost_model(&self) -> CostModel {
-        CostModel::new(self.config.clone())
-    }
-
     /// A memory model bound to this model's configuration.
     pub fn memory_model(&self) -> MemoryModel {
         MemoryModel::new(self.config.clone())
@@ -115,9 +110,8 @@ mod tests {
     }
 
     #[test]
-    fn cost_and_memory_models_share_the_config() {
+    fn the_memory_model_shares_the_config() {
         let m = Model::from_preset(ModelPreset::Gpt { layers: 24 });
-        assert_eq!(m.cost_model().config(), m.config());
         assert_eq!(m.memory_model().config(), m.config());
     }
 }

@@ -38,20 +38,6 @@ impl LayerLoad {
     pub fn total_time(&self) -> f64 {
         self.fwd_time + self.bwd_time
     }
-
-    /// A zero-cost placeholder load for a layer (used for frozen layers and
-    /// in tests).
-    pub fn zero(layer_id: usize) -> Self {
-        LayerLoad {
-            layer_id,
-            fwd_time: 0.0,
-            bwd_time: 0.0,
-            param_count: 0,
-            static_bytes: 0,
-            activation_bytes: 0,
-            migration_bytes: 0,
-        }
-    }
 }
 
 /// Aggregate the loads of a set of layers (one pipeline stage's layers).
@@ -213,8 +199,6 @@ mod tests {
     fn total_time_sums_fwd_and_bwd() {
         let l = load(0, 0.5, 10);
         assert_eq!(l.total_time(), 1.5);
-        assert_eq!(LayerLoad::zero(3).total_time(), 0.0);
-        assert_eq!(LayerLoad::zero(3).layer_id, 3);
     }
 
     #[test]
@@ -243,7 +227,7 @@ mod tests {
     fn only_layerless_stages_are_empty() {
         assert!(StageLoad::default().is_empty());
         let mut s = StageLoad::default();
-        s.add_layer(&LayerLoad::zero(0));
+        s.add_layer(&load(0, 0.0, 0));
         // A stage of frozen/zero-cost layers still hosts layers.
         assert!(!s.is_empty());
     }

@@ -236,11 +236,6 @@ impl PipelineSimulator {
         self.schedule
     }
 
-    /// The communication model in use.
-    pub fn comm(&self) -> &CommCostModel {
-        &self.comm
-    }
-
     /// Simulate one iteration of `num_microbatches` micro-batches over the
     /// given per-stage loads and return the timing report, with every
     /// worker's op spans.

@@ -139,11 +139,6 @@ impl ContinuousBatcher {
             .sum()
     }
 
-    /// KV tokens currently reserved by the running set.
-    pub fn reserved_kv_tokens(&self) -> usize {
-        self.reserved_kv_tokens
-    }
-
     /// Largest KV reservation ever held.
     pub fn peak_kv_tokens(&self) -> usize {
         self.peak_kv_tokens
@@ -330,7 +325,7 @@ mod tests {
         assert_eq!(r.completion, 5.0);
         assert_eq!(b.total_prefill_tokens(), 768);
         assert_eq!(b.total_decode_tokens(), 4);
-        assert_eq!(b.reserved_kv_tokens(), 0);
+        assert_eq!(b.reserved_kv_tokens, 0);
         assert_eq!(b.peak_kv_tokens(), 772);
     }
 
@@ -372,7 +367,7 @@ mod tests {
         assert!(b.try_admit(request(0, 0.0, 50, 10), 0.0));
         assert!(!b.try_admit(request(1, 0.0, 50, 10), 0.0));
         assert_eq!(b.running.len(), 1);
-        assert_eq!(b.reserved_kv_tokens(), 60);
+        assert_eq!(b.reserved_kv_tokens, 60);
         // Everything still completes once capacity frees up.
         let rest = [request(1, 0.0, 50, 10), request(2, 0.0, 10, 10)];
         let records = drain(&mut b, &rest, 0.0);
@@ -426,7 +421,7 @@ mod tests {
             assert!(r.first_token > r.admitted);
             assert!(r.completion >= r.first_token);
         }
-        assert_eq!(b.reserved_kv_tokens(), 0);
+        assert_eq!(b.reserved_kv_tokens, 0);
         assert_eq!(b.outstanding_tokens(), 0);
     }
 

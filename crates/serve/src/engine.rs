@@ -43,13 +43,17 @@
 //! run in reverse.  A reclaimed replica leaves the engine's replica set,
 //! its token counters folded into the deployment's totals, so per-step
 //! scans cost what the live and draining replicas cost; each replica keeps
-//! its creation-order id as its record tag and span lane.  An attached
-//! [`crate::autoscale::Autoscaler`] drives it
-//! from the TTFT target; on a deployment built with
-//! [`ServingEngine::external`] an outside owner (a fleet controller's
-//! shared pool) drives it through the session instead.  Either way one
-//! time-weighted meter on the [`fleet_clock`] axis counts the GPUs the
-//! replicas hold, and `mean_gpus` is its mean over the run.
+//! its creation-order id as its record tag and span lane.  The deployment's
+//! own autoscaler (`ServingEngine::autoscale`, configured by
+//! [`ServingConfig::autoscaler`]) drives it from the TTFT target; on a
+//! deployment built with [`ServingEngine::external`] an outside owner (a
+//! fleet controller's shared pool) drives it through the session instead.
+//! Either way the deployment keeps the state both loops read: one
+//! [`TtftWindow`] of completed requests, fed as each step commits, and the
+//! time of its latest scaling action (a replica added or a drain begun),
+//! which the cooldowns count from.  One time-weighted meter on the
+//! [`fleet_clock`] axis counts the GPUs the replicas hold, and `mean_gpus`
+//! is its mean over the run.
 
 use dynmo_core::balancer::{
     BalanceObjective, BalanceRequest, DiffusionBalancer, LoadBalancer, PartitionBalancer,
@@ -65,7 +69,8 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use crate::autoscale::{
-    Autoscaler, AutoscalerConfig, LoadSignals, ScaleDecision, ScaleEvent, PROVISION_DELAY,
+    AutoscalerConfig, ScaleEvent, TtftWindow, CHECK_INTERVAL, COOLDOWN, PROVISION_DELAY,
+    SCALE_IN_FRACTION, WINDOW,
 };
 use crate::batching::{ContinuousBatcher, StepPlan};
 use crate::metrics::{LatencySummary, RequestRecord, ServingReport, SloTarget};
@@ -318,7 +323,13 @@ pub struct ServingEngine {
     /// Whether an outside owner (a fleet controller's shared pool) grants
     /// and reclaims the GPUs; see [`ServingEngine::external`].
     external: bool,
-    autoscaler: Option<Autoscaler>,
+    /// Completed requests' TTFTs, kept by autoscaled and externally
+    /// managed deployments only.
+    window: Option<TtftWindow>,
+    /// Time of the latest scaling action: a replica added or a drain begun.
+    last_action: f64,
+    /// Time of the autoscaler's next check.
+    next_check: f64,
     scale_events: Vec<ScaleEvent>,
     engine_steps: u64,
     peak_replicas: usize,
@@ -386,8 +397,8 @@ impl ServingEngine {
             gpu_ms: 0.0,
         };
 
-        let autoscaler = config.autoscaler.map(Autoscaler::new);
         Ok(ServingEngine {
+            window: config.autoscaler.map(|_| TtftWindow::new(WINDOW)),
             peak_replicas: replicas.len(),
             latest_update: identity,
             latest_from_engine: false,
@@ -405,7 +416,8 @@ impl ServingEngine {
             replicas,
             meter,
             external: false,
-            autoscaler,
+            last_action: f64::NEG_INFINITY,
+            next_check: CHECK_INTERVAL,
             scale_events: Vec::new(),
             engine_steps: 0,
             recorder: Arc::new(NullRecorder),
@@ -417,11 +429,20 @@ impl ServingEngine {
     /// pool), one block of `config.stages` workers per initial replica.
     /// Scaling happens only through [`ServingSession::add_external_replica`],
     /// [`ServingSession::begin_drain`] and
-    /// [`ServingSession::reclaim_drained`].  The internal autoscaler is
-    /// rejected: exactly one party may own the scaling decisions.
-    pub fn external(config: ServingConfig, blocks: Vec<Vec<usize>>) -> Result<Self, String> {
+    /// [`ServingSession::reclaim_drained`], and the owner reads the
+    /// deployment's [`ServingSession::ttft_window`], which reaches
+    /// `ttft_window` seconds back.  The internal autoscaler is rejected:
+    /// exactly one party may own the scaling decisions.
+    pub fn external(
+        config: ServingConfig,
+        blocks: Vec<Vec<usize>>,
+        ttft_window: f64,
+    ) -> Result<Self, String> {
         if config.autoscaler.is_some() {
             return Err("externally managed deployments cannot run their own autoscaler".into());
+        }
+        if !(ttft_window.is_finite() && ttft_window > 0.0) {
+            return Err("the TTFT window must be finite and positive".into());
         }
         if blocks.len() != config.initial_replicas {
             return Err(format!(
@@ -439,6 +460,7 @@ impl ServingEngine {
         }
         let mut engine = ServingEngine::new(config)?;
         engine.external = true;
+        engine.window = Some(TtftWindow::new(ttft_window));
         for (replica, block) in engine.replicas.iter_mut().zip(blocks) {
             replica.workers = block;
         }
@@ -451,11 +473,6 @@ impl ServingEngine {
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// Per-replica KV capacity in tokens.
-    pub fn kv_capacity_tokens(&self) -> usize {
-        self.kv_capacity_tokens
     }
 
     /// Serve a whole trace to completion and report SLO metrics.  The
@@ -524,7 +541,6 @@ impl ServingEngine {
             // relieves the backlog.
             gateway: 0,
             makespan: 0.0,
-            completions: Vec::new(),
             finished: false,
         }
     }
@@ -588,10 +604,28 @@ impl ServingEngine {
         self.simulator.forward_makespan(model_config, loads, m)
     }
 
-    /// Evaluate the autoscaler at `now` and apply its decision.
-    /// `gateway_tokens` and `oldest_wait` describe the gateway queue (the
-    /// un-admitted FCFS backlog).
+    /// One autoscaler check at `now`, on the check grid: once the cooldown
+    /// since the latest scaling action has passed, add a replica when the
+    /// windowed p99 TTFT or the gateway's oldest wait breaches the target,
+    /// or drain one when both sit far inside it and the backlog fits the
+    /// remaining replicas.  `gateway_tokens` and `oldest_wait` describe the
+    /// gateway queue (the un-admitted FCFS backlog).
     fn autoscale(&mut self, now: f64, gateway_tokens: usize, oldest_wait: f64) {
+        let Some(policy) = self.config.autoscaler else {
+            return;
+        };
+        if now < self.next_check {
+            return;
+        }
+        // Catch up the check grid (steps can jump over several intervals).
+        while self.next_check <= now {
+            self.next_check += CHECK_INTERVAL;
+        }
+        if now - self.last_action < COOLDOWN {
+            return;
+        }
+        let p99 = self.observed_p99(now);
+        let replicas = self.live_replicas();
         let backlog_tokens = gateway_tokens
             + self
                 .replicas
@@ -599,52 +633,39 @@ impl ServingEngine {
                 .filter(|r| !r.draining)
                 .map(|r| r.batcher.outstanding_tokens())
                 .sum::<usize>();
-        let signals = LoadSignals {
-            replicas: self.live_replicas(),
-            backlog_tokens,
-            oldest_wait,
-            capacity_tokens_per_replica: self.kv_capacity_tokens,
-        };
-        let Some(scaler) = &mut self.autoscaler else {
-            return;
-        };
-        let acted = match scaler.evaluate(now, &signals) {
-            ScaleDecision::Hold => false,
+        let target = policy.ttft_p99_target;
+        if (p99 > target || oldest_wait > target) && replicas < policy.max_replicas {
             // Draining replicas hold their GPUs until reclaimed, so they
-            // count against the ceiling.
-            ScaleDecision::Out
-                if self.meter.gpus < self.config.max_replicas * self.config.stages =>
-            {
-                let p99 = scaler.windowed_ttft_p99(now);
-                let ready_at = now + PROVISION_DELAY;
-                self.add_replica(Vec::new(), now, ready_at, p99, backlog_tokens);
-                true
+            // count against the ceiling.  A scale-out dropped there starts
+            // no cooldown, so the next check retries it mid-breach.
+            if self.meter.gpus < self.config.max_replicas * self.config.stages {
+                self.add_replica(Vec::new(), now, now + PROVISION_DELAY, backlog_tokens);
             }
-            ScaleDecision::Out => false,
-            ScaleDecision::In => self.begin_drain().is_some(),
-        };
-        if acted {
-            // Only an applied decision starts the cooldown: a scale-out
-            // dropped at the ceiling must be retried at the next check,
-            // not suppressed for a whole cooldown mid-breach.
-            if let Some(scaler) = &mut self.autoscaler {
-                scaler.note_action(now);
-            }
+            return;
         }
+        let relaxed = p99 < SCALE_IN_FRACTION * target
+            && oldest_wait < SCALE_IN_FRACTION * target
+            && (backlog_tokens as f64)
+                < SCALE_IN_FRACTION
+                    * self.kv_capacity_tokens as f64
+                    * (replicas.saturating_sub(1)) as f64;
+        if relaxed && replicas > policy.min_replicas {
+            self.begin_drain(now);
+        }
+    }
+
+    /// The windowed p99 TTFT as of `now` (0 on a deployment that keeps no
+    /// window).
+    fn observed_p99(&self, now: f64) -> f64 {
+        self.window.as_ref().map_or(0.0, |w| w.p99(now))
     }
 
     /// Bring a new replica on `workers` online from `ready_at` (never
     /// before `now`), laid out against the current dynamism state, and log
-    /// the scale-out with the signals the caller acted on.
-    fn add_replica(
-        &mut self,
-        workers: Vec<usize>,
-        now: f64,
-        ready_at: f64,
-        observed_ttft_p99: f64,
-        backlog_tokens: usize,
-    ) {
+    /// the scale-out with the window's p99 and the caller's backlog.
+    fn add_replica(&mut self, workers: Vec<usize>, now: f64, ready_at: f64, backlog_tokens: usize) {
         self.meter.set(now, self.meter.gpus + self.config.stages);
+        self.last_action = now;
         let (assignment, capacity) = self.replica_layout();
         let online_at = ready_at.max(now);
         self.replicas.push(Replica {
@@ -660,6 +681,7 @@ impl ServingEngine {
         self.created_replicas += 1;
         let live = self.live_replicas();
         self.peak_replicas = self.peak_replicas.max(live);
+        let observed_ttft_p99 = self.observed_p99(now);
         self.scale_events.push(ScaleEvent {
             time: now,
             delta: 1,
@@ -708,17 +730,18 @@ impl ServingEngine {
         }
     }
 
-    /// Start draining the live replica with the least outstanding work
-    /// (the oldest on a tie); its GPUs come back through
+    /// Start draining, at `now`, the live replica with the least
+    /// outstanding work (the oldest on a tie); its GPUs come back through
     /// [`ServingEngine::reclaim`] once it empties.  Returns the replica's
     /// id, or `None` with no live replica.
-    fn begin_drain(&mut self) -> Option<usize> {
+    fn begin_drain(&mut self, now: f64) -> Option<usize> {
         let victim = self
             .replicas
             .iter_mut()
             .filter(|r| !r.draining)
             .min_by_key(|r| r.batcher.outstanding_tokens())?;
         victim.draining = true;
+        self.last_action = now;
         Some(victim.id)
     }
 
@@ -739,10 +762,7 @@ impl ServingEngine {
             let replica = self.replicas.remove(idx);
             self.reclaimed.add(&replica.batcher);
             freed.push(replica.workers);
-            let p99 = self
-                .autoscaler
-                .as_ref()
-                .map_or(0.0, |s| s.windowed_ttft_p99(now));
+            let p99 = self.observed_p99(now);
             let live = self.live_replicas();
             self.scale_events.push(ScaleEvent {
                 time: now,
@@ -850,11 +870,8 @@ pub struct ServingSession {
     slo_met: u64,
     completed_count: usize,
     gateway: usize,
+    /// Latest step end seen so far (the monotone observation clock).
     makespan: f64,
-    /// `(completion time, TTFT)` of requests finished since the last
-    /// [`ServingSession::take_completions`] — only accumulated for
-    /// externally managed deployments, so self-managed runs stay O(1).
-    completions: Vec<(f64, f64)>,
     finished: bool,
 }
 
@@ -975,8 +992,8 @@ impl ServingSession {
         engine.replicas[idx]
             .batcher
             .commit_step(plan, id, end, |record| {
-                if let Some(scaler) = &mut engine.autoscaler {
-                    scaler.record_completion(end, record.ttft());
+                if let Some(window) = &mut engine.window {
+                    window.push(start, end, record.ttft());
                 }
                 self.ttft_summary.observe(record.ttft());
                 self.tpot_summary.observe(record.tpot());
@@ -985,15 +1002,12 @@ impl ServingSession {
                     self.slo_met += 1;
                 }
                 self.completed_count += 1;
-                if engine.external {
-                    self.completions.push((end, record.ttft()));
-                }
                 if engine.config.retain_records {
                     self.records.push(record);
                 }
             });
 
-        if self.engine.autoscaler.is_some() {
+        if self.engine.config.autoscaler.is_some() {
             // Evaluate on the monotone observation clock (`makespan` =
             // the latest step end seen so far): steps are executed in
             // start-time order, so raw `end`s can interleave backward,
@@ -1001,13 +1015,8 @@ impl ServingSession {
             // non-decreasing timestamps.
             let now = self.makespan;
             // The backlog scan is O(arrived-but-unadmitted); only pay
-            // it on steps where a policy check is actually due.
-            if self
-                .engine
-                .autoscaler
-                .as_ref()
-                .is_some_and(|s| s.check_due(now))
-            {
+            // it on steps where a check is actually due.
+            if now >= self.engine.next_check {
                 let backlog = self.gateway_backlog(now);
                 self.engine
                     .autoscale(now, backlog.tokens, backlog.oldest_wait);
@@ -1047,29 +1056,6 @@ impl ServingSession {
         self.finished
     }
 
-    /// Start time of the earliest runnable engine step, `None` when done.
-    pub fn next_action_time(&self) -> Option<f64> {
-        if self.finished {
-            return None;
-        }
-        let gateway_front = self.trace.requests.get(self.gateway).map(|r| r.arrival);
-        self.engine
-            .replicas
-            .iter()
-            .filter_map(|r| r.next_action_time(gateway_front))
-            .min_by(|a, b| a.partial_cmp(b).expect("times are finite"))
-    }
-
-    /// The tenant this session serves.
-    pub fn tenant(&self) -> &str {
-        &self.engine.config.tenant
-    }
-
-    /// The deployment's configuration.
-    pub fn config(&self) -> &ServingConfig {
-        &self.engine.config
-    }
-
     /// Replicas serving or provisioning (not draining).
     pub fn live_replicas(&self) -> usize {
         self.engine.live_replicas()
@@ -1080,19 +1066,16 @@ impl ServingSession {
         self.engine.replicas.iter().filter(|r| r.draining).count()
     }
 
-    /// Admitted-but-unfinished tokens across live replicas.
-    pub fn outstanding_tokens(&self) -> usize {
-        self.engine.outstanding_tokens()
+    /// The deployment's completion window, which both control loops read;
+    /// `None` on a fixed-capacity deployment, which keeps none.
+    pub fn ttft_window(&self) -> Option<&TtftWindow> {
+        self.engine.window.as_ref()
     }
 
-    /// Per-replica KV capacity in tokens.
-    pub fn kv_capacity_tokens(&self) -> usize {
-        self.engine.kv_capacity_tokens
-    }
-
-    /// Latest step end seen so far (the monotone observation clock).
-    pub fn makespan(&self) -> f64 {
-        self.makespan
+    /// Time of the deployment's latest scaling action, a replica added or
+    /// a drain begun (−∞ before the first).
+    pub fn last_action(&self) -> f64 {
+        self.engine.last_action
     }
 
     /// The gateway's un-admitted backlog as of `now`.
@@ -1111,25 +1094,16 @@ impl ServingSession {
         snapshot
     }
 
-    /// Drain the `(completion time, TTFT)` pairs of requests finished
-    /// since the previous call (externally managed deployments only —
-    /// self-managed sessions keep no completion log).
-    pub fn take_completions(&mut self) -> Vec<(f64, f64)> {
-        std::mem::take(&mut self.completions)
-    }
-
     /// Bring a new replica online over an externally granted GPU block:
     /// laid out against the current dynamism state (same policy as an
-    /// autoscaler scale-out), accepting work from `ready_at`.
-    /// `observed_ttft_p99` is the caller's SLO reading, logged with the
-    /// scale event.  Errors on self-managed deployments and wrongly sized
-    /// blocks.
+    /// autoscaler scale-out), accepting work from `ready_at`.  The scale
+    /// event logs the deployment's windowed p99 TTFT at `now`.  Errors on
+    /// self-managed deployments and wrongly sized blocks.
     pub fn add_external_replica(
         &mut self,
         workers: Vec<usize>,
         now: f64,
         ready_at: f64,
-        observed_ttft_p99: f64,
     ) -> Result<(), String> {
         let engine = &mut self.engine;
         if !engine.external {
@@ -1143,21 +1117,21 @@ impl ServingSession {
             ));
         }
         let backlog_tokens = engine.outstanding_tokens();
-        engine.add_replica(workers, now, ready_at, observed_ttft_p99, backlog_tokens);
+        engine.add_replica(workers, now, ready_at, backlog_tokens);
         Ok(())
     }
 
-    /// Start draining the live replica with the least outstanding work
-    /// (the same victim rule the autoscaler's scale-in uses); its GPUs
-    /// come back through [`ServingSession::reclaim_drained`] once it
-    /// empties.  Returns the replica's creation-order id (the `replica` of
-    /// its records), or `None` with no live replica to drain or on a
-    /// self-managed deployment.
-    pub fn begin_drain(&mut self) -> Option<usize> {
+    /// Start draining, at `now`, the live replica with the least
+    /// outstanding work (the same victim rule the autoscaler's scale-in
+    /// uses); its GPUs come back through [`ServingSession::reclaim_drained`]
+    /// once it empties.  Returns the replica's creation-order id (the
+    /// `replica` of its records), or `None` with no live replica to drain
+    /// or on a self-managed deployment.
+    pub fn begin_drain(&mut self, now: f64) -> Option<usize> {
         if !self.engine.external {
             return None;
         }
-        self.engine.begin_drain()
+        self.engine.begin_drain(now)
     }
 
     /// Collect the GPU blocks of replicas that have finished draining as
@@ -1423,14 +1397,106 @@ mod tests {
         );
     }
 
+    /// A self-managed deployment of `replicas` replicas that autoscales
+    /// between `floor` and 4 replicas to a 1 s p99 TTFT target.
+    fn autoscaled_engine(replicas: usize, floor: usize) -> ServingEngine {
+        let policy = AutoscalerConfig::responsive(1.0, floor, 4);
+        ServingEngine::new(ServingConfig::small(replicas).with_autoscaler(policy)).unwrap()
+    }
+
+    /// The deltas of the engine's scale events so far.
+    fn deltas(engine: &ServingEngine) -> Vec<i64> {
+        engine.scale_events.iter().map(|e| e.delta).collect()
+    }
+
+    /// Record `n` completions with `ttft`, 0.1 s apart from `from` on.
+    fn complete(engine: &mut ServingEngine, from: f64, n: usize, ttft: f64) {
+        let window = engine.window.as_mut().unwrap();
+        for i in 0..n {
+            let t = from + i as f64 * 0.1;
+            window.push(t, t, ttft);
+        }
+    }
+
+    #[test]
+    fn autoscale_holds_between_check_intervals() {
+        let mut engine = autoscaled_engine(1, 1);
+        // Breaching signals, but the first check is not due yet.
+        engine.autoscale(0.5, 50_000, 10.0);
+        assert!(engine.scale_events.is_empty());
+        engine.autoscale(2.5, 50_000, 10.0);
+        assert_eq!(deltas(&engine), vec![1]);
+    }
+
+    #[test]
+    fn autoscale_scales_out_on_a_completed_ttft_p99_breach() {
+        let mut engine = autoscaled_engine(1, 1);
+        complete(&mut engine, 1.0, 10, 3.0);
+        engine.autoscale(2.5, 0, 0.0);
+        assert_eq!(deltas(&engine), vec![1]);
+        // The event logs the window's p99.
+        assert_eq!(engine.scale_events[0].observed_ttft_p99, 3.0);
+    }
+
+    #[test]
+    fn autoscale_scales_out_on_queue_pressure_before_any_completion() {
+        let mut engine = autoscaled_engine(1, 1);
+        engine.autoscale(2.5, 80_000, 5.0);
+        assert_eq!(deltas(&engine), vec![1]);
+        assert_eq!(engine.scale_events[0].observed_ttft_p99, 0.0);
+    }
+
+    #[test]
+    fn autoscale_respects_cooldown_and_max_replicas() {
+        let mut engine = autoscaled_engine(1, 1);
+        engine.autoscale(2.5, 0, 9.0);
+        assert_eq!(engine.last_action, 2.5);
+        // Still pressured, but inside the cooldown.
+        engine.autoscale(4.5, 0, 9.0);
+        assert_eq!(engine.live_replicas(), 2);
+        // After each cooldown, pressure still there → scale again.
+        engine.autoscale(12.5, 0, 9.0);
+        engine.autoscale(22.5, 0, 9.0);
+        assert_eq!(engine.live_replicas(), 4);
+        // At the ceiling, never scales out.
+        engine.autoscale(32.5, 0, 9.0);
+        assert_eq!(deltas(&engine), vec![1, 1, 1]);
+    }
+
+    #[test]
+    fn autoscale_scales_in_only_when_quiet_and_above_the_floor() {
+        // Quiet: tiny p99, no waiters, backlog ≪ capacity of r−1 replicas.
+        // Above a floor of 1 one replica drains, which starts the
+        // cooldown; at a floor of 3 none does.
+        for (floor, live, last_action) in [(1, 2, 16.5), (3, 3, f64::NEG_INFINITY)] {
+            let mut engine = autoscaled_engine(3, floor);
+            complete(&mut engine, 10.0, 50, 0.05);
+            engine.autoscale(16.5, 100, 0.0);
+            assert_eq!(engine.live_replicas(), live, "floor {floor}");
+            assert_eq!(engine.last_action, last_action, "floor {floor}");
+        }
+    }
+
+    #[test]
+    fn autoscale_ignores_stale_completions() {
+        // One terrible TTFT at t = 1 breaches a check at t = 10, but at
+        // t = 100 it has aged out of the 20 s window.
+        for (now, scaled) in [(10.0, 1), (100.0, 0)] {
+            let mut engine = autoscaled_engine(1, 1);
+            complete(&mut engine, 1.0, 1, 50.0);
+            engine.autoscale(now, 0, 0.0);
+            assert_eq!(engine.scale_events.len(), scaled, "t = {now}");
+        }
+    }
+
     #[test]
     fn draining_replicas_count_against_the_self_managed_ceiling() {
         let config =
             ServingConfig::small(2).with_autoscaler(AutoscalerConfig::responsive(2.0, 1, 2));
         let mut engine = ServingEngine::new(config).unwrap();
         // One replica drains with a request still running, so it keeps its
-        // GPUs.
-        let victim = engine.begin_drain().unwrap();
+        // GPUs.  A drain starts the cooldown, so date it outside.
+        let victim = engine.begin_drain(-COOLDOWN).unwrap();
         let request = Request {
             id: 0,
             arrival: 0.0,
@@ -1439,11 +1505,15 @@ mod tests {
         };
         assert!(engine.replicas[victim].batcher.try_admit(request, 0.0));
         // A breach (the gateway's front has waited 10 s) sees one live
-        // replica under a ceiling of two, yet both still hold GPUs.
+        // replica under a ceiling of two, yet both still hold GPUs.  The
+        // dropped scale-out starts no cooldown.
         engine.autoscale(2.0, 0, 10.0);
         assert_eq!(engine.replicas.len(), 2);
         assert!(engine.scale_events.is_empty());
-        // Once the drained replica is reclaimed, the next breach adds one.
+        assert_eq!(engine.last_action, -COOLDOWN);
+        // Once the drained replica is reclaimed, the next breach adds one,
+        // 2 s later: inside the cooldown the dropped decision would have
+        // started.
         let batcher = &mut engine.replicas[victim].batcher;
         while let Some(plan) = batcher.plan_step() {
             batcher.commit_step(plan, victim, 1.0, |_| {});
@@ -1454,8 +1524,7 @@ mod tests {
         assert_eq!(engine.created_replicas, 3);
         assert_eq!(engine.replicas.len(), 2);
         assert_eq!(engine.live_replicas(), 2);
-        let deltas: Vec<i64> = engine.scale_events.iter().map(|e| e.delta).collect();
-        assert_eq!(deltas, vec![-1, 1]);
+        assert_eq!(deltas(&engine), vec![-1, 1]);
     }
 
     #[test]
@@ -1489,7 +1558,7 @@ mod tests {
         // starve large requests.
         let capacity = ServingEngine::new(ServingConfig::small(1))
             .unwrap()
-            .kv_capacity_tokens();
+            .kv_capacity_tokens;
         let big = capacity * 6 / 10;
         let trace = RequestTrace::replayed(
             "head-of-line",
@@ -1511,7 +1580,7 @@ mod tests {
         // rejects the trace up front instead of wedging.
         let capacity = ServingEngine::new(ServingConfig::small(1))
             .unwrap()
-            .kv_capacity_tokens();
+            .kv_capacity_tokens;
         let trace = RequestTrace::replayed("long", vec![(0.0, capacity + 100, 10)]).unwrap();
         let _ = serve(ServingConfig::small(1), &trace, None);
     }
@@ -1557,7 +1626,7 @@ mod tests {
 
         // ... while the recorder saw the run's structure: engine-step spans
         // per replica lane and scale markers mirroring the event log.
-        let events = recorder.snapshot();
+        let events = recorder.take();
         let spans = events
             .iter()
             .filter(|e| matches!(e, Event::Span(_)))
@@ -1590,7 +1659,7 @@ mod tests {
         for _ in 0..k {
             assert!(dropped.step(Some(&mut calm)));
         }
-        let switched_at = dropped.makespan();
+        let switched_at = dropped.makespan;
         while dropped.step(None) {}
         let dropped = dropped.finish();
 
@@ -1642,24 +1711,25 @@ mod tests {
             decode_tokens: 0,
         };
         let kept = session.engine.replicas[0].identity_price;
-        assert_eq!(kept, Some((prefill, session.makespan())));
+        assert_eq!(kept, Some((prefill, session.makespan)));
 
-        // Plant a sentinel price for the next plan.
+        // Plant a sentinel price for the next plan.  With one busy replica
+        // the next step starts at its clock.
         let sentinel = 1000.0;
         let decode = session.engine.replicas[0].batcher.plan_step().unwrap();
         assert_eq!(decode.batch_tokens(), 1);
         session.engine.replicas[0].identity_price = Some((decode, sentinel));
-        let start = session.next_action_time().unwrap();
+        let start = session.engine.replicas[0].clock;
         assert!(session.step(None));
-        assert_eq!(session.makespan(), start + sentinel);
+        assert_eq!(session.makespan, start + sentinel);
 
         // A CALM step with the same plan is priced, and leaves the entry.
         assert_eq!(session.engine.replicas[0].batcher.plan_step(), Some(decode));
-        let model = Model::from_preset(session.config().preset);
+        let model = Model::from_preset(session.engine.config.preset);
         let mut calm = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 9);
-        let start = session.next_action_time().unwrap();
+        let start = session.engine.replicas[0].clock;
         assert!(session.step(Some(&mut calm)));
-        let calm_duration = session.makespan() - start;
+        let calm_duration = session.makespan - start;
         assert!(
             calm_duration > 0.0 && calm_duration < 1.0,
             "{calm_duration}"
@@ -1669,9 +1739,9 @@ mod tests {
 
         // Back at the identity, the entry is still the replica's price.
         assert_eq!(session.engine.replicas[0].batcher.plan_step(), Some(decode));
-        let start = session.next_action_time().unwrap();
+        let start = session.engine.replicas[0].clock;
         assert!(session.step(None));
-        assert_eq!(session.makespan(), start + sentinel);
+        assert_eq!(session.makespan, start + sentinel);
     }
 
     #[test]
@@ -1686,8 +1756,8 @@ mod tests {
         c.microbatches = 0;
         assert!(c.validate().is_err());
         // A bad autoscaler is an Err from ServingEngine::new, never a panic
-        // inside Autoscaler::new: no replica floor, a ceiling below the
-        // floor, or a target that is not a positive finite time.
+        // mid-run: no replica floor, a ceiling below the floor, or a target
+        // that is not a positive finite time.
         for scaler in [
             AutoscalerConfig::responsive(2.0, 0, 4),
             AutoscalerConfig::responsive(2.0, 3, 2),
@@ -1697,6 +1767,14 @@ mod tests {
         ] {
             let c = ServingConfig::small(1).with_autoscaler(scaler);
             assert!(ServingEngine::new(c).is_err(), "{scaler:?}");
+        }
+        // An externally managed deployment's window must span a positive,
+        // finite time, or it would never prune.
+        let block = || vec![vec![0, 1, 2, 3]];
+        assert!(ServingEngine::external(ServingConfig::small(1), block(), 20.0).is_ok());
+        for span in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let c = ServingConfig::small(1);
+            assert!(ServingEngine::external(c, block(), span).is_err(), "{span}");
         }
     }
 }

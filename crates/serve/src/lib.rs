@@ -19,11 +19,14 @@
 //!   load update in place (early-exit token retention shortens decode
 //!   work and boundary bytes; MoE routing skews per-stage load).
 //! * [`metrics`] — SLO metrics: TTFT, TPOT, p50/p95/p99 latency, goodput.
-//! * [`autoscale`] — an SLO-driven elastic autoscaler that adds replicas,
-//!   laid out by the balancer, up to the deployment's GPU ceiling when a
-//!   load spike pushes p99 TTFT past target, then drains and releases them
-//!   when the spike passes.  A fleet controller scales a deployment built
-//!   with [`ServingEngine::external`] through the same replica lifecycle.
+//! * [`autoscale`] — the SLO state and policy: the deployment's
+//!   [`TtftWindow`] of completed requests and the autoscaler's settings.
+//!   A deployment's own autoscaler adds replicas, laid out by the balancer,
+//!   up to its GPU ceiling when a load spike pushes the window's p99 TTFT
+//!   past target, then drains and releases them when the spike passes.  A
+//!   fleet controller scales a deployment built with
+//!   [`ServingEngine::external`] through the same replica lifecycle,
+//!   reading the same window and last-action time.
 
 #![warn(missing_docs)]
 
@@ -33,7 +36,7 @@ pub mod engine;
 pub mod metrics;
 pub mod trace;
 
-pub use autoscale::{Autoscaler, AutoscalerConfig, LoadSignals, ScaleDecision, ScaleEvent};
+pub use autoscale::{AutoscalerConfig, ScaleEvent, TtftWindow};
 pub use batching::{ContinuousBatcher, StepPlan};
 pub use engine::{
     fleet_clock, serve, GatewaySnapshot, ServeBalancerKind, ServingConfig, ServingEngine,

@@ -278,7 +278,8 @@ impl RequestTrace {
     }
 
     /// Sum of the requested output tokens.
-    pub fn total_output_tokens(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_output_tokens(&self) -> u64 {
         self.requests.iter().map(|r| r.output_tokens as u64).sum()
     }
 }

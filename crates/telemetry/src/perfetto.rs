@@ -60,16 +60,6 @@ impl TraceBuilder {
         Self::default()
     }
 
-    /// Number of trace events added so far (including metadata).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events have been added.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Name the process `pid` (one per recorder group).
     pub fn process_name(&mut self, pid: usize, name: &str) {
         self.metadata(pid, None, "process_name", name);
@@ -321,7 +311,7 @@ mod tests {
         trace.process_name(0, "training");
         trace.thread_name(0, 0, "rank 0");
         trace.thread_name(0, 1, "rank 1");
-        trace.add_events(0, &r.snapshot());
+        trace.add_events(0, &r.take());
         trace
     }
 
@@ -363,7 +353,7 @@ mod tests {
         r.span(0, 0, "a", 0.0, 1.0);
         r.span(1, 0, "b", 0.0, 1.0);
         let mut trace = TraceBuilder::new();
-        trace.add_events(5, &r.snapshot());
+        trace.add_events(5, &r.take());
         let stats = validate_trace_json(&trace.to_json()).unwrap();
         assert_eq!(stats.processes, 2); // pids 5 and 6
         assert_eq!(stats.span_tracks, 2);

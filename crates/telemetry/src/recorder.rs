@@ -135,21 +135,6 @@ impl MemoryRecorder {
         Self::default()
     }
 
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clone the buffered events in record order.
-    pub fn snapshot(&self) -> Vec<Event> {
-        self.events.lock().clone()
-    }
-
     /// Drain the buffered events, leaving the recorder empty.
     pub fn take(&self) -> Vec<Event> {
         std::mem::take(&mut *self.events.lock())
@@ -193,14 +178,14 @@ mod tests {
         );
         r.counter(0, "replicas", 2.0, 4.0);
         r.log(LogLevel::Info, "hello");
-        let events = r.snapshot();
+        let events = r.take();
         assert_eq!(events.len(), 4);
         assert!(matches!(&events[0], Event::Span(s) if s.lane == 1 && s.name == "F0"));
         assert!(matches!(&events[1], Event::Instant(i) if i.kind == MarkerKind::Rebalance));
         assert!(matches!(&events[2], Event::Counter(c) if c.value == 4.0));
         assert!(matches!(&events[3], Event::Log(l) if l.message == "hello"));
-        assert_eq!(r.take().len(), 4);
-        assert!(r.is_empty());
+        // Taking the events drained the recorder.
+        assert!(r.take().is_empty());
     }
 
     #[test]
@@ -226,7 +211,7 @@ mod tests {
         };
         let r = MemoryRecorder::new();
         r.record_iteration(7, 0, 100.0, &report);
-        let events = r.snapshot();
+        let events = r.take();
         // 4 op spans + 1 makespan counter sample.
         assert_eq!(events.len(), 5);
         match &events[0] {

@@ -62,11 +62,6 @@ impl P2Quantile {
         }
     }
 
-    /// Observations seen so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Feed one observation.
     pub fn observe(&mut self, x: f64) {
         self.count += 1;
@@ -226,11 +221,6 @@ impl StreamingSummary {
         }
     }
 
-    /// Observations seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Summarize the stream so far.  Exact mode reproduces the sort-based
     /// summary bit-for-bit; sketch mode reports P² estimates and the
     /// running mean.  An empty stream summarizes to all zeros.
@@ -345,7 +335,7 @@ mod tests {
                 uniform01(&mut state)
             };
             sk.observe(x);
-            if sk.count() > 5 {
+            if sk.count > 5 {
                 for w in sk.heights.windows(2) {
                     assert!(w[0] <= w[1], "markers out of order: {:?}", sk.heights);
                 }

@@ -190,7 +190,7 @@ fn a_warm_serving_step_allocates_nothing() {
 fn a_warm_calm_serving_step_allocates_nothing() {
     let (engine, trace) = serving_setup();
     let mut session = engine.session(&trace);
-    let model = Model::from_preset(session.config().preset);
+    let model = Model::from_preset(ServingConfig::small(2).preset);
     let mut calm = EarlyExitEngine::new(&model, EarlyExitMethod::Calm, 7);
     let allocations = warm_step_allocations(&mut session, |s| s.step(Some(&mut calm)));
     // The engine refills the deployment's update in place, so again only

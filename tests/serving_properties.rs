@@ -63,7 +63,8 @@ proptest! {
         // Token conservation: exactly the requested prompt and output
         // tokens were processed — early exit shortens per-token *work*,
         // never the token count.
-        prop_assert_eq!(report.total_output_tokens, trace.total_output_tokens());
+        let requested: u64 = trace.requests.iter().map(|r| r.output_tokens as u64).sum();
+        prop_assert_eq!(report.total_output_tokens, requested);
         prop_assert_eq!(
             report.total_prefill_tokens + report.total_output_tokens,
             trace.total_tokens()
